@@ -5,6 +5,7 @@ budgets, sensitivity curves, and a stochastic Langevin oracle to verify them.
 from .model import (
     HBAR,
     K_B,
+    ConfigurationError,
     DerivedParameters,
     DriveSettings,
     ParameterError,
@@ -22,10 +23,8 @@ from .transfer import (
     DriftSystem,
     PoleError,
     SingularResponseError,
-    TransferResponse,
-    closed_form_response,
     drift_system,
-    frequency_response,
+    require_stable,
     response_grid,
 )
 from .spectra import (
@@ -33,6 +32,7 @@ from .spectra import (
     QuadratureVariances,
     SqueezedReservoir,
     approx_suppressed_sensitivity,
+    input_densities,
     input_quadrature_variances,
     noise_budget,
     noise_budget_grid,
@@ -40,7 +40,6 @@ from .spectra import (
     reservoir_occupations,
 )
 from .simulation import (
-    ConfigurationError,
     SimulationConfig,
     SimulationTrace,
     ToneSignal,

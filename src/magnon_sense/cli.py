@@ -16,16 +16,17 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import svg
 from .model import (
+    _FREQUENCY_KEYS,
+    _PLAIN_KEYS,
+    ConfigurationError,
     ParameterError,
     PreconditionError,
     SystemParameters,
@@ -33,7 +34,6 @@ from .model import (
     derived_parameters,
     load_parameters,
 )
-from .simulation import ConfigurationError
 from .spectra import (
     SqueezedReservoir,
     noise_budget_grid,
@@ -51,21 +51,14 @@ _BUDGET_COLUMNS = (
     "omega_rad_s", "omega_over_kappa_m", "response", "additional_noise",
     "thermal_noise", "s_out", "s_bnoise_t2_per_hz", "sensitivity_t_per_sqrt_hz",
 )
+_SPECTRUM_COLUMNS = ("omega_rad_s", "omega_over_kappa_m", "s_out")
 
-#: parameter-file keys accepted as sweep axes -> (attribute, unit scale)
+#: sweep axes are the parameter-file keys that set one scalar field
+#: -> (attribute, unit scale)
 _SWEEPABLE = {
-    "r_m": ("r_m", 1.0),
-    "omega_m_hz": ("omega_m", _TWO_PI),
-    "omega_a_hz": ("omega_a", _TWO_PI),
-    "omega_0_hz": ("omega_0", _TWO_PI),
-    "g_0_hz": ("g_0", _TWO_PI),
-    "mod_amplitude": ("mod_amplitude", 1.0),
-    "kappa_a_hz": ("kappa_a", _TWO_PI),
-    "kappa_m_hz": ("kappa_m", _TWO_PI),
-    "delta_a_hz": ("delta_a", _TWO_PI),
-    "delta_0p_hz": ("delta_0p", _TWO_PI),
+    **{key: (attr, _TWO_PI) for key, attr in _FREQUENCY_KEYS.items()},
+    **{key: (attr, 1.0) for key, attr in _PLAIN_KEYS.items()},
     "lambda_hz_per_tesla": ("lambda_coupling", _TWO_PI),
-    "temperature_k": ("temperature", 1.0),
 }
 
 
@@ -74,8 +67,18 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit 1, not argparse's default 2
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _fmt(value: float) -> str:
@@ -84,20 +87,12 @@ def _fmt(value: float) -> str:
     return "%.12e" % value
 
 
-def _snapshot(params: SystemParameters, **extra) -> dict:
-    snap = {
-        "omega_a": params.omega_a,
-        "omega_0": params.omega_0,
-        "g_0": params.g_0,
-        "mod_amplitude": params.mod_amplitude,
-        "kappa_a": params.kappa_a,
-        "kappa_m": params.kappa_m,
-        "lambda_coupling": params.lambda_coupling,
-        "temperature": params.temperature,
-        "delta_a": params.delta_a,
-        "delta_0p": params.delta_0p,
-        "r_m": params.squeeze_amplitude,
-    }
+def _snapshot(params: SystemParameters, reservoir=None, **extra) -> dict:
+    snap = {f.name: getattr(params, f.name) for f in fields(params)
+            if f.name not in ("omega_m", "r_m", "drive")}
+    snap["r_m"] = params.squeeze_amplitude
+    if reservoir is not None:
+        snap.update(reservoir_r_n=reservoir.r_n, reservoir_phi_n=reservoir.phi_n)
     snap.update(extra)
     return snap
 
@@ -107,11 +102,11 @@ def _snapshot_hash(snapshot: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _write_csv(path, columns, rows, snapshot_hash: str) -> None:
+def _write_csv(path, header, columns, snapshot_hash: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# params_sha256={snapshot_hash}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -123,7 +118,9 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _parse_reservoir(text: str) -> SqueezedReservoir:
+def _parse_reservoir(text: str | None) -> SqueezedReservoir | None:
+    if not text:
+        return None
     parts = text.split(",")
     if len(parts) != 2:
         raise _UsageError("--reservoir expects 'r_n,phi_n' (phase in radians)")
@@ -145,115 +142,78 @@ def _resolve_params(args) -> SystemParameters:
     return params
 
 
-def _grid(params: SystemParameters, args) -> np.ndarray:
-    return np.linspace(0.0, args.grid_max * params.kappa_m, args.grid_points)
-
-
-def _budget_rows(params, omegas, reservoir):
+def _table(quantity: str, params: SystemParameters, reservoir, args):
+    """Column names and columns of a budget or spectrum CSV on the grid."""
+    omegas = np.linspace(0.0, args.grid_max * params.kappa_m, args.grid_points)
+    x = omegas / params.kappa_m
     dp = derived_parameters(params)
-    rows = []
-    for budget in noise_budget_grid(dp, params.temperature, omegas, reservoir):
-        rows.append((budget.omega, budget.omega / params.kappa_m,
-                     budget.response, budget.additional_noise,
-                     budget.thermal_noise, budget.s_out, budget.s_bnoise,
-                     budget.sensitivity))
-    return rows
-
-
-def _cmd_budget(args) -> int:
-    params = _resolve_params(args)
-    reservoir = _parse_reservoir(args.reservoir) if args.reservoir else None
-    omegas = _grid(params, args)
-    rows = _budget_rows(params, omegas, reservoir)
-    extra = {"command": "budget", "grid_max": args.grid_max,
-             "grid_points": args.grid_points}
-    if reservoir is not None:
-        extra.update(reservoir_r_n=reservoir.r_n, reservoir_phi_n=reservoir.phi_n)
-    _write_csv(args.out, _BUDGET_COLUMNS, rows, _snapshot_hash(_snapshot(params, **extra)))
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_spectrum(args) -> int:
-    params = _resolve_params(args)
-    reservoir = _parse_reservoir(args.reservoir) if args.reservoir else None
-    omegas = _grid(params, args)
-    dp = derived_parameters(params)
+    if quantity == "budget":
+        b = noise_budget_grid(dp, params.temperature, omegas, reservoir)
+        return _BUDGET_COLUMNS, [omegas, x, b.response, b.additional_noise,
+                                 b.thermal_noise, b.s_out, b.s_bnoise, b.sensitivity]
     s_out = output_spectrum(dp, params.temperature, omegas, reservoir=reservoir)
-    rows = [(w, w / params.kappa_m, s) for w, s in zip(omegas, s_out)]
-    extra = {"command": "spectrum", "grid_max": args.grid_max,
-             "grid_points": args.grid_points}
-    if reservoir is not None:
-        extra.update(reservoir_r_n=reservoir.r_n, reservoir_phi_n=reservoir.phi_n)
-    _write_csv(args.out, ("omega_rad_s", "omega_over_kappa_m", "s_out"),
-               rows, _snapshot_hash(_snapshot(params, **extra)))
+    return _SPECTRUM_COLUMNS, [omegas, x, s_out]
+
+
+def _cmd_table(args) -> int:
+    params = _resolve_params(args)
+    reservoir = _parse_reservoir(args.reservoir)
+    header, columns = _table(args.command, params, reservoir, args)
+    snap = _snapshot(params, reservoir, command=args.command,
+                     grid_max=args.grid_max, grid_points=args.grid_points)
+    _write_csv(args.out, header, columns, _snapshot_hash(snap))
     print(f"wrote {args.out}")
     return 0
 
 
 def _apply_axis(params: SystemParameters, key: str, value: float) -> SystemParameters:
     attr, scale = _SWEEPABLE[key]
-    if key == "r_m":
-        return params.with_squeeze_amplitude(value)
-    if key == "omega_m_hz":
-        return replace(params, r_m=None, omega_m=value * scale)
-    return replace(params, **{attr: value * scale})
+    changes = {attr: value * scale}
+    if attr in ("r_m", "omega_m"):  # exactly one of the two is set
+        changes = {"r_m": None, "omega_m": None, **changes}
+    return replace(params, **changes)
 
 
-def _cmd_sweep(args) -> int:
-    params = _resolve_params(args)
-    reservoir = _parse_reservoir(args.reservoir) if args.reservoir else None
-    axes = []
-    for spec_text in args.axis:
+def _parse_axes(specs: list[str]) -> list[tuple[str, list[float]]]:
+    axes = {}
+    for spec_text in specs:
         name, _, values = spec_text.partition("=")
         name = name.strip()
         if name not in _SWEEPABLE:
             raise _UsageError(
                 f"unknown sweep axis {name!r}; choose from "
                 + ", ".join(sorted(_SWEEPABLE)))
+        if name in axes:
+            raise _UsageError(f"sweep axis {name!r} is given twice")
         try:
             parsed = [float(v) for v in values.split(",") if v.strip()]
         except ValueError:
             raise _UsageError(f"non-numeric value in axis {name!r}") from None
         if not parsed:
             raise _UsageError(f"axis {name!r} has no values")
-        axes.append((name, parsed))
+        axes[name] = parsed
+    return list(axes.items())
 
+
+def _cmd_sweep(args) -> int:
+    params = _resolve_params(args)
+    reservoir = _parse_reservoir(args.reservoir)
+    axes = _parse_axes(args.axis)
+    names = [name for name, _ in axes]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    threads = args.threads or int(os.environ.get("MAGNON_SENSE_THREADS", "0")) \
-        or min(4, os.cpu_count() or 1)
 
-    combos = list(itertools.product(*[vals for _, vals in axes]))
-    names = [name for name, _ in axes]
-
-    def compute(combo):
+    outputs = []
+    for combo in itertools.product(*[values for _, values in axes]):
         point = params
         for name, value in zip(names, combo):
             point = _apply_axis(point, name, value)
-        omegas = _grid(point, args)
-        if args.quantity == "budget":
-            rows = _budget_rows(point, omegas, reservoir)
-            columns = _BUDGET_COLUMNS
-        else:
-            dp = derived_parameters(point)
-            s_out = output_spectrum(dp, point.temperature, omegas, reservoir=reservoir)
-            rows = [(w, w / point.kappa_m, s) for w, s in zip(omegas, s_out)]
-            columns = ("omega_rad_s", "omega_over_kappa_m", "s_out")
-        return point, columns, rows
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(compute, combos))
-
-    outputs = []
-    for combo, (point, columns, rows) in zip(combos, results):
+        header, columns = _table(args.quantity, point, reservoir, args)
         tag = "_".join(f"{name}-{value:g}" for name, value in zip(names, combo))
         path = outdir / f"sweep_{args.quantity}_{tag}.csv"
-        extra = {"command": "sweep", "quantity": args.quantity,
-                 **{name: value for name, value in zip(names, combo)}}
-        if reservoir is not None:
-            extra.update(reservoir_r_n=reservoir.r_n, reservoir_phi_n=reservoir.phi_n)
-        _write_csv(path, columns, rows, _snapshot_hash(_snapshot(point, **extra)))
+        snap = _snapshot(point, reservoir, command="sweep", quantity=args.quantity,
+                         **dict(zip(names, combo)))
+        _write_csv(path, header, columns, _snapshot_hash(snap))
         outputs.append(path)
 
     manifest = {
@@ -292,25 +252,18 @@ _FIG5_G_FACTORS = (0.5, 1.0, 1.5, 2.0)
 _GRID_POINTS = 1001
 
 
-def _budget_panel_tables(variants, temperature, kappa_m_ref):
-    """Column-per-variant tables of response / additional / thermal noise."""
+def _budget_panel_tables(variants, temperature, kappa_m_ref, panels):
+    """Column-per-variant tables of the requested noise-budget fields."""
     omegas = np.linspace(0.0, 5.0 * kappa_m_ref, _GRID_POINTS)
-    x = omegas / kappa_m_ref
-    tables = {"response": [x], "additional_noise": [x], "thermal_noise": [x]}
-    for _, point in variants:
-        dp = derived_parameters(point)
-        budgets = noise_budget_grid(dp, temperature, omegas)
-        tables["response"].append(np.array([b.response for b in budgets]))
-        tables["additional_noise"].append(np.array([b.additional_noise for b in budgets]))
-        tables["thermal_noise"].append(np.array([b.thermal_noise for b in budgets]))
-    return tables
+    budgets = [noise_budget_grid(derived_parameters(point), temperature, omegas)
+               for _, point in variants]
+    return {panel: [omegas / kappa_m_ref] + [getattr(b, panel) for b in budgets]
+            for panel in panels}
 
 
 def _write_panel(outdir, stem, labels, table, snapshot_hash, ylabel, ylog=True):
-    columns = ["omega_over_kappa_m"] + labels
-    rows = list(zip(*table))
     csv_path = outdir / f"{stem}.csv"
-    _write_csv(csv_path, columns, rows, snapshot_hash)
+    _write_csv(csv_path, ["omega_over_kappa_m"] + labels, table, snapshot_hash)
     series = [(label, table[i + 1]) for i, label in enumerate(labels)]
     svg.line_chart(outdir / f"{stem}.svg", table[0], series,
                    title=stem, xlabel="omega / kappa_m", ylabel=ylabel,
@@ -341,10 +294,10 @@ def _cmd_reproduce(args) -> int:
             variants = [(f"g_{f:g}g0", replace(base, g_0=f * base.g_0))
                         for f in _FIG5_G_FACTORS]
         labels = [label for label, _ in variants]
-        tables = _budget_panel_tables(variants, temperature, base.kappa_m)
-        snap_hash = _snapshot_hash(_snapshot(base, command=f"reproduce-{fig}"))
         panels = ("response", "additional_noise") if fig == "fig5" else \
             ("response", "additional_noise", "thermal_noise")
+        tables = _budget_panel_tables(variants, temperature, base.kappa_m, panels)
+        snap_hash = _snapshot_hash(_snapshot(base, command=f"reproduce-{fig}"))
         for panel in panels:
             written += _write_panel(outdir, f"{fig}_{panel}", labels,
                                     tables[panel], snap_hash, panel)
@@ -353,25 +306,20 @@ def _cmd_reproduce(args) -> int:
         temperature = 280.0
         base = baseline_parameters(temperature=temperature)
         omegas = np.linspace(0.0, 5.0 * base.kappa_m, _GRID_POINTS)
-        x = omegas / base.kappa_m
-        table = [x]
-        labels = []
+        table = [omegas / base.kappa_m]
         for r in _RM_VALUES:
             dp = derived_parameters(base.with_squeeze_amplitude(r))
             if fig == "fig6":
-                budgets = noise_budget_grid(dp, temperature, omegas)
-                table.append(np.array([b.sensitivity for b in budgets]))
+                table.append(noise_budget_grid(dp, temperature, omegas).sensitivity)
             else:
-                table.append(np.array([
-                    approx_suppressed_sensitivity(dp, temperature, w)
-                    for w in omegas]))
-            labels.append(f"rm_{r:g}")
+                table.append(approx_suppressed_sensitivity(dp, temperature, omegas))
+        labels = [f"rm_{r:g}" for r in _RM_VALUES]
         stem = f"{fig}_sensitivity" if fig == "fig6" else f"{fig}_suppressed_sensitivity"
         snap_hash = _snapshot_hash(_snapshot(base, command=f"reproduce-{fig}"))
         written += _write_panel(outdir, stem, labels, table, snap_hash,
                                 "sensitivity (T/sqrt(Hz))")
 
-    elif fig == "fig7":
+    else:  # fig7
         r_m = 1.5
         base = baseline_parameters(r_m=r_m)
         snap_hash = _snapshot_hash(_snapshot(base, command="reproduce-fig7"))
@@ -387,14 +335,10 @@ def _cmd_reproduce(args) -> int:
                 ("fig7_ne_vs_rn", "r_n / r_m", ratios, n_e_ratio),
                 ("fig7_ne_vs_phase", "phi_n / pi", phases, n_e_phase)):
             csv_path = outdir / f"{stem}.csv"
-            _write_csv(csv_path, (xlabel.replace(" ", ""), "n_e"),
-                       list(zip(x, n_e)), snap_hash)
+            _write_csv(csv_path, (xlabel.replace(" ", ""), "n_e"), [x, n_e], snap_hash)
             svg.line_chart(outdir / f"{stem}.svg", x, [("n_e", n_e)],
                            title=stem, xlabel=xlabel, ylabel="N_e")
             written += [csv_path, outdir / f"{stem}.svg"]
-
-    else:
-        raise _UsageError(f"unknown figure {fig!r}")
 
     print(f"wrote {len(written)} files to {outdir}")
     return 0
@@ -418,18 +362,18 @@ def _build_parser() -> _Parser:
         if with_grid:
             p.add_argument("--grid-max", type=float, default=5.0,
                            help="grid end in units of kappa_m (default 5)")
-            p.add_argument("--grid-points", type=int, default=1001,
+            p.add_argument("--grid-points", type=_positive_int, default=1001,
                            help="number of grid points (default 1001)")
 
     p_budget = sub.add_parser("budget", help="noise budget rows over a frequency grid")
     add_common(p_budget)
     p_budget.add_argument("--out", default="budget.csv")
-    p_budget.set_defaults(func=_cmd_budget)
+    p_budget.set_defaults(func=_cmd_table)
 
     p_spectrum = sub.add_parser("spectrum", help="homodyne output spectrum over a grid")
     add_common(p_spectrum)
     p_spectrum.add_argument("--out", default="spectrum.csv")
-    p_spectrum.set_defaults(func=_cmd_spectrum)
+    p_spectrum.set_defaults(func=_cmd_table)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep, one CSV per combination")
     add_common(p_sweep)
@@ -439,9 +383,6 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--quantity", choices=("budget", "spectrum"),
                          default="budget")
     p_sweep.add_argument("--outdir", default=".")
-    p_sweep.add_argument("--threads", type=int, default=0,
-                         help="worker threads (default: MAGNON_SENSE_THREADS "
-                              "or up to 4)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the stochastic-oracle comparisons")
@@ -462,21 +403,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, PreconditionError, ConfigurationError) as exc:
+    except (OSError, ParameterError, PreconditionError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

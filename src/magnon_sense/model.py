@@ -4,8 +4,9 @@ Everything downstream (transfer functions, spectra, stochastic simulation)
 consumes :class:`DerivedParameters`, which collects the quantities left after
 the anisotropy term of the magnon mode has been diagonalised by a Bogoliubov
 (squeezing) transformation: squeeze amplitude ``r_m``, amplification
-coefficient ``xi = exp(2 r_m)``, the corrected magnon frequency, the enhanced
-couplings and the thermal occupations of both modes.
+coefficient ``xi = exp(2 r_m)``, the corrected magnon frequency and the
+enhanced couplings, together with the two mode frequencies that set the
+thermal occupations.
 
 Unit convention: every frequency, rate and detuning is stored as an angular
 frequency in rad/s.  Parameter files accept plain frequencies in Hz and are
@@ -24,6 +25,7 @@ __all__ = [
     "K_B",
     "ParameterError",
     "PreconditionError",
+    "ConfigurationError",
     "RotatingWaveWarning",
     "DriveSettings",
     "SystemParameters",
@@ -42,6 +44,10 @@ K_B = 1.380649e-23
 
 _TWO_PI = 2.0 * math.pi
 
+#: bound on |r_m| that keeps exp(2 r_m) and cosh(2 r_m) finite in double
+#: precision (they overflow near |r_m| = 354.9)
+_MAX_SQUEEZE = 354.0
+
 
 class ParameterError(ValueError):
     """Raised for physically invalid or malformed parameters and inputs."""
@@ -49,6 +55,10 @@ class ParameterError(ValueError):
 
 class PreconditionError(ValueError):
     """Raised when an operation is called outside its validity domain."""
+
+
+class ConfigurationError(ValueError):
+    """Raised when a configuration fails a stability or accuracy guard."""
 
 
 class RotatingWaveWarning(UserWarning):
@@ -115,8 +125,10 @@ class SystemParameters:
         if self.omega_m is not None and abs(self.omega_m) >= self.omega_0:
             raise ParameterError(
                 "|omega_m| must be < omega_0 for the squeeze amplitude to be real")
-        if self.r_m is not None and not math.isfinite(self.r_m):
-            raise ParameterError("r_m must be finite")
+        if self.r_m is not None and not abs(self.r_m) < _MAX_SQUEEZE:
+            raise ParameterError(
+                f"|r_m| must be < {_MAX_SQUEEZE:g} for exp(2 r_m) to be "
+                f"finite, got {self.r_m!r}")
         if self.drive is not None:
             g_eff = self.mod_amplitude * self.g_0 * math.exp(self.squeeze_amplitude)
             if g_eff >= self.drive.omega_l + self.drive.omega_b:
@@ -152,8 +164,7 @@ class DerivedParameters:
     """Post-squeezing quantities consumed by all solvers.
 
     ``omega_a`` and ``omega_0`` are carried along so that thermal occupations
-    can be re-evaluated at any analysis temperature; ``nbar_a``/``nbar_m``
-    hold the occupations at the temperature the parameters were built with.
+    can be evaluated at any analysis temperature.
     """
 
     r_m: float
@@ -165,8 +176,6 @@ class DerivedParameters:
     kappa_m: float
     delta_a: float
     delta_0p: float
-    nbar_a: float
-    nbar_m: float
     omega_a: float
     omega_0: float
 
@@ -223,12 +232,11 @@ def derive_squeeze_amplitude(omega_0: float, omega_m: float) -> float:
 
 
 def derived_parameters(params: SystemParameters) -> DerivedParameters:
-    """Evaluate the squeezing transformation and thermal environment.
+    """Evaluate the squeezing transformation.
 
     Populates ``xi = exp(2 r_m)``, the corrected magnon frequency
-    ``omega_0' = omega_0 / cosh(2 r_m)``, the enhanced couplings
-    ``g' = A g_0 exp(r_m)`` and ``lambda' = lambda exp(r_m)``, and the
-    occupations of both modes at ``params.temperature``.
+    ``omega_0' = omega_0 / cosh(2 r_m)`` and the enhanced couplings
+    ``g' = A g_0 exp(r_m)`` and ``lambda' = lambda exp(r_m)``.
     """
     r_m = params.squeeze_amplitude
     return DerivedParameters(
@@ -241,8 +249,6 @@ def derived_parameters(params: SystemParameters) -> DerivedParameters:
         kappa_m=params.kappa_m,
         delta_a=params.delta_a,
         delta_0p=params.delta_0p,
-        nbar_a=thermal_occupation(params.omega_a, params.temperature),
-        nbar_m=thermal_occupation(params.omega_0, params.temperature),
         omega_a=params.omega_a,
         omega_0=params.omega_0,
     )

@@ -30,14 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg, signal as _signal
 
-from .model import DerivedParameters, ParameterError, thermal_occupation
+from .model import ConfigurationError, DerivedParameters, ParameterError
 from .spectra import (
     QuadratureVariances,
     SqueezedReservoir,
     _require_evading_point,
-    input_quadrature_variances,
+    input_densities,
 )
-from .transfer import drift_system
+from .transfer import drift_system, require_stable
 
 __all__ = [
     "ConfigurationError",
@@ -61,10 +61,6 @@ _DT_GUARD = 0.1
 _CHUNK = 65536
 
 
-class ConfigurationError(ValueError):
-    """Simulation configuration fails a stability or accuracy guard."""
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Integration settings.
@@ -84,8 +80,10 @@ class SimulationConfig:
     def __post_init__(self):
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise ConfigurationError("dt must be positive and finite")
-        if self.duration <= 0 or self.burn_in < 0:
-            raise ConfigurationError("duration must be > 0 and burn_in >= 0")
+        if not (self.duration > 0 and self.burn_in >= 0
+                and math.isfinite(self.duration) and math.isfinite(self.burn_in)):
+            raise ConfigurationError(
+                "duration must be finite and > 0, burn_in finite and >= 0")
         if self.n_trajectories < 1:
             raise ConfigurationError("n_trajectories must be >= 1")
 
@@ -108,8 +106,10 @@ class ToneSignal:
     carrier: float | None = None  # omega_b, rad/s; full-rate mode only
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ParameterError("tone amplitude must be >= 0")
+        if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
+            raise ParameterError("tone amplitude must be finite and >= 0")
+        if not math.isfinite(self.frequency):
+            raise ParameterError("tone frequency must be finite")
         if self.mode not in ("envelope", "full-rate"):
             raise ParameterError(f"unknown injection mode {self.mode!r}")
         if self.mode == "full-rate" and (self.carrier is None or self.carrier <= 0):
@@ -161,11 +161,14 @@ def _validate_config(dp: DerivedParameters, cfg: SimulationConfig,
         raise ConfigurationError(
             f"burn_in = {cfg.burn_in!r} s is shorter than 10 relaxation times "
             f"(need >= {10.0 / slowest!r} s)")
-    eigs = np.linalg.eigvals(drift)
-    if eigs.real.max() >= 0:
-        raise ConfigurationError(
-            "drift matrix is dynamically unstable for these parameters "
-            f"(max Re eigenvalue = {eigs.real.max()!r} rad/s)")
+    require_stable(drift)
+
+
+def _input_noise(dp, temperature, reservoir, magnon_variances, cavity_variance):
+    """Input densities from the parameters, unless the caller overrides them."""
+    cavity, magnon = input_densities(dp, temperature, reservoir)
+    return (magnon if magnon_variances is None else magnon_variances,
+            cavity if cavity_variance is None else cavity_variance)
 
 
 def _drive_arrays(signal: ToneSignal, dp: DerivedParameters,
@@ -196,10 +199,10 @@ def simulate(
 ) -> SimulationTrace:
     """Integrate the quadrature Langevin equations and record the output.
 
-    Noise statistics follow from the parameters: magnon increments have the
-    (squeezed or reservoir-engineered) variances of
-    :func:`~magnon_sense.spectra.input_quadrature_variances` and cavity
-    increments the thermal density nbar_a + 1/2 per quadrature.
+    Noise statistics follow from the parameters through
+    :func:`~magnon_sense.spectra.input_densities`: magnon increments have the
+    squeezed or reservoir-engineered variances and cavity increments the
+    thermal density nbar_a + 1/2 per quadrature.
     ``magnon_variances`` / ``cavity_variance`` override those values, which
     is useful for diagnostics (zero noise makes the homogeneous system decay
     to an identically zero trace from a zero initial state).
@@ -209,12 +212,8 @@ def simulate(
     """
     system = drift_system(dp)
     _validate_config(dp, cfg, signal, system.drift)
-
-    if magnon_variances is None:
-        nbar_m = thermal_occupation(dp.omega_0, temperature)
-        magnon_variances = input_quadrature_variances(dp.r_m, nbar_m, reservoir)
-    if cavity_variance is None:
-        cavity_variance = thermal_occupation(dp.omega_a, temperature) + 0.5
+    magnon_variances, cavity_variance = _input_noise(
+        dp, temperature, reservoir, magnon_variances, cavity_variance)
     if cavity_variance < 0:
         raise ParameterError("cavity variance density must be >= 0")
 
@@ -399,11 +398,8 @@ def lyapunov_covariance(
     This is the analytic check used against long-run sample covariances.
     """
     system = drift_system(dp)
-    if magnon_variances is None:
-        nbar_m = thermal_occupation(dp.omega_0, temperature)
-        magnon_variances = input_quadrature_variances(dp.r_m, nbar_m, reservoir)
-    if cavity_variance is None:
-        cavity_variance = thermal_occupation(dp.omega_a, temperature) + 0.5
+    magnon_variances, cavity_variance = _input_noise(
+        dp, temperature, reservoir, magnon_variances, cavity_variance)
     diffusion = np.zeros((4, 4))
     diffusion[0, 0] = dp.kappa_m * magnon_variances.v_x
     diffusion[1, 1] = dp.kappa_m * magnon_variances.v_p

@@ -12,7 +12,8 @@ r_n = r_m, phi_n = pi, leaving a pure vacuum input.
 
 At the backaction-evading point (both detunings zero) the spectrum separates
 into response * (thermal noise + additional noise + signal), which is the
-decomposition reported by :func:`noise_budget` together with the
+decomposition reported by :func:`noise_budget_grid` as one
+:class:`NoiseBudget` of per-frequency columns, together with the
 field-referred total noise and the sensitivity.
 """
 
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .model import DerivedParameters, ParameterError, PreconditionError, thermal_occupation
-from .transfer import response_grid
+from .transfer import drift_system, require_stable, response_grid
 
 __all__ = [
     "QuadratureVariances",
@@ -33,6 +34,7 @@ __all__ = [
     "NoiseBudget",
     "reservoir_occupations",
     "input_quadrature_variances",
+    "input_densities",
     "output_spectrum",
     "noise_budget",
     "noise_budget_grid",
@@ -89,25 +91,31 @@ class SqueezedReservoir:
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    """Per-frequency decomposition of the output noise.
+    """Decomposition of the output noise, one column per quantity.
 
-    ``response`` is the gain from the field-referred signal density to the
-    output spectrum; ``additional_noise`` the cavity (shot/backaction)
-    contribution and ``thermal_noise`` the magnon thermal contribution, both
-    referred to the same input; ``s_out`` the output spectrum value;
-    ``s_bnoise`` the total noise density referred to magnetic field (T^2/Hz)
-    and ``sensitivity`` its square root (T/sqrt(Hz)).
+    Each field is an array aligned with the analysis frequencies ``omega``
+    (rad/s), and ``len()`` is their number; :func:`noise_budget` returns the
+    same fields as floats for a single frequency.  ``response`` is the gain
+    from the field-referred signal density to the output spectrum;
+    ``additional_noise`` the cavity (shot/backaction) contribution and
+    ``thermal_noise`` the magnon thermal contribution, both referred to the
+    same input; ``s_out`` the output spectrum value; ``s_bnoise`` the total
+    noise density referred to magnetic field (T^2/Hz) and ``sensitivity``
+    its square root (T/sqrt(Hz)).
     """
 
-    omega: float
-    response: float
-    additional_noise: float
-    thermal_noise: float
-    s_out: float
-    s_bnoise: float
-    sensitivity: float
+    omega: np.ndarray
+    response: np.ndarray
+    additional_noise: np.ndarray
+    thermal_noise: np.ndarray
+    s_out: np.ndarray
+    s_bnoise: np.ndarray
+    sensitivity: np.ndarray
 
-    def snr(self, b_ex: float) -> float:
+    def __len__(self) -> int:
+        return len(self.omega)
+
+    def snr(self, b_ex: float):
         """Amplitude signal-to-noise ratio for a field of spectral amplitude
         ``b_ex`` (T/sqrt(Hz)); unity defines the minimum detectable signal."""
         return b_ex / self.sensitivity
@@ -173,6 +181,42 @@ def input_quadrature_variances(
     )
 
 
+def input_densities(
+    dp: DerivedParameters,
+    temperature: float,
+    reservoir: SqueezedReservoir | None = None,
+) -> tuple[float, QuadratureVariances]:
+    """Variance densities of the four white inputs at ``temperature``.
+
+    Returns the density nbar_a + 1/2 of each cavity quadrature and the
+    magnon :class:`QuadratureVariances` of
+    :func:`input_quadrature_variances`, with each mode's thermal occupation
+    taken at its own frequency.  Every spectrum, budget, Lyapunov solution
+    and simulation draws its input noise from here.
+    """
+    cavity = thermal_occupation(dp.omega_a, temperature) + 0.5
+    nbar_m = thermal_occupation(dp.omega_0, temperature)
+    return cavity, input_quadrature_variances(dp.r_m, nbar_m, reservoir)
+
+
+def _frequency_grid(grid) -> np.ndarray:
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise ParameterError("frequency grid must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise ParameterError("frequency grid must be finite")
+    return grid
+
+
+def _s_out(ks, cavity: float, magnon: QuadratureVariances, s1=0.0, s2=0.0):
+    """The s_out expression of :func:`output_spectrum` on solved k1..k4."""
+    k1, k2, k3, k4 = ks
+    return (cavity * (np.abs(k3)**2 + np.abs(k4)**2)
+            + np.abs(k1)**2 * (magnon.v_x + s1)
+            + np.abs(k2)**2 * (magnon.v_p + s2)
+            + 2.0 * np.real(k1 * np.conj(k2)) * magnon.c_xp)
+
+
 def output_spectrum(
     dp: DerivedParameters,
     temperature: float,
@@ -192,28 +236,18 @@ def output_spectrum(
     (no reservoir, or reservoir phase 0/pi) or k2 = 0 (zero magnon detuning),
     which covers every reported operating point; it is kept for arbitrary
     reservoir phases.
-    """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ParameterError("frequency grid must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise ParameterError("frequency grid must be finite")
-    nbar_a = thermal_occupation(dp.omega_a, temperature)
-    nbar_m = thermal_occupation(dp.omega_0, temperature)
-    var = input_quadrature_variances(dp.r_m, nbar_m, reservoir)
 
-    if signal_psd is None:
-        s1 = s2 = np.zeros_like(grid)
-    else:
+    Raises :class:`ConfigurationError` if the drift is unstable, since no
+    stationary spectrum exists then.
+    """
+    grid = _frequency_grid(grid)
+    require_stable(drift_system(dp).drift)
+    cavity, magnon = input_densities(dp, temperature, reservoir)
+    s1 = s2 = 0.0
+    if signal_psd is not None:
         s1 = np.broadcast_to(np.asarray(signal_psd[0], dtype=float), grid.shape)
         s2 = np.broadcast_to(np.asarray(signal_psd[1], dtype=float), grid.shape)
-
-    k1, k2, k3, k4 = response_grid(dp, grid)
-    s_out = ((nbar_a + 0.5) * (np.abs(k3)**2 + np.abs(k4)**2)
-             + np.abs(k1)**2 * (var.v_x + s1)
-             + np.abs(k2)**2 * (var.v_p + s2)
-             + 2.0 * np.real(k1 * np.conj(k2)) * var.c_xp)
-    return s_out
+    return _s_out(response_grid(dp, grid), cavity, magnon, s1, s2)
 
 
 def _require_evading_point(dp: DerivedParameters) -> None:
@@ -226,6 +260,14 @@ def _require_evading_point(dp: DerivedParameters) -> None:
         raise PreconditionError(
             f"noise budget is defined only at the backaction-evading point; "
             f"delta_0p = {dp.delta_0p!r} rad/s is nonzero")
+
+
+def _additional_noise(dp: DerivedParameters, cavity: float, k1, k4) -> np.ndarray:
+    """N_qn = (nbar_a + 1/2)/xi |k4|^2/|k1|^2, infinite where k1 vanishes."""
+    k1_sq = np.abs(k1)**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        additional = cavity / dp.xi * np.abs(k4)**2 / k1_sq
+    return np.where(k1_sq < _K1_SQ_FLOOR, math.inf, additional)
 
 
 def noise_budget(
@@ -248,9 +290,12 @@ def noise_budget(
     with lambda the bare field coupling.  Thermal noise is a normalized
     background: independent of omega, kappa_a and the coupling.  At zero
     coupling |k1|^2 vanishes and the field-referred quantities are reported
-    as infinity (no transduction), not as an error.
+    as infinity (no transduction), not as an error.  The fields are floats;
+    :func:`noise_budget_grid` gives the same values as columns.
     """
-    return noise_budget_grid(dp, temperature, [omega], reservoir)[0]
+    budget = noise_budget_grid(dp, temperature, [omega], reservoir)
+    return NoiseBudget(**{f.name: float(getattr(budget, f.name)[0])
+                          for f in fields(NoiseBudget)})
 
 
 def noise_budget_grid(
@@ -258,64 +303,43 @@ def noise_budget_grid(
     temperature: float,
     omegas,
     reservoir: SqueezedReservoir | None = None,
-) -> list[NoiseBudget]:
-    """Vectorized :func:`noise_budget` over a frequency grid."""
+) -> NoiseBudget:
+    """:func:`noise_budget` over a frequency grid, as one column per field."""
     _require_evading_point(dp)
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if not np.all(np.isfinite(omegas)):
-        raise ParameterError("frequency grid must be finite")
-    nbar_a = thermal_occupation(dp.omega_a, temperature)
-    nbar_m = thermal_occupation(dp.omega_0, temperature)
-    var = input_quadrature_variances(dp.r_m, nbar_m, reservoir)
-    thermal = var.v_x / dp.xi
-    lam_sq = dp.lambda_bare**2
-
-    k1, k2, k3, k4 = response_grid(dp, omegas)
-    k1_sq = np.abs(k1)**2
-    k4_sq = np.abs(k4)**2
-    s_out = ((nbar_a + 0.5) * (np.abs(k3)**2 + k4_sq)
-             + k1_sq * var.v_x + np.abs(k2)**2 * var.v_p
-             + 2.0 * np.real(k1 * np.conj(k2)) * var.c_xp)
-
-    rows = []
-    for i, omega in enumerate(omegas):
-        response = dp.xi * k1_sq[i]
-        if k1_sq[i] < _K1_SQ_FLOOR:
-            additional = math.inf
-        else:
-            additional = (nbar_a + 0.5) / dp.xi * k4_sq[i] / k1_sq[i]
-        s_bnoise = 2.0 * dp.kappa_m / lam_sq * (thermal + additional)
-        rows.append(NoiseBudget(
-            omega=float(omega),
-            response=float(response),
-            additional_noise=float(additional),
-            thermal_noise=float(thermal),
-            s_out=float(s_out[i]),
-            s_bnoise=float(s_bnoise),
-            sensitivity=math.sqrt(s_bnoise),
-        ))
-    return rows
+    omegas = _frequency_grid(omegas)
+    cavity, magnon = input_densities(dp, temperature, reservoir)
+    ks = response_grid(dp, omegas)
+    thermal = np.full_like(omegas, magnon.v_x / dp.xi)
+    additional = _additional_noise(dp, cavity, ks[0], ks[3])
+    s_bnoise = 2.0 * dp.kappa_m / dp.lambda_bare**2 * (thermal + additional)
+    return NoiseBudget(
+        omega=omegas,
+        response=dp.xi * np.abs(ks[0])**2,
+        additional_noise=additional,
+        thermal_noise=thermal,
+        s_out=_s_out(ks, cavity, magnon),
+        s_bnoise=s_bnoise,
+        sensitivity=np.sqrt(s_bnoise),
+    )
 
 
 def approx_suppressed_sensitivity(
     dp: DerivedParameters,
     temperature: float,
-    omega: float,
-) -> float:
+    grid,
+) -> np.ndarray:
     """Sensitivity with the magnon thermal channel dropped entirely.
 
-    Returns sqrt(2 kappa_m N_qn(omega)) / lambda, the approximation valid
-    when a nulling reservoir (r_n = r_m, phi_n = pi) removes the effective
-    magnon occupation.  Note the exact budget retains the residual vacuum
-    half-quantum v_x/xi = 1/(2 xi), which this expression discards; compare
-    against :func:`noise_budget` with the reservoir supplied to see the
-    difference.  Independent of the magnon occupation by construction.
+    Returns sqrt(2 kappa_m N_qn(omega)) / lambda on the frequency grid, the
+    approximation valid when a nulling reservoir (r_n = r_m, phi_n = pi)
+    removes the effective magnon occupation.  Note the exact budget retains
+    the residual vacuum half-quantum v_x/xi = 1/(2 xi), which this
+    expression discards; compare against :func:`noise_budget_grid` with the
+    reservoir supplied to see the difference.  Independent of the magnon
+    occupation by construction.
     """
     _require_evading_point(dp)
-    nbar_a = thermal_occupation(dp.omega_a, temperature)
-    k1, _, _, k4 = response_grid(dp, [omega])
-    k1_sq = float(np.abs(k1[0])**2)
-    if k1_sq < _K1_SQ_FLOOR:
-        return math.inf
-    n_qn = (nbar_a + 0.5) / dp.xi * float(np.abs(k4[0])**2) / k1_sq
-    return math.sqrt(2.0 * dp.kappa_m * n_qn) / dp.lambda_bare
+    grid = _frequency_grid(grid)
+    cavity, _ = input_densities(dp, temperature)
+    k1, _, _, k4 = response_grid(dp, grid)
+    return np.sqrt(2.0 * dp.kappa_m * _additional_noise(dp, cavity, k1, k4)) / dp.lambda_bare

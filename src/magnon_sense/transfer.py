@@ -11,8 +11,8 @@ The detected quantity is the output phase quadrature
 P_a_out = sqrt(kappa_a) P_a - P_a_in, whose four coefficients k1..k4 multiply
 the magnon amplitude / magnon phase / cavity amplitude / cavity phase inputs.
 
-Two routes are provided.  :func:`frequency_response` solves the linear system
-directly and is authoritative for all spectra.  :func:`closed_form_response`
+Two routes are provided.  :func:`response_grid` solves the linear system
+directly and is authoritative for all spectra.  :func:`closed_form_grid`
 evaluates a set of printed rational expressions kept as a comparison surface;
 its k4 (and the phase of k1) disagree with the direct solution, which is why
 it is never used downstream.  In the decoupled resonant limit the direct
@@ -26,18 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParameters
+from .model import ConfigurationError, DerivedParameters
 
 __all__ = [
     "STATE_LABELS",
     "PoleError",
     "SingularResponseError",
     "DriftSystem",
-    "TransferResponse",
     "drift_system",
-    "frequency_response",
+    "require_stable",
     "response_grid",
-    "closed_form_response",
     "closed_form_grid",
 ]
 
@@ -65,17 +63,6 @@ class DriftSystem:
     input_gain: np.ndarray  # (4, 4) diagonal, (rad/s)^(1/2)
 
 
-@dataclass(frozen=True)
-class TransferResponse:
-    """The four complex output coefficients at one analysis frequency."""
-
-    k1: complex  # multiplies the magnon amplitude-quadrature input
-    k2: complex  # multiplies the magnon phase-quadrature input
-    k3: complex  # multiplies the cavity amplitude-quadrature input
-    k4: complex  # multiplies the cavity phase-quadrature input
-    omega: float
-
-
 def drift_system(dp: DerivedParameters) -> DriftSystem:
     """Build the drift and input-gain matrices for the quadrature dynamics.
 
@@ -94,6 +81,19 @@ def drift_system(dp: DerivedParameters) -> DriftSystem:
     ])
     gain = np.diag([np.sqrt(km), np.sqrt(km), np.sqrt(ka), np.sqrt(ka)])
     return DriftSystem(drift=drift, input_gain=gain)
+
+
+def require_stable(drift: np.ndarray) -> None:
+    """Raise :class:`ConfigurationError` unless the drift has a steady state.
+
+    Stationary spectra and long-run simulations both need every eigenvalue
+    of the drift matrix in the open left half-plane.
+    """
+    growth = float(np.linalg.eigvals(drift).real.max())
+    if growth >= 0:
+        raise ConfigurationError(
+            "drift matrix is dynamically unstable for these parameters "
+            f"(max Re eigenvalue = {growth!r} rad/s)")
 
 
 def response_grid(dp: DerivedParameters, omegas) -> tuple[np.ndarray, ...]:
@@ -122,14 +122,6 @@ def response_grid(dp: DerivedParameters, omegas) -> tuple[np.ndarray, ...]:
     k3 = out_row[:, 2].copy()
     k4 = out_row[:, 3] - 1.0
     return k1, k2, k3, k4
-
-
-def frequency_response(dp: DerivedParameters, omega: float) -> TransferResponse:
-    """Transfer coefficients at a single frequency (rad/s, may be 0 or < 0)."""
-    k1, k2, k3, k4 = response_grid(dp, [omega])
-    return TransferResponse(k1=complex(k1[0]), k2=complex(k2[0]),
-                            k3=complex(k3[0]), k4=complex(k4[0]),
-                            omega=float(omega))
 
 
 def closed_form_grid(dp: DerivedParameters, omegas) -> tuple[np.ndarray, ...]:
@@ -163,11 +155,3 @@ def closed_form_grid(dp: DerivedParameters, omegas) -> tuple[np.ndarray, ...]:
     k3 = 4.0 * ka * (-16.0 * gp**2 * d0 + da * magnon_term) / denom
     k4 = -1.0 - 2.0 * ka * ca * magnon_term / denom
     return k1, k2, k3, np.asarray(k4)
-
-
-def closed_form_response(dp: DerivedParameters, omega: float) -> TransferResponse:
-    """Single-frequency evaluation of the printed closed forms."""
-    k1, k2, k3, k4 = closed_form_grid(dp, [omega])
-    return TransferResponse(k1=complex(k1[0]), k2=complex(k2[0]),
-                            k3=complex(k3[0]), k4=complex(k4[0]),
-                            omega=float(omega))

@@ -106,7 +106,7 @@ def test_criterion_6_reservoir_nulling_and_bogoliubov_identity():
 
 
 def test_criterion_7_femtotesla_level():
-    value = approx_suppressed_sensitivity(dp_at(1.5, 280.0), 280.0, 0.0)
+    value = approx_suppressed_sensitivity(dp_at(1.5, 280.0), 280.0, [0.0])[0]
     assert 1e-15 <= value <= 1e-13
     _announce(7, f"suppressed-thermal sensitivity {value:.3g} T/sqrt(Hz) at 280 K, r_m = 1.5")
 

@@ -70,6 +70,13 @@ class TestBudgetCommand:
                          "--out", str(tmp_path / "x.csv")]) == 2
 
 
+UNSTABLE_CONFIG = (
+    "omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\nr_m = 1.5\n"
+    "g_0_hz = 2.5e9\nmod_amplitude = 1\nkappa_a_hz = 16.5e6\n"
+    "kappa_m_hz = 15e6\nlambda_hz_per_tesla = 5.85e13\n"
+    "temperature_k = 0.05\ndelta_a_hz = 5e6\ndelta_0p_hz = 5e6\n")
+
+
 class TestSpectrumCommand:
     def test_matches_library_values(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -82,6 +89,20 @@ class TestSpectrumCommand:
         expected = output_spectrum(dp, 0.05, data[:, 0])
         np.testing.assert_allclose(data[:, 2], expected, rtol=1e-10)
 
+    def test_unstable_drift_exits_2(self, tmp_path, capsys):
+        # both detunings at 5 MHz: the drift has no steady state, so there
+        # is no stationary spectrum to print
+        config = tmp_path / "unstable.cfg"
+        config.write_text(UNSTABLE_CONFIG)
+        out = tmp_path / "s.csv"
+        assert cli.main(["spectrum", "--config", str(config),
+                         "--out", str(out)]) == 2
+        assert "unstable" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["sweep", "--config", str(config), "--quantity", "spectrum",
+                         "--axis", "kappa_a_hz=16.5e6",
+                         "--outdir", str(tmp_path / "sw")]) == 2
+
 
 class TestSweepCommand:
     def test_files_and_manifest(self, tmp_path):
@@ -89,7 +110,7 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--axis", "r_m=0,1.5",
                          "--axis", "kappa_a_hz=8.25e6,16.5e6",
                          "--temp", "280", "--grid-points", "21",
-                         "--outdir", str(outdir), "--threads", "2"]) == 0
+                         "--outdir", str(outdir)]) == 0
         manifest = json.loads((outdir / "run_manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert manifest["sweep_axes"] == [["r_m", [0.0, 1.5]],
@@ -100,25 +121,9 @@ class TestSweepCommand:
             assert path.exists()
             assert cli._file_sha256(path) == entry["sha256"]
 
-    def test_thread_count_does_not_change_outputs(self, tmp_path):
-        outs = []
-        for threads, sub in (("1", "t1"), ("3", "t3")):
-            outdir = tmp_path / sub
-            cli.main(["sweep", "--axis", "r_m=0,0.5,1.0", "--grid-points", "11",
-                      "--outdir", str(outdir), "--threads", threads])
-            outs.append(sorted(p.read_bytes() for p in outdir.glob("*.csv")))
-        assert outs[0] == outs[1]
-
     def test_unknown_axis_is_usage_error(self, tmp_path):
         assert cli.main(["sweep", "--axis", "nonsense=1,2",
                          "--outdir", str(tmp_path)]) == 1
-
-    def test_threads_env_var_is_honoured(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MAGNON_SENSE_THREADS", "2")
-        outdir = tmp_path / "env"
-        assert cli.main(["sweep", "--axis", "r_m=0,1", "--grid-points", "5",
-                         "--outdir", str(outdir)]) == 0
-        assert len(list(outdir.glob("*.csv"))) == 2
 
     def test_spectrum_quantity_handles_detuned_points(self, tmp_path):
         outdir = tmp_path / "sp"
@@ -188,6 +193,27 @@ class TestExitCodes:
     def test_malformed_arguments_exit_1(self, tmp_path):
         assert cli.main(["budget", "--reservoir", "oops"]) == 1
         assert cli.main(["nonsense"]) == 1
+
+    def test_bad_values_exit_1(self, tmp_path):
+        out = str(tmp_path / "b.csv")
+        for points in ("0", "-3"):
+            assert cli.main(["budget", "--grid-points", points, "--out", out]) == 1
+        assert cli.main(["sweep", "--axis", "r_m=0,1", "--axis", "r_m=2",
+                         "--outdir", str(tmp_path)]) == 1
+        # options are never matched by abbreviation: --out is not --outdir
+        assert cli.main(["sweep", "--axis", "r_m=0", "--out", str(tmp_path)]) == 1
+
+    def test_overflowing_squeeze_amplitude_exits_2(self, tmp_path, capsys):
+        assert cli.main(["budget", "--rm", "400",
+                         "--out", str(tmp_path / "b.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_output_exits_2(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["reproduce", "fig7", "--outdir", str(blocker)]) == 2
+        assert cli.main(["budget", "--grid-points", "5", "--out", str(tmp_path)]) == 2
 
     def test_invalid_parameter_file_exit_2(self, tmp_path):
         config = tmp_path / "bad.cfg"

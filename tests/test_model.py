@@ -15,6 +15,8 @@ from magnon_sense import (
     baseline_parameters,
     derive_squeeze_amplitude,
     derived_parameters,
+    input_densities,
+    input_quadrature_variances,
     load_parameters,
     parse_parameters,
     thermal_occupation,
@@ -121,9 +123,10 @@ class TestDerivedParameters:
     def test_occupations_use_each_mode_frequency(self):
         params = replace(baseline_parameters(temperature=280.0),
                          omega_0=TWO_PI * 20e9)
-        dp = derived_parameters(params)
-        assert dp.nbar_a == thermal_occupation(params.omega_a, 280.0)
-        assert dp.nbar_m == thermal_occupation(TWO_PI * 20e9, 280.0)
+        cavity, magnon = input_densities(derived_parameters(params), 280.0)
+        assert cavity == thermal_occupation(params.omega_a, 280.0) + 0.5
+        assert magnon == input_quadrature_variances(
+            params.r_m, thermal_occupation(TWO_PI * 20e9, 280.0))
 
     def test_zero_squeezing_is_identity(self):
         params = baseline_parameters(r_m=0.0)
@@ -137,6 +140,14 @@ class TestDerivedParameters:
         for r in np.linspace(-3.0, 3.0, 25):
             dp = derived_parameters(baseline_parameters(r_m=float(r)))
             assert abs(dp.xi * math.exp(-2.0 * r) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("r_m", [400.0, -400.0, 800.0])
+    def test_overflowing_squeeze_amplitude_is_parameter_error(self, r_m):
+        with pytest.raises(ParameterError, match="finite"):
+            derived_parameters(baseline_parameters(r_m=r_m))
+        drive = DriveSettings(omega_l=1e12, omega_b=1e12)
+        with pytest.raises(ParameterError, match="finite"):
+            replace(baseline_parameters(), drive=drive).with_squeeze_amplitude(r_m)
 
     def test_lambda_bare_round_trips(self, baseline_dp, baseline):
         assert baseline_dp.lambda_bare == pytest.approx(

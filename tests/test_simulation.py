@@ -86,6 +86,14 @@ class TestConfigGuards:
         with pytest.raises(ConfigurationError):
             SimulationConfig(dt=1e-4, duration=1.0, burn_in=0.0,
                              n_trajectories=0)
+        for duration, burn_in in ((math.nan, 0.0), (1.0, math.nan)):
+            with pytest.raises(ConfigurationError):
+                SimulationConfig(dt=1e-4, duration=duration, burn_in=burn_in)
+
+    def test_tone_amplitude_must_be_finite(self):
+        for amplitude in (math.nan, math.inf, -1.0):
+            with pytest.raises(ParameterError, match="amplitude"):
+                ToneSignal(amplitude=amplitude, frequency=1.0)
 
     def test_full_rate_requires_carrier(self):
         with pytest.raises(ParameterError, match="carrier"):

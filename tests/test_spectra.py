@@ -1,19 +1,23 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from magnon_sense import (
+    ConfigurationError,
+    NoiseBudget,
     ParameterError,
     PreconditionError,
     SqueezedReservoir,
     approx_suppressed_sensitivity,
     baseline_parameters,
     derived_parameters,
+    drift_system,
     input_quadrature_variances,
     noise_budget,
+    noise_budget_grid,
     output_spectrum,
     reservoir_occupations,
     response_grid,
@@ -153,8 +157,11 @@ class TestOutputSpectrum:
         np.testing.assert_allclose(with_sig - base, np.abs(k1) ** 2 * s1, rtol=1e-12)
 
     def test_positive_over_random_stable_configurations(self):
+        # one of the 60 draws has an unstable drift (max Re eigenvalue
+        # +0.066 kappa_m); it has no stationary spectrum and must be refused
         rng = np.random.default_rng(7)
         base = baseline_parameters(r_m=0.0)
+        unstable = 0
         for _ in range(60):
             params = replace(
                 base,
@@ -169,9 +176,15 @@ class TestOutputSpectrum:
             reservoir = SqueezedReservoir(
                 r_n=rng.uniform(0, 2), phi_n=rng.uniform(0, 2 * math.pi))
             omegas = base.kappa_m * rng.uniform(0, 5, size=8)
-            s_out = output_spectrum(dp, rng.uniform(0, 300), omegas,
-                                    reservoir=reservoir)
+            temperature = rng.uniform(0, 300)
+            if np.linalg.eigvals(drift_system(dp).drift).real.max() >= 0:
+                unstable += 1
+                with pytest.raises(ConfigurationError, match="unstable"):
+                    output_spectrum(dp, temperature, omegas, reservoir=reservoir)
+                continue
+            s_out = output_spectrum(dp, temperature, omegas, reservoir=reservoir)
             assert np.all(s_out >= -1e-12)
+        assert unstable == 1
 
     def test_rejects_bad_grids(self):
         dp = dp_at(0.5)
@@ -265,6 +278,19 @@ class TestNoiseBudget:
         assert math.isinf(budget.sensitivity)
         assert budget.response == 0.0
 
+    def test_point_view_is_the_grid_element(self):
+        for reservoir in (None, SqueezedReservoir(r_n=0.8, phi_n=1.1)):
+            dp = dp_at(1.2, temperature=280.0)
+            omegas = np.linspace(0.0, 5.0 * dp.kappa_m, 37)
+            grid = noise_budget_grid(dp, 280.0, omegas, reservoir)
+            assert len(grid) == omegas.size
+            for i, omega in enumerate(omegas):
+                point = noise_budget(dp, 280.0, omega, reservoir)
+                for field in fields(NoiseBudget):
+                    value = getattr(point, field.name)
+                    assert type(value) is float
+                    assert value == getattr(grid, field.name)[i]
+
     def test_snr_quotient(self):
         budget = noise_budget(dp_at(1.5), 280.0, 0.0)
         assert budget.snr(budget.sensitivity) == pytest.approx(1.0, rel=1e-12)
@@ -273,21 +299,21 @@ class TestNoiseBudget:
 
 class TestSuppressedSensitivity:
     def test_room_temperature_value(self):
-        value = approx_suppressed_sensitivity(dp_at(1.5), 280.0, 0.0)
+        value = approx_suppressed_sensitivity(dp_at(1.5), 280.0, [0.0])[0]
         assert value == pytest.approx(1.822533624810987e-14, rel=1e-9)
         assert 1e-15 <= value <= 1e-13
 
     def test_independent_of_magnon_occupation(self):
         # shifting omega_0 changes nbar_m only; the approximation drops the
         # magnon channel entirely so the value must not move
-        a = approx_suppressed_sensitivity(dp_at(1.5, temperature=280.0), 280.0, 0.0)
+        a = approx_suppressed_sensitivity(dp_at(1.5, temperature=280.0), 280.0, [0.0])[0]
         b = approx_suppressed_sensitivity(
-            dp_at(1.5, temperature=280.0, omega_0=TWO_PI * 12e9), 280.0, 0.0)
+            dp_at(1.5, temperature=280.0, omega_0=TWO_PI * 12e9), 280.0, [0.0])[0]
         assert a == b
 
     def test_strictly_decreasing_in_coupling(self):
         values = [approx_suppressed_sensitivity(
-            dp_at(1.5, g_0=f * baseline_parameters().g_0), 280.0, 0.0)
+            dp_at(1.5, g_0=f * baseline_parameters().g_0), 280.0, [0.0])[0]
             for f in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -295,7 +321,7 @@ class TestSuppressedSensitivity:
         dp = dp_at(1.5, temperature=280.0)
         reservoir = SqueezedReservoir(r_n=1.5, phi_n=math.pi)
         budget = noise_budget(dp, 280.0, 0.0, reservoir=reservoir)
-        approx = approx_suppressed_sensitivity(dp, 280.0, 0.0)
+        approx = approx_suppressed_sensitivity(dp, 280.0, [0.0])[0]
         exact_from_parts = math.sqrt(
             2 * dp.kappa_m * (budget.thermal_noise + budget.additional_noise)
         ) / dp.lambda_bare
@@ -303,3 +329,12 @@ class TestSuppressedSensitivity:
         # the exact reservoir budget keeps the vacuum half-quantum, so it is
         # strictly above the approximation at this operating point
         assert budget.sensitivity > approx
+
+    def test_grid_is_the_additional_noise_term_of_the_budget(self):
+        dp = dp_at(1.5, temperature=280.0)
+        omegas = np.linspace(0.0, 5.0 * dp.kappa_m, 101)
+        budget = noise_budget_grid(dp, 280.0, omegas)
+        values = approx_suppressed_sensitivity(dp, 280.0, omegas)
+        assert values.shape == omegas.shape
+        np.testing.assert_array_equal(
+            values, np.sqrt(2.0 * dp.kappa_m * budget.additional_noise) / dp.lambda_bare)

@@ -9,10 +9,8 @@ from magnon_sense import (
     PoleError,
     SingularResponseError,
     baseline_parameters,
-    closed_form_response,
     derived_parameters,
     drift_system,
-    frequency_response,
     response_grid,
 )
 from magnon_sense.transfer import closed_form_grid
@@ -84,7 +82,7 @@ class TestDriftSystem:
                 lambda_prime=1.0, kappa_a=ka, kappa_m=km,
                 delta_a=rng.uniform(-3, 3) * km,
                 delta_0p=rng.uniform(-3, 3) * km,
-                nbar_a=0.0, nbar_m=0.0, omega_a=1.0, omega_0=1.0)
+                omega_a=1.0, omega_0=1.0)
             eigs = np.linalg.eigvals(drift_system(dp).drift)
             assert eigs.real.max() < 0.0
 
@@ -100,35 +98,36 @@ class TestFrequencyResponse:
     def test_decoupled_cavity_reflection(self):
         dp = derived_parameters(
             replace(baseline_parameters(r_m=0.0), mod_amplitude=0.0))
-        for omega in np.linspace(0.0, 10 * dp.kappa_m, 17):
-            r = frequency_response(dp, omega)
+        omegas = np.linspace(0.0, 10 * dp.kappa_m, 17)
+        k4 = response_grid(dp, omegas)[3]
+        for omega, k in zip(omegas, k4):
             expected = (dp.kappa_a + 2j * omega) / (dp.kappa_a - 2j * omega)
-            assert abs(abs(r.k4) - 1.0) < 1e-12
-            assert r.k4 == pytest.approx(expected, rel=1e-12)
+            assert abs(abs(k) - 1.0) < 1e-12
+            assert k == pytest.approx(expected, rel=1e-12)
 
     def test_passivity_holds_for_any_coupling_on_resonance(self, baseline_dp):
-        for omega in np.linspace(0.0, 5 * baseline_dp.kappa_m, 11):
-            assert abs(abs(frequency_response(baseline_dp, omega).k4) - 1.0) < 1e-12
+        k4 = response_grid(baseline_dp, np.linspace(0.0, 5 * baseline_dp.kappa_m, 11))[3]
+        assert np.all(np.abs(np.abs(k4) - 1.0) < 1e-12)
 
     def test_k2_vanishes_exactly_for_zero_magnon_detuning(self):
         dp = detuned_dp(d0_frac=0.0, da_frac=0.4)
-        for omega in (0.0, 0.3 * dp.kappa_m, 2.0 * dp.kappa_m):
-            assert frequency_response(dp, omega).k2 == 0.0
+        k2 = response_grid(dp, [0.0, 0.3 * dp.kappa_m, 2.0 * dp.kappa_m])[1]
+        assert np.all(k2 == 0.0)
 
     def test_k3_vanishes_at_backaction_evading_point(self, baseline_dp):
-        assert frequency_response(baseline_dp, 0.7 * baseline_dp.kappa_m).k3 == 0.0
+        assert response_grid(baseline_dp, [0.7 * baseline_dp.kappa_m])[2][0] == 0.0
 
     def test_dc_transduction_magnitude(self, baseline_dp):
         # symbolic zero-frequency limit: |k1(0)|^2 = 64 g'^2 / (kappa_a kappa_m)
-        r = frequency_response(baseline_dp, 0.0)
+        k1 = response_grid(baseline_dp, [0.0])[0][0]
         expected = 64 * baseline_dp.g_prime**2 / (
             baseline_dp.kappa_a * baseline_dp.kappa_m)
-        assert abs(r.k1)**2 == pytest.approx(expected, rel=1e-12)
-        assert abs(r.k1)**2 == pytest.approx(3.2461473815252792e7, rel=1e-10)
+        assert abs(k1)**2 == pytest.approx(expected, rel=1e-12)
+        assert abs(k1)**2 == pytest.approx(3.2461473815252792e7, rel=1e-10)
 
     def test_negative_and_zero_frequency_are_regular(self, baseline_dp):
-        r = frequency_response(baseline_dp, -3.0 * baseline_dp.kappa_m)
-        assert np.isfinite(abs(r.k1))
+        k1 = response_grid(baseline_dp, [-3.0 * baseline_dp.kappa_m])[0][0]
+        assert np.isfinite(abs(k1))
 
     def test_evenness_both_routes(self):
         dp = detuned_dp()
@@ -152,23 +151,23 @@ class TestFrequencyResponse:
         dp = DerivedParameters(
             r_m=0.0, xi=1.0, omega_0_prime=1.0, g_prime=0.0,
             lambda_prime=1.0, kappa_a=0.0, kappa_m=0.0, delta_a=0.0,
-            delta_0p=0.0, nbar_a=0.0, nbar_m=0.0, omega_a=1.0, omega_0=1.0)
+            delta_0p=0.0, omega_a=1.0, omega_0=1.0)
         with pytest.raises(SingularResponseError):
-            frequency_response(dp, 0.0)
+            response_grid(dp, [0.0])
 
     def test_rejects_nonfinite_frequency(self, baseline_dp):
         with pytest.raises(ValueError):
-            frequency_response(baseline_dp, math.nan)
+            response_grid(baseline_dp, [math.nan])
 
 
 class TestClosedForm:
     def test_k2_carries_explicit_detuning_factor(self):
         dp = detuned_dp(d0_frac=0.0, da_frac=0.4)
-        assert closed_form_response(dp, 0.9 * dp.kappa_m).k2 == 0.0
+        assert closed_form_grid(dp, [0.9 * dp.kappa_m])[1][0] == 0.0
 
     def test_high_frequency_limit_of_k4(self, baseline_dp):
-        r = closed_form_response(baseline_dp, 1e6 * baseline_dp.kappa_m)
-        assert r.k4 == pytest.approx(-1.0, abs=1e-5)
+        k4 = closed_form_grid(baseline_dp, [1e6 * baseline_dp.kappa_m])[3][0]
+        assert k4 == pytest.approx(-1.0, abs=1e-5)
 
     def test_k1_magnitude_agreement_on_resonance(self, baseline_dp):
         omegas = np.linspace(0.0, 10 * baseline_dp.kappa_m, 501)
@@ -182,8 +181,8 @@ class TestClosedForm:
         # never silently absorbed
         dp = derived_parameters(
             replace(baseline_parameters(r_m=0.0), mod_amplitude=0.0))
-        assert abs(frequency_response(dp, 0.0).k4) == pytest.approx(1.0, abs=1e-12)
-        assert abs(closed_form_response(dp, 0.0).k4) == pytest.approx(3.0, abs=1e-12)
+        assert abs(response_grid(dp, [0.0])[3][0]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(closed_form_grid(dp, [0.0])[3][0]) == pytest.approx(3.0, abs=1e-12)
 
     def test_pole_error_reports_frequency(self):
         params = replace(baseline_parameters(r_m=0.0), mod_amplitude=0.0)
@@ -191,7 +190,7 @@ class TestClosedForm:
                          delta_0p=0.3 * params.kappa_m)
         dp = derived_parameters(params)
         with pytest.raises(PoleError) as err:
-            closed_form_response(dp, 0.0)
+            closed_form_grid(dp, [0.0])
         assert err.value.omega == 0.0
 
 
