@@ -36,11 +36,13 @@ from .model import (
 )
 from .spectra import (
     SqueezedReservoir,
+    _require_evading_point,
     noise_budget_grid,
     output_spectrum,
     reservoir_occupations,
     approx_suppressed_sensitivity,
 )
+from .transfer import drift_system, require_stable
 from .verification import run_verification, verification_parameters
 
 __all__ = ["main"]
@@ -78,6 +80,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -200,14 +209,24 @@ def _cmd_sweep(args) -> int:
     reservoir = _parse_reservoir(args.reservoir)
     axes = _parse_axes(args.axis)
     names = [name for name, _ in axes]
+    combos = list(itertools.product(*[values for _, values in axes]))
+    points = []
+    for combo in combos:
+        point = params
+        for name, value in zip(names, combo):
+            point = _apply_axis(point, name, value)
+        # refuse a point _table would refuse before any output exists
+        dp = derived_parameters(point)
+        if args.quantity == "budget":
+            _require_evading_point(dp)
+        else:
+            require_stable(drift_system(dp).drift)
+        points.append(point)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     outputs = []
-    for combo in itertools.product(*[values for _, values in axes]):
-        point = params
-        for name, value in zip(names, combo):
-            point = _apply_axis(point, name, value)
+    for combo, point in zip(combos, points):
         header, columns = _table(args.quantity, point, reservoir, args)
         tag = "_".join(f"{name}-{value:g}" for name, value in zip(names, combo))
         path = outdir / f"sweep_{args.quantity}_{tag}.csv"
@@ -360,7 +379,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--reservoir", default=None, metavar="RN,PHI",
                        help="squeezed vacuum reservoir 'r_n,phi_n' (radians)")
         if with_grid:
-            p.add_argument("--grid-max", type=float, default=5.0,
+            p.add_argument("--grid-max", type=_positive_float, default=5.0,
                            help="grid end in units of kappa_m (default 5)")
             p.add_argument("--grid-points", type=_positive_int, default=1001,
                            help="number of grid points (default 1001)")

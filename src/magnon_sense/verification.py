@@ -201,8 +201,9 @@ def _check_lyapunov(params: SystemParameters, seed: int) -> list[CheckResult]:
         cfg = SimulationConfig(dt=dt, duration=duration,
                                burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
                                n_trajectories=_LYAPUNOV_TRAJECTORIES, seed=seed)
-        trace = simulate(dp, case.temperature, cfg)
-        covs = trace_covariances(trace)
+        # the trace is dropped as soon as its covariances are taken, so it is
+        # gone before the next case's simulate allocates its own
+        covs = trace_covariances(simulate(dp, case.temperature, cfg))
         mean = covs.mean(axis=0)
         se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
         target = lyapunov_covariance(dp, case.temperature)
@@ -246,6 +247,7 @@ def _check_psd(params: SystemParameters, seed: int, tolerance: float) -> list[Ch
         trace = simulate(dp, params.temperature, cfg, reservoir=reservoir)
         n_seg = trace.n_trajectories * count_segments(trace.n_samples, nper, 0.5)
         omega, psd = estimate_psd(trace, nper)
+        del trace  # free it before the next configuration's simulate
         reference = output_spectrum(dp, params.temperature, omega, reservoir=reservoir)
         worst = 0.0
         for sel in _psd_bands(omega, dp.kappa_m):

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +127,20 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--axis", "nonsense=1,2",
                          "--outdir", str(tmp_path)]) == 1
 
+    def test_failing_point_writes_nothing(self, tmp_path, capsys):
+        # delta_a = 5 MHz with delta_0p = 5 MHz has no steady state; the
+        # stable first point must not be written either
+        config = tmp_path / "unstable.cfg"
+        config.write_text(UNSTABLE_CONFIG)
+        outdir = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(config), "--quantity", "spectrum",
+                         "--axis", "delta_a_hz=0,5e6", "--outdir", str(outdir)]) == 2
+        assert "unstable" in capsys.readouterr().err
+        assert not outdir.exists()
+        assert cli.main(["sweep", "--quantity", "budget", "--axis", "delta_a_hz=0,5e6",
+                         "--outdir", str(outdir)]) == 2
+        assert not outdir.exists()
+
     def test_spectrum_quantity_handles_detuned_points(self, tmp_path):
         outdir = tmp_path / "sp"
         assert cli.main(["sweep", "--axis", "delta_a_hz=0,2e6",
@@ -203,6 +219,16 @@ class TestExitCodes:
         # options are never matched by abbreviation: --out is not --outdir
         assert cli.main(["sweep", "--axis", "r_m=0", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("command", ["budget", "spectrum"])
+    @pytest.mark.parametrize("grid_max", ["0", "-2", "nan", "inf"])
+    def test_bad_grid_max_exits_1(self, tmp_path, capsys, command, grid_max):
+        out = tmp_path / "b.csv"
+        assert cli.main([command, "--grid-max", grid_max, "--grid-points", "3",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--grid-max" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_overflowing_squeeze_amplitude_exits_2(self, tmp_path, capsys):
         assert cli.main(["budget", "--rm", "400",
                          "--out", str(tmp_path / "b.csv")]) == 2
@@ -240,9 +266,13 @@ class TestExitCodes:
         assert cli.main(["verify"]) == 3
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-m", "magnon_sense", "budget",
              "--grid-points", "5", "--out", str(tmp_path / "b.csv")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert (tmp_path / "b.csv").exists()

@@ -21,7 +21,10 @@ from magnon_sense import (
     response_grid,
     simulate,
 )
+from magnon_sense import simulation
 from magnon_sense.simulation import SimulationTrace, count_segments, trace_covariances
+from magnon_sense.spectra import input_densities
+from magnon_sense.transfer import drift_system
 from magnon_sense.verification import verification_parameters
 
 TWO_PI = 2.0 * math.pi
@@ -362,3 +365,168 @@ class TestRotatingWaveCrossCheck:
                        carrier=carrier),
             cfg, segment_length=nper)
         assert gain_full == pytest.approx(gain_env, rel=0.05)
+
+
+def loop_states(step, incr, x0):
+    """States x_0..x_{n-1} of x_{m+1} = step x_m + incr_m, step by step."""
+    x = x0.copy()
+    states = np.empty_like(incr)
+    for m in range(incr.shape[-1]):
+        states[:, :, m] = x
+        x = step @ x + incr[:, :, m]
+    return states
+
+
+def loop_simulate(dp, temperature, cfg, reservoir=None, signal=None):
+    """(quadratures, output_record) of ``simulate`` from a per-step loop over
+    the same Philox draws and the same increments."""
+    cavity, magnon = input_densities(dp, temperature, reservoir)
+    dt = cfg.dt
+    n_burn = int(round(cfg.burn_in / dt))
+    n_keep = int(round(cfg.duration / dt))
+    step_t = (np.eye(4) + drift_system(dp).drift * dt).T
+    chol = np.linalg.cholesky(np.array([[magnon.v_x, magnon.c_xp],
+                                        [magnon.c_xp, magnon.v_p]]))
+    cav_scale = math.sqrt(cavity * dt)
+    sq_ka = math.sqrt(dp.kappa_a)
+    z = np.stack([simulation._trajectory_rng(cfg.seed, i).standard_normal(
+        (n_burn + n_keep, 4)) for i in range(cfg.n_trajectories)])
+    dw_pa = z[:, :, 3] * cav_scale
+    incr = np.empty_like(z)
+    incr[:, :, :2] = (z[:, :, :2] @ (chol * math.sqrt(dt)).T) * math.sqrt(dp.kappa_m)
+    incr[:, :, 2] = z[:, :, 2] * (cav_scale * sq_ka)
+    incr[:, :, 3] = dw_pa * sq_ka
+    if signal is not None:
+        dx, dpp = simulation._drive_arrays(signal, dp, np.arange(z.shape[1]) * dt)
+        incr[:, :, 0] += dx * dt
+        incr[:, :, 1] += dpp * dt
+    state = np.zeros((cfg.n_trajectories, 4))
+    quad = np.empty((cfg.n_trajectories, n_keep, 4))
+    out = np.empty((cfg.n_trajectories, n_keep))
+    for j in range(z.shape[1]):
+        if j >= n_burn:
+            quad[:, j - n_burn] = state
+            out[:, j - n_burn] = sq_ka * state[:, 3] - dw_pa[:, j] / dt
+        state = state @ step_t + incr[:, j]
+    return quad, out
+
+
+def max_relative(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def coupled_detuned_dp():
+    km = TWO_PI * 15.0
+    return derived_parameters(replace(verification_parameters(r_m=0.0), g_0=0.4 * km,
+                                      delta_a=0.5 * km, delta_0p=-0.3 * km))
+
+
+class TestSchurScan:
+    def step_and_inputs(self, dp, n=3000, ntraj=3):
+        dt = 0.015 / max(dp.kappa_a, dp.kappa_m, abs(dp.delta_a),
+                         abs(dp.delta_0p), 2.0 * dp.g_prime)
+        step = np.eye(4) + drift_system(dp).drift * dt
+        rng = np.random.default_rng(3)
+        return step, rng.standard_normal((4, ntraj, n)), rng.standard_normal((4, ntraj))
+
+    def run(self, step, incr, x0):
+        out = np.empty_like(incr)
+        return simulation._SchurScan(step, x0)(list(incr), out)
+
+    def test_defective_map_at_zero_detuning(self):
+        # with kappa_a = kappa_m the one eigenvalue 1 - kappa dt / 2 (the
+        # map is triangular up to reordering) has only two eigenvectors
+        step, incr, x0 = self.step_and_inputs(desk_dp(r_m=1.5, kappa_a=TWO_PI * 15.0))
+        eig = np.diag(step)
+        assert np.all(eig == eig[0])
+        assert np.linalg.matrix_rank(step - eig[0] * np.eye(4)) == 2
+        assert max_relative(self.run(step, incr, x0), loop_states(step, incr, x0)) < 1e-12
+
+    def test_complex_pair_blocks_when_detuned(self):
+        step, incr, x0 = self.step_and_inputs(coupled_detuned_dp())
+        t, _ = simulation.linalg.schur(step, output="real")
+        assert t[1, 0] != 0.0 and t[3, 2] != 0.0   # two 2x2 blocks
+        assert max_relative(self.run(step, incr, x0), loop_states(step, incr, x0)) < 1e-12
+
+    @pytest.mark.parametrize("detuned", [False, True])
+    def test_chunks_are_bit_identical_to_one_pass(self, detuned):
+        dp = coupled_detuned_dp() if detuned else desk_dp(r_m=1.5)
+        step, incr, x0 = self.step_and_inputs(dp)
+        whole = self.run(step, incr, x0)
+        scan = simulation._SchurScan(step, x0)
+        bounds = [0, 1, 2, 700, 701, 2999, 3000]
+        pieces = [scan(list(incr[:, :, a:b]), np.empty_like(incr[:, :, a:b]))
+                  for a, b in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
+
+
+class TestSimulateAgainstLoop:
+    def check(self, dp, temperature, cfg, **kwargs):
+        trace = simulate(dp, temperature, cfg, **kwargs)
+        quad, out = loop_simulate(dp, temperature, cfg, **kwargs)
+        assert max_relative(trace.quadratures, quad) < 1e-12
+        assert max_relative(trace.output_record, out) < 1e-12
+
+    def test_squeezed_zero_detuning(self):
+        dp = desk_dp(r_m=1.5)
+        self.check(dp, 0.05, quick_config(dp, duration=0.5, n_trajectories=3))
+
+    def test_detuned(self):
+        dp = coupled_detuned_dp()
+        self.check(dp, 2.6, quick_config(dp, duration=0.5, n_trajectories=3))
+
+    def test_reservoir(self):
+        dp = desk_dp(r_m=1.2)
+        self.check(dp, 0.05, quick_config(dp, duration=0.5, n_trajectories=3),
+                   reservoir=SqueezedReservoir(r_n=1.2, phi_n=math.pi))
+
+    def test_envelope_tone(self):
+        dp = desk_dp(r_m=1.0)
+        tone = ToneSignal(amplitude=1e-3, frequency=0.5 * dp.kappa_m)
+        self.check(dp, 0.05, quick_config(dp, duration=0.5, n_trajectories=3),
+                   signal=tone)
+
+    def test_full_rate_tone(self):
+        dp = desk_dp(r_m=1.0)
+        carrier = 20.0 * dp.kappa_a
+        tone = ToneSignal(amplitude=1e-3, frequency=0.5 * dp.kappa_m,
+                          mode="full-rate", carrier=carrier)
+        cfg = SimulationConfig(dt=0.05 / (2.0 * carrier + tone.frequency),
+                               duration=0.05, burn_in=12.0 / dp.kappa_m,
+                               n_trajectories=2, seed=9)
+        self.check(dp, 0.05, cfg, signal=tone)
+
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        dp = desk_dp(r_m=0.7)
+        cfg = quick_config(dp, duration=0.5, n_trajectories=3, seed=5)
+        tone = ToneSignal(amplitude=1e-3, frequency=0.5 * dp.kappa_m)
+        a = simulate(dp, 0.05, cfg, signal=tone)
+        monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
+        b = simulate(dp, 0.05, cfg, signal=tone)
+        assert np.array_equal(a.quadratures, b.quadratures)
+        assert np.array_equal(a.output_record, b.output_record)
+
+
+def test_trace_covariances_match_np_cov():
+    dp = coupled_detuned_dp()
+    trace = simulate(dp, 2.6, quick_config(dp, duration=2.0, n_trajectories=5))
+    expected = np.stack([np.cov(q.T) for q in trace.quadratures])
+    np.testing.assert_allclose(trace_covariances(trace), expected, rtol=1e-12, atol=0)
+
+
+def test_export_matches_row_by_row_writer(tmp_path):
+    dp = desk_dp()
+    trace = simulate(dp, 0.05, quick_config(dp, duration=0.02, n_trajectories=2))
+    reference = tmp_path / "rows.csv"
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        for key in sorted(trace.metadata):
+            fh.write(f"# {key} = {trace.metadata[key]!r}\n")
+        fh.write("# trajectory = 1\n")
+        fh.write("t,X_M,P_M,X_a,P_a,P_out\n")
+        quads, rec = trace.quadratures[1], trace.output_record[1]
+        for k in range(trace.n_samples):
+            fh.write("%.12e,%.12e,%.12e,%.12e,%.12e,%.12e\n" % (
+                trace.times[k], *quads[k], rec[k]))
+    path = tmp_path / "trace.csv"
+    export_trace(trace, path, trajectory=1)
+    assert path.read_bytes() == reference.read_bytes()
