@@ -83,17 +83,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
-
-
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return "%.12e" % value
 
 
 def _snapshot(params: SystemParameters, reservoir=None, **extra) -> dict:
@@ -115,8 +116,7 @@ def _write_csv(path, header, columns, snapshot_hash: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# params_sha256={snapshot_hash}\n")
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.12e", delimiter=",")
 
 
 def _file_sha256(path) -> str:
@@ -407,8 +407,8 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the stochastic-oracle comparisons")
     p_verify.add_argument("--config", help="parameter file (defaults to the "
                                            "desk-scale verification set)")
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--tolerance", type=float, default=0.10,
+    p_verify.add_argument("--seed", type=_non_negative_int, default=42)
+    p_verify.add_argument("--tolerance", type=_positive_float, default=0.10,
                           help="relative tolerance for the spectrum "
                                "comparison (default 0.10)")
     p_verify.set_defaults(func=_cmd_verify)

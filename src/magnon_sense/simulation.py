@@ -44,6 +44,11 @@ How the recursion x_{m+1} = S x_m + incr_m, S = I + A dt, is computed:
   not contend through BLAS worker threads.
 * Quadratures are stored quadrature-major, (4, n_trajectories, n_samples);
   ``SimulationTrace.quadratures`` is an (n_trajectories, n_samples, 4) view.
+
+Spectra are Welch estimates (Welch, IEEE Trans. Audio Electroacoust. 15:70,
+1967) whose consecutive segments share ``WELCH_OVERLAP`` of their length,
+:func:`noverlap` samples; :func:`estimate_psd` and :func:`count_segments`
+both hop by the rest of the segment.
 """
 
 from __future__ import annotations
@@ -55,12 +60,7 @@ import numpy as np
 from scipy import linalg, signal as _signal
 
 from .model import ConfigurationError, DerivedParameters, ParameterError
-from .spectra import (
-    QuadratureVariances,
-    SqueezedReservoir,
-    _require_evading_point,
-    input_densities,
-)
+from .spectra import SqueezedReservoir, _require_evading_point, input_densities
 from .transfer import drift_system, require_stable
 
 __all__ = [
@@ -75,6 +75,9 @@ __all__ = [
     "trace_covariances",
     "export_trace",
     "count_segments",
+    "fastest_rate",
+    "noverlap",
+    "WELCH_OVERLAP",
 ]
 
 _RNG_NAME = f"numpy.random.Philox (numpy {np.__version__})"
@@ -84,6 +87,9 @@ _DT_GUARD = 0.1
 
 #: trajectory-steps per chunk of the scan: 256 kB per component array
 _CHUNK = 1 << 15
+
+#: fraction of each Welch segment shared with the next
+WELCH_OVERLAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,8 @@ class SimulationConfig:
                 "duration must be finite and > 0, burn_in finite and >= 0")
         if self.n_trajectories < 1:
             raise ConfigurationError("n_trajectories must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -171,13 +179,22 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
-def _validate_config(dp: DerivedParameters, cfg: SimulationConfig,
-                     signal: ToneSignal | None, drift: np.ndarray) -> None:
+def fastest_rate(dp: DerivedParameters, signal: ToneSignal | None = None) -> float:
+    """The fastest rate of the dynamics (rad/s), which the step must resolve.
+
+    A full-rate tone adds its fastest product frequency, twice the carrier
+    plus the offset.
+    """
     rates = [dp.kappa_a, dp.kappa_m, abs(dp.delta_a), abs(dp.delta_0p),
              2.0 * dp.g_prime]
     if signal is not None and signal.mode == "full-rate":
         rates.append(2.0 * signal.carrier + abs(signal.frequency))
-    fastest = max(rates)
+    return max(rates)
+
+
+def _validate_config(dp: DerivedParameters, cfg: SimulationConfig,
+                     signal: ToneSignal | None, drift: np.ndarray) -> None:
+    fastest = fastest_rate(dp, signal)
     if cfg.dt * fastest >= _DT_GUARD:
         raise ConfigurationError(
             f"dt = {cfg.dt!r} s does not resolve the fastest rate "
@@ -188,13 +205,6 @@ def _validate_config(dp: DerivedParameters, cfg: SimulationConfig,
             f"burn_in = {cfg.burn_in!r} s is shorter than 10 relaxation times "
             f"(need >= {10.0 / slowest!r} s)")
     require_stable(drift)
-
-
-def _input_noise(dp, temperature, reservoir, magnon_variances, cavity_variance):
-    """Input densities from the parameters, unless the caller overrides them."""
-    cavity, magnon = input_densities(dp, temperature, reservoir)
-    return (magnon if magnon_variances is None else magnon_variances,
-            cavity if cavity_variance is None else cavity_variance)
 
 
 def _drive_arrays(signal: ToneSignal, dp: DerivedParameters,
@@ -298,8 +308,6 @@ def simulate(
     cfg: SimulationConfig,
     reservoir: SqueezedReservoir | None = None,
     signal: ToneSignal | None = None,
-    magnon_variances: QuadratureVariances | None = None,
-    cavity_variance: float | None = None,
 ) -> SimulationTrace:
     """Integrate the quadrature Langevin equations and record the output.
 
@@ -307,19 +315,13 @@ def simulate(
     :func:`~magnon_sense.spectra.input_densities`: magnon increments have the
     squeezed or reservoir-engineered variances and cavity increments the
     thermal density nbar_a + 1/2 per quadrature.
-    ``magnon_variances`` / ``cavity_variance`` override those values, which
-    is useful for diagnostics (zero noise makes the homogeneous system decay
-    to an identically zero trace from a zero initial state).
 
     Raises :class:`ConfigurationError` before any stepping if the
     configuration guard fails or the drift is unstable.
     """
     system = drift_system(dp)
     _validate_config(dp, cfg, signal, system.drift)
-    magnon_variances, cavity_variance = _input_noise(
-        dp, temperature, reservoir, magnon_variances, cavity_variance)
-    if cavity_variance < 0:
-        raise ParameterError("cavity variance density must be >= 0")
+    cavity, magnon = input_densities(dp, temperature, reservoir)
 
     dt = cfg.dt
     n_burn = int(round(cfg.burn_in / dt))
@@ -330,15 +332,14 @@ def simulate(
     ntraj = cfg.n_trajectories
 
     step = np.eye(4) + system.drift * dt
-    cov = np.array([[magnon_variances.v_x, magnon_variances.c_xp],
-                    [magnon_variances.c_xp, magnon_variances.v_p]])
+    cov = np.array([[magnon.v_x, magnon.c_xp], [magnon.c_xp, magnon.v_p]])
     try:
-        chol = np.linalg.cholesky(cov) if np.any(cov) else np.zeros((2, 2))
+        chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise ParameterError(
             "magnon variance matrix is not positive semidefinite") from exc
     mag = chol * math.sqrt(dt * dp.kappa_m)
-    cav_scale = math.sqrt(cavity_variance * dt)
+    cav_scale = math.sqrt(cavity * dt)
     sq_ka = math.sqrt(dp.kappa_a)
     drive = signal is not None and signal.amplitude > 0
 
@@ -396,19 +397,20 @@ def simulate(
                            metadata=metadata)
 
 
-def count_segments(n_samples: int, segment_length: int, overlap: float) -> int:
-    """Number of Welch segments per trajectory for the given settings."""
-    step = max(1, int(round(segment_length * (1.0 - overlap))))
+def noverlap(segment_length: int) -> int:
+    """Samples shared by consecutive Welch segments of this length."""
+    return int(round(segment_length * WELCH_OVERLAP))
+
+
+def count_segments(n_samples: int, segment_length: int) -> int:
+    """Number of Welch segments per trajectory that :func:`estimate_psd` averages."""
     if n_samples < segment_length:
         return 0
-    return 1 + (n_samples - segment_length) // step
+    return 1 + (n_samples - segment_length) // (segment_length - noverlap(segment_length))
 
 
-def estimate_psd(
-    trace: SimulationTrace,
-    segment_length: int,
-    overlap: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
+def estimate_psd(trace: SimulationTrace,
+                 segment_length: int) -> tuple[np.ndarray, np.ndarray]:
     """Welch estimate of the symmetrized output spectral density.
 
     Returns (omega, psd) with omega in rad/s on [0, Nyquist].  The
@@ -419,18 +421,14 @@ def estimate_psd(
     """
     if trace.n_samples == 0 or trace.output_record.size == 0:
         raise ParameterError("trace is empty")
-    if not 0 <= overlap < 1:
-        raise ParameterError("overlap must satisfy 0 <= overlap < 1")
     segment_length = int(segment_length)
     if segment_length < 2 or segment_length > trace.n_samples:
         raise ParameterError(
             f"segment_length must be in [2, {trace.n_samples}], got {segment_length}")
-    dt = float(trace.times[1] - trace.times[0]) if trace.n_samples > 1 else \
-        float(trace.metadata.get("dt", 1.0))
-    noverlap = int(round(segment_length * overlap))
+    dt = float(trace.times[1] - trace.times[0])
     freq, pxx = _signal.welch(
         trace.output_record, fs=1.0 / dt, nperseg=segment_length,
-        noverlap=noverlap, detrend="constant", axis=-1)
+        noverlap=noverlap(segment_length), detrend="constant", axis=-1)
     psd = pxx.mean(axis=0) / 2.0
     return 2.0 * math.pi * freq, psd
 
@@ -465,7 +463,7 @@ def measure_gain(
     temperature: float,
     tone: ToneSignal,
     cfg: SimulationConfig,
-    segment_length: int | None = None,
+    segment_length: int,
 ) -> float:
     """Empirical response at the tone frequency, by injection and PSD peak.
 
@@ -479,10 +477,6 @@ def measure_gain(
         raise ParameterError("measure_gain requires a tone with positive amplitude")
     _require_evading_point(dp)
     trace = simulate(dp, temperature, cfg, signal=tone)
-    if segment_length is None:
-        # resolve the tone with ~8 bins between 0 and the offset
-        want = 8.0 * 2.0 * math.pi / (abs(tone.frequency) * cfg.dt)
-        segment_length = int(min(max(want, 64), trace.n_samples))
     omega, psd = estimate_psd(trace, segment_length)
     p_line = tone_power(omega, psd, abs(tone.frequency))
     lam = dp.lambda_bare
@@ -494,8 +488,6 @@ def lyapunov_covariance(
     dp: DerivedParameters,
     temperature: float,
     reservoir: SqueezedReservoir | None = None,
-    magnon_variances: QuadratureVariances | None = None,
-    cavity_variance: float | None = None,
 ) -> np.ndarray:
     """Steady-state covariance of the quadratures from the Lyapunov equation.
 
@@ -504,13 +496,12 @@ def lyapunov_covariance(
     This is the analytic check used against long-run sample covariances.
     """
     system = drift_system(dp)
-    magnon_variances, cavity_variance = _input_noise(
-        dp, temperature, reservoir, magnon_variances, cavity_variance)
+    cavity, magnon = input_densities(dp, temperature, reservoir)
     diffusion = np.zeros((4, 4))
-    diffusion[0, 0] = dp.kappa_m * magnon_variances.v_x
-    diffusion[1, 1] = dp.kappa_m * magnon_variances.v_p
-    diffusion[0, 1] = diffusion[1, 0] = dp.kappa_m * magnon_variances.c_xp
-    diffusion[2, 2] = diffusion[3, 3] = dp.kappa_a * cavity_variance
+    diffusion[0, 0] = dp.kappa_m * magnon.v_x
+    diffusion[1, 1] = dp.kappa_m * magnon.v_p
+    diffusion[0, 1] = diffusion[1, 0] = dp.kappa_m * magnon.c_xp
+    diffusion[2, 2] = diffusion[3, 3] = dp.kappa_a * cavity
     return linalg.solve_continuous_lyapunov(system.drift, -diffusion)
 
 

@@ -23,7 +23,7 @@ computationally useless to simulate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,11 +33,13 @@ from .model import (
     derived_parameters,
 )
 from .simulation import (
+    WELCH_OVERLAP,
     ConfigurationError,
     SimulationConfig,
     ToneSignal,
     count_segments,
     estimate_psd,
+    fastest_rate,
     lyapunov_covariance,
     measure_gain,
     simulate,
@@ -120,24 +122,32 @@ def verification_parameters(r_m: float = 0.0) -> SystemParameters:
     )
 
 
-def _fastest_rate(dp: DerivedParameters) -> float:
-    return max(dp.kappa_a, dp.kappa_m, abs(dp.delta_a), abs(dp.delta_0p),
-               2.0 * dp.g_prime)
+def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
+                trajectories: int) -> SimulationConfig:
+    """One oracle run of ``steps`` recorded steps of ``dt``, after a burn-in
+    of 13 relaxation times of the slower mode.
 
-
-def _psd_settings(dp: DerivedParameters, seed: int) -> tuple[SimulationConfig, int]:
-    dt = _DT_ACCURACY / _fastest_rate(dp)
-    nper = int(round(_TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt))
-    steps = int(nper * (1 + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * 0.5)) + 2
+    Refuses a run longer than ``_MAX_STEPS_PER_TRAJECTORY`` before anything
+    is allocated.
+    """
     if steps > _MAX_STEPS_PER_TRAJECTORY:
         raise ConfigurationError(
             "parameter set is too stiff for the stochastic oracle: "
             f"{steps} steps per trajectory would be required; reduce the "
             "ratio of the fastest rate to kappa_m")
-    burn = 13.0 / min(dp.kappa_a, dp.kappa_m)
-    cfg = SimulationConfig(dt=dt, duration=steps * dt, burn_in=burn,
-                           n_trajectories=_PSD_TRAJECTORIES, seed=seed)
-    return cfg, nper
+    return SimulationConfig(dt=dt, duration=steps * dt,
+                            burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
+                            n_trajectories=trajectories, seed=seed)
+
+
+def _welch_run(dp: DerivedParameters, seed: int, bin_width: float, segments: int,
+               trajectories: int) -> tuple[SimulationConfig, int]:
+    """An oracle run for Welch spectra with bins ``bin_width`` (rad/s) apart,
+    and its segment length: a record of about ``segments`` segments."""
+    dt = _DT_ACCURACY / fastest_rate(dp)
+    nper = int(round(_TWO_PI / bin_width / dt))
+    steps = int(nper * (1 + (segments - 1) * (1.0 - WELCH_OVERLAP))) + 2
+    return _run_config(dp, seed, dt, steps, trajectories), nper
 
 
 def _check_routes(params: SystemParameters) -> list[CheckResult]:
@@ -156,11 +166,8 @@ def _check_routes(params: SystemParameters) -> list[CheckResult]:
     )]
 
     # decoupled resonant limit: zero coupling, zero detunings
-    dp0 = derived_parameters(SystemParameters(
-        omega_a=params.omega_a, omega_0=params.omega_0, g_0=params.g_0,
-        mod_amplitude=0.0, kappa_a=params.kappa_a, kappa_m=params.kappa_m,
-        lambda_coupling=params.lambda_coupling,
-        temperature=params.temperature, r_m=0.0))
+    dp0 = derived_parameters(replace(params.with_squeeze_amplitude(0.0),
+                                     mod_amplitude=0.0, delta_a=0.0, delta_0p=0.0))
     k4_direct = abs(response_grid(dp0, [0.0])[3][0])
     k4_closed = abs(closed_form_grid(dp0, [0.0])[3][0])
     ok = abs(k4_direct - 1.0) <= 1e-12 and abs(k4_closed - 3.0) <= 1e-12
@@ -178,29 +185,20 @@ def _check_routes(params: SystemParameters) -> list[CheckResult]:
 
 def _check_lyapunov(params: SystemParameters, seed: int) -> list[CheckResult]:
     kappa_m = params.kappa_m
+    hot = replace(params, temperature=2.6)
     cases = {
-        "lyapunov_decoupled": SystemParameters(
-            omega_a=params.omega_a, omega_0=params.omega_0,
-            g_0=params.g_0, mod_amplitude=0.0,
-            kappa_a=params.kappa_a, kappa_m=kappa_m,
-            lambda_coupling=params.lambda_coupling, temperature=2.6,
-            r_m=0.5),
-        "lyapunov_coupled": SystemParameters(
-            omega_a=params.omega_a, omega_0=params.omega_0,
-            g_0=0.4 * kappa_m, mod_amplitude=1.0,
-            kappa_a=params.kappa_a, kappa_m=kappa_m,
-            lambda_coupling=params.lambda_coupling, temperature=2.6,
-            delta_a=0.5 * kappa_m, delta_0p=-0.3 * kappa_m,
-            r_m=0.0),
+        "lyapunov_decoupled": replace(hot.with_squeeze_amplitude(0.5), mod_amplitude=0.0,
+                                      delta_a=0.0, delta_0p=0.0),
+        "lyapunov_coupled": replace(hot.with_squeeze_amplitude(0.0), g_0=0.4 * kappa_m,
+                                    mod_amplitude=1.0, delta_a=0.5 * kappa_m,
+                                    delta_0p=-0.3 * kappa_m),
     }
     checks = []
     for name, case in cases.items():
         dp = derived_parameters(case)
-        dt = _LYAPUNOV_DT_ACCURACY / _fastest_rate(dp)
-        duration = _LYAPUNOV_DURATION_RELAX / dp.kappa_m
-        cfg = SimulationConfig(dt=dt, duration=duration,
-                               burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
-                               n_trajectories=_LYAPUNOV_TRAJECTORIES, seed=seed)
+        dt = _LYAPUNOV_DT_ACCURACY / fastest_rate(dp)
+        steps = round(_LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt)
+        cfg = _run_config(dp, seed, dt, steps, _LYAPUNOV_TRAJECTORIES)
         # the trace is dropped as soon as its covariances are taken, so it is
         # gone before the next case's simulate allocates its own
         covs = trace_covariances(simulate(dp, case.temperature, cfg))
@@ -243,9 +241,10 @@ def _check_psd(params: SystemParameters, seed: int, tolerance: float) -> list[Ch
     checks = []
     for name, r_m, reservoir in configurations:
         dp = derived_parameters(params.with_squeeze_amplitude(r_m))
-        cfg, nper = _psd_settings(dp, seed)
+        cfg, nper = _welch_run(dp, seed, _PSD_RESOLUTION * dp.kappa_m,
+                               _PSD_SEGMENTS_PER_TRAJECTORY, _PSD_TRAJECTORIES)
         trace = simulate(dp, params.temperature, cfg, reservoir=reservoir)
-        n_seg = trace.n_trajectories * count_segments(trace.n_samples, nper, 0.5)
+        n_seg = trace.n_trajectories * count_segments(trace.n_samples, nper)
         omega, psd = estimate_psd(trace, nper)
         del trace  # free it before the next configuration's simulate
         reference = output_spectrum(dp, params.temperature, omega, reservoir=reservoir)
@@ -274,14 +273,10 @@ def _check_gain(params: SystemParameters, seed: int, tolerance: float) -> list[C
         gain_analytic = dp.xi * float(np.abs(k1[0])**2)
         s_floor = float(output_spectrum(dp, params.temperature, [delta])[0])
 
-        dt = _DT_ACCURACY / _fastest_rate(dp)
-        nper = int(round(_TWO_PI / (delta / 8.0) / dt))
-        steps = int(nper * (1 + (_GAIN_SEGMENTS_PER_TRAJECTORY - 1) * 0.5)) + 2
-        cfg = SimulationConfig(dt=dt, duration=steps * dt,
-                               burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
-                               n_trajectories=_GAIN_TRAJECTORIES, seed=seed)
+        cfg, nper = _welch_run(dp, seed, delta / 8.0, _GAIN_SEGMENTS_PER_TRAJECTORY,
+                               _GAIN_TRAJECTORIES)
         # size the tone so its line carries ~200x the noise power per bin
-        bin_power = s_floor * (_TWO_PI / (nper * dt)) / math.pi
+        bin_power = s_floor * (_TWO_PI / (nper * cfg.dt)) / math.pi
         amplitude = math.sqrt(
             200.0 * bin_power * 4.0 * dp.kappa_m / (dp.lambda_bare**2 * gain_analytic))
         tone = ToneSignal(amplitude=amplitude, frequency=delta)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,14 @@ class TestBudgetCommand:
         cli.main(["budget", "--out", str(a)])
         cli.main(["budget", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+        # signed zeros, infinities, NaN and subnormals keep their spelling
+        rows = tmp_path / "rows.csv"
+        cli._write_csv(rows, ("x", "y"), [[0.0, -0.0, math.inf],
+                                         [-math.inf, math.nan, 5e-324]], "0" * 64)
+        assert rows.read_bytes() == (
+            b"# params_sha256=" + b"0" * 64 + b"\nx,y\n"
+            b"0.000000000000e+00,-inf\n-0.000000000000e+00,nan\n"
+            b"inf,4.940656458412e-324\n")
 
     def test_reservoir_flag(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -210,10 +219,17 @@ class TestExitCodes:
         assert cli.main(["budget", "--reservoir", "oops"]) == 1
         assert cli.main(["nonsense"]) == 1
 
-    def test_bad_values_exit_1(self, tmp_path):
+    def test_bad_values_exit_1(self, tmp_path, capsys):
         out = str(tmp_path / "b.csv")
         for points in ("0", "-3"):
             assert cli.main(["budget", "--grid-points", points, "--out", out]) == 1
+        for option, value in (("--seed", "-1"), ("--seed", "1.5"),
+                              ("--tolerance", "nan"), ("--tolerance", "inf"),
+                              ("--tolerance", "0"), ("--tolerance", "-0.1")):
+            capsys.readouterr()
+            assert cli.main(["verify", option, value]) == 1
+            err = capsys.readouterr().err
+            assert option in err and err.count("\n") == 1
         assert cli.main(["sweep", "--axis", "r_m=0,1", "--axis", "r_m=2",
                          "--outdir", str(tmp_path)]) == 1
         # options are never matched by abbreviation: --out is not --outdir
@@ -240,6 +256,19 @@ class TestExitCodes:
         blocker.write_text("")
         assert cli.main(["reproduce", "fig7", "--outdir", str(blocker)]) == 2
         assert cli.main(["budget", "--grid-points", "5", "--out", str(tmp_path)]) == 2
+
+    def test_verify_refuses_a_run_it_cannot_size(self, tmp_path, capsys):
+        # kappa_a / kappa_m = 1000 would need 3.7e8 steps per trajectory
+        config = tmp_path / "stiff.cfg"
+        config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 6\n"
+                          "mod_amplitude = 1\nkappa_a_hz = 15000\nkappa_m_hz = 15\n"
+                          "temperature_k = 0.05\nlambda_hz_per_tesla = 10\nr_m = 0\n")
+        start = time.perf_counter()
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too stiff" in err
+        assert err.count("\n") == 1
 
     def test_invalid_parameter_file_exit_2(self, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from magnon_sense import (
     ConfigurationError,
     ParameterError,
-    QuadratureVariances,
     SimulationConfig,
     SqueezedReservoir,
     SystemParameters,
@@ -21,8 +21,14 @@ from magnon_sense import (
     response_grid,
     simulate,
 )
-from magnon_sense import simulation
-from magnon_sense.simulation import SimulationTrace, count_segments, trace_covariances
+from magnon_sense import simulation, verification
+from magnon_sense.simulation import (
+    SimulationTrace,
+    count_segments,
+    fastest_rate,
+    noverlap,
+    trace_covariances,
+)
 from magnon_sense.spectra import input_densities
 from magnon_sense.transfer import drift_system
 from magnon_sense.verification import verification_parameters
@@ -38,9 +44,7 @@ def desk_dp(r_m=0.0, **overrides):
 
 
 def quick_config(dp, duration, n_trajectories=8, seed=11, accuracy=0.01):
-    fastest = max(dp.kappa_a, dp.kappa_m, abs(dp.delta_a), abs(dp.delta_0p),
-                  2.0 * dp.g_prime)
-    dt = accuracy / fastest
+    dt = accuracy / fastest_rate(dp)
     return SimulationConfig(dt=dt, duration=duration,
                             burn_in=12.0 / min(dp.kappa_a, dp.kappa_m),
                             n_trajectories=n_trajectories, seed=seed)
@@ -92,6 +96,8 @@ class TestConfigGuards:
         for duration, burn_in in ((math.nan, 0.0), (1.0, math.nan)):
             with pytest.raises(ConfigurationError):
                 SimulationConfig(dt=1e-4, duration=duration, burn_in=burn_in)
+        with pytest.raises(ConfigurationError, match="seed"):
+            SimulationConfig(dt=1e-4, duration=1.0, burn_in=0.0, seed=-1)
 
     def test_tone_amplitude_must_be_finite(self):
         for amplitude in (math.nan, math.inf, -1.0):
@@ -106,16 +112,6 @@ class TestConfigGuards:
 
 
 class TestTraceStructure:
-    def test_zero_noise_homogeneous_system_stays_at_rest(self):
-        dp = desk_dp(r_m=0.0)
-        cfg = quick_config(dp, duration=2.0, n_trajectories=2)
-        trace = simulate(
-            dp, 0.0, cfg,
-            magnon_variances=QuadratureVariances(0.0, 0.0, 0.0),
-            cavity_variance=0.0)
-        assert np.all(trace.quadratures == 0.0)
-        assert np.all(trace.output_record == 0.0)
-
     def test_shapes_and_metadata(self):
         dp = desk_dp()
         cfg = quick_config(dp, duration=1.0, n_trajectories=3)
@@ -232,7 +228,7 @@ class TestPsdEstimator:
         nper = 1024
         omega, psd = estimate_psd(trace, nper)
         density = sigma**2 * dt
-        n_seg = 2 * count_segments(2**17, nper, 0.5)
+        n_seg = 2 * count_segments(2**17, nper)
         tol = 3.0 / math.sqrt(n_seg)
         for band in np.array_split(np.arange(1, len(omega)), 4):
             assert abs(psd[band].mean() / density - 1.0) < tol
@@ -259,14 +255,20 @@ class TestPsdEstimator:
         trace = synthetic_trace(np.ones((1, 64)), 1e-3)
         with pytest.raises(ParameterError):
             estimate_psd(trace, 128)
-        with pytest.raises(ParameterError):
-            estimate_psd(trace, 32, overlap=1.0)
         empty = SimulationTrace(times=np.array([]),
                                 quadratures=np.zeros((1, 0, 4)),
                                 output_record=np.zeros((1, 0)),
                                 metadata={})
         with pytest.raises(ParameterError):
             estimate_psd(empty, 16)
+
+    @pytest.mark.parametrize("n_samples", [225769, 735908])
+    @pytest.mark.parametrize("segment_length", [1024, 9215, 30037])
+    def test_segment_count_is_the_one_welch_averages(self, n_samples, segment_length):
+        # odd lengths round the overlap up, so the hop is the smaller half
+        _, times, _ = signal.spectrogram(np.zeros(n_samples), nperseg=segment_length,
+                                         noverlap=noverlap(segment_length))
+        assert count_segments(n_samples, segment_length) == len(times)
 
     def test_output_spectrum_quick_oracle(self):
         # cheap end-to-end agreement scan; the acceptance suite runs the
@@ -291,15 +293,11 @@ class TestGainMeasurement:
         return dp.xi * float(np.abs(k1[0]) ** 2)
 
     def gain_run(self, dp, delta, seed, amplitude_boost=1.0):
-        fastest = max(dp.kappa_a, 2.0 * dp.g_prime)
-        dt = 0.015 / fastest
-        nper = int(round(TWO_PI / (delta / 8.0) / dt))
-        steps = int(nper * (1 + 7 * 0.5)) + 2
-        cfg = SimulationConfig(dt=dt, duration=steps * dt,
-                               burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
-                               n_trajectories=8, seed=seed)
+        # the run verify's gain checks make
+        cfg, nper = verification._welch_run(dp, seed, delta / 8.0, segments=8,
+                                            trajectories=8)
         s_floor = float(output_spectrum(dp, 0.05, [delta])[0])
-        bin_power = s_floor * (TWO_PI / (nper * dt)) / math.pi
+        bin_power = s_floor * (TWO_PI / (nper * cfg.dt)) / math.pi
         amp = amplitude_boost * math.sqrt(
             200.0 * bin_power * 4.0 * dp.kappa_m
             / (dp.lambda_bare**2 * self.analytic_gain(dp, delta)))
@@ -328,13 +326,13 @@ class TestGainMeasurement:
         dp = desk_dp(r_m=1.0)
         cfg = quick_config(dp, duration=1.0)
         with pytest.raises(ParameterError, match="amplitude"):
-            measure_gain(dp, 0.05, ToneSignal(amplitude=0.0, frequency=1.0), cfg)
+            measure_gain(dp, 0.05, ToneSignal(amplitude=0.0, frequency=1.0), cfg, 64)
 
     def test_requires_evading_point(self):
         dp = desk_dp(r_m=1.0, delta_a=5.0)
         cfg = quick_config(dp, duration=1.0)
         with pytest.raises(Exception, match="delta_a"):
-            measure_gain(dp, 0.05, ToneSignal(amplitude=1.0, frequency=1.0), cfg)
+            measure_gain(dp, 0.05, ToneSignal(amplitude=1.0, frequency=1.0), cfg, 64)
 
 
 class TestRotatingWaveCrossCheck:
@@ -344,7 +342,9 @@ class TestRotatingWaveCrossCheck:
         dp = desk_dp(r_m=0.0)
         delta = 1.0 * dp.kappa_m
         carrier = 100.0 * max(dp.kappa_a, dp.g_prime, delta)
-        dt = 0.05 / (2.0 * carrier + delta)
+        full_rate = ToneSignal(amplitude=0.0, frequency=delta, mode="full-rate",
+                               carrier=carrier)
+        dt = 0.05 / fastest_rate(dp, full_rate)
         nper = int(round(TWO_PI / (delta / 8.0) / dt))
         steps = int(nper * (1 + 3 * 0.5)) + 2
         cfg = SimulationConfig(dt=dt, duration=steps * dt,
@@ -359,11 +359,8 @@ class TestRotatingWaveCrossCheck:
         gain_env = measure_gain(
             dp, 0.05, ToneSignal(amplitude=amp, frequency=delta), cfg,
             segment_length=nper)
-        gain_full = measure_gain(
-            dp, 0.05,
-            ToneSignal(amplitude=amp, frequency=delta, mode="full-rate",
-                       carrier=carrier),
-            cfg, segment_length=nper)
+        gain_full = measure_gain(dp, 0.05, replace(full_rate, amplitude=amp), cfg,
+                                 segment_length=nper)
         assert gain_full == pytest.approx(gain_env, rel=0.05)
 
 
@@ -423,8 +420,7 @@ def coupled_detuned_dp():
 
 class TestSchurScan:
     def step_and_inputs(self, dp, n=3000, ntraj=3):
-        dt = 0.015 / max(dp.kappa_a, dp.kappa_m, abs(dp.delta_a),
-                         abs(dp.delta_0p), 2.0 * dp.g_prime)
+        dt = 0.015 / fastest_rate(dp)
         step = np.eye(4) + drift_system(dp).drift * dt
         rng = np.random.default_rng(3)
         return step, rng.standard_normal((4, ntraj, n)), rng.standard_normal((4, ntraj))
