@@ -29,7 +29,6 @@ from .transfer import (
 )
 from .spectra import (
     NoiseBudget,
-    QuadratureVariances,
     SqueezedReservoir,
     approx_suppressed_sensitivity,
     input_densities,
@@ -37,7 +36,6 @@ from .spectra import (
     noise_budget,
     noise_budget_grid,
     output_spectrum,
-    reservoir_occupations,
 )
 from .simulation import (
     SimulationConfig,

@@ -39,7 +39,7 @@ from .spectra import (
     _require_evading_point,
     noise_budget_grid,
     output_spectrum,
-    reservoir_occupations,
+    input_quadrature_variances,
     approx_suppressed_sensitivity,
 )
 from .transfer import drift_system, require_stable
@@ -343,13 +343,14 @@ def _cmd_reproduce(args) -> int:
         base = baseline_parameters(r_m=r_m)
         snap_hash = _snapshot_hash(_snapshot(base, command="reproduce-fig7"))
         ratios = np.linspace(0.0, 2.0, 201)
-        n_e_ratio = np.array([
-            reservoir_occupations(ratio * r_m, math.pi, r_m)[0]
-            for ratio in ratios])
         phases = np.linspace(0.0, 2.0, 201)
-        n_e_phase = np.array([
-            reservoir_occupations(r_m, frac * math.pi, r_m)[0]
-            for frac in phases])
+
+        def occupation(r_n, phi_n):  # N_e = (tr V - 1)/2 of the vacuum-bath input
+            magnon = input_quadrature_variances(r_m, 0.0, SqueezedReservoir(r_n, phi_n))
+            return (np.trace(magnon) - 1.0) / 2.0
+
+        n_e_ratio = np.array([occupation(ratio * r_m, math.pi) for ratio in ratios])
+        n_e_phase = np.array([occupation(r_m, frac * math.pi) for frac in phases])
         for stem, xlabel, x, n_e in (
                 ("fig7_ne_vs_rn", "r_n / r_m", ratios, n_e_ratio),
                 ("fig7_ne_vs_phase", "phi_n / pi", phases, n_e_phase)):

@@ -11,8 +11,9 @@ configuration guard dt * max(kappa_a, kappa_m, |detunings|, 2 g') < 0.1.
 Discretization choices that matter:
 
 * The magnon-channel increments are drawn through the Cholesky factor of
-  [[v_x, c_xp], [c_xp, v_p]] * dt so the squeezed (and, with a reservoir,
-  cross-correlated) input statistics hold exactly at the increment level.
+  V * dt, V the 2x2 magnon input covariance, so the squeezed (and, with a
+  reservoir, cross-correlated) input statistics hold exactly at the
+  increment level.
 * The output record samples sqrt(kappa_a) * P_a(t_k) - dW_P[k]/dt using the
   *same* phase-quadrature increment that drives step k.  Re-drawing that
   noise independently would destroy the input-output interference that makes
@@ -332,9 +333,8 @@ def simulate(
     ntraj = cfg.n_trajectories
 
     step = np.eye(4) + system.drift * dt
-    cov = np.array([[magnon.v_x, magnon.c_xp], [magnon.c_xp, magnon.v_p]])
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(magnon)
     except np.linalg.LinAlgError as exc:
         raise ParameterError(
             "magnon variance matrix is not positive semidefinite") from exc
@@ -498,9 +498,7 @@ def lyapunov_covariance(
     system = drift_system(dp)
     cavity, magnon = input_densities(dp, temperature, reservoir)
     diffusion = np.zeros((4, 4))
-    diffusion[0, 0] = dp.kappa_m * magnon.v_x
-    diffusion[1, 1] = dp.kappa_m * magnon.v_p
-    diffusion[0, 1] = diffusion[1, 0] = dp.kappa_m * magnon.c_xp
+    diffusion[:2, :2] = dp.kappa_m * magnon
     diffusion[2, 2] = diffusion[3, 3] = dp.kappa_a * cavity
     return linalg.solve_continuous_lyapunov(system.drift, -diffusion)
 

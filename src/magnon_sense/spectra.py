@@ -2,13 +2,22 @@
 
 The homodyne output spectrum of the phase quadrature is assembled from the
 transfer coefficients and the symmetrized variance densities of the four
-white inputs.  The magnon input is squeezed: without reservoir engineering
-its amplitude/phase quadrature densities are exp(-2 r_m) (nbar_m + 1/2) and
-exp(+2 r_m) (nbar_m + 1/2).  Immersing the magnon in a squeezed vacuum
-reservoir (squeeze amplitude r_n, phase phi_n) replaces the thermal bath;
-the transformed-mode occupation N_e and pair correlator M_e then follow from
-composing the two Bogoliubov transformations, and vanish together at
-r_n = r_m, phi_n = pi, leaving a pure vacuum input.
+white inputs.  The magnon input is one Gaussian covariance over its
+amplitude and phase quadratures (X, P): the bath covariance V_bath seen
+through the magnon's squeezing transformation S(r_m) = diag(e^{-r_m}, e^{+r_m}),
+
+    V = S(r_m) V_bath S(r_m)^T
+
+(Weedbrook et al., Rev. Mod. Phys. 84, 621, 2012, sec. II).  The thermal
+bath is V_bath = (nbar_m + 1/2) I, so X is squeezed and P anti-squeezed.
+A squeezed vacuum reservoir (squeeze amplitude r_n, phase phi_n) replaces
+the thermal bath with
+
+    V_bath = 1/2 [cosh(2 r_n) I - sinh(2 r_n) R(phi_n)],
+    R(phi) = [[cos phi, sin phi], [sin phi, -cos phi]],
+
+whose X quadrature is anti-squeezed at phi_n = pi.  It undoes S(r_m)
+exactly at r_n = r_m, phi_n = pi, leaving the vacuum V = I/2.
 
 At the backaction-evading point (both detunings zero) the spectrum separates
 into response * (thermal noise + additional noise + signal), which is the
@@ -19,7 +28,6 @@ field-referred total noise and the sensitivity.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -29,10 +37,8 @@ from .model import DerivedParameters, ParameterError, PreconditionError, thermal
 from .transfer import drift_system, require_stable, response_grid
 
 __all__ = [
-    "QuadratureVariances",
     "SqueezedReservoir",
     "NoiseBudget",
-    "reservoir_occupations",
     "input_quadrature_variances",
     "input_densities",
     "output_spectrum",
@@ -47,24 +53,6 @@ _K1_SQ_FLOOR = 1e-30
 
 #: detunings are considered zero when below this fraction of the linewidths
 _EVASION_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QuadratureVariances:
-    """Symmetrized white-noise variance densities of the magnon input.
-
-    ``v_x`` and ``v_p`` are the amplitude and phase quadrature densities and
-    ``c_xp`` the symmetrized cross density.  Physical inputs satisfy
-    ``v_x * v_p - c_xp**2 >= 1/4`` with equality for pure states.
-    """
-
-    v_x: float
-    v_p: float
-    c_xp: float
-
-    @property
-    def uncertainty_product(self) -> float:
-        return self.v_x * self.v_p - self.c_xp**2
 
 
 @dataclass(frozen=True)
@@ -121,78 +109,55 @@ class NoiseBudget:
         return b_ex / self.sensitivity
 
 
-def reservoir_occupations(r_n: float, phi_n: float, r_m: float) -> tuple[float, complex]:
-    """Effective occupation N_e and pair correlator M_e of the transformed mode.
-
-        N_e = sinh^2(r_n) cosh^2(r_m) + sinh^2(r_m) cosh^2(r_n)
-              + (1/2) cos(phi_n) sinh(2 r_n) sinh(2 r_m)
-        M_e = [cosh(r_n) sinh(r_m) + e^{+i phi_n} sinh(r_n) cosh(r_m)]
-            * [cosh(r_n) cosh(r_m) + e^{-i phi_n} sinh(r_n) sinh(r_m)]
-
-    Composition of two Bogoliubov transformations is again Bogoliubov, so
-    |M_e|^2 = N_e (N_e + 1) identically; N_e >= 0 up to rounding.
-    """
-    if r_n < 0:
-        raise ParameterError("reservoir squeeze amplitude r_n must be >= 0")
-    shn, chn = math.sinh(r_n), math.cosh(r_n)
-    shm, chm = math.sinh(r_m), math.cosh(r_m)
-    n_e = (shn**2 * chm**2 + shm**2 * chn**2
-           + 0.5 * math.cos(phi_n) * math.sinh(2.0 * r_n) * math.sinh(2.0 * r_m))
-    phase = cmath.exp(1j * phi_n)
-    m_e = ((chn * shm + phase * shn * chm)
-           * (chn * chm + phase.conjugate() * shn * shm))
-    return n_e, m_e
-
-
 def input_quadrature_variances(
     r_m: float,
     nbar_m: float,
     reservoir: SqueezedReservoir | None = None,
-) -> QuadratureVariances:
-    """Variance densities of the magnon quadrature inputs.
+) -> np.ndarray:
+    """Symmetrized 2x2 variance density V of the magnon (X, P) input.
 
-    Without a reservoir the thermal bath seen through the squeezing
-    transformation gives ``v_x = exp(-2 r_m) (nbar_m + 1/2)``,
-    ``v_p = exp(+2 r_m) (nbar_m + 1/2)`` and no cross correlation.  With a
-    reservoir the bath is an engineered squeezed vacuum and
+    V = S(r_m) V_bath S(r_m)^T with S(r_m) = diag(e^{-r_m}, e^{+r_m}) and
+    V_bath the thermal bath (nbar_m + 1/2) I or, with ``reservoir``, the
+    squeezed vacuum 1/2 [cosh(2 r_n) I - sinh(2 r_n) R(phi_n)] with
+    R(phi) = [[cos phi, sin phi], [sin phi, -cos phi]].  ``nbar_m`` does
+    not enter then: the reservoir replaces the thermal bath.  With this
+    sign of phi_n the input is the vacuum I/2 at r_n = r_m, phi_n = pi.
 
-        v_x = N_e + 1/2 + Re M_e,   v_p = N_e + 1/2 - Re M_e,
-        c_xp = Im M_e.
-
-    The sign of the Re M_e term is fixed by requiring that the same
-    expressions, evaluated on the thermal-squeezed correlators
-    (N = cosh(2 r_m) nbar_m + sinh^2 r_m, M = -sinh(2 r_m)(nbar_m + 1/2)),
-    reproduce the reservoir-free formulas exactly.
+    S is diagonal, so V[0, 0] = e^{-2 r_m} V_bath[0, 0],
+    V[1, 1] = e^{+2 r_m} V_bath[1, 1] and V[0, 1] = V_bath[0, 1].  The
+    reservoir's diagonal is evaluated in the equal half-angle form
+    e^{-2 r_n}/2 + sinh(2 r_n) {sin^2, cos^2}(phi_n/2), a sum of
+    nonnegative terms, so nothing cancels near the nulling point.  A pure
+    bath (nbar_m = 0, or any reservoir) gives det V = 1/4, and
+    (tr V - 1)/2 is the occupation N_e of the transformed mode.
     """
     if nbar_m < 0:
         raise ParameterError("nbar_m must be >= 0")
     if reservoir is None:
-        base = nbar_m + 0.5
-        return QuadratureVariances(
-            v_x=math.exp(-2.0 * r_m) * base,
-            v_p=math.exp(2.0 * r_m) * base,
-            c_xp=0.0,
-        )
-    n_e, m_e = reservoir_occupations(reservoir.r_n, reservoir.phi_n, r_m)
-    return QuadratureVariances(
-        v_x=n_e + 0.5 + m_e.real,
-        v_p=n_e + 0.5 - m_e.real,
-        c_xp=m_e.imag,
-    )
+        bath_x = bath_p = nbar_m + 0.5
+        bath_xp = 0.0
+    else:
+        r_n, phi_n = reservoir.r_n, reservoir.phi_n
+        vacuum, sh = 0.5 * math.exp(-2.0 * r_n), math.sinh(2.0 * r_n)
+        bath_x = vacuum + sh * math.sin(0.5 * phi_n)**2
+        bath_p = vacuum + sh * math.cos(0.5 * phi_n)**2
+        bath_xp = -0.5 * sh * math.sin(phi_n)
+    return np.array([[math.exp(-2.0 * r_m) * bath_x, bath_xp],
+                     [bath_xp, math.exp(2.0 * r_m) * bath_p]])
 
 
 def input_densities(
     dp: DerivedParameters,
     temperature: float,
     reservoir: SqueezedReservoir | None = None,
-) -> tuple[float, QuadratureVariances]:
+) -> tuple[float, np.ndarray]:
     """Variance densities of the four white inputs at ``temperature``.
 
     Returns the density nbar_a + 1/2 of each cavity quadrature and the
-    magnon :class:`QuadratureVariances` of
-    :func:`input_quadrature_variances`, with each mode's thermal occupation
-    taken at its own frequency.  Every spectrum, budget, Lyapunov solution
-    and simulation draws its input noise from here.
+    magnon 2x2 covariance of :func:`input_quadrature_variances`, with each
+    mode's thermal occupation taken at its own frequency.  Every spectrum,
+    budget, Lyapunov solution and simulation draws its input noise from
+    here.
     """
     cavity = thermal_occupation(dp.omega_a, temperature) + 0.5
     nbar_m = thermal_occupation(dp.omega_0, temperature)
@@ -208,13 +173,13 @@ def _frequency_grid(grid) -> np.ndarray:
     return grid
 
 
-def _s_out(ks, cavity: float, magnon: QuadratureVariances, s1=0.0, s2=0.0):
+def _s_out(ks, cavity: float, magnon: np.ndarray, s1=0.0, s2=0.0):
     """The s_out expression of :func:`output_spectrum` on solved k1..k4."""
     k1, k2, k3, k4 = ks
     return (cavity * (np.abs(k3)**2 + np.abs(k4)**2)
-            + np.abs(k1)**2 * (magnon.v_x + s1)
-            + np.abs(k2)**2 * (magnon.v_p + s2)
-            + 2.0 * np.real(k1 * np.conj(k2)) * magnon.c_xp)
+            + np.abs(k1)**2 * (magnon[0, 0] + s1)
+            + np.abs(k2)**2 * (magnon[1, 1] + s2)
+            + 2.0 * np.real(k1 * np.conj(k2)) * magnon[0, 1])
 
 
 def output_spectrum(
@@ -230,6 +195,8 @@ def output_spectrum(
                + |k1|^2 (v_x + S1) + |k2|^2 (v_p + S2)
                + 2 Re(k1 conj(k2)) c_xp
 
+    where v_x, v_p and c_xp are the entries V[0, 0], V[1, 1] and V[0, 1] of
+    the magnon input covariance of :func:`input_quadrature_variances`.
     ``signal_psd``, when given, is a pair (S1, S2) of caller-supplied signal
     spectral densities per grid point, already containing the xi
     amplification of the field.  The cross term vanishes whenever c_xp = 0
@@ -282,7 +249,7 @@ def noise_budget(
 
         response          A_m  = xi |k1|^2
         additional noise  N_qn = (nbar_a + 1/2)/xi * |k4|^2 / |k1|^2
-        thermal noise     N_mth = v_x / xi
+        thermal noise     N_mth = V[0, 0] / xi
                           (= (nbar_m + 1/2)/xi^2 without reservoir)
         s_bnoise = (2 kappa_m / lambda^2) (N_mth + N_qn)     [T^2/Hz]
         sensitivity = sqrt(s_bnoise)                         [T/sqrt(Hz)]
@@ -309,7 +276,7 @@ def noise_budget_grid(
     omegas = _frequency_grid(omegas)
     cavity, magnon = input_densities(dp, temperature, reservoir)
     ks = response_grid(dp, omegas)
-    thermal = np.full_like(omegas, magnon.v_x / dp.xi)
+    thermal = np.full_like(omegas, magnon[0, 0] / dp.xi)
     additional = _additional_noise(dp, cavity, ks[0], ks[3])
     s_bnoise = 2.0 * dp.kappa_m / dp.lambda_bare**2 * (thermal + additional)
     return NoiseBudget(
@@ -333,7 +300,7 @@ def approx_suppressed_sensitivity(
     Returns sqrt(2 kappa_m N_qn(omega)) / lambda on the frequency grid, the
     approximation valid when a nulling reservoir (r_n = r_m, phi_n = pi)
     removes the effective magnon occupation.  Note the exact budget retains
-    the residual vacuum half-quantum v_x/xi = 1/(2 xi), which this
+    the residual vacuum half-quantum V[0, 0]/xi = 1/(2 xi), which this
     expression discards; compare against :func:`noise_budget_grid` with the
     reservoir supplied to see the difference.  Independent of the magnon
     occupation by construction.

@@ -67,7 +67,7 @@ _GAIN_SEGMENTS_PER_TRAJECTORY = 8
 _LYAPUNOV_DURATION_RELAX = 2800.0   # duration in units of 1/kappa_m
 _LYAPUNOV_TRAJECTORIES = 32
 _LYAPUNOV_DT_ACCURACY = 0.0075      # smaller step: variance bias << standard error
-_MAX_STEPS_PER_TRAJECTORY = 20_000_000
+_MAX_STORED_BYTES = 2**31          # what one run's trace may hold: 4x the desk maximum
 
 
 @dataclass(frozen=True)
@@ -127,14 +127,17 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
     """One oracle run of ``steps`` recorded steps of ``dt``, after a burn-in
     of 13 relaxation times of the slower mode.
 
-    Refuses a run longer than ``_MAX_STEPS_PER_TRAJECTORY`` before anything
-    is allocated.
+    Refuses, before anything is allocated, a run whose trace would hold
+    more than ``_MAX_STORED_BYTES``: per recorded step, 8-byte times and,
+    per trajectory, four quadratures and the output record.
     """
-    if steps > _MAX_STEPS_PER_TRAJECTORY:
+    stored = 8 * steps * (1 + 5 * trajectories)
+    if stored > _MAX_STORED_BYTES:
         raise ConfigurationError(
             "parameter set is too stiff for the stochastic oracle: "
-            f"{steps} steps per trajectory would be required; reduce the "
-            "ratio of the fastest rate to kappa_m")
+            f"{trajectories} trajectories of {steps} steps would store "
+            f"{stored / 2**30:.1f} GiB, over the {_MAX_STORED_BYTES / 2**30:g} GiB "
+            "cap; reduce the ratio of the fastest rate to kappa_m")
     return SimulationConfig(dt=dt, duration=steps * dt,
                             burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
                             n_trajectories=trajectories, seed=seed)

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from magnon_sense import (
+    SqueezedReservoir,
     approx_suppressed_sensitivity,
     baseline_parameters,
     derived_parameters,
+    input_quadrature_variances,
     noise_budget,
-    reservoir_occupations,
     response_grid,
 )
 from magnon_sense.transfer import closed_form_grid
@@ -94,15 +95,17 @@ def test_criterion_5_sensitivity_improvement():
 
 
 def test_criterion_6_reservoir_nulling_and_bogoliubov_identity():
-    n_e, m_e = reservoir_occupations(1.5, math.pi, 1.5)
-    assert abs(n_e) < 1e-12
-    assert abs(m_e) < 1e-12
+    def magnon_input(r_n, phi_n, r_m):
+        return input_quadrature_variances(r_m, 0.0, SqueezedReservoir(r_n, phi_n))
+
+    np.testing.assert_allclose(magnon_input(1.5, math.pi, 1.5), np.eye(2) / 2,
+                               rtol=0, atol=1e-12)
     rng = np.random.default_rng(2718)
     for _ in range(1000):
-        n_e, m_e = reservoir_occupations(
-            rng.uniform(0, 3), rng.uniform(0, TWO_PI), rng.uniform(-2, 3))
-        assert abs(m_e) ** 2 == pytest.approx(n_e * (n_e + 1.0), rel=1e-9, abs=1e-12)
-    _announce(6, "N_e and |M_e| < 1e-12 at the nulling point; |M_e|^2 = N_e(N_e+1) over 1000 draws")
+        v = magnon_input(rng.uniform(0, 3), rng.uniform(0, TWO_PI), rng.uniform(-2, 3))
+        assert v[0, 0] * v[1, 1] - v[0, 1] ** 2 == pytest.approx(0.25, rel=1e-9, abs=1e-12)
+    _announce(6, "magnon input V = I/2 within 1e-12 at the nulling point; "
+                 "det V = 1/4 (|M_e|^2 = N_e(N_e+1)) over 1000 draws")
 
 
 def test_criterion_7_femtotesla_level():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import magnon_sense.cli as cli
+from magnon_sense import verification
 from magnon_sense.verification import CheckResult, VerificationReport
 
 
@@ -99,6 +100,15 @@ class TestSpectrumCommand:
         _, data = read_csv(out)
         expected = output_spectrum(dp, 0.05, data[:, 0])
         np.testing.assert_allclose(data[:, 2], expected, rtol=1e-10)
+
+    def test_vacuum_reservoir_is_the_zero_temperature_spectrum(self, tmp_path):
+        # a squeezed vacuum of zero amplitude is the vacuum bath at 0 K
+        plain, vacuum = tmp_path / "plain.csv", tmp_path / "vacuum.csv"
+        assert cli.main(["spectrum", "--temp", "0", "--out", str(plain)]) == 0
+        assert cli.main(["spectrum", "--temp", "0", "--reservoir", "0,0",
+                         "--out", str(vacuum)]) == 0
+        assert (plain.read_text().splitlines()[1:]
+                == vacuum.read_text().splitlines()[1:])
 
     def test_unstable_drift_exits_2(self, tmp_path, capsys):
         # both detunings at 5 MHz: the drift has no steady state, so there
@@ -268,6 +278,22 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "too stiff" in err
+        assert err.count("\n") == 1
+
+    def test_verify_refuses_a_run_it_cannot_store(self, tmp_path, capsys, monkeypatch):
+        # kappa_a / kappa_m = 50: the Lyapunov runs need 1.87e7 steps of 32
+        # trajectories, 22 GiB of trace, and must be refused before simulate
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(verification, "simulate", no_simulate)
+        config = tmp_path / "long.cfg"
+        config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 6\n"
+                          "mod_amplitude = 1\nkappa_a_hz = 750\nkappa_m_hz = 15\n"
+                          "temperature_k = 0.05\nlambda_hz_per_tesla = 10\nr_m = 0\n")
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "GiB" in err
         assert err.count("\n") == 1
 
     def test_invalid_parameter_file_exit_2(self, tmp_path):

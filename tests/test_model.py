@@ -125,8 +125,8 @@ class TestDerivedParameters:
                          omega_0=TWO_PI * 20e9)
         cavity, magnon = input_densities(derived_parameters(params), 280.0)
         assert cavity == thermal_occupation(params.omega_a, 280.0) + 0.5
-        assert magnon == input_quadrature_variances(
-            params.r_m, thermal_occupation(TWO_PI * 20e9, 280.0))
+        np.testing.assert_array_equal(magnon, input_quadrature_variances(
+            params.r_m, thermal_occupation(TWO_PI * 20e9, 280.0)))
 
     def test_zero_squeezing_is_identity(self):
         params = baseline_parameters(r_m=0.0)

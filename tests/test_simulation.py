@@ -382,8 +382,7 @@ def loop_simulate(dp, temperature, cfg, reservoir=None, signal=None):
     n_burn = int(round(cfg.burn_in / dt))
     n_keep = int(round(cfg.duration / dt))
     step_t = (np.eye(4) + drift_system(dp).drift * dt).T
-    chol = np.linalg.cholesky(np.array([[magnon.v_x, magnon.c_xp],
-                                        [magnon.c_xp, magnon.v_p]]))
+    chol = np.linalg.cholesky(magnon)
     cav_scale = math.sqrt(cavity * dt)
     sq_ka = math.sqrt(dp.kappa_a)
     z = np.stack([simulation._trajectory_rng(cfg.seed, i).standard_normal(

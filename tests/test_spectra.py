@@ -19,7 +19,6 @@ from magnon_sense import (
     noise_budget,
     noise_budget_grid,
     output_spectrum,
-    reservoir_occupations,
     response_grid,
     thermal_occupation,
 )
@@ -34,34 +33,58 @@ def dp_at(r_m, temperature=0.05, **overrides):
     return derived_parameters(params)
 
 
+def reservoir_input(r_n, phi_n, r_m):
+    """Magnon input covariance V in a squeezed vacuum reservoir."""
+    return input_quadrature_variances(r_m, 0.0, SqueezedReservoir(r_n, phi_n))
+
+
+def occupation(v):
+    """Occupation N_e = (tr V - 1)/2 of the transformed mode."""
+    return (np.trace(v) - 1.0) / 2.0
+
+
+def determinant(v):
+    return v[0, 0] * v[1, 1] - v[0, 1] ** 2
+
+
+def closed_form_occupation(r_n, phi_n, r_m):
+    """N_e from composing the reservoir's and the magnon's Bogoliubov
+    transformations, an independent reference for the trace."""
+    return (math.sinh(r_n)**2 * math.cosh(r_m)**2 + math.sinh(r_m)**2 * math.cosh(r_n)**2
+            + 0.5 * math.cos(phi_n) * math.sinh(2.0 * r_n) * math.sinh(2.0 * r_m))
+
+
 class TestReservoirOccupations:
     @pytest.mark.parametrize("r", [0.3, 1.5, 2.2])
     def test_nulling_point(self, r):
-        n_e, m_e = reservoir_occupations(r, math.pi, r)
-        assert abs(n_e) < 1e-12
-        assert abs(m_e) < 1e-12
+        np.testing.assert_allclose(reservoir_input(r, math.pi, r), np.eye(2) / 2,
+                                   rtol=0, atol=1e-12)
 
     def test_zero_phase_adds_squeeze_amplitudes(self):
-        n_e, _ = reservoir_occupations(1.5, 0.0, 1.5)
+        n_e = occupation(reservoir_input(1.5, 0.0, 1.5))
         assert n_e == pytest.approx(math.sinh(3.0) ** 2, rel=1e-12)
         assert n_e == pytest.approx(100.35781806122793, rel=1e-10)
 
     def test_bogoliubov_identity_over_random_draws(self):
+        # a squeezed vacuum seen through a squeezing transformation is still
+        # a pure Gaussian state, so det V = 1/4 (|M_e|^2 = N_e (N_e + 1))
         rng = np.random.default_rng(99)
         for _ in range(1000):
             r_n = rng.uniform(0.0, 3.0)
             phi = rng.uniform(0.0, 2.0 * math.pi)
             r_m = rng.uniform(-2.0, 3.0)
-            n_e, m_e = reservoir_occupations(r_n, phi, r_m)
+            v = reservoir_input(r_n, phi, r_m)
+            n_e = occupation(v)
             assert n_e >= -1e-12
-            assert abs(m_e) ** 2 == pytest.approx(
-                n_e * (n_e + 1.0), rel=1e-9, abs=1e-12)
+            assert n_e == pytest.approx(
+                closed_form_occupation(r_n, phi, r_m), rel=1e-9, abs=1e-12)
+            assert determinant(v) == pytest.approx(0.25, rel=1e-9, abs=1e-12)
 
     def test_rejects_negative_reservoir_amplitude(self):
         with pytest.raises(ParameterError):
-            reservoir_occupations(-0.1, 0.0, 1.0)
+            SqueezedReservoir(r_n=-0.1, phi_n=0.0)
         with pytest.raises(ParameterError):
-            SqueezedReservoir(r_n=-1.0, phi_n=0.0)
+            SqueezedReservoir(r_n=math.inf, phi_n=0.0)
 
     def test_reservoir_phase_is_normalized(self):
         assert SqueezedReservoir(1.0, -math.pi).phi_n == pytest.approx(math.pi)
@@ -71,58 +94,63 @@ class TestReservoirOccupations:
 class TestInputVariances:
     def test_no_squeezing_is_symmetric_thermal(self):
         var = input_quadrature_variances(0.0, 2.7)
-        assert var.v_x == var.v_p == 3.2
-        assert var.c_xp == 0.0
+        assert var[0, 0] == var[1, 1] == 3.2
+        assert var[0, 1] == var[1, 0] == 0.0
 
     def test_squeezed_vacuum_values(self):
         var = input_quadrature_variances(1.5, 0.0)
-        assert var.v_x == pytest.approx(0.024893534183931972, rel=1e-12)
-        assert var.v_p == pytest.approx(10.042768461593834, rel=1e-12)
-        assert var.c_xp == 0.0
+        assert var[0, 0] == pytest.approx(0.024893534183931972, rel=1e-12)
+        assert var[1, 1] == pytest.approx(10.042768461593834, rel=1e-12)
+        assert var[0, 1] == 0.0
 
     def test_thermal_squeezed_product(self):
         var = input_quadrature_variances(1.1, 0.35)
-        assert var.v_x * var.v_p == pytest.approx(0.85**2, rel=1e-12)
+        assert var[0, 0] * var[1, 1] == pytest.approx(0.85**2, rel=1e-12)
 
     def test_general_formula_reduces_to_thermal_squeezed_case(self):
         # the correlators of a thermal bath seen through the squeezing
         # transformation, pushed through N + 1/2 +- Re M, must reproduce the
-        # closed forms; this pins the sign convention of the Re M term
+        # covariance; this pins the frame (X squeezed for r_m > 0)
         for r_m, nbar in [(0.0, 0.0), (0.7, 0.2), (1.5, 3.0), (-0.9, 1.1)]:
             n_corr = math.cosh(2 * r_m) * nbar + math.sinh(r_m) ** 2
             m_corr = -math.sinh(2 * r_m) * (nbar + 0.5)
             v_x = n_corr + 0.5 + m_corr
             v_p = n_corr + 0.5 - m_corr
             ref = input_quadrature_variances(r_m, nbar)
-            assert v_x == pytest.approx(ref.v_x, rel=1e-12)
-            assert v_p == pytest.approx(ref.v_p, rel=1e-12)
+            assert v_x == pytest.approx(ref[0, 0], rel=1e-12)
+            assert v_p == pytest.approx(ref[1, 1], rel=1e-12)
 
     def test_nulling_reservoir_leaves_pure_vacuum(self):
         var = input_quadrature_variances(
             1.5, 7.0, SqueezedReservoir(r_n=1.5, phi_n=math.pi))
-        assert var.v_x == pytest.approx(0.5, abs=1e-12)
-        assert var.v_p == pytest.approx(0.5, abs=1e-12)
-        assert var.c_xp == pytest.approx(0.0, abs=1e-12)
+        assert var[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert var[1, 1] == pytest.approx(0.5, abs=1e-12)
+        assert var[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("r_n,r_m", [(0.5, 0.5), (1.0, 0.4), (2.0, 1.5)])
     def test_opposed_phase_minimum(self, r_n, r_m):
+        # at phi_n = pi the reservoir anti-squeezes X by e^{2 r_n} and the
+        # magnon squeezes it by e^{-2 r_m}
         var = input_quadrature_variances(
             r_m, 0.0, SqueezedReservoir(r_n=r_n, phi_n=math.pi))
-        assert var.v_x == pytest.approx(
-            0.5 * math.exp(-2.0 * (r_n - r_m)), rel=1e-10)
+        assert var[0, 0] == pytest.approx(
+            0.5 * math.exp(2.0 * (r_n - r_m)), rel=1e-10)
+
+    @given(st.floats(-2.0, 2.5), st.floats(0.0, 2 * math.pi))
+    def test_vacuum_reservoir_is_the_zero_temperature_input(self, r_m, phi):
+        np.testing.assert_array_equal(reservoir_input(0.0, phi, r_m),
+                                      input_quadrature_variances(r_m, 0.0))
 
     @given(st.floats(-2.0, 2.5), st.floats(0.0, 50.0))
     def test_uncertainty_bound_thermal(self, r_m, nbar):
         var = input_quadrature_variances(r_m, nbar)
-        assert var.uncertainty_product >= 0.25 - 1e-9
+        assert determinant(var) >= 0.25 - 1e-9
         if nbar == 0.0:
-            assert var.uncertainty_product == pytest.approx(0.25, rel=1e-9)
+            assert determinant(var) == pytest.approx(0.25, rel=1e-9)
 
     @given(st.floats(0.0, 2.5), st.floats(0.0, 2 * math.pi), st.floats(-2.0, 2.5))
     def test_uncertainty_bound_reservoir_is_saturated(self, r_n, phi, r_m):
-        var = input_quadrature_variances(
-            r_m, 0.0, SqueezedReservoir(r_n=r_n, phi_n=phi))
-        assert var.uncertainty_product == pytest.approx(0.25, rel=1e-6)
+        assert determinant(reservoir_input(r_n, phi, r_m)) == pytest.approx(0.25, rel=1e-6)
 
     def test_rejects_negative_occupation(self):
         with pytest.raises(ParameterError):
@@ -137,7 +165,7 @@ class TestOutputSpectrum:
         s_out = output_spectrum(dp, 0.05, omegas)
         k1, _, _, k4 = response_grid(dp, omegas)
         nbar = thermal_occupation(dp.omega_a, 0.05)
-        v_x = input_quadrature_variances(1.5, thermal_occupation(dp.omega_0, 0.05)).v_x
+        v_x = input_quadrature_variances(1.5, thermal_occupation(dp.omega_0, 0.05))[0, 0]
         manual = (nbar + 0.5) * np.abs(k4) ** 2 + np.abs(k1) ** 2 * v_x
         np.testing.assert_allclose(s_out, manual, rtol=1e-12)
 
