@@ -38,18 +38,27 @@ How the recursion x_{m+1} = S x_m + incr_m, S = I + A dt, is computed:
 * Steps are taken in chunks of ``_CHUNK`` = 2^15 trajectory-steps (256 kB
   per component array; 2^18 measured slower): each chunk draws its
   normals, forms its increments and filters them, and the filter states
-  carry it into the next chunk exactly.  The working set besides the
-  stored trace is therefore a few MB whatever the run length or trajectory
-  count, and where the chunks end changes no bit of the result.  The chunk
-  arithmetic is elementwise and makes no BLAS call, so concurrent runs do
-  not contend through BLAS worker threads.
-* Quadratures are stored quadrature-major, (4, n_trajectories, n_samples);
-  ``SimulationTrace.quadratures`` is an (n_trajectories, n_samples, 4) view.
+  carry it into the next chunk exactly, so where the chunks end changes no
+  bit of the states.  The chunk arithmetic is elementwise and makes no BLAS
+  call, so concurrent runs do not contend through BLAS worker threads.
 
-Spectra are Welch estimates (Welch, IEEE Trans. Audio Electroacoust. 15:70,
-1967) whose consecutive segments share ``WELCH_OVERLAP`` of their length,
-:func:`noverlap` samples; :func:`estimate_psd` and :func:`count_segments`
-both hop by the rest of the segment.
+A run is one chunk generator, :func:`simulate_chunks`, which yields the
+kept quadratures (4, n_trajectories, n) and output record
+(n_trajectories, n) of each chunk, and its consumers fold the chunks in:
+
+* :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
+  Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
+  sharing ``WELCH_OVERLAP`` of its length, :func:`noverlap` samples, with
+  the next; it holds one segment per trajectory.
+* :class:`CovarianceAccumulator`: per-trajectory sample covariances, each
+  chunk's centred moments merged into the running ones.
+* :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
+  quadrature-major storage, for :func:`export_trace` and for tests.
+
+:func:`stream_psd`, :func:`stream_covariances` and :func:`measure_gain`
+feed a run straight into an accumulator, so their memory does not grow
+with the run length; :func:`estimate_psd` and :func:`trace_covariances`
+feed a stored trace into the same accumulators.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, signal as _signal
+from scipy import fft as _fft, linalg, signal as _signal
 
 from .model import ConfigurationError, DerivedParameters, ParameterError
 from .spectra import SqueezedReservoir, _require_evading_point, input_densities
@@ -69,13 +78,17 @@ __all__ = [
     "SimulationConfig",
     "ToneSignal",
     "SimulationTrace",
+    "simulate_chunks",
     "simulate",
+    "WelchAccumulator",
+    "CovarianceAccumulator",
+    "stream_psd",
+    "stream_covariances",
     "estimate_psd",
     "measure_gain",
     "lyapunov_covariance",
     "trace_covariances",
     "export_trace",
-    "count_segments",
     "fastest_rate",
     "noverlap",
     "WELCH_OVERLAP",
@@ -303,30 +316,39 @@ class _SchurScan:
         return out
 
 
-def simulate(
+def _steps(cfg: SimulationConfig) -> tuple[int, int]:
+    """(burn-in steps, kept steps) of a run."""
+    return int(round(cfg.burn_in / cfg.dt)), int(round(cfg.duration / cfg.dt))
+
+
+def simulate_chunks(
     dp: DerivedParameters,
     temperature: float,
     cfg: SimulationConfig,
     reservoir: SqueezedReservoir | None = None,
     signal: ToneSignal | None = None,
-) -> SimulationTrace:
-    """Integrate the quadrature Langevin equations and record the output.
+):
+    """Integrate the quadrature Langevin equations, one chunk of kept steps
+    at a time.
 
-    Noise statistics follow from the parameters through
-    :func:`~magnon_sense.spectra.input_densities`: magnon increments have the
-    squeezed or reservoir-engineered variances and cavity increments the
-    thermal density nbar_a + 1/2 per quadrature.
+    Returns an iterator of (states, record) pairs in time order, one per
+    kept chunk: ``states`` (4, n_trajectories, n) holds the quadratures
+    before each step and ``record`` (n_trajectories, n) the output record.
+    Both are views of buffers that the next chunk overwrites, so a consumer
+    copies what it keeps.  Noise statistics follow from the parameters
+    through :func:`~magnon_sense.spectra.input_densities`: magnon increments
+    have the squeezed or reservoir-engineered variances and cavity
+    increments the thermal density nbar_a + 1/2 per quadrature.
 
-    Raises :class:`ConfigurationError` before any stepping if the
-    configuration guard fails or the drift is unstable.
+    Raises :class:`ConfigurationError` when called, before any stepping, if
+    the configuration guard fails or the drift is unstable.
     """
     system = drift_system(dp)
     _validate_config(dp, cfg, signal, system.drift)
     cavity, magnon = input_densities(dp, temperature, reservoir)
 
     dt = cfg.dt
-    n_burn = int(round(cfg.burn_in / dt))
-    n_keep = int(round(cfg.duration / dt))
+    n_burn, n_keep = _steps(cfg)
     if n_keep < 1:
         raise ConfigurationError("duration shorter than one step")
     n_total = n_burn + n_keep
@@ -345,42 +367,68 @@ def simulate(
 
     rngs = [_trajectory_rng(cfg.seed, i) for i in range(ntraj)]
     scan = _SchurScan(step, np.zeros((4, ntraj)))
-    quad = np.empty((4, ntraj, n_keep))
-    out = np.empty((ntraj, n_keep))
     per_chunk = max(1, _CHUNK // ntraj)
-    z = np.empty((ntraj, min(per_chunk, n_total), 4))
-    burn = np.empty((4, ntraj, min(per_chunk, n_burn)))
-
-    # chunks end at n_burn, so a kept chunk is written in place
+    width = min(per_chunk, n_total)
+    z = np.empty((ntraj, width, 4))
+    states = np.empty((4, ntraj, width))
+    record = np.empty((ntraj, width))
+    # chunks end at n_burn, so every chunk is all burn-in or all kept
     bounds = sorted({*range(0, n_burn, per_chunk), *range(n_burn, n_total, per_chunk)})
-    for pos, end in zip(bounds, bounds[1:] + [n_total]):
-        n = end - pos
-        zc = z[:, :n]
-        for rng, zi in zip(rngs, zc):
-            rng.standard_normal(out=zi)
-        dw_pa = zc[:, :, 3] * cav_scale
-        incr = [zc[:, :, 0] * mag[0, 0],
-                zc[:, :, 0] * mag[1, 0] + zc[:, :, 1] * mag[1, 1],
-                zc[:, :, 2] * (cav_scale * sq_ka),
-                dw_pa * sq_ka]
-        if drive:
-            dx, dpp = _drive_arrays(signal, dp, (pos + np.arange(n)) * dt)
-            incr[0] += dx * dt
-            incr[1] += dpp * dt
-        if pos < n_burn:
-            scan(incr, burn[:, :, :n])
-        else:
-            k = pos - n_burn
-            states = scan(incr, quad[:, :, k:k + n])
-            np.subtract(sq_ka * states[3], dw_pa / dt, out=out[:, k:k + n])
 
-    times = (n_burn + np.arange(n_keep)) * dt
+    def chunks():
+        for pos, end in zip(bounds, bounds[1:] + [n_total]):
+            n = end - pos
+            zc = z[:, :n]
+            for rng, zi in zip(rngs, zc):
+                rng.standard_normal(out=zi)
+            dw_pa = zc[:, :, 3] * cav_scale
+            incr = [zc[:, :, 0] * mag[0, 0],
+                    zc[:, :, 0] * mag[1, 0] + zc[:, :, 1] * mag[1, 1],
+                    zc[:, :, 2] * (cav_scale * sq_ka),
+                    dw_pa * sq_ka]
+            if drive:
+                dx, dpp = _drive_arrays(signal, dp, (pos + np.arange(n)) * dt)
+                incr[0] += dx * dt
+                incr[1] += dpp * dt
+            kept = scan(incr, states[:, :, :n])
+            if pos >= n_burn:
+                np.subtract(sq_ka * kept[3], dw_pa / dt, out=record[:, :n])
+                yield kept, record[:, :n]
+
+    return chunks()
+
+
+def simulate(
+    dp: DerivedParameters,
+    temperature: float,
+    cfg: SimulationConfig,
+    reservoir: SqueezedReservoir | None = None,
+    signal: ToneSignal | None = None,
+) -> SimulationTrace:
+    """Integrate the quadrature Langevin equations and store the whole run.
+
+    The store-everything consumer of :func:`simulate_chunks`, for
+    :func:`export_trace` and for tests that read single samples; it raises
+    what that raises.
+    """
+    chunks = simulate_chunks(dp, temperature, cfg, reservoir, signal)
+    n_burn, n_keep = _steps(cfg)
+    quad = np.empty((4, cfg.n_trajectories, n_keep))
+    out = np.empty((cfg.n_trajectories, n_keep))
+    k = 0
+    for states, record in chunks:
+        n = record.shape[1]
+        quad[:, :, k:k + n] = states
+        out[:, k:k + n] = record
+        k += n
+
+    times = (n_burn + np.arange(n_keep)) * cfg.dt
     metadata = {
         "rng": _RNG_NAME,
         "seed": cfg.seed,
-        "dt": dt,
+        "dt": cfg.dt,
         "burn_in": cfg.burn_in,
-        "n_trajectories": ntraj,
+        "n_trajectories": cfg.n_trajectories,
         "temperature": temperature,
         "r_m": dp.r_m,
         "g_prime": dp.g_prime,
@@ -402,22 +450,148 @@ def noverlap(segment_length: int) -> int:
     return int(round(segment_length * WELCH_OVERLAP))
 
 
-def count_segments(n_samples: int, segment_length: int) -> int:
-    """Number of Welch segments per trajectory that :func:`estimate_psd` averages."""
-    if n_samples < segment_length:
-        return 0
-    return 1 + (n_samples - segment_length) // (segment_length - noverlap(segment_length))
+class WelchAccumulator:
+    """Welch's averaged periodogram of output records fed in time order.
+
+    Holds the last ``segment_length`` samples of every trajectory.  Each
+    time a segment completes, its constant trend is removed, it is
+    Hann-windowed and one batched real FFT over all trajectories is added
+    to a running sum of periodograms; the next segment starts
+    ``segment_length - noverlap(segment_length)`` samples later.  Memory is
+    the ring and one segment's transform, whatever the record length, and
+    the result does not depend on how the record is split between
+    :meth:`add` calls.
+    """
+
+    def __init__(self, n_trajectories: int, segment_length: int):
+        segment_length = int(segment_length)
+        if segment_length < 2:
+            raise ParameterError(
+                f"segment_length must be at least 2, got {segment_length}")
+        self._ring = np.empty((n_trajectories, segment_length))
+        self._filled = 0
+        self._hop = segment_length - noverlap(segment_length)
+        self._window = _signal.get_window("hann", segment_length)
+        self._power = np.zeros(segment_length // 2 + 1)
+        #: periodograms averaged so far, over all trajectories
+        self.segments = 0
+
+    def add(self, record: np.ndarray) -> None:
+        """Fold in the next samples of every trajectory, shape (n_trajectories, n)."""
+        length = self._ring.shape[1]
+        pos = 0
+        while pos < record.shape[1]:
+            take = min(length - self._filled, record.shape[1] - pos)
+            self._ring[:, self._filled:self._filled + take] = record[:, pos:pos + take]
+            self._filled += take
+            pos += take
+            if self._filled == length:
+                segment = self._ring - self._ring.mean(axis=1, keepdims=True)
+                segment *= self._window
+                spec = _fft.rfft(segment)
+                self._power += (spec.real**2 + spec.imag**2).sum(axis=0)
+                self.segments += self._ring.shape[0]
+                self._filled = length - self._hop
+                self._ring[:, :self._filled] = self._ring[:, self._hop:]
+
+    def spectrum(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """(omega, psd) of the segments so far, for samples ``dt`` apart.
+
+        omega is in rad/s on [0, Nyquist].  The normalization matches the
+        analytic spectra: a white record representing variance density V
+        (delta-correlated in time) estimates flat at V, i.e. half the
+        one-sided density.
+        """
+        if self.segments == 0:
+            raise ParameterError("record shorter than one Welch segment")
+        length = self._ring.shape[1]
+        scale = 1.0 / ((1.0 / dt) * (self._window * self._window).sum())
+        psd = self._power * (scale / self.segments)
+        # the one-sided density doubles every bin but DC and an even length's
+        # Nyquist bin; halving it leaves those two halved and the rest as is
+        psd[0] /= 2.0
+        if length % 2 == 0:
+            psd[-1] /= 2.0
+        return 2.0 * math.pi * _fft.rfftfreq(length, dt), psd
+
+
+class CovarianceAccumulator:
+    """Per-trajectory sample covariances of the quadratures, fed in pieces.
+
+    Each piece's mean and centred second moments are merged into the
+    running ones (Chan, Golub & LeVeque, Am. Stat. 37:242, 1983), so the
+    result is the unbiased (n - 1) estimate about each trajectory's own
+    mean, as ``np.cov`` gives.  A piece larger than ``_CHUNK``
+    trajectory-steps is merged ``_CHUNK`` at a time, so no centred copy
+    larger than one chunk is made.
+    """
+
+    def __init__(self, n_trajectories: int):
+        self._count = 0
+        self._mean = np.zeros((4, n_trajectories))
+        self._moments = np.zeros((n_trajectories, 4, 4))
+
+    def add(self, states: np.ndarray) -> None:
+        """Fold in the next samples, shape (4, n_trajectories, n)."""
+        per_chunk = max(1, _CHUNK // states.shape[1])
+        for k in range(0, states.shape[2], per_chunk):
+            piece = states[:, :, k:k + per_chunk]
+            n = piece.shape[2]
+            mean = piece.mean(axis=2)
+            centred = piece - mean[:, :, None]
+            delta = mean - self._mean
+            total = self._count + n
+            self._moments += np.einsum("itn,jtn->tij", centred, centred)
+            self._moments += np.einsum("it,jt->tij", delta, delta) * (self._count * n / total)
+            self._mean += delta * (n / total)
+            self._count = total
+
+    def covariances(self) -> np.ndarray:
+        """Sample covariance matrices, shape (n_trajectories, 4, 4)."""
+        return self._moments / (self._count - 1)
+
+
+def stream_psd(
+    dp: DerivedParameters,
+    temperature: float,
+    cfg: SimulationConfig,
+    segment_length: int,
+    reservoir: SqueezedReservoir | None = None,
+    signal: ToneSignal | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(omega, psd, segments) of a run's output record, with nothing stored.
+
+    The run's chunks go straight into a :class:`WelchAccumulator`; the
+    result is :func:`estimate_psd` of the stored run, and ``segments`` is
+    the number of periodograms averaged over all trajectories.
+    """
+    welch = WelchAccumulator(cfg.n_trajectories, segment_length)
+    for _, record in simulate_chunks(dp, temperature, cfg, reservoir, signal):
+        welch.add(record)
+    omega, psd = welch.spectrum(cfg.dt)
+    return omega, psd, welch.segments
+
+
+def stream_covariances(
+    dp: DerivedParameters,
+    temperature: float,
+    cfg: SimulationConfig,
+) -> np.ndarray:
+    """Per-trajectory sample covariances of a run, shape (n_trajectories, 4, 4),
+    with nothing stored: :func:`trace_covariances` of the stored run."""
+    acc = CovarianceAccumulator(cfg.n_trajectories)
+    for states, _ in simulate_chunks(dp, temperature, cfg):
+        acc.add(states)
+    return acc.covariances()
 
 
 def estimate_psd(trace: SimulationTrace,
                  segment_length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Welch estimate of the symmetrized output spectral density.
+    """Welch estimate of the symmetrized output spectral density of a
+    stored trace, through :class:`WelchAccumulator`.
 
-    Returns (omega, psd) with omega in rad/s on [0, Nyquist].  The
-    normalization matches the analytic spectra: a white record representing
-    variance density V (delta-correlated in time) estimates flat at V, i.e.
-    the one-sided scipy density is halved.  Segments are Hann-windowed and
-    averaged within and across trajectories.
+    Returns (omega, psd) with omega in rad/s on [0, Nyquist]; segments are
+    Hann-windowed and averaged within and across trajectories.
     """
     if trace.n_samples == 0 or trace.output_record.size == 0:
         raise ParameterError("trace is empty")
@@ -425,12 +599,9 @@ def estimate_psd(trace: SimulationTrace,
     if segment_length < 2 or segment_length > trace.n_samples:
         raise ParameterError(
             f"segment_length must be in [2, {trace.n_samples}], got {segment_length}")
-    dt = float(trace.times[1] - trace.times[0])
-    freq, pxx = _signal.welch(
-        trace.output_record, fs=1.0 / dt, nperseg=segment_length,
-        noverlap=noverlap(segment_length), detrend="constant", axis=-1)
-    psd = pxx.mean(axis=0) / 2.0
-    return 2.0 * math.pi * freq, psd
+    welch = WelchAccumulator(trace.n_trajectories, segment_length)
+    welch.add(trace.output_record)
+    return welch.spectrum(float(trace.times[1] - trace.times[0]))
 
 
 def tone_power(omega: np.ndarray, psd: np.ndarray, omega_tone: float,
@@ -476,8 +647,7 @@ def measure_gain(
     if tone.amplitude <= 0:
         raise ParameterError("measure_gain requires a tone with positive amplitude")
     _require_evading_point(dp)
-    trace = simulate(dp, temperature, cfg, signal=tone)
-    omega, psd = estimate_psd(trace, segment_length)
+    omega, psd, _ = stream_psd(dp, temperature, cfg, segment_length, signal=tone)
     p_line = tone_power(omega, psd, abs(tone.frequency))
     lam = dp.lambda_bare
     p_ref = lam**2 * tone.amplitude**2 / (4.0 * dp.kappa_m)
@@ -504,22 +674,11 @@ def lyapunov_covariance(
 
 
 def trace_covariances(trace: SimulationTrace) -> np.ndarray:
-    """Per-trajectory sample covariance matrices, shape (n_trajectories, 4, 4).
-
-    Unbiased (n - 1) estimates about each trajectory's own mean, as
-    ``np.cov`` gives, for all trajectories at once.  The centred samples are
-    taken a block of steps at a time, so no full-size copy of the trace is
-    made.
-    """
-    quads = np.moveaxis(trace.quadratures, 1, -1)       # (ntraj, 4, n)
-    n = quads.shape[-1]
-    mean = quads.mean(axis=-1, keepdims=True)
-    block = max(1, _CHUNK // quads.shape[0])
-    total = np.zeros((quads.shape[0], 4, 4))
-    for k in range(0, n, block):
-        centred = quads[..., k:k + block] - mean
-        total += centred @ np.swapaxes(centred, 1, 2)
-    return total / (n - 1)
+    """Per-trajectory sample covariance matrices of a stored trace, shape
+    (n_trajectories, 4, 4), through :class:`CovarianceAccumulator`."""
+    acc = CovarianceAccumulator(trace.n_trajectories)
+    acc.add(np.moveaxis(trace.quadratures, -1, 0))
+    return acc.covariances()
 
 
 def export_trace(trace: SimulationTrace, path, trajectory: int = 0) -> None:

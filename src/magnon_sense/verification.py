@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -37,13 +39,11 @@ from .simulation import (
     ConfigurationError,
     SimulationConfig,
     ToneSignal,
-    count_segments,
-    estimate_psd,
     fastest_rate,
     lyapunov_covariance,
     measure_gain,
-    simulate,
-    trace_covariances,
+    stream_covariances,
+    stream_psd,
 )
 from .spectra import SqueezedReservoir, output_spectrum
 from .transfer import closed_form_grid, response_grid
@@ -67,7 +67,7 @@ _GAIN_SEGMENTS_PER_TRAJECTORY = 8
 _LYAPUNOV_DURATION_RELAX = 2800.0   # duration in units of 1/kappa_m
 _LYAPUNOV_TRAJECTORIES = 32
 _LYAPUNOV_DT_ACCURACY = 0.0075      # smaller step: variance bias << standard error
-_MAX_STORED_BYTES = 2**31          # what one run's trace may hold: 4x the desk maximum
+_MAX_TRAJECTORY_STEPS = 10**8      # recorded trajectory-steps one run may take
 
 
 @dataclass(frozen=True)
@@ -127,17 +127,19 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
     """One oracle run of ``steps`` recorded steps of ``dt``, after a burn-in
     of 13 relaxation times of the slower mode.
 
-    Refuses, before anything is allocated, a run whose trace would hold
-    more than ``_MAX_STORED_BYTES``: per recorded step, 8-byte times and,
-    per trajectory, four quadratures and the output record.
+    Refuses a run of more than ``_MAX_TRAJECTORY_STEPS`` recorded
+    trajectory-steps.  The runs store nothing that grows with their length,
+    so this is a time budget, not a memory guard: 1e8 trajectory-steps are
+    15-20 s of stepping at the 5-7 million a second of a 2-core x86
+    machine, 7.6x the largest desk run (32 trajectories of 410667 steps).
     """
-    stored = 8 * steps * (1 + 5 * trajectories)
-    if stored > _MAX_STORED_BYTES:
+    if trajectories * steps > _MAX_TRAJECTORY_STEPS:
         raise ConfigurationError(
             "parameter set is too stiff for the stochastic oracle: "
-            f"{trajectories} trajectories of {steps} steps would store "
-            f"{stored / 2**30:.1f} GiB, over the {_MAX_STORED_BYTES / 2**30:g} GiB "
-            "cap; reduce the ratio of the fastest rate to kappa_m")
+            f"{trajectories} trajectories of {steps} steps are "
+            f"{trajectories * steps:.3g} trajectory-steps, over the "
+            f"{_MAX_TRAJECTORY_STEPS:.0e} budget; reduce the ratio of the "
+            "fastest rate to kappa_m")
     return SimulationConfig(dt=dt, duration=steps * dt,
                             burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
                             n_trajectories=trajectories, seed=seed)
@@ -186,7 +188,11 @@ def _check_routes(params: SystemParameters) -> list[CheckResult]:
     return checks
 
 
-def _check_lyapunov(params: SystemParameters, seed: int) -> list[CheckResult]:
+#: a planned check: its runs are sized, calling it steps them and judges
+PlannedCheck = Callable[[], CheckResult]
+
+
+def _plan_lyapunov(params: SystemParameters, seed: int) -> list[PlannedCheck]:
     kappa_m = params.kappa_m
     hot = replace(params, temperature=2.6)
     cases = {
@@ -196,30 +202,33 @@ def _check_lyapunov(params: SystemParameters, seed: int) -> list[CheckResult]:
                                     mod_amplitude=1.0, delta_a=0.5 * kappa_m,
                                     delta_0p=-0.3 * kappa_m),
     }
-    checks = []
+    planned = []
     for name, case in cases.items():
         dp = derived_parameters(case)
         dt = _LYAPUNOV_DT_ACCURACY / fastest_rate(dp)
         steps = round(_LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt)
         cfg = _run_config(dp, seed, dt, steps, _LYAPUNOV_TRAJECTORIES)
-        # the trace is dropped as soon as its covariances are taken, so it is
-        # gone before the next case's simulate allocates its own
-        covs = trace_covariances(simulate(dp, case.temperature, cfg))
-        mean = covs.mean(axis=0)
-        se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
-        target = lyapunov_covariance(dp, case.temperature)
-        iu = np.triu_indices(4)
-        sigmas = np.abs(mean - target)[iu] / np.maximum(se[iu], 1e-300)
-        worst = float(np.max(sigmas))
-        checks.append(CheckResult(
-            name=name,
-            passed=worst <= 3.0,
-            value=worst,
-            tolerance=3.0,
-            detail="max |sample - Lyapunov| in standard errors over the 10 "
-                   f"covariance entries, {covs.shape[0]} trajectories",
-        ))
-    return checks
+        planned.append(partial(_check_lyapunov, name, dp, case.temperature, cfg))
+    return planned
+
+
+def _check_lyapunov(name: str, dp: DerivedParameters, temperature: float,
+                    cfg: SimulationConfig) -> CheckResult:
+    covs = stream_covariances(dp, temperature, cfg)
+    mean = covs.mean(axis=0)
+    se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
+    target = lyapunov_covariance(dp, temperature)
+    iu = np.triu_indices(4)
+    sigmas = np.abs(mean - target)[iu] / np.maximum(se[iu], 1e-300)
+    worst = float(np.max(sigmas))
+    return CheckResult(
+        name=name,
+        passed=worst <= 3.0,
+        value=worst,
+        tolerance=3.0,
+        detail="max |sample - Lyapunov| in standard errors over the 10 "
+               f"covariance entries, {covs.shape[0]} trajectories",
+    )
 
 
 def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
@@ -235,41 +244,45 @@ def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
     return bands
 
 
-def _check_psd(params: SystemParameters, seed: int, tolerance: float) -> list[CheckResult]:
+def _plan_psd(params: SystemParameters, seed: int, tolerance: float) -> list[PlannedCheck]:
     configurations = [
         ("psd_rm0", 0.0, None),
         ("psd_rm15", 1.5, None),
         ("psd_rm15_reservoir", 1.5, SqueezedReservoir(r_n=1.5, phi_n=math.pi)),
     ]
-    checks = []
+    planned = []
     for name, r_m, reservoir in configurations:
         dp = derived_parameters(params.with_squeeze_amplitude(r_m))
         cfg, nper = _welch_run(dp, seed, _PSD_RESOLUTION * dp.kappa_m,
                                _PSD_SEGMENTS_PER_TRAJECTORY, _PSD_TRAJECTORIES)
-        trace = simulate(dp, params.temperature, cfg, reservoir=reservoir)
-        n_seg = trace.n_trajectories * count_segments(trace.n_samples, nper)
-        omega, psd = estimate_psd(trace, nper)
-        del trace  # free it before the next configuration's simulate
-        reference = output_spectrum(dp, params.temperature, omega, reservoir=reservoir)
-        worst = 0.0
-        for sel in _psd_bands(omega, dp.kappa_m):
-            est = float(np.mean(psd[sel]))
-            ana = float(np.mean(reference[sel]))
-            worst = max(worst, abs(est / ana - 1.0))
-        checks.append(CheckResult(
-            name=name,
-            passed=worst <= tolerance,
-            value=worst,
-            tolerance=tolerance,
-            detail=f"max band-averaged relative deviation, {n_seg} Welch "
-                   "segments, omega/kappa_m in [0.1, 5]",
-        ))
-    return checks
+        planned.append(partial(_check_psd, name, dp, params.temperature, reservoir,
+                               cfg, nper, tolerance))
+    return planned
 
 
-def _check_gain(params: SystemParameters, seed: int, tolerance: float) -> list[CheckResult]:
+def _check_psd(name: str, dp: DerivedParameters, temperature: float,
+               reservoir: SqueezedReservoir | None, cfg: SimulationConfig, nper: int,
+               tolerance: float) -> CheckResult:
+    omega, psd, n_seg = stream_psd(dp, temperature, cfg, nper, reservoir=reservoir)
+    reference = output_spectrum(dp, temperature, omega, reservoir=reservoir)
+    worst = 0.0
+    for sel in _psd_bands(omega, dp.kappa_m):
+        est = float(np.mean(psd[sel]))
+        ana = float(np.mean(reference[sel]))
+        worst = max(worst, abs(est / ana - 1.0))
+    return CheckResult(
+        name=name,
+        passed=worst <= tolerance,
+        value=worst,
+        tolerance=tolerance,
+        detail=f"max band-averaged relative deviation, {n_seg} Welch "
+               "segments, omega/kappa_m in [0.1, 5]",
+    )
+
+
+def _plan_gain(params: SystemParameters, seed: int, tolerance: float) -> list[PlannedCheck]:
     dp = derived_parameters(params.with_squeeze_amplitude(1.0))
-    checks = []
+    planned = []
     for frac in (0.2, 0.5, 1.0):
         delta = frac * dp.kappa_m
         k1, _, _, _ = response_grid(dp, [delta])
@@ -283,17 +296,24 @@ def _check_gain(params: SystemParameters, seed: int, tolerance: float) -> list[C
         amplitude = math.sqrt(
             200.0 * bin_power * 4.0 * dp.kappa_m / (dp.lambda_bare**2 * gain_analytic))
         tone = ToneSignal(amplitude=amplitude, frequency=delta)
-        gain = measure_gain(dp, params.temperature, tone, cfg, segment_length=nper)
-        rel = abs(gain / gain_analytic - 1.0)
-        checks.append(CheckResult(
-            name=f"gain_delta_{frac:g}km",
-            passed=rel <= tolerance,
-            value=rel,
-            tolerance=tolerance,
-            detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
-                   f"at delta = {frac:g} kappa_m, r_m = 1",
-        ))
-    return checks
+        planned.append(partial(_check_gain, frac, dp, params.temperature, tone, cfg,
+                               nper, gain_analytic, tolerance))
+    return planned
+
+
+def _check_gain(frac: float, dp: DerivedParameters, temperature: float,
+                tone: ToneSignal, cfg: SimulationConfig, nper: int,
+                gain_analytic: float, tolerance: float) -> CheckResult:
+    gain = measure_gain(dp, temperature, tone, cfg, segment_length=nper)
+    rel = abs(gain / gain_analytic - 1.0)
+    return CheckResult(
+        name=f"gain_delta_{frac:g}km",
+        passed=rel <= tolerance,
+        value=rel,
+        tolerance=tolerance,
+        detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
+               f"at delta = {frac:g} kappa_m, r_m = 1",
+    )
 
 
 def run_verification(
@@ -306,13 +326,13 @@ def run_verification(
 
     ``params`` defaults to :func:`verification_parameters`; a custom set must
     keep the fastest rate within a few hundred kappa_m or the stochastic
-    runs are refused as intractable.
+    runs are refused as intractable.  All eight stochastic runs are sized
+    before the first one is stepped, so a refusal costs no stepping.
     """
     if params is None:
         params = verification_parameters()
-    checks: list[CheckResult] = []
-    checks.extend(_check_routes(params))
-    checks.extend(_check_lyapunov(params, seed))
-    checks.extend(_check_psd(params, seed, psd_tolerance))
-    checks.extend(_check_gain(params, seed, gain_tolerance))
+    planned = [*_plan_lyapunov(params, seed),
+               *_plan_psd(params, seed, psd_tolerance),
+               *_plan_gain(params, seed, gain_tolerance)]
+    checks = _check_routes(params) + [check() for check in planned]
     return VerificationReport(checks=tuple(checks), seed=seed)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import magnon_sense.cli as cli
-from magnon_sense import verification
+from magnon_sense import simulation
 from magnon_sense.verification import CheckResult, VerificationReport
 
 
@@ -282,18 +282,35 @@ class TestExitCodes:
 
     def test_verify_refuses_a_run_it_cannot_store(self, tmp_path, capsys, monkeypatch):
         # kappa_a / kappa_m = 50: the Lyapunov runs need 1.87e7 steps of 32
-        # trajectories, 22 GiB of trace, and must be refused before simulate
-        def no_simulate(*args, **kwargs):
-            raise AssertionError("simulate called")
+        # trajectories, over the trajectory-step budget, and must be refused
+        # before the chunk generator is entered
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("simulate_chunks called")
 
-        monkeypatch.setattr(verification, "simulate", no_simulate)
+        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
         config = tmp_path / "long.cfg"
         config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 6\n"
                           "mod_amplitude = 1\nkappa_a_hz = 750\nkappa_m_hz = 15\n"
                           "temperature_k = 0.05\nlambda_hz_per_tesla = 10\nr_m = 0\n")
         assert cli.main(["verify", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "GiB" in err
+        assert err.startswith("error: ") and "trajectory-steps" in err
+        assert err.count("\n") == 1
+
+    def test_verify_sizes_every_run_before_stepping(self, tmp_path, capsys, monkeypatch):
+        # the reference set: the Lyapunov runs are desk-sized, only the PSD
+        # and gain runs (g'/kappa_m ~ 750) are over the budget
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("simulate_chunks called")
+
+        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        config = tmp_path / "reference.cfg"
+        config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 2.5e9\n"
+                          "mod_amplitude = 1\nkappa_a_hz = 16.5e6\nkappa_m_hz = 15e6\n"
+                          "temperature_k = 0.05\nlambda_hz_per_tesla = 10\nr_m = 1.5\n")
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too stiff" in err
         assert err.count("\n") == 1
 
     def test_invalid_parameter_file_exit_2(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,10 +24,13 @@ from magnon_sense import (
 )
 from magnon_sense import simulation, verification
 from magnon_sense.simulation import (
+    CovarianceAccumulator,
     SimulationTrace,
-    count_segments,
+    WelchAccumulator,
     fastest_rate,
     noverlap,
+    stream_covariances,
+    stream_psd,
     trace_covariances,
 )
 from magnon_sense.spectra import input_densities
@@ -228,7 +232,9 @@ class TestPsdEstimator:
         nper = 1024
         omega, psd = estimate_psd(trace, nper)
         density = sigma**2 * dt
-        n_seg = 2 * count_segments(2**17, nper)
+        welch = WelchAccumulator(2, nper)
+        welch.add(record)
+        n_seg = welch.segments
         tol = 3.0 / math.sqrt(n_seg)
         for band in np.array_split(np.arange(1, len(omega)), 4):
             assert abs(psd[band].mean() / density - 1.0) < tol
@@ -268,7 +274,9 @@ class TestPsdEstimator:
         # odd lengths round the overlap up, so the hop is the smaller half
         _, times, _ = signal.spectrogram(np.zeros(n_samples), nperseg=segment_length,
                                          noverlap=noverlap(segment_length))
-        assert count_segments(n_samples, segment_length) == len(times)
+        welch = WelchAccumulator(1, segment_length)
+        welch.add(np.zeros((1, n_samples)))
+        assert welch.segments == len(times)
 
     def test_output_spectrum_quick_oracle(self):
         # cheap end-to-end agreement scan; the acceptance suite runs the
@@ -500,6 +508,120 @@ class TestSimulateAgainstLoop:
         b = simulate(dp, 0.05, cfg, signal=tone)
         assert np.array_equal(a.quadratures, b.quadratures)
         assert np.array_equal(a.output_record, b.output_record)
+
+
+def scipy_welch(record, segment_length, dt):
+    """The module's PSD convention on ``scipy.signal.welch``: one-sided
+    density halved, averaged over trajectories."""
+    _, pxx = signal.welch(record, fs=1.0 / dt, nperseg=segment_length,
+                          noverlap=noverlap(segment_length), detrend="constant",
+                          axis=-1)
+    return pxx.mean(axis=0) / 2.0
+
+
+def stream_cases():
+    """(dp, temperature, cfg, reservoir, signal, segment_length) of short runs
+    with odd and even segment lengths."""
+    plain = desk_dp()
+    squeezed = desk_dp(r_m=1.5)
+    nulled = desk_dp(r_m=1.2)
+    toned = desk_dp(r_m=1.0)
+    detuned = coupled_detuned_dp()
+    return {
+        "plain": (plain, 0.05, quick_config(plain, 0.5, 3), None, None, 1000),
+        "squeezed": (squeezed, 0.05, quick_config(squeezed, 0.5, 3), None, None, 999),
+        "reservoir": (nulled, 0.05, quick_config(nulled, 0.5, 3),
+                      SqueezedReservoir(r_n=1.2, phi_n=math.pi), None, 1000),
+        "tone": (toned, 0.05, quick_config(toned, 0.5, 3), None,
+                 ToneSignal(amplitude=1e-3, frequency=0.5 * toned.kappa_m), 1201),
+        "detuned": (detuned, 2.6, quick_config(detuned, 0.5, 3), None, None, 998),
+    }
+
+
+class TestAccumulators:
+    @pytest.mark.parametrize("case", sorted(stream_cases()))
+    def test_welch_matches_scipy_on_the_stored_record(self, case):
+        dp, temperature, cfg, reservoir, tone, nper = stream_cases()[case]
+        omega, psd, segments = stream_psd(dp, temperature, cfg, nper,
+                                          reservoir=reservoir, signal=tone)
+        trace = simulate(dp, temperature, cfg, reservoir=reservoir, signal=tone)
+        np.testing.assert_allclose(psd, scipy_welch(trace.output_record, nper, cfg.dt),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(omega, TWO_PI * np.fft.rfftfreq(nper, cfg.dt),
+                                   rtol=1e-12, atol=0)
+        _, times, _ = signal.spectrogram(trace.output_record[0], nperseg=nper,
+                                         noverlap=noverlap(nper))
+        assert segments == cfg.n_trajectories * len(times)
+
+    @pytest.mark.parametrize("case", ["plain", "squeezed", "detuned"])
+    def test_covariances_match_np_cov_on_the_stored_run(self, case):
+        dp, temperature, cfg, _, _, _ = stream_cases()[case]
+        covs = stream_covariances(dp, temperature, cfg)
+        trace = simulate(dp, temperature, cfg)
+        expected = np.stack([np.cov(q.T) for q in trace.quadratures])
+        np.testing.assert_allclose(covs, expected, rtol=1e-12, atol=0)
+
+    def test_chunk_size_changes_no_welch_bit(self, monkeypatch):
+        dp, temperature, cfg, _, tone, nper = stream_cases()["tone"]
+        psd = stream_psd(dp, temperature, cfg, nper, signal=tone)[1]
+        covs = stream_covariances(dp, temperature, cfg)
+        monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
+        assert np.array_equal(stream_psd(dp, temperature, cfg, nper, signal=tone)[1], psd)
+        np.testing.assert_allclose(stream_covariances(dp, temperature, cfg), covs,
+                                   rtol=1e-12, atol=0)
+
+    def test_pieces_fold_like_one_array(self):
+        rng = np.random.default_rng(7)
+        record = rng.standard_normal((3, 5000))
+        whole, pieces = WelchAccumulator(3, 700), WelchAccumulator(3, 700)
+        whole.add(record)
+        for a, b in [(0, 1), (1, 699), (699, 2300), (2300, 5000)]:
+            pieces.add(record[:, a:b])
+        assert whole.segments == pieces.segments == 3 * 13
+        assert np.array_equal(whole.spectrum(1e-3)[1], pieces.spectrum(1e-3)[1])
+        acc = CovarianceAccumulator(2)
+        states = rng.standard_normal((4, 2, 3001)) + 5.0
+        acc.add(states[:, :, :1])
+        acc.add(states[:, :, 1:])
+        expected = np.stack([np.cov(states[:, t]) for t in range(2)])
+        np.testing.assert_allclose(acc.covariances(), expected, rtol=1e-12, atol=0)
+
+    def test_a_record_shorter_than_a_segment_has_no_spectrum(self):
+        welch = WelchAccumulator(2, 64)
+        welch.add(np.ones((2, 63)))
+        with pytest.raises(ParameterError, match="segment"):
+            welch.spectrum(1e-3)
+        with pytest.raises(ParameterError, match="segment_length"):
+            WelchAccumulator(2, 1)
+
+
+def test_streamed_psd_memory_does_not_grow_with_the_run():
+    # the Welch ring dominates the working set at this segment length
+    dp = desk_dp(r_m=1.0)
+    ntraj, nper = 4, 2**16
+    ring = ntraj * nper * 8
+
+    def config(segments):
+        dt = 0.015 / fastest_rate(dp)
+        steps = int(nper * (1 + (segments - 1) * 0.5)) + 2
+        return SimulationConfig(dt=dt, duration=steps * dt,
+                                burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
+                                n_trajectories=ntraj, seed=3)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short = peak(lambda: stream_psd(dp, 0.05, config(4), nper))
+    long = peak(lambda: stream_psd(dp, 0.05, config(16), nper))
+    stored = peak(lambda: estimate_psd(simulate(dp, 0.05, config(4)), nper))
+    assert short <= 8 * ring
+    assert long <= 1.02 * short
+    assert stored > 8 * ring
 
 
 def test_trace_covariances_match_np_cov():
