@@ -41,8 +41,6 @@ from .simulation import (
     SimulationConfig,
     SimulationTrace,
     ToneSignal,
-    estimate_psd,
-    export_trace,
     lyapunov_covariance,
     measure_gain,
     simulate,

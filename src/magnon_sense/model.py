@@ -69,7 +69,7 @@ class RotatingWaveWarning(UserWarning):
 class DriveSettings:
     """Frequencies and amplitudes of the two classical pumps.
 
-    Recorded for documentation and for full-rate signal injection; the
+    Only the frequencies are read, by the rotating-wave check on g'; the
     fluctuation dynamics solved by this package never depend on the drive
     amplitudes (the steady-state displacements are split off and dropped).
     """

@@ -53,18 +53,17 @@ kept quadratures (4, n_trajectories, n) and output record
 * :class:`CovarianceAccumulator`: per-trajectory sample covariances, each
   chunk's centred moments merged into the running ones.
 * :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
-  quadrature-major storage, for :func:`export_trace` and for tests.
+  quadrature-major storage, for callers that read single samples.
 
 :func:`stream_psd`, :func:`stream_covariances` and :func:`measure_gain`
 feed a run straight into an accumulator, so their memory does not grow
-with the run length; :func:`estimate_psd` and :func:`trace_covariances`
-feed a stored trace into the same accumulators.
+with the run length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft, linalg, signal as _signal
@@ -84,17 +83,12 @@ __all__ = [
     "CovarianceAccumulator",
     "stream_psd",
     "stream_covariances",
-    "estimate_psd",
     "measure_gain",
     "lyapunov_covariance",
-    "trace_covariances",
-    "export_trace",
     "fastest_rate",
     "noverlap",
     "WELCH_OVERLAP",
 ]
-
-_RNG_NAME = f"numpy.random.Philox (numpy {np.__version__})"
 
 #: dimensionless accuracy guard: dt times the fastest rate must stay below this
 _DT_GUARD = 0.1
@@ -104,6 +98,12 @@ _CHUNK = 1 << 15
 
 #: fraction of each Welch segment shared with the next
 WELCH_OVERLAP = 0.5
+
+#: bins on each side of a spectral line's peak counted as the line
+_PEAK_BINS = 4
+
+#: (inner, outer) bin distances of the annulus that sets a line's noise floor
+_FLOOR_BINS = (10, 30)
 
 
 @dataclass(frozen=True)
@@ -137,30 +137,22 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class ToneSignal:
-    """Monochromatic test field B_ex(t) = amplitude * cos((carrier + frequency) t).
+    """Monochromatic test field at ``frequency`` (rad/s) from the magnon pump.
 
-    ``frequency`` is the offset of the tone from the magnon pump (rad/s).
-    In ``envelope`` mode only the slowly rotating part of the drive is
-    injected, which is the regime the analysis frequencies live in; in
-    ``full-rate`` mode the exact sin/cos products at the pump frequency are
-    integrated, which requires ``carrier`` (the pump frequency omega_b) and a
-    step small enough to resolve it.
+    Injected in the frame rotating with the pump: only the slowly rotating
+    envelope of the drive, amplitude * (sin, cos)(frequency * t) on
+    (X_M, P_M) scaled by lambda' / sqrt(2), enters the equations, which is
+    the regime the analysis frequencies live in.
     """
 
     amplitude: float            # Tesla
     frequency: float            # offset delta = omega_s - omega_b, rad/s
-    mode: str = "envelope"
-    carrier: float | None = None  # omega_b, rad/s; full-rate mode only
 
     def __post_init__(self):
         if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
             raise ParameterError("tone amplitude must be finite and >= 0")
         if not math.isfinite(self.frequency):
             raise ParameterError("tone frequency must be finite")
-        if self.mode not in ("envelope", "full-rate"):
-            raise ParameterError(f"unknown injection mode {self.mode!r}")
-        if self.mode == "full-rate" and (self.carrier is None or self.carrier <= 0):
-            raise ParameterError("full-rate injection requires a positive carrier frequency")
 
 
 @dataclass(frozen=True)
@@ -169,19 +161,12 @@ class SimulationTrace:
 
     ``quadratures`` has shape (n_trajectories, n_samples, 4) over the state
     order (X_M, P_M, X_a, P_a), a view of quadrature-major storage;
-    ``output_record`` has shape
-    (n_trajectories, n_samples).  ``metadata`` records the parameters, seed,
-    RNG algorithm and step so a trace is self-describing.
+    ``output_record`` has shape (n_trajectories, n_samples).
     """
 
     times: np.ndarray
     quadratures: np.ndarray
     output_record: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def n_trajectories(self) -> int:
-        return self.output_record.shape[0]
 
     @property
     def n_samples(self) -> int:
@@ -193,22 +178,15 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
-def fastest_rate(dp: DerivedParameters, signal: ToneSignal | None = None) -> float:
-    """The fastest rate of the dynamics (rad/s), which the step must resolve.
-
-    A full-rate tone adds its fastest product frequency, twice the carrier
-    plus the offset.
-    """
-    rates = [dp.kappa_a, dp.kappa_m, abs(dp.delta_a), abs(dp.delta_0p),
-             2.0 * dp.g_prime]
-    if signal is not None and signal.mode == "full-rate":
-        rates.append(2.0 * signal.carrier + abs(signal.frequency))
-    return max(rates)
+def fastest_rate(dp: DerivedParameters) -> float:
+    """The fastest rate of the dynamics (rad/s), which the step must resolve."""
+    return max(dp.kappa_a, dp.kappa_m, abs(dp.delta_a), abs(dp.delta_0p),
+               2.0 * dp.g_prime)
 
 
 def _validate_config(dp: DerivedParameters, cfg: SimulationConfig,
-                     signal: ToneSignal | None, drift: np.ndarray) -> None:
-    fastest = fastest_rate(dp, signal)
+                     drift: np.ndarray) -> None:
+    fastest = fastest_rate(dp)
     if cfg.dt * fastest >= _DT_GUARD:
         raise ConfigurationError(
             f"dt = {cfg.dt!r} s does not resolve the fastest rate "
@@ -224,18 +202,8 @@ def _validate_config(dp: DerivedParameters, cfg: SimulationConfig,
 def _drive_arrays(signal: ToneSignal, dp: DerivedParameters,
                   t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic drive increments for the X_M and P_M equations over t."""
-    b0 = signal.amplitude
-    if signal.mode == "envelope":
-        amp = dp.lambda_prime * b0 / math.sqrt(2.0)
-        dx = amp * np.sin(signal.frequency * t)
-        dpp = amp * np.cos(signal.frequency * t)
-    else:
-        omega_s = signal.carrier + signal.frequency
-        b_ex = b0 * np.cos(omega_s * t)
-        root2_lam = math.sqrt(2.0) * dp.lambda_prime
-        dx = -root2_lam * b_ex * np.sin(signal.carrier * t)
-        dpp = root2_lam * b_ex * np.cos(signal.carrier * t)
-    return dx, dpp
+    amp = dp.lambda_prime * signal.amplitude / math.sqrt(2.0)
+    return amp * np.sin(signal.frequency * t), amp * np.cos(signal.frequency * t)
 
 
 def _combine(row: np.ndarray, arrays) -> np.ndarray:
@@ -344,7 +312,7 @@ def simulate_chunks(
     the configuration guard fails or the drift is unstable.
     """
     system = drift_system(dp)
-    _validate_config(dp, cfg, signal, system.drift)
+    _validate_config(dp, cfg, system.drift)
     cavity, magnon = input_densities(dp, temperature, reservoir)
 
     dt = cfg.dt
@@ -407,9 +375,8 @@ def simulate(
 ) -> SimulationTrace:
     """Integrate the quadrature Langevin equations and store the whole run.
 
-    The store-everything consumer of :func:`simulate_chunks`, for
-    :func:`export_trace` and for tests that read single samples; it raises
-    what that raises.
+    The store-everything consumer of :func:`simulate_chunks`, for callers
+    that read single samples; it raises what that raises.
     """
     chunks = simulate_chunks(dp, temperature, cfg, reservoir, signal)
     n_burn, n_keep = _steps(cfg)
@@ -423,26 +390,8 @@ def simulate(
         k += n
 
     times = (n_burn + np.arange(n_keep)) * cfg.dt
-    metadata = {
-        "rng": _RNG_NAME,
-        "seed": cfg.seed,
-        "dt": cfg.dt,
-        "burn_in": cfg.burn_in,
-        "n_trajectories": cfg.n_trajectories,
-        "temperature": temperature,
-        "r_m": dp.r_m,
-        "g_prime": dp.g_prime,
-        "kappa_a": dp.kappa_a,
-        "kappa_m": dp.kappa_m,
-        "delta_a": dp.delta_a,
-        "delta_0p": dp.delta_0p,
-        "reservoir": None if reservoir is None else (reservoir.r_n, reservoir.phi_n),
-        "signal": None if signal is None else (
-            signal.amplitude, signal.frequency, signal.mode, signal.carrier),
-    }
     return SimulationTrace(times=times, quadratures=np.moveaxis(quad, 0, -1),
-                           output_record=out,
-                           metadata=metadata)
+                           output_record=out)
 
 
 def noverlap(segment_length: int) -> int:
@@ -521,9 +470,8 @@ class CovarianceAccumulator:
     Each piece's mean and centred second moments are merged into the
     running ones (Chan, Golub & LeVeque, Am. Stat. 37:242, 1983), so the
     result is the unbiased (n - 1) estimate about each trajectory's own
-    mean, as ``np.cov`` gives.  A piece larger than ``_CHUNK``
-    trajectory-steps is merged ``_CHUNK`` at a time, so no centred copy
-    larger than one chunk is made.
+    mean, as ``np.cov`` gives.  Each piece is centred in one copy, so
+    pieces of one chunk of :func:`simulate_chunks` keep that copy small.
     """
 
     def __init__(self, n_trajectories: int):
@@ -533,21 +481,20 @@ class CovarianceAccumulator:
 
     def add(self, states: np.ndarray) -> None:
         """Fold in the next samples, shape (4, n_trajectories, n)."""
-        per_chunk = max(1, _CHUNK // states.shape[1])
-        for k in range(0, states.shape[2], per_chunk):
-            piece = states[:, :, k:k + per_chunk]
-            n = piece.shape[2]
-            mean = piece.mean(axis=2)
-            centred = piece - mean[:, :, None]
-            delta = mean - self._mean
-            total = self._count + n
-            self._moments += np.einsum("itn,jtn->tij", centred, centred)
-            self._moments += np.einsum("it,jt->tij", delta, delta) * (self._count * n / total)
-            self._mean += delta * (n / total)
-            self._count = total
+        n = states.shape[2]
+        mean = states.mean(axis=2)
+        centred = states - mean[:, :, None]
+        delta = mean - self._mean
+        total = self._count + n
+        self._moments += np.einsum("itn,jtn->tij", centred, centred)
+        self._moments += np.einsum("it,jt->tij", delta, delta) * (self._count * n / total)
+        self._mean += delta * (n / total)
+        self._count = total
 
     def covariances(self) -> np.ndarray:
         """Sample covariance matrices, shape (n_trajectories, 4, 4)."""
+        if self._count < 2:
+            raise ParameterError("a sample covariance needs at least two samples")
         return self._moments / (self._count - 1)
 
 
@@ -561,9 +508,9 @@ def stream_psd(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(omega, psd, segments) of a run's output record, with nothing stored.
 
-    The run's chunks go straight into a :class:`WelchAccumulator`; the
-    result is :func:`estimate_psd` of the stored run, and ``segments`` is
-    the number of periodograms averaged over all trajectories.
+    The run's chunks go straight into a :class:`WelchAccumulator`, and
+    ``segments`` is the number of periodograms averaged over all
+    trajectories.
     """
     welch = WelchAccumulator(cfg.n_trajectories, segment_length)
     for _, record in simulate_chunks(dp, temperature, cfg, reservoir, signal):
@@ -578,35 +525,14 @@ def stream_covariances(
     cfg: SimulationConfig,
 ) -> np.ndarray:
     """Per-trajectory sample covariances of a run, shape (n_trajectories, 4, 4),
-    with nothing stored: :func:`trace_covariances` of the stored run."""
+    with nothing stored."""
     acc = CovarianceAccumulator(cfg.n_trajectories)
     for states, _ in simulate_chunks(dp, temperature, cfg):
         acc.add(states)
     return acc.covariances()
 
 
-def estimate_psd(trace: SimulationTrace,
-                 segment_length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Welch estimate of the symmetrized output spectral density of a
-    stored trace, through :class:`WelchAccumulator`.
-
-    Returns (omega, psd) with omega in rad/s on [0, Nyquist]; segments are
-    Hann-windowed and averaged within and across trajectories.
-    """
-    if trace.n_samples == 0 or trace.output_record.size == 0:
-        raise ParameterError("trace is empty")
-    segment_length = int(segment_length)
-    if segment_length < 2 or segment_length > trace.n_samples:
-        raise ParameterError(
-            f"segment_length must be in [2, {trace.n_samples}], got {segment_length}")
-    welch = WelchAccumulator(trace.n_trajectories, segment_length)
-    welch.add(trace.output_record)
-    return welch.spectrum(float(trace.times[1] - trace.times[0]))
-
-
-def tone_power(omega: np.ndarray, psd: np.ndarray, omega_tone: float,
-               peak_halfwidth_bins: int = 4,
-               floor_bins: tuple[int, int] = (10, 30)) -> float:
+def tone_power(omega: np.ndarray, psd: np.ndarray, omega_tone: float) -> float:
     """Integrated power of a spectral line, floor-subtracted.
 
     The local noise floor is the median of an annulus of bins on both sides
@@ -616,7 +542,7 @@ def tone_power(omega: np.ndarray, psd: np.ndarray, omega_tone: float,
     by pi.
     """
     ipk = int(np.argmin(np.abs(omega - omega_tone)))
-    lo, hi = floor_bins
+    lo, hi = _FLOOR_BINS
     annulus = np.concatenate([
         psd[max(ipk - hi, 0):max(ipk - lo, 0)],
         psd[ipk + lo:ipk + hi],
@@ -624,7 +550,7 @@ def tone_power(omega: np.ndarray, psd: np.ndarray, omega_tone: float,
     if annulus.size == 0:
         raise ParameterError("spectrum too short to estimate a noise floor")
     floor = float(np.median(annulus))
-    window = psd[max(ipk - peak_halfwidth_bins, 0):ipk + peak_halfwidth_bins + 1]
+    window = psd[max(ipk - _PEAK_BINS, 0):ipk + _PEAK_BINS + 1]
     d_omega = float(omega[1] - omega[0])
     return float(np.sum(window - floor) * d_omega / math.pi)
 
@@ -671,31 +597,3 @@ def lyapunov_covariance(
     diffusion[:2, :2] = dp.kappa_m * magnon
     diffusion[2, 2] = diffusion[3, 3] = dp.kappa_a * cavity
     return linalg.solve_continuous_lyapunov(system.drift, -diffusion)
-
-
-def trace_covariances(trace: SimulationTrace) -> np.ndarray:
-    """Per-trajectory sample covariance matrices of a stored trace, shape
-    (n_trajectories, 4, 4), through :class:`CovarianceAccumulator`."""
-    acc = CovarianceAccumulator(trace.n_trajectories)
-    acc.add(np.moveaxis(trace.quadratures, -1, 0))
-    return acc.covariances()
-
-
-def export_trace(trace: SimulationTrace, path, trajectory: int = 0) -> None:
-    """Dump one trajectory as CSV with a metadata header.
-
-    Columns: t, X_M, P_M, X_a, P_a, P_out.  The header comments record the
-    parameters, seed, RNG algorithm and step size so the file is
-    reproducible on its own.
-    """
-    if not 0 <= trajectory < trace.n_trajectories:
-        raise ParameterError(
-            f"trajectory index {trajectory} out of range [0, {trace.n_trajectories})")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key in sorted(trace.metadata):
-            fh.write(f"# {key} = {trace.metadata[key]!r}\n")
-        fh.write(f"# trajectory = {trajectory}\n")
-        fh.write("t,X_M,P_M,X_a,P_a,P_out\n")
-        rows = np.column_stack([trace.times, trace.quadratures[trajectory],
-                                trace.output_record[trajectory]])
-        np.savetxt(fh, rows, fmt="%.12e", delimiter=",")

@@ -14,8 +14,6 @@ from magnon_sense import (
     SystemParameters,
     ToneSignal,
     derived_parameters,
-    estimate_psd,
-    export_trace,
     lyapunov_covariance,
     measure_gain,
     output_spectrum,
@@ -25,13 +23,12 @@ from magnon_sense import (
 from magnon_sense import simulation, verification
 from magnon_sense.simulation import (
     CovarianceAccumulator,
-    SimulationTrace,
     WelchAccumulator,
     fastest_rate,
     noverlap,
+    simulate_chunks,
     stream_covariances,
     stream_psd,
-    trace_covariances,
 )
 from magnon_sense.spectra import input_densities
 from magnon_sense.transfer import drift_system
@@ -54,15 +51,12 @@ def quick_config(dp, duration, n_trajectories=8, seed=11, accuracy=0.01):
                             n_trajectories=n_trajectories, seed=seed)
 
 
-def synthetic_trace(record, dt):
+def welch_psd(record, segment_length, dt):
+    """(omega, psd, segments) of a synthetic record of shape (n_trajectories, n)."""
     record = np.atleast_2d(record)
-    n = record.shape[1]
-    return SimulationTrace(
-        times=np.arange(n) * dt,
-        quadratures=np.zeros((record.shape[0], n, 4)),
-        output_record=record,
-        metadata={"dt": dt},
-    )
+    welch = WelchAccumulator(record.shape[0], segment_length)
+    welch.add(record)
+    return (*welch.spectrum(dt), welch.segments)
 
 
 class TestConfigGuards:
@@ -108,12 +102,6 @@ class TestConfigGuards:
             with pytest.raises(ParameterError, match="amplitude"):
                 ToneSignal(amplitude=amplitude, frequency=1.0)
 
-    def test_full_rate_requires_carrier(self):
-        with pytest.raises(ParameterError, match="carrier"):
-            ToneSignal(amplitude=1.0, frequency=1.0, mode="full-rate")
-        with pytest.raises(ParameterError, match="mode"):
-            ToneSignal(amplitude=1.0, frequency=1.0, mode="baseband")
-
 
 class TestTraceStructure:
     def test_shapes_and_metadata(self):
@@ -123,8 +111,6 @@ class TestTraceStructure:
         assert trace.quadratures.shape == (3, trace.n_samples, 4)
         assert trace.output_record.shape == (3, trace.n_samples)
         assert len(trace.times) == trace.n_samples
-        assert trace.metadata["seed"] == cfg.seed
-        assert "Philox" in trace.metadata["rng"]
         # recorded samples start after the burn-in
         assert trace.times[0] >= cfg.burn_in - cfg.dt
 
@@ -149,31 +135,13 @@ class TestTraceStructure:
             simulate(dp, 0.05, cfg).output_record,
             simulate(dp, 0.05, cfg, signal=silent).output_record)
 
-    def test_export_round_trip(self, tmp_path):
-        dp = desk_dp()
-        cfg = quick_config(dp, duration=0.02, n_trajectories=2)
-        trace = simulate(dp, 0.05, cfg)
-        path = tmp_path / "trace.csv"
-        export_trace(trace, path, trajectory=1)
-        lines = path.read_text().splitlines()
-        header_at = next(i for i, l in enumerate(lines) if l.startswith("t,"))
-        assert lines[header_at] == "t,X_M,P_M,X_a,P_a,P_out"
-        assert any(l.startswith("# seed") for l in lines[:header_at])
-        assert len(lines) - header_at - 1 == trace.n_samples
-        first = np.array([float(v) for v in lines[header_at + 1].split(",")])
-        np.testing.assert_allclose(first[1:5], trace.quadratures[1, 0], rtol=1e-11)
-        np.testing.assert_allclose(first[5], trace.output_record[1, 0], rtol=1e-11)
-        with pytest.raises(ParameterError):
-            export_trace(trace, path, trajectory=7)
-
 
 class TestSteadyStateVariances:
     def test_decoupled_cavity_reaches_thermal_variance(self):
         dp = desk_dp(mod_amplitude=0.0)
         temperature = 2.6  # nbar_a close to 1 at 37.5 GHz
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=3)
-        trace = simulate(dp, temperature, cfg)
-        covs = trace_covariances(trace)
+        covs = stream_covariances(dp, temperature, cfg)
         target = lyapunov_covariance(dp, temperature)
         sample = covs[:, 2, 2]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
@@ -186,8 +154,7 @@ class TestSteadyStateVariances:
     def test_squeezed_magnon_amplitude_variance(self):
         dp = desk_dp(r_m=1.5)
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=4)
-        trace = simulate(dp, 0.05, cfg)
-        covs = trace_covariances(trace)
+        covs = stream_covariances(dp, 0.05, cfg)
         sample = covs[:, 0, 0]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
         expected = math.exp(-3.0) / 2.0
@@ -201,8 +168,7 @@ class TestSteadyStateVariances:
                          delta_0p=-0.3 * TWO_PI * 15.0)
         dp = derived_parameters(params)
         cfg = quick_config(dp, duration=15.0, n_trajectories=12, seed=6)
-        trace = simulate(dp, 1.0, cfg)
-        covs = trace_covariances(trace)
+        covs = stream_covariances(dp, 1.0, cfg)
         target = lyapunov_covariance(dp, 1.0)
         mean = covs.mean(axis=0)
         se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
@@ -214,9 +180,10 @@ class TestSteadyStateVariances:
         dp = desk_dp(r_m=1.2)
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=8)
-        trace = simulate(dp, 0.05, cfg, reservoir=reservoir)
-        covs = trace_covariances(trace)
-        sample = covs[:, 0, 0]
+        acc = CovarianceAccumulator(cfg.n_trajectories)
+        for states, _ in simulate_chunks(dp, 0.05, cfg, reservoir=reservoir):
+            acc.add(states)
+        sample = acc.covariances()[:, 0, 0]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
         # nulling reservoir: magnon amplitude variance is the vacuum half
         assert abs(sample.mean() - 0.5) < 3.0 * se
@@ -228,13 +195,8 @@ class TestPsdEstimator:
         dt = 1e-4
         sigma = 1.7
         record = sigma * rng.standard_normal((2, 2**17))
-        trace = synthetic_trace(record, dt)
-        nper = 1024
-        omega, psd = estimate_psd(trace, nper)
+        omega, psd, n_seg = welch_psd(record, 1024, dt)
         density = sigma**2 * dt
-        welch = WelchAccumulator(2, nper)
-        welch.add(record)
-        n_seg = welch.segments
         tol = 3.0 / math.sqrt(n_seg)
         for band in np.array_split(np.arange(1, len(omega)), 4):
             assert abs(psd[band].mean() / density - 1.0) < tol
@@ -243,8 +205,7 @@ class TestPsdEstimator:
         rng = np.random.default_rng(1)
         dt = 2e-3
         record = rng.standard_normal((1, 2**16))
-        trace = synthetic_trace(record, dt)
-        omega, psd = estimate_psd(trace, 4096)
+        omega, psd, _ = welch_psd(record, 4096, dt)
         total = np.trapezoid(psd, omega) / math.pi
         assert total == pytest.approx(record.var(), rel=0.02)
 
@@ -253,20 +214,8 @@ class TestPsdEstimator:
         t = np.arange(2**15) * dt
         omega_s = 2 * math.pi * 40.0
         record = np.sin(omega_s * t) + 1e-3 * np.random.default_rng(0).standard_normal(t.size)
-        trace = synthetic_trace(record, dt)
-        omega, psd = estimate_psd(trace, 4096)
+        omega, psd, _ = welch_psd(record, 4096, dt)
         assert abs(omega[np.argmax(psd)] - omega_s) <= omega[1] - omega[0]
-
-    def test_estimator_input_validation(self):
-        trace = synthetic_trace(np.ones((1, 64)), 1e-3)
-        with pytest.raises(ParameterError):
-            estimate_psd(trace, 128)
-        empty = SimulationTrace(times=np.array([]),
-                                quadratures=np.zeros((1, 0, 4)),
-                                output_record=np.zeros((1, 0)),
-                                metadata={})
-        with pytest.raises(ParameterError):
-            estimate_psd(empty, 16)
 
     @pytest.mark.parametrize("n_samples", [225769, 735908])
     @pytest.mark.parametrize("segment_length", [1024, 9215, 30037])
@@ -284,9 +233,8 @@ class TestPsdEstimator:
         dp = desk_dp(r_m=0.0)
         cfg = quick_config(dp, duration=12.0, n_trajectories=8, seed=21,
                            accuracy=0.015)
-        trace = simulate(dp, 0.05, cfg)
         nper = int(round(TWO_PI / (0.1 * dp.kappa_m) / cfg.dt))
-        omega, psd = estimate_psd(trace, nper)
+        omega, psd, _ = stream_psd(dp, 0.05, cfg, nper)
         reference = output_spectrum(dp, 0.05, omega)
         for center in np.geomspace(0.2, 4.0, 6) * dp.kappa_m:
             sel = (omega > center / 1.4) & (omega < center * 1.4)
@@ -341,35 +289,6 @@ class TestGainMeasurement:
         cfg = quick_config(dp, duration=1.0)
         with pytest.raises(Exception, match="delta_a"):
             measure_gain(dp, 0.05, ToneSignal(amplitude=1.0, frequency=1.0), cfg, 64)
-
-
-class TestRotatingWaveCrossCheck:
-    def test_envelope_and_full_rate_gains_agree(self):
-        # carrier at 100x the fastest intrinsic scale; identical noise
-        # streams make the comparison nearly deterministic
-        dp = desk_dp(r_m=0.0)
-        delta = 1.0 * dp.kappa_m
-        carrier = 100.0 * max(dp.kappa_a, dp.g_prime, delta)
-        full_rate = ToneSignal(amplitude=0.0, frequency=delta, mode="full-rate",
-                               carrier=carrier)
-        dt = 0.05 / fastest_rate(dp, full_rate)
-        nper = int(round(TWO_PI / (delta / 8.0) / dt))
-        steps = int(nper * (1 + 3 * 0.5)) + 2
-        cfg = SimulationConfig(dt=dt, duration=steps * dt,
-                               burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
-                               n_trajectories=4, seed=23)
-        s_floor = float(output_spectrum(dp, 0.05, [delta])[0])
-        bin_power = s_floor * (TWO_PI / (nper * dt)) / math.pi
-        k1 = response_grid(dp, [delta])[0]
-        analytic = dp.xi * float(np.abs(k1[0]) ** 2)
-        amp = math.sqrt(1000.0 * bin_power * 4.0 * dp.kappa_m
-                        / (dp.lambda_bare**2 * analytic))
-        gain_env = measure_gain(
-            dp, 0.05, ToneSignal(amplitude=amp, frequency=delta), cfg,
-            segment_length=nper)
-        gain_full = measure_gain(dp, 0.05, replace(full_rate, amplitude=amp), cfg,
-                                 segment_length=nper)
-        assert gain_full == pytest.approx(gain_env, rel=0.05)
 
 
 def loop_states(step, incr, x0):
@@ -489,16 +408,6 @@ class TestSimulateAgainstLoop:
         self.check(dp, 0.05, quick_config(dp, duration=0.5, n_trajectories=3),
                    signal=tone)
 
-    def test_full_rate_tone(self):
-        dp = desk_dp(r_m=1.0)
-        carrier = 20.0 * dp.kappa_a
-        tone = ToneSignal(amplitude=1e-3, frequency=0.5 * dp.kappa_m,
-                          mode="full-rate", carrier=carrier)
-        cfg = SimulationConfig(dt=0.05 / (2.0 * carrier + tone.frequency),
-                               duration=0.05, burn_in=12.0 / dp.kappa_m,
-                               n_trajectories=2, seed=9)
-        self.check(dp, 0.05, cfg, signal=tone)
-
     def test_chunk_size_changes_no_bit(self, monkeypatch):
         dp = desk_dp(r_m=0.7)
         cfg = quick_config(dp, duration=0.5, n_trajectories=3, seed=5)
@@ -593,6 +502,13 @@ class TestAccumulators:
             welch.spectrum(1e-3)
         with pytest.raises(ParameterError, match="segment_length"):
             WelchAccumulator(2, 1)
+        dp = desk_dp()
+        cfg = quick_config(dp, duration=1.0, n_trajectories=2)
+        one_step = replace(cfg, duration=cfg.dt)
+        with pytest.raises(ParameterError, match="segment"):
+            stream_psd(dp, 0.05, one_step, 64)
+        with pytest.raises(ParameterError, match="two samples"):
+            stream_covariances(dp, 0.05, one_step)
 
 
 def test_streamed_psd_memory_does_not_grow_with_the_run():
@@ -618,32 +534,8 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
 
     short = peak(lambda: stream_psd(dp, 0.05, config(4), nper))
     long = peak(lambda: stream_psd(dp, 0.05, config(16), nper))
-    stored = peak(lambda: estimate_psd(simulate(dp, 0.05, config(4)), nper))
+    stored = peak(lambda: simulate(dp, 0.05, config(4)))
     assert short <= 8 * ring
     assert long <= 1.02 * short
     assert stored > 8 * ring
 
-
-def test_trace_covariances_match_np_cov():
-    dp = coupled_detuned_dp()
-    trace = simulate(dp, 2.6, quick_config(dp, duration=2.0, n_trajectories=5))
-    expected = np.stack([np.cov(q.T) for q in trace.quadratures])
-    np.testing.assert_allclose(trace_covariances(trace), expected, rtol=1e-12, atol=0)
-
-
-def test_export_matches_row_by_row_writer(tmp_path):
-    dp = desk_dp()
-    trace = simulate(dp, 0.05, quick_config(dp, duration=0.02, n_trajectories=2))
-    reference = tmp_path / "rows.csv"
-    with open(reference, "w", encoding="utf-8", newline="") as fh:
-        for key in sorted(trace.metadata):
-            fh.write(f"# {key} = {trace.metadata[key]!r}\n")
-        fh.write("# trajectory = 1\n")
-        fh.write("t,X_M,P_M,X_a,P_a,P_out\n")
-        quads, rec = trace.quadratures[1], trace.output_record[1]
-        for k in range(trace.n_samples):
-            fh.write("%.12e,%.12e,%.12e,%.12e,%.12e,%.12e\n" % (
-                trace.times[k], *quads[k], rec[k]))
-    path = tmp_path / "trace.csv"
-    export_trace(trace, path, trajectory=1)
-    assert path.read_bytes() == reference.read_bytes()
