@@ -20,10 +20,9 @@ from .model import (
     thermal_occupation,
 )
 from .transfer import (
-    DriftSystem,
     PoleError,
     SingularResponseError,
-    drift_system,
+    drift_matrix,
     require_stable,
     response_grid,
 )

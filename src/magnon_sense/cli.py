@@ -6,7 +6,8 @@ separator, scientific notation); SVG charts are convenience renderings of
 the same rows.  Every CSV starts with a comment line carrying the sha256
 hash of the resolved parameter snapshot, and identical inputs produce
 byte-identical files.  Exit codes: 0 success, 1 malformed arguments,
-2 invalid parameter file or unusable configuration, 3 verification failure.
+2 invalid parameter file, unusable configuration or a grid or run too large
+to allocate, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ from .model import (
 )
 from .spectra import (
     SqueezedReservoir,
-    _require_evading_point,
     noise_budget_grid,
     output_spectrum,
     input_quadrature_variances,
     approx_suppressed_sensitivity,
 )
-from .transfer import drift_system, require_stable
-from .verification import run_verification, verification_parameters
+from .transfer import require_evading_point, require_stable
+from .verification import run_verification
 
 __all__ = ["main"]
 
@@ -218,9 +218,9 @@ def _cmd_sweep(args) -> int:
         # refuse a point _table would refuse before any output exists
         dp = derived_parameters(point)
         if args.quantity == "budget":
-            _require_evading_point(dp)
+            require_evading_point(dp)
         else:
-            require_stable(drift_system(dp).drift)
+            require_stable(dp)
         points.append(point)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -250,10 +250,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.config:
-        params = load_parameters(args.config)
-    else:
-        params = verification_parameters()
+    params = load_parameters(args.config) if args.config else None
     report = run_verification(params=params, seed=args.seed,
                               psd_tolerance=args.tolerance)
     for line in report.lines():
@@ -431,6 +428,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ParameterError, PreconditionError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -147,13 +147,6 @@ class SystemParameters:
             return self.r_m
         return derive_squeeze_amplitude(self.omega_0, self.omega_m)
 
-    @property
-    def anisotropy_frequency(self) -> float:
-        """Anisotropy coefficient ``omega_m = omega_0 * tanh(2 r_m)``."""
-        if self.omega_m is not None:
-            return self.omega_m
-        return self.omega_0 * math.tanh(2.0 * self.r_m)
-
     def with_squeeze_amplitude(self, r_m: float) -> "SystemParameters":
         """Copy of these parameters with the squeeze amplitude replaced."""
         return replace(self, omega_m=None, r_m=r_m)

@@ -69,8 +69,8 @@ import numpy as np
 from scipy import fft as _fft, linalg, signal as _signal
 
 from .model import ConfigurationError, DerivedParameters, ParameterError
-from .spectra import SqueezedReservoir, _require_evading_point, input_densities
-from .transfer import drift_system, require_stable
+from .spectra import SqueezedReservoir, input_densities
+from .transfer import drift_matrix, require_evading_point, require_stable
 
 __all__ = [
     "ConfigurationError",
@@ -184,8 +184,7 @@ def fastest_rate(dp: DerivedParameters) -> float:
                2.0 * dp.g_prime)
 
 
-def _validate_config(dp: DerivedParameters, cfg: SimulationConfig,
-                     drift: np.ndarray) -> None:
+def _validate_config(dp: DerivedParameters, cfg: SimulationConfig) -> None:
     fastest = fastest_rate(dp)
     if cfg.dt * fastest >= _DT_GUARD:
         raise ConfigurationError(
@@ -196,7 +195,7 @@ def _validate_config(dp: DerivedParameters, cfg: SimulationConfig,
         raise ConfigurationError(
             f"burn_in = {cfg.burn_in!r} s is shorter than 10 relaxation times "
             f"(need >= {10.0 / slowest!r} s)")
-    require_stable(drift)
+    require_stable(dp)
 
 
 def _drive_arrays(signal: ToneSignal, dp: DerivedParameters,
@@ -311,8 +310,7 @@ def simulate_chunks(
     Raises :class:`ConfigurationError` when called, before any stepping, if
     the configuration guard fails or the drift is unstable.
     """
-    system = drift_system(dp)
-    _validate_config(dp, cfg, system.drift)
+    _validate_config(dp, cfg)
     cavity, magnon = input_densities(dp, temperature, reservoir)
 
     dt = cfg.dt
@@ -322,7 +320,7 @@ def simulate_chunks(
     n_total = n_burn + n_keep
     ntraj = cfg.n_trajectories
 
-    step = np.eye(4) + system.drift * dt
+    step = np.eye(4) + drift_matrix(dp) * dt
     try:
         chol = np.linalg.cholesky(magnon)
     except np.linalg.LinAlgError as exc:
@@ -572,7 +570,7 @@ def measure_gain(
     """
     if tone.amplitude <= 0:
         raise ParameterError("measure_gain requires a tone with positive amplitude")
-    _require_evading_point(dp)
+    require_evading_point(dp)
     omega, psd, _ = stream_psd(dp, temperature, cfg, segment_length, signal=tone)
     p_line = tone_power(omega, psd, abs(tone.frequency))
     lam = dp.lambda_bare
@@ -591,9 +589,8 @@ def lyapunov_covariance(
     same input variance densities the simulation draws its increments from.
     This is the analytic check used against long-run sample covariances.
     """
-    system = drift_system(dp)
     cavity, magnon = input_densities(dp, temperature, reservoir)
     diffusion = np.zeros((4, 4))
     diffusion[:2, :2] = dp.kappa_m * magnon
     diffusion[2, 2] = diffusion[3, 3] = dp.kappa_a * cavity
-    return linalg.solve_continuous_lyapunov(system.drift, -diffusion)
+    return linalg.solve_continuous_lyapunov(drift_matrix(dp), -diffusion)

@@ -24,6 +24,11 @@ into response * (thermal noise + additional noise + signal), which is the
 decomposition reported by :func:`noise_budget_grid` as one
 :class:`NoiseBudget` of per-frequency columns, together with the
 field-referred total noise and the sensitivity.
+
+The preconditions live in :mod:`magnon_sense.transfer`, which owns the
+drift matrix: :func:`output_spectrum` calls ``require_stable`` (no
+stationary spectrum exists otherwise), the budget functions call
+``require_evading_point``, and every grid passes ``frequency_grid``.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import DerivedParameters, ParameterError, PreconditionError, thermal_occupation
-from .transfer import drift_system, require_stable, response_grid
+from .model import _MAX_SQUEEZE, DerivedParameters, ParameterError, thermal_occupation
+from .transfer import frequency_grid, require_evading_point, require_stable, response_grid
 
 __all__ = [
     "SqueezedReservoir",
@@ -51,9 +56,6 @@ __all__ = [
 #: field-referred noise is reported as infinity rather than an error
 _K1_SQ_FLOOR = 1e-30
 
-#: detunings are considered zero when below this fraction of the linewidths
-_EVASION_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SqueezedReservoir:
@@ -61,14 +63,18 @@ class SqueezedReservoir:
 
     ``phi_n`` is stored reduced to [0, 2*pi).  The reservoir cancels the
     transformed-mode occupation completely at ``r_n = r_m``, ``phi_n = pi``.
+    ``r_n`` is bounded like ``r_m``, below 354, where sinh(2 r_n) is still
+    finite.
     """
 
     r_n: float
     phi_n: float
 
     def __post_init__(self):
-        if self.r_n < 0 or not math.isfinite(self.r_n):
-            raise ParameterError("reservoir squeeze amplitude r_n must be >= 0")
+        if not 0.0 <= self.r_n < _MAX_SQUEEZE:
+            raise ParameterError(
+                f"reservoir squeeze amplitude r_n must be >= 0 and < "
+                f"{_MAX_SQUEEZE:g}, got {self.r_n!r}")
         if not math.isfinite(self.phi_n):
             raise ParameterError("reservoir phase phi_n must be finite")
         phi = math.fmod(self.phi_n, 2.0 * math.pi)
@@ -102,11 +108,6 @@ class NoiseBudget:
 
     def __len__(self) -> int:
         return len(self.omega)
-
-    def snr(self, b_ex: float):
-        """Amplitude signal-to-noise ratio for a field of spectral amplitude
-        ``b_ex`` (T/sqrt(Hz)); unity defines the minimum detectable signal."""
-        return b_ex / self.sensitivity
 
 
 def input_quadrature_variances(
@@ -164,21 +165,12 @@ def input_densities(
     return cavity, input_quadrature_variances(dp.r_m, nbar_m, reservoir)
 
 
-def _frequency_grid(grid) -> np.ndarray:
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ParameterError("frequency grid must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise ParameterError("frequency grid must be finite")
-    return grid
-
-
-def _s_out(ks, cavity: float, magnon: np.ndarray, s1=0.0, s2=0.0):
+def _s_out(ks, cavity: float, magnon: np.ndarray):
     """The s_out expression of :func:`output_spectrum` on solved k1..k4."""
     k1, k2, k3, k4 = ks
     return (cavity * (np.abs(k3)**2 + np.abs(k4)**2)
-            + np.abs(k1)**2 * (magnon[0, 0] + s1)
-            + np.abs(k2)**2 * (magnon[1, 1] + s2)
+            + np.abs(k1)**2 * magnon[0, 0]
+            + np.abs(k2)**2 * magnon[1, 1]
             + 2.0 * np.real(k1 * np.conj(k2)) * magnon[0, 1])
 
 
@@ -187,19 +179,16 @@ def output_spectrum(
     temperature: float,
     grid,
     reservoir: SqueezedReservoir | None = None,
-    signal_psd: tuple | None = None,
 ) -> np.ndarray:
     """Homodyne output spectrum of the phase quadrature on a frequency grid.
 
         s_out = (nbar_a + 1/2) (|k3|^2 + |k4|^2)
-               + |k1|^2 (v_x + S1) + |k2|^2 (v_p + S2)
+               + |k1|^2 v_x + |k2|^2 v_p
                + 2 Re(k1 conj(k2)) c_xp
 
     where v_x, v_p and c_xp are the entries V[0, 0], V[1, 1] and V[0, 1] of
     the magnon input covariance of :func:`input_quadrature_variances`.
-    ``signal_psd``, when given, is a pair (S1, S2) of caller-supplied signal
-    spectral densities per grid point, already containing the xi
-    amplification of the field.  The cross term vanishes whenever c_xp = 0
+    The cross term vanishes whenever c_xp = 0
     (no reservoir, or reservoir phase 0/pi) or k2 = 0 (zero magnon detuning),
     which covers every reported operating point; it is kept for arbitrary
     reservoir phases.
@@ -207,26 +196,10 @@ def output_spectrum(
     Raises :class:`ConfigurationError` if the drift is unstable, since no
     stationary spectrum exists then.
     """
-    grid = _frequency_grid(grid)
-    require_stable(drift_system(dp).drift)
+    grid = frequency_grid(grid)
+    require_stable(dp)
     cavity, magnon = input_densities(dp, temperature, reservoir)
-    s1 = s2 = 0.0
-    if signal_psd is not None:
-        s1 = np.broadcast_to(np.asarray(signal_psd[0], dtype=float), grid.shape)
-        s2 = np.broadcast_to(np.asarray(signal_psd[1], dtype=float), grid.shape)
-    return _s_out(response_grid(dp, grid), cavity, magnon, s1, s2)
-
-
-def _require_evading_point(dp: DerivedParameters) -> None:
-    tol = _EVASION_RTOL * min(dp.kappa_a, dp.kappa_m)
-    if abs(dp.delta_a) > tol:
-        raise PreconditionError(
-            f"noise budget is defined only at the backaction-evading point; "
-            f"delta_a = {dp.delta_a!r} rad/s is nonzero")
-    if abs(dp.delta_0p) > tol:
-        raise PreconditionError(
-            f"noise budget is defined only at the backaction-evading point; "
-            f"delta_0p = {dp.delta_0p!r} rad/s is nonzero")
+    return _s_out(response_grid(dp, grid), cavity, magnon)
 
 
 def _additional_noise(dp: DerivedParameters, cavity: float, k1, k4) -> np.ndarray:
@@ -272,8 +245,8 @@ def noise_budget_grid(
     reservoir: SqueezedReservoir | None = None,
 ) -> NoiseBudget:
     """:func:`noise_budget` over a frequency grid, as one column per field."""
-    _require_evading_point(dp)
-    omegas = _frequency_grid(omegas)
+    require_evading_point(dp)
+    omegas = frequency_grid(omegas)
     cavity, magnon = input_densities(dp, temperature, reservoir)
     ks = response_grid(dp, omegas)
     thermal = np.full_like(omegas, magnon[0, 0] / dp.xi)
@@ -305,8 +278,8 @@ def approx_suppressed_sensitivity(
     reservoir supplied to see the difference.  Independent of the magnon
     occupation by construction.
     """
-    _require_evading_point(dp)
-    grid = _frequency_grid(grid)
+    require_evading_point(dp)
+    grid = frequency_grid(grid)
     cavity, _ = input_densities(dp, temperature)
     k1, _, _, k4 = response_grid(dp, grid)
     return np.sqrt(2.0 * dp.kappa_m * _additional_noise(dp, cavity, k1, k4)) / dp.lambda_bare

@@ -18,28 +18,33 @@ its k4 (and the phase of k1) disagree with the direct solution, which is why
 it is never used downstream.  In the decoupled resonant limit the direct
 route gives |k4(0)| = 1 (a passive cavity reflects unit noise) while the
 closed form gives 3; the `verify` command reports both numbers.
+
+This module owns the drift matrix (:func:`drift_matrix`) and the checks the
+other layers rely on: :func:`require_stable` (every eigenvalue in the open
+left half-plane, or no stationary state exists), :func:`require_evading_point`
+(both detunings zero, so k2 = k3 = 0 and only the squeezed X_M channel
+reaches the output) and :func:`frequency_grid` (a nonempty, finite grid).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import ConfigurationError, DerivedParameters
+from .model import ConfigurationError, DerivedParameters, ParameterError, PreconditionError
 
 __all__ = [
-    "STATE_LABELS",
     "PoleError",
     "SingularResponseError",
-    "DriftSystem",
-    "drift_system",
+    "drift_matrix",
     "require_stable",
+    "require_evading_point",
+    "frequency_grid",
     "response_grid",
     "closed_form_grid",
 ]
 
-STATE_LABELS = ("X_M", "P_M", "X_a", "P_a")
+#: detunings are considered zero when below this fraction of the linewidths
+_EVASION_RTOL = 1e-9
 
 
 class PoleError(ArithmeticError):
@@ -55,16 +60,8 @@ class SingularResponseError(ArithmeticError):
     """The response matrix -i*omega*I - A is numerically singular."""
 
 
-@dataclass(frozen=True)
-class DriftSystem:
-    """Drift matrix A and input gain B of the 4-quadrature system."""
-
-    drift: np.ndarray       # (4, 4), rad/s
-    input_gain: np.ndarray  # (4, 4) diagonal, (rad/s)^(1/2)
-
-
-def drift_system(dp: DerivedParameters) -> DriftSystem:
-    """Build the drift and input-gain matrices for the quadrature dynamics.
+def drift_matrix(dp: DerivedParameters) -> np.ndarray:
+    """The (4, 4) drift matrix A of the quadrature dynamics, in rad/s.
 
     At delta_a = delta_0p = 0 the drift matrix is lower triangular in the
     reordering (X_M, X_a, P_M, P_a); its eigenvalues are then exactly
@@ -73,27 +70,52 @@ def drift_system(dp: DerivedParameters) -> DriftSystem:
     """
     km, ka = dp.kappa_m, dp.kappa_a
     d0, da, g2 = dp.delta_0p, dp.delta_a, 2.0 * dp.g_prime
-    drift = np.array([
+    return np.array([
         [-km / 2.0,  d0,        0.0,       0.0],
         [-d0,       -km / 2.0, -g2,        0.0],
         [0.0,        0.0,      -ka / 2.0,  da],
         [-g2,        0.0,      -da,       -ka / 2.0],
     ])
-    gain = np.diag([np.sqrt(km), np.sqrt(km), np.sqrt(ka), np.sqrt(ka)])
-    return DriftSystem(drift=drift, input_gain=gain)
 
 
-def require_stable(drift: np.ndarray) -> None:
+def require_stable(dp: DerivedParameters) -> None:
     """Raise :class:`ConfigurationError` unless the drift has a steady state.
 
     Stationary spectra and long-run simulations both need every eigenvalue
     of the drift matrix in the open left half-plane.
     """
-    growth = float(np.linalg.eigvals(drift).real.max())
+    growth = float(np.linalg.eigvals(drift_matrix(dp)).real.max())
     if growth >= 0:
         raise ConfigurationError(
             "drift matrix is dynamically unstable for these parameters "
             f"(max Re eigenvalue = {growth!r} rad/s)")
+
+
+def require_evading_point(dp: DerivedParameters) -> None:
+    """Raise :class:`PreconditionError` unless both detunings are zero,
+    to 1e-9 of the smaller linewidth."""
+    tol = _EVASION_RTOL * min(dp.kappa_a, dp.kappa_m)
+    if abs(dp.delta_a) > tol:
+        raise PreconditionError(
+            f"noise budget is defined only at the backaction-evading point; "
+            f"delta_a = {dp.delta_a!r} rad/s is nonzero")
+    if abs(dp.delta_0p) > tol:
+        raise PreconditionError(
+            f"noise budget is defined only at the backaction-evading point; "
+            f"delta_0p = {dp.delta_0p!r} rad/s is nonzero")
+
+
+def frequency_grid(grid) -> np.ndarray:
+    """``grid`` as a 1-d float array of analysis frequencies (rad/s).
+
+    Raises :class:`ParameterError` if it is empty or not finite.
+    """
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise ParameterError("frequency grid must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise ParameterError("frequency grid must be finite")
+    return grid
 
 
 def response_grid(dp: DerivedParameters, omegas) -> tuple[np.ndarray, ...]:
@@ -104,14 +126,12 @@ def response_grid(dp: DerivedParameters, omegas) -> tuple[np.ndarray, ...]:
     and the P_a output row is read off, with the direct reflection -1
     subtracted on the cavity phase input channel.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if not np.all(np.isfinite(omegas)):
-        raise ValueError("analysis frequencies must be finite")
-    system = drift_system(dp)
-    eye = np.eye(4)
-    m = -1j * omegas[:, None, None] * eye - system.drift
+    omegas = frequency_grid(omegas)
+    km, ka = dp.kappa_m, dp.kappa_a
+    gain = np.diag([np.sqrt(km), np.sqrt(km), np.sqrt(ka), np.sqrt(ka)])
+    m = -1j * omegas[:, None, None] * np.eye(4) - drift_matrix(dp)
     try:
-        chi = np.linalg.solve(m, np.broadcast_to(system.input_gain, m.shape))
+        chi = np.linalg.solve(m, np.broadcast_to(gain, m.shape))
     except np.linalg.LinAlgError as exc:
         raise SingularResponseError(
             "response matrix is singular; this requires a zero dissipation rate"
@@ -131,9 +151,7 @@ def closed_form_grid(dp: DerivedParameters, omegas) -> tuple[np.ndarray, ...]:
     known k4 discrepancy against the direct solve.  Raises :class:`PoleError`
     if the common denominator falls below 1e-12 of its largest contribution.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if not np.all(np.isfinite(omegas)):
-        raise ValueError("analysis frequencies must be finite")
+    omegas = frequency_grid(omegas)
     km, ka = dp.kappa_m, dp.kappa_a
     d0, da, gp = dp.delta_0p, dp.delta_a, dp.g_prime
 

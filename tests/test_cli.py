@@ -244,6 +244,13 @@ class TestExitCodes:
                          "--outdir", str(tmp_path)]) == 1
         # options are never matched by abbreviation: --out is not --outdir
         assert cli.main(["sweep", "--axis", "r_m=0", "--out", str(tmp_path)]) == 1
+        # sinh(2 r_n) would overflow: the reservoir has the bound r_m has
+        for command in ("budget", "spectrum"):
+            capsys.readouterr()
+            assert cli.main([command, "--reservoir", "400,0", "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--reservoir" in err
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["budget", "spectrum"])
     @pytest.mark.parametrize("grid_max", ["0", "-2", "nan", "inf"])
@@ -260,6 +267,25 @@ class TestExitCodes:
                          "--out", str(tmp_path / "b.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the grid is never allocated for real: under memory overcommit a
+        # request this size could succeed and only fail when touched
+        requested = []
+
+        def no_memory(start, stop, num, *args, **kwargs):
+            requested.append(num)
+            raise MemoryError(f"Unable to allocate {num * 8 / 2**30:.0f} GiB")
+
+        monkeypatch.setattr(cli.np, "linspace", no_memory)
+        out = tmp_path / "b.csv"
+        assert cli.main(["budget", "--grid-points", "100000000000",
+                         "--out", str(out)]) == 2
+        assert requested == [100000000000]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_unwritable_output_exits_2(self, tmp_path):
         blocker = tmp_path / "file"
@@ -320,7 +346,7 @@ class TestExitCodes:
         assert cli.main(["budget", "--config", str(tmp_path / "missing.cfg")]) == 2
 
     def test_verify_exit_code_follows_report(self, monkeypatch, capsys):
-        def fake_run(params=None, seed=42, psd_tolerance=0.1, gain_tolerance=0.15):
+        def fake_run(params=None, seed=42, psd_tolerance=0.1):
             check = CheckResult(name="stub", passed=True, value=0.0,
                                 tolerance=1.0, detail="")
             return VerificationReport(checks=(check,), seed=seed)
@@ -329,7 +355,7 @@ class TestExitCodes:
         assert cli.main(["verify", "--seed", "7"]) == 0
         assert "stub" in capsys.readouterr().out
 
-        def fake_fail(params=None, seed=42, psd_tolerance=0.1, gain_tolerance=0.15):
+        def fake_fail(params=None, seed=42, psd_tolerance=0.1):
             check = CheckResult(name="stub", passed=False, value=9.0,
                                 tolerance=1.0, detail="")
             return VerificationReport(checks=(check,), seed=seed)

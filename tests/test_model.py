@@ -182,10 +182,8 @@ class TestSystemParameters:
 
     def test_anisotropy_round_trip_properties(self):
         params = baseline_parameters(r_m=0.8)
-        assert params.anisotropy_frequency == pytest.approx(
-            params.omega_0 * math.tanh(1.6), rel=1e-14)
         via_omega = replace(params, r_m=None,
-                            omega_m=params.anisotropy_frequency)
+                            omega_m=params.omega_0 * math.tanh(1.6))
         assert via_omega.squeeze_amplitude == pytest.approx(0.8, rel=1e-12)
 
     def test_rotating_wave_warning(self):

@@ -31,14 +31,14 @@ from magnon_sense.simulation import (
     stream_psd,
 )
 from magnon_sense.spectra import input_densities
-from magnon_sense.transfer import drift_system
+from magnon_sense.transfer import drift_matrix
 from magnon_sense.verification import verification_parameters
 
 TWO_PI = 2.0 * math.pi
 
 
 def desk_dp(r_m=0.0, **overrides):
-    params = verification_parameters(r_m=r_m)
+    params = verification_parameters().with_squeeze_amplitude(r_m)
     if overrides:
         params = replace(params, **overrides)
     return derived_parameters(params)
@@ -162,7 +162,7 @@ class TestSteadyStateVariances:
         assert se / expected < 0.05
 
     def test_coupled_detuned_covariances_match_lyapunov(self):
-        params = replace(verification_parameters(r_m=0.4),
+        params = replace(verification_parameters().with_squeeze_amplitude(0.4),
                          g_0=0.4 * TWO_PI * 15.0,
                          delta_a=0.5 * TWO_PI * 15.0,
                          delta_0p=-0.3 * TWO_PI * 15.0)
@@ -308,7 +308,7 @@ def loop_simulate(dp, temperature, cfg, reservoir=None, signal=None):
     dt = cfg.dt
     n_burn = int(round(cfg.burn_in / dt))
     n_keep = int(round(cfg.duration / dt))
-    step_t = (np.eye(4) + drift_system(dp).drift * dt).T
+    step_t = (np.eye(4) + drift_matrix(dp) * dt).T
     chol = np.linalg.cholesky(magnon)
     cav_scale = math.sqrt(cavity * dt)
     sq_ka = math.sqrt(dp.kappa_a)
@@ -340,14 +340,14 @@ def max_relative(a, b):
 
 def coupled_detuned_dp():
     km = TWO_PI * 15.0
-    return derived_parameters(replace(verification_parameters(r_m=0.0), g_0=0.4 * km,
+    return derived_parameters(replace(verification_parameters(), g_0=0.4 * km,
                                       delta_a=0.5 * km, delta_0p=-0.3 * km))
 
 
 class TestSchurScan:
     def step_and_inputs(self, dp, n=3000, ntraj=3):
         dt = 0.015 / fastest_rate(dp)
-        step = np.eye(4) + drift_system(dp).drift * dt
+        step = np.eye(4) + drift_matrix(dp) * dt
         rng = np.random.default_rng(3)
         return step, rng.standard_normal((4, ntraj, n)), rng.standard_normal((4, ntraj))
 

@@ -6,11 +6,12 @@ import pytest
 
 from magnon_sense import (
     DerivedParameters,
+    ParameterError,
     PoleError,
     SingularResponseError,
     baseline_parameters,
     derived_parameters,
-    drift_system,
+    drift_matrix,
     response_grid,
 )
 from magnon_sense.transfer import closed_form_grid
@@ -30,7 +31,6 @@ def detuned_dp(r_m=0.5, da_frac=0.3, d0_frac=-0.2, g_frac=None):
 class TestDriftSystem:
     def test_matrix_entries(self, baseline_dp):
         dp = detuned_dp()
-        system = drift_system(dp)
         km, ka = dp.kappa_m, dp.kappa_a
         d0, da, g2 = dp.delta_0p, dp.delta_a, 2 * dp.g_prime
         expected = np.array([
@@ -39,28 +39,24 @@ class TestDriftSystem:
             [0, 0, -ka / 2, da],
             [-g2, 0, -da, -ka / 2],
         ])
-        np.testing.assert_array_equal(system.drift, expected)
-        np.testing.assert_array_equal(
-            system.input_gain,
-            np.diag([math.sqrt(km), math.sqrt(km),
-                     math.sqrt(ka), math.sqrt(ka)]))
+        np.testing.assert_array_equal(drift_matrix(dp), expected)
 
     def test_zero_coupling_is_block_diagonal(self):
         dp = derived_parameters(
             replace(baseline_parameters(r_m=0.0), mod_amplitude=0.0))
-        drift = drift_system(dp).drift
+        drift = drift_matrix(dp)
         assert np.all(drift[:2, 2:] == 0.0)
         assert np.all(drift[2:, :2] == 0.0)
 
     def test_resonant_eigenvalues_are_half_linewidths(self, baseline_dp):
         # triangular structure at zero detuning forces the diagonal
-        eigs = np.sort(np.linalg.eigvals(drift_system(baseline_dp).drift).real)
+        eigs = np.sort(np.linalg.eigvals(drift_matrix(baseline_dp)).real)
         expected = np.sort([-baseline_dp.kappa_m / 2, -baseline_dp.kappa_m / 2,
                             -baseline_dp.kappa_a / 2, -baseline_dp.kappa_a / 2])
         np.testing.assert_allclose(eigs, expected, rtol=1e-12)
 
     def test_resonant_case_is_triangular_in_reordering(self, baseline_dp):
-        drift = drift_system(baseline_dp).drift
+        drift = drift_matrix(baseline_dp)
         order = [0, 2, 1, 3]  # (X_M, X_a, P_M, P_a)
         permuted = drift[np.ix_(order, order)]
         assert np.all(np.triu(permuted, k=1) == 0.0)
@@ -83,14 +79,14 @@ class TestDriftSystem:
                 delta_a=rng.uniform(-3, 3) * km,
                 delta_0p=rng.uniform(-3, 3) * km,
                 omega_a=1.0, omega_0=1.0)
-            eigs = np.linalg.eigvals(drift_system(dp).drift)
+            eigs = np.linalg.eigvals(drift_matrix(dp))
             assert eigs.real.max() < 0.0
 
     def test_resonant_stability_survives_huge_coupling(self):
         # at the backaction-evading point stability is coupling-independent
         dp = derived_parameters(baseline_parameters(r_m=3.0))
         assert dp.g_prime > 1e3 * dp.kappa_m
-        eigs = np.linalg.eigvals(drift_system(dp).drift)
+        eigs = np.linalg.eigvals(drift_matrix(dp))
         assert eigs.real.max() < 0.0
 
 
@@ -156,8 +152,10 @@ class TestFrequencyResponse:
             response_grid(dp, [0.0])
 
     def test_rejects_nonfinite_frequency(self, baseline_dp):
-        with pytest.raises(ValueError):
-            response_grid(baseline_dp, [math.nan])
+        for route in (response_grid, closed_form_grid):
+            for grid in ([math.nan], [0.0, math.inf], []):
+                with pytest.raises(ParameterError):
+                    route(baseline_dp, grid)
 
 
 class TestClosedForm:
