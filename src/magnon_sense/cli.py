@@ -140,13 +140,13 @@ def _parse_reservoir(text: str | None) -> SqueezedReservoir | None:
 
 
 def _resolve_params(args) -> SystemParameters:
-    if getattr(args, "config", None):
+    if args.config:
         params = load_parameters(args.config)
     else:
         params = baseline_parameters()
-    if getattr(args, "rm", None) is not None:
+    if args.rm is not None:
         params = params.with_squeeze_amplitude(args.rm)
-    if getattr(args, "temp", None) is not None:
+    if args.temp is not None:
         params = replace(params, temperature=args.temp)
     return params
 
@@ -210,6 +210,8 @@ def _cmd_sweep(args) -> int:
     axes = _parse_axes(args.axis)
     names = [name for name, _ in axes]
     combos = list(itertools.product(*[values for _, values in axes]))
+    run = dict(command="sweep", quantity=args.quantity, grid_max=args.grid_max,
+               grid_points=args.grid_points)
     points = []
     for combo in combos:
         point = params
@@ -230,14 +232,13 @@ def _cmd_sweep(args) -> int:
         header, columns = _table(args.quantity, point, reservoir, args)
         tag = "_".join(f"{name}-{value:g}" for name, value in zip(names, combo))
         path = outdir / f"sweep_{args.quantity}_{tag}.csv"
-        snap = _snapshot(point, reservoir, command="sweep", quantity=args.quantity,
-                         **dict(zip(names, combo)))
+        snap = _snapshot(point, reservoir, **run, **dict(zip(names, combo)))
         _write_csv(path, header, columns, _snapshot_hash(snap))
         outputs.append(path)
 
     manifest = {
         "command": "sweep",
-        "parameters": _snapshot(params),
+        "parameters": _snapshot(params, reservoir, **run),
         "sweep_axes": [[name, values] for name, values in axes],
         "outputs": [{"path": p.name, "sha256": _file_sha256(p)} for p in outputs],
     }
@@ -251,8 +252,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = load_parameters(args.config) if args.config else None
-    report = run_verification(params=params, seed=args.seed,
-                              psd_tolerance=args.tolerance)
+    report = run_verification(params=params, seed=args.seed)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 3
@@ -263,27 +263,47 @@ def _cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 _RM_VALUES = (0.0, 0.5, 1.0, 1.5)
-_FIG4_KAPPA_FRACTIONS = (0.2, 0.5, 1.0, 2.0)
-_FIG5_G_FACTORS = (0.5, 1.0, 1.5, 2.0)
 _GRID_POINTS = 1001
+_SENSITIVITY = "sensitivity (T/sqrt(Hz))"
+_NOISE_COLUMNS = ("response", "additional_noise", "thermal_noise")
+
+#: figure -> (file stem, column of each variant's evaluation, y label) per panel
+_PANELS = {
+    "fig3": [(f"fig3_{column}", column, column) for column in _NOISE_COLUMNS],
+    "fig4": [(f"fig4_{column}", column, column) for column in _NOISE_COLUMNS],
+    "fig5": [(f"fig5_{column}", column, column) for column in _NOISE_COLUMNS[:2]],
+    "fig6": [("fig6_sensitivity", "sensitivity", _SENSITIVITY)],
+    "fig8": [("fig8_suppressed_sensitivity", "sensitivity", _SENSITIVITY)],
+}
 
 
-def _budget_panel_tables(variants, temperature, kappa_m_ref, panels):
-    """Column-per-variant tables of the requested noise-budget fields."""
-    omegas = np.linspace(0.0, 5.0 * kappa_m_ref, _GRID_POINTS)
-    budgets = [noise_budget_grid(derived_parameters(point), temperature, omegas)
-               for _, point in variants]
-    return {panel: [omegas / kappa_m_ref] + [getattr(b, panel) for b in budgets]
-            for panel in panels}
+def _variants(fig: str) -> tuple[SystemParameters, list]:
+    """Base parameters of ``fig`` and the (column label, parameters) of its curves."""
+    base = baseline_parameters(temperature=280.0 if fig in ("fig6", "fig8") else 0.05)
+    if fig == "fig4":
+        return base, [(f"kappa_a_{f:g}km", replace(base, kappa_a=f * base.kappa_m))
+                      for f in (0.2, 0.5, 1.0, 2.0)]
+    if fig == "fig5":
+        base = replace(base, kappa_a=0.2 * base.kappa_m)
+        return base, [(f"g_{f:g}g0", replace(base, g_0=f * base.g_0))
+                      for f in (0.5, 1.0, 1.5, 2.0)]
+    return base, [(f"rm_{r:g}", base.with_squeeze_amplitude(r)) for r in _RM_VALUES]
 
 
-def _write_panel(outdir, stem, labels, table, snapshot_hash, ylabel, ylog=True):
+def _evaluate(fig: str, params: SystemParameters, omegas) -> dict:
+    """Columns of one figure variant, keyed as the panels name them."""
+    dp = derived_parameters(params)
+    if fig == "fig8":
+        return {"sensitivity": approx_suppressed_sensitivity(dp, params.temperature, omegas)}
+    return vars(noise_budget_grid(dp, params.temperature, omegas))
+
+
+def _write_panel(outdir, stem, xheader, xlabel, x, series, ylabel, ylog, snapshot_hash):
     csv_path = outdir / f"{stem}.csv"
-    _write_csv(csv_path, ["omega_over_kappa_m"] + labels, table, snapshot_hash)
-    series = [(label, table[i + 1]) for i, label in enumerate(labels)]
-    svg.line_chart(outdir / f"{stem}.svg", table[0], series,
-                   title=stem, xlabel="omega / kappa_m", ylabel=ylabel,
-                   ylog=ylog)
+    _write_csv(csv_path, [xheader] + [label for label, _ in series],
+               [x] + [y for _, y in series], snapshot_hash)
+    svg.line_chart(outdir / f"{stem}.svg", x, series, title=stem, xlabel=xlabel,
+                   ylabel=ylabel, ylog=ylog)
     return [csv_path, outdir / f"{stem}.svg"]
 
 
@@ -291,72 +311,32 @@ def _cmd_reproduce(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fig = args.figure
-    written = []
-
-    if fig in ("fig3", "fig4", "fig5"):
-        temperature = 0.05
-        if fig == "fig3":
-            base = baseline_parameters(temperature=temperature)
-            variants = [(f"rm_{r:g}", base.with_squeeze_amplitude(r))
-                        for r in _RM_VALUES]
-        elif fig == "fig4":
-            base = baseline_parameters(r_m=1.5, temperature=temperature)
-            variants = [(f"kappa_a_{f:g}km",
-                         replace(base, kappa_a=f * base.kappa_m))
-                        for f in _FIG4_KAPPA_FRACTIONS]
-        else:
-            base = baseline_parameters(r_m=1.5, temperature=temperature)
-            base = replace(base, kappa_a=0.2 * base.kappa_m)
-            variants = [(f"g_{f:g}g0", replace(base, g_0=f * base.g_0))
-                        for f in _FIG5_G_FACTORS]
-        labels = [label for label, _ in variants]
-        panels = ("response", "additional_noise") if fig == "fig5" else \
-            ("response", "additional_noise", "thermal_noise")
-        tables = _budget_panel_tables(variants, temperature, base.kappa_m, panels)
-        snap_hash = _snapshot_hash(_snapshot(base, command=f"reproduce-{fig}"))
-        for panel in panels:
-            written += _write_panel(outdir, f"{fig}_{panel}", labels,
-                                    tables[panel], snap_hash, panel)
-
-    elif fig in ("fig6", "fig8"):
-        temperature = 280.0
-        base = baseline_parameters(temperature=temperature)
-        omegas = np.linspace(0.0, 5.0 * base.kappa_m, _GRID_POINTS)
-        table = [omegas / base.kappa_m]
-        for r in _RM_VALUES:
-            dp = derived_parameters(base.with_squeeze_amplitude(r))
-            if fig == "fig6":
-                table.append(noise_budget_grid(dp, temperature, omegas).sensitivity)
-            else:
-                table.append(approx_suppressed_sensitivity(dp, temperature, omegas))
-        labels = [f"rm_{r:g}" for r in _RM_VALUES]
-        stem = f"{fig}_sensitivity" if fig == "fig6" else f"{fig}_suppressed_sensitivity"
-        snap_hash = _snapshot_hash(_snapshot(base, command=f"reproduce-{fig}"))
-        written += _write_panel(outdir, stem, labels, table, snap_hash,
-                                "sensitivity (T/sqrt(Hz))")
-
-    else:  # fig7
+    if fig == "fig7":  # N_e = (tr V - 1)/2 of the vacuum-bath magnon input
         r_m = 1.5
         base = baseline_parameters(r_m=r_m)
-        snap_hash = _snapshot_hash(_snapshot(base, command="reproduce-fig7"))
-        ratios = np.linspace(0.0, 2.0, 201)
-        phases = np.linspace(0.0, 2.0, 201)
-
-        def occupation(r_n, phi_n):  # N_e = (tr V - 1)/2 of the vacuum-bath input
-            magnon = input_quadrature_variances(r_m, 0.0, SqueezedReservoir(r_n, phi_n))
-            return (np.trace(magnon) - 1.0) / 2.0
-
-        n_e_ratio = np.array([occupation(ratio * r_m, math.pi) for ratio in ratios])
-        n_e_phase = np.array([occupation(r_m, frac * math.pi) for frac in phases])
-        for stem, xlabel, x, n_e in (
-                ("fig7_ne_vs_rn", "r_n / r_m", ratios, n_e_ratio),
-                ("fig7_ne_vs_phase", "phi_n / pi", phases, n_e_phase)):
-            csv_path = outdir / f"{stem}.csv"
-            _write_csv(csv_path, (xlabel.replace(" ", ""), "n_e"), [x, n_e], snap_hash)
-            svg.line_chart(outdir / f"{stem}.svg", x, [("n_e", n_e)],
-                           title=stem, xlabel=xlabel, ylabel="N_e")
-            written += [csv_path, outdir / f"{stem}.svg"]
-
+        x = np.linspace(0.0, 2.0, 201)
+        panels = []
+        for stem, xlabel, reservoirs in (
+                ("fig7_ne_vs_rn", "r_n / r_m",
+                 [SqueezedReservoir(f * r_m, math.pi) for f in x]),
+                ("fig7_ne_vs_phase", "phi_n / pi",
+                 [SqueezedReservoir(r_m, f * math.pi) for f in x])):
+            n_e = [(np.trace(input_quadrature_variances(r_m, 0.0, reservoir)) - 1.0) / 2.0
+                   for reservoir in reservoirs]
+            panels.append((stem, xlabel.replace(" ", ""), xlabel, x,
+                           [("n_e", np.array(n_e))], "N_e", False))
+    else:
+        base, variants = _variants(fig)
+        omegas = np.linspace(0.0, 5.0 * base.kappa_m, _GRID_POINTS)
+        columns = [_evaluate(fig, point, omegas) for _, point in variants]
+        panels = [(stem, "omega_over_kappa_m", "omega / kappa_m", omegas / base.kappa_m,
+                   [(label, c[column]) for (label, _), c in zip(variants, columns)],
+                   ylabel, True)
+                  for stem, column, ylabel in _PANELS[fig]]
+    snap_hash = _snapshot_hash(_snapshot(base, command=f"reproduce-{fig}"))
+    written = []
+    for panel in panels:
+        written += _write_panel(outdir, *panel, snap_hash)
     print(f"wrote {len(written)} files to {outdir}")
     return 0
 
@@ -367,7 +347,7 @@ def _build_parser() -> _Parser:
                                  "sensitivity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_grid=True):
+    def add_common(p):
         p.add_argument("--config", help="parameter file (defaults to the "
                                         "built-in reference set)")
         p.add_argument("--rm", type=float, default=None,
@@ -376,11 +356,10 @@ def _build_parser() -> _Parser:
                        help="override the bath temperature (K)")
         p.add_argument("--reservoir", default=None, metavar="RN,PHI",
                        help="squeezed vacuum reservoir 'r_n,phi_n' (radians)")
-        if with_grid:
-            p.add_argument("--grid-max", type=_positive_float, default=5.0,
-                           help="grid end in units of kappa_m (default 5)")
-            p.add_argument("--grid-points", type=_positive_int, default=1001,
-                           help="number of grid points (default 1001)")
+        p.add_argument("--grid-max", type=_positive_float, default=5.0,
+                       help="grid end in units of kappa_m (default 5)")
+        p.add_argument("--grid-points", type=_positive_int, default=1001,
+                       help="number of grid points (default 1001)")
 
     p_budget = sub.add_parser("budget", help="noise budget rows over a frequency grid")
     add_common(p_budget)
@@ -406,9 +385,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--config", help="parameter file (defaults to the "
                                            "desk-scale verification set)")
     p_verify.add_argument("--seed", type=_non_negative_int, default=42)
-    p_verify.add_argument("--tolerance", type=_positive_float, default=0.10,
-                          help="relative tolerance for the spectrum "
-                               "comparison (default 0.10)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_repro = sub.add_parser("reproduce", help="emit figure datasets (CSV + SVG)")

@@ -68,6 +68,8 @@ _LYAPUNOV_TRAJECTORIES = 32
 _LYAPUNOV_DT_ACCURACY = 0.0075      # smaller step: variance bias << standard error
 _MAX_TRAJECTORY_STEPS = 10**8      # recorded trajectory-steps one run may take
 
+#: largest band-averaged relative deviation of a Welch spectrum from output_spectrum
+_PSD_TOLERANCE = 0.10
 #: largest relative deviation of an injected-tone gain from the analytic response
 _GAIN_TOLERANCE = 0.15
 
@@ -242,7 +244,7 @@ def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
     return bands
 
 
-def _plan_psd(params: SystemParameters, seed: int, tolerance: float) -> list[partial]:
+def _plan_psd(params: SystemParameters, seed: int) -> list[partial]:
     configurations = [
         ("psd_rm0", 0.0, None),
         ("psd_rm15", 1.5, None),
@@ -254,13 +256,13 @@ def _plan_psd(params: SystemParameters, seed: int, tolerance: float) -> list[par
         cfg, nper = _welch_run(dp, seed, _PSD_RESOLUTION * dp.kappa_m,
                                _PSD_SEGMENTS_PER_TRAJECTORY, _PSD_TRAJECTORIES)
         planned.append(partial(_check_psd, name, dp, params.temperature, reservoir,
-                               cfg, nper, tolerance))
+                               cfg, nper))
     return planned
 
 
 def _check_psd(name: str, dp: DerivedParameters, temperature: float,
-               reservoir: SqueezedReservoir | None, cfg: SimulationConfig, nper: int,
-               tolerance: float) -> CheckResult:
+               reservoir: SqueezedReservoir | None, cfg: SimulationConfig,
+               nper: int) -> CheckResult:
     omega, psd, n_seg = stream_psd(dp, temperature, cfg, nper, reservoir=reservoir)
     reference = output_spectrum(dp, temperature, omega, reservoir=reservoir)
     worst = 0.0
@@ -270,9 +272,9 @@ def _check_psd(name: str, dp: DerivedParameters, temperature: float,
         worst = max(worst, abs(est / ana - 1.0))
     return CheckResult(
         name=name,
-        passed=worst <= tolerance,
+        passed=worst <= _PSD_TOLERANCE,
         value=worst,
-        tolerance=tolerance,
+        tolerance=_PSD_TOLERANCE,
         detail=f"max band-averaged relative deviation, {n_seg} Welch "
                "segments, omega/kappa_m in [0.1, 5]",
     )
@@ -317,7 +319,6 @@ def _check_gain(frac: float, dp: DerivedParameters, temperature: float,
 def run_verification(
     params: SystemParameters | None = None,
     seed: int = 42,
-    psd_tolerance: float = 0.10,
 ) -> VerificationReport:
     """Run every analytic-vs-oracle comparison and collect a report.
 
@@ -329,7 +330,7 @@ def run_verification(
     if params is None:
         params = verification_parameters()
     planned = [*_plan_lyapunov(params, seed),
-               *_plan_psd(params, seed, psd_tolerance),
+               *_plan_psd(params, seed),
                *_plan_gain(params, seed)]
     checks = _check_routes(params) + [check() for check in planned]
     return VerificationReport(checks=tuple(checks), seed=seed)

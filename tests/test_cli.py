@@ -141,6 +141,19 @@ class TestSweepCommand:
             path = outdir / entry["path"]
             assert path.exists()
             assert cli._file_sha256(path) == entry["sha256"]
+        # the provenance names the quantity and the grid, as budget's does
+        parameters = manifest["parameters"]
+        assert (parameters["command"], parameters["quantity"], parameters["grid_max"],
+                parameters["grid_points"]) == ("sweep", "budget", 5.0, 21)
+        assert parameters["temperature"] == 280.0
+        coarse = tmp_path / "coarse"
+        assert cli.main(["sweep", "--axis", "r_m=0,1.5",
+                         "--axis", "kappa_a_hz=8.25e6,16.5e6",
+                         "--temp", "280", "--grid-points", "11",
+                         "--outdir", str(coarse)]) == 0
+        for entry in manifest["outputs"]:
+            fine_hash = (outdir / entry["path"]).read_text().splitlines()[0]
+            assert (coarse / entry["path"]).read_text().splitlines()[0] != fine_hash
 
     def test_unknown_axis_is_usage_error(self, tmp_path):
         assert cli.main(["sweep", "--axis", "nonsense=1,2",
@@ -210,11 +223,31 @@ class TestReproduceCommand:
         _, resp = read_csv(tmp_path / "fig5_response.csv")
         assert np.all(np.diff(resp[0, 1:]) > 0)  # response grows with coupling
 
-    def test_reruns_are_byte_identical(self, tmp_path):
+    def test_panels_equal_the_budget_command(self, tmp_path):
+        assert cli.main(["reproduce", "fig3", "--outdir", str(tmp_path)]) == 0
+        assert cli.main(["reproduce", "fig6", "--outdir", str(tmp_path)]) == 0
+        for rm, temp, panels in (
+                ("1.5", "0.05", {"fig3_response": "response",
+                                 "fig3_additional_noise": "additional_noise",
+                                 "fig3_thermal_noise": "thermal_noise"}),
+                ("0.5", "280", {"fig6_sensitivity": "sensitivity_t_per_sqrt_hz"})):
+            out = tmp_path / f"budget_{rm}.csv"
+            assert cli.main(["budget", "--rm", rm, "--temp", temp,
+                             "--out", str(out)]) == 0
+            budget_columns, budget = read_csv(out)
+            for stem, column in panels.items():
+                columns, panel = read_csv(tmp_path / f"{stem}.csv")
+                np.testing.assert_array_equal(panel[:, columns.index(f"rm_{rm}")],
+                                              budget[:, budget_columns.index(column)])
+
+    @pytest.mark.parametrize("fig", ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8"])
+    def test_reruns_are_byte_identical(self, tmp_path, fig):
         a, b = tmp_path / "a", tmp_path / "b"
-        cli.main(["reproduce", "fig7", "--outdir", str(a)])
-        cli.main(["reproduce", "fig7", "--outdir", str(b)])
-        for name in ("fig7_ne_vs_rn.csv", "fig7_ne_vs_rn.svg"):
+        assert cli.main(["reproduce", fig, "--outdir", str(a)]) == 0
+        assert cli.main(["reproduce", fig, "--outdir", str(b)]) == 0
+        names = sorted(path.name for path in a.iterdir())
+        assert names == sorted(path.name for path in b.iterdir())
+        for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_svg_is_wellformed(self, tmp_path):
@@ -233,13 +266,14 @@ class TestExitCodes:
         out = str(tmp_path / "b.csv")
         for points in ("0", "-3"):
             assert cli.main(["budget", "--grid-points", points, "--out", out]) == 1
-        for option, value in (("--seed", "-1"), ("--seed", "1.5"),
-                              ("--tolerance", "nan"), ("--tolerance", "inf"),
-                              ("--tolerance", "0"), ("--tolerance", "-0.1")):
+        for option, value in (("--seed", "-1"), ("--seed", "1.5")):
             capsys.readouterr()
             assert cli.main(["verify", option, value]) == 1
             err = capsys.readouterr().err
             assert option in err and err.count("\n") == 1
+        # the PSD check's bound is fixed, not an option
+        assert cli.main(["verify", "--tolerance", "0.1"]) == 1
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
         assert cli.main(["sweep", "--axis", "r_m=0,1", "--axis", "r_m=2",
                          "--outdir", str(tmp_path)]) == 1
         # options are never matched by abbreviation: --out is not --outdir
@@ -346,7 +380,7 @@ class TestExitCodes:
         assert cli.main(["budget", "--config", str(tmp_path / "missing.cfg")]) == 2
 
     def test_verify_exit_code_follows_report(self, monkeypatch, capsys):
-        def fake_run(params=None, seed=42, psd_tolerance=0.1):
+        def fake_run(params=None, seed=42):
             check = CheckResult(name="stub", passed=True, value=0.0,
                                 tolerance=1.0, detail="")
             return VerificationReport(checks=(check,), seed=seed)
@@ -355,7 +389,7 @@ class TestExitCodes:
         assert cli.main(["verify", "--seed", "7"]) == 0
         assert "stub" in capsys.readouterr().out
 
-        def fake_fail(params=None, seed=42, psd_tolerance=0.1):
+        def fake_fail(params=None, seed=42):
             check = CheckResult(name="stub", passed=False, value=9.0,
                                 tolerance=1.0, detail="")
             return VerificationReport(checks=(check,), seed=seed)
