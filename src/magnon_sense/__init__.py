@@ -32,7 +32,6 @@ from .spectra import (
     approx_suppressed_sensitivity,
     input_densities,
     input_quadrature_variances,
-    noise_budget,
     noise_budget_grid,
     output_spectrum,
 )

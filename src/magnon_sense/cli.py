@@ -6,8 +6,10 @@ separator, scientific notation); SVG charts are convenience renderings of
 the same rows.  Every CSV starts with a comment line carrying the sha256
 hash of the resolved parameter snapshot, and identical inputs produce
 byte-identical files.  Exit codes: 0 success, 1 malformed arguments,
-2 invalid parameter file, unusable configuration or a grid or run too large
-to allocate, 3 verification failure.
+2 invalid parameter file, unusable configuration, a grid or run too large
+to allocate or a result that overflows or is undefined, 3 verification
+failure.  The field-referred noise of a magnon channel that transduces
+nothing is the one infinity written on purpose.
 """
 
 from __future__ import annotations
@@ -212,6 +214,12 @@ def _cmd_sweep(args) -> int:
     combos = list(itertools.product(*[values for _, values in axes]))
     run = dict(command="sweep", quantity=args.quantity, grid_max=args.grid_max,
                grid_points=args.grid_points)
+    tags = ["_".join(f"{name}-{value:g}" for name, value in zip(names, combo))
+            for combo in combos]
+    clash = next((tag for i, tag in enumerate(tags) if tag in tags[:i]), None)
+    if clash is not None:
+        raise _UsageError(f"two sweep points would both write "
+                          f"sweep_{args.quantity}_{clash}.csv")
     points = []
     for combo in combos:
         point = params
@@ -228,9 +236,8 @@ def _cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     outputs = []
-    for combo, point in zip(combos, points):
+    for combo, point, tag in zip(combos, points, tags):
         header, columns = _table(args.quantity, point, reservoir, args)
-        tag = "_".join(f"{name}-{value:g}" for name, value in zip(names, combo))
         path = outdir / f"sweep_{args.quantity}_{tag}.csv"
         snap = _snapshot(point, reservoir, **run, **dict(zip(names, combo)))
         _write_csv(path, header, columns, _snapshot_hash(snap))
@@ -308,8 +315,6 @@ def _write_panel(outdir, stem, xheader, xlabel, x, series, ylabel, ylog, snapsho
 
 
 def _cmd_reproduce(args) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     fig = args.figure
     if fig == "fig7":  # N_e = (tr V - 1)/2 of the vacuum-bath magnon input
         r_m = 1.5
@@ -334,6 +339,8 @@ def _cmd_reproduce(args) -> int:
                    ylabel, True)
                   for stem, column, ylabel in _PANELS[fig]]
     snap_hash = _snapshot_hash(_snapshot(base, command=f"reproduce-{fig}"))
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for panel in panels:
         written += _write_panel(outdir, *panel, snap_hash)
@@ -398,7 +405,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -407,6 +415,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: result is not finite: {exc}", file=sys.stderr)
         return 2
 
 

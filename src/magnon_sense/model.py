@@ -67,17 +67,16 @@ class RotatingWaveWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DriveSettings:
-    """Frequencies and amplitudes of the two classical pumps.
+    """Frequencies of the two classical pumps.
 
-    Only the frequencies are read, by the rotating-wave check on g'; the
-    fluctuation dynamics solved by this package never depend on the drive
-    amplitudes (the steady-state displacements are split off and dropped).
+    They are read by the rotating-wave check on g' only.  The pump
+    amplitudes are not kept: the fluctuation dynamics solved by this
+    package never depend on them (the steady-state displacements are split
+    off and dropped).
     """
 
     omega_l: float  # cavity pump, rad/s
     omega_b: float  # magnon pump, rad/s
-    e_l: float = 0.0
-    e_b: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,10 @@ class SystemParameters:
             raise ParameterError("temperature must be >= 0 K")
         if self.g_0 < 0 or self.mod_amplitude < 0:
             raise ParameterError("g_0 and mod_amplitude must be >= 0")
+        if self.lambda_coupling == 0:
+            raise ParameterError(
+                "field coupling lambda must be nonzero: the noise referred to "
+                "the field divides by lambda^2")
         if self.omega_m is not None and abs(self.omega_m) >= self.omega_0:
             raise ParameterError(
                 "|omega_m| must be < omega_0 for the squeeze amplitude to be real")
@@ -329,6 +332,9 @@ def parse_parameters(text: str, source: str = "<string>") -> SystemParameters:
         if "gamma_hz_per_tesla" not in values or "spin_number" not in values:
             raise ParameterError(
                 f"{source}: 'gamma_hz_per_tesla' and 'spin_number' must be given together")
+        if not values["spin_number"] > 0:
+            raise ParameterError(
+                f"{source}: spin_number must be > 0, got {values['spin_number']!r}")
         gamma = _TWO_PI * values["gamma_hz_per_tesla"]
         lam = gamma * math.sqrt(5.0 * values["spin_number"]) / 2.0
 
@@ -340,8 +346,6 @@ def parse_parameters(text: str, source: str = "<string>") -> SystemParameters:
         drive = DriveSettings(
             omega_l=_TWO_PI * values["omega_l_hz"],
             omega_b=_TWO_PI * values["omega_b_hz"],
-            e_l=values.get("e_l", 0.0),
-            e_b=values.get("e_b", 0.0),
         )
     elif "e_l" in values or "e_b" in values:
         raise ParameterError(

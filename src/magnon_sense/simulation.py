@@ -73,7 +73,6 @@ from .spectra import SqueezedReservoir, input_densities
 from .transfer import drift_matrix, require_evading_point, require_stable
 
 __all__ = [
-    "ConfigurationError",
     "SimulationConfig",
     "ToneSignal",
     "SimulationTrace",
@@ -578,18 +577,14 @@ def measure_gain(
     return p_line / p_ref
 
 
-def lyapunov_covariance(
-    dp: DerivedParameters,
-    temperature: float,
-    reservoir: SqueezedReservoir | None = None,
-) -> np.ndarray:
+def lyapunov_covariance(dp: DerivedParameters, temperature: float) -> np.ndarray:
     """Steady-state covariance of the quadratures from the Lyapunov equation.
 
     Solves A V + V A^T + D = 0 with the diffusion matrix D built from the
     same input variance densities the simulation draws its increments from.
     This is the analytic check used against long-run sample covariances.
     """
-    cavity, magnon = input_densities(dp, temperature, reservoir)
+    cavity, magnon = input_densities(dp, temperature)
     diffusion = np.zeros((4, 4))
     diffusion[:2, :2] = dp.kappa_m * magnon
     diffusion[2, 2] = diffusion[3, 3] = dp.kappa_a * cavity

@@ -34,7 +34,7 @@ stationary spectrum exists otherwise), the budget functions call
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "input_quadrature_variances",
     "input_densities",
     "output_spectrum",
-    "noise_budget",
     "noise_budget_grid",
     "approx_suppressed_sensitivity",
 ]
@@ -88,8 +87,7 @@ class NoiseBudget:
     """Decomposition of the output noise, one column per quantity.
 
     Each field is an array aligned with the analysis frequencies ``omega``
-    (rad/s), and ``len()`` is their number; :func:`noise_budget` returns the
-    same fields as floats for a single frequency.  ``response`` is the gain
+    (rad/s), and ``len()`` is their number.  ``response`` is the gain
     from the field-referred signal density to the output spectrum;
     ``additional_noise`` the cavity (shot/backaction) contribution and
     ``thermal_noise`` the magnon thermal contribution, both referred to the
@@ -205,15 +203,15 @@ def output_spectrum(
 def _additional_noise(dp: DerivedParameters, cavity: float, k1, k4) -> np.ndarray:
     """N_qn = (nbar_a + 1/2)/xi |k4|^2/|k1|^2, infinite where k1 vanishes."""
     k1_sq = np.abs(k1)**2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         additional = cavity / dp.xi * np.abs(k4)**2 / k1_sq
     return np.where(k1_sq < _K1_SQ_FLOOR, math.inf, additional)
 
 
-def noise_budget(
+def noise_budget_grid(
     dp: DerivedParameters,
     temperature: float,
-    omega: float,
+    omegas,
     reservoir: SqueezedReservoir | None = None,
 ) -> NoiseBudget:
     """Response, additional noise, thermal noise, total noise and sensitivity.
@@ -227,24 +225,12 @@ def noise_budget(
         s_bnoise = (2 kappa_m / lambda^2) (N_mth + N_qn)     [T^2/Hz]
         sensitivity = sqrt(s_bnoise)                         [T/sqrt(Hz)]
 
-    with lambda the bare field coupling.  Thermal noise is a normalized
-    background: independent of omega, kappa_a and the coupling.  At zero
-    coupling |k1|^2 vanishes and the field-referred quantities are reported
-    as infinity (no transduction), not as an error.  The fields are floats;
-    :func:`noise_budget_grid` gives the same values as columns.
+    with lambda the bare field coupling, each evaluated at every frequency
+    of ``omegas`` and returned as one column per field.  Thermal noise is a
+    normalized background: independent of omega, kappa_a and the coupling.
+    At zero coupling |k1|^2 vanishes and the field-referred quantities are
+    reported as infinity (no transduction), not as an error.
     """
-    budget = noise_budget_grid(dp, temperature, [omega], reservoir)
-    return NoiseBudget(**{f.name: float(getattr(budget, f.name)[0])
-                          for f in fields(NoiseBudget)})
-
-
-def noise_budget_grid(
-    dp: DerivedParameters,
-    temperature: float,
-    omegas,
-    reservoir: SqueezedReservoir | None = None,
-) -> NoiseBudget:
-    """:func:`noise_budget` over a frequency grid, as one column per field."""
     require_evading_point(dp)
     omegas = frequency_grid(omegas)
     cavity, magnon = input_densities(dp, temperature, reservoir)

@@ -1,8 +1,8 @@
 """Minimal deterministic SVG 1.1 line charts.
 
 Convenience renderings of the CSV datasets; byte-identical for identical
-inputs (no timestamps, no random ids).  Log-scale axes drop nonpositive
-points.
+inputs (no timestamps, no random ids).  The x axis is linear; a log-scale
+y axis drops nonpositive points.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ def _tick_label(t: float, log: bool) -> str:
     return f"{t:.3g}"
 
 
-def line_chart(path, x, series, title="", xlabel="", ylabel="",
-               xlog=False, ylog=False) -> None:
+def line_chart(path, x, series, title, xlabel, ylabel, ylog=False) -> None:
     """Write a polyline chart of ``series`` = [(label, y-array), ...] vs x."""
-    xs = _transform(x, xlog)
+    xs = [float(v) for v in x]
     ys_all = [_transform(y, ylog) for _, y in series]
-    finite_x = [v for v in xs if v is not None and math.isfinite(v)]
+    finite_x = [v for v in xs if math.isfinite(v)]
     finite_y = [v for vals in ys_all for v in vals
                 if v is not None and math.isfinite(v)]
     if not finite_x or not finite_y:
@@ -78,19 +77,17 @@ def line_chart(path, x, series, title="", xlabel="", ylabel="",
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="black"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="26" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="26" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>')
 
-    for t in _ticks(x_lo, x_hi, xlog):
+    for t in _ticks(x_lo, x_hi, False):
         xt = px(t)
         parts.append(f'<line x1="{xt:.2f}" y1="{_MARGIN_T + plot_h}" '
                      f'x2="{xt:.2f}" y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>')
         parts.append(f'<text x="{xt:.2f}" y="{_MARGIN_T + plot_h + 20}" '
                      f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="11">{_tick_label(t, xlog)}</text>')
+                     f'font-size="11">{_tick_label(t, False)}</text>')
     for t in _ticks(y_lo, y_hi, ylog):
         yt = py(t)
         parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{yt:.2f}" '
@@ -98,21 +95,19 @@ def line_chart(path, x, series, title="", xlabel="", ylabel="",
         parts.append(f'<text x="{_MARGIN_L - 9}" y="{yt + 4:.2f}" '
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11">{_tick_label(t, ylog)}</text>')
-    if xlabel:
-        parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" '
-                     f'y="{_HEIGHT - 16}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13">{xlabel}</text>')
-    if ylabel:
-        cy = _MARGIN_T + plot_h / 2
-        parts.append(f'<text x="22" y="{cy:.1f}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13" '
-                     f'transform="rotate(-90 22 {cy:.1f})">{ylabel}</text>')
+    cy = _MARGIN_T + plot_h / 2
+    parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" '
+                 f'y="{_HEIGHT - 16}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="13">{xlabel}</text>')
+    parts.append(f'<text x="22" y="{cy:.1f}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="13" '
+                 f'transform="rotate(-90 22 {cy:.1f})">{ylabel}</text>')
 
     for i, (label, _) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = []
         for xv, yv in zip(xs, ys_all[i]):
-            if xv is None or yv is None or not (math.isfinite(xv) and math.isfinite(yv)):
+            if yv is None or not (math.isfinite(xv) and math.isfinite(yv)):
                 continue
             pts.append(f"{px(xv):.2f},{py(yv):.2f}")
         if pts:

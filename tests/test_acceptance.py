@@ -18,7 +18,7 @@ from magnon_sense import (
     baseline_parameters,
     derived_parameters,
     input_quadrature_variances,
-    noise_budget,
+    noise_budget_grid,
     response_grid,
 )
 from magnon_sense.transfer import closed_form_grid
@@ -51,11 +51,11 @@ def test_criterion_1_backaction_evasion():
 
 
 def test_criterion_2_thermal_noise_suppression():
-    reference = noise_budget(dp_at(0.0), 0.05, 0.0).thermal_noise
+    reference = noise_budget_grid(dp_at(0.0), 0.05, [0.0]).thermal_noise[0]
     for r_m in (0.5, 1.0, 1.5, 2.0):
-        ratio = noise_budget(dp_at(r_m), 0.05, 0.0).thermal_noise / reference
+        ratio = noise_budget_grid(dp_at(r_m), 0.05, [0.0]).thermal_noise[0] / reference
         assert ratio == pytest.approx(math.exp(-4.0 * r_m), rel=1e-14)
-    ratio_15 = noise_budget(dp_at(1.5), 0.05, 0.0).thermal_noise / reference
+    ratio_15 = noise_budget_grid(dp_at(1.5), 0.05, [0.0]).thermal_noise[0] / reference
     assert ratio_15 == pytest.approx(2.4787521766663585e-3, rel=1e-12)
     assert 1e-3 < ratio_15 < 1e-2  # "approximately three orders of magnitude"
     _announce(2, f"thermal noise ratio exp(-4 r_m) exact; e^-6 = {ratio_15:.6g} at r_m = 1.5")
@@ -67,7 +67,8 @@ def test_criterion_3_thermal_noise_kappa_a_invariance():
     values = []
     for factor in (0.5, 1.0, 2.0):
         params = replace(base, kappa_a=factor * base.kappa_a)
-        values.append(noise_budget(derived_parameters(params), 0.05, 0.0).thermal_noise)
+        values.append(
+            noise_budget_grid(derived_parameters(params), 0.05, [0.0]).thermal_noise[0])
     assert values[0] == values[1] == values[2]
     _announce(3, "thermal noise bitwise identical across kappa_a in {0.5, 1, 2} x baseline")
 
@@ -79,17 +80,17 @@ def test_criterion_4_monotonic_response_and_additional_noise():
     responses, extra = [], []
     for f in factors:
         dp = derived_parameters(replace(base, g_0=f * base.g_0))
-        budget = noise_budget(dp, 0.05, 0.0)
-        responses.append(budget.response)
-        extra.append(budget.additional_noise)
+        budget = noise_budget_grid(dp, 0.05, [0.0])
+        responses.append(budget.response[0])
+        extra.append(budget.additional_noise[0])
     assert all(a < b for a, b in zip(responses, responses[1:]))
     assert all(a > b for a, b in zip(extra, extra[1:]))
     _announce(4, "A_m(0) strictly increasing, N_qn(0) strictly decreasing over a 4x g' span")
 
 
 def test_criterion_5_sensitivity_improvement():
-    y0 = noise_budget(dp_at(0.0, 280.0), 280.0, 0.0).sensitivity
-    y15 = noise_budget(dp_at(1.5, 280.0), 280.0, 0.0).sensitivity
+    y0 = noise_budget_grid(dp_at(0.0, 280.0), 280.0, [0.0]).sensitivity[0]
+    y15 = noise_budget_grid(dp_at(1.5, 280.0), 280.0, [0.0]).sensitivity[0]
     assert y15 / y0 == pytest.approx(math.exp(-3.0), rel=0.01)
     _announce(5, f"Y(r_m=1.5)/Y(0) = {y15 / y0:.6f} vs e^-3 = {math.exp(-3):.6f} at 280 K")
 
@@ -153,6 +154,10 @@ def test_criterion_11_route_discrepancy_is_documented(verification_report):
     text = "\n".join(verification_report.lines())
     assert "authoritative |K4(0)| = 1.000000000000" in text
     assert "closed form |K4(0)| = 3.000000000000" in text
+    # the value is what the check tests: both |K4(0)| within 1e-12 of 1 and 3
+    k4_check = next(c for c in verification_report.checks
+                    if c.name == "k4_dc_discrepancy")
+    assert k4_check.value <= k4_check.tolerance == 1e-12
     k1_check = next(c for c in verification_report.checks
                     if c.name == "k1_route_agreement")
     assert k1_check.value <= 1e-9

@@ -82,6 +82,12 @@ class TestBudgetCommand:
                          "--out", str(tmp_path / "x.csv")]) == 2
 
 
+#: the reference set without its field coupling line
+COUPLING_CONFIG = (
+    "omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\nr_m = 1.5\n"
+    "g_0_hz = 2.5e9\nmod_amplitude = 1\nkappa_a_hz = 16.5e6\n"
+    "kappa_m_hz = 15e6\ntemperature_k = 0.05\n")
+
 UNSTABLE_CONFIG = (
     "omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\nr_m = 1.5\n"
     "g_0_hz = 2.5e9\nmod_amplitude = 1\nkappa_a_hz = 16.5e6\n"
@@ -302,6 +308,72 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("budget", "--rm", "353"),
+        ("spectrum", "--reservoir", "353,3.141592653589793"),
+    ])
+    def test_non_finite_output_exits_2(self, tmp_path, capsys, command, option, value):
+        # each factor is finite below the 354 bound, their products are not
+        out = tmp_path / "b.csv"
+        assert cli.main([command, option, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_sweep_point_stops_without_manifest(self, tmp_path, capsys):
+        outdir = tmp_path / "sw"
+        assert cli.main(["sweep", "--axis", "r_m=1,353", "--grid-points", "5",
+                         "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert sorted(p.name for p in outdir.iterdir()) == ["sweep_budget_r_m-1.csv"]
+
+    # at 1e-160 |k1|^2 is subnormal and N_qn's quotient overflows before
+    # the k1 floor replaces it with infinity
+    @pytest.mark.parametrize("mod_amplitude", ["0", "1e-160"])
+    def test_zero_coupling_budget_is_infinite_by_design(self, tmp_path, mod_amplitude):
+        config = tmp_path / "uncoupled.cfg"
+        config.write_text(COUPLING_CONFIG.replace("mod_amplitude = 1",
+                                                  f"mod_amplitude = {mod_amplitude}")
+                          + "lambda_hz_per_tesla = 5.85e13\n")
+        out = tmp_path / "b.csv"
+        assert cli.main(["budget", "--config", str(config), "--grid-points", "5",
+                         "--out", str(out)]) == 0
+        columns, data = read_csv(out)
+        for name in ("additional_noise", "sensitivity_t_per_sqrt_hz"):
+            assert np.all(np.isinf(data[:, columns.index(name)]))
+
+    @pytest.mark.parametrize("coupling", [
+        "lambda_hz_per_tesla = 0",
+        "gamma_hz_per_tesla = 28e9\nspin_number = 0",
+        "gamma_hz_per_tesla = 28e9\nspin_number = -1",
+        "gamma_hz_per_tesla = 0\nspin_number = 3.5e6",
+    ])
+    def test_zero_field_coupling_exits_2(self, tmp_path, capsys, coupling):
+        config = tmp_path / "uncoupled.cfg"
+        config.write_text(COUPLING_CONFIG + coupling + "\n")
+        out = tmp_path / "b.csv"
+        assert cli.main(["budget", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_zero_field_coupling_sweep_writes_nothing(self, tmp_path, capsys):
+        outdir = tmp_path / "sw"
+        assert cli.main(["sweep", "--axis", "lambda_hz_per_tesla=1e12,0",
+                         "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("values", ["0.1234567,0.1234568", "1,1.0"])
+    def test_sweep_file_name_collision_exits_1(self, tmp_path, capsys, values):
+        # both points would write one sweep_budget_r_m-<{:g}>.csv
+        outdir = tmp_path / "sw"
+        assert cli.main(["sweep", "--axis", f"r_m={values}", "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not outdir.exists()
+
     def test_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # the grid is never allocated for real: under memory overcommit a
         # request this size could succeed and only fail when touched
@@ -381,8 +453,7 @@ class TestExitCodes:
 
     def test_verify_exit_code_follows_report(self, monkeypatch, capsys):
         def fake_run(params=None, seed=42):
-            check = CheckResult(name="stub", passed=True, value=0.0,
-                                tolerance=1.0, detail="")
+            check = CheckResult(name="stub", value=0.0, tolerance=1.0, detail="")
             return VerificationReport(checks=(check,), seed=seed)
 
         monkeypatch.setattr(cli, "run_verification", fake_run)
@@ -390,8 +461,7 @@ class TestExitCodes:
         assert "stub" in capsys.readouterr().out
 
         def fake_fail(params=None, seed=42):
-            check = CheckResult(name="stub", passed=False, value=9.0,
-                                tolerance=1.0, detail="")
+            check = CheckResult(name="stub", value=9.0, tolerance=1.0, detail="")
             return VerificationReport(checks=(check,), seed=seed)
 
         monkeypatch.setattr(cli, "run_verification", fake_fail)

@@ -272,7 +272,6 @@ class TestParameterFiles:
         params = parse_parameters(text)
         assert params.drive is not None
         assert params.drive.omega_b == pytest.approx(TWO_PI * 7.5e9)
-        assert params.drive.e_l == 1e3
 
     def test_drive_amplitudes_require_frequencies(self):
         with pytest.raises(ParameterError, match="omega_l_hz"):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from magnon_sense import (
     ConfigurationError,
-    NoiseBudget,
     ParameterError,
     PreconditionError,
     SqueezedReservoir,
@@ -16,7 +15,6 @@ from magnon_sense import (
     derived_parameters,
     drift_matrix,
     input_quadrature_variances,
-    noise_budget,
     noise_budget_grid,
     output_spectrum,
     response_grid,
@@ -218,48 +216,48 @@ class TestOutputSpectrum:
 
 class TestNoiseBudget:
     def test_thermal_noise_millikelvin_value(self):
-        budget = noise_budget(dp_at(1.5), 0.05, 0.0)
-        assert budget.thermal_noise == pytest.approx(1.23937608833318e-3, rel=1e-10)
+        budget = noise_budget_grid(dp_at(1.5), 0.05, [0.0])
+        assert budget.thermal_noise[0] == pytest.approx(1.23937608833318e-3, rel=1e-10)
 
     def test_thermal_suppression_ratio_is_machine_exact(self):
         for r_m in (0.25, 0.5, 1.0, 1.5, 2.0):
-            ratio = (noise_budget(dp_at(r_m), 0.05, 0.0).thermal_noise
-                     / noise_budget(dp_at(0.0), 0.05, 0.0).thermal_noise)
+            ratio = (noise_budget_grid(dp_at(r_m), 0.05, [0.0]).thermal_noise[0]
+                     / noise_budget_grid(dp_at(0.0), 0.05, [0.0]).thermal_noise[0])
             assert ratio == pytest.approx(math.exp(-4.0 * r_m), rel=1e-14)
 
     def test_thermal_noise_ignores_cavity_rate_and_coupling(self):
-        ref = noise_budget(dp_at(1.5), 0.05, 0.0).thermal_noise
+        ref = noise_budget_grid(dp_at(1.5), 0.05, [0.0]).thermal_noise[0]
         for factor in (0.5, 2.0):
             dp = dp_at(1.5, kappa_a=factor * baseline_parameters().kappa_a)
-            assert noise_budget(dp, 0.05, 0.0).thermal_noise == ref
+            assert noise_budget_grid(dp, 0.05, [0.0]).thermal_noise[0] == ref
         for factor in (0.5, 2.0):
             dp = dp_at(1.5, g_0=factor * baseline_parameters().g_0)
-            assert noise_budget(dp, 0.05, 0.0).thermal_noise == ref
+            assert noise_budget_grid(dp, 0.05, [0.0]).thermal_noise[0] == ref
 
     def test_dc_response_value(self):
         dp = dp_at(1.5)
-        budget = noise_budget(dp, 0.05, 0.0)
+        budget = noise_budget_grid(dp, 0.05, [0.0])
         expected = dp.xi * 64 * dp.g_prime**2 / (dp.kappa_a * dp.kappa_m)
-        assert budget.response == pytest.approx(expected, rel=1e-10)
+        assert budget.response[0] == pytest.approx(expected, rel=1e-10)
 
     def test_response_increases_with_coupling_and_squeezing(self):
-        responses_g = [noise_budget(dp_at(1.0, g_0=f * baseline_parameters().g_0),
-                                    0.05, 0.0).response
+        responses_g = [noise_budget_grid(dp_at(1.0, g_0=f * baseline_parameters().g_0),
+                                         0.05, [0.0]).response[0]
                        for f in (0.5, 0.8, 1.2, 2.0)]
         assert all(a < b for a, b in zip(responses_g, responses_g[1:]))
-        responses_r = [noise_budget(dp_at(r), 0.05, 0.0).response
+        responses_r = [noise_budget_grid(dp_at(r), 0.05, [0.0]).response[0]
                        for r in (0.0, 0.5, 1.0, 1.5)]
         assert all(a < b for a, b in zip(responses_r, responses_r[1:]))
 
     def test_additional_noise_decreases_with_coupling(self):
-        values = [noise_budget(dp_at(1.0, g_0=f * baseline_parameters().g_0),
-                               0.05, 0.3 * TWO_PI * 15e6).additional_noise
+        values = [noise_budget_grid(dp_at(1.0, g_0=f * baseline_parameters().g_0),
+                                    0.05, [0.3 * TWO_PI * 15e6]).additional_noise[0]
                   for f in (0.5, 0.8, 1.2, 2.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_room_temperature_sensitivities(self):
-        y0 = noise_budget(dp_at(0.0), 280.0, 0.0).sensitivity
-        y15 = noise_budget(dp_at(1.5), 280.0, 0.0).sensitivity
+        y0 = noise_budget_grid(dp_at(0.0), 280.0, [0.0]).sensitivity[0]
+        y15 = noise_budget_grid(dp_at(1.5), 280.0, [0.0]).sensitivity[0]
         assert y0 == pytest.approx(4.65373365272602e-10, rel=1e-9)
         assert y15 == pytest.approx(2.3169575553409953e-11, rel=1e-9)
         assert y15 / y0 == pytest.approx(math.exp(-3.0), rel=1e-10)
@@ -270,48 +268,36 @@ class TestNoiseBudget:
         for r_m in (0.0, 0.75, 1.5):
             dp = dp_at(r_m, temperature=280.0)
             omegas = np.linspace(0.0, 2.0 * dp.kappa_m, 41)
-            y = np.array([noise_budget(dp, 280.0, w).sensitivity for w in omegas])
+            y = np.array([noise_budget_grid(dp, 280.0, [w]).sensitivity[0]
+                          for w in omegas])
             assert (y.max() - y.min()) / y.min() < 0.05
 
     def test_budget_identity_without_signal(self):
-        budget = noise_budget(dp_at(1.5), 0.05, 0.4 * TWO_PI * 15e6)
-        assert budget.s_out == pytest.approx(
-            budget.response * (budget.thermal_noise + budget.additional_noise),
+        budget = noise_budget_grid(dp_at(1.5), 0.05, [0.4 * TWO_PI * 15e6])
+        assert budget.s_out[0] == pytest.approx(
+            budget.response[0] * (budget.thermal_noise[0] + budget.additional_noise[0]),
             rel=1e-10)
 
     def test_reservoir_thermal_noise_keeps_vacuum_half_quantum(self):
         dp = dp_at(1.5, temperature=280.0)
         reservoir = SqueezedReservoir(r_n=1.5, phi_n=math.pi)
-        budget = noise_budget(dp, 280.0, 0.0, reservoir=reservoir)
-        assert budget.thermal_noise == pytest.approx(0.5 / dp.xi, rel=1e-12)
+        budget = noise_budget_grid(dp, 280.0, [0.0], reservoir=reservoir)
+        assert budget.thermal_noise[0] == pytest.approx(0.5 / dp.xi, rel=1e-12)
 
     def test_requires_backaction_evading_point(self):
         dp = dp_at(1.0, delta_a=1e3)
         with pytest.raises(PreconditionError, match="delta_a"):
-            noise_budget(dp, 0.05, 0.0)
+            noise_budget_grid(dp, 0.05, [0.0])
         dp = dp_at(1.0, delta_0p=1e3)
         with pytest.raises(PreconditionError, match="delta_0p"):
-            noise_budget(dp, 0.05, 0.0)
+            noise_budget_grid(dp, 0.05, [0.0])
 
     def test_zero_coupling_reports_infinity(self):
         dp = dp_at(1.0, mod_amplitude=0.0)
-        budget = noise_budget(dp, 0.05, 0.0)
-        assert math.isinf(budget.additional_noise)
-        assert math.isinf(budget.sensitivity)
-        assert budget.response == 0.0
-
-    def test_point_view_is_the_grid_element(self):
-        for reservoir in (None, SqueezedReservoir(r_n=0.8, phi_n=1.1)):
-            dp = dp_at(1.2, temperature=280.0)
-            omegas = np.linspace(0.0, 5.0 * dp.kappa_m, 37)
-            grid = noise_budget_grid(dp, 280.0, omegas, reservoir)
-            assert len(grid) == omegas.size
-            for i, omega in enumerate(omegas):
-                point = noise_budget(dp, 280.0, omega, reservoir)
-                for field in fields(NoiseBudget):
-                    value = getattr(point, field.name)
-                    assert type(value) is float
-                    assert value == getattr(grid, field.name)[i]
+        budget = noise_budget_grid(dp, 0.05, [0.0])
+        assert math.isinf(budget.additional_noise[0])
+        assert math.isinf(budget.sensitivity[0])
+        assert budget.response[0] == 0.0
 
 
 class TestSuppressedSensitivity:
@@ -337,15 +323,15 @@ class TestSuppressedSensitivity:
     def test_matches_reservoir_budget_when_vacuum_term_removed(self):
         dp = dp_at(1.5, temperature=280.0)
         reservoir = SqueezedReservoir(r_n=1.5, phi_n=math.pi)
-        budget = noise_budget(dp, 280.0, 0.0, reservoir=reservoir)
+        budget = noise_budget_grid(dp, 280.0, [0.0], reservoir=reservoir)
         approx = approx_suppressed_sensitivity(dp, 280.0, [0.0])[0]
         exact_from_parts = math.sqrt(
-            2 * dp.kappa_m * (budget.thermal_noise + budget.additional_noise)
+            2 * dp.kappa_m * (budget.thermal_noise[0] + budget.additional_noise[0])
         ) / dp.lambda_bare
-        assert budget.sensitivity == pytest.approx(exact_from_parts, rel=1e-12)
+        assert budget.sensitivity[0] == pytest.approx(exact_from_parts, rel=1e-12)
         # the exact reservoir budget keeps the vacuum half-quantum, so it is
         # strictly above the approximation at this operating point
-        assert budget.sensitivity > approx
+        assert budget.sensitivity[0] > approx
 
     def test_grid_is_the_additional_noise_term_of_the_budget(self):
         dp = dp_at(1.5, temperature=280.0)
