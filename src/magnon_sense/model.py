@@ -360,8 +360,11 @@ def parse_parameters(text: str, source: str = "<string>") -> SystemParameters:
 
 def load_parameters(path) -> SystemParameters:
     """Read a parameter file from disk.  See :func:`parse_parameters`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_parameters(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_parameters(fh.read(), source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
 
 
 def baseline_parameters(r_m: float = 1.5, temperature: float = 0.05) -> SystemParameters:

@@ -4,16 +4,16 @@ For linear dynamics with Gaussian inputs the symmetric-ordered correlators
 coincide with those of a classical Gaussian process, so the quadrature
 Langevin equations are integrated here as c-number SDEs and their output
 statistics compared against the analytic spectra.  Integration is plain
-Euler-Maruyama with fixed step: the noise is additive, so the scheme is
-exact in distribution up to the O(dt) drift error controlled by the
-configuration guard dt * max(kappa_a, kappa_m, |detunings|, 2 g') < 0.1.
+Euler-Maruyama with fixed step under the guard dt * max(kappa_a, kappa_m,
+|detunings|, 2 g') < 0.1; :func:`lyapunov_covariance` is the stationary
+covariance of that stepped chain, its O(dt) bias included.
 
 Discretization choices that matter:
 
-* The magnon-channel increments are drawn through the Cholesky factor of
-  V * dt, V the 2x2 magnon input covariance, so the squeezed (and, with a
-  reservoir, cross-correlated) input statistics hold exactly at the
-  increment level.
+* The increments are drawn through the Cholesky factor of D * dt, D the
+  4x4 diffusion matrix (kappa_m V on the magnon block, V the magnon input
+  covariance), so the squeezed (and, with a reservoir, cross-correlated)
+  input statistics hold exactly at the increment level.
 * The output record samples sqrt(kappa_a) * P_a(t_k) - dW_P[k]/dt using the
   *same* phase-quadrature increment that drives step k.  Re-drawing that
   noise independently would destroy the input-output interference that makes
@@ -204,6 +204,14 @@ def _drive_arrays(signal: ToneSignal, dp: DerivedParameters,
     return amp * np.sin(signal.frequency * t), amp * np.cos(signal.frequency * t)
 
 
+def _diffusion(dp: DerivedParameters, temperature: float,
+               reservoir: SqueezedReservoir | None) -> np.ndarray:
+    """The inputs' 4x4 diffusion matrix D: kappa_m V on the magnon block, V
+    the magnon input covariance, and kappa_a (nbar_a + 1/2) on the cavity's."""
+    cavity, magnon = input_densities(dp, temperature, reservoir)
+    return linalg.block_diag(dp.kappa_m * magnon, np.eye(2) * (dp.kappa_a * cavity))
+
+
 def _combine(row: np.ndarray, arrays) -> np.ndarray:
     """sum_k row[k] * arrays[k] over the nonzero row[k], elementwise.
 
@@ -301,17 +309,13 @@ def simulate_chunks(
     kept chunk: ``states`` (4, n_trajectories, n) holds the quadratures
     before each step and ``record`` (n_trajectories, n) the output record.
     Both are views of buffers that the next chunk overwrites, so a consumer
-    copies what it keeps.  Noise statistics follow from the parameters
-    through :func:`~magnon_sense.spectra.input_densities`: magnon increments
-    have the squeezed or reservoir-engineered variances and cavity
-    increments the thermal density nbar_a + 1/2 per quadrature.
+    copies what it keeps.  The increments are the rows of chol(D dt) times
+    standard normals, D the diffusion matrix of the inputs.
 
     Raises :class:`ConfigurationError` when called, before any stepping, if
     the configuration guard fails or the drift is unstable.
     """
     _validate_config(dp, cfg)
-    cavity, magnon = input_densities(dp, temperature, reservoir)
-
     dt = cfg.dt
     n_burn, n_keep = _steps(cfg)
     if n_keep < 1:
@@ -321,12 +325,10 @@ def simulate_chunks(
 
     step = np.eye(4) + drift_matrix(dp) * dt
     try:
-        chol = np.linalg.cholesky(magnon)
+        chol = np.linalg.cholesky(_diffusion(dp, temperature, reservoir) * dt)
     except np.linalg.LinAlgError as exc:
         raise ParameterError(
             "magnon variance matrix is not positive semidefinite") from exc
-    mag = chol * math.sqrt(dt * dp.kappa_m)
-    cav_scale = math.sqrt(cavity * dt)
     sq_ka = math.sqrt(dp.kappa_a)
     drive = signal is not None and signal.amplitude > 0
 
@@ -346,18 +348,13 @@ def simulate_chunks(
             zc = z[:, :n]
             for rng, zi in zip(rngs, zc):
                 rng.standard_normal(out=zi)
-            dw_pa = zc[:, :, 3] * cav_scale
-            incr = [zc[:, :, 0] * mag[0, 0],
-                    zc[:, :, 0] * mag[1, 0] + zc[:, :, 1] * mag[1, 1],
-                    zc[:, :, 2] * (cav_scale * sq_ka),
-                    dw_pa * sq_ka]
+            incr = [_combine(row, np.moveaxis(zc, -1, 0)) for row in chol]
             if drive:
                 dx, dpp = _drive_arrays(signal, dp, (pos + np.arange(n)) * dt)
-                incr[0] += dx * dt
-                incr[1] += dpp * dt
+                incr[0], incr[1] = incr[0] + dx * dt, incr[1] + dpp * dt
             kept = scan(incr, states[:, :, :n])
             if pos >= n_burn:
-                np.subtract(sq_ka * kept[3], dw_pa / dt, out=record[:, :n])
+                np.subtract(sq_ka * kept[3], incr[3] / (sq_ka * dt), out=record[:, :n])
                 yield kept, record[:, :n]
 
     return chunks()
@@ -577,15 +574,13 @@ def measure_gain(
     return p_line / p_ref
 
 
-def lyapunov_covariance(dp: DerivedParameters, temperature: float) -> np.ndarray:
-    """Steady-state covariance of the quadratures from the Lyapunov equation.
+def lyapunov_covariance(dp: DerivedParameters, temperature: float,
+                        dt: float) -> np.ndarray:
+    """Stationary covariance of the chain :func:`simulate_chunks` steps with ``dt``.
 
-    Solves A V + V A^T + D = 0 with the diffusion matrix D built from the
-    same input variance densities the simulation draws its increments from.
-    This is the analytic check used against long-run sample covariances.
+    Solves V = S V S^T + D dt, S = I + A dt, D the increments' diffusion
+    matrix, so the step's O(dt) variance bias is in the reference; as dt -> 0
+    it tends linearly to the solution of A V + V A^T + D = 0.
     """
-    cavity, magnon = input_densities(dp, temperature)
-    diffusion = np.zeros((4, 4))
-    diffusion[:2, :2] = dp.kappa_m * magnon
-    diffusion[2, 2] = diffusion[3, 3] = dp.kappa_a * cavity
-    return linalg.solve_continuous_lyapunov(drift_matrix(dp), -diffusion)
+    step = np.eye(4) + drift_matrix(dp) * dt
+    return linalg.solve_discrete_lyapunov(step, _diffusion(dp, temperature, None) * dt)

@@ -6,8 +6,8 @@ Three families of checks are run against a desk-scale parameter set:
   closed forms, including the documented decoupled-resonant discrepancy
   (|K4(0)| = 1 from the drift system vs 3 from the printed expression) and
   the 1e-9 magnitude agreement of k1 at the backaction-evading point;
-* steady-state covariances of the stochastic integrator against the
-  Lyapunov solution, within three standard errors;
+* steady-state covariances of the stepped chain against its stationary
+  (discrete Lyapunov) covariance, within three standard errors;
 * Welch spectra of the simulated output against the analytic output
   spectrum over omega in [0.1, 5] kappa_m, and injected-tone gains against
   the analytic response, for squeezed and reservoir-engineered inputs.
@@ -45,7 +45,7 @@ from .simulation import (
     stream_psd,
 )
 from .spectra import SqueezedReservoir, output_spectrum
-from .transfer import closed_form_grid, response_grid
+from .transfer import closed_form_grid, require_evading_point, require_stable, response_grid
 
 __all__ = [
     "CheckResult",
@@ -65,7 +65,6 @@ _GAIN_TRAJECTORIES = 8
 _GAIN_SEGMENTS_PER_TRAJECTORY = 8
 _LYAPUNOV_DURATION_RELAX = 2800.0   # duration in units of 1/kappa_m
 _LYAPUNOV_TRAJECTORIES = 32
-_LYAPUNOV_DT_ACCURACY = 0.0075      # smaller step: variance bias << standard error
 _MAX_TRAJECTORY_STEPS = 10**8      # recorded trajectory-steps one run may take
 
 #: largest band-averaged relative deviation of a Welch spectrum from output_spectrum
@@ -136,12 +135,13 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
     """One oracle run of ``steps`` recorded steps of ``dt``, after a burn-in
     of 13 relaxation times of the slower mode.
 
-    Refuses a run of more than ``_MAX_TRAJECTORY_STEPS`` recorded
-    trajectory-steps.  The runs store nothing that grows with their length,
-    so this is a time budget, not a memory guard: 1e8 trajectory-steps are
-    15-20 s of stepping at the 5-7 million a second of a 2-core x86
-    machine, 7.6x the largest desk run (32 trajectories of 410667 steps).
+    Refuses an unstable drift, and a run of more than ``_MAX_TRAJECTORY_STEPS``
+    recorded trajectory-steps: a time budget, not a memory guard, since the
+    runs store nothing that grows with their length.  1e8 trajectory-steps
+    are 15-20 s of stepping at 5-7 million a second on a 2-core x86 machine,
+    8.5x the largest desk run (``psd_rm15``'s 16 trajectories of 735908 steps).
     """
+    require_stable(dp)
     if trajectories * steps > _MAX_TRAJECTORY_STEPS:
         raise ConfigurationError(
             "parameter set is too stiff for the stochastic oracle: "
@@ -207,7 +207,7 @@ def _plan_lyapunov(params: SystemParameters, seed: int) -> list[partial]:
     planned = []
     for name, case in cases.items():
         dp = derived_parameters(case)
-        dt = _LYAPUNOV_DT_ACCURACY / fastest_rate(dp)
+        dt = _DT_ACCURACY / fastest_rate(dp)
         steps = round(_LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt)
         cfg = _run_config(dp, seed, dt, steps, _LYAPUNOV_TRAJECTORIES)
         planned.append(partial(_check_lyapunov, name, dp, case.temperature, cfg))
@@ -219,7 +219,7 @@ def _check_lyapunov(name: str, dp: DerivedParameters, temperature: float,
     covs = stream_covariances(dp, temperature, cfg)
     mean = covs.mean(axis=0)
     se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
-    target = lyapunov_covariance(dp, temperature)
+    target = lyapunov_covariance(dp, temperature, cfg.dt)
     iu = np.triu_indices(4)
     sigmas = np.abs(mean - target)[iu] / np.maximum(se[iu], 1e-300)
     worst = float(np.max(sigmas))
@@ -282,6 +282,7 @@ def _check_psd(name: str, dp: DerivedParameters, temperature: float,
 
 def _plan_gain(params: SystemParameters, seed: int) -> list[partial]:
     dp = derived_parameters(params.with_squeeze_amplitude(1.0))
+    require_evading_point(dp)
     planned = []
     for frac in (0.2, 0.5, 1.0):
         delta = frac * dp.kappa_m

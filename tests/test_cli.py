@@ -413,7 +413,7 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_verify_refuses_a_run_it_cannot_store(self, tmp_path, capsys, monkeypatch):
-        # kappa_a / kappa_m = 50: the Lyapunov runs need 1.87e7 steps of 32
+        # kappa_a / kappa_m = 50: the Lyapunov runs need 9.33e6 steps of 32
         # trajectories, over the trajectory-step budget, and must be refused
         # before the chunk generator is entered
         def no_stepping(*args, **kwargs):
@@ -445,11 +445,37 @@ class TestExitCodes:
         assert err.startswith("error: ") and "too stiff" in err
         assert err.count("\n") == 1
 
-    def test_invalid_parameter_file_exit_2(self, tmp_path):
+    def test_verify_refuses_a_detuned_gain_run_before_stepping(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the desk set detuned: the gain checks need the backaction-evading
+        # point, and the refusal must come before any run is stepped
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("simulate_chunks called")
+
+        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        config = tmp_path / "detuned.cfg"
+        config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 6\n"
+                          "mod_amplitude = 1\nkappa_a_hz = 16.5\nkappa_m_hz = 15\n"
+                          "temperature_k = 0.05\nlambda_hz_per_tesla = 10\nr_m = 0\n"
+                          "delta_a_hz = 3\n")
+        start = time.perf_counter()
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "backaction-evading point" in err
+        assert err.count("\n") == 1
+
+    def test_invalid_parameter_file_exit_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("unknown_thing = 3\n")
-        assert cli.main(["budget", "--config", str(config)]) == 2
-        assert cli.main(["budget", "--config", str(tmp_path / "missing.cfg")]) == 2
+        not_utf8 = tmp_path / "utf16.cfg"
+        not_utf8.write_bytes(b"\xff\xfer\x00_\x00m\x00 \x00=\x00 \x001\x00\n\x00")
+        for path in (config, tmp_path / "missing.cfg", not_utf8):
+            capsys.readouterr()
+            assert cli.main(["budget", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert cli.main(["verify", "--config", str(not_utf8)]) == 2
 
     def test_verify_exit_code_follows_report(self, monkeypatch, capsys):
         def fake_run(params=None, seed=42):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import signal
+from scipy import linalg, signal
 
 from magnon_sense import (
     ConfigurationError,
@@ -142,14 +142,16 @@ class TestSteadyStateVariances:
         temperature = 2.6  # nbar_a close to 1 at 37.5 GHz
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=3)
         covs = stream_covariances(dp, temperature, cfg)
-        target = lyapunov_covariance(dp, temperature)
+        target = lyapunov_covariance(dp, temperature, cfg.dt)
         sample = covs[:, 2, 2]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
         assert abs(sample.mean() - target[2, 2]) < 3.0 * se
-        # Lyapunov balance for the decoupled mode: variance = nbar + 1/2
+        # the decoupled mode's Euler-Maruyama chain is an AR(1) process with
+        # pole 1 - kappa_a dt / 2: variance (nbar + 1/2) / (1 - kappa_a dt / 4)
         from magnon_sense import thermal_occupation
         assert target[2, 2] == pytest.approx(
-            thermal_occupation(dp.omega_a, temperature) + 0.5, rel=1e-12)
+            (thermal_occupation(dp.omega_a, temperature) + 0.5)
+            / (1.0 - dp.kappa_a * cfg.dt / 4.0), rel=1e-12)
 
     def test_squeezed_magnon_amplitude_variance(self):
         dp = desk_dp(r_m=1.5)
@@ -169,12 +171,24 @@ class TestSteadyStateVariances:
         dp = derived_parameters(params)
         cfg = quick_config(dp, duration=15.0, n_trajectories=12, seed=6)
         covs = stream_covariances(dp, 1.0, cfg)
-        target = lyapunov_covariance(dp, 1.0)
+        target = lyapunov_covariance(dp, 1.0, cfg.dt)
         mean = covs.mean(axis=0)
         se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
         iu = np.triu_indices(4)
         sigmas = np.abs(mean - target)[iu] / np.maximum(se[iu], 1e-300)
         assert sigmas.max() < 3.0
+
+    def test_stepped_chain_tends_linearly_to_the_continuous_solution(self):
+        dp = coupled_detuned_dp()
+        cavity, magnon = input_densities(dp, 2.6)
+        diffusion = linalg.block_diag(dp.kappa_m * magnon, np.eye(2) * dp.kappa_a * cavity)
+        continuous = linalg.solve_continuous_lyapunov(drift_matrix(dp), -diffusion)
+
+        def gap(accuracy):
+            stepped = lyapunov_covariance(dp, 2.6, accuracy / fastest_rate(dp))
+            return max_relative(stepped, continuous)
+
+        assert gap(1e-4) / gap(1e-5) == pytest.approx(10.0, rel=0.02)
 
     def test_reservoir_statistics_enter_the_increments(self):
         dp = desk_dp(r_m=1.2)
