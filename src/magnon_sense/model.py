@@ -184,7 +184,7 @@ class DerivedParameters:
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose occupation ``1 / (exp(hbar*omega / k_B T) - 1)``.
 
-    Returns exactly 0 at ``temperature == 0``.  For
+    Returns exactly 0 where ``k_B T`` is 0 (T = 0 or T < 1.8e-301 K).  For
     ``hbar*omega / (k_B T) < 1e-6`` the two-term series
     ``k_B T / (hbar omega) - 1/2`` is used to avoid loss of significance.
 
@@ -197,9 +197,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ParameterError(f"omega must be > 0, got {omega!r}")
     if temperature < 0:
         raise ParameterError("temperature must be >= 0 K")
-    if temperature == 0:
+    k_t = K_B * temperature
+    if k_t == 0:
         return 0.0
-    x = HBAR * omega / (K_B * temperature)
+    x = HBAR * omega / k_t
     if x < 1e-6:
         return 1.0 / x - 0.5
     if x > 745.0:  # exp(-x) underflows double precision

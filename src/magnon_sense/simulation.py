@@ -50,8 +50,8 @@ kept quadratures (4, n_trajectories, n) and output record
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
   sharing ``WELCH_OVERLAP`` of its length, :func:`noverlap` samples, with
   the next; it holds one segment per trajectory.
-* :class:`CovarianceAccumulator`: per-trajectory sample covariances, each
-  chunk's centred moments merged into the running ones.
+* :class:`CovarianceAccumulator`: per-trajectory second moments about
+  zero, the runs' exact mean, so nothing is detrended or centred.
 * :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
   quadrature-major storage, for callers that read single samples.
 
@@ -397,9 +397,9 @@ class WelchAccumulator:
     """Welch's averaged periodogram of output records fed in time order.
 
     Holds the last ``segment_length`` samples of every trajectory.  Each
-    time a segment completes, its constant trend is removed, it is
-    Hann-windowed and one batched real FFT over all trajectories is added
-    to a running sum of periodograms; the next segment starts
+    time a segment completes, it is Hann-windowed, not detrended (the
+    record's mean is zero), and one batched real FFT over all trajectories
+    is added to a running sum of periodograms; the next segment starts
     ``segment_length - noverlap(segment_length)`` samples later.  Memory is
     the ring and one segment's transform, whatever the record length, and
     the result does not depend on how the record is split between
@@ -429,8 +429,7 @@ class WelchAccumulator:
             self._filled += take
             pos += take
             if self._filled == length:
-                segment = self._ring - self._ring.mean(axis=1, keepdims=True)
-                segment *= self._window
+                segment = self._ring * self._window
                 spec = _fft.rfft(segment)
                 self._power += (spec.real**2 + spec.imag**2).sum(axis=0)
                 self.segments += self._ring.shape[0]
@@ -459,37 +458,29 @@ class WelchAccumulator:
 
 
 class CovarianceAccumulator:
-    """Per-trajectory sample covariances of the quadratures, fed in pieces.
+    """Per-trajectory second moments of the quadratures about zero, fed in pieces.
 
-    Each piece's mean and centred second moments are merged into the
-    running ones (Chan, Golub & LeVeque, Am. Stat. 37:242, 1983), so the
-    result is the unbiased (n - 1) estimate about each trajectory's own
-    mean, as ``np.cov`` gives.  Each piece is centred in one copy, so
-    pieces of one chunk of :func:`simulate_chunks` keep that copy small.
+    Every oracle run has zero mean (linear drift, zero-mean inputs and tone,
+    a start at rest burnt in), so moments / count estimates the stationary
+    covariance :func:`lyapunov_covariance` returns without bias; centring on
+    a sample mean would read it low by the mean's variance, about
+    4 / (kappa T) relative over a record of length T, and hide an offset.
     """
 
     def __init__(self, n_trajectories: int):
         self._count = 0
-        self._mean = np.zeros((4, n_trajectories))
         self._moments = np.zeros((n_trajectories, 4, 4))
 
     def add(self, states: np.ndarray) -> None:
         """Fold in the next samples, shape (4, n_trajectories, n)."""
-        n = states.shape[2]
-        mean = states.mean(axis=2)
-        centred = states - mean[:, :, None]
-        delta = mean - self._mean
-        total = self._count + n
-        self._moments += np.einsum("itn,jtn->tij", centred, centred)
-        self._moments += np.einsum("it,jt->tij", delta, delta) * (self._count * n / total)
-        self._mean += delta * (n / total)
-        self._count = total
+        self._moments += np.einsum("itn,jtn->tij", states, states)
+        self._count += states.shape[2]
 
     def covariances(self) -> np.ndarray:
-        """Sample covariance matrices, shape (n_trajectories, 4, 4)."""
-        if self._count < 2:
-            raise ParameterError("a sample covariance needs at least two samples")
-        return self._moments / (self._count - 1)
+        """Covariance matrices about zero, shape (n_trajectories, 4, 4)."""
+        if self._count == 0:
+            raise ParameterError("a covariance needs at least one sample")
+        return self._moments / self._count
 
 
 def stream_psd(
@@ -518,8 +509,8 @@ def stream_covariances(
     temperature: float,
     cfg: SimulationConfig,
 ) -> np.ndarray:
-    """Per-trajectory sample covariances of a run, shape (n_trajectories, 4, 4),
-    with nothing stored."""
+    """Per-trajectory covariances of a run about its zero mean, shape
+    (n_trajectories, 4, 4), with nothing stored."""
     acc = CovarianceAccumulator(cfg.n_trajectories)
     for states, _ in simulate_chunks(dp, temperature, cfg):
         acc.add(states)

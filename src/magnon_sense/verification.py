@@ -6,8 +6,9 @@ Three families of checks are run against a desk-scale parameter set:
   closed forms, including the documented decoupled-resonant discrepancy
   (|K4(0)| = 1 from the drift system vs 3 from the printed expression) and
   the 1e-9 magnitude agreement of k1 at the backaction-evading point;
-* steady-state covariances of the stepped chain against its stationary
-  (discrete Lyapunov) covariance, within three standard errors;
+* steady-state covariances of the stepped chain, second moments about its
+  exact zero mean, against its stationary (discrete Lyapunov) covariance,
+  within three standard errors;
 * Welch spectra of the simulated output against the analytic output
   spectrum over omega in [0.1, 5] kappa_m, and injected-tone gains against
   the analytic response, for squeezed and reservoir-engineered inputs.
@@ -288,6 +289,9 @@ def _plan_gain(params: SystemParameters, seed: int) -> list[partial]:
         delta = frac * dp.kappa_m
         k1, _, _, _ = response_grid(dp, [delta])
         gain_analytic = dp.xi * float(np.abs(k1[0])**2)
+        if not gain_analytic > 0:
+            raise ConfigurationError("the gain checks need a magnon-cavity coupling "
+                                     "(mod_amplitude > 0 and g_0 > 0)")
         s_floor = float(output_spectrum(dp, params.temperature, [delta])[0])
 
         cfg, nper = _welch_run(dp, seed, delta / 8.0, _GAIN_SEGMENTS_PER_TRAJECTORY,

@@ -61,6 +61,14 @@ class TestBudgetCommand:
             b"0.000000000000e+00,-inf\n-0.000000000000e+00,nan\n"
             b"inf,4.940656458412e-324\n")
 
+    def test_an_underflowing_temperature_is_zero_temperature(self, tmp_path):
+        tiny, zero = tmp_path / "tiny.csv", tmp_path / "zero.csv"
+        assert cli.main(["budget", "--temp", "1e-320", "--grid-points", "5",
+                         "--out", str(tiny)]) == 0
+        assert cli.main(["budget", "--temp", "0", "--grid-points", "5",
+                         "--out", str(zero)]) == 0
+        assert tiny.read_text().splitlines()[1:] == zero.read_text().splitlines()[1:]
+
     def test_reservoir_flag(self, tmp_path):
         out = tmp_path / "r.csv"
         assert cli.main(["budget", "--rm", "1.5", "--temp", "280",
@@ -463,6 +471,25 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "backaction-evading point" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("coupling", ["mod_amplitude = 0\ng_0_hz = 6",
+                                          "mod_amplitude = 1\ng_0_hz = 0"])
+    def test_verify_refuses_an_uncoupled_gain_run_before_stepping(self, tmp_path, capsys,
+                                                                  monkeypatch, coupling):
+        # without a magnon-cavity coupling the analytic gain is 0, and the
+        # gain runs cannot be sized against it
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("simulate_chunks called")
+
+        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        config = tmp_path / "uncoupled.cfg"
+        config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\n"
+                          f"{coupling}\nkappa_a_hz = 16.5\nkappa_m_hz = 15\n"
+                          "temperature_k = 0.05\nlambda_hz_per_tesla = 10\nr_m = 0\n")
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "magnon-cavity coupling" in err
         assert err.count("\n") == 1
 
     def test_invalid_parameter_file_exit_2(self, tmp_path, capsys):

@@ -36,6 +36,11 @@ class TestThermalOccupation:
         assert thermal_occupation(W_375, 0.0) == 0.0
         assert thermal_occupation(1.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("temperature", [1e-320, 5e-324])
+    def test_an_underflowing_temperature_is_zero_temperature(self, temperature):
+        # k_B T underflows to 0.0 below about 1.8e-301 K
+        assert thermal_occupation(W_375, temperature) == 0.0
+
     def test_room_temperature_value_and_high_t_expansion(self):
         n = thermal_occupation(W_375, 280.0)
         assert n == pytest.approx(155.0806251789443, rel=1e-9)

@@ -178,6 +178,20 @@ class TestSteadyStateVariances:
         sigmas = np.abs(mean - target)[iu] / np.maximum(se[iu], 1e-300)
         assert sigmas.max() < 3.0
 
+    def test_short_runs_read_the_stepped_chain_without_bias(self):
+        # the verify decoupled Lyapunov case over only 20 / kappa_m: centring
+        # each trajectory on its own mean would read every variance low by
+        # about 4 / (kappa T) = 20 %, many standard errors over 512 runs
+        params = replace(verification_parameters(), temperature=2.6)
+        dp = derived_parameters(replace(params.with_squeeze_amplitude(0.5),
+                                        mod_amplitude=0.0))
+        cfg = quick_config(dp, duration=20.0 / dp.kappa_m, n_trajectories=512)
+        covs = stream_covariances(dp, 2.6, cfg)
+        target = lyapunov_covariance(dp, 2.6, cfg.dt)
+        variances = covs[:, range(4), range(4)]
+        se = variances.std(axis=0, ddof=1) / math.sqrt(len(variances))
+        assert np.all(np.abs(variances.mean(axis=0) - target.diagonal()) < 4.0 * se)
+
     def test_stepped_chain_tends_linearly_to_the_continuous_solution(self):
         dp = coupled_detuned_dp()
         cavity, magnon = input_densities(dp, 2.6)
@@ -437,7 +451,7 @@ def scipy_welch(record, segment_length, dt):
     """The module's PSD convention on ``scipy.signal.welch``: one-sided
     density halved, averaged over trajectories."""
     _, pxx = signal.welch(record, fs=1.0 / dt, nperseg=segment_length,
-                          noverlap=noverlap(segment_length), detrend="constant",
+                          noverlap=noverlap(segment_length), detrend=False,
                           axis=-1)
     return pxx.mean(axis=0) / 2.0
 
@@ -481,7 +495,8 @@ class TestAccumulators:
         dp, temperature, cfg, _, _, _ = stream_cases()[case]
         covs = stream_covariances(dp, temperature, cfg)
         trace = simulate(dp, temperature, cfg)
-        expected = np.stack([np.cov(q.T) for q in trace.quadratures])
+        expected = (np.einsum("tni,tnj->tij", trace.quadratures, trace.quadratures)
+                    / trace.n_samples)
         np.testing.assert_allclose(covs, expected, rtol=1e-12, atol=0)
 
     def test_chunk_size_changes_no_welch_bit(self, monkeypatch):
@@ -506,7 +521,7 @@ class TestAccumulators:
         states = rng.standard_normal((4, 2, 3001)) + 5.0
         acc.add(states[:, :, :1])
         acc.add(states[:, :, 1:])
-        expected = np.stack([np.cov(states[:, t]) for t in range(2)])
+        expected = np.einsum("itn,jtn->tij", states, states) / states.shape[2]
         np.testing.assert_allclose(acc.covariances(), expected, rtol=1e-12, atol=0)
 
     def test_a_record_shorter_than_a_segment_has_no_spectrum(self):
@@ -521,8 +536,8 @@ class TestAccumulators:
         one_step = replace(cfg, duration=cfg.dt)
         with pytest.raises(ParameterError, match="segment"):
             stream_psd(dp, 0.05, one_step, 64)
-        with pytest.raises(ParameterError, match="two samples"):
-            stream_covariances(dp, 0.05, one_step)
+        with pytest.raises(ParameterError, match="one sample"):
+            CovarianceAccumulator(2).covariances()
 
 
 def test_streamed_psd_memory_does_not_grow_with_the_run():
