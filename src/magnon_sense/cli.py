@@ -203,6 +203,9 @@ def _parse_axes(specs: list[str]) -> list[tuple[str, list[float]]]:
         if not parsed:
             raise _UsageError(f"axis {name!r} has no values")
         axes[name] = parsed
+    if "r_m" in axes and "omega_m_hz" in axes:
+        raise _UsageError("sweep axes 'r_m' and 'omega_m_hz' both set the squeeze "
+                          "amplitude; give one of them")
     return list(axes.items())
 
 

@@ -191,7 +191,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     Raises
     ------
     ParameterError
-        If ``omega <= 0`` or ``temperature < 0``.
+        If ``omega <= 0``, ``temperature < 0``, or the occupation is not
+        finite (``hbar*omega / k_B T`` underflows).
     """
     if omega <= 0 or not math.isfinite(omega):
         raise ParameterError(f"omega must be > 0, got {omega!r}")
@@ -202,7 +203,11 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         return 0.0
     x = HBAR * omega / k_t
     if x < 1e-6:
-        return 1.0 / x - 0.5
+        n = 1.0 / x - 0.5 if x > 0 else math.inf
+        if n == math.inf:  # hbar*omega / (k_B T) underflows
+            raise ParameterError(f"thermal occupation at omega = {omega!r} rad/s "
+                                 f"and T = {temperature!r} K is not finite")
+        return n
     if x > 745.0:  # exp(-x) underflows double precision
         return 0.0
     return 1.0 / math.expm1(x)

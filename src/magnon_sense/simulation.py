@@ -55,9 +55,12 @@ kept quadratures (4, n_trajectories, n) and output record
 * :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
   quadrature-major storage, for callers that read single samples.
 
-:func:`stream_psd`, :func:`stream_covariances` and :func:`measure_gain`
-feed a run straight into an accumulator, so their memory does not grow
-with the run length.
+* :func:`measure_gain`: the mean square of the difference between a run
+  with a tone and one without it on the same streams, which is the tone's
+  response alone.
+
+:func:`stream_psd` and :func:`stream_covariances` feed a run straight into
+an accumulator, so no consumer's memory grows with the run length.
 """
 
 from __future__ import annotations
@@ -97,12 +100,6 @@ _CHUNK = 1 << 15
 
 #: fraction of each Welch segment shared with the next
 WELCH_OVERLAP = 0.5
-
-#: bins on each side of a spectral line's peak counted as the line
-_PEAK_BINS = 4
-
-#: (inner, outer) bin distances of the annulus that sets a line's noise floor
-_FLOOR_BINS = (10, 30)
 
 
 @dataclass(frozen=True)
@@ -489,7 +486,6 @@ def stream_psd(
     cfg: SimulationConfig,
     segment_length: int,
     reservoir: SqueezedReservoir | None = None,
-    signal: ToneSignal | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(omega, psd, segments) of a run's output record, with nothing stored.
 
@@ -498,7 +494,7 @@ def stream_psd(
     trajectories.
     """
     welch = WelchAccumulator(cfg.n_trajectories, segment_length)
-    for _, record in simulate_chunks(dp, temperature, cfg, reservoir, signal):
+    for _, record in simulate_chunks(dp, temperature, cfg, reservoir):
         welch.add(record)
     omega, psd = welch.spectrum(cfg.dt)
     return omega, psd, welch.segments
@@ -517,52 +513,34 @@ def stream_covariances(
     return acc.covariances()
 
 
-def tone_power(omega: np.ndarray, psd: np.ndarray, omega_tone: float) -> float:
-    """Integrated power of a spectral line, floor-subtracted.
-
-    The local noise floor is the median of an annulus of bins on both sides
-    of the peak; the floor-subtracted density is integrated over the peak
-    window.  With this module's density convention the mean-square power of
-    a real tone is the integral over its (positive-frequency) line divided
-    by pi.
-    """
-    ipk = int(np.argmin(np.abs(omega - omega_tone)))
-    lo, hi = _FLOOR_BINS
-    annulus = np.concatenate([
-        psd[max(ipk - hi, 0):max(ipk - lo, 0)],
-        psd[ipk + lo:ipk + hi],
-    ])
-    if annulus.size == 0:
-        raise ParameterError("spectrum too short to estimate a noise floor")
-    floor = float(np.median(annulus))
-    window = psd[max(ipk - _PEAK_BINS, 0):ipk + _PEAK_BINS + 1]
-    d_omega = float(omega[1] - omega[0])
-    return float(np.sum(window - floor) * d_omega / math.pi)
-
-
 def measure_gain(
     dp: DerivedParameters,
     temperature: float,
     tone: ToneSignal,
     cfg: SimulationConfig,
-    segment_length: int,
 ) -> float:
-    """Empirical response at the tone frequency, by injection and PSD peak.
+    """Empirical response at the tone frequency, from two runs on the same streams.
 
-    The output line power is divided by the field-referred input density
-    integrated over the tone, lambda^2 B0^2 / (4 kappa_m) with lambda the
-    bare coupling; for matched conventions this ratio estimates the analytic
-    response at the tone offset.  Requires the backaction-evading point,
-    where the phase-channel image of the tone does not reach the output.
+    The oracle is linear and its noise comes only from the trajectories'
+    streams, so a run with the tone and one without it differ, to rounding,
+    by the tone's deterministic response alone.  Its mean square, the line
+    power of the output record, is divided by the field-referred input
+    density integrated over the tone, lambda^2 B0^2 / (4 kappa_m) with
+    lambda the bare coupling; the ratio estimates the analytic response at
+    the tone offset, biased only by the step.  Requires the
+    backaction-evading point, where the phase-channel image of the tone does
+    not reach the output.
     """
     if tone.amplitude <= 0:
         raise ParameterError("measure_gain requires a tone with positive amplitude")
     require_evading_point(dp)
-    omega, psd, _ = stream_psd(dp, temperature, cfg, segment_length, signal=tone)
-    p_line = tone_power(omega, psd, abs(tone.frequency))
-    lam = dp.lambda_bare
-    p_ref = lam**2 * tone.amplitude**2 / (4.0 * dp.kappa_m)
-    return p_line / p_ref
+    total, count = 0.0, 0
+    for (_, driven), (_, quiet) in zip(simulate_chunks(dp, temperature, cfg, signal=tone),
+                                       simulate_chunks(dp, temperature, cfg)):
+        total += float(np.sum((driven - quiet)**2))
+        count += driven.size
+    p_ref = (dp.lambda_bare * tone.amplitude)**2 / (4.0 * dp.kappa_m)
+    return total / count / p_ref
 
 
 def lyapunov_covariance(dp: DerivedParameters, temperature: float,

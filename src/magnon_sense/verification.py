@@ -10,8 +10,12 @@ Three families of checks are run against a desk-scale parameter set:
   exact zero mean, against its stationary (discrete Lyapunov) covariance,
   within three standard errors;
 * Welch spectra of the simulated output against the analytic output
-  spectrum over omega in [0.1, 5] kappa_m, and injected-tone gains against
-  the analytic response, for squeezed and reservoir-engineered inputs.
+  spectrum over omega in [0.1, 5] kappa_m, for squeezed and
+  reservoir-engineered inputs;
+* injected-tone gains against the analytic response: one trajectory over
+  32 tone periods, stepped with and without the tone on the same streams,
+  so the noise cancels and the value is the step's own bias, whatever the
+  seed.
 
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
@@ -62,8 +66,7 @@ _DT_ACCURACY = 0.015          # dt * fastest rate
 _PSD_TRAJECTORIES = 16
 _PSD_SEGMENTS_PER_TRAJECTORY = 48
 _PSD_RESOLUTION = 0.05        # Welch bin spacing in units of kappa_m
-_GAIN_TRAJECTORIES = 8
-_GAIN_SEGMENTS_PER_TRAJECTORY = 8
+_GAIN_PERIODS = 32            # tone periods recorded by each gain run
 _LYAPUNOV_DURATION_RELAX = 2800.0   # duration in units of 1/kappa_m
 _LYAPUNOV_TRAJECTORIES = 32
 _MAX_TRAJECTORY_STEPS = 10**8      # recorded trajectory-steps one run may take
@@ -153,16 +156,6 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
     return SimulationConfig(dt=dt, duration=steps * dt,
                             burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
                             n_trajectories=trajectories, seed=seed)
-
-
-def _welch_run(dp: DerivedParameters, seed: int, bin_width: float, segments: int,
-               trajectories: int) -> tuple[SimulationConfig, int]:
-    """An oracle run for Welch spectra with bins ``bin_width`` (rad/s) apart,
-    and its segment length: a record of about ``segments`` segments."""
-    dt = _DT_ACCURACY / fastest_rate(dp)
-    nper = int(round(_TWO_PI / bin_width / dt))
-    steps = int(nper * (1 + (segments - 1) * (1.0 - WELCH_OVERLAP))) + 2
-    return _run_config(dp, seed, dt, steps, trajectories), nper
 
 
 def _check_routes(params: SystemParameters) -> list[CheckResult]:
@@ -255,8 +248,12 @@ def _plan_psd(params: SystemParameters, seed: int) -> list[partial]:
     planned = []
     for name, r_m, reservoir in configurations:
         dp = derived_parameters(params.with_squeeze_amplitude(r_m))
-        cfg, nper = _welch_run(dp, seed, _PSD_RESOLUTION * dp.kappa_m,
-                               _PSD_SEGMENTS_PER_TRAJECTORY, _PSD_TRAJECTORIES)
+        # a record of about _PSD_SEGMENTS_PER_TRAJECTORY Welch segments of nper samples
+        dt = _DT_ACCURACY / fastest_rate(dp)
+        nper = int(round(_TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt))
+        steps = int(nper * (1 + (_PSD_SEGMENTS_PER_TRAJECTORY - 1)
+                            * (1.0 - WELCH_OVERLAP))) + 2
+        cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES)
         planned.append(partial(_check_psd, name, dp, params.temperature, reservoir,
                                cfg, nper))
     return planned
@@ -284,6 +281,9 @@ def _check_psd(name: str, dp: DerivedParameters, temperature: float,
 def _plan_gain(params: SystemParameters, seed: int) -> list[partial]:
     dp = derived_parameters(params.with_squeeze_amplitude(1.0))
     require_evading_point(dp)
+    dt = _DT_ACCURACY / fastest_rate(dp)
+    # the response is linear in the tone, so any amplitude gives the same gain
+    amplitude = dp.kappa_m / dp.lambda_bare
     planned = []
     for frac in (0.2, 0.5, 1.0):
         delta = frac * dp.kappa_m
@@ -292,24 +292,18 @@ def _plan_gain(params: SystemParameters, seed: int) -> list[partial]:
         if not gain_analytic > 0:
             raise ConfigurationError("the gain checks need a magnon-cavity coupling "
                                      "(mod_amplitude > 0 and g_0 > 0)")
-        s_floor = float(output_spectrum(dp, params.temperature, [delta])[0])
-
-        cfg, nper = _welch_run(dp, seed, delta / 8.0, _GAIN_SEGMENTS_PER_TRAJECTORY,
-                               _GAIN_TRAJECTORIES)
-        # size the tone so its line carries ~200x the noise power per bin
-        bin_power = s_floor * (_TWO_PI / (nper * cfg.dt)) / math.pi
-        amplitude = math.sqrt(
-            200.0 * bin_power * 4.0 * dp.kappa_m / (dp.lambda_bare**2 * gain_analytic))
+        steps = round(_GAIN_PERIODS * _TWO_PI / (delta * dt))
+        cfg = _run_config(dp, seed, dt, steps, 1)
         tone = ToneSignal(amplitude=amplitude, frequency=delta)
         planned.append(partial(_check_gain, frac, dp, params.temperature, tone, cfg,
-                               nper, gain_analytic))
+                               gain_analytic))
     return planned
 
 
 def _check_gain(frac: float, dp: DerivedParameters, temperature: float,
-                tone: ToneSignal, cfg: SimulationConfig, nper: int,
+                tone: ToneSignal, cfg: SimulationConfig,
                 gain_analytic: float) -> CheckResult:
-    gain = measure_gain(dp, temperature, tone, cfg, segment_length=nper)
+    gain = measure_gain(dp, temperature, tone, cfg)
     rel = abs(gain / gain_analytic - 1.0)
     return CheckResult(
         name=f"gain_delta_{frac:g}km",

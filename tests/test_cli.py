@@ -366,6 +366,29 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["omega_a_hz", "omega_0_hz"])
+    def test_vanishing_mode_frequency_exits_2(self, tmp_path, capsys, mode):
+        # hbar * omega underflows to 0, so the thermal occupation is not finite
+        config = tmp_path / "slow.cfg"
+        config.write_text(COUPLING_CONFIG.replace(f"{mode} = 37.5e9", f"{mode} = 1e-300")
+                          + "lambda_hz_per_tesla = 5.85e13\n")
+        out = tmp_path / "b.csv"
+        assert cli.main(["budget", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axes", [["r_m=0.5", "omega_m_hz=1e9"],
+                                      ["omega_m_hz=1e9", "r_m=0.5"]])
+    def test_two_squeeze_axes_exit_1(self, tmp_path, capsys, axes):
+        # both set the squeeze amplitude: the later one would win silently
+        outdir = tmp_path / "sw"
+        assert cli.main(["sweep", "--axis", axes[0], "--axis", axes[1],
+                         "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not outdir.exists()
+
     def test_zero_field_coupling_sweep_writes_nothing(self, tmp_path, capsys):
         outdir = tmp_path / "sw"
         assert cli.main(["sweep", "--axis", "lambda_hz_per_tesla=1e12,0",
@@ -478,7 +501,7 @@ class TestExitCodes:
     def test_verify_refuses_an_uncoupled_gain_run_before_stepping(self, tmp_path, capsys,
                                                                   monkeypatch, coupling):
         # without a magnon-cavity coupling the analytic gain is 0, and the
-        # gain runs cannot be sized against it
+        # gain checks cannot be divided by it
         def no_stepping(*args, **kwargs):
             raise AssertionError("simulate_chunks called")
 

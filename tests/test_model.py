@@ -72,6 +72,13 @@ class TestThermalOccupation:
         with pytest.raises(ParameterError):
             thermal_occupation(-1.0, 1.0)
 
+    @pytest.mark.parametrize("omega, temperature", [(TWO_PI * 1e-300, 0.05),
+                                                    (1e-288, 1e10)])
+    def test_rejects_a_non_finite_occupation(self, omega, temperature):
+        # hbar * omega underflows to 0, or k_B T / (hbar omega) overflows
+        with pytest.raises(ParameterError, match="not finite"):
+            thermal_occupation(omega, temperature)
+
     def test_rejects_negative_temperature(self):
         with pytest.raises(ParameterError):
             thermal_occupation(1.0, -0.1)

@@ -278,15 +278,41 @@ class TestGainMeasurement:
 
     def gain_run(self, dp, delta, seed, amplitude_boost=1.0):
         # the run verify's gain checks make
-        cfg, nper = verification._welch_run(dp, seed, delta / 8.0, segments=8,
-                                            trajectories=8)
-        s_floor = float(output_spectrum(dp, 0.05, [delta])[0])
-        bin_power = s_floor * (TWO_PI / (nper * cfg.dt)) / math.pi
-        amp = amplitude_boost * math.sqrt(
-            200.0 * bin_power * 4.0 * dp.kappa_m
-            / (dp.lambda_bare**2 * self.analytic_gain(dp, delta)))
+        dt = verification._DT_ACCURACY / fastest_rate(dp)
+        steps = round(verification._GAIN_PERIODS * TWO_PI / (delta * dt))
+        cfg = verification._run_config(dp, seed, dt, steps, 1)
+        amp = amplitude_boost * dp.kappa_m / dp.lambda_bare
         tone = ToneSignal(amplitude=amp, frequency=delta)
-        return measure_gain(dp, 0.05, tone, cfg, segment_length=nper)
+        return measure_gain(dp, 0.05, tone, cfg)
+
+    def stepped_chain_gain(self, dp, tone, dt):
+        """The Euler-Maruyama chain's exact steady-state tone response over
+        the field-referred input: x = (e^{i delta dt} - S)^{-1} v dt, and the
+        record's mean square kappa_a |x_P_a|^2 / 2."""
+        step = np.eye(4) + drift_matrix(dp) * dt
+        v = dp.lambda_prime * tone.amplitude / math.sqrt(2.0) * np.array([1, 1j, 0, 0])
+        x = np.linalg.solve(np.exp(1j * tone.frequency * dt) * np.eye(4) - step, v * dt)
+        p_ref = dp.lambda_bare**2 * tone.amplitude**2 / (4.0 * dp.kappa_m)
+        return dp.kappa_a * abs(x[3])**2 / 2.0 / p_ref
+
+    def test_is_the_stepped_chain_response(self):
+        planned = verification._plan_gain(verification_parameters(), seed=42)
+        assert [check.args[0] for check in planned] == [0.2, 0.5, 1.0]
+        for check in planned:
+            _, dp, temperature, tone, cfg, gain_analytic = check.args
+            gain = measure_gain(dp, temperature, tone, cfg)
+            exact = self.stepped_chain_gain(dp, tone, cfg.dt)
+            assert gain == pytest.approx(exact, rel=1e-3)
+            # the step's own bias, which the seed-free estimate leaves visible
+            assert exact != pytest.approx(gain_analytic, rel=5e-4)
+
+    def test_does_not_depend_on_seed_or_amplitude(self):
+        dp = desk_dp(r_m=1.0)
+        delta = 0.5 * dp.kappa_m
+        gain = self.gain_run(dp, delta, seed=42)
+        assert self.gain_run(dp, delta, seed=1) == pytest.approx(gain, rel=1e-9)
+        assert self.gain_run(dp, delta, seed=42, amplitude_boost=10.0) == \
+            pytest.approx(gain, rel=1e-9)
 
     def test_matches_analytic_response(self):
         dp = desk_dp(r_m=1.0)
@@ -310,13 +336,13 @@ class TestGainMeasurement:
         dp = desk_dp(r_m=1.0)
         cfg = quick_config(dp, duration=1.0)
         with pytest.raises(ParameterError, match="amplitude"):
-            measure_gain(dp, 0.05, ToneSignal(amplitude=0.0, frequency=1.0), cfg, 64)
+            measure_gain(dp, 0.05, ToneSignal(amplitude=0.0, frequency=1.0), cfg)
 
     def test_requires_evading_point(self):
         dp = desk_dp(r_m=1.0, delta_a=5.0)
         cfg = quick_config(dp, duration=1.0)
         with pytest.raises(Exception, match="delta_a"):
-            measure_gain(dp, 0.05, ToneSignal(amplitude=1.0, frequency=1.0), cfg, 64)
+            measure_gain(dp, 0.05, ToneSignal(amplitude=1.0, frequency=1.0), cfg)
 
 
 def loop_states(step, incr, x0):
@@ -457,31 +483,31 @@ def scipy_welch(record, segment_length, dt):
 
 
 def stream_cases():
-    """(dp, temperature, cfg, reservoir, signal, segment_length) of short runs
-    with odd and even segment lengths."""
+    """(dp, temperature, cfg, reservoir, segment_length) of short runs with
+    odd and even segment lengths."""
     plain = desk_dp()
     squeezed = desk_dp(r_m=1.5)
     nulled = desk_dp(r_m=1.2)
-    toned = desk_dp(r_m=1.0)
+    gain_set = desk_dp(r_m=1.0)
     detuned = coupled_detuned_dp()
     return {
-        "plain": (plain, 0.05, quick_config(plain, 0.5, 3), None, None, 1000),
-        "squeezed": (squeezed, 0.05, quick_config(squeezed, 0.5, 3), None, None, 999),
+        "plain": (plain, 0.05, quick_config(plain, 0.5, 3), None, 1000),
+        "squeezed": (squeezed, 0.05, quick_config(squeezed, 0.5, 3), None, 999),
         "reservoir": (nulled, 0.05, quick_config(nulled, 0.5, 3),
-                      SqueezedReservoir(r_n=1.2, phi_n=math.pi), None, 1000),
-        "tone": (toned, 0.05, quick_config(toned, 0.5, 3), None,
-                 ToneSignal(amplitude=1e-3, frequency=0.5 * toned.kappa_m), 1201),
-        "detuned": (detuned, 2.6, quick_config(detuned, 0.5, 3), None, None, 998),
+                      SqueezedReservoir(r_n=1.2, phi_n=math.pi), 1000),
+        # the gain checks' parameter set, r_m = 1
+        "tone": (gain_set, 0.05, quick_config(gain_set, 0.5, 3), None, 1201),
+        "detuned": (detuned, 2.6, quick_config(detuned, 0.5, 3), None, 998),
     }
 
 
 class TestAccumulators:
     @pytest.mark.parametrize("case", sorted(stream_cases()))
     def test_welch_matches_scipy_on_the_stored_record(self, case):
-        dp, temperature, cfg, reservoir, tone, nper = stream_cases()[case]
+        dp, temperature, cfg, reservoir, nper = stream_cases()[case]
         omega, psd, segments = stream_psd(dp, temperature, cfg, nper,
-                                          reservoir=reservoir, signal=tone)
-        trace = simulate(dp, temperature, cfg, reservoir=reservoir, signal=tone)
+                                          reservoir=reservoir)
+        trace = simulate(dp, temperature, cfg, reservoir=reservoir)
         np.testing.assert_allclose(psd, scipy_welch(trace.output_record, nper, cfg.dt),
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(omega, TWO_PI * np.fft.rfftfreq(nper, cfg.dt),
@@ -492,7 +518,7 @@ class TestAccumulators:
 
     @pytest.mark.parametrize("case", ["plain", "squeezed", "detuned"])
     def test_covariances_match_np_cov_on_the_stored_run(self, case):
-        dp, temperature, cfg, _, _, _ = stream_cases()[case]
+        dp, temperature, cfg, _, _ = stream_cases()[case]
         covs = stream_covariances(dp, temperature, cfg)
         trace = simulate(dp, temperature, cfg)
         expected = (np.einsum("tni,tnj->tij", trace.quadratures, trace.quadratures)
@@ -500,11 +526,11 @@ class TestAccumulators:
         np.testing.assert_allclose(covs, expected, rtol=1e-12, atol=0)
 
     def test_chunk_size_changes_no_welch_bit(self, monkeypatch):
-        dp, temperature, cfg, _, tone, nper = stream_cases()["tone"]
-        psd = stream_psd(dp, temperature, cfg, nper, signal=tone)[1]
+        dp, temperature, cfg, _, nper = stream_cases()["tone"]
+        psd = stream_psd(dp, temperature, cfg, nper)[1]
         covs = stream_covariances(dp, temperature, cfg)
         monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
-        assert np.array_equal(stream_psd(dp, temperature, cfg, nper, signal=tone)[1], psd)
+        assert np.array_equal(stream_psd(dp, temperature, cfg, nper)[1], psd)
         np.testing.assert_allclose(stream_covariances(dp, temperature, cfg), covs,
                                    rtol=1e-12, atol=0)
 
