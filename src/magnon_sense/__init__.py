@@ -1,6 +1,12 @@
 """Squeezed-magnon cavity magnetometry: analytic noise spectra, noise
 budgets, sensitivity curves, and a stochastic Langevin oracle to verify them.
+
+Only the oracle (``simulation``, ``verification``) imports scipy.  Its names
+are exported here too, but the modules load on first use, so the analytic
+layers and the commands built on them start without it.
 """
+
+import importlib
 
 from .model import (
     HBAR,
@@ -35,14 +41,24 @@ from .spectra import (
     noise_budget_grid,
     output_spectrum,
 )
-from .simulation import (
-    SimulationConfig,
-    SimulationTrace,
-    ToneSignal,
-    lyapunov_covariance,
-    measure_gain,
-    simulate,
-)
-from .verification import run_verification, verification_parameters
+
+#: the Langevin oracle's names, loaded on first use (PEP 562) so that the
+#: analytic commands never import scipy
+_LAZY = {
+    **dict.fromkeys(("SimulationConfig", "SimulationTrace", "ToneSignal",
+                     "lyapunov_covariance", "measure_gain", "simulate"), "simulation"),
+    **dict.fromkeys(("run_verification", "verification_parameters"), "verification"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

@@ -44,8 +44,12 @@ from .spectra import (
     input_quadrature_variances,
     approx_suppressed_sensitivity,
 )
-from .transfer import require_evading_point, require_stable
-from .verification import run_verification
+from .transfer import (
+    PoleError,
+    SingularResponseError,
+    require_evading_point,
+    require_stable,
+)
 
 __all__ = ["main"]
 
@@ -114,11 +118,19 @@ def _snapshot_hash(snapshot: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+#: rows formatted per write, so a large grid is never one string
+_CSV_BLOCK_ROWS = 2 ** 12
+
+
 def _write_csv(path, header, columns, snapshot_hash: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# params_sha256={snapshot_hash}\n")
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, np.column_stack(columns), fmt="%.12e", delimiter=",")
+        table = np.column_stack(columns)
+        row = ",".join(["%.12e"] * table.shape[1]) + "\n"
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _file_sha256(path) -> str:
@@ -261,6 +273,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_verification  # the oracle alone imports scipy
+
     params = load_parameters(args.config) if args.config else None
     report = run_verification(params=params, seed=args.seed)
     for line in report.lines():
@@ -413,7 +427,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ParameterError, PreconditionError, ConfigurationError) as exc:
+    except (OSError, ParameterError, PreconditionError, ConfigurationError,
+            PoleError, SingularResponseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

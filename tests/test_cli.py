@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -60,6 +61,20 @@ class TestBudgetCommand:
             b"# params_sha256=" + b"0" * 64 + b"\nx,y\n"
             b"0.000000000000e+00,-inf\n-0.000000000000e+00,nan\n"
             b"inf,4.940656458412e-324\n")
+
+    @pytest.mark.parametrize("shape", [(1001, 8), (1001, 3), (1, 1), (9000, 5)])
+    def test_csv_body_is_savetxt(self, tmp_path, shape):
+        # exponents from 1e-300 to 1e300 and both signs; (9000, 5) spans
+        # more than two blocks of rows
+        rng = np.random.default_rng(sum(shape))
+        table = (rng.standard_normal(shape)
+                 * 10.0 ** rng.integers(-300, 300, size=shape))
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, [f"c{i}" for i in range(shape[1])], list(table.T), "0" * 64)
+        expected = io.StringIO()
+        np.savetxt(expected, table, fmt="%.12e", delimiter=",")
+        body = path.read_text().split("\n", 2)[2]
+        assert body == expected.getvalue()
 
     def test_an_underflowing_temperature_is_zero_temperature(self, tmp_path):
         tiny, zero = tmp_path / "tiny.csv", tmp_path / "zero.csv"
@@ -443,6 +458,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and "too stiff" in err
         assert err.count("\n") == 1
 
+    def test_verify_refuses_a_vanishing_closed_form_denominator(self, tmp_path, capsys):
+        # the desk set with every rate scaled by 1e-170: the closed form's
+        # denominator underflows to 0 although the dimensionless problem is
+        # unchanged, and the route check runs before any stepping
+        config = tmp_path / "tiny.cfg"
+        config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 6e-170\n"
+                          "mod_amplitude = 1\nkappa_a_hz = 16.5e-170\n"
+                          "kappa_m_hz = 15e-170\ntemperature_k = 0.05\n"
+                          "lambda_hz_per_tesla = 10\nr_m = 0\n")
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "denominator vanishes" in err
+        assert err.count("\n") == 1
+
     def test_verify_refuses_a_run_it_cannot_store(self, tmp_path, capsys, monkeypatch):
         # kappa_a / kappa_m = 50: the Lyapunov runs need 9.33e6 steps of 32
         # trajectories, over the trajectory-step budget, and must be refused
@@ -532,7 +561,7 @@ class TestExitCodes:
             check = CheckResult(name="stub", value=0.0, tolerance=1.0, detail="")
             return VerificationReport(checks=(check,), seed=seed)
 
-        monkeypatch.setattr(cli, "run_verification", fake_run)
+        monkeypatch.setattr("magnon_sense.verification.run_verification", fake_run)
         assert cli.main(["verify", "--seed", "7"]) == 0
         assert "stub" in capsys.readouterr().out
 
@@ -540,7 +569,7 @@ class TestExitCodes:
             check = CheckResult(name="stub", value=9.0, tolerance=1.0, detail="")
             return VerificationReport(checks=(check,), seed=seed)
 
-        monkeypatch.setattr(cli, "run_verification", fake_fail)
+        monkeypatch.setattr("magnon_sense.verification.run_verification", fake_fail)
         assert cli.main(["verify"]) == 3
 
     def test_module_entry_point(self, tmp_path):

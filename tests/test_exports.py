@@ -11,8 +11,11 @@ only the names in ``__all__``, and a span it never opens reads as 0.
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +130,49 @@ def test_known_stale_spans_are_still_stale():
         layer, name = span.split(".")
         assert span in spans
         assert name not in importlib.import_module(f"magnon_sense.{layer}").__all__
+
+
+#: the oracle's names the package exports but loads on first use
+LAZY_EXPORTS = {
+    "simulation": ("SimulationConfig", "SimulationTrace", "ToneSignal",
+                   "lyapunov_covariance", "measure_gain", "simulate"),
+    "verification": ("run_verification", "verification_parameters"),
+}
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in
+                                          LAZY_EXPORTS.items() for name in names])
+def test_lazy_exports_are_the_oracle_names(module, name):
+    source = importlib.import_module(f"magnon_sense.{module}")
+    assert getattr(magnon_sense, name) is getattr(source, name)
+
+
+def test_lazy_exports_import_by_name():
+    from magnon_sense import run_verification, simulate
+    assert run_verification is magnon_sense.verification.run_verification
+    assert simulate is magnon_sense.simulation.simulate
+    assert {"run_verification", "simulate"} <= set(dir(magnon_sense))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        magnon_sense.no_such_name
+
+
+_ANALYTIC_RUN = """
+import sys
+import magnon_sense, magnon_sense.cli as cli
+out = sys.argv[1]
+assert "scipy" not in sys.modules, "import"
+assert cli.main(["budget", "--grid-points", "5", "--out", out + "/b.csv"]) == 0
+assert "scipy" not in sys.modules, "budget"
+assert cli.main(["reproduce", "fig8", "--outdir", out]) == 0
+assert "scipy" not in sys.modules, "reproduce fig8"
+"""
+
+
+def test_analytic_commands_never_import_scipy(tmp_path):
+    # only the oracle needs scipy; a top-level import of it anywhere on the
+    # analytic path puts its start-up on every command
+    src = str(Path(magnon_sense.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", _ANALYTIC_RUN, str(tmp_path)],
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
