@@ -122,22 +122,21 @@ def _snapshot_hash(snapshot: dict) -> str:
 _CSV_BLOCK_ROWS = 2 ** 12
 
 
-def _write_csv(path, header, columns, snapshot_hash: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# params_sha256={snapshot_hash}\n")
-        fh.write(",".join(header) + "\n")
+def _write_csv(path, header, columns, snapshot_hash: str) -> str:
+    """Write one CSV and return the sha256 of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def write(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        write(f"# params_sha256={snapshot_hash}\n" + ",".join(header) + "\n")
         table = np.column_stack(columns)
         row = ",".join(["%.12e"] * table.shape[1]) + "\n"
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
             block = table[start:start + _CSV_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
-
-
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
+            write(row * len(block) % tuple(block.ravel().tolist()))
     return digest.hexdigest()
 
 
@@ -255,14 +254,14 @@ def _cmd_sweep(args) -> int:
         header, columns = _table(args.quantity, point, reservoir, args)
         path = outdir / f"sweep_{args.quantity}_{tag}.csv"
         snap = _snapshot(point, reservoir, **run, **dict(zip(names, combo)))
-        _write_csv(path, header, columns, _snapshot_hash(snap))
-        outputs.append(path)
+        outputs.append({"path": path.name,
+                        "sha256": _write_csv(path, header, columns, _snapshot_hash(snap))})
 
     manifest = {
         "command": "sweep",
         "parameters": _snapshot(params, reservoir, **run),
         "sweep_axes": [[name, values] for name, values in axes],
-        "outputs": [{"path": p.name, "sha256": _file_sha256(p)} for p in outputs],
+        "outputs": outputs,
     }
     manifest_path = outdir / "run_manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:

@@ -47,6 +47,9 @@ _TWO_PI = 2.0 * math.pi
 #: bound on |r_m| that keeps exp(2 r_m) and cosh(2 r_m) finite in double
 #: precision (they overflow near |r_m| = 354.9)
 _MAX_SQUEEZE = 354.0
+#: bounds on |lambda| in rad/(s*T) that keep lambda^2, which the
+#: field-referred noise divides by, a nonzero normal double
+_COUPLING_RANGE = (1e-150, 1e150)
 
 
 class ParameterError(ValueError):
@@ -121,10 +124,12 @@ class SystemParameters:
             raise ParameterError("temperature must be >= 0 K")
         if self.g_0 < 0 or self.mod_amplitude < 0:
             raise ParameterError("g_0 and mod_amplitude must be >= 0")
-        if self.lambda_coupling == 0:
+        lo, hi = _COUPLING_RANGE
+        if not lo <= abs(self.lambda_coupling) <= hi:
             raise ParameterError(
-                "field coupling lambda must be nonzero: the noise referred to "
-                "the field divides by lambda^2")
+                f"field coupling |lambda| must be in [{lo:g}, {hi:g}] rad/(s*T), got "
+                f"{self.lambda_coupling!r}: the noise referred to the field divides "
+                "by lambda^2")
         if self.omega_m is not None and abs(self.omega_m) >= self.omega_0:
             raise ParameterError(
                 "|omega_m| must be < omega_0 for the squeeze amplitude to be real")

@@ -237,7 +237,8 @@ def noise_budget_grid(
     ks = response_grid(dp, omegas)
     thermal = np.full_like(omegas, magnon[0, 0] / dp.xi)
     additional = _additional_noise(dp, cavity, ks[0], ks[3])
-    s_bnoise = 2.0 * dp.kappa_m / dp.lambda_bare**2 * (thermal + additional)
+    # in numpy, so that np.errstate sees an overflowing referral
+    s_bnoise = 2.0 * dp.kappa_m / np.float64(dp.lambda_bare)**2 * (thermal + additional)
     return NoiseBudget(
         omega=omegas,
         response=dp.xi * np.abs(ks[0])**2,

@@ -1,63 +1,43 @@
 """Analytic-vs-oracle comparisons behind the `verify` command.
 
-Three families of checks are run against a desk-scale parameter set:
+Two seed-free checks of the transfer routes come first: the direct linear
+solve against the printed closed forms, that is the 1e-9 agreement of |k1|
+at the backaction-evading point and the documented decoupled-resonant
+discrepancy (|K4(0)| = 1 from the drift system vs 3 from the printed form).
 
-* transfer-route bookkeeping: the direct linear solve against the printed
-  closed forms, including the documented decoupled-resonant discrepancy
-  (|K4(0)| = 1 from the drift system vs 3 from the printed expression) and
-  the 1e-9 magnitude agreement of k1 at the backaction-evading point;
-* steady-state covariances of the stepped chain, second moments about its
-  exact zero mean, against its stationary (discrete Lyapunov) covariance,
-  within three standard errors;
-* Welch spectra of the simulated output against the analytic output
-  spectrum over omega in [0.1, 5] kappa_m, for squeezed and
-  reservoir-engineered inputs;
-* injected-tone gains against the analytic response: one trajectory over
-  32 tone periods, stepped with and without the tone on the same streams,
-  so the noise cancels and the value is the step's own bias, whatever the
-  seed.
+The stochastic runs are one table, :func:`_runs`: per row a name, a check
+family, the parameters and the reservoir or tone offset.  Each family sizes
+its run and judges it.  ``_check_lyapunov`` compares the stepped chain's
+second moments about its exact zero mean with its discrete Lyapunov
+covariance, within three standard errors.  ``_check_psd`` compares Welch
+spectra of the output with the analytic output spectrum over omega in
+[0.1, 5] kappa_m.  ``_check_gain`` steps one trajectory over 32 periods of
+an injected tone, with and without the tone on the same streams, so the
+noise cancels and the gain's deviation from the analytic response is the
+step's own bias, whatever the seed.
 
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
-g'/kappa_m of order one; the dimensionless spectra being checked do not
-depend on the absolute rate scale, while the integrator step must resolve
-the fastest rate, which makes ratios g'/kappa_m in the thousands
-computationally useless to simulate.
+g'/kappa_m of order one: the dimensionless spectra checked do not depend on
+the rate scale, while the step must resolve the fastest rate, which makes
+g'/kappa_m in the thousands too costly to simulate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import (
-    ConfigurationError,
-    DerivedParameters,
-    SystemParameters,
-    derived_parameters,
-)
-from .simulation import (
-    WELCH_OVERLAP,
-    SimulationConfig,
-    ToneSignal,
-    fastest_rate,
-    lyapunov_covariance,
-    measure_gain,
-    stream_covariances,
-    stream_psd,
-)
+from .model import ConfigurationError, DerivedParameters, SystemParameters, derived_parameters
+from .simulation import (WELCH_OVERLAP, SimulationConfig, ToneSignal, fastest_rate,
+                         lyapunov_covariance, measure_gain, stream_covariances, stream_psd)
 from .spectra import SqueezedReservoir, output_spectrum
 from .transfer import closed_form_grid, require_evading_point, require_stable, response_grid
 
-__all__ = [
-    "CheckResult",
-    "VerificationReport",
-    "verification_parameters",
-    "run_verification",
-]
+__all__ = ["CheckResult", "VerificationReport", "verification_parameters", "run_verification"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -71,6 +51,8 @@ _LYAPUNOV_DURATION_RELAX = 2800.0   # duration in units of 1/kappa_m
 _LYAPUNOV_TRAJECTORIES = 32
 _MAX_TRAJECTORY_STEPS = 10**8      # recorded trajectory-steps one run may take
 
+#: largest |sample - Lyapunov| of a covariance entry, in standard errors
+_LYAPUNOV_TOLERANCE = 3.0
 #: largest band-averaged relative deviation of a Welch spectrum from output_spectrum
 _PSD_TOLERANCE = 0.10
 #: largest relative deviation of an injected-tone gain from the analytic response
@@ -134,6 +116,56 @@ def verification_parameters() -> SystemParameters:
     )
 
 
+class _Row(NamedTuple):
+    name: str
+    family: Callable              # sizes the run and returns its _Run
+    params: SystemParameters
+    reservoir: SqueezedReservoir | None = None
+    tone: float | None = None     # tone offset in units of kappa_m (gain runs)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One sized run of the plan; ``check()`` steps it and judges the result."""
+
+    name: str
+    dp: DerivedParameters
+    cfg: SimulationConfig
+    check: Callable[[], CheckResult]
+    segment: int | None = None    # Welch segment length in samples (PSD runs)
+    tone: ToneSignal | None = None  # the injected tone (gain runs)
+
+
+def _runs(params: SystemParameters) -> list[_Row]:
+    """The stochastic runs of ``verify`` on ``params``, in report order."""
+    kappa_m = params.kappa_m
+    hot = replace(params, temperature=2.6)
+    rm15 = params.with_squeeze_amplitude(1.5)
+    return [
+        _Row("lyapunov_decoupled", _check_lyapunov,
+             replace(hot.with_squeeze_amplitude(0.5), mod_amplitude=0.0,
+                     delta_a=0.0, delta_0p=0.0)),
+        _Row("lyapunov_coupled", _check_lyapunov,
+             replace(hot.with_squeeze_amplitude(0.0), g_0=0.4 * kappa_m, mod_amplitude=1.0,
+                     delta_a=0.5 * kappa_m, delta_0p=-0.3 * kappa_m)),
+        _Row("psd_rm0", _check_psd, params.with_squeeze_amplitude(0.0)),
+        _Row("psd_rm15", _check_psd, rm15),
+        _Row("psd_rm15_reservoir", _check_psd, rm15,
+             reservoir=SqueezedReservoir(r_n=1.5, phi_n=math.pi)),
+        *[_Row(f"gain_delta_{frac:g}km", _check_gain, params.with_squeeze_amplitude(1.0),
+               tone=frac) for frac in (0.2, 0.5, 1.0)],
+    ]
+
+
+def _plan(rows: list[_Row], seed: int) -> list[_Run]:
+    """Size every run of ``rows``, stepping none, so a refusal costs no stepping."""
+    runs = []
+    for row in rows:
+        dp = derived_parameters(row.params)
+        runs.append(row.family(row, dp, seed, _DT_ACCURACY / fastest_rate(dp)))
+    return runs
+
+
 def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
                 trajectories: int) -> SimulationConfig:
     """One oracle run of ``steps`` recorded steps of ``dt``, after a burn-in
@@ -188,42 +220,24 @@ def _check_routes(params: SystemParameters) -> list[CheckResult]:
     return checks
 
 
-def _plan_lyapunov(params: SystemParameters, seed: int) -> list[partial]:
-    kappa_m = params.kappa_m
-    hot = replace(params, temperature=2.6)
-    cases = {
-        "lyapunov_decoupled": replace(hot.with_squeeze_amplitude(0.5), mod_amplitude=0.0,
-                                      delta_a=0.0, delta_0p=0.0),
-        "lyapunov_coupled": replace(hot.with_squeeze_amplitude(0.0), g_0=0.4 * kappa_m,
-                                    mod_amplitude=1.0, delta_a=0.5 * kappa_m,
-                                    delta_0p=-0.3 * kappa_m),
-    }
-    planned = []
-    for name, case in cases.items():
-        dp = derived_parameters(case)
-        dt = _DT_ACCURACY / fastest_rate(dp)
-        steps = round(_LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt)
-        cfg = _run_config(dp, seed, dt, steps, _LYAPUNOV_TRAJECTORIES)
-        planned.append(partial(_check_lyapunov, name, dp, case.temperature, cfg))
-    return planned
+def _check_lyapunov(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
+    steps = round(_LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt)
+    cfg = _run_config(dp, seed, dt, steps, _LYAPUNOV_TRAJECTORIES)
 
-
-def _check_lyapunov(name: str, dp: DerivedParameters, temperature: float,
-                    cfg: SimulationConfig) -> CheckResult:
-    covs = stream_covariances(dp, temperature, cfg)
-    mean = covs.mean(axis=0)
-    se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
-    target = lyapunov_covariance(dp, temperature, cfg.dt)
-    iu = np.triu_indices(4)
-    sigmas = np.abs(mean - target)[iu] / np.maximum(se[iu], 1e-300)
-    worst = float(np.max(sigmas))
-    return CheckResult(
-        name=name,
-        value=worst,
-        tolerance=3.0,
-        detail="max |sample - Lyapunov| in standard errors over the 10 "
-               f"covariance entries, {covs.shape[0]} trajectories",
-    )
+    def check() -> CheckResult:
+        covs = stream_covariances(dp, row.params.temperature, cfg)
+        se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
+        target = lyapunov_covariance(dp, row.params.temperature, cfg.dt)
+        iu = np.triu_indices(4)
+        sigmas = np.abs(covs.mean(axis=0) - target)[iu] / np.maximum(se[iu], 1e-300)
+        return CheckResult(
+            name=row.name,
+            value=float(np.max(sigmas)),
+            tolerance=_LYAPUNOV_TOLERANCE,
+            detail="max |sample - Lyapunov| in standard errors over the 10 "
+                   f"covariance entries, {covs.shape[0]} trajectories",
+        )
+    return _Run(row.name, dp, cfg, check)
 
 
 def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
@@ -239,96 +253,69 @@ def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
     return bands
 
 
-def _plan_psd(params: SystemParameters, seed: int) -> list[partial]:
-    configurations = [
-        ("psd_rm0", 0.0, None),
-        ("psd_rm15", 1.5, None),
-        ("psd_rm15_reservoir", 1.5, SqueezedReservoir(r_n=1.5, phi_n=math.pi)),
-    ]
-    planned = []
-    for name, r_m, reservoir in configurations:
-        dp = derived_parameters(params.with_squeeze_amplitude(r_m))
-        # a record of about _PSD_SEGMENTS_PER_TRAJECTORY Welch segments of nper samples
-        dt = _DT_ACCURACY / fastest_rate(dp)
-        nper = int(round(_TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt))
-        steps = int(nper * (1 + (_PSD_SEGMENTS_PER_TRAJECTORY - 1)
-                            * (1.0 - WELCH_OVERLAP))) + 2
-        cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES)
-        planned.append(partial(_check_psd, name, dp, params.temperature, reservoir,
-                               cfg, nper))
-    return planned
+def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
+    # a record of about _PSD_SEGMENTS_PER_TRAJECTORY Welch segments of nper samples
+    nper = int(round(_TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt))
+    steps = int(nper * (1 + (_PSD_SEGMENTS_PER_TRAJECTORY - 1)
+                        * (1.0 - WELCH_OVERLAP))) + 2
+    cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES)
+
+    def check() -> CheckResult:
+        omega, psd, n_seg = stream_psd(dp, row.params.temperature, cfg, nper, row.reservoir)
+        reference = output_spectrum(dp, row.params.temperature, omega, reservoir=row.reservoir)
+        worst = 0.0
+        for sel in _psd_bands(omega, dp.kappa_m):
+            est = float(np.mean(psd[sel]))
+            ana = float(np.mean(reference[sel]))
+            worst = max(worst, abs(est / ana - 1.0))
+        return CheckResult(
+            name=row.name,
+            value=worst,
+            tolerance=_PSD_TOLERANCE,
+            detail=f"max band-averaged relative deviation, {n_seg} Welch "
+                   "segments, omega/kappa_m in [0.1, 5]",
+        )
+    return _Run(row.name, dp, cfg, check, segment=nper)
 
 
-def _check_psd(name: str, dp: DerivedParameters, temperature: float,
-               reservoir: SqueezedReservoir | None, cfg: SimulationConfig,
-               nper: int) -> CheckResult:
-    omega, psd, n_seg = stream_psd(dp, temperature, cfg, nper, reservoir=reservoir)
-    reference = output_spectrum(dp, temperature, omega, reservoir=reservoir)
-    worst = 0.0
-    for sel in _psd_bands(omega, dp.kappa_m):
-        est = float(np.mean(psd[sel]))
-        ana = float(np.mean(reference[sel]))
-        worst = max(worst, abs(est / ana - 1.0))
-    return CheckResult(
-        name=name,
-        value=worst,
-        tolerance=_PSD_TOLERANCE,
-        detail=f"max band-averaged relative deviation, {n_seg} Welch "
-               "segments, omega/kappa_m in [0.1, 5]",
-    )
-
-
-def _plan_gain(params: SystemParameters, seed: int) -> list[partial]:
-    dp = derived_parameters(params.with_squeeze_amplitude(1.0))
+def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     require_evading_point(dp)
-    dt = _DT_ACCURACY / fastest_rate(dp)
+    delta = row.tone * dp.kappa_m
+    k1, _, _, _ = response_grid(dp, [delta])
+    gain_analytic = dp.xi * float(np.abs(k1[0])**2)
+    if not gain_analytic > 0:
+        raise ConfigurationError("the gain checks need a magnon-cavity coupling "
+                                 "(mod_amplitude > 0 and g_0 > 0)")
+    steps = round(_GAIN_PERIODS * _TWO_PI / (delta * dt))
+    cfg = _run_config(dp, seed, dt, steps, 1)
     # the response is linear in the tone, so any amplitude gives the same gain
-    amplitude = dp.kappa_m / dp.lambda_bare
-    planned = []
-    for frac in (0.2, 0.5, 1.0):
-        delta = frac * dp.kappa_m
-        k1, _, _, _ = response_grid(dp, [delta])
-        gain_analytic = dp.xi * float(np.abs(k1[0])**2)
-        if not gain_analytic > 0:
-            raise ConfigurationError("the gain checks need a magnon-cavity coupling "
-                                     "(mod_amplitude > 0 and g_0 > 0)")
-        steps = round(_GAIN_PERIODS * _TWO_PI / (delta * dt))
-        cfg = _run_config(dp, seed, dt, steps, 1)
-        tone = ToneSignal(amplitude=amplitude, frequency=delta)
-        planned.append(partial(_check_gain, frac, dp, params.temperature, tone, cfg,
-                               gain_analytic))
-    return planned
+    tone = ToneSignal(amplitude=dp.kappa_m / dp.lambda_bare, frequency=delta)
 
-
-def _check_gain(frac: float, dp: DerivedParameters, temperature: float,
-                tone: ToneSignal, cfg: SimulationConfig,
-                gain_analytic: float) -> CheckResult:
-    gain = measure_gain(dp, temperature, tone, cfg)
-    rel = abs(gain / gain_analytic - 1.0)
-    return CheckResult(
-        name=f"gain_delta_{frac:g}km",
-        value=rel,
-        tolerance=_GAIN_TOLERANCE,
-        detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
-               f"at delta = {frac:g} kappa_m, r_m = 1",
-    )
+    def check() -> CheckResult:
+        gain = measure_gain(dp, row.params.temperature, tone, cfg)
+        return CheckResult(
+            name=row.name,
+            value=abs(gain / gain_analytic - 1.0),
+            tolerance=_GAIN_TOLERANCE,
+            detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
+                   f"at delta = {row.tone:g} kappa_m, r_m = 1",
+        )
+    return _Run(row.name, dp, cfg, check, tone=tone)
 
 
 def run_verification(
     params: SystemParameters | None = None,
     seed: int = 42,
 ) -> VerificationReport:
-    """Run every analytic-vs-oracle comparison and collect a report.
+    """Run the route checks and every row of the run table, and collect a report.
 
     ``params`` defaults to :func:`verification_parameters`; a custom set must
     keep the fastest rate within a few hundred kappa_m or the stochastic
-    runs are refused as intractable.  All eight stochastic runs are sized
-    before the first one is stepped, so a refusal costs no stepping.
+    runs are refused as intractable.  All rows are sized before the first
+    run is stepped, so a refusal costs no stepping.
     """
     if params is None:
         params = verification_parameters()
-    planned = [*_plan_lyapunov(params, seed),
-               *_plan_psd(params, seed),
-               *_plan_gain(params, seed)]
-    checks = _check_routes(params) + [check() for check in planned]
+    runs = _plan(_runs(params), seed)
+    checks = _check_routes(params) + [run.check() for run in runs]
     return VerificationReport(checks=tuple(checks), seed=seed)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -70,7 +71,10 @@ class TestBudgetCommand:
         table = (rng.standard_normal(shape)
                  * 10.0 ** rng.integers(-300, 300, size=shape))
         path = tmp_path / "t.csv"
-        cli._write_csv(path, [f"c{i}" for i in range(shape[1])], list(table.T), "0" * 64)
+        digest = cli._write_csv(path, [f"c{i}" for i in range(shape[1])], list(table.T),
+                                "0" * 64)
+        # the returned hash is the hash of the bytes on disk
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         expected = io.StringIO()
         np.savetxt(expected, table, fmt="%.12e", delimiter=",")
         body = path.read_text().split("\n", 2)[2]
@@ -169,7 +173,7 @@ class TestSweepCommand:
         for entry in manifest["outputs"]:
             path = outdir / entry["path"]
             assert path.exists()
-            assert cli._file_sha256(path) == entry["sha256"]
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
         # the provenance names the quantity and the grid, as budget's does
         parameters = manifest["parameters"]
         assert (parameters["command"], parameters["quantity"], parameters["grid_max"],
@@ -400,6 +404,29 @@ class TestExitCodes:
         outdir = tmp_path / "sw"
         assert cli.main(["sweep", "--axis", axes[0], "--axis", axes[1],
                          "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("coupling, reason", [
+        ("1e-170", "lambda"),        # lambda^2 underflows to 0
+        ("1e160", "lambda"),         # lambda^2 overflows
+        ("1.6e-151", "not finite"),  # lambda^2 is in range, 2 kappa_m / lambda^2 is not
+    ])
+    def test_extreme_field_coupling_exits_2(self, tmp_path, capsys, coupling, reason):
+        config = tmp_path / "extreme.cfg"
+        config.write_text(COUPLING_CONFIG + f"lambda_hz_per_tesla = {coupling}\n")
+        out = tmp_path / "b.csv"
+        assert cli.main(["budget", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_extreme_field_coupling_sweep_writes_nothing(self, tmp_path, capsys):
+        outdir = tmp_path / "sw"
+        assert cli.main(["sweep", "--axis", "lambda_hz_per_tesla=1e-170,1",
+                         "--outdir", str(outdir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not outdir.exists()

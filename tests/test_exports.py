@@ -176,3 +176,11 @@ def test_analytic_commands_never_import_scipy(tmp_path):
                             capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's output checks, driven by real budget, sweep, reproduce
+    # and simulate outputs, so a package change that breaks them fails here
+    result = subprocess.run([sys.executable, str(BENCHMARKS / "selftest.py")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

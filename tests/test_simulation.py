@@ -276,14 +276,15 @@ class TestGainMeasurement:
         k1 = response_grid(dp, [delta])[0]
         return dp.xi * float(np.abs(k1[0]) ** 2)
 
-    def gain_run(self, dp, delta, seed, amplitude_boost=1.0):
-        # the run verify's gain checks make
-        dt = verification._DT_ACCURACY / fastest_rate(dp)
-        steps = round(verification._GAIN_PERIODS * TWO_PI / (delta * dt))
-        cfg = verification._run_config(dp, seed, dt, steps, 1)
-        amp = amplitude_boost * dp.kappa_m / dp.lambda_bare
-        tone = ToneSignal(amplitude=amp, frequency=delta)
-        return measure_gain(dp, 0.05, tone, cfg)
+    def gain_run(self, r_m, frac, seed, amplitude_boost=1.0):
+        """(dp, gain) of the run verify's gain checks make at delta = frac
+        kappa_m on the desk set at r_m, sized by verify's own plan."""
+        row = verification._Row("gain", verification._check_gain,
+                                verification_parameters().with_squeeze_amplitude(r_m),
+                                tone=frac)
+        [run] = verification._plan([row], seed)
+        tone = replace(run.tone, amplitude=amplitude_boost * run.tone.amplitude)
+        return run.dp, measure_gain(run.dp, 0.05, tone, run.cfg)
 
     def stepped_chain_gain(self, dp, tone, dt):
         """The Euler-Maruyama chain's exact steady-state tone response over
@@ -296,36 +297,33 @@ class TestGainMeasurement:
         return dp.kappa_a * abs(x[3])**2 / 2.0 / p_ref
 
     def test_is_the_stepped_chain_response(self):
-        planned = verification._plan_gain(verification_parameters(), seed=42)
-        assert [check.args[0] for check in planned] == [0.2, 0.5, 1.0]
-        for check in planned:
-            _, dp, temperature, tone, cfg, gain_analytic = check.args
-            gain = measure_gain(dp, temperature, tone, cfg)
-            exact = self.stepped_chain_gain(dp, tone, cfg.dt)
+        params = verification_parameters()
+        planned = [run for run in verification._plan(verification._runs(params), seed=42)
+                   if run.tone is not None]
+        assert [run.name for run in planned] == [
+            "gain_delta_0.2km", "gain_delta_0.5km", "gain_delta_1km"]
+        for run in planned:
+            gain = measure_gain(run.dp, params.temperature, run.tone, run.cfg)
+            exact = self.stepped_chain_gain(run.dp, run.tone, run.cfg.dt)
             assert gain == pytest.approx(exact, rel=1e-3)
             # the step's own bias, which the seed-free estimate leaves visible
+            gain_analytic = self.analytic_gain(run.dp, run.tone.frequency)
             assert exact != pytest.approx(gain_analytic, rel=5e-4)
 
     def test_does_not_depend_on_seed_or_amplitude(self):
-        dp = desk_dp(r_m=1.0)
-        delta = 0.5 * dp.kappa_m
-        gain = self.gain_run(dp, delta, seed=42)
-        assert self.gain_run(dp, delta, seed=1) == pytest.approx(gain, rel=1e-9)
-        assert self.gain_run(dp, delta, seed=42, amplitude_boost=10.0) == \
+        _, gain = self.gain_run(1.0, 0.5, seed=42)
+        assert self.gain_run(1.0, 0.5, seed=1)[1] == pytest.approx(gain, rel=1e-9)
+        assert self.gain_run(1.0, 0.5, seed=42, amplitude_boost=10.0)[1] == \
             pytest.approx(gain, rel=1e-9)
 
     def test_matches_analytic_response(self):
-        dp = desk_dp(r_m=1.0)
-        delta = 0.5 * dp.kappa_m
-        gain = self.gain_run(dp, delta, seed=17)
-        assert gain == pytest.approx(self.analytic_gain(dp, delta), rel=0.15)
+        dp, gain = self.gain_run(1.0, 0.5, seed=17)
+        assert gain == pytest.approx(self.analytic_gain(dp, 0.5 * dp.kappa_m), rel=0.15)
 
     def test_gain_ratio_tracks_squeezing(self):
         delta_frac = 0.5
-        dp1 = desk_dp(r_m=1.0)
-        dp0 = desk_dp(r_m=0.0)
-        g1 = self.gain_run(dp1, delta_frac * dp1.kappa_m, seed=18)
-        g0 = self.gain_run(dp0, delta_frac * dp0.kappa_m, seed=18)
+        dp1, g1 = self.gain_run(1.0, delta_frac, seed=18)
+        dp0, g0 = self.gain_run(0.0, delta_frac, seed=18)
         assert g0 == pytest.approx(
             self.analytic_gain(dp0, delta_frac * dp0.kappa_m), rel=0.15)
         expected = (self.analytic_gain(dp1, delta_frac * dp1.kappa_m)
@@ -343,6 +341,31 @@ class TestGainMeasurement:
         cfg = quick_config(dp, duration=1.0)
         with pytest.raises(Exception, match="delta_a"):
             measure_gain(dp, 0.05, ToneSignal(amplitude=1.0, frequency=1.0), cfg)
+
+
+class TestVerifyPlan:
+    def test_desk_plan_sizes(self):
+        # verify's printed values depend on these sizes, so a change to one
+        # shows here before it moves a check
+        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        sizes = {run.name: (run.cfg.n_trajectories, *simulation._steps(run.cfg)[::-1],
+                            run.segment) for run in runs}
+        assert sizes == {
+            "lyapunov_decoupled": (32, 205333, 953, None),
+            "lyapunov_coupled": (32, 205333, 953, None),
+            "psd_rm0": (16, 225769, 953, 9215),
+            "psd_rm15": (16, 735908, 3107, 30037),
+            "psd_rm15_reservoir": (16, 735908, 3107, 30037),
+            "gain_delta_0.2km": (1, 145745, 1885, None),
+            "gain_delta_0.5km": (1, 58298, 1885, None),
+            "gain_delta_1km": (1, 29149, 1885, None),
+        }
+        assert list(sizes) == [
+            "lyapunov_decoupled", "lyapunov_coupled", "psd_rm0", "psd_rm15",
+            "psd_rm15_reservoir", "gain_delta_0.2km", "gain_delta_0.5km", "gain_delta_1km"]
+        for run in runs:
+            assert run.cfg.dt * fastest_rate(run.dp) == 0.015
+            assert run.cfg.seed == 42
 
 
 def loop_states(step, incr, x0):
