@@ -1,9 +1,9 @@
 """Squeezed-magnon cavity magnetometry: analytic noise spectra, noise
 budgets, sensitivity curves, and a stochastic Langevin oracle to verify them.
 
-Only the oracle (``simulation``, ``verification``) imports scipy.  Its names
-are exported here too, but the modules load on first use, so the analytic
-layers and the commands built on them start without it.
+The oracle (``simulation``, ``verification``) is exported here too, but its
+modules load on first use, so the analytic layers and the commands built on
+them start without it.
 """
 
 import importlib
@@ -43,7 +43,7 @@ from .spectra import (
 )
 
 #: the Langevin oracle's names, loaded on first use (PEP 562) so that the
-#: analytic commands never import scipy
+#: analytic commands never import the oracle's modules
 _LAZY = {
     **dict.fromkeys(("SimulationConfig", "SimulationTrace", "ToneSignal",
                      "lyapunov_covariance", "measure_gain", "simulate"), "simulation"),

@@ -272,7 +272,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verification import run_verification  # the oracle alone imports scipy
+    from .verification import run_verification  # only verify loads the oracle
 
     params = load_parameters(args.config) if args.config else None
     report = run_verification(params=params, seed=args.seed)

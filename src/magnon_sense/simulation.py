@@ -22,25 +22,25 @@ Discretization choices that matter:
   (seed, trajectory index), so traces are bit-reproducible regardless of
   execution order or trajectory count.
 
-How the recursion x_{m+1} = S x_m + incr_m, S = I + A dt, is computed:
+How the recursion x_{m+1} = S x_m + incr_m, S = I + A dt, is computed
+(:class:`_LaneScan`, a two-level linear scan: Blelloch, "Prefix sums and
+their applications", 1990):
 
-* It is a linear scan (Blelloch, "Prefix sums and their applications",
-  1990), run without a per-step Python loop.  In the real Schur form
-  S = Q T Q^T the quasi-triangular T turns it into first-order IIR filters
-  (``scipy.signal.lfilter``), one real filter per real eigenvalue and one
-  complex filter per complex pair, solved by back-substitution from the last
-  block of T to the first (:class:`_SchurScan`).
-* This is exact: it is the same linear map as stepping one step at a time,
-  and differs from it only by floating-point rounding (about 1e-15 relative
-  at zero detuning, 1e-13 detuned).  Back-substitution needs no eigenbasis
-  of S, so the repeated eigenvalues -kappa_m/2, -kappa_a/2 at zero detuning,
-  and the defective map when also kappa_a = kappa_m, are no special case.
-* Steps are taken in chunks of ``_CHUNK`` = 2^15 trajectory-steps (256 kB
-  per component array; 2^18 measured slower): each chunk draws its
-  normals, forms its increments and filters them, and the filter states
-  carry it into the next chunk exactly, so where the chunks end changes no
-  bit of the states.  The chunk arithmetic is elementwise and makes no BLAS
-  call, so concurrent runs do not contend through BLAS worker threads.
+* The steps are cut into lanes of ``_LANE`` = 32, anchored at the run's
+  first step.  All lanes of a chunk are stepped from rest at once, one S x
+  per step; a loop over the lanes, not the steps, carries each lane's
+  starting state in from the last one's with S^L; and S^i times that start
+  is added to the lane's i-th state.  This is the same linear map as
+  stepping one step at a time, to rounding (a few 1e-15 relative), and it
+  needs no eigenbasis, so a defective S (kappa_a = kappa_m at zero
+  detuning) and the complex pairs of a detuned S are no special case.
+* Chunks are ``_CHUNK`` = 2^15 trajectory-steps rounded down to whole lanes
+  (256 kB per component array); the last is rounded up, the steps past the
+  run drawn and dropped.  Inside the lanes the arithmetic is elementwise,
+  skipping the zeros of S and its powers, and the carry is one 4x4 by 4x1
+  product per trajectory and lane: no operation mixes lanes or
+  trajectories, so neither the chunk size nor the trajectory count changes
+  a bit of the states.
 
 A run is one chunk generator, :func:`simulate_chunks`, which yields the
 kept quadratures (4, n_trajectories, n) and output record
@@ -69,7 +69,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft, linalg, signal as _signal
 
 from .model import ConfigurationError, DerivedParameters, ParameterError
 from .spectra import SqueezedReservoir, input_densities
@@ -97,6 +96,9 @@ _DT_GUARD = 0.1
 
 #: trajectory-steps per chunk of the scan: 256 kB per component array
 _CHUNK = 1 << 15
+
+#: steps per lane of the scan: verify's runs took 1-5 % less time than with 64 or 128
+_LANE = 32
 
 #: fraction of each Welch segment shared with the next
 WELCH_OVERLAP = 0.5
@@ -206,15 +208,17 @@ def _diffusion(dp: DerivedParameters, temperature: float,
     """The inputs' 4x4 diffusion matrix D: kappa_m V on the magnon block, V
     the magnon input covariance, and kappa_a (nbar_a + 1/2) on the cavity's."""
     cavity, magnon = input_densities(dp, temperature, reservoir)
-    return linalg.block_diag(dp.kappa_m * magnon, np.eye(2) * (dp.kappa_a * cavity))
+    diffusion = np.diag([0.0, 0.0, dp.kappa_a * cavity, dp.kappa_a * cavity])
+    diffusion[:2, :2] = dp.kappa_m * magnon
+    return diffusion
 
 
 def _combine(row: np.ndarray, arrays) -> np.ndarray:
     """sum_k row[k] * arrays[k] over the nonzero row[k], elementwise.
 
-    Written out rather than as a matrix product, so that no BLAS call (and
-    none of its threads) runs on the chunked path.  A lone unit coefficient
-    returns its array itself, which callers only read.
+    Written out rather than as a matrix product, so that the zero
+    coefficients of the mostly diagonal Cholesky factor cost nothing.  A
+    lone unit coefficient returns its array itself, which callers only read.
     """
     total = None
     for coef, arr in zip(row, arrays):
@@ -224,66 +228,54 @@ def _combine(row: np.ndarray, arrays) -> np.ndarray:
     return total
 
 
-class _SchurScan:
-    """The recursion x_{m+1} = S x_m + incr_m, one chunk of steps at a time.
-
-    With the real Schur form S = Q T Q^T, each diagonal block of the
-    quasi-triangular T is a first-order filter over the steps, driven by the
-    blocks after it: a real block is one real ``lfilter`` pass with pole
-    T_ii; a 2x2 block of a complex pair is one complex pass on c_i + i c_{i+1},
-    where (c_i, c_{i+1}) are its coordinates in the real basis
-    (Re v, Im v) of one of its eigenvectors v.  The blocks are solved from
-    the last to the first, which needs no diagonalizable S, and the filter
-    states carry each chunk into the next exactly, so splitting the steps
-    into chunks changes no bit of the result.
-    """
+class _LaneScan:
+    """The recursion x_{m+1} = S x_m + incr_m over lanes of ``_LANE`` steps,
+    anchored at the run's first step (see the module docstring)."""
 
     def __init__(self, step: np.ndarray, x0: np.ndarray):
-        t, q = linalg.schur(step, output="real")
-        basis = np.eye(4)
-        self._blocks = []                     # (first index, size, pole)
-        i = 0
-        while i < 4:
-            if i < 3 and t[i + 1, i] != 0.0:
-                lam, vec = np.linalg.eig(t[i:i + 2, i:i + 2])
-                basis[i:i + 2, i:i + 2] = np.column_stack([vec[:, 0].real,
-                                                           vec[:, 0].imag])
-                self._blocks.append((i, 2, np.conj(lam[0])))
-                i += 2
-            else:
-                self._blocks.append((i, 1, t[i, i]))
-                i += 1
-        self._blocks.reverse()
-        inverse = np.linalg.inv(basis)
-        self._to_state = q @ basis                  # x = E c
-        self._from_state = inverse @ q.T            # forcing of c = F incr
-        self._coupling = inverse @ t @ basis        # block upper triangular
-        c0 = [_combine(row, x0) for row in self._from_state]
-        self._zi = {i: (c0[i] if size == 1 else c0[i] + 1j * c0[i + 1])[:, None]
-                    for i, size, _ in self._blocks}
+        powers = np.array([np.linalg.matrix_power(step, i) for i in range(_LANE + 1)])
+        self._diagonal = np.diag(step)[:, None]
+        self._off_diagonal = [(k, c, step[k, c]) for k in range(4) for c in range(4)
+                              if k != c and step[k, c] != 0.0]
+        #: (k, c, S^i[k, c] for i = 1..L-1) of the entries not all zero
+        self._corrections = [(k, c, powers[1:-1, k, c, None]) for k in range(4)
+                             for c in range(4) if powers[1:-1, k, c].any()]
+        self._lane = powers[-1]
+        self._x = np.ascontiguousarray(x0.T)[:, :, None]     # (ntraj, 4, 1)
 
     def __call__(self, incr, out: np.ndarray) -> np.ndarray:
-        """States x_m before each increment of ``incr`` (4 arrays (ntraj, n)),
-        written to ``out`` (4, ntraj, n) and returned."""
-        c = [None] * 4
-        for i, size, pole in self._blocks:
-            later = range(i + size, 4)
-            force = [_combine([*self._from_state[r], *self._coupling[r, later]],
-                              [*incr, *(c[j] for j in later)])
-                     for r in range(i, i + size)]
-            if size == 1:
-                y, zf = _signal.lfilter([0.0, 1.0], [1.0, -pole], force[0],
-                                        zi=self._zi[i])
-                c[i] = y
-            else:
-                w = np.empty(force[0].shape, complex)
-                w.real, w.imag = force
-                y, zf = _signal.lfilter([0.0, 1.0], [1.0, -pole], w,
-                                        zi=self._zi[i])
-                c[i], c[i + 1] = y.real, y.imag
-            self._zi[i] = zf
+        """States x_m before each increment of ``incr`` (4 arrays (ntraj, n), n
+        whole lanes), written to ``out`` (4, ntraj, n) and returned."""
+        ntraj, n = incr[0].shape
+        lanes = n // _LANE
+        # rest[i, k]: component k of every lane (lane-major, then trajectory)
+        # after i + 1 steps from rest, stepped in place over the increments
+        rest = np.empty((_LANE, 4, lanes * ntraj))
+        by_lane = rest.reshape(_LANE, 4, lanes, ntraj)
         for k in range(4):
-            out[k] = _combine(self._to_state[k], c)
+            by_lane[:, k] = incr[k].reshape(ntraj, lanes, _LANE).T
+        term = np.empty((4, lanes * ntraj))
+        part = term[0]
+        for prev, cur in zip(rest, rest[1:]):
+            np.multiply(self._diagonal, prev, out=term)
+            cur += term
+            for k, c, coef in self._off_diagonal:
+                np.multiply(coef, prev[c], out=part)
+                cur[k] += part
+        # one (4, 4) @ (4, 1) product per trajectory, so that ntraj changes no bit
+        starts = np.empty((4, lanes, ntraj))
+        ends = by_lane[-1].transpose(1, 2, 0)[..., None]
+        for j in range(lanes):
+            starts[:, j] = self._x[..., 0].T
+            self._x = np.matmul(self._lane, self._x) + ends[j]
+        # a lane's state i is rest[i - 1] + S^i start, its state 0 the start
+        correction = np.empty((_LANE - 1, lanes * ntraj))
+        for k, c, column in self._corrections:
+            np.multiply(column, starts[c].reshape(-1), out=correction)
+            rest[:-1, k] += correction
+        states = out.reshape(4, ntraj, lanes, _LANE)
+        states[..., 0] = starts.transpose(0, 2, 1)
+        states[..., 1:] = by_lane[:-1].transpose(1, 3, 2, 0)
         return out
 
 
@@ -330,18 +322,18 @@ def simulate_chunks(
     drive = signal is not None and signal.amplitude > 0
 
     rngs = [_trajectory_rng(cfg.seed, i) for i in range(ntraj)]
-    scan = _SchurScan(step, np.zeros((4, ntraj)))
-    per_chunk = max(1, _CHUNK // ntraj)
-    width = min(per_chunk, n_total)
+    scan = _LaneScan(step, np.zeros((4, ntraj)))
+    per_chunk = max(1, _CHUNK // (ntraj * _LANE)) * _LANE
+    # whole lanes from step 0; the last lane's steps past the run are drawn and dropped
+    n_steps = -(-n_total // _LANE) * _LANE
+    width = min(per_chunk, n_steps)
     z = np.empty((ntraj, width, 4))
     states = np.empty((4, ntraj, width))
     record = np.empty((ntraj, width))
-    # chunks end at n_burn, so every chunk is all burn-in or all kept
-    bounds = sorted({*range(0, n_burn, per_chunk), *range(n_burn, n_total, per_chunk)})
 
     def chunks():
-        for pos, end in zip(bounds, bounds[1:] + [n_total]):
-            n = end - pos
+        for pos in range(0, n_steps, per_chunk):
+            n = min(per_chunk, n_steps - pos)
             zc = z[:, :n]
             for rng, zi in zip(rngs, zc):
                 rng.standard_normal(out=zi)
@@ -349,10 +341,12 @@ def simulate_chunks(
             if drive:
                 dx, dpp = _drive_arrays(signal, dp, (pos + np.arange(n)) * dt)
                 incr[0], incr[1] = incr[0] + dx * dt, incr[1] + dpp * dt
-            kept = scan(incr, states[:, :, :n])
-            if pos >= n_burn:
-                np.subtract(sq_ka * kept[3], incr[3] / (sq_ka * dt), out=record[:, :n])
-                yield kept, record[:, :n]
+            lo, hi = max(n_burn - pos, 0), min(n_total - pos, n)
+            kept = scan(incr, states[:, :, :n])[:, :, lo:hi]
+            if lo < hi:
+                np.subtract(sq_ka * kept[3], incr[3][:, lo:hi] / (sq_ka * dt),
+                            out=record[:, :hi - lo])
+                yield kept, record[:, :hi - lo]
 
     return chunks()
 
@@ -411,7 +405,8 @@ class WelchAccumulator:
         self._ring = np.empty((n_trajectories, segment_length))
         self._filled = 0
         self._hop = segment_length - noverlap(segment_length)
-        self._window = _signal.get_window("hann", segment_length)
+        # the periodic Hann window, 0.5 - 0.5 cos(2 pi n / L)
+        self._window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_length + 1)))[:-1]
         self._power = np.zeros(segment_length // 2 + 1)
         #: periodograms averaged so far, over all trajectories
         self.segments = 0
@@ -427,7 +422,7 @@ class WelchAccumulator:
             pos += take
             if self._filled == length:
                 segment = self._ring * self._window
-                spec = _fft.rfft(segment)
+                spec = np.fft.rfft(segment)
                 self._power += (spec.real**2 + spec.imag**2).sum(axis=0)
                 self.segments += self._ring.shape[0]
                 self._filled = length - self._hop
@@ -451,7 +446,7 @@ class WelchAccumulator:
         psd[0] /= 2.0
         if length % 2 == 0:
             psd[-1] /= 2.0
-        return 2.0 * math.pi * _fft.rfftfreq(length, dt), psd
+        return 2.0 * math.pi * np.fft.rfftfreq(length, dt), psd
 
 
 class CovarianceAccumulator:
@@ -552,4 +547,6 @@ def lyapunov_covariance(dp: DerivedParameters, temperature: float,
     it tends linearly to the solution of A V + V A^T + D = 0.
     """
     step = np.eye(4) + drift_matrix(dp) * dt
-    return linalg.solve_discrete_lyapunov(step, _diffusion(dp, temperature, None) * dt)
+    # row-major vec(S V S^T) = (S kron S) vec(V)
+    noise = _diffusion(dp, temperature, None) * dt
+    return np.linalg.solve(np.eye(16) - np.kron(step, step), noise.ravel()).reshape(4, 4)

@@ -174,8 +174,9 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
     Refuses an unstable drift, and a run of more than ``_MAX_TRAJECTORY_STEPS``
     recorded trajectory-steps: a time budget, not a memory guard, since the
     runs store nothing that grows with their length.  1e8 trajectory-steps
-    are 15-20 s of stepping at 5-7 million a second on a 2-core x86 machine,
-    8.5x the largest desk run (``psd_rm15``'s 16 trajectories of 735908 steps).
+    are 14-36 s of stepping at 2.8-7 million a second on a 2-core x86
+    machine, the Welch FFTs of the PSD runs making the slow end, and 8.5x
+    the largest desk run (``psd_rm15``'s 16 trajectories of 735908 steps).
     """
     require_stable(dp)
     if trajectories * steps > _MAX_TRAJECTORY_STEPS:

@@ -160,22 +160,42 @@ _ANALYTIC_RUN = """
 import sys
 import magnon_sense, magnon_sense.cli as cli
 out = sys.argv[1]
-assert "scipy" not in sys.modules, "import"
+assert "magnon_sense.simulation" not in sys.modules, "import"
 assert cli.main(["budget", "--grid-points", "5", "--out", out + "/b.csv"]) == 0
-assert "scipy" not in sys.modules, "budget"
+assert "magnon_sense.simulation" not in sys.modules, "budget"
 assert cli.main(["reproduce", "fig8", "--outdir", out]) == 0
-assert "scipy" not in sys.modules, "reproduce fig8"
+assert "magnon_sense.simulation" not in sys.modules, "reproduce fig8"
+import magnon_sense.simulation, magnon_sense.verification
+assert "scipy" not in sys.modules, "oracle"
 """
 
 
 def test_analytic_commands_never_import_scipy(tmp_path):
-    # only the oracle needs scipy; a top-level import of it anywhere on the
-    # analytic path puts its start-up on every command
+    # the analytic commands never load the oracle, whose import is most of
+    # a short command's start-up, and no module of the package needs scipy
     src = str(Path(magnon_sense.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", _ANALYTIC_RUN, str(tmp_path)],
                             capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: an import of it at any level, even
+    # inside a function, would fail where the package alone is installed
+    package = Path(magnon_sense.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {module}" for module in modules
+                      if module.split(".")[0] == "scipy"]
+    assert not found, found
 
 
 def test_benchmark_selftest_passes():

@@ -123,9 +123,9 @@ class TestTraceStructure:
         assert np.array_equal(a.quadratures, b.quadratures)
         # trajectory streams depend only on (seed, index): a smaller run
         # reproduces the leading trajectories bit for bit
-        cfg2 = replace(cfg, n_trajectories=2)
-        c = simulate(dp, 0.05, cfg2)
-        assert np.array_equal(a.output_record[:2], c.output_record)
+        for n in (2, 1):
+            c = simulate(dp, 0.05, replace(cfg, n_trajectories=n))
+            assert np.array_equal(a.output_record[:n], c.output_record)
 
     def test_zero_amplitude_tone_is_a_no_op(self):
         dp = desk_dp()
@@ -204,6 +204,22 @@ class TestSteadyStateVariances:
 
         assert gap(1e-4) / gap(1e-5) == pytest.approx(10.0, rel=0.02)
 
+    @pytest.mark.parametrize("case", ["lyapunov_decoupled", "lyapunov_coupled", "defective"])
+    def test_lyapunov_solve_matches_scipy(self, case):
+        if case == "defective":
+            dp, temperature = desk_dp(r_m=1.5, kappa_a=TWO_PI * 15.0), 2.6
+            dt = 0.015 / fastest_rate(dp)
+        else:
+            [row] = [row for row in verification._runs(verification_parameters())
+                     if row.name == case]
+            [run] = verification._plan([row], seed=42)
+            dp, temperature, dt = run.dp, row.params.temperature, run.cfg.dt
+        cavity, magnon = input_densities(dp, temperature)
+        diffusion = linalg.block_diag(dp.kappa_m * magnon, np.eye(2) * dp.kappa_a * cavity)
+        step = np.eye(4) + drift_matrix(dp) * dt
+        expected = linalg.solve_discrete_lyapunov(step, diffusion * dt)
+        assert max_relative(lyapunov_covariance(dp, temperature, dt), expected) < 1e-13
+
     def test_reservoir_statistics_enter_the_increments(self):
         dp = desk_dp(r_m=1.2)
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
@@ -254,6 +270,11 @@ class TestPsdEstimator:
         welch = WelchAccumulator(1, segment_length)
         welch.add(np.zeros((1, n_samples)))
         assert welch.segments == len(times)
+
+    @pytest.mark.parametrize("length", [2, 3, 64, 700, 999, 1000, 9215, 30037])
+    def test_window_is_the_periodic_hann_window(self, length):
+        window = WelchAccumulator(1, length)._window
+        assert np.array_equal(window, signal.get_window("hann", length))
 
     def test_output_spectrum_quick_oracle(self):
         # cheap end-to-end agreement scan; the acceptance suite runs the
@@ -421,16 +442,17 @@ def coupled_detuned_dp():
                                       delta_a=0.5 * km, delta_0p=-0.3 * km))
 
 
-class TestSchurScan:
-    def step_and_inputs(self, dp, n=3000, ntraj=3):
+class TestLaneScan:
+    def step_and_inputs(self, dp, lanes=47, ntraj=3):
         dt = 0.015 / fastest_rate(dp)
         step = np.eye(4) + drift_matrix(dp) * dt
         rng = np.random.default_rng(3)
-        return step, rng.standard_normal((4, ntraj, n)), rng.standard_normal((4, ntraj))
+        return (step, rng.standard_normal((4, ntraj, lanes * simulation._LANE)),
+                rng.standard_normal((4, ntraj)))
 
     def run(self, step, incr, x0):
         out = np.empty_like(incr)
-        return simulation._SchurScan(step, x0)(list(incr), out)
+        return simulation._LaneScan(step, x0)(list(incr), out)
 
     def test_defective_map_at_zero_detuning(self):
         # with kappa_a = kappa_m the one eigenvalue 1 - kappa dt / 2 (the
@@ -441,10 +463,9 @@ class TestSchurScan:
         assert np.linalg.matrix_rank(step - eig[0] * np.eye(4)) == 2
         assert max_relative(self.run(step, incr, x0), loop_states(step, incr, x0)) < 1e-12
 
-    def test_complex_pair_blocks_when_detuned(self):
+    def test_complex_pairs_when_detuned(self):
         step, incr, x0 = self.step_and_inputs(coupled_detuned_dp())
-        t, _ = simulation.linalg.schur(step, output="real")
-        assert t[1, 0] != 0.0 and t[3, 2] != 0.0   # two 2x2 blocks
+        assert np.all(np.linalg.eigvals(step).imag != 0.0)   # two complex pairs
         assert max_relative(self.run(step, incr, x0), loop_states(step, incr, x0)) < 1e-12
 
     @pytest.mark.parametrize("detuned", [False, True])
@@ -452,8 +473,8 @@ class TestSchurScan:
         dp = coupled_detuned_dp() if detuned else desk_dp(r_m=1.5)
         step, incr, x0 = self.step_and_inputs(dp)
         whole = self.run(step, incr, x0)
-        scan = simulation._SchurScan(step, x0)
-        bounds = [0, 1, 2, 700, 701, 2999, 3000]
+        scan = simulation._LaneScan(step, x0)
+        bounds = [lane * simulation._LANE for lane in (0, 1, 2, 11, 12, 46, 47)]
         pieces = [scan(list(incr[:, :, a:b]), np.empty_like(incr[:, :, a:b]))
                   for a, b in zip(bounds, bounds[1:])]
         assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
@@ -484,6 +505,22 @@ class TestSimulateAgainstLoop:
         tone = ToneSignal(amplitude=1e-3, frequency=0.5 * dp.kappa_m)
         self.check(dp, 0.05, quick_config(dp, duration=0.5, n_trajectories=3),
                    signal=tone)
+
+    @pytest.mark.parametrize("chunk", [None, 3 * 997])
+    def test_burn_in_and_end_mid_lane(self, monkeypatch, chunk):
+        # the lanes start at step 0, so the first kept step and the last one
+        # fall inside lanes, and the steps past the end are drawn and dropped
+        if chunk is not None:
+            monkeypatch.setattr(simulation, "_CHUNK", chunk)
+        dp = desk_dp(r_m=1.5)
+        cfg = quick_config(dp, duration=0.5, n_trajectories=3)
+        lane = simulation._LANE
+        n_burn = (int(cfg.burn_in / cfg.dt) // lane + 1) * lane + lane // 2 + 1
+        n_keep = 20 * lane + 5
+        cfg = replace(cfg, burn_in=n_burn * cfg.dt, duration=n_keep * cfg.dt)
+        assert simulation._steps(cfg) == (n_burn, n_keep)
+        assert n_burn % lane and (n_burn + n_keep) % lane
+        self.check(dp, 0.05, cfg)
 
     def test_chunk_size_changes_no_bit(self, monkeypatch):
         dp = desk_dp(r_m=0.7)
