@@ -44,7 +44,14 @@ their applications", 1990):
 
 A run is one chunk generator, :func:`simulate_chunks`, which yields the
 kept quadratures (4, n_trajectories, n) and output record
-(n_trajectories, n) of each chunk, and its consumers fold the chunks in:
+(n_trajectories, n) of each chunk.  Runs that differ only in their
+reservoir or tone read the same streams, so one stepping loop,
+``_chain_chunks``, draws each chunk's normals once and steps one scan per
+run on them, bit for bit as if each ran alone.  Where the consumer reads
+only the output record, as Welch and the gain do, each scan is
+record-only: it completes the P_a row alone of its lane corrections and
+of its output, the other three rows being needed only to step.  The
+consumers fold the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
@@ -54,10 +61,9 @@ kept quadratures (4, n_trajectories, n) and output record
   zero, the runs' exact mean, so nothing is detrended or centred.
 * :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
   quadrature-major storage, for callers that read single samples.
-
 * :func:`measure_gain`: the mean square of the difference between a run
-  with a tone and one without it on the same streams, which is the tone's
-  response alone.
+  with a tone and one without it, stepped on one draw of the streams,
+  which is the tone's response alone.
 
 :func:`stream_psd` and :func:`stream_covariances` feed a run straight into
 an accumulator, so no consumer's memory grows with the run length.
@@ -232,20 +238,23 @@ class _LaneScan:
     """The recursion x_{m+1} = S x_m + incr_m over lanes of ``_LANE`` steps,
     anchored at the run's first step (see the module docstring)."""
 
-    def __init__(self, step: np.ndarray, x0: np.ndarray):
+    def __init__(self, step: np.ndarray, x0: np.ndarray, record_only: bool = False):
         powers = np.array([np.linalg.matrix_power(step, i) for i in range(_LANE + 1)])
         self._diagonal = np.diag(step)[:, None]
         self._off_diagonal = [(k, c, step[k, c]) for k in range(4) for c in range(4)
                               if k != c and step[k, c] != 0.0]
+        #: the components completed and written out: P_a alone for a record-only run
+        self._rows = slice(3, 4) if record_only else slice(0, 4)
         #: (k, c, S^i[k, c] for i = 1..L-1) of the entries not all zero
-        self._corrections = [(k, c, powers[1:-1, k, c, None]) for k in range(4)
+        self._corrections = [(k, c, powers[1:-1, k, c, None]) for k in range(4)[self._rows]
                              for c in range(4) if powers[1:-1, k, c].any()]
         self._lane = powers[-1]
         self._x = np.ascontiguousarray(x0.T)[:, :, None]     # (ntraj, 4, 1)
 
     def __call__(self, incr, out: np.ndarray) -> np.ndarray:
         """States x_m before each increment of ``incr`` (4 arrays (ntraj, n), n
-        whole lanes), written to ``out`` (4, ntraj, n) and returned."""
+        whole lanes), written to ``out`` (4, ntraj, n), or (1, ntraj, n) holding
+        P_a alone for a record-only scan, and returned."""
         ntraj, n = incr[0].shape
         lanes = n // _LANE
         # rest[i, k]: component k of every lane (lane-major, then trajectory)
@@ -273,9 +282,9 @@ class _LaneScan:
         for k, c, column in self._corrections:
             np.multiply(column, starts[c].reshape(-1), out=correction)
             rest[:-1, k] += correction
-        states = out.reshape(4, ntraj, lanes, _LANE)
-        states[..., 0] = starts.transpose(0, 2, 1)
-        states[..., 1:] = by_lane[:-1].transpose(1, 3, 2, 0)
+        states = out.reshape(-1, ntraj, lanes, _LANE)
+        states[..., 0] = starts[self._rows].transpose(0, 2, 1)
+        states[..., 1:] = by_lane[:-1, self._rows].transpose(1, 3, 2, 0)
         return out
 
 
@@ -304,6 +313,22 @@ def simulate_chunks(
     Raises :class:`ConfigurationError` when called, before any stepping, if
     the configuration guard fails or the drift is unstable.
     """
+    chained = _chain_chunks(dp, temperature, cfg, [(reservoir, signal)])
+    return (chunk for [chunk] in chained)
+
+
+def _chain_chunks(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
+                  chains: list, record_only: bool = False):
+    """The chunks of one run per (reservoir, signal) pair of ``chains``, all
+    on the same streams: each chunk's normals are drawn once, and each
+    chain's increments are stepped by its own scan.
+
+    Returns an iterator of lists, one per kept chunk, holding each chain's
+    (states, record) pair as :func:`simulate_chunks` yields it.  A
+    ``record_only`` scan completes the P_a row alone, so its ``states`` is
+    (1, n_trajectories, n).  Raises what :func:`simulate_chunks` raises,
+    when called.
+    """
     _validate_config(dp, cfg)
     dt = cfg.dt
     n_burn, n_keep = _steps(cfg)
@@ -311,25 +336,26 @@ def simulate_chunks(
         raise ConfigurationError("duration shorter than one step")
     n_total = n_burn + n_keep
     ntraj = cfg.n_trajectories
-
-    step = np.eye(4) + drift_matrix(dp) * dt
-    try:
-        chol = np.linalg.cholesky(_diffusion(dp, temperature, reservoir) * dt)
-    except np.linalg.LinAlgError as exc:
-        raise ParameterError(
-            "magnon variance matrix is not positive semidefinite") from exc
-    sq_ka = math.sqrt(dp.kappa_a)
-    drive = signal is not None and signal.amplitude > 0
-
-    rngs = [_trajectory_rng(cfg.seed, i) for i in range(ntraj)]
-    scan = _LaneScan(step, np.zeros((4, ntraj)))
     per_chunk = max(1, _CHUNK // (ntraj * _LANE)) * _LANE
     # whole lanes from step 0; the last lane's steps past the run are drawn and dropped
     n_steps = -(-n_total // _LANE) * _LANE
     width = min(per_chunk, n_steps)
+
+    step = np.eye(4) + drift_matrix(dp) * dt
+    prepared = []
+    for reservoir, signal in chains:
+        try:
+            chol = np.linalg.cholesky(_diffusion(dp, temperature, reservoir) * dt)
+        except np.linalg.LinAlgError as exc:
+            raise ParameterError(
+                "magnon variance matrix is not positive semidefinite") from exc
+        drive = signal if signal is not None and signal.amplitude > 0 else None
+        prepared.append((chol, drive, _LaneScan(step, np.zeros((4, ntraj)), record_only),
+                         np.empty((1 if record_only else 4, ntraj, width)),
+                         np.empty((ntraj, width))))
+    sq_ka = math.sqrt(dp.kappa_a)
+    rngs = [_trajectory_rng(cfg.seed, i) for i in range(ntraj)]
     z = np.empty((ntraj, width, 4))
-    states = np.empty((4, ntraj, width))
-    record = np.empty((ntraj, width))
 
     def chunks():
         for pos in range(0, n_steps, per_chunk):
@@ -337,16 +363,21 @@ def simulate_chunks(
             zc = z[:, :n]
             for rng, zi in zip(rngs, zc):
                 rng.standard_normal(out=zi)
-            incr = [_combine(row, np.moveaxis(zc, -1, 0)) for row in chol]
-            if drive:
-                dx, dpp = _drive_arrays(signal, dp, (pos + np.arange(n)) * dt)
-                incr[0], incr[1] = incr[0] + dx * dt, incr[1] + dpp * dt
+            normals = np.moveaxis(zc, -1, 0)
             lo, hi = max(n_burn - pos, 0), min(n_total - pos, n)
-            kept = scan(incr, states[:, :, :n])[:, :, lo:hi]
-            if lo < hi:
-                np.subtract(sq_ka * kept[3], incr[3][:, lo:hi] / (sq_ka * dt),
-                            out=record[:, :hi - lo])
-                yield kept, record[:, :hi - lo]
+            out = []
+            for chol, signal, scan, states, record in prepared:
+                incr = [_combine(row, normals) for row in chol]
+                if signal is not None:
+                    dx, dpp = _drive_arrays(signal, dp, (pos + np.arange(n)) * dt)
+                    incr[0], incr[1] = incr[0] + dx * dt, incr[1] + dpp * dt
+                kept = scan(incr, states[:, :, :n])[:, :, lo:hi]
+                if lo < hi:
+                    np.subtract(sq_ka * kept[-1], incr[3][:, lo:hi] / (sq_ka * dt),
+                                out=record[:, :hi - lo])
+                    out.append((kept, record[:, :hi - lo]))
+            if out:
+                yield out
 
     return chunks()
 
@@ -421,9 +452,10 @@ class WelchAccumulator:
             self._filled += take
             pos += take
             if self._filled == length:
-                segment = self._ring * self._window
-                spec = np.fft.rfft(segment)
-                self._power += (spec.real**2 + spec.imag**2).sum(axis=0)
+                spec = np.fft.rfft(self._ring * self._window)
+                # |rfft|^2 summed over trajectories, with no 2-D temporary
+                self._power += np.einsum("ij,ij->j", spec.real, spec.real)
+                self._power += np.einsum("ij,ij->j", spec.imag, spec.imag)
                 self.segments += self._ring.shape[0]
                 self._filled = length - self._hop
                 self._ring[:, :self._filled] = self._ring[:, self._hop:]
@@ -488,11 +520,20 @@ def stream_psd(
     ``segments`` is the number of periodograms averaged over all
     trajectories.
     """
-    welch = WelchAccumulator(cfg.n_trajectories, segment_length)
-    for _, record in simulate_chunks(dp, temperature, cfg, reservoir):
-        welch.add(record)
-    omega, psd = welch.spectrum(cfg.dt)
-    return omega, psd, welch.segments
+    return _stream_psds(dp, temperature, cfg, segment_length, [reservoir])[0]
+
+
+def _stream_psds(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
+                 segment_length: int, reservoirs: list) -> list[tuple]:
+    """:func:`stream_psd` of one run per entry of ``reservoirs``, all on the
+    same streams, so each chunk's normals are drawn once.  Welch reads the
+    output record alone, so the scans are record-only."""
+    welches = [WelchAccumulator(cfg.n_trajectories, segment_length) for _ in reservoirs]
+    chains = [(reservoir, None) for reservoir in reservoirs]
+    for chunk in _chain_chunks(dp, temperature, cfg, chains, record_only=True):
+        for welch, (_, record) in zip(welches, chunk):
+            welch.add(record)
+    return [(*welch.spectrum(cfg.dt), welch.segments) for welch in welches]
 
 
 def stream_covariances(
@@ -530,8 +571,9 @@ def measure_gain(
         raise ParameterError("measure_gain requires a tone with positive amplitude")
     require_evading_point(dp)
     total, count = 0.0, 0
-    for (_, driven), (_, quiet) in zip(simulate_chunks(dp, temperature, cfg, signal=tone),
-                                       simulate_chunks(dp, temperature, cfg)):
+    chains = [(None, tone), (None, None)]
+    for (_, driven), (_, quiet) in _chain_chunks(dp, temperature, cfg, chains,
+                                                 record_only=True):
         total += float(np.sum((driven - quiet)**2))
         count += driven.size
     p_ref = (dp.lambda_bare * tone.amplitude)**2 / (4.0 * dp.kappa_m)

@@ -7,14 +7,16 @@ discrepancy (|K4(0)| = 1 from the drift system vs 3 from the printed form).
 
 The stochastic runs are one table, :func:`_runs`: per row a name, a check
 family, the parameters and the reservoir or tone offset.  Each family sizes
-its run and judges it.  ``_check_lyapunov`` compares the stepped chain's
+its runs and judges them; consecutive rows of a family on equal parameters
+reach it as one group.  ``_check_lyapunov`` compares the stepped chain's
 second moments about its exact zero mean with its discrete Lyapunov
 covariance, within three standard errors.  ``_check_psd`` compares Welch
 spectra of the output with the analytic output spectrum over omega in
-[0.1, 5] kappa_m.  ``_check_gain`` steps one trajectory over 32 periods of
-an injected tone, with and without the tone on the same streams, so the
-noise cancels and the gain's deviation from the analytic response is the
-step's own bias, whatever the seed.
+[0.1, 5] kappa_m; it steps a group, ``psd_rm15`` with and without its
+reservoir, on one draw of the random streams.  ``_check_gain`` steps one
+trajectory over 32 periods of an injected tone, with and without the tone
+on one draw, so the noise cancels and the gain's deviation from the
+analytic response is the step's own bias, whatever the seed.
 
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
@@ -25,6 +27,8 @@ g'/kappa_m in the thousands too costly to simulate.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -32,8 +36,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .model import ConfigurationError, DerivedParameters, SystemParameters, derived_parameters
-from .simulation import (WELCH_OVERLAP, SimulationConfig, ToneSignal, fastest_rate,
-                         lyapunov_covariance, measure_gain, stream_covariances, stream_psd)
+from .simulation import (SimulationConfig, ToneSignal, _stream_psds, fastest_rate,
+                         lyapunov_covariance, measure_gain, noverlap, stream_covariances)
 from .spectra import SqueezedReservoir, output_spectrum
 from .transfer import closed_form_grid, require_evading_point, require_stable, response_grid
 
@@ -118,7 +122,7 @@ def verification_parameters() -> SystemParameters:
 
 class _Row(NamedTuple):
     name: str
-    family: Callable              # sizes the run and returns its _Run
+    family: Callable              # sizes a group of rows and returns their _Runs
     params: SystemParameters
     reservoir: SqueezedReservoir | None = None
     tone: float | None = None     # tone offset in units of kappa_m (gain runs)
@@ -158,12 +162,25 @@ def _runs(params: SystemParameters) -> list[_Row]:
 
 
 def _plan(rows: list[_Row], seed: int) -> list[_Run]:
-    """Size every run of ``rows``, stepping none, so a refusal costs no stepping."""
+    """Size every run of ``rows``, stepping none, so a refusal costs no stepping.
+
+    Consecutive rows of one family on equal parameters are one group, sized
+    together: their runs have the same step, length and seed, so the family
+    may step them on one draw of the random streams.
+    """
     runs = []
-    for row in rows:
-        dp = derived_parameters(row.params)
-        runs.append(row.family(row, dp, seed, _DT_ACCURACY / fastest_rate(dp)))
+    for (family, params), group in itertools.groupby(
+            rows, lambda row: (row.family, row.params)):
+        dp = derived_parameters(params)
+        runs += family(list(group), dp, seed, _DT_ACCURACY / fastest_rate(dp))
     return runs
+
+
+def _per_row(size: Callable[..., _Run]) -> Callable[..., list[_Run]]:
+    """The family that sizes and steps each row of a group on its own."""
+    def family(rows, dp, seed, dt):
+        return [size(row, dp, seed, dt) for row in rows]
+    return family
 
 
 def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
@@ -174,9 +191,10 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
     Refuses an unstable drift, and a run of more than ``_MAX_TRAJECTORY_STEPS``
     recorded trajectory-steps: a time budget, not a memory guard, since the
     runs store nothing that grows with their length.  1e8 trajectory-steps
-    are 14-36 s of stepping at 2.8-7 million a second on a 2-core x86
-    machine, the Welch FFTs of the PSD runs making the slow end, and 8.5x
-    the largest desk run (``psd_rm15``'s 16 trajectories of 735908 steps).
+    are 16-22 s of stepping at 4.5-6.2 million a second on a 2-core x86
+    machine, a lone PSD run making the slow end and the chained ``psd_rm15``
+    pair the fast one, and 8.4x the largest desk run (``psd_rm15``'s 16
+    trajectories of 744164 steps).
     """
     require_stable(dp)
     if trajectories * steps > _MAX_TRAJECTORY_STEPS:
@@ -221,6 +239,7 @@ def _check_routes(params: SystemParameters) -> list[CheckResult]:
     return checks
 
 
+@_per_row
 def _check_lyapunov(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     steps = round(_LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt)
     cfg = _run_config(dp, seed, dt, steps, _LYAPUNOV_TRAJECTORIES)
@@ -254,31 +273,55 @@ def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
     return bands
 
 
-def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
-    # a record of about _PSD_SEGMENTS_PER_TRAJECTORY Welch segments of nper samples
-    nper = int(round(_TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt))
-    steps = int(nper * (1 + (_PSD_SEGMENTS_PER_TRAJECTORY - 1)
-                        * (1.0 - WELCH_OVERLAP))) + 2
+def _five_smooth(n: int) -> int:
+    """The least length >= n with no prime factor over 5, which the FFT
+    transforms fast."""
+    n = max(n, 1)
+    while True:
+        rest = n
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _check_psd(rows: list[_Row], dp: DerivedParameters, seed: int,
+               dt: float) -> list[_Run]:
+    # _PSD_SEGMENTS_PER_TRAJECTORY Welch segments of nper samples, a 5-smooth
+    # length at about _PSD_RESOLUTION kappa_m bin spacing
+    nper = _five_smooth(round(_TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt))
+    steps = nper + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * (nper - noverlap(nper))
     cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES)
+    temperature = rows[0].params.temperature
 
-    def check() -> CheckResult:
-        omega, psd, n_seg = stream_psd(dp, row.params.temperature, cfg, nper, row.reservoir)
-        reference = output_spectrum(dp, row.params.temperature, omega, reservoir=row.reservoir)
-        worst = 0.0
-        for sel in _psd_bands(omega, dp.kappa_m):
-            est = float(np.mean(psd[sel]))
-            ana = float(np.mean(reference[sel]))
-            worst = max(worst, abs(est / ana - 1.0))
-        return CheckResult(
-            name=row.name,
-            value=worst,
-            tolerance=_PSD_TOLERANCE,
-            detail=f"max band-averaged relative deviation, {n_seg} Welch "
-                   "segments, omega/kappa_m in [0.1, 5]",
-        )
-    return _Run(row.name, dp, cfg, check, segment=nper)
+    @functools.cache
+    def spectra() -> list[tuple]:
+        # the group differs only in its reservoirs: one draw, one scan each
+        return _stream_psds(dp, temperature, cfg, nper, [row.reservoir for row in rows])
+
+    def run(i: int, row: _Row) -> _Run:
+        def check() -> CheckResult:
+            omega, psd, n_seg = spectra()[i]
+            reference = output_spectrum(dp, temperature, omega, reservoir=row.reservoir)
+            worst = 0.0
+            for sel in _psd_bands(omega, dp.kappa_m):
+                est = float(np.mean(psd[sel]))
+                ana = float(np.mean(reference[sel]))
+                worst = max(worst, abs(est / ana - 1.0))
+            return CheckResult(
+                name=row.name,
+                value=worst,
+                tolerance=_PSD_TOLERANCE,
+                detail=f"max band-averaged relative deviation, {n_seg} Welch "
+                       "segments, omega/kappa_m in [0.1, 5]",
+            )
+        return _Run(row.name, dp, cfg, check, segment=nper)
+    return [run(i, row) for i, row in enumerate(rows)]
 
 
+@_per_row
 def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     require_evading_point(dp)
     delta = row.tone * dp.kappa_m

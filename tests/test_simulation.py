@@ -27,6 +27,7 @@ from magnon_sense.simulation import (
     fastest_rate,
     noverlap,
     simulate_chunks,
+    _stream_psds,
     stream_covariances,
     stream_psd,
 )
@@ -49,6 +50,30 @@ def quick_config(dp, duration, n_trajectories=8, seed=11, accuracy=0.01):
     return SimulationConfig(dt=dt, duration=duration,
                             burn_in=12.0 / min(dp.kappa_a, dp.kappa_m),
                             n_trajectories=n_trajectories, seed=seed)
+
+
+def count_streams(monkeypatch):
+    """The (seed, index) of every trajectory stream constructed from now on."""
+    calls = []
+    original = simulation._trajectory_rng
+
+    def counted(seed, index):
+        calls.append((seed, index))
+        return original(seed, index)
+    monkeypatch.setattr(simulation, "_trajectory_rng", counted)
+    return calls
+
+
+def mid_lane_config(dp):
+    """A short run whose burn-in ends, and whose record ends, inside a lane."""
+    cfg = quick_config(dp, duration=0.5, n_trajectories=3)
+    lane = simulation._LANE
+    n_burn = (int(cfg.burn_in / cfg.dt) // lane + 1) * lane + lane // 2 + 1
+    n_keep = 20 * lane + 5
+    cfg = replace(cfg, burn_in=n_burn * cfg.dt, duration=n_keep * cfg.dt)
+    assert simulation._steps(cfg) == (n_burn, n_keep)
+    assert n_burn % lane and (n_burn + n_keep) % lane
+    return cfg
 
 
 def welch_psd(record, segment_length, dt):
@@ -351,6 +376,24 @@ class TestGainMeasurement:
                     / self.analytic_gain(dp0, delta_frac * dp0.kappa_m))
         assert g1 / g0 == pytest.approx(expected, rel=0.15)
 
+    def test_draws_each_stream_once(self, monkeypatch):
+        # the driven and the quiet run share one draw per chunk, and the
+        # gain is the one two separately drawn runs on the same streams give
+        row = verification._Row("gain", verification._check_gain,
+                                verification_parameters().with_squeeze_amplitude(1.0),
+                                tone=1.0)
+        [run] = verification._plan([row], seed=42)
+        total, count = 0.0, 0
+        for (_, driven), (_, quiet) in zip(
+                simulate_chunks(run.dp, 0.05, run.cfg, signal=run.tone),
+                simulate_chunks(run.dp, 0.05, run.cfg)):
+            total += float(np.sum((driven - quiet)**2))
+            count += driven.size
+        p_ref = (run.dp.lambda_bare * run.tone.amplitude)**2 / (4.0 * run.dp.kappa_m)
+        calls = count_streams(monkeypatch)
+        assert measure_gain(run.dp, 0.05, run.tone, run.cfg) == total / count / p_ref
+        assert calls == [(42, 0)]
+
     def test_requires_positive_amplitude(self):
         dp = desk_dp(r_m=1.0)
         cfg = quick_config(dp, duration=1.0)
@@ -374,9 +417,9 @@ class TestVerifyPlan:
         assert sizes == {
             "lyapunov_decoupled": (32, 205333, 953, None),
             "lyapunov_coupled": (32, 205333, 953, None),
-            "psd_rm0": (16, 225769, 953, 9215),
-            "psd_rm15": (16, 735908, 3107, 30037),
-            "psd_rm15_reservoir": (16, 735908, 3107, 30037),
+            "psd_rm0": (16, 225792, 953, 9216),
+            "psd_rm15": (16, 744164, 3107, 30375),
+            "psd_rm15_reservoir": (16, 744164, 3107, 30375),
             "gain_delta_0.2km": (1, 145745, 1885, None),
             "gain_delta_0.5km": (1, 58298, 1885, None),
             "gain_delta_1km": (1, 29149, 1885, None),
@@ -387,6 +430,38 @@ class TestVerifyPlan:
         for run in runs:
             assert run.cfg.dt * fastest_rate(run.dp) == 0.015
             assert run.cfg.seed == 42
+
+    def test_psd_runs_hold_exactly_the_planned_segments(self):
+        # one step fewer would lose the last segment of every trajectory
+        runs = [run for run in verification._plan(
+            verification._runs(verification_parameters()), seed=42) if run.segment]
+        assert [run.name for run in runs] == ["psd_rm0", "psd_rm15", "psd_rm15_reservoir"]
+        for run in runs:
+            steps = simulation._steps(run.cfg)[1]
+            for n, segments in ((steps, 48), (steps - 1, 47)):
+                welch = WelchAccumulator(1, run.segment)
+                welch.add(np.zeros((1, n)))
+                assert welch.segments == segments
+
+    def test_five_smooth_lengths(self):
+        smooth = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9)
+                        for c in range(7) if 2**a * 3**b * 5**c <= 10**4)
+        for n in range(1, 5001):
+            assert verification._five_smooth(n) == min(m for m in smooth if m >= n)
+        assert verification._five_smooth(9215) == 9216
+        assert verification._five_smooth(30037) == 30375
+
+    def test_equal_psd_rows_step_as_one_draw(self, monkeypatch):
+        # a coarse resolution keeps the runs short; the sharing is the same
+        monkeypatch.setattr(verification, "_PSD_RESOLUTION", 1.0)
+        rows = [row for row in verification._runs(verification_parameters())
+                if row.name.startswith("psd_rm15")]
+        assert [row.name for row in rows] == ["psd_rm15", "psd_rm15_reservoir"]
+        apart = [verification._plan([row], seed=42)[0].check() for row in rows]
+        calls = count_streams(monkeypatch)
+        together = [run.check() for run in verification._plan(rows, seed=42)]
+        assert together == apart
+        assert calls == [(42, i) for i in range(16)]
 
 
 def loop_states(step, incr, x0):
@@ -450,34 +525,44 @@ class TestLaneScan:
         return (step, rng.standard_normal((4, ntraj, lanes * simulation._LANE)),
                 rng.standard_normal((4, ntraj)))
 
-    def run(self, step, incr, x0):
-        out = np.empty_like(incr)
-        return simulation._LaneScan(step, x0)(list(incr), out)
+    def run(self, step, incr, x0, record_only=False):
+        out = np.empty((1 if record_only else 4, *incr.shape[1:]))
+        return simulation._LaneScan(step, x0, record_only)(list(incr), out)
+
+    def check(self, step, incr, x0):
+        """The full scan against the step-by-step loop, and the record-only
+        scan's P_a against the full scan's, bit for bit."""
+        full = self.run(step, incr, x0)
+        assert max_relative(full, loop_states(step, incr, x0)) < 1e-12
+        assert np.array_equal(self.run(step, incr, x0, record_only=True), full[3:])
 
     def test_defective_map_at_zero_detuning(self):
         # with kappa_a = kappa_m the one eigenvalue 1 - kappa dt / 2 (the
         # map is triangular up to reordering) has only two eigenvectors
-        step, incr, x0 = self.step_and_inputs(desk_dp(r_m=1.5, kappa_a=TWO_PI * 15.0))
-        eig = np.diag(step)
-        assert np.all(eig == eig[0])
-        assert np.linalg.matrix_rank(step - eig[0] * np.eye(4)) == 2
-        assert max_relative(self.run(step, incr, x0), loop_states(step, incr, x0)) < 1e-12
+        dp = desk_dp(r_m=1.5, kappa_a=TWO_PI * 15.0)
+        for ntraj in (3, 1):
+            step, incr, x0 = self.step_and_inputs(dp, ntraj=ntraj)
+            eig = np.diag(step)
+            assert np.all(eig == eig[0])
+            assert np.linalg.matrix_rank(step - eig[0] * np.eye(4)) == 2
+            self.check(step, incr, x0)
 
     def test_complex_pairs_when_detuned(self):
         step, incr, x0 = self.step_and_inputs(coupled_detuned_dp())
         assert np.all(np.linalg.eigvals(step).imag != 0.0)   # two complex pairs
-        assert max_relative(self.run(step, incr, x0), loop_states(step, incr, x0)) < 1e-12
+        self.check(step, incr, x0)
 
     @pytest.mark.parametrize("detuned", [False, True])
     def test_chunks_are_bit_identical_to_one_pass(self, detuned):
         dp = coupled_detuned_dp() if detuned else desk_dp(r_m=1.5)
         step, incr, x0 = self.step_and_inputs(dp)
-        whole = self.run(step, incr, x0)
-        scan = simulation._LaneScan(step, x0)
         bounds = [lane * simulation._LANE for lane in (0, 1, 2, 11, 12, 46, 47)]
-        pieces = [scan(list(incr[:, :, a:b]), np.empty_like(incr[:, :, a:b]))
-                  for a, b in zip(bounds, bounds[1:])]
-        assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
+        for record_only in (False, True):
+            whole = self.run(step, incr, x0, record_only)
+            scan = simulation._LaneScan(step, x0, record_only)
+            pieces = [scan(list(incr[:, :, a:b]), np.empty_like(whole[:, :, a:b]))
+                      for a, b in zip(bounds, bounds[1:])]
+            assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
 
 
 class TestSimulateAgainstLoop:
@@ -513,14 +598,7 @@ class TestSimulateAgainstLoop:
         if chunk is not None:
             monkeypatch.setattr(simulation, "_CHUNK", chunk)
         dp = desk_dp(r_m=1.5)
-        cfg = quick_config(dp, duration=0.5, n_trajectories=3)
-        lane = simulation._LANE
-        n_burn = (int(cfg.burn_in / cfg.dt) // lane + 1) * lane + lane // 2 + 1
-        n_keep = 20 * lane + 5
-        cfg = replace(cfg, burn_in=n_burn * cfg.dt, duration=n_keep * cfg.dt)
-        assert simulation._steps(cfg) == (n_burn, n_keep)
-        assert n_burn % lane and (n_burn + n_keep) % lane
-        self.check(dp, 0.05, cfg)
+        self.check(dp, 0.05, mid_lane_config(dp))
 
     def test_chunk_size_changes_no_bit(self, monkeypatch):
         dp = desk_dp(r_m=0.7)
@@ -593,6 +671,23 @@ class TestAccumulators:
         assert np.array_equal(stream_psd(dp, temperature, cfg, nper)[1], psd)
         np.testing.assert_allclose(stream_covariances(dp, temperature, cfg), covs,
                                    rtol=1e-12, atol=0)
+
+    def test_chained_runs_are_bit_identical_to_single_runs(self):
+        # one draw stepped by two record-only scans gives each reservoir the
+        # spectrum of its own full run
+        dp = desk_dp(r_m=1.2)
+        cfg = mid_lane_config(dp)
+        reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
+        nper = 101
+        chained = _stream_psds(dp, 0.05, cfg, nper, [None, reservoir])
+        for (omega, psd, segments), res in zip(chained, [None, reservoir]):
+            single = stream_psd(dp, 0.05, cfg, nper, reservoir=res)
+            stored = welch_psd(simulate(dp, 0.05, cfg, reservoir=res).output_record,
+                               nper, cfg.dt)
+            for other in (single, stored):
+                assert np.array_equal(other[0], omega)
+                assert np.array_equal(other[1], psd)
+                assert other[2] == segments == 3 * 11
 
     def test_pieces_fold_like_one_array(self):
         rng = np.random.default_rng(7)
