@@ -42,16 +42,16 @@ their applications", 1990):
   trajectories, so neither the chunk size nor the trajectory count changes
   a bit of the states.
 
-A run is one chunk generator, :func:`simulate_chunks`, which yields the
+A run is one draw of the streams, stepped by :func:`simulate_chunks`,
+the oracle's one stepping entry.  Its chains, one per (reservoir, signal)
+pair, differ only in their reservoir or tone and read the same streams:
+each chunk's normals are drawn once and stepped by one scan per chain, bit
+for bit as if each chain ran alone, and each chunk yields every chain's
 kept quadratures (4, n_trajectories, n) and output record
-(n_trajectories, n) of each chunk.  Runs that differ only in their
-reservoir or tone read the same streams, so one stepping loop,
-``_chain_chunks``, draws each chunk's normals once and steps one scan per
-run on them, bit for bit as if each ran alone.  Where the consumer reads
-only the output record, as Welch and the gain do, each scan is
-record-only: it completes the P_a row alone of its lane corrections and
-of its output, the other three rows being needed only to step.  The
-consumers fold the chunks in:
+(n_trajectories, n).  Where the consumer reads only the output record, as
+Welch and the gain do, each scan is record-only: it completes the P_a row
+alone of its lane corrections and of its output, the other three rows
+being needed only to step.  The consumers fold the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
@@ -61,9 +61,8 @@ consumers fold the chunks in:
   zero, the runs' exact mean, so nothing is detrended or centred.
 * :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
   quadrature-major storage, for callers that read single samples.
-* :func:`measure_gain`: the mean square of the difference between a run
-  with a tone and one without it, stepped on one draw of the streams,
-  which is the tone's response alone.
+* :func:`measure_gain`: the mean square of the difference between a chain
+  with a tone and one without it, which is the tone's response alone.
 
 :func:`stream_psd` and :func:`stream_covariances` feed a run straight into
 an accumulator, so no consumer's memory grows with the run length.
@@ -293,41 +292,23 @@ def _steps(cfg: SimulationConfig) -> tuple[int, int]:
     return int(round(cfg.burn_in / cfg.dt)), int(round(cfg.duration / cfg.dt))
 
 
-def simulate_chunks(
-    dp: DerivedParameters,
-    temperature: float,
-    cfg: SimulationConfig,
-    reservoir: SqueezedReservoir | None = None,
-    signal: ToneSignal | None = None,
-):
-    """Integrate the quadrature Langevin equations, one chunk of kept steps
-    at a time.
+def simulate_chunks(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
+                    chains: list, record_only: bool = False):
+    """Integrate the quadrature Langevin equations of one run, one chunk of
+    kept steps at a time, for each (reservoir, signal) pair of ``chains``.
 
-    Returns an iterator of (states, record) pairs in time order, one per
-    kept chunk: ``states`` (4, n_trajectories, n) holds the quadratures
-    before each step and ``record`` (n_trajectories, n) the output record.
-    Both are views of buffers that the next chunk overwrites, so a consumer
-    copies what it keeps.  The increments are the rows of chol(D dt) times
-    standard normals, D the diffusion matrix of the inputs.
+    Returns an iterator of lists in time order, one per kept chunk, holding
+    each chain's (states, record) pair: ``states`` (4, n_trajectories, n)
+    holds the quadratures before each step and ``record``
+    (n_trajectories, n) the output record.  A ``record_only`` scan
+    completes the P_a row alone, so its ``states`` is (1, n_trajectories,
+    n).  Both are views of buffers that the next chunk overwrites, so a
+    consumer copies what it keeps.  The increments are the rows of
+    chol(D dt) times standard normals, D the diffusion matrix of the
+    inputs; each chunk's normals are drawn once for all chains.
 
     Raises :class:`ConfigurationError` when called, before any stepping, if
     the configuration guard fails or the drift is unstable.
-    """
-    chained = _chain_chunks(dp, temperature, cfg, [(reservoir, signal)])
-    return (chunk for [chunk] in chained)
-
-
-def _chain_chunks(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
-                  chains: list, record_only: bool = False):
-    """The chunks of one run per (reservoir, signal) pair of ``chains``, all
-    on the same streams: each chunk's normals are drawn once, and each
-    chain's increments are stepped by its own scan.
-
-    Returns an iterator of lists, one per kept chunk, holding each chain's
-    (states, record) pair as :func:`simulate_chunks` yields it.  A
-    ``record_only`` scan completes the P_a row alone, so its ``states`` is
-    (1, n_trajectories, n).  Raises what :func:`simulate_chunks` raises,
-    when called.
     """
     _validate_config(dp, cfg)
     dt = cfg.dt
@@ -394,12 +375,12 @@ def simulate(
     The store-everything consumer of :func:`simulate_chunks`, for callers
     that read single samples; it raises what that raises.
     """
-    chunks = simulate_chunks(dp, temperature, cfg, reservoir, signal)
+    chunks = simulate_chunks(dp, temperature, cfg, [(reservoir, signal)])
     n_burn, n_keep = _steps(cfg)
     quad = np.empty((4, cfg.n_trajectories, n_keep))
     out = np.empty((cfg.n_trajectories, n_keep))
     k = 0
-    for states, record in chunks:
+    for [(states, record)] in chunks:
         n = record.shape[1]
         quad[:, :, k:k + n] = states
         out[:, k:k + n] = record
@@ -507,30 +488,19 @@ class CovarianceAccumulator:
         return self._moments / self._count
 
 
-def stream_psd(
-    dp: DerivedParameters,
-    temperature: float,
-    cfg: SimulationConfig,
-    segment_length: int,
-    reservoir: SqueezedReservoir | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(omega, psd, segments) of a run's output record, with nothing stored.
+def stream_psd(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
+               segment_length: int, reservoirs: list) -> list[tuple]:
+    """(omega, psd, segments) of the output record of one chain per entry of
+    ``reservoirs``, all on one draw of the streams, with nothing stored.
 
-    The run's chunks go straight into a :class:`WelchAccumulator`, and
-    ``segments`` is the number of periodograms averaged over all
-    trajectories.
+    Each chain's chunks go straight into its own :class:`WelchAccumulator`,
+    and ``segments`` is the number of periodograms averaged over all
+    trajectories.  Welch reads the output record alone, so the scans are
+    record-only.
     """
-    return _stream_psds(dp, temperature, cfg, segment_length, [reservoir])[0]
-
-
-def _stream_psds(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
-                 segment_length: int, reservoirs: list) -> list[tuple]:
-    """:func:`stream_psd` of one run per entry of ``reservoirs``, all on the
-    same streams, so each chunk's normals are drawn once.  Welch reads the
-    output record alone, so the scans are record-only."""
     welches = [WelchAccumulator(cfg.n_trajectories, segment_length) for _ in reservoirs]
     chains = [(reservoir, None) for reservoir in reservoirs]
-    for chunk in _chain_chunks(dp, temperature, cfg, chains, record_only=True):
+    for chunk in simulate_chunks(dp, temperature, cfg, chains, record_only=True):
         for welch, (_, record) in zip(welches, chunk):
             welch.add(record)
     return [(*welch.spectrum(cfg.dt), welch.segments) for welch in welches]
@@ -544,7 +514,7 @@ def stream_covariances(
     """Per-trajectory covariances of a run about its zero mean, shape
     (n_trajectories, 4, 4), with nothing stored."""
     acc = CovarianceAccumulator(cfg.n_trajectories)
-    for states, _ in simulate_chunks(dp, temperature, cfg):
+    for [(states, _)] in simulate_chunks(dp, temperature, cfg, [(None, None)]):
         acc.add(states)
     return acc.covariances()
 
@@ -555,10 +525,10 @@ def measure_gain(
     tone: ToneSignal,
     cfg: SimulationConfig,
 ) -> float:
-    """Empirical response at the tone frequency, from two runs on the same streams.
+    """Empirical response at the tone frequency, from two chains on one draw.
 
     The oracle is linear and its noise comes only from the trajectories'
-    streams, so a run with the tone and one without it differ, to rounding,
+    streams, so a chain with the tone and one without it differ, to rounding,
     by the tone's deterministic response alone.  Its mean square, the line
     power of the output record, is divided by the field-referred input
     density integrated over the tone, lambda^2 B0^2 / (4 kappa_m) with
@@ -572,8 +542,8 @@ def measure_gain(
     require_evading_point(dp)
     total, count = 0.0, 0
     chains = [(None, tone), (None, None)]
-    for (_, driven), (_, quiet) in _chain_chunks(dp, temperature, cfg, chains,
-                                                 record_only=True):
+    for (_, driven), (_, quiet) in simulate_chunks(dp, temperature, cfg, chains,
+                                                   record_only=True):
         total += float(np.sum((driven - quiet)**2))
         count += driven.size
     p_ref = (dp.lambda_bare * tone.amplitude)**2 / (4.0 * dp.kappa_m)

@@ -5,18 +5,20 @@ solve against the printed closed forms, that is the 1e-9 agreement of |k1|
 at the backaction-evading point and the documented decoupled-resonant
 discrepancy (|K4(0)| = 1 from the drift system vs 3 from the printed form).
 
-The stochastic runs are one table, :func:`_runs`: per row a name, a check
-family, the parameters and the reservoir or tone offset.  Each family sizes
-its runs and judges them; consecutive rows of a family on equal parameters
-reach it as one group.  ``_check_lyapunov`` compares the stepped chain's
-second moments about its exact zero mean with its discrete Lyapunov
-covariance, within three standard errors.  ``_check_psd`` compares Welch
-spectra of the output with the analytic output spectrum over omega in
-[0.1, 5] kappa_m; it steps a group, ``psd_rm15`` with and without its
-reservoir, on one draw of the random streams.  ``_check_gain`` steps one
-trajectory over 32 periods of an injected tone, with and without the tone
-on one draw, so the noise cancels and the gain's deviation from the
-analytic response is the step's own bias, whatever the seed.
+The stochastic runs are one table, :func:`_runs`.  A row is one run, that
+is one draw of the random streams: its check family, its parameters and
+the (name, variant) of each check it feeds, the variant being the
+reservoir of a PSD check, the tone offset of a gain check and None for a
+Lyapunov check.  The family sizes the run and judges each of its checks.
+``_check_lyapunov`` compares the stepped chain's second moments about its
+exact zero mean with its discrete Lyapunov covariance, within three
+standard errors.  ``_check_psd`` compares Welch spectra of the output with
+the analytic output spectrum over omega in [0.1, 5] kappa_m; the
+``psd_rm15`` run feeds two checks, without and with the squeezed
+reservoir.  ``_check_gain`` steps one trajectory over 32 periods of an
+injected tone, with and without the tone on one draw, so the noise cancels
+and the gain's deviation from the analytic response is the step's own
+bias, whatever the seed.
 
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
@@ -27,8 +29,6 @@ g'/kappa_m in the thousands too costly to simulate.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -36,8 +36,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .model import ConfigurationError, DerivedParameters, SystemParameters, derived_parameters
-from .simulation import (SimulationConfig, ToneSignal, _stream_psds, fastest_rate,
-                         lyapunov_covariance, measure_gain, noverlap, stream_covariances)
+from .simulation import (SimulationConfig, ToneSignal, fastest_rate, lyapunov_covariance,
+                         measure_gain, noverlap, stream_covariances, stream_psd)
 from .spectra import SqueezedReservoir, output_spectrum
 from .transfer import closed_form_grid, require_evading_point, require_stable, response_grid
 
@@ -121,21 +121,22 @@ def verification_parameters() -> SystemParameters:
 
 
 class _Row(NamedTuple):
-    name: str
-    family: Callable              # sizes a group of rows and returns their _Runs
+    family: Callable              # sizes the row's run and returns its _Run
     params: SystemParameters
-    reservoir: SqueezedReservoir | None = None
-    tone: float | None = None     # tone offset in units of kappa_m (gain runs)
+    #: (name, variant) per check: the reservoir (PSD), the tone offset in
+    #: units of kappa_m (gain) or None (Lyapunov)
+    checks: tuple
 
 
 @dataclass(frozen=True)
 class _Run:
-    """One sized run of the plan; ``check()`` steps it and judges the result."""
+    """One sized run of the plan; ``check()`` steps it and judges each of its
+    checks, returning one result per name."""
 
-    name: str
+    names: tuple[str, ...]
     dp: DerivedParameters
     cfg: SimulationConfig
-    check: Callable[[], CheckResult]
+    check: Callable[[], list[CheckResult]]
     segment: int | None = None    # Welch segment length in samples (PSD runs)
     tone: ToneSignal | None = None  # the injected tone (gain runs)
 
@@ -144,43 +145,31 @@ def _runs(params: SystemParameters) -> list[_Row]:
     """The stochastic runs of ``verify`` on ``params``, in report order."""
     kappa_m = params.kappa_m
     hot = replace(params, temperature=2.6)
-    rm15 = params.with_squeeze_amplitude(1.5)
     return [
-        _Row("lyapunov_decoupled", _check_lyapunov,
+        _Row(_check_lyapunov,
              replace(hot.with_squeeze_amplitude(0.5), mod_amplitude=0.0,
-                     delta_a=0.0, delta_0p=0.0)),
-        _Row("lyapunov_coupled", _check_lyapunov,
+                     delta_a=0.0, delta_0p=0.0),
+             (("lyapunov_decoupled", None),)),
+        _Row(_check_lyapunov,
              replace(hot.with_squeeze_amplitude(0.0), g_0=0.4 * kappa_m, mod_amplitude=1.0,
-                     delta_a=0.5 * kappa_m, delta_0p=-0.3 * kappa_m)),
-        _Row("psd_rm0", _check_psd, params.with_squeeze_amplitude(0.0)),
-        _Row("psd_rm15", _check_psd, rm15),
-        _Row("psd_rm15_reservoir", _check_psd, rm15,
-             reservoir=SqueezedReservoir(r_n=1.5, phi_n=math.pi)),
-        *[_Row(f"gain_delta_{frac:g}km", _check_gain, params.with_squeeze_amplitude(1.0),
-               tone=frac) for frac in (0.2, 0.5, 1.0)],
+                     delta_a=0.5 * kappa_m, delta_0p=-0.3 * kappa_m),
+             (("lyapunov_coupled", None),)),
+        _Row(_check_psd, params.with_squeeze_amplitude(0.0), (("psd_rm0", None),)),
+        _Row(_check_psd, params.with_squeeze_amplitude(1.5),
+             (("psd_rm15", None),
+              ("psd_rm15_reservoir", SqueezedReservoir(r_n=1.5, phi_n=math.pi)))),
+        *[_Row(_check_gain, params.with_squeeze_amplitude(1.0),
+               ((f"gain_delta_{frac:g}km", frac),)) for frac in (0.2, 0.5, 1.0)],
     ]
 
 
 def _plan(rows: list[_Row], seed: int) -> list[_Run]:
-    """Size every run of ``rows``, stepping none, so a refusal costs no stepping.
-
-    Consecutive rows of one family on equal parameters are one group, sized
-    together: their runs have the same step, length and seed, so the family
-    may step them on one draw of the random streams.
-    """
+    """Size every run of ``rows``, stepping none, so a refusal costs no stepping."""
     runs = []
-    for (family, params), group in itertools.groupby(
-            rows, lambda row: (row.family, row.params)):
-        dp = derived_parameters(params)
-        runs += family(list(group), dp, seed, _DT_ACCURACY / fastest_rate(dp))
+    for row in rows:
+        dp = derived_parameters(row.params)
+        runs.append(row.family(row, dp, seed, _DT_ACCURACY / fastest_rate(dp)))
     return runs
-
-
-def _per_row(size: Callable[..., _Run]) -> Callable[..., list[_Run]]:
-    """The family that sizes and steps each row of a group on its own."""
-    def family(rows, dp, seed, dt):
-        return [size(row, dp, seed, dt) for row in rows]
-    return family
 
 
 def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
@@ -239,25 +228,25 @@ def _check_routes(params: SystemParameters) -> list[CheckResult]:
     return checks
 
 
-@_per_row
 def _check_lyapunov(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
+    [(name, _)] = row.checks
     steps = round(_LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt)
     cfg = _run_config(dp, seed, dt, steps, _LYAPUNOV_TRAJECTORIES)
 
-    def check() -> CheckResult:
+    def check() -> list[CheckResult]:
         covs = stream_covariances(dp, row.params.temperature, cfg)
         se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
         target = lyapunov_covariance(dp, row.params.temperature, cfg.dt)
         iu = np.triu_indices(4)
         sigmas = np.abs(covs.mean(axis=0) - target)[iu] / np.maximum(se[iu], 1e-300)
-        return CheckResult(
-            name=row.name,
+        return [CheckResult(
+            name=name,
             value=float(np.max(sigmas)),
             tolerance=_LYAPUNOV_TOLERANCE,
             detail="max |sample - Lyapunov| in standard errors over the 10 "
                    f"covariance entries, {covs.shape[0]} trajectories",
-        )
-    return _Run(row.name, dp, cfg, check)
+        )]
+    return _Run((name,), dp, cfg, check)
 
 
 def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
@@ -287,44 +276,41 @@ def _five_smooth(n: int) -> int:
         n += 1
 
 
-def _check_psd(rows: list[_Row], dp: DerivedParameters, seed: int,
-               dt: float) -> list[_Run]:
+def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     # _PSD_SEGMENTS_PER_TRAJECTORY Welch segments of nper samples, a 5-smooth
     # length at about _PSD_RESOLUTION kappa_m bin spacing
     nper = _five_smooth(round(_TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt))
     steps = nper + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * (nper - noverlap(nper))
     cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES)
-    temperature = rows[0].params.temperature
+    temperature = row.params.temperature
+    names, reservoirs = zip(*row.checks)
 
-    @functools.cache
-    def spectra() -> list[tuple]:
-        # the group differs only in its reservoirs: one draw, one scan each
-        return _stream_psds(dp, temperature, cfg, nper, [row.reservoir for row in rows])
-
-    def run(i: int, row: _Row) -> _Run:
-        def check() -> CheckResult:
-            omega, psd, n_seg = spectra()[i]
-            reference = output_spectrum(dp, temperature, omega, reservoir=row.reservoir)
+    def check() -> list[CheckResult]:
+        results = []
+        # the checks differ only in their reservoirs: one draw, one scan each
+        spectra = stream_psd(dp, temperature, cfg, nper, list(reservoirs))
+        for name, reservoir, (omega, psd, n_seg) in zip(names, reservoirs, spectra):
+            reference = output_spectrum(dp, temperature, omega, reservoir=reservoir)
             worst = 0.0
             for sel in _psd_bands(omega, dp.kappa_m):
                 est = float(np.mean(psd[sel]))
                 ana = float(np.mean(reference[sel]))
                 worst = max(worst, abs(est / ana - 1.0))
-            return CheckResult(
-                name=row.name,
+            results.append(CheckResult(
+                name=name,
                 value=worst,
                 tolerance=_PSD_TOLERANCE,
                 detail=f"max band-averaged relative deviation, {n_seg} Welch "
                        "segments, omega/kappa_m in [0.1, 5]",
-            )
-        return _Run(row.name, dp, cfg, check, segment=nper)
-    return [run(i, row) for i, row in enumerate(rows)]
+            ))
+        return results
+    return _Run(names, dp, cfg, check, segment=nper)
 
 
-@_per_row
 def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
+    [(name, frac)] = row.checks
     require_evading_point(dp)
-    delta = row.tone * dp.kappa_m
+    delta = frac * dp.kappa_m
     k1, _, _, _ = response_grid(dp, [delta])
     gain_analytic = dp.xi * float(np.abs(k1[0])**2)
     if not gain_analytic > 0:
@@ -335,16 +321,16 @@ def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     # the response is linear in the tone, so any amplitude gives the same gain
     tone = ToneSignal(amplitude=dp.kappa_m / dp.lambda_bare, frequency=delta)
 
-    def check() -> CheckResult:
+    def check() -> list[CheckResult]:
         gain = measure_gain(dp, row.params.temperature, tone, cfg)
-        return CheckResult(
-            name=row.name,
+        return [CheckResult(
+            name=name,
             value=abs(gain / gain_analytic - 1.0),
             tolerance=_GAIN_TOLERANCE,
             detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
-                   f"at delta = {row.tone:g} kappa_m, r_m = 1",
-        )
-    return _Run(row.name, dp, cfg, check, tone=tone)
+                   f"at delta = {frac:g} kappa_m, r_m = 1",
+        )]
+    return _Run((name,), dp, cfg, check, tone=tone)
 
 
 def run_verification(
@@ -361,5 +347,5 @@ def run_verification(
     if params is None:
         params = verification_parameters()
     runs = _plan(_runs(params), seed)
-    checks = _check_routes(params) + [run.check() for run in runs]
+    checks = _check_routes(params) + [result for run in runs for result in run.check()]
     return VerificationReport(checks=tuple(checks), seed=seed)

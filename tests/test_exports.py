@@ -198,6 +198,17 @@ def test_no_module_imports_scipy():
     assert not found, found
 
 
+def test_verification_imports_only_public_oracle_names():
+    # verify reaches the oracle through its public entries, the ones the
+    # tracer wraps and the tests patch, never through a private helper
+    path = Path(magnon_sense.__file__).resolve().parent / "verification.py"
+    private = [alias.name for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               and node.module == "simulation"
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, private
+
+
 def test_benchmark_selftest_passes():
     # the benchmark's output checks, driven by real budget, sweep, reproduce
     # and simulate outputs, so a package change that breaks them fails here

@@ -27,7 +27,6 @@ from magnon_sense.simulation import (
     fastest_rate,
     noverlap,
     simulate_chunks,
-    _stream_psds,
     stream_covariances,
     stream_psd,
 )
@@ -236,7 +235,7 @@ class TestSteadyStateVariances:
             dt = 0.015 / fastest_rate(dp)
         else:
             [row] = [row for row in verification._runs(verification_parameters())
-                     if row.name == case]
+                     if row.checks == ((case, None),)]
             [run] = verification._plan([row], seed=42)
             dp, temperature, dt = run.dp, row.params.temperature, run.cfg.dt
         cavity, magnon = input_densities(dp, temperature)
@@ -250,7 +249,7 @@ class TestSteadyStateVariances:
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=8)
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        for states, _ in simulate_chunks(dp, 0.05, cfg, reservoir=reservoir):
+        for [(states, _)] in simulate_chunks(dp, 0.05, cfg, [(reservoir, None)]):
             acc.add(states)
         sample = acc.covariances()[:, 0, 0]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
@@ -308,7 +307,7 @@ class TestPsdEstimator:
         cfg = quick_config(dp, duration=12.0, n_trajectories=8, seed=21,
                            accuracy=0.015)
         nper = int(round(TWO_PI / (0.1 * dp.kappa_m) / cfg.dt))
-        omega, psd, _ = stream_psd(dp, 0.05, cfg, nper)
+        [(omega, psd, _)] = stream_psd(dp, 0.05, cfg, nper, [None])
         reference = output_spectrum(dp, 0.05, omega)
         for center in np.geomspace(0.2, 4.0, 6) * dp.kappa_m:
             sel = (omega > center / 1.4) & (omega < center * 1.4)
@@ -325,9 +324,9 @@ class TestGainMeasurement:
     def gain_run(self, r_m, frac, seed, amplitude_boost=1.0):
         """(dp, gain) of the run verify's gain checks make at delta = frac
         kappa_m on the desk set at r_m, sized by verify's own plan."""
-        row = verification._Row("gain", verification._check_gain,
+        row = verification._Row(verification._check_gain,
                                 verification_parameters().with_squeeze_amplitude(r_m),
-                                tone=frac)
+                                (("gain", frac),))
         [run] = verification._plan([row], seed)
         tone = replace(run.tone, amplitude=amplitude_boost * run.tone.amplitude)
         return run.dp, measure_gain(run.dp, 0.05, tone, run.cfg)
@@ -346,8 +345,8 @@ class TestGainMeasurement:
         params = verification_parameters()
         planned = [run for run in verification._plan(verification._runs(params), seed=42)
                    if run.tone is not None]
-        assert [run.name for run in planned] == [
-            "gain_delta_0.2km", "gain_delta_0.5km", "gain_delta_1km"]
+        assert [run.names for run in planned] == [
+            ("gain_delta_0.2km",), ("gain_delta_0.5km",), ("gain_delta_1km",)]
         for run in planned:
             gain = measure_gain(run.dp, params.temperature, run.tone, run.cfg)
             exact = self.stepped_chain_gain(run.dp, run.tone, run.cfg.dt)
@@ -379,14 +378,14 @@ class TestGainMeasurement:
     def test_draws_each_stream_once(self, monkeypatch):
         # the driven and the quiet run share one draw per chunk, and the
         # gain is the one two separately drawn runs on the same streams give
-        row = verification._Row("gain", verification._check_gain,
+        row = verification._Row(verification._check_gain,
                                 verification_parameters().with_squeeze_amplitude(1.0),
-                                tone=1.0)
+                                (("gain", 1.0),))
         [run] = verification._plan([row], seed=42)
         total, count = 0.0, 0
-        for (_, driven), (_, quiet) in zip(
-                simulate_chunks(run.dp, 0.05, run.cfg, signal=run.tone),
-                simulate_chunks(run.dp, 0.05, run.cfg)):
+        for [(_, driven)], [(_, quiet)] in zip(
+                simulate_chunks(run.dp, 0.05, run.cfg, [(None, run.tone)]),
+                simulate_chunks(run.dp, 0.05, run.cfg, [(None, None)])):
             total += float(np.sum((driven - quiet)**2))
             count += driven.size
         p_ref = (run.dp.lambda_bare * run.tone.amplitude)**2 / (4.0 * run.dp.kappa_m)
@@ -412,21 +411,21 @@ class TestVerifyPlan:
         # verify's printed values depend on these sizes, so a change to one
         # shows here before it moves a check
         runs = verification._plan(verification._runs(verification_parameters()), seed=42)
-        sizes = {run.name: (run.cfg.n_trajectories, *simulation._steps(run.cfg)[::-1],
-                            run.segment) for run in runs}
+        sizes = {run.names: (run.cfg.n_trajectories, *simulation._steps(run.cfg)[::-1],
+                             run.segment) for run in runs}
         assert sizes == {
-            "lyapunov_decoupled": (32, 205333, 953, None),
-            "lyapunov_coupled": (32, 205333, 953, None),
-            "psd_rm0": (16, 225792, 953, 9216),
-            "psd_rm15": (16, 744164, 3107, 30375),
-            "psd_rm15_reservoir": (16, 744164, 3107, 30375),
-            "gain_delta_0.2km": (1, 145745, 1885, None),
-            "gain_delta_0.5km": (1, 58298, 1885, None),
-            "gain_delta_1km": (1, 29149, 1885, None),
+            ("lyapunov_decoupled",): (32, 205333, 953, None),
+            ("lyapunov_coupled",): (32, 205333, 953, None),
+            ("psd_rm0",): (16, 225792, 953, 9216),
+            ("psd_rm15", "psd_rm15_reservoir"): (16, 744164, 3107, 30375),
+            ("gain_delta_0.2km",): (1, 145745, 1885, None),
+            ("gain_delta_0.5km",): (1, 58298, 1885, None),
+            ("gain_delta_1km",): (1, 29149, 1885, None),
         }
         assert list(sizes) == [
-            "lyapunov_decoupled", "lyapunov_coupled", "psd_rm0", "psd_rm15",
-            "psd_rm15_reservoir", "gain_delta_0.2km", "gain_delta_0.5km", "gain_delta_1km"]
+            ("lyapunov_decoupled",), ("lyapunov_coupled",), ("psd_rm0",),
+            ("psd_rm15", "psd_rm15_reservoir"), ("gain_delta_0.2km",),
+            ("gain_delta_0.5km",), ("gain_delta_1km",)]
         for run in runs:
             assert run.cfg.dt * fastest_rate(run.dp) == 0.015
             assert run.cfg.seed == 42
@@ -435,7 +434,8 @@ class TestVerifyPlan:
         # one step fewer would lose the last segment of every trajectory
         runs = [run for run in verification._plan(
             verification._runs(verification_parameters()), seed=42) if run.segment]
-        assert [run.name for run in runs] == ["psd_rm0", "psd_rm15", "psd_rm15_reservoir"]
+        assert [run.names for run in runs] == [
+            ("psd_rm0",), ("psd_rm15", "psd_rm15_reservoir")]
         for run in runs:
             steps = simulation._steps(run.cfg)[1]
             for n, segments in ((steps, 48), (steps - 1, 47)):
@@ -452,16 +452,32 @@ class TestVerifyPlan:
         assert verification._five_smooth(30037) == 30375
 
     def test_equal_psd_rows_step_as_one_draw(self, monkeypatch):
-        # a coarse resolution keeps the runs short; the sharing is the same
+        # the two-check psd_rm15 row judges each check as a one-check row
+        # on the same parameters would; a coarse resolution keeps it short
         monkeypatch.setattr(verification, "_PSD_RESOLUTION", 1.0)
-        rows = [row for row in verification._runs(verification_parameters())
-                if row.name.startswith("psd_rm15")]
-        assert [row.name for row in rows] == ["psd_rm15", "psd_rm15_reservoir"]
-        apart = [verification._plan([row], seed=42)[0].check() for row in rows]
+        [row] = [row for row in verification._runs(verification_parameters())
+                 if len(row.checks) > 1]
+        assert [name for name, _ in row.checks] == ["psd_rm15", "psd_rm15_reservoir"]
+        apart = [result for check in row.checks
+                 for result in verification._plan([row._replace(checks=(check,))],
+                                                  seed=42)[0].check()]
         calls = count_streams(monkeypatch)
-        together = [run.check() for run in verification._plan(rows, seed=42)]
-        assert together == apart
+        [run] = verification._plan([row], seed=42)
+        assert run.check() == apart
         assert calls == [(42, i) for i in range(16)]
+
+    def test_every_run_steps_through_simulate_chunks(self, monkeypatch):
+        # the refusals of verify are tested by patching simulate_chunks, so
+        # no run may step the oracle any other way
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("simulate_chunks called")
+
+        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        assert len(runs) == 7
+        for run in runs:
+            with pytest.raises(AssertionError, match="simulate_chunks called"):
+                run.check()
 
 
 def loop_states(step, incr, x0):
@@ -643,8 +659,7 @@ class TestAccumulators:
     @pytest.mark.parametrize("case", sorted(stream_cases()))
     def test_welch_matches_scipy_on_the_stored_record(self, case):
         dp, temperature, cfg, reservoir, nper = stream_cases()[case]
-        omega, psd, segments = stream_psd(dp, temperature, cfg, nper,
-                                          reservoir=reservoir)
+        [(omega, psd, segments)] = stream_psd(dp, temperature, cfg, nper, [reservoir])
         trace = simulate(dp, temperature, cfg, reservoir=reservoir)
         np.testing.assert_allclose(psd, scipy_welch(trace.output_record, nper, cfg.dt),
                                    rtol=1e-12, atol=0)
@@ -665,10 +680,10 @@ class TestAccumulators:
 
     def test_chunk_size_changes_no_welch_bit(self, monkeypatch):
         dp, temperature, cfg, _, nper = stream_cases()["tone"]
-        psd = stream_psd(dp, temperature, cfg, nper)[1]
+        [(_, psd, _)] = stream_psd(dp, temperature, cfg, nper, [None])
         covs = stream_covariances(dp, temperature, cfg)
         monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
-        assert np.array_equal(stream_psd(dp, temperature, cfg, nper)[1], psd)
+        assert np.array_equal(stream_psd(dp, temperature, cfg, nper, [None])[0][1], psd)
         np.testing.assert_allclose(stream_covariances(dp, temperature, cfg), covs,
                                    rtol=1e-12, atol=0)
 
@@ -679,9 +694,9 @@ class TestAccumulators:
         cfg = mid_lane_config(dp)
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
         nper = 101
-        chained = _stream_psds(dp, 0.05, cfg, nper, [None, reservoir])
+        chained = stream_psd(dp, 0.05, cfg, nper, [None, reservoir])
         for (omega, psd, segments), res in zip(chained, [None, reservoir]):
-            single = stream_psd(dp, 0.05, cfg, nper, reservoir=res)
+            [single] = stream_psd(dp, 0.05, cfg, nper, [res])
             stored = welch_psd(simulate(dp, 0.05, cfg, reservoir=res).output_record,
                                nper, cfg.dt)
             for other in (single, stored):
@@ -716,7 +731,7 @@ class TestAccumulators:
         cfg = quick_config(dp, duration=1.0, n_trajectories=2)
         one_step = replace(cfg, duration=cfg.dt)
         with pytest.raises(ParameterError, match="segment"):
-            stream_psd(dp, 0.05, one_step, 64)
+            stream_psd(dp, 0.05, one_step, 64, [None])
         with pytest.raises(ParameterError, match="one sample"):
             CovarianceAccumulator(2).covariances()
 
@@ -742,8 +757,8 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
         finally:
             tracemalloc.stop()
 
-    short = peak(lambda: stream_psd(dp, 0.05, config(4), nper))
-    long = peak(lambda: stream_psd(dp, 0.05, config(16), nper))
+    short = peak(lambda: stream_psd(dp, 0.05, config(4), nper, [None]))
+    long = peak(lambda: stream_psd(dp, 0.05, config(16), nper, [None]))
     stored = peak(lambda: simulate(dp, 0.05, config(4)))
     assert short <= 8 * ring
     assert long <= 1.02 * short
