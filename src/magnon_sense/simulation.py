@@ -34,24 +34,30 @@ their applications", 1990):
   stepping one step at a time, to rounding (a few 1e-15 relative), and it
   needs no eigenbasis, so a defective S (kappa_a = kappa_m at zero
   detuning) and the complex pairs of a detuned S are no special case.
-* Chunks are ``_CHUNK`` = 2^15 trajectory-steps rounded down to whole lanes
-  (256 kB per component array); the last is rounded up, the steps past the
-  run drawn and dropped.  Inside the lanes the arithmetic is elementwise,
-  skipping the zeros of S and its powers, and the carry is one 4x4 by 4x1
-  product per trajectory and lane: no operation mixes lanes or
-  trajectories, so neither the chunk size nor the trajectory count changes
-  a bit of the states.
+* Chunks are ``_CHUNK`` = 2^15 trajectory-steps of the widest chain still
+  running, rounded down to whole lanes (256 kB per component array); the
+  last is rounded up, the steps past the run drawn and dropped.  Inside the
+  lanes the arithmetic is elementwise, skipping the zeros of S and its
+  powers, and the carry is one 4x4 by 4x1 product per trajectory and lane:
+  no operation mixes lanes or trajectories, so neither the chunk size nor
+  the trajectory count changes a bit of the states.
 
-A run is one draw of the streams, stepped by :func:`simulate_chunks`,
-the oracle's one stepping entry.  Its chains, one per (reservoir, signal)
-pair, differ only in their reservoir or tone and read the same streams:
-each chunk's normals are drawn once and stepped by one scan per chain, bit
-for bit as if each chain ran alone, and each chunk yields every chain's
-kept quadratures (4, n_trajectories, n) and output record
-(n_trajectories, n).  Where the consumer reads only the output record, as
-Welch and the gain do, each scan is record-only: it completes the P_a row
-alone of its lane corrections and of its output, the other three rows
-being needed only to step.  The consumers fold the chunks in:
+A pass is one draw of the seed's streams, stepped by
+:func:`simulate_chunks`, the oracle's one stepping entry.  Its chains
+(:class:`Chain`) each carry their own parameters, temperature, settings,
+reservoir and tone, and share one seed.  A chain steps on the leading
+``n_trajectories`` streams, so step k of trajectory i reads the same four
+normals in every chain, whatever its dt or burn-in: each stream is built
+once and drawn once, up to the furthest step any chain reads from it.
+Every chain's states and output record are bit for bit those of the chain
+stepped alone, and the chains of a pass are not independent: they see the
+same noise, step for step.  Each chunk yields, per chain, its kept
+quadratures (4, n_trajectories, n) and output record (n_trajectories, n),
+or None where the chain keeps no step.  Where the consumer reads only the
+output record, as Welch and the gain do, a chain is record-only: its scan
+completes the P_a row alone of its lane corrections and of its output, the
+other three rows being needed only to step.  The consumers fold the chunks
+in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
@@ -59,13 +65,17 @@ being needed only to step.  The consumers fold the chunks in:
   the next; it holds one segment per trajectory.
 * :class:`CovarianceAccumulator`: per-trajectory second moments about
   zero, the runs' exact mean, so nothing is detrended or centred.
+* :class:`GainAccumulator`: the mean square of the difference between a
+  chain with a tone and one without it, which is the tone's response
+  alone, over the field-referred input power of the tone.
 * :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
   quadrature-major storage, for callers that read single samples.
-* :func:`measure_gain`: the mean square of the difference between a chain
-  with a tone and one without it, which is the tone's response alone.
 
-:func:`stream_psd` and :func:`stream_covariances` feed a run straight into
-an accumulator, so no consumer's memory grows with the run length.
+:func:`stream_psd`, :func:`stream_covariances` and :func:`measure_gain`
+make a one-run pass straight into an accumulator, so no consumer's memory
+grows with the run length.  The accumulators that sum over a chunk (the
+covariances and the gain) round as their chunks fall, so a chain folded in
+a wider pass can differ from its own run in the last bits.
 """
 
 from __future__ import annotations
@@ -83,10 +93,12 @@ __all__ = [
     "SimulationConfig",
     "ToneSignal",
     "SimulationTrace",
+    "Chain",
     "simulate_chunks",
     "simulate",
     "WelchAccumulator",
     "CovarianceAccumulator",
+    "GainAccumulator",
     "stream_psd",
     "stream_covariances",
     "measure_gain",
@@ -101,6 +113,9 @@ _DT_GUARD = 0.1
 
 #: trajectory-steps per chunk of the scan: 256 kB per component array
 _CHUNK = 1 << 15
+
+#: trajectories a Welch segment is windowed and transformed in at a time
+_WELCH_ROWS = 4
 
 #: steps per lane of the scan: verify's runs took 1-5 % less time than with 64 or 128
 _LANE = 32
@@ -176,6 +191,25 @@ class SimulationTrace:
         return self.output_record.shape[1]
 
 
+@dataclass(frozen=True)
+class Chain:
+    """One chain of a pass of :func:`simulate_chunks`.
+
+    It steps ``dp`` at ``temperature`` with ``cfg``'s step, burn-in, length
+    and trajectory count, with the squeezed ``reservoir`` (None: the thermal
+    magnon input) and the injected ``signal`` (None: no tone).  A
+    ``record_only`` chain completes the P_a row alone, which is all the
+    output record needs.
+    """
+
+    dp: DerivedParameters
+    temperature: float
+    cfg: SimulationConfig
+    reservoir: SqueezedReservoir | None = None
+    signal: ToneSignal | None = None
+    record_only: bool = False
+
+
 def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
@@ -233,6 +267,21 @@ def _combine(row: np.ndarray, arrays) -> np.ndarray:
     return total
 
 
+def _scan_work(trajectory_steps: int) -> np.ndarray:
+    """Scratch for :class:`_LaneScan` calls of up to ``trajectory_steps``
+    (whole lanes): the scans of a pass share one."""
+    return np.empty((5 * _LANE + 7) * (trajectory_steps // _LANE))
+
+
+def _views(work: np.ndarray, *shapes):
+    """Consecutive views of ``work`` with these shapes."""
+    pos = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        yield work[pos:pos + size].reshape(shape)
+        pos += size
+
+
 class _LaneScan:
     """The recursion x_{m+1} = S x_m + incr_m over lanes of ``_LANE`` steps,
     anchored at the run's first step (see the module docstring)."""
@@ -250,19 +299,21 @@ class _LaneScan:
         self._lane = powers[-1]
         self._x = np.ascontiguousarray(x0.T)[:, :, None]     # (ntraj, 4, 1)
 
-    def __call__(self, incr, out: np.ndarray) -> np.ndarray:
+    def __call__(self, incr, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """States x_m before each increment of ``incr`` (4 arrays (ntraj, n), n
         whole lanes), written to ``out`` (4, ntraj, n), or (1, ntraj, n) holding
-        P_a alone for a record-only scan, and returned."""
+        P_a alone for a record-only scan, and returned; ``work`` is a
+        :func:`_scan_work` of at least ntraj * n trajectory-steps."""
         ntraj, n = incr[0].shape
         lanes = n // _LANE
+        cells = lanes * ntraj
         # rest[i, k]: component k of every lane (lane-major, then trajectory)
         # after i + 1 steps from rest, stepped in place over the increments
-        rest = np.empty((_LANE, 4, lanes * ntraj))
+        rest, term, starts, correction = _views(
+            work, (_LANE, 4, cells), (4, cells), (4, lanes, ntraj), (_LANE - 1, cells))
         by_lane = rest.reshape(_LANE, 4, lanes, ntraj)
         for k in range(4):
             by_lane[:, k] = incr[k].reshape(ntraj, lanes, _LANE).T
-        term = np.empty((4, lanes * ntraj))
         part = term[0]
         for prev, cur in zip(rest, rest[1:]):
             np.multiply(self._diagonal, prev, out=term)
@@ -271,13 +322,11 @@ class _LaneScan:
                 np.multiply(coef, prev[c], out=part)
                 cur[k] += part
         # one (4, 4) @ (4, 1) product per trajectory, so that ntraj changes no bit
-        starts = np.empty((4, lanes, ntraj))
         ends = by_lane[-1].transpose(1, 2, 0)[..., None]
         for j in range(lanes):
             starts[:, j] = self._x[..., 0].T
             self._x = np.matmul(self._lane, self._x) + ends[j]
         # a lane's state i is rest[i - 1] + S^i start, its state 0 the start
-        correction = np.empty((_LANE - 1, lanes * ntraj))
         for k, c, column in self._corrections:
             np.multiply(column, starts[c].reshape(-1), out=correction)
             rest[:-1, k] += correction
@@ -292,72 +341,125 @@ def _steps(cfg: SimulationConfig) -> tuple[int, int]:
     return int(round(cfg.burn_in / cfg.dt)), int(round(cfg.duration / cfg.dt))
 
 
-def simulate_chunks(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
-                    chains: list, record_only: bool = False):
-    """Integrate the quadrature Langevin equations of one run, one chunk of
-    kept steps at a time, for each (reservoir, signal) pair of ``chains``.
+def _drawn(cfg: SimulationConfig) -> int:
+    """Steps a run draws: whole lanes from step 0, the last lane's steps
+    past the run drawn and dropped."""
+    return -(-sum(_steps(cfg)) // _LANE) * _LANE
 
-    Returns an iterator of lists in time order, one per kept chunk, holding
-    each chain's (states, record) pair: ``states`` (4, n_trajectories, n)
-    holds the quadratures before each step and ``record``
-    (n_trajectories, n) the output record.  A ``record_only`` scan
-    completes the P_a row alone, so its ``states`` is (1, n_trajectories,
-    n).  Both are views of buffers that the next chunk overwrites, so a
-    consumer copies what it keeps.  The increments are the rows of
-    chol(D dt) times standard normals, D the diffusion matrix of the
-    inputs; each chunk's normals are drawn once for all chains.
 
-    Raises :class:`ConfigurationError` when called, before any stepping, if
-    the configuration guard fails or the drift is unstable.
-    """
-    _validate_config(dp, cfg)
-    dt = cfg.dt
-    n_burn, n_keep = _steps(cfg)
-    if n_keep < 1:
-        raise ConfigurationError("duration shorter than one step")
-    n_total = n_burn + n_keep
-    ntraj = cfg.n_trajectories
-    per_chunk = max(1, _CHUNK // (ntraj * _LANE)) * _LANE
-    # whole lanes from step 0; the last lane's steps past the run are drawn and dropped
-    n_steps = -(-n_total // _LANE) * _LANE
-    width = min(per_chunk, n_steps)
+class _Stepper:
+    """A chain of a pass, checked and ready to step."""
 
-    step = np.eye(4) + drift_matrix(dp) * dt
-    prepared = []
-    for reservoir, signal in chains:
+    def __init__(self, chain: Chain):
+        dp, cfg = chain.dp, chain.cfg
+        _validate_config(dp, cfg)
+        self.n_burn, n_keep = _steps(cfg)
+        if n_keep < 1:
+            raise ConfigurationError("duration shorter than one step")
         try:
-            chol = np.linalg.cholesky(_diffusion(dp, temperature, reservoir) * dt)
+            self.chol = np.linalg.cholesky(
+                _diffusion(dp, chain.temperature, chain.reservoir) * cfg.dt)
         except np.linalg.LinAlgError as exc:
             raise ParameterError(
                 "magnon variance matrix is not positive semidefinite") from exc
-        drive = signal if signal is not None and signal.amplitude > 0 else None
-        prepared.append((chol, drive, _LaneScan(step, np.zeros((4, ntraj)), record_only),
-                         np.empty((1 if record_only else 4, ntraj, width)),
-                         np.empty((ntraj, width))))
-    sq_ka = math.sqrt(dp.kappa_a)
-    rngs = [_trajectory_rng(cfg.seed, i) for i in range(ntraj)]
-    z = np.empty((ntraj, width, 4))
+        self.chain = chain
+        self.ntraj = cfg.n_trajectories
+        self.n_total = self.n_burn + n_keep
+        self.end = _drawn(cfg)
+        signal = chain.signal
+        self.drive = signal if signal is not None and signal.amplitude > 0 else None
+        self.scan = _LaneScan(np.eye(4) + drift_matrix(dp) * cfg.dt,
+                              np.zeros((4, self.ntraj)), chain.record_only)
+        self.sq_ka = math.sqrt(dp.kappa_a)
+
+    def allocate(self, width: int) -> None:
+        """Output buffers for chunks of up to ``width`` steps."""
+        self.states = np.empty((1 if self.chain.record_only else 4, self.ntraj, width))
+        self.record = np.empty((self.ntraj, width))
+
+    def step(self, z: np.ndarray, pos: int, n: int, work: np.ndarray):
+        """(states, record) of the kept steps among this chain's next steps
+        from ``pos`` on the normals ``z`` (trajectory, step, 4), or None."""
+        if pos >= self.end:
+            return None
+        n = min(n, self.end - pos)
+        dt = self.chain.cfg.dt
+        normals = np.moveaxis(z[:self.ntraj, :n], -1, 0)
+        incr = [_combine(row, normals) for row in self.chol]
+        if self.drive is not None:
+            dx, dpp = _drive_arrays(self.drive, self.chain.dp, (pos + np.arange(n)) * dt)
+            incr[0], incr[1] = incr[0] + dx * dt, incr[1] + dpp * dt
+        lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, n)
+        kept = self.scan(incr, self.states[:, :, :n], work)[:, :, lo:hi]
+        if lo >= hi:
+            return None
+        sq_ka = self.sq_ka
+        record = self.record[:, :hi - lo]
+        np.subtract(sq_ka * kept[-1], incr[3][:, lo:hi] / (sq_ka * dt), out=record)
+        return kept, record
+
+
+def _schedule(steppers: list[_Stepper]) -> list[tuple[int, int]]:
+    """(first step, steps) of each chunk of a pass: ``_CHUNK``
+    trajectory-steps of the widest chain still running, in whole lanes."""
+    chunks, pos = [], 0
+    while running := [s for s in steppers if s.end > pos]:
+        widest = max(s.ntraj for s in running)
+        n = min(max(1, _CHUNK // (widest * _LANE)) * _LANE, max(s.end for s in running) - pos)
+        chunks.append((pos, n))
+        pos += n
+    return chunks
+
+
+def _stream_extents(chains: list[Chain]) -> list[int]:
+    """Steps drawn from each (seed, index) stream by a pass over ``chains``:
+    the furthest step any chain reads from it."""
+    return [max(_drawn(c.cfg) for c in chains if c.cfg.n_trajectories > i)
+            for i in range(max(c.cfg.n_trajectories for c in chains))]
+
+
+def simulate_chunks(chains: list[Chain]):
+    """Integrate the quadrature Langevin equations of every chain of
+    ``chains`` on one pass over their seed's streams, a chunk at a time.
+
+    Returns an iterator of lists in time order, one per chunk in which some
+    chain keeps a step, holding each chain's (states, record) pair, or None
+    where that chain keeps no step: ``states`` (4, n_trajectories, n) holds
+    the quadratures before each step and ``record`` (n_trajectories, n) the
+    output record.  A record-only chain completes the P_a row alone, so its
+    ``states`` is (1, n_trajectories, n).  Both are views of buffers that
+    the next chunk overwrites, so a consumer copies what it keeps.  The
+    increments are the rows of chol(D dt) times standard normals, D the
+    diffusion matrix of the inputs; each stream's normals are drawn once
+    for all chains, so the chains see the same noise (see the module
+    docstring).
+
+    Raises :class:`ConfigurationError` when called, before any stepping, if
+    the chains do not share one seed, or if a chain's configuration guard
+    fails or its drift is unstable.
+    """
+    if len({chain.cfg.seed for chain in chains}) != 1:
+        raise ConfigurationError("the chains of one pass must share one seed")
+    steppers = [_Stepper(chain) for chain in chains]
+    schedule = _schedule(steppers)
+    for s in steppers:
+        s.allocate(max(min(n, s.end - pos) for pos, n in schedule if pos < s.end))
+    extents = _stream_extents(chains)
+    seed = chains[0].cfg.seed
+    rngs = [_trajectory_rng(seed, i) for i in range(len(extents))]
+    z_size = max(n * sum(extent > pos for extent in extents) for pos, n in schedule) * 4
+    z_all = np.empty(z_size)
+    work = _scan_work(max(s.record.size for s in steppers))
 
     def chunks():
-        for pos in range(0, n_steps, per_chunk):
-            n = min(per_chunk, n_steps - pos)
-            zc = z[:, :n]
-            for rng, zi in zip(rngs, zc):
-                rng.standard_normal(out=zi)
-            normals = np.moveaxis(zc, -1, 0)
-            lo, hi = max(n_burn - pos, 0), min(n_total - pos, n)
-            out = []
-            for chol, signal, scan, states, record in prepared:
-                incr = [_combine(row, normals) for row in chol]
-                if signal is not None:
-                    dx, dpp = _drive_arrays(signal, dp, (pos + np.arange(n)) * dt)
-                    incr[0], incr[1] = incr[0] + dx * dt, incr[1] + dpp * dt
-                kept = scan(incr, states[:, :, :n])[:, :, lo:hi]
-                if lo < hi:
-                    np.subtract(sq_ka * kept[-1], incr[3][:, lo:hi] / (sq_ka * dt),
-                                out=record[:, :hi - lo])
-                    out.append((kept, record[:, :hi - lo]))
-            if out:
+        for pos, n in schedule:
+            drawn = [(rng, min(n, extent - pos))
+                     for rng, extent in zip(rngs, extents) if extent > pos]
+            z = z_all[:len(drawn) * n * 4].reshape(len(drawn), n, 4)
+            for (rng, m), zi in zip(drawn, z):
+                rng.standard_normal(out=zi[:m])
+            out = [s.step(z, pos, n, work) for s in steppers]
+            if any(part is not None for part in out):
                 yield out
 
     return chunks()
@@ -372,10 +474,10 @@ def simulate(
 ) -> SimulationTrace:
     """Integrate the quadrature Langevin equations and store the whole run.
 
-    The store-everything consumer of :func:`simulate_chunks`, for callers
-    that read single samples; it raises what that raises.
+    The store-everything consumer of a one-chain :func:`simulate_chunks`
+    pass, for callers that read single samples; it raises what that raises.
     """
-    chunks = simulate_chunks(dp, temperature, cfg, [(reservoir, signal)])
+    chunks = simulate_chunks([Chain(dp, temperature, cfg, reservoir, signal)])
     n_burn, n_keep = _steps(cfg)
     quad = np.empty((4, cfg.n_trajectories, n_keep))
     out = np.empty((cfg.n_trajectories, n_keep))
@@ -401,10 +503,11 @@ class WelchAccumulator:
 
     Holds the last ``segment_length`` samples of every trajectory.  Each
     time a segment completes, it is Hann-windowed, not detrended (the
-    record's mean is zero), and one batched real FFT over all trajectories
-    is added to a running sum of periodograms; the next segment starts
-    ``segment_length - noverlap(segment_length)`` samples later.  Memory is
-    the ring and one segment's transform, whatever the record length, and
+    record's mean is zero), and real FFTs batched over ``_WELCH_ROWS``
+    trajectories at a time are added to a running sum of periodograms; the
+    next segment starts ``segment_length - noverlap(segment_length)``
+    samples later.  Memory is the ring and the transform of a few
+    trajectories' segments, whatever the record length, and
     the result does not depend on how the record is split between
     :meth:`add` calls.
     """
@@ -433,10 +536,12 @@ class WelchAccumulator:
             self._filled += take
             pos += take
             if self._filled == length:
-                spec = np.fft.rfft(self._ring * self._window)
-                # |rfft|^2 summed over trajectories, with no 2-D temporary
-                self._power += np.einsum("ij,ij->j", spec.real, spec.real)
-                self._power += np.einsum("ij,ij->j", spec.imag, spec.imag)
+                # a few trajectories at a time, so the transform stays small
+                for rows in range(0, self._ring.shape[0], _WELCH_ROWS):
+                    spec = np.fft.rfft(self._ring[rows:rows + _WELCH_ROWS] * self._window)
+                    # |rfft|^2 summed over trajectories, with no 2-D temporary
+                    self._power += np.einsum("ij,ij->j", spec.real, spec.real)
+                    self._power += np.einsum("ij,ij->j", spec.imag, spec.imag)
                 self.segments += self._ring.shape[0]
                 self._filled = length - self._hop
                 self._ring[:, :self._filled] = self._ring[:, self._hop:]
@@ -488,6 +593,35 @@ class CovarianceAccumulator:
         return self._moments / self._count
 
 
+class GainAccumulator:
+    """The tone's gain from the output records of two chains on one draw,
+    fed in time order.
+
+    The oracle is linear and its noise comes only from the trajectories'
+    streams, so a chain with the tone and one without it differ, to
+    rounding, by the tone's deterministic response alone.  Its mean square,
+    the line power of the output record, is divided by the field-referred
+    input density integrated over the tone, lambda^2 B0^2 / (4 kappa_m) with
+    lambda the bare coupling; the ratio estimates the analytic response at
+    the tone offset, biased only by the step.
+    """
+
+    def __init__(self, dp: DerivedParameters, tone: ToneSignal):
+        self._p_ref = (dp.lambda_bare * tone.amplitude)**2 / (4.0 * dp.kappa_m)
+        self._total, self._count = 0.0, 0
+
+    def add(self, driven: np.ndarray, quiet: np.ndarray) -> None:
+        """Fold in the next output records with and without the tone."""
+        self._total += float(np.sum((driven - quiet)**2))
+        self._count += driven.size
+
+    def gain(self) -> float:
+        """Mean square of the difference so far over the tone's input power."""
+        if self._count == 0:
+            raise ParameterError("a gain needs at least one sample")
+        return self._total / self._count / self._p_ref
+
+
 def stream_psd(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
                segment_length: int, reservoirs: list) -> list[tuple]:
     """(omega, psd, segments) of the output record of one chain per entry of
@@ -495,12 +629,13 @@ def stream_psd(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
 
     Each chain's chunks go straight into its own :class:`WelchAccumulator`,
     and ``segments`` is the number of periodograms averaged over all
-    trajectories.  Welch reads the output record alone, so the scans are
+    trajectories.  Welch reads the output record alone, so the chains are
     record-only.
     """
     welches = [WelchAccumulator(cfg.n_trajectories, segment_length) for _ in reservoirs]
-    chains = [(reservoir, None) for reservoir in reservoirs]
-    for chunk in simulate_chunks(dp, temperature, cfg, chains, record_only=True):
+    chains = [Chain(dp, temperature, cfg, reservoir, record_only=True)
+              for reservoir in reservoirs]
+    for chunk in simulate_chunks(chains):
         for welch, (_, record) in zip(welches, chunk):
             welch.add(record)
     return [(*welch.spectrum(cfg.dt), welch.segments) for welch in welches]
@@ -514,7 +649,7 @@ def stream_covariances(
     """Per-trajectory covariances of a run about its zero mean, shape
     (n_trajectories, 4, 4), with nothing stored."""
     acc = CovarianceAccumulator(cfg.n_trajectories)
-    for [(states, _)] in simulate_chunks(dp, temperature, cfg, [(None, None)]):
+    for [(states, _)] in simulate_chunks([Chain(dp, temperature, cfg)]):
         acc.add(states)
     return acc.covariances()
 
@@ -525,29 +660,20 @@ def measure_gain(
     tone: ToneSignal,
     cfg: SimulationConfig,
 ) -> float:
-    """Empirical response at the tone frequency, from two chains on one draw.
-
-    The oracle is linear and its noise comes only from the trajectories'
-    streams, so a chain with the tone and one without it differ, to rounding,
-    by the tone's deterministic response alone.  Its mean square, the line
-    power of the output record, is divided by the field-referred input
-    density integrated over the tone, lambda^2 B0^2 / (4 kappa_m) with
-    lambda the bare coupling; the ratio estimates the analytic response at
-    the tone offset, biased only by the step.  Requires the
-    backaction-evading point, where the phase-channel image of the tone does
-    not reach the output.
+    """Empirical response at the tone frequency, from two chains on one
+    draw: the :class:`GainAccumulator` of a record-only chain with the tone
+    and one without it.  Requires the backaction-evading point, where the
+    phase-channel image of the tone does not reach the output.
     """
     if tone.amplitude <= 0:
         raise ParameterError("measure_gain requires a tone with positive amplitude")
     require_evading_point(dp)
-    total, count = 0.0, 0
-    chains = [(None, tone), (None, None)]
-    for (_, driven), (_, quiet) in simulate_chunks(dp, temperature, cfg, chains,
-                                                   record_only=True):
-        total += float(np.sum((driven - quiet)**2))
-        count += driven.size
-    p_ref = (dp.lambda_bare * tone.amplitude)**2 / (4.0 * dp.kappa_m)
-    return total / count / p_ref
+    acc = GainAccumulator(dp, tone)
+    chains = [Chain(dp, temperature, cfg, signal=tone, record_only=True),
+              Chain(dp, temperature, cfg, record_only=True)]
+    for (_, driven), (_, quiet) in simulate_chunks(chains):
+        acc.add(driven, quiet)
+    return acc.gain()
 
 
 def lyapunov_covariance(dp: DerivedParameters, temperature: float,

@@ -5,11 +5,17 @@ solve against the printed closed forms, that is the 1e-9 agreement of |k1|
 at the backaction-evading point and the documented decoupled-resonant
 discrepancy (|K4(0)| = 1 from the drift system vs 3 from the printed form).
 
-The stochastic runs are one table, :func:`_runs`.  A row is one run, that
-is one draw of the random streams: its check family, its parameters and
-the (name, variant) of each check it feeds, the variant being the
-reservoir of a PSD check, the tone offset of a gain check and None for a
-Lyapunov check.  The family sizes the run and judges each of its checks.
+The stochastic runs are one table, :func:`_runs`.  A row is one run: its
+check family, its parameters and the (name, variant) of each check it
+feeds, the variant being the reservoir of a PSD check, the tone offset of
+a gain check and None for a Lyapunov check.  The family sizes the run,
+gives its chains, folds their chunks and judges each of its checks.  All
+runs are sized first, so a refusal costs no stepping, and then stepped on
+one pass of :func:`simulation.simulate_chunks` over the seed's streams:
+each (seed, trajectory index) stream is drawn once, and every run reads a
+prefix of the same streams, step for step.  The checks of one seed are
+therefore not independent draws; a rate of "any check failed" cannot be
+formed by multiplying per-check rates.
 ``_check_lyapunov`` compares the stepped chain's second moments about its
 exact zero mean with its discrete Lyapunov covariance, within three
 standard errors.  ``_check_psd`` compares Welch spectra of the output with
@@ -36,8 +42,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .model import ConfigurationError, DerivedParameters, SystemParameters, derived_parameters
-from .simulation import (SimulationConfig, ToneSignal, fastest_rate, lyapunov_covariance,
-                         measure_gain, noverlap, stream_covariances, stream_psd)
+from . import simulation
+from .simulation import (Chain, CovarianceAccumulator, GainAccumulator, SimulationConfig,
+                         ToneSignal, WelchAccumulator, fastest_rate, lyapunov_covariance,
+                         noverlap)
 from .spectra import SqueezedReservoir, output_spectrum
 from .transfer import closed_form_grid, require_evading_point, require_stable, response_grid
 
@@ -128,15 +136,23 @@ class _Row(NamedTuple):
     checks: tuple
 
 
+class _Fold(NamedTuple):
+    #: folds in one chunk: the (states, record) of each of the run's chains
+    add: Callable[[list], None]
+    #: one result per check of the run
+    judge: Callable[[], list[CheckResult]]
+
+
 @dataclass(frozen=True)
 class _Run:
-    """One sized run of the plan; ``check()`` steps it and judges each of its
-    checks, returning one result per name."""
+    """One sized run of the plan: the chains it steps, and ``fold()``, which
+    makes a fresh :class:`_Fold` of their chunks."""
 
     names: tuple[str, ...]
     dp: DerivedParameters
     cfg: SimulationConfig
-    check: Callable[[], list[CheckResult]]
+    chains: tuple[Chain, ...]
+    fold: Callable[[], _Fold]
     segment: int | None = None    # Welch segment length in samples (PSD runs)
     tone: ToneSignal | None = None  # the injected tone (gain runs)
 
@@ -180,10 +196,10 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
     Refuses an unstable drift, and a run of more than ``_MAX_TRAJECTORY_STEPS``
     recorded trajectory-steps: a time budget, not a memory guard, since the
     runs store nothing that grows with their length.  1e8 trajectory-steps
-    are 16-22 s of stepping at 4.5-6.2 million a second on a 2-core x86
-    machine, a lone PSD run making the slow end and the chained ``psd_rm15``
-    pair the fast one, and 8.4x the largest desk run (``psd_rm15``'s 16
-    trajectories of 744164 steps).
+    are 15-27 s of stepping at 3.7-6.7 million a second on a 2-core x86
+    machine, each run stepped alone: a Lyapunov run makes the fast end and
+    the two-chain ``psd_rm15`` run the slow one.  That is 8.4x the largest
+    desk run (``psd_rm15``'s 16 trajectories of 744164 steps).
     """
     require_stable(dp)
     if trajectories * steps > _MAX_TRAJECTORY_STEPS:
@@ -232,21 +248,26 @@ def _check_lyapunov(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _
     [(name, _)] = row.checks
     steps = round(_LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt)
     cfg = _run_config(dp, seed, dt, steps, _LYAPUNOV_TRAJECTORIES)
+    temperature = row.params.temperature
 
-    def check() -> list[CheckResult]:
-        covs = stream_covariances(dp, row.params.temperature, cfg)
-        se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
-        target = lyapunov_covariance(dp, row.params.temperature, cfg.dt)
-        iu = np.triu_indices(4)
-        sigmas = np.abs(covs.mean(axis=0) - target)[iu] / np.maximum(se[iu], 1e-300)
-        return [CheckResult(
-            name=name,
-            value=float(np.max(sigmas)),
-            tolerance=_LYAPUNOV_TOLERANCE,
-            detail="max |sample - Lyapunov| in standard errors over the 10 "
-                   f"covariance entries, {covs.shape[0]} trajectories",
-        )]
-    return _Run((name,), dp, cfg, check)
+    def fold() -> _Fold:
+        acc = CovarianceAccumulator(cfg.n_trajectories)
+
+        def judge() -> list[CheckResult]:
+            covs = acc.covariances()
+            se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
+            target = lyapunov_covariance(dp, temperature, cfg.dt)
+            iu = np.triu_indices(4)
+            sigmas = np.abs(covs.mean(axis=0) - target)[iu] / np.maximum(se[iu], 1e-300)
+            return [CheckResult(
+                name=name,
+                value=float(np.max(sigmas)),
+                tolerance=_LYAPUNOV_TOLERANCE,
+                detail="max |sample - Lyapunov| in standard errors over the 10 "
+                       f"covariance entries, {covs.shape[0]} trajectories",
+            )]
+        return _Fold(lambda parts: acc.add(parts[0][0]), judge)
+    return _Run((name,), dp, cfg, (Chain(dp, temperature, cfg),), fold)
 
 
 def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
@@ -284,27 +305,41 @@ def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES)
     temperature = row.params.temperature
     names, reservoirs = zip(*row.checks)
+    # the checks differ only in their reservoirs; Welch reads the record alone
+    chains = tuple(Chain(dp, temperature, cfg, reservoir, record_only=True)
+                   for reservoir in reservoirs)
 
-    def check() -> list[CheckResult]:
-        results = []
-        # the checks differ only in their reservoirs: one draw, one scan each
-        spectra = stream_psd(dp, temperature, cfg, nper, list(reservoirs))
-        for name, reservoir, (omega, psd, n_seg) in zip(names, reservoirs, spectra):
-            reference = output_spectrum(dp, temperature, omega, reservoir=reservoir)
-            worst = 0.0
-            for sel in _psd_bands(omega, dp.kappa_m):
-                est = float(np.mean(psd[sel]))
-                ana = float(np.mean(reference[sel]))
-                worst = max(worst, abs(est / ana - 1.0))
-            results.append(CheckResult(
-                name=name,
-                value=worst,
-                tolerance=_PSD_TOLERANCE,
-                detail=f"max band-averaged relative deviation, {n_seg} Welch "
-                       "segments, omega/kappa_m in [0.1, 5]",
-            ))
-        return results
-    return _Run(names, dp, cfg, check, segment=nper)
+    def fold() -> _Fold:
+        welches = [WelchAccumulator(cfg.n_trajectories, nper) for _ in reservoirs]
+
+        def add(parts: list) -> None:
+            for welch, (_, record) in zip(welches, parts):
+                welch.add(record)
+
+        def judge() -> list[CheckResult]:
+            return [_judge_psd(name, dp, temperature, reservoir, welch, cfg.dt)
+                    for name, reservoir, welch in zip(names, reservoirs, welches)]
+        return _Fold(add, judge)
+    return _Run(names, dp, cfg, chains, fold, segment=nper)
+
+
+def _judge_psd(name: str, dp: DerivedParameters, temperature: float,
+               reservoir: SqueezedReservoir | None, welch: WelchAccumulator,
+               dt: float) -> CheckResult:
+    omega, psd = welch.spectrum(dt)
+    reference = output_spectrum(dp, temperature, omega, reservoir=reservoir)
+    worst = 0.0
+    for sel in _psd_bands(omega, dp.kappa_m):
+        est = float(np.mean(psd[sel]))
+        ana = float(np.mean(reference[sel]))
+        worst = max(worst, abs(est / ana - 1.0))
+    return CheckResult(
+        name=name,
+        value=worst,
+        tolerance=_PSD_TOLERANCE,
+        detail=f"max band-averaged relative deviation, {welch.segments} Welch "
+               "segments, omega/kappa_m in [0.1, 5]",
+    )
 
 
 def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
@@ -320,17 +355,49 @@ def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     cfg = _run_config(dp, seed, dt, steps, 1)
     # the response is linear in the tone, so any amplitude gives the same gain
     tone = ToneSignal(amplitude=dp.kappa_m / dp.lambda_bare, frequency=delta)
+    temperature = row.params.temperature
+    # with and without the tone on one draw, as measure_gain steps them
+    chains = (Chain(dp, temperature, cfg, signal=tone, record_only=True),
+              Chain(dp, temperature, cfg, record_only=True))
 
-    def check() -> list[CheckResult]:
-        gain = measure_gain(dp, row.params.temperature, tone, cfg)
-        return [CheckResult(
-            name=name,
-            value=abs(gain / gain_analytic - 1.0),
-            tolerance=_GAIN_TOLERANCE,
-            detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
-                   f"at delta = {frac:g} kappa_m, r_m = 1",
-        )]
-    return _Run((name,), dp, cfg, check, tone=tone)
+    def fold() -> _Fold:
+        acc = GainAccumulator(dp, tone)
+
+        def judge() -> list[CheckResult]:
+            gain = acc.gain()
+            return [CheckResult(
+                name=name,
+                value=abs(gain / gain_analytic - 1.0),
+                tolerance=_GAIN_TOLERANCE,
+                detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
+                       f"at delta = {frac:g} kappa_m, r_m = 1",
+            )]
+        return _Fold(lambda parts: acc.add(parts[0][1], parts[1][1]), judge)
+    return _Run((name,), dp, cfg, chains, fold, tone=tone)
+
+
+def _fold_pass(runs: list[_Run], folds: list[_Fold]) -> None:
+    """Step every chain of ``runs`` on one pass and fold each run's chunks
+    into its fold.  The pass's buffers go when this returns."""
+    chains = [chain for run in runs for chain in run.chains]
+    for chunk in simulation.simulate_chunks(chains):
+        parts = iter(chunk)
+        for run, fold in zip(runs, folds):
+            mine = [next(parts) for _ in run.chains]
+            # a run's chains share their sizes, so they keep the same steps
+            if mine[0] is not None:
+                fold.add(mine)
+
+
+def _judge(runs: list[_Run]) -> list[CheckResult]:
+    """The results of ``runs``, stepped on one pass, in table order."""
+    folds = [run.fold() for run in runs]
+    _fold_pass(runs, folds)
+    results = []
+    while folds:
+        # each run's accumulators go once it is judged
+        results += folds.pop(0).judge()
+    return results
 
 
 def run_verification(
@@ -341,11 +408,12 @@ def run_verification(
 
     ``params`` defaults to :func:`verification_parameters`; a custom set must
     keep the fastest rate within a few hundred kappa_m or the stochastic
-    runs are refused as intractable.  All rows are sized before the first
-    run is stepped, so a refusal costs no stepping.
+    runs are refused as intractable.  All rows are sized before any run is
+    stepped, so a refusal costs no stepping; then every run is stepped on
+    one pass over the seed's streams, so all checks read the same normals.
     """
     if params is None:
         params = verification_parameters()
     runs = _plan(_runs(params), seed)
-    checks = _check_routes(params) + [result for run in runs for result in run.check()]
+    checks = _check_routes(params) + _judge(runs)
     return VerificationReport(checks=tuple(checks), seed=seed)

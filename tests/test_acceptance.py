@@ -163,3 +163,26 @@ def test_criterion_11_route_discrepancy_is_documented(verification_report):
     assert k1_check.value <= 1e-9
     assert k1_check.passed
     _announce(11, "verify report pins |K4(0)| = 1 vs 3 and |k1| route agreement <= 1e-9")
+
+
+#: the seed-42 values `verify` prints, to rel 1e-6 (its printed precision)
+SEED_42_VALUES = {
+    "lyapunov_decoupled": 2.640256858,
+    "lyapunov_coupled": 1.268994013,
+    "psd_rm0": 0.05718912994,
+    "psd_rm15": 0.07103211003,
+    "psd_rm15_reservoir": 0.06541775147,
+    "gain_delta_0.2km": 0.0009423208665,
+    "gain_delta_0.5km": 0.003395626055,
+    "gain_delta_1km": 0.005548422221,
+}
+
+
+def test_verify_report_values_are_pinned(verification_report):
+    # a change to the oracle's stepping or folds that moves a printed value
+    # shows here; the two route values are rounding residues of linear
+    # solves (about 1e-15), which criterion 11 bounds instead
+    values = {c.name: c.value for c in verification_report.checks}
+    assert list(values) == ["k1_route_agreement", "k4_dc_discrepancy", *SEED_42_VALUES]
+    for name, value in SEED_42_VALUES.items():
+        assert values[name] == pytest.approx(value, rel=1e-6, abs=0), name

@@ -22,7 +22,9 @@ from magnon_sense import (
 )
 from magnon_sense import simulation, verification
 from magnon_sense.simulation import (
+    Chain,
     CovarianceAccumulator,
+    GainAccumulator,
     WelchAccumulator,
     fastest_rate,
     noverlap,
@@ -61,6 +63,23 @@ def count_streams(monkeypatch):
         return original(seed, index)
     monkeypatch.setattr(simulation, "_trajectory_rng", counted)
     return calls
+
+
+def count_draws(monkeypatch):
+    """Steps drawn from each trajectory stream built from now on, by (seed, index)."""
+    drawn = {}
+    original = simulation._trajectory_rng
+
+    class Counted:
+        def __init__(self, seed, index):
+            self._rng, self._key = original(seed, index), (seed, index)
+            drawn[self._key] = 0
+
+        def standard_normal(self, *, out):
+            drawn[self._key] += out.shape[0]
+            return self._rng.standard_normal(out=out)
+    monkeypatch.setattr(simulation, "_trajectory_rng", Counted)
+    return drawn
 
 
 def mid_lane_config(dp):
@@ -249,7 +268,7 @@ class TestSteadyStateVariances:
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=8)
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        for [(states, _)] in simulate_chunks(dp, 0.05, cfg, [(reservoir, None)]):
+        for [(states, _)] in simulate_chunks([Chain(dp, 0.05, cfg, reservoir)]):
             acc.add(states)
         sample = acc.covariances()[:, 0, 0]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
@@ -384,8 +403,8 @@ class TestGainMeasurement:
         [run] = verification._plan([row], seed=42)
         total, count = 0.0, 0
         for [(_, driven)], [(_, quiet)] in zip(
-                simulate_chunks(run.dp, 0.05, run.cfg, [(None, run.tone)]),
-                simulate_chunks(run.dp, 0.05, run.cfg, [(None, None)])):
+                simulate_chunks([Chain(run.dp, 0.05, run.cfg, signal=run.tone)]),
+                simulate_chunks([Chain(run.dp, 0.05, run.cfg)])):
             total += float(np.sum((driven - quiet)**2))
             count += driven.size
         p_ref = (run.dp.lambda_bare * run.tone.amplitude)**2 / (4.0 * run.dp.kappa_m)
@@ -459,25 +478,54 @@ class TestVerifyPlan:
                  if len(row.checks) > 1]
         assert [name for name, _ in row.checks] == ["psd_rm15", "psd_rm15_reservoir"]
         apart = [result for check in row.checks
-                 for result in verification._plan([row._replace(checks=(check,))],
-                                                  seed=42)[0].check()]
+                 for result in verification._judge(
+                     verification._plan([row._replace(checks=(check,))], seed=42))]
         calls = count_streams(monkeypatch)
-        [run] = verification._plan([row], seed=42)
-        assert run.check() == apart
+        runs = verification._plan([row], seed=42)
+        assert verification._judge(runs) == apart
         assert calls == [(42, i) for i in range(16)]
 
     def test_every_run_steps_through_simulate_chunks(self, monkeypatch):
         # the refusals of verify are tested by patching simulate_chunks, so
-        # no run may step the oracle any other way
-        def no_stepping(*args, **kwargs):
+        # no run may step the oracle any other way: verify makes one pass
+        # over the chains of every run, in table order
+        passes = []
+
+        def no_stepping(chains):
+            passes.append(chains)
             raise AssertionError("simulate_chunks called")
 
         monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
         runs = verification._plan(verification._runs(verification_parameters()), seed=42)
         assert len(runs) == 7
-        for run in runs:
-            with pytest.raises(AssertionError, match="simulate_chunks called"):
-                run.check()
+        assert [len(run.chains) for run in runs] == [1, 1, 1, 2, 2, 2, 2]
+        with pytest.raises(AssertionError, match="simulate_chunks called"):
+            verification.run_verification(seed=42)
+        assert passes == [[chain for run in runs for chain in run.chains]]
+
+    def test_desk_pass_draws_each_stream_once(self):
+        # every run reads a prefix of the seed's 32 streams; a draw per run
+        # would build 99 streams and draw 29,027,104 trajectory-steps
+        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        extents = simulation._stream_extents([c for run in runs for c in run.chains])
+        assert (len(extents), sum(extents)) == (32, 15_257_600)
+        apart = [simulation._stream_extents(list(run.chains)) for run in runs]
+        assert (sum(map(len, apart)), sum(map(sum, apart))) == (99, 29_027_104)
+
+    def test_verify_builds_and_draws_each_stream_once(self, monkeypatch):
+        # a coarse plan keeps the pass short
+        monkeypatch.setattr(verification, "_PSD_RESOLUTION", 1.0)
+        monkeypatch.setattr(verification, "_LYAPUNOV_DURATION_RELAX", 50.0)
+        monkeypatch.setattr(verification, "_GAIN_PERIODS", 2)
+        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        extents = simulation._stream_extents([c for run in runs for c in run.chains])
+        assert extents[0] > extents[-1]    # streams 0-15 feed the longer PSD runs
+        drawn = count_draws(monkeypatch)
+        calls = count_streams(monkeypatch)
+        report = verification.run_verification(seed=42)
+        assert len(report.checks) == 10
+        assert calls == [(42, i) for i in range(32)]
+        assert drawn == {(42, i): extent for i, extent in enumerate(extents)}
 
 
 def loop_states(step, incr, x0):
@@ -543,7 +591,8 @@ class TestLaneScan:
 
     def run(self, step, incr, x0, record_only=False):
         out = np.empty((1 if record_only else 4, *incr.shape[1:]))
-        return simulation._LaneScan(step, x0, record_only)(list(incr), out)
+        work = simulation._scan_work(incr[0].size)
+        return simulation._LaneScan(step, x0, record_only)(list(incr), out, work)
 
     def check(self, step, incr, x0):
         """The full scan against the step-by-step loop, and the record-only
@@ -576,7 +625,9 @@ class TestLaneScan:
         for record_only in (False, True):
             whole = self.run(step, incr, x0, record_only)
             scan = simulation._LaneScan(step, x0, record_only)
-            pieces = [scan(list(incr[:, :, a:b]), np.empty_like(whole[:, :, a:b]))
+            # one work array for every piece, larger than most of them need
+            work = simulation._scan_work(incr[0].size)
+            pieces = [scan(list(incr[:, :, a:b]), np.empty_like(whole[:, :, a:b]), work)
                       for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
 
@@ -687,7 +738,7 @@ class TestAccumulators:
         np.testing.assert_allclose(stream_covariances(dp, temperature, cfg), covs,
                                    rtol=1e-12, atol=0)
 
-    def test_chained_runs_are_bit_identical_to_single_runs(self):
+    def test_chained_runs_are_bit_identical_to_single_runs(self, monkeypatch):
         # one draw stepped by two record-only scans gives each reservoir the
         # spectrum of its own full run
         dp = desk_dp(r_m=1.2)
@@ -703,6 +754,37 @@ class TestAccumulators:
                 assert np.array_equal(other[0], omega)
                 assert np.array_equal(other[1], psd)
                 assert other[2] == segments == 3 * 11
+
+        # one pass over chains of other parameters, steps, burn-ins,
+        # trajectory counts and lengths gives each chain the bits of its own
+        # run, while the widest chain still running sets the chunks
+        monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
+        squeezed, detuned = desk_dp(r_m=1.5), coupled_detuned_dp()
+        tone = ToneSignal(amplitude=1e-3, frequency=0.5 * squeezed.kappa_m)
+        chains = [
+            Chain(dp, 0.05, cfg, reservoir),
+            Chain(squeezed, 0.05, quick_config(squeezed, 0.05, 5), signal=tone,
+                  record_only=True),
+            Chain(detuned, 2.6, quick_config(detuned, 1.5, 2, accuracy=0.02)),
+            Chain(squeezed, 0.05, quick_config(squeezed, 0.2, 1), signal=tone),
+        ]
+        pieces = [[] for _ in chains]
+        skipped = 0
+        for chunk in simulate_chunks(chains):
+            skipped += chunk.count(None)
+            for piece, part in zip(pieces, chunk):
+                if part is not None:
+                    piece.append([array.copy() for array in part])
+        assert skipped > 0
+        for chain, piece in zip(chains, pieces):
+            trace = simulate(chain.dp, chain.temperature, chain.cfg,
+                             reservoir=chain.reservoir, signal=chain.signal)
+            states, record = (np.concatenate(arrays, axis=-1) for arrays in zip(*piece))
+            quadratures = np.moveaxis(trace.quadratures, -1, 0)
+            assert np.array_equal(states, quadratures[3:] if chain.record_only else quadratures)
+            assert np.array_equal(record, trace.output_record)
+        with pytest.raises(ConfigurationError, match="one seed"):
+            simulate_chunks([chains[0], replace(chains[1], cfg=replace(chains[1].cfg, seed=12))])
 
     def test_pieces_fold_like_one_array(self):
         rng = np.random.default_rng(7)
@@ -734,6 +816,8 @@ class TestAccumulators:
             stream_psd(dp, 0.05, one_step, 64, [None])
         with pytest.raises(ParameterError, match="one sample"):
             CovarianceAccumulator(2).covariances()
+        with pytest.raises(ParameterError, match="one sample"):
+            GainAccumulator(dp, ToneSignal(amplitude=1.0, frequency=1.0)).gain()
 
 
 def test_streamed_psd_memory_does_not_grow_with_the_run():
