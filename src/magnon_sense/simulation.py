@@ -34,13 +34,24 @@ their applications", 1990):
   stepping one step at a time, to rounding (a few 1e-15 relative), and it
   needs no eigenbasis, so a defective S (kappa_a = kappa_m at zero
   detuning) and the complex pairs of a detuned S are no special case.
-* Chunks are ``_CHUNK`` = 2^15 trajectory-steps of the widest chain still
-  running, rounded down to whole lanes (256 kB per component array); the
-  last is rounded up, the steps past the run drawn and dropped.  Inside the
-  lanes the arithmetic is elementwise, skipping the zeros of S and its
-  powers, and the carry is one 4x4 by 4x1 product per trajectory and lane:
-  no operation mixes lanes or trajectories, so neither the chunk size nor
-  the trajectory count changes a bit of the states.
+* A scan steps only the components that the ones it writes out read: their
+  closure under the nonzero pattern of S.  A record-only scan (below)
+  writes P_a, which at the backaction-evading point (delta_a = delta_0p
+  = 0, where only X_M reaches the output) reads X_M and itself alone, so
+  it steps those two; a cavity detuning adds X_a, a magnon detuning all
+  four.  The lane corrections take their powers from the full 4x4 S^i,
+  and the carry multiplies the full S^L into all four components, the
+  components not stepped ending their lanes at zero: S^L maps none of
+  them into the stepped ones, exactly, so the stepped states keep every
+  bit of a scan of all four.
+* Chunks are ``_CHUNK`` = 2^15 trajectory-steps of the scan with the most
+  trajectories still running, rounded down to whole lanes (256 kB per
+  component array); the last is rounded up, the steps past the run drawn
+  and dropped.  Inside the lanes the arithmetic is elementwise, skipping
+  the zeros of S and its powers, and the carry is one 4x4 by 4x1 product
+  per trajectory and lane: no operation mixes lanes or trajectories, so
+  neither the chunk size nor the trajectory count changes a bit of the
+  states.
 
 A pass is one draw of the seed's streams, stepped by
 :func:`simulate_chunks`, the oracle's one stepping entry.  Its chains
@@ -49,15 +60,18 @@ reservoir and tone, and share one seed.  A chain steps on the leading
 ``n_trajectories`` streams, so step k of trajectory i reads the same four
 normals in every chain, whatever its dt or burn-in: each stream is built
 once and drawn once, up to the furthest step any chain reads from it.
-Every chain's states and output record are bit for bit those of the chain
-stepped alone, and the chains of a pass are not independent: they see the
-same noise, step for step.  Each chunk yields, per chain, its kept
-quadratures (4, n_trajectories, n) and output record (n_trajectories, n),
-or None where the chain keeps no step.  Where the consumer reads only the
-output record, as Welch and the gain do, a chain is record-only: its scan
-completes the P_a row alone of its lane corrections and of its output, the
-other three rows being needed only to step.  The consumers fold the chunks
-in:
+The chains that share a step matrix S (parameters and dt) and the
+record-only flag are the trajectories of one scan, each with its own
+Cholesky factor, tone, burn-in, length and trajectory count; within the
+chunk where a chain ends its trajectories read zero increments, and then
+they leave the scan.  ``verify``'s 11 chains are 5 scans.  Every chain's
+states and output record are bit for bit those of the chain stepped
+alone, and the chains of a pass are not independent: they see the same
+noise, step for step.  Each chunk yields, per chain, its kept quadratures
+(4, n_trajectories, n) and output record (n_trajectories, n), or None
+where the chain keeps no step.  Where the consumer reads only the output
+record, as Welch and the gain do, a chain is record-only: its states are
+P_a alone, (1, n_trajectories, n).  The consumers fold the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
@@ -82,6 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -198,8 +213,8 @@ class Chain:
     It steps ``dp`` at ``temperature`` with ``cfg``'s step, burn-in, length
     and trajectory count, with the squeezed ``reservoir`` (None: the thermal
     magnon input) and the injected ``signal`` (None: no tone).  A
-    ``record_only`` chain completes the P_a row alone, which is all the
-    output record needs.
+    ``record_only`` chain writes out P_a alone, which is all the output
+    record needs, and steps only the components P_a reads.
     """
 
     dp: DerivedParameters
@@ -282,57 +297,104 @@ def _views(work: np.ndarray, *shapes):
         pos += size
 
 
+def _closure(step: np.ndarray, components) -> tuple[int, ...]:
+    """The components that ``components`` read under the nonzero pattern of
+    ``step``, themselves included, in ascending order."""
+    need = set(components)
+    while grown := {c for k in need for c in range(4) if step[k, c] != 0.0} - need:
+        need |= grown
+    return tuple(sorted(need))
+
+
 class _LaneScan:
     """The recursion x_{m+1} = S x_m + incr_m over lanes of ``_LANE`` steps,
-    anchored at the run's first step (see the module docstring)."""
+    anchored at the run's first step (see the module docstring).
+
+    It writes out P_a for a record-only scan and all four components
+    otherwise, and steps only ``components``, the closure of those under
+    the nonzero pattern of S: no other component feeds them.
+    """
 
     def __init__(self, step: np.ndarray, x0: np.ndarray, record_only: bool = False):
         powers = np.array([np.linalg.matrix_power(step, i) for i in range(_LANE + 1)])
-        self._diagonal = np.diag(step)[:, None]
-        self._off_diagonal = [(k, c, step[k, c]) for k in range(4) for c in range(4)
-                              if k != c and step[k, c] != 0.0]
-        #: the components completed and written out: P_a alone for a record-only run
-        self._rows = slice(3, 4) if record_only else slice(0, 4)
-        #: (k, c, S^i[k, c] for i = 1..L-1) of the entries not all zero
-        self._corrections = [(k, c, powers[1:-1, k, c, None]) for k in range(4)[self._rows]
+        #: the components written out
+        self.written = written = (3,) if record_only else (0, 1, 2, 3)
+        self.components = comps = _closure(step, written)
+        self._diagonal = np.diag(step)[list(comps), None]
+        #: (position of k, position of c, S[k, c]) in components, per
+        #: off-diagonal nonzero
+        self._off_diagonal = [(j, comps.index(c), step[k, c]) for j, k in enumerate(comps)
+                              for c in range(4) if k != c and step[k, c] != 0.0]
+        #: the written components, which trail both, among all four and
+        #: among the stepped ones
+        self._written_all = slice(4 - len(written), 4)
+        self._written_stepped = slice(len(comps) - len(written), len(comps))
+        #: (position in components, component, S^i[k, c] for i = 1..L-1) of
+        #: the written entries not all zero
+        self._corrections = [(j, c, powers[1:-1, k, c, None])
+                             for j, k in enumerate(comps) if k in written
                              for c in range(4) if powers[1:-1, k, c].any()]
         self._lane = powers[-1]
         self._x = np.ascontiguousarray(x0.T)[:, :, None]     # (ntraj, 4, 1)
 
-    def __call__(self, incr, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """States x_m before each increment of ``incr`` (4 arrays (ntraj, n), n
-        whole lanes), written to ``out`` (4, ntraj, n), or (1, ntraj, n) holding
-        P_a alone for a record-only scan, and returned; ``work`` is a
-        :func:`_scan_work` of at least ntraj * n trajectory-steps."""
-        ntraj, n = incr[0].shape
+    def __call__(self, blocks, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """States x_m before each increment, written to ``out`` (4, ntraj, n),
+        or (1, ntraj, n) holding P_a alone for a record-only scan, and
+        returned; ``work`` is a :func:`_scan_work` of at least ntraj * n
+        trajectory-steps.
+
+        ``blocks`` holds the increments of consecutive trajectories, each
+        block indexed by component, (rows, m) arrays for m <= n whole lanes;
+        its steps past m read zero.  The trajectories past the blocks have
+        ended: they leave the scan for good.
+        """
+        _, ntraj, n = out.shape
         lanes = n // _LANE
         cells = lanes * ntraj
-        # rest[i, k]: component k of every lane (lane-major, then trajectory)
-        # after i + 1 steps from rest, stepped in place over the increments
+        comps = self.components
+        # rest[i, j]: component comps[j] of every lane (lane-major, then
+        # trajectory) after i + 1 steps from rest, stepped in place
         rest, term, starts, correction = _views(
-            work, (_LANE, 4, cells), (4, cells), (4, lanes, ntraj), (_LANE - 1, cells))
-        by_lane = rest.reshape(_LANE, 4, lanes, ntraj)
-        for k in range(4):
-            by_lane[:, k] = incr[k].reshape(ntraj, lanes, _LANE).T
+            work, (_LANE, len(comps), cells), (len(comps), cells), (4, lanes, ntraj),
+            (_LANE - 1, cells))
+        by_lane = rest.reshape(_LANE, len(comps), lanes, ntraj)
+        row = 0
+        for incr in blocks:
+            rows, m = incr[3].shape
+            mine = by_lane[..., row:row + rows]
+            for j, k in enumerate(comps):
+                mine[:, j, :m // _LANE] = incr[k].reshape(rows, m // _LANE, _LANE).T
+            mine[:, :, m // _LANE:] = 0.0
+            row += rows
         part = term[0]
         for prev, cur in zip(rest, rest[1:]):
             np.multiply(self._diagonal, prev, out=term)
             cur += term
-            for k, c, coef in self._off_diagonal:
-                np.multiply(coef, prev[c], out=part)
-                cur[k] += part
-        # one (4, 4) @ (4, 1) product per trajectory, so that ntraj changes no bit
-        ends = by_lane[-1].transpose(1, 2, 0)[..., None]
+            for j, i, coef in self._off_diagonal:
+                np.multiply(coef, prev[i], out=part)
+                cur[j] += part
+        # the full S^L carries every trajectory, one (4, 4) @ (4, 1) product
+        # each, so that ntraj changes no bit; the components not stepped end
+        # their lanes at zero, and S^L maps none of them into the stepped ones
+        if len(comps) == 4:
+            ends = by_lane[-1]
+        else:
+            # the correction scratch is free until the carry is done
+            ends = correction.reshape(-1)[:4 * cells].reshape(4, lanes, ntraj)
+            ends[...] = 0.0
+            ends[list(comps)] = by_lane[-1]
+        ends = ends.transpose(1, 2, 0)[..., None]
+        self._x = self._x[:ntraj]
         for j in range(lanes):
             starts[:, j] = self._x[..., 0].T
             self._x = np.matmul(self._lane, self._x) + ends[j]
         # a lane's state i is rest[i - 1] + S^i start, its state 0 the start
-        for k, c, column in self._corrections:
+        for j, c, column in self._corrections:
             np.multiply(column, starts[c].reshape(-1), out=correction)
-            rest[:-1, k] += correction
+            rest[:-1, j] += correction
         states = out.reshape(-1, ntraj, lanes, _LANE)
-        states[..., 0] = starts[self._rows].transpose(0, 2, 1)
-        states[..., 1:] = by_lane[:-1, self._rows].transpose(1, 3, 2, 0)
+        states[..., 0] = starts[self._written_all].transpose(0, 2, 1)
+        states[..., 1:] = by_lane[:-1, self._written_stepped].transpose(1, 3, 2, 0)
         return out
 
 
@@ -368,44 +430,102 @@ class _Stepper:
         self.end = _drawn(cfg)
         signal = chain.signal
         self.drive = signal if signal is not None and signal.amplitude > 0 else None
-        self.scan = _LaneScan(np.eye(4) + drift_matrix(dp) * cfg.dt,
-                              np.zeros((4, self.ntraj)), chain.record_only)
+        self.step_matrix = np.eye(4) + drift_matrix(dp) * cfg.dt
         self.sq_ka = math.sqrt(dp.kappa_a)
 
-    def allocate(self, width: int) -> None:
-        """Output buffers for chunks of up to ``width`` steps."""
-        self.states = np.empty((1 if self.chain.record_only else 4, self.ntraj, width))
-        self.record = np.empty((self.ntraj, width))
+    def allocate(self, schedule: list[tuple[int, int]]) -> None:
+        """The output record's buffer, for this chain's chunks of ``schedule``."""
+        self.record = np.empty(
+            (self.ntraj, max(min(n, self.end - pos) for pos, n in schedule if pos < self.end)))
 
-    def step(self, z: np.ndarray, pos: int, n: int, work: np.ndarray):
-        """(states, record) of the kept steps among this chain's next steps
-        from ``pos`` on the normals ``z`` (trajectory, step, 4), or None."""
-        if pos >= self.end:
-            return None
+    def increments(self, z: np.ndarray, pos: int, n: int, components) -> list:
+        """The increments of ``components``, P_a always among them, indexed
+        by component (None for the others), over this chain's next steps
+        from ``pos`` on the normals ``z`` (trajectory, step, 4), at most
+        ``n`` of them."""
         n = min(n, self.end - pos)
         dt = self.chain.cfg.dt
         normals = np.moveaxis(z[:self.ntraj, :n], -1, 0)
-        incr = [_combine(row, normals) for row in self.chol]
+        incr = [_combine(row, normals) if k in components else None
+                for k, row in enumerate(self.chol)]
         if self.drive is not None:
-            dx, dpp = _drive_arrays(self.drive, self.chain.dp, (pos + np.arange(n)) * dt)
-            incr[0], incr[1] = incr[0] + dx * dt, incr[1] + dpp * dt
-        lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, n)
-        kept = self.scan(incr, self.states[:, :, :n], work)[:, :, lo:hi]
+            drive = _drive_arrays(self.drive, self.chain.dp, (pos + np.arange(n)) * dt)
+            for k, d in enumerate(drive):
+                if incr[k] is not None:
+                    incr[k] = incr[k] + d * dt
+        return incr
+
+    def keep(self, states: np.ndarray, incr: list, pos: int):
+        """(states, record) of the kept steps among the scanned ``states``
+        (components, ntraj, m) of the increments ``incr`` from ``pos``, or None."""
+        lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, incr[3].shape[1])
         if lo >= hi:
             return None
+        kept = states[:, :, lo:hi]
         sq_ka = self.sq_ka
         record = self.record[:, :hi - lo]
-        np.subtract(sq_ka * kept[-1], incr[3][:, lo:hi] / (sq_ka * dt), out=record)
+        np.subtract(sq_ka * kept[-1], incr[3][:, lo:hi] / (sq_ka * self.chain.cfg.dt),
+                    out=record)
         return kept, record
 
 
-def _schedule(steppers: list[_Stepper]) -> list[tuple[int, int]]:
+class _Group:
+    """The chains of a pass that share a step matrix and the record-only
+    flag, stepped as the trajectories of one :class:`_LaneScan`: the
+    longest chain first, so the chains still running lead."""
+
+    def __init__(self, steppers: list[_Stepper]):
+        self.steppers = sorted(steppers, key=lambda s: -s.end)
+        first = self.steppers[0]
+        self.scan = _LaneScan(first.step_matrix,
+                              np.zeros((4, sum(s.ntraj for s in steppers))),
+                              first.chain.record_only)
+
+    def rows(self, pos: int) -> int:
+        """Trajectories of the chains still running at step ``pos``."""
+        return sum(s.ntraj for s in self.steppers if s.end > pos)
+
+    def width(self, pos: int, n: int) -> int:
+        """Steps the scan takes of a chunk of ``n`` from ``pos``."""
+        return min(n, self.steppers[0].end - pos)
+
+    def allocate(self, schedule: list[tuple[int, int]]) -> int:
+        """Output buffers for the chunks of ``schedule``; returns the scan's
+        largest call in trajectory-steps."""
+        for s in self.steppers:
+            s.allocate(schedule)
+        cells = max(self.rows(pos) * self.width(pos, n) for pos, n in schedule)
+        self.states = np.empty(len(self.scan.written) * cells)
+        return cells
+
+    def step(self, z: np.ndarray, pos: int, n: int, work: np.ndarray) -> dict:
+        """Each running chain's (states, record) or None, by chain, over the
+        chunk of ``n`` steps from ``pos`` on the normals ``z``."""
+        running = [s for s in self.steppers if s.end > pos]
+        if not running:
+            return {}
+        n = self.width(pos, n)
+        rows = sum(s.ntraj for s in running)
+        incrs = [s.increments(z, pos, n, self.scan.components) for s in running]
+        written = len(self.scan.written)
+        states = self.scan(incrs, self.states[:written * rows * n].reshape(written, rows, n),
+                           work)
+        parts, row = {}, 0
+        for s, incr in zip(running, incrs):
+            parts[s] = s.keep(states[:, row:row + s.ntraj], incr, pos)
+            row += s.ntraj
+        return parts
+
+
+def _schedule(groups: list[_Group]) -> list[tuple[int, int]]:
     """(first step, steps) of each chunk of a pass: ``_CHUNK``
-    trajectory-steps of the widest chain still running, in whole lanes."""
+    trajectory-steps of the scan with the most trajectories still running,
+    in whole lanes."""
     chunks, pos = [], 0
-    while running := [s for s in steppers if s.end > pos]:
-        widest = max(s.ntraj for s in running)
-        n = min(max(1, _CHUNK // (widest * _LANE)) * _LANE, max(s.end for s in running) - pos)
+    end = max(g.steppers[0].end for g in groups)
+    while pos < end:
+        widest = max(g.rows(pos) for g in groups)
+        n = min(max(1, _CHUNK // (widest * _LANE)) * _LANE, end - pos)
         chunks.append((pos, n))
         pos += n
     return chunks
@@ -418,6 +538,14 @@ def _stream_extents(chains: list[Chain]) -> list[int]:
             for i in range(max(c.cfg.n_trajectories for c in chains))]
 
 
+def _groups(steppers: list[_Stepper]) -> list[_Group]:
+    """The steppers grouped by (step matrix, record-only), in first-seen order."""
+    groups: dict = {}
+    for s in steppers:
+        groups.setdefault((s.step_matrix.tobytes(), s.chain.record_only), []).append(s)
+    return [_Group(members) for members in groups.values()]
+
+
 def simulate_chunks(chains: list[Chain]):
     """Integrate the quadrature Langevin equations of every chain of
     ``chains`` on one pass over their seed's streams, a chunk at a time.
@@ -426,30 +554,31 @@ def simulate_chunks(chains: list[Chain]):
     chain keeps a step, holding each chain's (states, record) pair, or None
     where that chain keeps no step: ``states`` (4, n_trajectories, n) holds
     the quadratures before each step and ``record`` (n_trajectories, n) the
-    output record.  A record-only chain completes the P_a row alone, so its
+    output record.  A record-only chain writes out P_a alone, so its
     ``states`` is (1, n_trajectories, n).  Both are views of buffers that
     the next chunk overwrites, so a consumer copies what it keeps.  The
     increments are the rows of chol(D dt) times standard normals, D the
     diffusion matrix of the inputs; each stream's normals are drawn once
-    for all chains, so the chains see the same noise (see the module
-    docstring).
+    for all chains, so the chains see the same noise, and the chains that
+    share a step matrix are stepped by one scan (see the module docstring).
 
     Raises :class:`ConfigurationError` when called, before any stepping, if
-    the chains do not share one seed, or if a chain's configuration guard
-    fails or its drift is unstable.
+    ``chains`` is empty or its chains do not share one seed, or if a
+    chain's configuration guard fails or its drift is unstable.
     """
+    if not chains:
+        raise ConfigurationError("a pass needs at least one chain")
     if len({chain.cfg.seed for chain in chains}) != 1:
         raise ConfigurationError("the chains of one pass must share one seed")
     steppers = [_Stepper(chain) for chain in chains]
-    schedule = _schedule(steppers)
-    for s in steppers:
-        s.allocate(max(min(n, s.end - pos) for pos, n in schedule if pos < s.end))
+    groups = _groups(steppers)
+    schedule = _schedule(groups)
+    work = _scan_work(max(g.allocate(schedule) for g in groups))
     extents = _stream_extents(chains)
     seed = chains[0].cfg.seed
     rngs = [_trajectory_rng(seed, i) for i in range(len(extents))]
     z_size = max(n * sum(extent > pos for extent in extents) for pos, n in schedule) * 4
     z_all = np.empty(z_size)
-    work = _scan_work(max(s.record.size for s in steppers))
 
     def chunks():
         for pos, n in schedule:
@@ -458,7 +587,10 @@ def simulate_chunks(chains: list[Chain]):
             z = z_all[:len(drawn) * n * 4].reshape(len(drawn), n, 4)
             for (rng, m), zi in zip(drawn, z):
                 rng.standard_normal(out=zi[:m])
-            out = [s.step(z, pos, n, work) for s in steppers]
+            parts = {}
+            for g in groups:
+                parts.update(g.step(z, pos, n, work))
+            out = [parts.get(s) for s in steppers]
             if any(part is not None for part in out):
                 yield out
 
@@ -498,6 +630,15 @@ def noverlap(segment_length: int) -> int:
     return int(round(segment_length * WELCH_OVERLAP))
 
 
+@lru_cache(maxsize=4)
+def _hann(length: int) -> np.ndarray:
+    """The periodic Hann window, 0.5 - 0.5 cos(2 pi n / L), read-only: the
+    accumulators of one segment length share it."""
+    window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, length + 1)))[:-1]
+    window.flags.writeable = False
+    return window
+
+
 class WelchAccumulator:
     """Welch's averaged periodogram of output records fed in time order.
 
@@ -521,7 +662,7 @@ class WelchAccumulator:
         self._filled = 0
         self._hop = segment_length - noverlap(segment_length)
         # the periodic Hann window, 0.5 - 0.5 cos(2 pi n / L)
-        self._window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_length + 1)))[:-1]
+        self._window = _hann(segment_length)
         self._power = np.zeros(segment_length // 2 + 1)
         #: periodograms averaged so far, over all trajectories
         self.segments = 0

@@ -196,10 +196,12 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
     Refuses an unstable drift, and a run of more than ``_MAX_TRAJECTORY_STEPS``
     recorded trajectory-steps: a time budget, not a memory guard, since the
     runs store nothing that grows with their length.  1e8 trajectory-steps
-    are 15-27 s of stepping at 3.7-6.7 million a second on a 2-core x86
-    machine, each run stepped alone: a Lyapunov run makes the fast end and
-    the two-chain ``psd_rm15`` run the slow one.  That is 8.4x the largest
-    desk run (``psd_rm15``'s 16 trajectories of 744164 steps).
+    are 12-17 s of stepping at 5.9-8.2 million a second on a 2-core x86
+    machine, each run stepped alone (best of four): the record-only
+    ``psd_rm0`` run makes the fast end and the coupled Lyapunov run, which
+    steps all four components of a detuned drift, the slow one.  That is
+    8.4x the largest desk run (``psd_rm15``'s 16 trajectories of 744164
+    steps).
     """
     require_stable(dp)
     if trajectories * steps > _MAX_TRAJECTORY_STEPS:

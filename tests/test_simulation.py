@@ -82,6 +82,18 @@ def count_draws(monkeypatch):
     return drawn
 
 
+def count_scans(monkeypatch):
+    """(stepped components, trajectories) of every lane scan built from now on."""
+    scans = []
+
+    class Counted(simulation._LaneScan):
+        def __init__(self, step, x0, record_only=False):
+            super().__init__(step, x0, record_only)
+            scans.append((self.components, x0.shape[1]))
+    monkeypatch.setattr(simulation, "_LaneScan", Counted)
+    return scans
+
+
 def mid_lane_config(dp):
     """A short run whose burn-in ends, and whose record ends, inside a lane."""
     cfg = quick_config(dp, duration=0.5, n_trajectories=3)
@@ -503,6 +515,17 @@ class TestVerifyPlan:
             verification.run_verification(seed=42)
         assert passes == [[chain for run in runs for chain in run.chains]]
 
+    def test_desk_pass_steps_one_scan_per_step_matrix(self, monkeypatch):
+        # the two Lyapunov runs step all four components; psd_rm0, the
+        # psd_rm15 pair and the six gain chains X_M and P_a alone
+        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        chains = [c for run in runs for c in run.chains]
+        scans = count_scans(monkeypatch)
+        simulate_chunks(chains)
+        assert len(chains) == 11
+        assert scans == [((0, 1, 2, 3), 32), ((0, 1, 2, 3), 32), ((0, 3), 16),
+                         ((0, 3), 32), ((0, 3), 6)]
+
     def test_desk_pass_draws_each_stream_once(self):
         # every run reads a prefix of the seed's 32 streams; a draw per run
         # would build 99 streams and draw 29,027,104 trajectory-steps
@@ -592,7 +615,7 @@ class TestLaneScan:
     def run(self, step, incr, x0, record_only=False):
         out = np.empty((1 if record_only else 4, *incr.shape[1:]))
         work = simulation._scan_work(incr[0].size)
-        return simulation._LaneScan(step, x0, record_only)(list(incr), out, work)
+        return simulation._LaneScan(step, x0, record_only)([list(incr)], out, work)
 
     def check(self, step, incr, x0):
         """The full scan against the step-by-step loop, and the record-only
@@ -617,6 +640,19 @@ class TestLaneScan:
         assert np.all(np.linalg.eigvals(step).imag != 0.0)   # two complex pairs
         self.check(step, incr, x0)
 
+    @pytest.mark.parametrize("case, stepped", [
+        ("evading", (0, 3)), ("cavity_detuned", (0, 2, 3)), ("detuned", (0, 1, 2, 3))])
+    def test_steps_only_what_the_written_rows_read(self, case, stepped):
+        # at the evading point P_a reads X_M and itself alone; a cavity
+        # detuning adds X_a, and a magnon detuning the rest
+        dp = {"evading": desk_dp(r_m=1.5),
+              "cavity_detuned": desk_dp(r_m=1.5, delta_a=TWO_PI * 4.0),
+              "detuned": coupled_detuned_dp()}[case]
+        step, incr, x0 = self.step_and_inputs(dp)
+        assert simulation._LaneScan(step, x0, record_only=True).components == stepped
+        assert simulation._LaneScan(step, x0).components == (0, 1, 2, 3)
+        self.check(step, incr, x0)
+
     @pytest.mark.parametrize("detuned", [False, True])
     def test_chunks_are_bit_identical_to_one_pass(self, detuned):
         dp = coupled_detuned_dp() if detuned else desk_dp(r_m=1.5)
@@ -627,7 +663,7 @@ class TestLaneScan:
             scan = simulation._LaneScan(step, x0, record_only)
             # one work array for every piece, larger than most of them need
             work = simulation._scan_work(incr[0].size)
-            pieces = [scan(list(incr[:, :, a:b]), np.empty_like(whole[:, :, a:b]), work)
+            pieces = [scan([list(incr[:, :, a:b])], np.empty_like(whole[:, :, a:b]), work)
                       for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
 
@@ -786,6 +822,52 @@ class TestAccumulators:
         with pytest.raises(ConfigurationError, match="one seed"):
             simulate_chunks([chains[0], replace(chains[1], cfg=replace(chains[1].cfg, seed=12))])
 
+    def test_grouped_pass_is_bit_identical_to_single_runs(self, monkeypatch):
+        # chains on one step matrix share a scan whatever their lengths,
+        # trajectory counts, burn-ins, tones, reservoirs and temperatures;
+        # the short chains end inside a chunk, where their trajectories step
+        # zeros past their ends, and nothing may overflow or turn invalid
+        monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
+        dp = desk_dp(r_m=1.2)
+        tone = ToneSignal(amplitude=1e-3, frequency=0.5 * dp.kappa_m)
+        reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
+        long = quick_config(dp, duration=0.6, n_trajectories=1)
+        short = replace(quick_config(dp, duration=0.07, n_trajectories=3),
+                        burn_in=long.burn_in * 1.3)
+        mid = mid_lane_config(dp)
+        assert long.dt == short.dt == mid.dt
+        chains = [
+            Chain(dp, 0.05, short, reservoir, record_only=True),
+            Chain(dp, 0.05, long, signal=tone, record_only=True),
+            Chain(dp, 2.6, mid, record_only=True),
+            Chain(dp, 0.05, long, signal=tone),
+            Chain(dp, 0.05, short, reservoir),
+            Chain(coupled_detuned_dp(), 2.6, quick_config(coupled_detuned_dp(), 0.3, 2)),
+        ]
+        scans = count_scans(monkeypatch)
+        pieces = [[] for _ in chains]
+        with np.errstate(over="raise", invalid="raise"):
+            for chunk in simulate_chunks(chains):
+                for piece, part in zip(pieces, chunk):
+                    if part is not None:
+                        piece.append([array.copy() for array in part])
+            traces = [simulate(c.dp, c.temperature, c.cfg, reservoir=c.reservoir,
+                               signal=c.signal) for c in chains]
+        assert scans[:3] == [((0, 3), 7), ((0, 1, 2, 3), 4), ((0, 1, 2, 3), 2)]
+        for chain, piece, trace in zip(chains, pieces, traces):
+            states, record = (np.concatenate(arrays, axis=-1) for arrays in zip(*piece))
+            quadratures = np.moveaxis(trace.quadratures, -1, 0)
+            assert np.array_equal(states, quadratures[3:] if chain.record_only else quadratures)
+            assert np.array_equal(record, trace.output_record)
+
+    def test_an_empty_pass_is_refused(self):
+        dp = desk_dp()
+        cfg = quick_config(dp, duration=0.1, n_trajectories=2)
+        with pytest.raises(ConfigurationError, match="at least one chain"):
+            simulate_chunks([])
+        with pytest.raises(ConfigurationError, match="at least one chain"):
+            stream_psd(dp, 0.05, cfg, 64, [])
+
     def test_pieces_fold_like_one_array(self):
         rng = np.random.default_rng(7)
         record = rng.standard_normal((3, 5000))
@@ -834,6 +916,8 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
                                 n_trajectories=ntraj, seed=3)
 
     def peak(run):
+        # each run pays for its own Hann window, which a pass's accumulators share
+        simulation._hann.cache_clear()
         tracemalloc.start()
         try:
             run()
@@ -843,8 +927,12 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
 
     short = peak(lambda: stream_psd(dp, 0.05, config(4), nper, [None]))
     long = peak(lambda: stream_psd(dp, 0.05, config(16), nper, [None]))
+    # two chains on one scan: one more Welch ring, and little else
+    grouped = peak(lambda: stream_psd(dp, 0.05, config(4), nper,
+                                      [None, SqueezedReservoir(r_n=1.0, phi_n=math.pi)]))
     stored = peak(lambda: simulate(dp, 0.05, config(4)))
     assert short <= 8 * ring
     assert long <= 1.02 * short
+    assert grouped <= short + 1.1 * ring
     assert stored > 8 * ring
 
