@@ -96,7 +96,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -375,14 +374,11 @@ class _LaneScan:
                 cur[j] += part
         # the full S^L carries every trajectory, one (4, 4) @ (4, 1) product
         # each, so that ntraj changes no bit; the components not stepped end
-        # their lanes at zero, and S^L maps none of them into the stepped ones
-        if len(comps) == 4:
-            ends = by_lane[-1]
-        else:
-            # the correction scratch is free until the carry is done
-            ends = correction.reshape(-1)[:4 * cells].reshape(4, lanes, ntraj)
-            ends[...] = 0.0
-            ends[list(comps)] = by_lane[-1]
+        # their lanes at zero, and S^L maps none of them into the stepped ones;
+        # the correction scratch is free until the carry is done
+        ends = correction.reshape(-1)[:4 * cells].reshape(4, lanes, ntraj)
+        ends[...] = 0.0
+        ends[list(comps)] = by_lane[-1]
         ends = ends.transpose(1, 2, 0)[..., None]
         self._x = self._x[:ntraj]
         for j in range(lanes):
@@ -630,15 +626,6 @@ def noverlap(segment_length: int) -> int:
     return int(round(segment_length * WELCH_OVERLAP))
 
 
-@lru_cache(maxsize=4)
-def _hann(length: int) -> np.ndarray:
-    """The periodic Hann window, 0.5 - 0.5 cos(2 pi n / L), read-only: the
-    accumulators of one segment length share it."""
-    window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, length + 1)))[:-1]
-    window.flags.writeable = False
-    return window
-
-
 class WelchAccumulator:
     """Welch's averaged periodogram of output records fed in time order.
 
@@ -662,7 +649,7 @@ class WelchAccumulator:
         self._filled = 0
         self._hop = segment_length - noverlap(segment_length)
         # the periodic Hann window, 0.5 - 0.5 cos(2 pi n / L)
-        self._window = _hann(segment_length)
+        self._window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_length + 1)))[:-1]
         self._power = np.zeros(segment_length // 2 + 1)
         #: periodograms averaged so far, over all trajectories
         self.segments = 0

@@ -792,26 +792,43 @@ class TestAccumulators:
                 assert other[2] == segments == 3 * 11
 
         # one pass over chains of other parameters, steps, burn-ins,
-        # trajectory counts and lengths gives each chain the bits of its own
-        # run, while the widest chain still running sets the chunks
+        # trajectory counts, lengths, tones, reservoirs and temperatures
+        # gives each chain the bits of its own run, while the scan with the
+        # most trajectories still running sets the chunk width; the chains
+        # on one step matrix share a scan, where a short 3-trajectory chain
+        # ends inside a chunk beside a long 1-trajectory one and steps zeros
+        # past its end, and nothing may overflow or turn invalid
         monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
         squeezed, detuned = desk_dp(r_m=1.5), coupled_detuned_dp()
         tone = ToneSignal(amplitude=1e-3, frequency=0.5 * squeezed.kappa_m)
+        long = quick_config(dp, duration=0.6, n_trajectories=1)
+        short = replace(quick_config(dp, duration=0.07, n_trajectories=3),
+                        burn_in=long.burn_in * 1.3)
+        assert long.dt == short.dt == cfg.dt
         chains = [
             Chain(dp, 0.05, cfg, reservoir),
             Chain(squeezed, 0.05, quick_config(squeezed, 0.05, 5), signal=tone,
                   record_only=True),
             Chain(detuned, 2.6, quick_config(detuned, 1.5, 2, accuracy=0.02)),
             Chain(squeezed, 0.05, quick_config(squeezed, 0.2, 1), signal=tone),
+            Chain(dp, 0.05, short, reservoir, record_only=True),
+            Chain(dp, 0.05, long, signal=tone, record_only=True),
+            Chain(dp, 2.6, cfg, record_only=True),
+            Chain(dp, 0.05, long, signal=tone),
+            Chain(dp, 0.05, short, reservoir),
         ]
+        scans = count_scans(monkeypatch)
         pieces = [[] for _ in chains]
         skipped = 0
-        for chunk in simulate_chunks(chains):
-            skipped += chunk.count(None)
-            for piece, part in zip(pieces, chunk):
-                if part is not None:
-                    piece.append([array.copy() for array in part])
+        with np.errstate(over="raise", invalid="raise"):
+            for chunk in simulate_chunks(chains):
+                skipped += chunk.count(None)
+                for piece, part in zip(pieces, chunk):
+                    if part is not None:
+                        piece.append([array.copy() for array in part])
         assert skipped > 0
+        assert scans == [((0, 1, 2, 3), 7), ((0, 3), 5), ((0, 1, 2, 3), 2),
+                         ((0, 1, 2, 3), 1), ((0, 3), 7)]
         for chain, piece in zip(chains, pieces):
             trace = simulate(chain.dp, chain.temperature, chain.cfg,
                              reservoir=chain.reservoir, signal=chain.signal)
@@ -821,44 +838,6 @@ class TestAccumulators:
             assert np.array_equal(record, trace.output_record)
         with pytest.raises(ConfigurationError, match="one seed"):
             simulate_chunks([chains[0], replace(chains[1], cfg=replace(chains[1].cfg, seed=12))])
-
-    def test_grouped_pass_is_bit_identical_to_single_runs(self, monkeypatch):
-        # chains on one step matrix share a scan whatever their lengths,
-        # trajectory counts, burn-ins, tones, reservoirs and temperatures;
-        # the short chains end inside a chunk, where their trajectories step
-        # zeros past their ends, and nothing may overflow or turn invalid
-        monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
-        dp = desk_dp(r_m=1.2)
-        tone = ToneSignal(amplitude=1e-3, frequency=0.5 * dp.kappa_m)
-        reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
-        long = quick_config(dp, duration=0.6, n_trajectories=1)
-        short = replace(quick_config(dp, duration=0.07, n_trajectories=3),
-                        burn_in=long.burn_in * 1.3)
-        mid = mid_lane_config(dp)
-        assert long.dt == short.dt == mid.dt
-        chains = [
-            Chain(dp, 0.05, short, reservoir, record_only=True),
-            Chain(dp, 0.05, long, signal=tone, record_only=True),
-            Chain(dp, 2.6, mid, record_only=True),
-            Chain(dp, 0.05, long, signal=tone),
-            Chain(dp, 0.05, short, reservoir),
-            Chain(coupled_detuned_dp(), 2.6, quick_config(coupled_detuned_dp(), 0.3, 2)),
-        ]
-        scans = count_scans(monkeypatch)
-        pieces = [[] for _ in chains]
-        with np.errstate(over="raise", invalid="raise"):
-            for chunk in simulate_chunks(chains):
-                for piece, part in zip(pieces, chunk):
-                    if part is not None:
-                        piece.append([array.copy() for array in part])
-            traces = [simulate(c.dp, c.temperature, c.cfg, reservoir=c.reservoir,
-                               signal=c.signal) for c in chains]
-        assert scans[:3] == [((0, 3), 7), ((0, 1, 2, 3), 4), ((0, 1, 2, 3), 2)]
-        for chain, piece, trace in zip(chains, pieces, traces):
-            states, record = (np.concatenate(arrays, axis=-1) for arrays in zip(*piece))
-            quadratures = np.moveaxis(trace.quadratures, -1, 0)
-            assert np.array_equal(states, quadratures[3:] if chain.record_only else quadratures)
-            assert np.array_equal(record, trace.output_record)
 
     def test_an_empty_pass_is_refused(self):
         dp = desk_dp()
@@ -906,7 +885,7 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
     # the Welch ring dominates the working set at this segment length
     dp = desk_dp(r_m=1.0)
     ntraj, nper = 4, 2**16
-    ring = ntraj * nper * 8
+    ring, window = ntraj * nper * 8, nper * 8
 
     def config(segments):
         dt = 0.015 / fastest_rate(dp)
@@ -916,8 +895,6 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
                                 n_trajectories=ntraj, seed=3)
 
     def peak(run):
-        # each run pays for its own Hann window, which a pass's accumulators share
-        simulation._hann.cache_clear()
         tracemalloc.start()
         try:
             run()
@@ -927,12 +904,12 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
 
     short = peak(lambda: stream_psd(dp, 0.05, config(4), nper, [None]))
     long = peak(lambda: stream_psd(dp, 0.05, config(16), nper, [None]))
-    # two chains on one scan: one more Welch ring, and little else
+    # two chains on one scan: one more Welch ring and its window, and little else
     grouped = peak(lambda: stream_psd(dp, 0.05, config(4), nper,
                                       [None, SqueezedReservoir(r_n=1.0, phi_n=math.pi)]))
     stored = peak(lambda: simulate(dp, 0.05, config(4)))
     assert short <= 8 * ring
     assert long <= 1.02 * short
-    assert grouped <= short + 1.1 * ring
+    assert grouped <= short + ring + window
     assert stored > 8 * ring
 
