@@ -71,12 +71,25 @@ noise, step for step.  Each chunk yields, per chain, its kept quadratures
 (4, n_trajectories, n) and output record (n_trajectories, n), or None
 where the chain keeps no step.  Where the consumer reads only the output
 record, as Welch and the gain do, a chain is record-only: its states are
-P_a alone, (1, n_trajectories, n).  The consumers fold the chunks in:
+P_a alone, (1, n_trajectories, n).
+
+A pass allocates its arrays once, before the first chunk: each chain's
+output buffers, the normals of one chunk, and its one scratch
+(:func:`_scan_work`), sized from the schedule for the largest scan call.
+That scratch holds the lane scan's regions, the increments of the scan
+being stepped, which the scans take in turn, and one temporary for the
+increments' products and drive and the record's scaled increments.  Every
+array operation of a chunk writes into these with ``out=``, in the order
+of the expressions it replaces, so no chunk allocates array data of its
+own and no bit depends on the buffers.  A scan's output buffers go as soon
+as its chains have all ended.  The consumers fold the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
   sharing ``WELCH_OVERLAP`` of its length, :func:`noverlap` samples, with
-  the next; it holds one segment per trajectory.
+  the next; it holds one segment per trajectory, and windows and
+  transforms them a few at a time in one transform scratch that all
+  accumulators share.
 * :class:`CovarianceAccumulator`: per-trajectory second moments about
   zero, the runs' exact mean, so nothing is detrended or centred.
 * :class:`GainAccumulator`: the mean square of the difference between a
@@ -249,11 +262,14 @@ def _validate_config(dp: DerivedParameters, cfg: SimulationConfig) -> None:
     require_stable(dp)
 
 
-def _drive_arrays(signal: ToneSignal, dp: DerivedParameters,
-                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic drive increments for the X_M and P_M equations over t."""
-    amp = dp.lambda_prime * signal.amplitude / math.sqrt(2.0)
-    return amp * np.sin(signal.frequency * t), amp * np.cos(signal.frequency * t)
+def _drive(signal: ToneSignal, dp: DerivedParameters, t: np.ndarray,
+           component: int) -> np.ndarray:
+    """The deterministic drive of the X_M (``component`` 0) or P_M (1)
+    equation at the times ``t``, written over ``t`` and returned."""
+    t *= signal.frequency
+    (np.sin if component == 0 else np.cos)(t, out=t)
+    t *= dp.lambda_prime * signal.amplitude / math.sqrt(2.0)
+    return t
 
 
 def _diffusion(dp: DerivedParameters, temperature: float,
@@ -266,25 +282,20 @@ def _diffusion(dp: DerivedParameters, temperature: float,
     return diffusion
 
 
-def _combine(row: np.ndarray, arrays) -> np.ndarray:
-    """sum_k row[k] * arrays[k] over the nonzero row[k], elementwise.
+def _scan_work(trajectory_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one scratch of a pass whose scan calls take up to
+    ``trajectory_steps`` (whole lanes), allocated once: three views of it.
 
-    Written out rather than as a matrix product, so that the zero
-    coefficients of the mostly diagonal Cholesky factor cost nothing.  A
-    lone unit coefficient returns its array itself, which callers only read.
+    They hold :class:`_LaneScan`'s regions; the increments of the scan being
+    stepped, four components of ``trajectory_steps`` at most, which are dead
+    once its chains are kept, so the scans of a pass take turns in them;
+    and one temporary of ``trajectory_steps``, which holds the increments'
+    products and drive before a scan and the record's scaled increments
+    after it.
     """
-    total = None
-    for coef, arr in zip(row, arrays):
-        if coef != 0.0:
-            term = arr if coef == 1.0 else coef * arr
-            total = term if total is None else total + term
-    return total
-
-
-def _scan_work(trajectory_steps: int) -> np.ndarray:
-    """Scratch for :class:`_LaneScan` calls of up to ``trajectory_steps``
-    (whole lanes): the scans of a pass share one."""
-    return np.empty((5 * _LANE + 7) * (trajectory_steps // _LANE))
+    scan = (5 * _LANE + 7) * (trajectory_steps // _LANE)
+    work = np.empty(scan + 5 * trajectory_steps)
+    return work[:scan], work[scan:-trajectory_steps], work[-trajectory_steps:]
 
 
 def _views(work: np.ndarray, *shapes):
@@ -334,13 +345,16 @@ class _LaneScan:
                              for j, k in enumerate(comps) if k in written
                              for c in range(4) if powers[1:-1, k, c].any()]
         self._lane = powers[-1]
-        self._x = np.ascontiguousarray(x0.T)[:, :, None]     # (ntraj, 4, 1)
+        # (ntraj, 4, 1), a copy: the carry writes over it
+        self._x = x0.T.copy()[:, :, None]
+        #: the carry's next starts, swapped with ``_x`` lane by lane
+        self._next = np.empty_like(self._x)
 
     def __call__(self, blocks, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """States x_m before each increment, written to ``out`` (4, ntraj, n),
         or (1, ntraj, n) holding P_a alone for a record-only scan, and
-        returned; ``work`` is a :func:`_scan_work` of at least ntraj * n
-        trajectory-steps.
+        returned; ``work`` is the scan's region of a :func:`_scan_work` of at
+        least ntraj * n trajectory-steps.
 
         ``blocks`` holds the increments of consecutive trajectories, each
         block indexed by component, (rows, m) arrays for m <= n whole lanes;
@@ -380,10 +394,13 @@ class _LaneScan:
         ends[...] = 0.0
         ends[list(comps)] = by_lane[-1]
         ends = ends.transpose(1, 2, 0)[..., None]
-        self._x = self._x[:ntraj]
+        x, following = self._x[:ntraj], self._next[:ntraj]
         for j in range(lanes):
-            starts[:, j] = self._x[..., 0].T
-            self._x = np.matmul(self._lane, self._x) + ends[j]
+            starts[:, j] = x[..., 0].T
+            np.matmul(self._lane, x, out=following)
+            following += ends[j]
+            x, following = following, x
+        self._x, self._next = x, following
         # a lane's state i is rest[i - 1] + S^i start, its state 0 the start
         for j, c, column in self._corrections:
             np.multiply(column, starts[c].reshape(-1), out=correction)
@@ -415,11 +432,14 @@ class _Stepper:
         if n_keep < 1:
             raise ConfigurationError("duration shorter than one step")
         try:
-            self.chol = np.linalg.cholesky(
+            chol = np.linalg.cholesky(
                 _diffusion(dp, chain.temperature, chain.reservoir) * cfg.dt)
         except np.linalg.LinAlgError as exc:
             raise ParameterError(
                 "magnon variance matrix is not positive semidefinite") from exc
+        #: (c, chol[k, c]) of the nonzero entries of each row k
+        self.terms = [[(c, coef) for c, coef in enumerate(row) if coef != 0.0]
+                      for row in chol]
         self.chain = chain
         self.ntraj = cfg.n_trajectories
         self.n_total = self.n_burn + n_keep
@@ -430,38 +450,62 @@ class _Stepper:
         self.sq_ka = math.sqrt(dp.kappa_a)
 
     def allocate(self, schedule: list[tuple[int, int]]) -> None:
-        """The output record's buffer, for this chain's chunks of ``schedule``."""
-        self.record = np.empty(
-            (self.ntraj, max(min(n, self.end - pos) for pos, n in schedule if pos < self.end)))
+        """The output record's buffer, for this chain's chunks of ``schedule``,
+        and a tone chain's step indices within a chunk."""
+        width = max(min(n, self.end - pos) for pos, n in schedule if pos < self.end)
+        self.record = np.empty((self.ntraj, width))
+        if self.drive is not None:
+            self.index = np.arange(width, dtype=float)
 
-    def increments(self, z: np.ndarray, pos: int, n: int, components) -> list:
+    def increments(self, z: np.ndarray, pos: int, n: int, components,
+                   out: np.ndarray, temp: np.ndarray) -> list:
         """The increments of ``components``, P_a always among them, indexed
         by component (None for the others), over this chain's next steps
         from ``pos`` on the normals ``z`` (trajectory, step, 4), at most
-        ``n`` of them."""
+        ``n`` of them: (ntraj, m) views of ``out``, in the order of
+        ``components``.  ``temp`` holds their products and the drive.
+
+        Each is sum_c chol[k, c] * normal_c over the nonzero chol[k, c], the
+        products added in order of c, so that the zero coefficients of the
+        mostly diagonal Cholesky factor cost nothing; a unit coefficient
+        multiplies by 1.0, which is exact.
+        """
         n = min(n, self.end - pos)
         dt = self.chain.cfg.dt
-        normals = np.moveaxis(z[:self.ntraj, :n], -1, 0)
-        incr = [_combine(row, normals) if k in components else None
-                for k, row in enumerate(self.chol)]
+        normals = z[:self.ntraj, :n].transpose(2, 0, 1)
+        blocks = out[:len(components) * self.ntraj * n].reshape(-1, self.ntraj, n)
+        product = temp[:self.ntraj * n].reshape(self.ntraj, n)
+        incr = [None] * 4
+        for k, total in zip(components, blocks):
+            (c, coef), *others = self.terms[k]
+            np.multiply(normals[c], coef, out=total)
+            for c, coef in others:
+                total += np.multiply(normals[c], coef, out=product)
+            incr[k] = total
         if self.drive is not None:
-            drive = _drive_arrays(self.drive, self.chain.dp, (pos + np.arange(n)) * dt)
-            for k, d in enumerate(drive):
+            for k in (0, 1):
                 if incr[k] is not None:
-                    incr[k] = incr[k] + d * dt
+                    t = np.add(self.index[:n], pos, out=temp[:n])
+                    t *= dt
+                    drive = _drive(self.drive, self.chain.dp, t, k)
+                    drive *= dt
+                    incr[k] += drive
         return incr
 
-    def keep(self, states: np.ndarray, incr: list, pos: int):
+    def keep(self, states: np.ndarray, incr: list, pos: int, temp: np.ndarray):
         """(states, record) of the kept steps among the scanned ``states``
-        (components, ntraj, m) of the increments ``incr`` from ``pos``, or None."""
+        (components, ntraj, m) of the increments ``incr`` from ``pos``, or
+        None; ``temp`` holds the record's scaled increments."""
         lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, incr[3].shape[1])
         if lo >= hi:
             return None
         kept = states[:, :, lo:hi]
         sq_ka = self.sq_ka
         record = self.record[:, :hi - lo]
-        np.subtract(sq_ka * kept[-1], incr[3][:, lo:hi] / (sq_ka * self.chain.cfg.dt),
-                    out=record)
+        scaled = temp[:record.size].reshape(record.shape)
+        # sq_ka * P_a - incr_P / (sq_ka * dt)
+        np.multiply(kept[-1], sq_ka, out=record)
+        record -= np.divide(incr[3][:, lo:hi], sq_ka * self.chain.cfg.dt, out=scaled)
         return kept, record
 
 
@@ -494,21 +538,25 @@ class _Group:
         self.states = np.empty(len(self.scan.written) * cells)
         return cells
 
-    def step(self, z: np.ndarray, pos: int, n: int, work: np.ndarray) -> dict:
+    def step(self, z: np.ndarray, pos: int, n: int, work: tuple) -> dict:
         """Each running chain's (states, record) or None, by chain, over the
-        chunk of ``n`` steps from ``pos`` on the normals ``z``."""
+        chunk of ``n`` steps from ``pos`` on the normals ``z``; ``work`` is
+        the pass's :func:`_scan_work`."""
         running = [s for s in self.steppers if s.end > pos]
-        if not running:
-            return {}
+        scan_work, increments, temp = work
         n = self.width(pos, n)
         rows = sum(s.ntraj for s in running)
-        incrs = [s.increments(z, pos, n, self.scan.components) for s in running]
+        comps = self.scan.components
+        incrs, used = [], 0
+        for s in running:
+            incrs.append(s.increments(z, pos, n, comps, increments[used:], temp))
+            used += len(comps) * incrs[-1][3].size
         written = len(self.scan.written)
         states = self.scan(incrs, self.states[:written * rows * n].reshape(written, rows, n),
-                           work)
+                           scan_work)
         parts, row = {}, 0
         for s, incr in zip(running, incrs):
-            parts[s] = s.keep(states[:, row:row + s.ntraj], incr, pos)
+            parts[s] = s.keep(states[:, row:row + s.ntraj], incr, pos, temp)
             row += s.ntraj
         return parts
 
@@ -576,7 +624,7 @@ def simulate_chunks(chains: list[Chain]):
     z_size = max(n * sum(extent > pos for extent in extents) for pos, n in schedule) * 4
     z_all = np.empty(z_size)
 
-    def chunks():
+    def chunks(scans):
         for pos, n in schedule:
             drawn = [(rng, min(n, extent - pos))
                      for rng, extent in zip(rngs, extents) if extent > pos]
@@ -584,13 +632,15 @@ def simulate_chunks(chains: list[Chain]):
             for (rng, m), zi in zip(drawn, z):
                 rng.standard_normal(out=zi[:m])
             parts = {}
-            for g in groups:
+            for g in scans:
                 parts.update(g.step(z, pos, n, work))
+            # a scan whose chains have all ended lets its buffers go
+            scans = [g for g in scans if g.steppers[0].end > pos + n]
             out = [parts.get(s) for s in steppers]
             if any(part is not None for part in out):
                 yield out
 
-    return chunks()
+    return chunks(groups)
 
 
 def simulate(
@@ -626,6 +676,12 @@ def noverlap(segment_length: int) -> int:
     return int(round(segment_length * WELCH_OVERLAP))
 
 
+#: Welch's transform scratch: a batch's transforms, its windowed segments and
+#: one power sum, in turn.  Every accumulator shares it, grown to the largest
+#: request, so the accumulators of a process fold from one thread.
+_welch_scratch = np.empty(0)
+
+
 class WelchAccumulator:
     """Welch's averaged periodogram of output records fed in time order.
 
@@ -634,13 +690,14 @@ class WelchAccumulator:
     record's mean is zero), and real FFTs batched over ``_WELCH_ROWS``
     trajectories at a time are added to a running sum of periodograms; the
     next segment starts ``segment_length - noverlap(segment_length)``
-    samples later.  Memory is the ring and the transform of a few
-    trajectories' segments, whatever the record length, and
-    the result does not depend on how the record is split between
-    :meth:`add` calls.
+    samples later.  Memory is the ring, whatever the record length: the
+    batches are windowed and transformed in ``_welch_scratch``, which all
+    accumulators share, and the result does not depend on how the record is
+    split between :meth:`add` calls.
     """
 
     def __init__(self, n_trajectories: int, segment_length: int):
+        global _welch_scratch
         segment_length = int(segment_length)
         if segment_length < 2:
             raise ParameterError(
@@ -653,6 +710,15 @@ class WelchAccumulator:
         self._power = np.zeros(segment_length // 2 + 1)
         #: periodograms averaged so far, over all trajectories
         self.segments = 0
+        size = sum(map(math.prod, self._batch_shapes(min(n_trajectories, _WELCH_ROWS))))
+        if _welch_scratch.size < size:
+            _welch_scratch = np.empty(size)
+
+    def _batch_shapes(self, rows: int):
+        """Shapes of a batch of ``rows`` in ``_welch_scratch``: its transforms
+        as pairs of floats, its windowed segments and one power sum."""
+        length, bins = self._ring.shape[1], self._power.size
+        return (rows, 2 * bins), (rows, length), (bins,)
 
     def add(self, record: np.ndarray) -> None:
         """Fold in the next samples of every trajectory, shape (n_trajectories, n)."""
@@ -666,13 +732,20 @@ class WelchAccumulator:
             if self._filled == length:
                 # a few trajectories at a time, so the transform stays small
                 for rows in range(0, self._ring.shape[0], _WELCH_ROWS):
-                    spec = np.fft.rfft(self._ring[rows:rows + _WELCH_ROWS] * self._window)
+                    batch = self._ring[rows:rows + _WELCH_ROWS]
+                    pairs, windowed, power = _views(
+                        _welch_scratch, *self._batch_shapes(batch.shape[0]))
+                    spec = np.fft.rfft(np.multiply(batch, self._window, out=windowed),
+                                       out=pairs.view(complex))
                     # |rfft|^2 summed over trajectories, with no 2-D temporary
-                    self._power += np.einsum("ij,ij->j", spec.real, spec.real)
-                    self._power += np.einsum("ij,ij->j", spec.imag, spec.imag)
+                    self._power += np.einsum("ij,ij->j", spec.real, spec.real, out=power)
+                    self._power += np.einsum("ij,ij->j", spec.imag, spec.imag, out=power)
                 self.segments += self._ring.shape[0]
                 self._filled = length - self._hop
-                self._ring[:, :self._filled] = self._ring[:, self._hop:]
+                # row by row: numpy copies an overlapping 1-D slice forward
+                # in place, but a 2-D one through a temporary of its size
+                for row in self._ring:
+                    row[:self._filled] = row[self._hop:]
 
     def spectrum(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(omega, psd) of the segments so far, for samples ``dt`` apart.

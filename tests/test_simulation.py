@@ -474,6 +474,36 @@ class TestVerifyPlan:
                 welch.add(np.zeros((1, n)))
                 assert welch.segments == segments
 
+    @pytest.mark.parametrize("name", ["psd_rm0", "psd_rm15_reservoir"])
+    def test_psd_is_judged_on_the_bins_its_bands_read(self, monkeypatch, name):
+        # each frequency is solved alone, so the grid cut past the bands'
+        # last bin gives every compared value the bits of the full grid's
+        [run] = [run for run in verification._plan(
+            verification._runs(verification_parameters()), seed=42) if name in run.names]
+        chain = run.chains[run.names.index(name)]
+        welch = WelchAccumulator(2, run.segment)
+        welch.add(np.random.default_rng(5).standard_normal((2, run.segment)))
+        omega = welch.spectrum(run.cfg.dt)[0]
+        solve = verification.output_spectrum
+        grids = []
+
+        def counted(dp, temperature, grid, reservoir=None):
+            grids.append(len(grid))
+            return solve(dp, temperature, grid, reservoir=reservoir)
+
+        def full_grid(dp, temperature, grid, reservoir=None):
+            return solve(dp, temperature, omega, reservoir=reservoir)[:len(grid)]
+
+        def judge():
+            return verification._judge_psd(name, run.dp, chain.temperature, chain.reservoir,
+                                           welch, run.cfg.dt)
+        monkeypatch.setattr(verification, "output_spectrum", counted)
+        cut = judge()
+        top = max(int(sel[-1]) for sel in verification._psd_bands(omega, run.dp.kappa_m)) + 1
+        assert grids == [top] and top <= 102 and omega.size >= 4609
+        monkeypatch.setattr(verification, "output_spectrum", full_grid)
+        assert judge() == cut
+
     def test_five_smooth_lengths(self):
         smooth = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9)
                         for c in range(7) if 2**a * 3**b * 5**c <= 10**4)
@@ -580,9 +610,11 @@ def loop_simulate(dp, temperature, cfg, reservoir=None, signal=None):
     incr[:, :, 2] = z[:, :, 2] * (cav_scale * sq_ka)
     incr[:, :, 3] = dw_pa * sq_ka
     if signal is not None:
-        dx, dpp = simulation._drive_arrays(signal, dp, np.arange(z.shape[1]) * dt)
-        incr[:, :, 0] += dx * dt
-        incr[:, :, 1] += dpp * dt
+        # the envelope lambda' / sqrt(2) amplitude (sin, cos)(frequency t) on (X_M, P_M)
+        phase = signal.frequency * np.arange(z.shape[1]) * dt
+        amp = dp.lambda_prime * signal.amplitude / math.sqrt(2.0)
+        incr[:, :, 0] += amp * np.sin(phase) * dt
+        incr[:, :, 1] += amp * np.cos(phase) * dt
     state = np.zeros((cfg.n_trajectories, 4))
     quad = np.empty((cfg.n_trajectories, n_keep, 4))
     out = np.empty((cfg.n_trajectories, n_keep))
@@ -614,7 +646,7 @@ class TestLaneScan:
 
     def run(self, step, incr, x0, record_only=False):
         out = np.empty((1 if record_only else 4, *incr.shape[1:]))
-        work = simulation._scan_work(incr[0].size)
+        work = simulation._scan_work(incr[0].size)[0]
         return simulation._LaneScan(step, x0, record_only)([list(incr)], out, work)
 
     def check(self, step, incr, x0):
@@ -662,7 +694,7 @@ class TestLaneScan:
             whole = self.run(step, incr, x0, record_only)
             scan = simulation._LaneScan(step, x0, record_only)
             # one work array for every piece, larger than most of them need
-            work = simulation._scan_work(incr[0].size)
+            work = simulation._scan_work(incr[0].size)[0]
             pieces = [scan([list(incr[:, :, a:b])], np.empty_like(whole[:, :, a:b]), work)
                       for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
@@ -775,13 +807,29 @@ class TestAccumulators:
                                    rtol=1e-12, atol=0)
 
     def test_chained_runs_are_bit_identical_to_single_runs(self, monkeypatch):
+        # every buffer is allocated full of NaN, the pass's workspace and a
+        # fresh Welch scratch among them, so a value a reused buffer kept
+        # from an earlier chunk, batch or chain cannot pass unseen
+        empty = np.empty
+
+        def stale(*args, **kwargs):
+            array = empty(*args, **kwargs)
+            if array.dtype.kind in "fc":
+                array.fill(np.nan)
+            return array
+        monkeypatch.setattr(np, "empty", stale)
+        monkeypatch.setattr(simulation, "_welch_scratch", np.empty(0))
+
         # one draw stepped by two record-only scans gives each reservoir the
-        # spectrum of its own full run
+        # spectrum of its own full run, three trajectories filling part of a
+        # Welch batch
         dp = desk_dp(r_m=1.2)
         cfg = mid_lane_config(dp)
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
         nper = 101
-        chained = stream_psd(dp, 0.05, cfg, nper, [None, reservoir])
+        with np.errstate(invalid="raise"):
+            chained = stream_psd(dp, 0.05, cfg, nper, [None, reservoir])
+        assert simulation._welch_scratch.size > 0     # allocated here, full of NaN
         for (omega, psd, segments), res in zip(chained, [None, reservoir]):
             [single] = stream_psd(dp, 0.05, cfg, nper, [res])
             stored = welch_psd(simulate(dp, 0.05, cfg, reservoir=res).output_record,
@@ -913,3 +961,63 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
     assert grouped <= short + ring + window
     assert stored > 8 * ring
 
+
+def test_a_pass_allocates_nothing_per_chunk(monkeypatch):
+    # once the first chunk is folded the pass's workspace and the Welch
+    # scratch exist; no later chunk, segments completing and rings shifting
+    # among them, may rise above its own start by a quarter of a Welch ring,
+    # room for what numpy's buffered iterator takes inside a broadcasting
+    # ufunc call (up to 2 x 64 kB).  The chunk is widened so that a
+    # temporary of one chain's chunk, or of a batch's segments, 512 kB or
+    # more, would stand above that
+    monkeypatch.setattr(simulation, "_CHUNK", 1 << 17)
+    dp = desk_dp(r_m=1.0)
+    ntraj, nper = 4, 2**15
+    ring = ntraj * nper * 8
+    dt = 0.015 / fastest_rate(dp)
+    cfg = SimulationConfig(dt=dt, duration=4 * nper * dt,
+                           burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
+                           n_trajectories=ntraj, seed=3)
+    reservoirs = [None, SqueezedReservoir(r_n=1.0, phi_n=math.pi)]
+    tracemalloc.start()
+    try:
+        welches = [WelchAccumulator(ntraj, nper) for _ in reservoirs]
+        chunks = simulate_chunks([Chain(dp, 0.05, cfg, reservoir, record_only=True)
+                                  for reservoir in reservoirs])
+
+        def fold():
+            for welch, (_, record) in zip(welches, next(chunks)):
+                welch.add(record)
+        fold()
+        assert welches[0].segments == 0
+        rise = 0
+        for _ in range(6):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            fold()
+            rise = max(rise, tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert welches[0].segments >= 3 * ntraj
+    assert rise <= ring / 4
+
+
+def test_a_scan_lets_its_buffers_go_once_its_chains_end():
+    # a short full chain beside a long record-only one: once the short
+    # chain has ended, its scan's states buffer is freed, mid-pass
+    dp = desk_dp(r_m=1.0)
+    ntraj = 8
+    width = simulation._CHUNK // (ntraj * simulation._LANE) * simulation._LANE
+    states = 4 * ntraj * width * 8
+    chains = [Chain(dp, 0.05, quick_config(dp, duration=0.1, n_trajectories=ntraj)),
+              Chain(dp, 0.05, quick_config(dp, duration=1.0, n_trajectories=1),
+                    record_only=True)]
+    held = {True: [], False: []}
+    tracemalloc.start()
+    try:
+        for short, _ in simulate_chunks(chains):
+            held[short is not None].append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert held[True] and held[False]
+    assert min(held[True]) - max(held[False]) >= states
