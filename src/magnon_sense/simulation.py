@@ -78,18 +78,23 @@ output buffers, the normals of one chunk, and its one scratch
 (:func:`_scan_work`), sized from the schedule for the largest scan call.
 That scratch holds the lane scan's regions, the increments of the scan
 being stepped, which the scans take in turn, and one temporary for the
-increments' products and drive and the record's scaled increments.  Every
-array operation of a chunk writes into these with ``out=``, in the order
-of the expressions it replaces, so no chunk allocates array data of its
-own and no bit depends on the buffers.  A scan's output buffers go as soon
-as its chains have all ended.  The consumers fold the chunks in:
+increments' products and drive and the record's scaled increments.  The
+increments and records are written there with ``out=``, in the order of
+the expressions they replace, so no bit depends on the buffers, and a
+chunk allocates no array larger than the lane carry's (trajectories, 4, 1)
+states (numpy's iterator buffers and FFT plans aside).  Temporaries of a
+chain's chunk (256 kB at ``_CHUNK``) would otherwise cost page faults on
+every chunk wherever the C allocator maps blocks that large on their own,
+as glibc does until it frees a larger mapped block.  A scan's output
+buffers go as soon as its chains have all ended.  The consumers fold the
+chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
   sharing ``WELCH_OVERLAP`` of its length, :func:`noverlap` samples, with
   the next; it holds one segment per trajectory, and windows and
-  transforms them a few at a time in one transform scratch that all
-  accumulators share.
+  transforms them a few at a time in a transform scratch, which the
+  accumulators folded beside it in a pass can share.
 * :class:`CovarianceAccumulator`: per-trajectory second moments about
   zero, the runs' exact mean, so nothing is detrended or centred.
 * :class:`GainAccumulator`: the mean square of the difference between a
@@ -345,10 +350,7 @@ class _LaneScan:
                              for j, k in enumerate(comps) if k in written
                              for c in range(4) if powers[1:-1, k, c].any()]
         self._lane = powers[-1]
-        # (ntraj, 4, 1), a copy: the carry writes over it
-        self._x = x0.T.copy()[:, :, None]
-        #: the carry's next starts, swapped with ``_x`` lane by lane
-        self._next = np.empty_like(self._x)
+        self._x = np.ascontiguousarray(x0.T)[:, :, None]     # (ntraj, 4, 1)
 
     def __call__(self, blocks, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """States x_m before each increment, written to ``out`` (4, ntraj, n),
@@ -394,13 +396,10 @@ class _LaneScan:
         ends[...] = 0.0
         ends[list(comps)] = by_lane[-1]
         ends = ends.transpose(1, 2, 0)[..., None]
-        x, following = self._x[:ntraj], self._next[:ntraj]
+        self._x = self._x[:ntraj]
         for j in range(lanes):
-            starts[:, j] = x[..., 0].T
-            np.matmul(self._lane, x, out=following)
-            following += ends[j]
-            x, following = following, x
-        self._x, self._next = x, following
+            starts[:, j] = self._x[..., 0].T
+            self._x = np.matmul(self._lane, self._x) + ends[j]
         # a lane's state i is rest[i - 1] + S^i start, its state 0 the start
         for j, c, column in self._corrections:
             np.multiply(column, starts[c].reshape(-1), out=correction)
@@ -634,7 +633,10 @@ def simulate_chunks(chains: list[Chain]):
             parts = {}
             for g in scans:
                 parts.update(g.step(z, pos, n, work))
-            # a scan whose chains have all ended lets its buffers go
+            # a scan whose chains have all ended lets its buffers go; under
+            # glibc, freeing them (1 MB each for verify's Lyapunov scans) also
+            # lifts its mmap threshold above the blocks np.fft.rfft allocates
+            # and frees per call, which ends those calls' page faults
             scans = [g for g in scans if g.steppers[0].end > pos + n]
             out = [parts.get(s) for s in steppers]
             if any(part is not None for part in out):
@@ -676,12 +678,6 @@ def noverlap(segment_length: int) -> int:
     return int(round(segment_length * WELCH_OVERLAP))
 
 
-#: Welch's transform scratch: a batch's transforms, its windowed segments and
-#: one power sum, in turn.  Every accumulator shares it, grown to the largest
-#: request, so the accumulators of a process fold from one thread.
-_welch_scratch = np.empty(0)
-
-
 class WelchAccumulator:
     """Welch's averaged periodogram of output records fed in time order.
 
@@ -690,18 +686,25 @@ class WelchAccumulator:
     record's mean is zero), and real FFTs batched over ``_WELCH_ROWS``
     trajectories at a time are added to a running sum of periodograms; the
     next segment starts ``segment_length - noverlap(segment_length)``
-    samples later.  Memory is the ring, whatever the record length: the
-    batches are windowed and transformed in ``_welch_scratch``, which all
-    accumulators share, and the result does not depend on how the record is
-    split between :meth:`add` calls.
+    samples later.  Memory is the ring and one transform scratch, whatever
+    the record length: each batch is windowed and transformed in the
+    scratch, so no segment allocates, and the result does not depend on
+    how the record is split between :meth:`add` calls.
+
+    ``shares``, an accumulator of the same shape, lends its transform
+    scratch instead: accumulators that are folded in turn, from one thread,
+    then hold one scratch between them, and it goes when the last of them
+    does.
     """
 
-    def __init__(self, n_trajectories: int, segment_length: int):
-        global _welch_scratch
+    def __init__(self, n_trajectories: int, segment_length: int,
+                 shares: WelchAccumulator | None = None):
         segment_length = int(segment_length)
         if segment_length < 2:
             raise ParameterError(
                 f"segment_length must be at least 2, got {segment_length}")
+        if shares is not None and shares._ring.shape != (n_trajectories, segment_length):
+            raise ParameterError("a shared Welch scratch needs accumulators of one shape")
         self._ring = np.empty((n_trajectories, segment_length))
         self._filled = 0
         self._hop = segment_length - noverlap(segment_length)
@@ -710,13 +713,14 @@ class WelchAccumulator:
         self._power = np.zeros(segment_length // 2 + 1)
         #: periodograms averaged so far, over all trajectories
         self.segments = 0
-        size = sum(map(math.prod, self._batch_shapes(min(n_trajectories, _WELCH_ROWS))))
-        if _welch_scratch.size < size:
-            _welch_scratch = np.empty(size)
+        self._scratch = (np.empty(sum(map(math.prod, self._batch(_WELCH_ROWS))))
+                         if shares is None else shares._scratch)
 
-    def _batch_shapes(self, rows: int):
-        """Shapes of a batch of ``rows`` in ``_welch_scratch``: its transforms
-        as pairs of floats, its windowed segments and one power sum."""
+    def _batch(self, rows: int):
+        """Shapes of a batch of up to ``rows`` trajectories in the scratch:
+        its transforms as pairs of floats, its windowed segments and one
+        power sum."""
+        rows = min(rows, self._ring.shape[0])
         length, bins = self._ring.shape[1], self._power.size
         return (rows, 2 * bins), (rows, length), (bins,)
 
@@ -733,8 +737,8 @@ class WelchAccumulator:
                 # a few trajectories at a time, so the transform stays small
                 for rows in range(0, self._ring.shape[0], _WELCH_ROWS):
                     batch = self._ring[rows:rows + _WELCH_ROWS]
-                    pairs, windowed, power = _views(
-                        _welch_scratch, *self._batch_shapes(batch.shape[0]))
+                    pairs, windowed, power = _views(self._scratch,
+                                                    *self._batch(batch.shape[0]))
                     spec = np.fft.rfft(np.multiply(batch, self._window, out=windowed),
                                        out=pairs.view(complex))
                     # |rfft|^2 summed over trajectories, with no 2-D temporary
@@ -833,7 +837,10 @@ def stream_psd(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
     trajectories.  Welch reads the output record alone, so the chains are
     record-only.
     """
-    welches = [WelchAccumulator(cfg.n_trajectories, segment_length) for _ in reservoirs]
+    # folded in turn, so they share one transform scratch
+    first = WelchAccumulator(cfg.n_trajectories, segment_length)
+    welches = [first] + [WelchAccumulator(cfg.n_trajectories, segment_length, shares=first)
+                         for _ in reservoirs[1:]]
     chains = [Chain(dp, temperature, cfg, reservoir, record_only=True)
               for reservoir in reservoirs]
     for chunk in simulate_chunks(chains):

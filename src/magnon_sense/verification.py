@@ -196,7 +196,7 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
     Refuses an unstable drift, and a run of more than ``_MAX_TRAJECTORY_STEPS``
     recorded trajectory-steps: a time budget, not a memory guard, since the
     runs store nothing that grows with their length.  1e8 trajectory-steps
-    are 10-17 s of stepping at 6.0-9.8 million a second on a 2-core x86
+    are 13-21 s of stepping at 4.7-7.6 million a second on a 2-core x86
     machine, each run stepped alone (best of four): the record-only
     ``psd_rm0`` run makes the fast end and the coupled Lyapunov run, which
     steps all four components of a detuned drift, the slow one.  That is
@@ -312,7 +312,10 @@ def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
                    for reservoir in reservoirs)
 
     def fold() -> _Fold:
-        welches = [WelchAccumulator(cfg.n_trajectories, nper) for _ in reservoirs]
+        # folded in turn, so they share one transform scratch
+        first = WelchAccumulator(cfg.n_trajectories, nper)
+        welches = [first] + [WelchAccumulator(cfg.n_trajectories, nper, shares=first)
+                             for _ in reservoirs[1:]]
 
         def add(parts: list) -> None:
             for welch, (_, record) in zip(welches, parts):

@@ -807,9 +807,10 @@ class TestAccumulators:
                                    rtol=1e-12, atol=0)
 
     def test_chained_runs_are_bit_identical_to_single_runs(self, monkeypatch):
-        # every buffer is allocated full of NaN, the pass's workspace and a
-        # fresh Welch scratch among them, so a value a reused buffer kept
-        # from an earlier chunk, batch or chain cannot pass unseen
+        # every buffer is allocated full of NaN, the pass's workspace and the
+        # Welch scratch the two accumulators share among them, so a value a
+        # reused buffer kept from an earlier chunk, batch or chain cannot pass
+        # unseen
         empty = np.empty
 
         def stale(*args, **kwargs):
@@ -818,7 +819,6 @@ class TestAccumulators:
                 array.fill(np.nan)
             return array
         monkeypatch.setattr(np, "empty", stale)
-        monkeypatch.setattr(simulation, "_welch_scratch", np.empty(0))
 
         # one draw stepped by two record-only scans gives each reservoir the
         # spectrum of its own full run, three trajectories filling part of a
@@ -829,7 +829,6 @@ class TestAccumulators:
         nper = 101
         with np.errstate(invalid="raise"):
             chained = stream_psd(dp, 0.05, cfg, nper, [None, reservoir])
-        assert simulation._welch_scratch.size > 0     # allocated here, full of NaN
         for (omega, psd, segments), res in zip(chained, [None, reservoir]):
             [single] = stream_psd(dp, 0.05, cfg, nper, [res])
             stored = welch_psd(simulate(dp, 0.05, cfg, reservoir=res).output_record,
@@ -898,7 +897,9 @@ class TestAccumulators:
     def test_pieces_fold_like_one_array(self):
         rng = np.random.default_rng(7)
         record = rng.standard_normal((3, 5000))
-        whole, pieces = WelchAccumulator(3, 700), WelchAccumulator(3, 700)
+        # pieces shares whole's transform scratch, which neither may read back
+        whole = WelchAccumulator(3, 700)
+        pieces = WelchAccumulator(3, 700, shares=whole)
         whole.add(record)
         for a, b in [(0, 1), (1, 699), (699, 2300), (2300, 5000)]:
             pieces.add(record[:, a:b])
@@ -918,6 +919,8 @@ class TestAccumulators:
             welch.spectrum(1e-3)
         with pytest.raises(ParameterError, match="segment_length"):
             WelchAccumulator(2, 1)
+        with pytest.raises(ParameterError, match="one shape"):
+            WelchAccumulator(2, 64, shares=WelchAccumulator(3, 64))
         dp = desk_dp()
         cfg = quick_config(dp, duration=1.0, n_trajectories=2)
         one_step = replace(cfg, duration=cfg.dt)
@@ -981,7 +984,8 @@ def test_a_pass_allocates_nothing_per_chunk(monkeypatch):
     reservoirs = [None, SqueezedReservoir(r_n=1.0, phi_n=math.pi)]
     tracemalloc.start()
     try:
-        welches = [WelchAccumulator(ntraj, nper) for _ in reservoirs]
+        first = WelchAccumulator(ntraj, nper)
+        welches = [first, WelchAccumulator(ntraj, nper, shares=first)]
         chunks = simulate_chunks([Chain(dp, 0.05, cfg, reservoir, record_only=True)
                                   for reservoir in reservoirs])
 
