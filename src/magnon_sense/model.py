@@ -137,16 +137,18 @@ class SystemParameters:
             raise ParameterError(
                 f"|r_m| must be < {_MAX_SQUEEZE:g} for exp(2 r_m) to be "
                 f"finite, got {self.r_m!r}")
-        if self.drive is not None:
-            g_eff = self.mod_amplitude * self.g_0 * math.exp(self.squeeze_amplitude)
-            if g_eff >= self.drive.omega_l + self.drive.omega_b:
-                warnings.warn(
-                    "effective coupling g' exceeds omega_l + omega_b; the "
-                    "rotating-wave treatment of the coupling modulation is "
-                    "not justified for these drives",
-                    RotatingWaveWarning,
-                    stacklevel=2,
-                )
+        g_eff = self.mod_amplitude * self.g_0 * math.exp(self.squeeze_amplitude)
+        if not math.isfinite(2.0 * g_eff):  # the drift matrix holds 2 g'
+            raise ParameterError(f"effective coupling 2 g' = 2 A g_0 exp(r_m) overflows: "
+                                 f"A = {self.mod_amplitude!r}, g_0 = {self.g_0!r} rad/s")
+        if self.drive is not None and g_eff >= self.drive.omega_l + self.drive.omega_b:
+            warnings.warn(
+                "effective coupling g' exceeds omega_l + omega_b; the "
+                "rotating-wave treatment of the coupling modulation is "
+                "not justified for these drives",
+                RotatingWaveWarning,
+                stacklevel=2,
+            )
 
     @property
     def squeeze_amplitude(self) -> float:

@@ -64,30 +64,28 @@ The chains that share a step matrix S (parameters and dt) and the
 record-only flag are the trajectories of one scan, each with its own
 Cholesky factor, tone, burn-in, length and trajectory count; within the
 chunk where a chain ends its trajectories read zero increments, and then
-they leave the scan.  ``verify``'s 11 chains are 5 scans.  Every chain's
-states and output record are bit for bit those of the chain stepped
-alone, and the chains of a pass are not independent: they see the same
-noise, step for step.  Each chunk yields, per chain, its kept quadratures
-(4, n_trajectories, n) and output record (n_trajectories, n), or None
-where the chain keeps no step.  Where the consumer reads only the output
-record, as Welch and the gain do, a chain is record-only: its states are
-P_a alone, (1, n_trajectories, n).
+they leave the scan.  ``verify``'s 11 chains are 5 scans.  Each chunk
+yields one array per chain, or None where it keeps no step: a full
+chain's quadratures (4, n_trajectories, n), which the covariances read,
+or a record-only chain's output record (n_trajectories, n), which Welch
+and the gain read.  Each is bit for bit that of the chain stepped alone,
+and the chains of a pass are not independent: they see the same noise.
 
-A pass allocates its arrays once, before the first chunk: each chain's
-output buffers, the normals of one chunk, and its one scratch
+A pass allocates its arrays once, before the first chunk: each scan's
+states buffer, the normals of one chunk, and its one scratch
 (:func:`_scan_work`), sized from the schedule for the largest scan call.
 That scratch holds the lane scan's regions, the increments of the scan
 being stepped, which the scans take in turn, and one temporary for the
-increments' products and drive and the record's scaled increments.  The
-increments and records are written there with ``out=``, in the order of
-the expressions they replace, so no bit depends on the buffers, and a
-chunk allocates no array larger than the lane carry's (trajectories, 4, 1)
-states (numpy's iterator buffers and FFT plans aside).  Temporaries of a
-chain's chunk (256 kB at ``_CHUNK``) would otherwise cost page faults on
-every chunk wherever the C allocator maps blocks that large on their own,
-as glibc does until it frees a larger mapped block.  A scan's output
-buffers go as soon as its chains have all ended.  The consumers fold the
-chunks in:
+increments' products and drive.  The increments are written there, and
+a record-only chain's record over its P_a states and spent P_a
+increments, in the order of the expressions they replace, so no bit
+depends on the buffers, and a chunk allocates no array larger than the
+lane carry's (trajectories, 4, 1) states (numpy's iterator buffers and
+FFT plans aside).  Temporaries of a chain's chunk (256 kB at ``_CHUNK``)
+would otherwise cost page faults on every chunk wherever the C allocator
+maps blocks that large on their own, as glibc does until it frees a
+larger mapped block.  A scan's states buffer goes as soon as its chains
+have all ended.  The consumers fold the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
@@ -101,7 +99,8 @@ chunks in:
   chain with a tone and one without it, which is the tone's response
   alone, over the field-referred input power of the tone.
 * :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
-  quadrature-major storage, for callers that read single samples.
+  quadrature-major storage, for callers that read single samples: the
+  quadratures of a full chain and the record of a record-only one.
 
 :func:`stream_psd`, :func:`stream_covariances` and :func:`measure_gain`
 make a one-run pass straight into an accumulator, so no consumer's memory
@@ -230,8 +229,8 @@ class Chain:
     It steps ``dp`` at ``temperature`` with ``cfg``'s step, burn-in, length
     and trajectory count, with the squeezed ``reservoir`` (None: the thermal
     magnon input) and the injected ``signal`` (None: no tone).  A
-    ``record_only`` chain writes out P_a alone, which is all the output
-    record needs, and steps only the components P_a reads.
+    ``record_only`` chain yields its output record and steps only the
+    components P_a reads; any other chain yields its quadratures.
     """
 
     dp: DerivedParameters
@@ -295,8 +294,7 @@ def _scan_work(trajectory_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     stepped, four components of ``trajectory_steps`` at most, which are dead
     once its chains are kept, so the scans of a pass take turns in them;
     and one temporary of ``trajectory_steps``, which holds the increments'
-    products and drive before a scan and the record's scaled increments
-    after it.
+    products and drive.
     """
     scan = (5 * _LANE + 7) * (trajectory_steps // _LANE)
     work = np.empty(scan + 5 * trajectory_steps)
@@ -448,14 +446,6 @@ class _Stepper:
         self.step_matrix = np.eye(4) + drift_matrix(dp) * cfg.dt
         self.sq_ka = math.sqrt(dp.kappa_a)
 
-    def allocate(self, schedule: list[tuple[int, int]]) -> None:
-        """The output record's buffer, for this chain's chunks of ``schedule``,
-        and a tone chain's step indices within a chunk."""
-        width = max(min(n, self.end - pos) for pos, n in schedule if pos < self.end)
-        self.record = np.empty((self.ntraj, width))
-        if self.drive is not None:
-            self.index = np.arange(width, dtype=float)
-
     def increments(self, z: np.ndarray, pos: int, n: int, components,
                    out: np.ndarray, temp: np.ndarray) -> list:
         """The increments of ``components``, P_a always among them, indexed
@@ -491,21 +481,22 @@ class _Stepper:
                     incr[k] += drive
         return incr
 
-    def keep(self, states: np.ndarray, incr: list, pos: int, temp: np.ndarray):
-        """(states, record) of the kept steps among the scanned ``states``
-        (components, ntraj, m) of the increments ``incr`` from ``pos``, or
-        None; ``temp`` holds the record's scaled increments."""
+    def keep(self, states: np.ndarray, incr: list, pos: int):
+        """The kept steps among the scanned ``states`` (components, ntraj, m)
+        of the increments ``incr`` from ``pos``, or None: a full chain's
+        quadratures, or a record-only chain's output record, written over
+        its P_a row of ``states`` and the spent P_a increments."""
         lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, incr[3].shape[1])
         if lo >= hi:
             return None
         kept = states[:, :, lo:hi]
-        sq_ka = self.sq_ka
-        record = self.record[:, :hi - lo]
-        scaled = temp[:record.size].reshape(record.shape)
+        if not self.chain.record_only:
+            return kept
         # sq_ka * P_a - incr_P / (sq_ka * dt)
-        np.multiply(kept[-1], sq_ka, out=record)
-        record -= np.divide(incr[3][:, lo:hi], sq_ka * self.chain.cfg.dt, out=scaled)
-        return kept, record
+        record, spent = kept[0], incr[3][:, lo:hi]
+        record *= self.sq_ka
+        record -= np.divide(spent, self.sq_ka * self.chain.cfg.dt, out=spent)
+        return record
 
 
 class _Group:
@@ -529,16 +520,18 @@ class _Group:
         return min(n, self.steppers[0].end - pos)
 
     def allocate(self, schedule: list[tuple[int, int]]) -> int:
-        """Output buffers for the chunks of ``schedule``; returns the scan's
-        largest call in trajectory-steps."""
+        """The states buffer for the chunks of ``schedule``, and each tone
+        chain's step indices within a chunk; returns the scan's largest call
+        in trajectory-steps."""
         for s in self.steppers:
-            s.allocate(schedule)
+            if s.drive is not None:
+                s.index = np.arange(max(n for _, n in schedule), dtype=float)
         cells = max(self.rows(pos) * self.width(pos, n) for pos, n in schedule)
         self.states = np.empty(len(self.scan.written) * cells)
         return cells
 
     def step(self, z: np.ndarray, pos: int, n: int, work: tuple) -> dict:
-        """Each running chain's (states, record) or None, by chain, over the
+        """Each running chain's kept part or None, by chain, over the
         chunk of ``n`` steps from ``pos`` on the normals ``z``; ``work`` is
         the pass's :func:`_scan_work`."""
         running = [s for s in self.steppers if s.end > pos]
@@ -555,7 +548,7 @@ class _Group:
                            scan_work)
         parts, row = {}, 0
         for s, incr in zip(running, incrs):
-            parts[s] = s.keep(states[:, row:row + s.ntraj], incr, pos, temp)
+            parts[s] = s.keep(states[:, row:row + s.ntraj], incr, pos)
             row += s.ntraj
         return parts
 
@@ -594,12 +587,11 @@ def simulate_chunks(chains: list[Chain]):
     ``chains`` on one pass over their seed's streams, a chunk at a time.
 
     Returns an iterator of lists in time order, one per chunk in which some
-    chain keeps a step, holding each chain's (states, record) pair, or None
-    where that chain keeps no step: ``states`` (4, n_trajectories, n) holds
-    the quadratures before each step and ``record`` (n_trajectories, n) the
-    output record.  A record-only chain writes out P_a alone, so its
-    ``states`` is (1, n_trajectories, n).  Both are views of buffers that
-    the next chunk overwrites, so a consumer copies what it keeps.  The
+    chain keeps a step, holding one array per chain, or None where that
+    chain keeps no step: a full chain's quadratures before each step,
+    (4, n_trajectories, n), or a record-only chain's output record,
+    (n_trajectories, n).  Each is a view of a buffer that the next chunk
+    overwrites, so a consumer copies what it keeps.  The
     increments are the rows of chol(D dt) times standard normals, D the
     diffusion matrix of the inputs; each stream's normals are drawn once
     for all chains, so the chains see the same noise, and the chains that
@@ -654,15 +646,17 @@ def simulate(
 ) -> SimulationTrace:
     """Integrate the quadrature Langevin equations and store the whole run.
 
-    The store-everything consumer of a one-chain :func:`simulate_chunks`
-    pass, for callers that read single samples; it raises what that raises.
+    The store-everything consumer of a :func:`simulate_chunks` pass of a
+    full chain and a record-only one, for callers that read single samples;
+    it raises what that raises.
     """
-    chunks = simulate_chunks([Chain(dp, temperature, cfg, reservoir, signal)])
+    chunks = simulate_chunks([Chain(dp, temperature, cfg, reservoir, signal),
+                              Chain(dp, temperature, cfg, reservoir, signal, record_only=True)])
     n_burn, n_keep = _steps(cfg)
     quad = np.empty((4, cfg.n_trajectories, n_keep))
     out = np.empty((cfg.n_trajectories, n_keep))
     k = 0
-    for [(states, record)] in chunks:
+    for states, record in chunks:
         n = record.shape[1]
         quad[:, :, k:k + n] = states
         out[:, k:k + n] = record
@@ -844,7 +838,7 @@ def stream_psd(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
     chains = [Chain(dp, temperature, cfg, reservoir, record_only=True)
               for reservoir in reservoirs]
     for chunk in simulate_chunks(chains):
-        for welch, (_, record) in zip(welches, chunk):
+        for welch, record in zip(welches, chunk):
             welch.add(record)
     return [(*welch.spectrum(cfg.dt), welch.segments) for welch in welches]
 
@@ -857,7 +851,7 @@ def stream_covariances(
     """Per-trajectory covariances of a run about its zero mean, shape
     (n_trajectories, 4, 4), with nothing stored."""
     acc = CovarianceAccumulator(cfg.n_trajectories)
-    for [(states, _)] in simulate_chunks([Chain(dp, temperature, cfg)]):
+    for [states] in simulate_chunks([Chain(dp, temperature, cfg)]):
         acc.add(states)
     return acc.covariances()
 
@@ -879,7 +873,7 @@ def measure_gain(
     acc = GainAccumulator(dp, tone)
     chains = [Chain(dp, temperature, cfg, signal=tone, record_only=True),
               Chain(dp, temperature, cfg, record_only=True)]
-    for (_, driven), (_, quiet) in simulate_chunks(chains):
+    for driven, quiet in simulate_chunks(chains):
         acc.add(driven, quiet)
     return acc.gain()
 

@@ -137,6 +137,9 @@ def response_grid(dp: DerivedParameters, omegas) -> tuple[np.ndarray, ...]:
             "response matrix is singular; this requires a zero dissipation rate"
         ) from exc
     out_row = np.sqrt(dp.kappa_a) * chi[:, 3, :]
+    if not np.isfinite(out_row).all():  # LAPACK overflows silently, to inf or NaN
+        raise SingularResponseError("response matrix is numerically singular: "
+                                    "its inverse overflows (a dissipation rate near 0)")
     k1 = out_row[:, 0].copy()
     k2 = out_row[:, 1].copy()
     k3 = out_row[:, 2].copy()

@@ -137,7 +137,7 @@ class _Row(NamedTuple):
 
 
 class _Fold(NamedTuple):
-    #: folds in one chunk: the (states, record) of each of the run's chains
+    #: folds in one chunk: one array per chain, quadratures or output record
     add: Callable[[list], None]
     #: one result per check of the run
     judge: Callable[[], list[CheckResult]]
@@ -268,7 +268,7 @@ def _check_lyapunov(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _
                 detail="max |sample - Lyapunov| in standard errors over the 10 "
                        f"covariance entries, {covs.shape[0]} trajectories",
             )]
-        return _Fold(lambda parts: acc.add(parts[0][0]), judge)
+        return _Fold(lambda parts: acc.add(parts[0]), judge)
     return _Run((name,), dp, cfg, (Chain(dp, temperature, cfg),), fold)
 
 
@@ -318,7 +318,7 @@ def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
                              for _ in reservoirs[1:]]
 
         def add(parts: list) -> None:
-            for welch, (_, record) in zip(welches, parts):
+            for welch, record in zip(welches, parts):
                 welch.add(record)
 
         def judge() -> list[CheckResult]:
@@ -381,7 +381,7 @@ def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
                 detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
                        f"at delta = {frac:g} kappa_m, r_m = 1",
             )]
-        return _Fold(lambda parts: acc.add(parts[0][1], parts[1][1]), judge)
+        return _Fold(lambda parts: acc.add(*parts), judge)
     return _Run((name,), dp, cfg, chains, fold, tone=tone)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -5,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import magnon_sense.cli as cli
 from magnon_sense import simulation
@@ -431,6 +434,30 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("command", ["budget", "spectrum", "verify"])
+    def test_overflowing_effective_coupling_exits_2(self, tmp_path, capsys, command):
+        # g' = A g_0 exp(r_m) overflows to inf: budget wrote NaN, spectrum's
+        # stability check and verify's step size (0.015 / g') broke on it
+        config = tmp_path / "strong.cfg"
+        config.write_text(COUPLING_CONFIG.replace("mod_amplitude = 1", "mod_amplitude = 1e300")
+                          + "lambda_hz_per_tesla = 5.85e13\n")
+        out = tmp_path / "b.csv"
+        argv = [command, "--config", str(config)]
+        if command != "verify":
+            argv += ["--grid-points", "11", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "g'" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_effective_coupling_sweep_writes_nothing(self, tmp_path, capsys):
+        outdir = tmp_path / "sw"
+        assert cli.main(["sweep", "--axis", "mod_amplitude=1,1e300",
+                         "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "g'" in err and err.count("\n") == 1
+        assert not outdir.exists()
+
     def test_zero_field_coupling_sweep_writes_nothing(self, tmp_path, capsys):
         outdir = tmp_path / "sw"
         assert cli.main(["sweep", "--axis", "lambda_hz_per_tesla=1e12,0",
@@ -610,3 +637,74 @@ class TestExitCodes:
             capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert (tmp_path / "b.csv").exists()
+
+
+#: the reference parameter file, key by key, for the generated inputs
+REFERENCE = {"omega_a_hz": 37.5e9, "omega_0_hz": 37.5e9, "r_m": 1.5, "g_0_hz": 2.5e9,
+             "mod_amplitude": 1.0, "kappa_a_hz": 16.5e6, "kappa_m_hz": 15e6,
+             "lambda_hz_per_tesla": 5.85e13, "temperature_k": 0.05,
+             "delta_a_hz": 0.0, "delta_0p_hz": 0.0}
+
+#: the budget columns that are infinite, by design, where nothing is transduced
+TRANSDUCED = ("additional_noise", "s_bnoise_t2_per_hz", "sensitivity_t_per_sqrt_hz")
+
+#: doubles spread log-uniformly over the whole range, either sign, and zero
+DOUBLES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, mantissa, exponent: sign * float(f"{mantissa!r}e{exponent}"),
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-323, 307)))
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one in-process command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def assert_finite_csv(path):
+    columns, data = read_csv(path)
+    for name, column in zip(columns, data.T):
+        if name in TRANSDUCED:
+            column = column[column != math.inf]
+        assert np.all(np.isfinite(column)), (path.name, name)
+
+
+# the examples are the inputs the generator found: g' = A g_0 exp(r_m)
+# overflowing, 2 g' overflowing in the drift matrix, and a cavity linewidth
+# so small that the solve's inverse overflows at omega = 0
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@example({"mod_amplitude": 1e300})
+@example({"mod_amplitude": 1.2769674608220456e297})
+@example({"kappa_a_hz": 1e-306})
+@given(st.dictionaries(st.sampled_from(sorted(REFERENCE)), DOUBLES, min_size=1, max_size=3))
+def test_generated_parameter_files_end_in_a_documented_exit(changes):
+    # budget, spectrum and a two-point sweep of the first changed key, from
+    # the reference point to the drawn value: exit 0 with finite tables, or
+    # 1 or 2 with one error line and no table, and no manifest of a sweep
+    # that stopped
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "drawn.cfg"
+        config.write_text("".join(f"{key} = {value!r}\n"
+                                  for key, value in {**REFERENCE, **changes}.items()))
+        key, value = next(iter(changes.items()))
+        for command, extra, out in [
+                ("budget", ["--out"], tmp / "budget.csv"),
+                ("spectrum", ["--out"], tmp / "spectrum.csv"),
+                ("sweep", ["--axis", f"{key}={REFERENCE[key]!r},{value!r}", "--outdir"],
+                 tmp / "sweep")]:
+            code, err = run_cli([command, "--config", str(config), "--grid-points", "5",
+                                 *extra, str(out)])
+            assert code in (0, 1, 2), (command, code, err)
+            if code == 0:
+                assert err == ""
+                for path in sorted(out.glob("*.csv")) if command == "sweep" else [out]:
+                    assert_finite_csv(path)
+            else:
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+                if command == "sweep":
+                    assert not (out / "run_manifest.json").exists()
+                else:
+                    assert not out.exists()

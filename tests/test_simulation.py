@@ -280,7 +280,7 @@ class TestSteadyStateVariances:
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=8)
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        for [(states, _)] in simulate_chunks([Chain(dp, 0.05, cfg, reservoir)]):
+        for [states] in simulate_chunks([Chain(dp, 0.05, cfg, reservoir)]):
             acc.add(states)
         sample = acc.covariances()[:, 0, 0]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
@@ -414,9 +414,10 @@ class TestGainMeasurement:
                                 (("gain", 1.0),))
         [run] = verification._plan([row], seed=42)
         total, count = 0.0, 0
-        for [(_, driven)], [(_, quiet)] in zip(
-                simulate_chunks([Chain(run.dp, 0.05, run.cfg, signal=run.tone)]),
-                simulate_chunks([Chain(run.dp, 0.05, run.cfg)])):
+        for [driven], [quiet] in zip(
+                simulate_chunks([Chain(run.dp, 0.05, run.cfg, signal=run.tone,
+                                       record_only=True)]),
+                simulate_chunks([Chain(run.dp, 0.05, run.cfg, record_only=True)])):
             total += float(np.sum((driven - quiet)**2))
             count += driven.size
         p_ref = (run.dp.lambda_bare * run.tone.amplitude)**2 / (4.0 * run.dp.kappa_m)
@@ -547,14 +548,27 @@ class TestVerifyPlan:
 
     def test_desk_pass_steps_one_scan_per_step_matrix(self, monkeypatch):
         # the two Lyapunov runs step all four components; psd_rm0, the
-        # psd_rm15 pair and the six gain chains X_M and P_a alone
+        # psd_rm15 pair and the six gain chains X_M and P_a alone.  Each
+        # chain yields one array per chunk, what its fold reads: a Lyapunov
+        # chain its quadratures, a PSD or gain chain its output record
         runs = verification._plan(verification._runs(verification_parameters()), seed=42)
         chains = [c for run in runs for c in run.chains]
         scans = count_scans(monkeypatch)
-        simulate_chunks(chains)
+        chunks = simulate_chunks(chains)
         assert len(chains) == 11
         assert scans == [((0, 1, 2, 3), 32), ((0, 1, 2, 3), 32), ((0, 3), 16),
                          ((0, 3), 32), ((0, 3), 6)]
+        shapes = [None] * len(chains)
+        for chunk in chunks:
+            assert len(chunk) == len(chains)
+            for i, part in enumerate(chunk):
+                assert part is None or type(part) is np.ndarray
+                if part is not None:
+                    shapes[i] = part.shape[:-1]
+            if None not in shapes:
+                break
+        assert shapes == [(4, 32), (4, 32), (16,), (16,), (16,), (1,), (1,),
+                          (1,), (1,), (1,), (1,)]
 
     def test_desk_pass_draws_each_stream_once(self):
         # every run reads a prefix of the seed's 32 streams; a draw per run
@@ -869,20 +883,21 @@ class TestAccumulators:
         skipped = 0
         with np.errstate(over="raise", invalid="raise"):
             for chunk in simulate_chunks(chains):
-                skipped += chunk.count(None)
+                skipped += sum(part is None for part in chunk)
                 for piece, part in zip(pieces, chunk):
                     if part is not None:
-                        piece.append([array.copy() for array in part])
+                        piece.append(part.copy())
         assert skipped > 0
         assert scans == [((0, 1, 2, 3), 7), ((0, 3), 5), ((0, 1, 2, 3), 2),
                          ((0, 1, 2, 3), 1), ((0, 3), 7)]
         for chain, piece in zip(chains, pieces):
             trace = simulate(chain.dp, chain.temperature, chain.cfg,
                              reservoir=chain.reservoir, signal=chain.signal)
-            states, record = (np.concatenate(arrays, axis=-1) for arrays in zip(*piece))
-            quadratures = np.moveaxis(trace.quadratures, -1, 0)
-            assert np.array_equal(states, quadratures[3:] if chain.record_only else quadratures)
-            assert np.array_equal(record, trace.output_record)
+            part = np.concatenate(piece, axis=-1)
+            if chain.record_only:
+                assert np.array_equal(part, trace.output_record)
+            else:
+                assert np.array_equal(part, np.moveaxis(trace.quadratures, -1, 0))
         with pytest.raises(ConfigurationError, match="one seed"):
             simulate_chunks([chains[0], replace(chains[1], cfg=replace(chains[1].cfg, seed=12))])
 
@@ -990,7 +1005,7 @@ def test_a_pass_allocates_nothing_per_chunk(monkeypatch):
                                   for reservoir in reservoirs])
 
         def fold():
-            for welch, (_, record) in zip(welches, next(chunks)):
+            for welch, record in zip(welches, next(chunks)):
                 welch.add(record)
         fold()
         assert welches[0].segments == 0
