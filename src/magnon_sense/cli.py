@@ -121,22 +121,118 @@ def _snapshot_hash(snapshot: dict) -> str:
 #: rows formatted per write, so a large grid is never one string
 _CSV_BLOCK_ROWS = 2 ** 12
 
+#: 10**k for 0 <= k <= 22, each exact in binary64 (5**22 < 2**53)
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+
+def _percent_fields(values):
+    """Mantissa digits (one 13-digit integer) and exponent of each value's
+    '%.12e', read back from Python's own formatting."""
+    mantissa = np.empty(len(values), np.int64)
+    exponent = np.empty(len(values), np.int64)
+    for i, value in enumerate(values.tolist()):
+        digits, _, exp = ("%.12e" % value).lstrip("-").partition("e")
+        mantissa[i] = int(digits.replace(".", ""))
+        exponent[i] = int(exp)
+    return mantissa, exponent
+
+
+def _ascii_digits(values, width: int):
+    """(width, len(values)) ASCII codes of the decimal digits of each value < 10**width."""
+    values = values.astype(np.int32)
+    quotient = np.empty_like(values)
+    digits = np.empty((width, len(values)), np.uint8)
+    for i in range(width):
+        digits[i] = np.floor_divide(values, 10 ** (width - 1 - i), out=quotient)
+    digits[1:] -= 10 * digits[:-1]  # exact modulo 256
+    digits += ord("0")
+    return digits
+
+
+def _decimal_fields(values):
+    """Mantissa digits (one 13-digit integer) and exponent of each value's
+    '%.12e', for a 1-D array of finite values.
+
+    A value a with decimal exponent e is scaled to s = a 10**(12 - e) in
+    [1e12, 1e13) by at most two correctly rounded steps with exact powers
+    of ten, so s is within 2 ulp of the exact product and rint(s) is the
+    correctly rounded 13-digit mantissa unless s lies within 2 ulp of a
+    half-integer.  Those values, a scaled value outside [1e12, 1e13 - 1]
+    (e off by one next to a power of ten), |12 - e| > 44, zero and the
+    subnormals take Python's '%' and are parsed back into the same fields.
+    """
+    a = np.abs(values)
+    normal = a >= sys.float_info.min
+    e = np.floor(np.log10(np.where(normal, a, 1.0)))
+    k = (12.0 - e).astype(np.int64)
+    fast = normal & (np.abs(k) <= 44)
+    a = np.where(fast, a, 1e12)  # the others scale to a placeholder
+    k[~fast] = 0
+    up = k >= 0
+    k = np.abs(k)
+    k1 = np.minimum(k, 22)
+    p1, p2 = _POW10[k1], _POW10[k - k1]
+    s = np.where(up, a * p1 * p2, a / p1 / p2)
+    r = np.rint(s)
+    fast &= (s >= 1e12) & (r < 1e13) & (np.abs(s - r) < 0.5 - 2 * np.spacing(s))
+    mantissa = r.astype(np.int64)
+    exponent = e.astype(np.int64)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        mantissa[slow], exponent[slow] = _percent_fields(values[slow])
+    return mantissa, exponent
+
+
+def _render_rows(block) -> bytes:
+    """The rows of a finite 2-D block as '%.12e' CSV lines, byte for byte."""
+    n, m = block.shape
+    flat = block.ravel()
+    mantissa, exponent = _decimal_fields(flat)
+    # slots: '-', d, '.', 12 digits, 'e', sign, the exponent's 2 or 3
+    # digits and ',' or '\n'; the third exponent slot exists only if a
+    # value of the block needs it
+    neg = np.signbit(flat)
+    big = np.abs(exponent) >= 100
+    wide = bool(big.any())
+    table = np.empty((len(flat), 20 + wide), np.uint8)
+    head = mantissa // 10 ** 6
+    leading = _ascii_digits(head, 7)
+    table[:, 0] = ord("-")
+    table[:, 1] = leading[0]
+    table[:, 2] = ord(".")
+    table[:, 3:9] = leading[1:].T
+    table[:, 9:15] = _ascii_digits(mantissa - head * 10 ** 6, 6).T
+    table[:, 15] = ord("e")
+    table[:, 16] = np.where(exponent < 0, ord("-"), ord("+"))
+    table[:, 17:-1] = _ascii_digits(np.abs(exponent), 2 + wide).T
+    table[:, -1] = ord(",")
+    table.reshape(n, m, -1)[:, -1, -1] = ord("\n")
+    if not neg.any() and big.all() == wide:  # every value drops the '-' slot alone
+        return table[:, 1:].tobytes()
+    keep = np.ones(table.shape, bool)
+    keep[:, 0] = neg
+    if wide:
+        keep[:, 17] = big
+    return table[keep].tobytes()
+
 
 def _write_csv(path, header, columns, snapshot_hash: str) -> str:
     """Write one CSV and return the sha256 of the bytes written."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        def write(text: str) -> None:
-            data = text.encode("utf-8")
+        def write(data: bytes) -> None:
             digest.update(data)
             fh.write(data)
 
-        write(f"# params_sha256={snapshot_hash}\n" + ",".join(header) + "\n")
+        write(f"# params_sha256={snapshot_hash}\n{','.join(header)}\n".encode("utf-8"))
         table = np.column_stack(columns)
         row = ",".join(["%.12e"] * table.shape[1]) + "\n"
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
             block = table[start:start + _CSV_BLOCK_ROWS]
-            write(row * len(block) % tuple(block.ravel().tolist()))
+            if np.isfinite(block).all():
+                write(_render_rows(block))
+            else:  # inf and nan keep Python's spelling
+                write((row * len(block) % tuple(block.ravel().tolist())).encode("ascii"))
     return digest.hexdigest()
 
 

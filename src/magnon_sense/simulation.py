@@ -73,9 +73,10 @@ and the chains of a pass are not independent: they see the same noise.
 
 A pass allocates its arrays once, before the first chunk: each scan's
 states buffer, the normals of one chunk, and its one scratch
-(:func:`_scan_work`), sized from the schedule for the largest scan call.
-That scratch holds the lane scan's regions, the increments of the scan
-being stepped, which the scans take in turn, and one temporary for the
+(:func:`_scan_work`), sized from the schedule for the largest scan call
+and for the most components a scan of the pass steps.  That scratch
+holds the lane scan's regions, the increments of the scan being
+stepped, which the scans take in turn, and one temporary for the
 increments' products and drive.  The increments are written there, and
 a record-only chain's record over its P_a states and spent P_a
 increments, in the order of the expressions they replace, so no bit
@@ -286,19 +287,22 @@ def _diffusion(dp: DerivedParameters, temperature: float,
     return diffusion
 
 
-def _scan_work(trajectory_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan_work(trajectory_steps: int,
+               components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one scratch of a pass whose scan calls take up to
-    ``trajectory_steps`` (whole lanes), allocated once: three views of it.
+    ``trajectory_steps`` (whole lanes) and step up to ``components``
+    components, allocated once: three views of it.
 
     They hold :class:`_LaneScan`'s regions; the increments of the scan being
-    stepped, four components of ``trajectory_steps`` at most, which are dead
-    once its chains are kept, so the scans of a pass take turns in them;
-    and one temporary of ``trajectory_steps``, which holds the increments'
-    products and drive.
+    stepped, ``components`` components of ``trajectory_steps`` at most,
+    which are dead once its chains are kept, so the scans of a pass take
+    turns in them; and one temporary of ``trajectory_steps``, which holds
+    the increments' products and drive.
     """
-    scan = (5 * _LANE + 7) * (trajectory_steps // _LANE)
-    work = np.empty(scan + 5 * trajectory_steps)
-    return work[:scan], work[scan:-trajectory_steps], work[-trajectory_steps:]
+    scan = ((_LANE + 1) * components + _LANE + 3) * (trajectory_steps // _LANE)
+    increments = scan + components * trajectory_steps
+    work = np.empty(increments + trajectory_steps)
+    return work[:scan], work[scan:increments], work[increments:]
 
 
 def _views(work: np.ndarray, *shapes):
@@ -354,7 +358,7 @@ class _LaneScan:
         """States x_m before each increment, written to ``out`` (4, ntraj, n),
         or (1, ntraj, n) holding P_a alone for a record-only scan, and
         returned; ``work`` is the scan's region of a :func:`_scan_work` of at
-        least ntraj * n trajectory-steps.
+        least ntraj * n trajectory-steps and ``len(components)`` components.
 
         ``blocks`` holds the increments of consecutive trajectories, each
         block indexed by component, (rows, m) arrays for m <= n whole lanes;
@@ -608,7 +612,8 @@ def simulate_chunks(chains: list[Chain]):
     steppers = [_Stepper(chain) for chain in chains]
     groups = _groups(steppers)
     schedule = _schedule(groups)
-    work = _scan_work(max(g.allocate(schedule) for g in groups))
+    work = _scan_work(max(g.allocate(schedule) for g in groups),
+                      max(len(g.scan.components) for g in groups))
     extents = _stream_extents(chains)
     seed = chains[0].cfg.seed
     rngs = [_trajectory_rng(seed, i) for i in range(len(extents))]

@@ -289,14 +289,17 @@ def _five_smooth(n: int) -> int:
     """The least length >= n with no prime factor over 5, which the FFT
     transforms fast."""
     n = max(n, 1)
-    while True:
-        rest = n
-        for prime in (2, 3, 5):
-            while rest % prime == 0:
-                rest //= prime
-        if rest == 1:
-            return n
-        n += 1
+    best = 1 << (n - 1).bit_length()
+    # per odd part 3^b 5^c below the best so far, the least power of two
+    # that lifts it to n
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
 
 
 def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,33 @@ class TestBudgetCommand:
         np.savetxt(expected, table, fmt="%.12e", delimiter=",")
         body = path.read_text().split("\n", 2)[2]
         assert body == expected.getvalue()
+
+    def test_csv_rows_are_percent_formatted(self, tmp_path, monkeypatch):
+        # the vectorized renderer against '%.12e', on the values where its
+        # fast path could go wrong; '%' itself settles the ties and the edges
+        fallbacks, rendered = [], []
+        percent_fields = cli._percent_fields
+
+        def counted(values):
+            fallbacks.append(len(values))
+            return percent_fields(values)
+        monkeypatch.setattr(cli, "_percent_fields", counted)
+        path = tmp_path / "t.csv"
+
+        @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+        @given(CSV_TABLES)
+        def rows_match(table):
+            with np.errstate(all="raise"):
+                cli._write_csv(path, [f"c{i}" for i in range(table.shape[1])],
+                               list(table.T), "0" * 64)
+            expected = "".join(",".join("%.12e" % v for v in row) + "\n"
+                               for row in table.tolist())
+            assert path.read_bytes().split(b"\n", 2)[2] == expected.encode("ascii")
+            if np.isfinite(table).all():
+                rendered.append(table.size)
+
+        rows_match()
+        assert 0 < sum(fallbacks) < sum(rendered)
 
     def test_an_underflowing_temperature_is_zero_temperature(self, tmp_path):
         tiny, zero = tmp_path / "tiny.csv", tmp_path / "zero.csv"
@@ -543,6 +571,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and "trajectory-steps" in err
         assert err.count("\n") == 1
 
+    def test_verify_refuses_a_long_welch_segment_at_once(self, tmp_path, capsys):
+        # the desk set at g_0 = 6e8 Hz: the Lyapunov rows pass, and the PSD
+        # rows' Welch segments of about 3e12 samples are rounded up to a
+        # 5-smooth length before the trajectory-step budget refuses them
+        config = tmp_path / "stiff.cfg"
+        config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 6e8\n"
+                          "mod_amplitude = 1\nkappa_a_hz = 16.5\nkappa_m_hz = 15\n"
+                          "temperature_k = 0.05\nlambda_hz_per_tesla = 10\nr_m = 0\n")
+        start = time.perf_counter()
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trajectory-steps" in err
+        assert err.count("\n") == 1
+
     def test_verify_sizes_every_run_before_stepping(self, tmp_path, capsys, monkeypatch):
         # the reference set: the Lyapunov runs are desk-sized, only the PSD
         # and gain runs (g'/kappa_m ~ 750) are over the budget
@@ -653,6 +696,41 @@ DOUBLES = st.one_of(
     st.just(0.0),
     st.builds(lambda sign, mantissa, exponent: sign * float(f"{mantissa!r}e{exponent}"),
               st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-323, 307)))
+
+
+def _nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+_SIGNS = st.sampled_from((1.0, -1.0))
+#: a float64 anywhere in the double range, subnormals, signed zeros and
+#: infinities included; within an ulp of a power of ten, where log10 may
+#: misplace the exponent; next to a 13-digit decimal tie d.ddd...d5 x 10^q,
+#: or on one, where the last digit may round two ways
+CSV_VALUES = st.one_of(
+    DOUBLES,
+    st.floats(allow_nan=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.builds(lambda p, ulps, sign: sign * _nudged(float(f"1e{p}"), ulps),
+              st.integers(-323, 308), st.integers(-1, 1), _SIGNS),
+    st.builds(lambda n, q, ulps, sign: sign * _nudged(float(f"{10 * n + 5}e{q}"), ulps),
+              st.integers(10**12, 10**13 - 1), st.integers(-336, 294),
+              st.integers(-1, 1), _SIGNS),
+    st.builds(lambda n, q, sign: sign * float(Fraction(10 * n + 5) * Fraction(10) ** q),
+              st.integers(10**12, 10**13 - 1), st.integers(-1, 3), _SIGNS),
+)
+
+
+@st.composite
+def _csv_tables(draw):
+    rows, columns = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    values = draw(st.lists(CSV_VALUES, min_size=rows * columns, max_size=rows * columns))
+    return np.array(values, dtype=np.float64).reshape(rows, columns)
+
+
+CSV_TABLES = _csv_tables()
 
 
 def run_cli(argv):

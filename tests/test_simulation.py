@@ -660,8 +660,9 @@ class TestLaneScan:
 
     def run(self, step, incr, x0, record_only=False):
         out = np.empty((1 if record_only else 4, *incr.shape[1:]))
-        work = simulation._scan_work(incr[0].size)[0]
-        return simulation._LaneScan(step, x0, record_only)([list(incr)], out, work)
+        scan = simulation._LaneScan(step, x0, record_only)
+        work = simulation._scan_work(incr[0].size, len(scan.components))[0]
+        return scan([list(incr)], out, work)
 
     def check(self, step, incr, x0):
         """The full scan against the step-by-step loop, and the record-only
@@ -708,7 +709,7 @@ class TestLaneScan:
             whole = self.run(step, incr, x0, record_only)
             scan = simulation._LaneScan(step, x0, record_only)
             # one work array for every piece, larger than most of them need
-            work = simulation._scan_work(incr[0].size)[0]
+            work = simulation._scan_work(incr[0].size, len(scan.components))[0]
             pieces = [scan([list(incr[:, :, a:b])], np.empty_like(whole[:, :, a:b]), work)
                       for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
@@ -1019,6 +1020,24 @@ def test_a_pass_allocates_nothing_per_chunk(monkeypatch):
         tracemalloc.stop()
     assert welches[0].segments >= 3 * ntraj
     assert rise <= ring / 4
+
+
+def test_a_pass_reserves_increments_for_the_components_it_steps(monkeypatch):
+    # at the backaction-evading point a record-only scan steps X_M and P_a
+    # alone, so the pass's scratch holds two components' increments, not
+    # four; a full scan steps all four
+    reserved = []
+    scan_work = simulation._scan_work
+
+    def spy(trajectory_steps, components):
+        work = scan_work(trajectory_steps, components)
+        reserved.append((components, work[1].size // trajectory_steps))
+        return work
+    monkeypatch.setattr(simulation, "_scan_work", spy)
+    dp, temperature, cfg, _, nper = stream_cases()["squeezed"]
+    stream_psd(dp, temperature, cfg, nper, [None])
+    stream_covariances(dp, temperature, cfg)
+    assert reserved == [(2, 2), (4, 4)]
 
 
 def test_a_scan_lets_its_buffers_go_once_its_chains_end():
