@@ -54,22 +54,22 @@ their applications", 1990):
   states.
 
 A pass is one draw of the seed's streams, stepped by
-:func:`simulate_chunks`, the oracle's one stepping entry.  Its chains
-(:class:`Chain`) each carry their own parameters, temperature, settings,
-reservoir and tone, and share one seed.  A chain steps on the leading
+:func:`simulate_chunks`, the oracle's stepping entry for noise.  Its
+chains (:class:`Chain`) each carry their own parameters, temperature,
+settings and reservoir, and share one seed.  A chain steps on the leading
 ``n_trajectories`` streams, so step k of trajectory i reads the same four
 normals in every chain, whatever its dt or burn-in: each stream is built
 once and drawn once, up to the furthest step any chain reads from it.
-The chains that share a step matrix S (parameters and dt) and the
-record-only flag are the trajectories of one scan, each with its own
-Cholesky factor, tone, burn-in, length and trajectory count; within the
-chunk where a chain ends its trajectories read zero increments, and then
-they leave the scan.  ``verify``'s 11 chains are 5 scans.  Each chunk
-yields one array per chain, or None where it keeps no step: a full
-chain's quadratures (4, n_trajectories, n), which the covariances read,
-or a record-only chain's output record (n_trajectories, n), which Welch
-and the gain read.  Each is bit for bit that of the chain stepped alone,
-and the chains of a pass are not independent: they see the same noise.
+The chains that share a step matrix S (parameters and dt), the
+record-only flag and their last drawn step are the trajectories of one
+scan, each with its own Cholesky factor, burn-in and trajectory count, so
+a scan's trajectories all run to its end.  ``verify``'s 5 chains are 4
+scans.  Each chunk yields one array per chain, or None where it keeps no
+step: a full chain's quadratures (4, n_trajectories, n), which the
+covariances read, or a record-only chain's output record
+(n_trajectories, n), which Welch reads.  Each is bit for bit that of the
+chain stepped alone, and the chains of a pass are not independent: they
+see the same noise.
 
 A pass allocates its arrays once, before the first chunk: each scan's
 states buffer, the normals of one chunk, and its one scratch
@@ -77,7 +77,7 @@ states buffer, the normals of one chunk, and its one scratch
 and for the most components a scan of the pass steps.  That scratch
 holds the lane scan's regions, the increments of the scan being
 stepped, which the scans take in turn, and one temporary for the
-increments' products and drive.  The increments are written there, and
+increments' products.  The increments are written there, and
 a record-only chain's record over its P_a states and spent P_a
 increments, in the order of the expressions they replace, so no bit
 depends on the buffers, and a chunk allocates no array larger than the
@@ -86,7 +86,7 @@ FFT plans aside).  Temporaries of a chain's chunk (256 kB at ``_CHUNK``)
 would otherwise cost page faults on every chunk wherever the C allocator
 maps blocks that large on their own, as glibc does until it frees a
 larger mapped block.  A scan's states buffer goes as soon as its chains
-have all ended.  The consumers fold the chunks in:
+have ended.  The consumers fold the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
@@ -96,18 +96,19 @@ have all ended.  The consumers fold the chunks in:
   accumulators folded beside it in a pass can share.
 * :class:`CovarianceAccumulator`: per-trajectory second moments about
   zero, the runs' exact mean, so nothing is detrended or centred.
-* :class:`GainAccumulator`: the mean square of the difference between a
-  chain with a tone and one without it, which is the tone's response
-  alone, over the field-referred input power of the tone.
 * :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
   quadrature-major storage, for callers that read single samples: the
   quadratures of a full chain and the record of a record-only one.
 
-:func:`stream_psd`, :func:`stream_covariances` and :func:`measure_gain`
-make a one-run pass straight into an accumulator, so no consumer's memory
-grows with the run length.  The accumulators that sum over a chunk (the
-covariances and the gain) round as their chunks fall, so a chain folded in
-a wider pass can differ from its own run in the last bits.
+:func:`stream_psd` and :func:`stream_covariances` make a one-run pass
+straight into an accumulator, so no consumer's memory grows with the run
+length.  The covariances sum over a chunk and round as their chunks fall,
+so a chain folded in a wider pass can differ from its own run in the last
+bits.
+
+The chain is linear, so an injected tone's response does not depend on
+the noise: :func:`measure_gain` steps the tone alone, from rest and
+without noise, through one record-only lane scan, and draws no stream.
 """
 
 from __future__ import annotations
@@ -130,7 +131,6 @@ __all__ = [
     "simulate",
     "WelchAccumulator",
     "CovarianceAccumulator",
-    "GainAccumulator",
     "stream_psd",
     "stream_covariances",
     "measure_gain",
@@ -192,7 +192,9 @@ class ToneSignal:
     Injected in the frame rotating with the pump: only the slowly rotating
     envelope of the drive, amplitude * (sin, cos)(frequency * t) on
     (X_M, P_M) scaled by lambda' / sqrt(2), enters the equations, which is
-    the regime the analysis frequencies live in.
+    the regime the analysis frequencies live in.  :func:`measure_gain`
+    steps it alone, at the backaction-evading point, where the P_M drive
+    does not reach the output and only the X_M drive is stepped.
     """
 
     amplitude: float            # Tesla
@@ -229,16 +231,15 @@ class Chain:
 
     It steps ``dp`` at ``temperature`` with ``cfg``'s step, burn-in, length
     and trajectory count, with the squeezed ``reservoir`` (None: the thermal
-    magnon input) and the injected ``signal`` (None: no tone).  A
-    ``record_only`` chain yields its output record and steps only the
-    components P_a reads; any other chain yields its quadratures.
+    magnon input).  A ``record_only`` chain yields its output record and
+    steps only the components P_a reads; any other chain yields its
+    quadratures.
     """
 
     dp: DerivedParameters
     temperature: float
     cfg: SimulationConfig
     reservoir: SqueezedReservoir | None = None
-    signal: ToneSignal | None = None
     record_only: bool = False
 
 
@@ -265,14 +266,15 @@ def _validate_config(dp: DerivedParameters, cfg: SimulationConfig) -> None:
             f"burn_in = {cfg.burn_in!r} s is shorter than 10 relaxation times "
             f"(need >= {10.0 / slowest!r} s)")
     require_stable(dp)
+    if _steps(cfg)[1] < 1:
+        raise ConfigurationError("duration shorter than one step")
 
 
-def _drive(signal: ToneSignal, dp: DerivedParameters, t: np.ndarray,
-           component: int) -> np.ndarray:
-    """The deterministic drive of the X_M (``component`` 0) or P_M (1)
-    equation at the times ``t``, written over ``t`` and returned."""
+def _drive(signal: ToneSignal, dp: DerivedParameters, t: np.ndarray) -> np.ndarray:
+    """The deterministic drive of the X_M equation at the times ``t``,
+    written over ``t`` and returned."""
     t *= signal.frequency
-    (np.sin if component == 0 else np.cos)(t, out=t)
+    np.sin(t, out=t)
     t *= dp.lambda_prime * signal.amplitude / math.sqrt(2.0)
     return t
 
@@ -297,7 +299,7 @@ def _scan_work(trajectory_steps: int,
     stepped, ``components`` components of ``trajectory_steps`` at most,
     which are dead once its chains are kept, so the scans of a pass take
     turns in them; and one temporary of ``trajectory_steps``, which holds
-    the increments' products and drive.
+    the increments' products.
     """
     scan = ((_LANE + 1) * components + _LANE + 3) * (trajectory_steps // _LANE)
     increments = scan + components * trajectory_steps
@@ -361,9 +363,7 @@ class _LaneScan:
         least ntraj * n trajectory-steps and ``len(components)`` components.
 
         ``blocks`` holds the increments of consecutive trajectories, each
-        block indexed by component, (rows, m) arrays for m <= n whole lanes;
-        its steps past m read zero.  The trajectories past the blocks have
-        ended: they leave the scan for good.
+        block indexed by component, (rows, n) arrays of whole lanes.
         """
         _, ntraj, n = out.shape
         lanes = n // _LANE
@@ -377,11 +377,9 @@ class _LaneScan:
         by_lane = rest.reshape(_LANE, len(comps), lanes, ntraj)
         row = 0
         for incr in blocks:
-            rows, m = incr[3].shape
-            mine = by_lane[..., row:row + rows]
+            rows = incr[3].shape[0]
             for j, k in enumerate(comps):
-                mine[:, j, :m // _LANE] = incr[k].reshape(rows, m // _LANE, _LANE).T
-            mine[:, :, m // _LANE:] = 0.0
+                by_lane[:, j, :, row:row + rows] = incr[k].reshape(rows, lanes, _LANE).T
             row += rows
         part = term[0]
         for prev, cur in zip(rest, rest[1:]):
@@ -398,7 +396,6 @@ class _LaneScan:
         ends[...] = 0.0
         ends[list(comps)] = by_lane[-1]
         ends = ends.transpose(1, 2, 0)[..., None]
-        self._x = self._x[:ntraj]
         for j in range(lanes):
             starts[:, j] = self._x[..., 0].T
             self._x = np.matmul(self._lane, self._x) + ends[j]
@@ -430,8 +427,6 @@ class _Stepper:
         dp, cfg = chain.dp, chain.cfg
         _validate_config(dp, cfg)
         self.n_burn, n_keep = _steps(cfg)
-        if n_keep < 1:
-            raise ConfigurationError("duration shorter than one step")
         try:
             chol = np.linalg.cholesky(
                 _diffusion(dp, chain.temperature, chain.reservoir) * cfg.dt)
@@ -445,8 +440,6 @@ class _Stepper:
         self.ntraj = cfg.n_trajectories
         self.n_total = self.n_burn + n_keep
         self.end = _drawn(cfg)
-        signal = chain.signal
-        self.drive = signal if signal is not None and signal.amplitude > 0 else None
         self.step_matrix = np.eye(4) + drift_matrix(dp) * cfg.dt
         self.sq_ka = math.sqrt(dp.kappa_a)
 
@@ -456,7 +449,7 @@ class _Stepper:
         by component (None for the others), over this chain's next steps
         from ``pos`` on the normals ``z`` (trajectory, step, 4), at most
         ``n`` of them: (ntraj, m) views of ``out``, in the order of
-        ``components``.  ``temp`` holds their products and the drive.
+        ``components``.  ``temp`` holds their products.
 
         Each is sum_c chol[k, c] * normal_c over the nonzero chol[k, c], the
         products added in order of c, so that the zero coefficients of the
@@ -464,7 +457,6 @@ class _Stepper:
         multiplies by 1.0, which is exact.
         """
         n = min(n, self.end - pos)
-        dt = self.chain.cfg.dt
         normals = z[:self.ntraj, :n].transpose(2, 0, 1)
         blocks = out[:len(components) * self.ntraj * n].reshape(-1, self.ntraj, n)
         product = temp[:self.ntraj * n].reshape(self.ntraj, n)
@@ -475,14 +467,6 @@ class _Stepper:
             for c, coef in others:
                 total += np.multiply(normals[c], coef, out=product)
             incr[k] = total
-        if self.drive is not None:
-            for k in (0, 1):
-                if incr[k] is not None:
-                    t = np.add(self.index[:n], pos, out=temp[:n])
-                    t *= dt
-                    drive = _drive(self.drive, self.chain.dp, t, k)
-                    drive *= dt
-                    incr[k] += drive
         return incr
 
     def keep(self, states: np.ndarray, incr: list, pos: int):
@@ -504,54 +488,37 @@ class _Stepper:
 
 
 class _Group:
-    """The chains of a pass that share a step matrix and the record-only
-    flag, stepped as the trajectories of one :class:`_LaneScan`: the
-    longest chain first, so the chains still running lead."""
+    """The chains of a pass that share a step matrix, the record-only flag
+    and their last drawn step, stepped as the trajectories of one
+    :class:`_LaneScan`."""
 
     def __init__(self, steppers: list[_Stepper]):
-        self.steppers = sorted(steppers, key=lambda s: -s.end)
-        first = self.steppers[0]
-        self.scan = _LaneScan(first.step_matrix,
-                              np.zeros((4, sum(s.ntraj for s in steppers))),
+        self.steppers, first = steppers, steppers[0]
+        self.end, self.ntraj = first.end, sum(s.ntraj for s in steppers)
+        self.scan = _LaneScan(first.step_matrix, np.zeros((4, self.ntraj)),
                               first.chain.record_only)
 
-    def rows(self, pos: int) -> int:
-        """Trajectories of the chains still running at step ``pos``."""
-        return sum(s.ntraj for s in self.steppers if s.end > pos)
-
-    def width(self, pos: int, n: int) -> int:
-        """Steps the scan takes of a chunk of ``n`` from ``pos``."""
-        return min(n, self.steppers[0].end - pos)
-
     def allocate(self, schedule: list[tuple[int, int]]) -> int:
-        """The states buffer for the chunks of ``schedule``, and each tone
-        chain's step indices within a chunk; returns the scan's largest call
-        in trajectory-steps."""
-        for s in self.steppers:
-            if s.drive is not None:
-                s.index = np.arange(max(n for _, n in schedule), dtype=float)
-        cells = max(self.rows(pos) * self.width(pos, n) for pos, n in schedule)
+        """The states buffer for the chunks of ``schedule``; returns the
+        scan's largest call in trajectory-steps."""
+        cells = self.ntraj * max(min(n, self.end - pos) for pos, n in schedule)
         self.states = np.empty(len(self.scan.written) * cells)
         return cells
 
     def step(self, z: np.ndarray, pos: int, n: int, work: tuple) -> dict:
-        """Each running chain's kept part or None, by chain, over the
-        chunk of ``n`` steps from ``pos`` on the normals ``z``; ``work`` is
-        the pass's :func:`_scan_work`."""
-        running = [s for s in self.steppers if s.end > pos]
+        """Each chain's kept part or None, by chain, over the chunk of ``n``
+        steps from ``pos`` on the normals ``z``; ``work`` is the pass's
+        :func:`_scan_work`."""
         scan_work, increments, temp = work
-        n = self.width(pos, n)
-        rows = sum(s.ntraj for s in running)
         comps = self.scan.components
         incrs, used = [], 0
-        for s in running:
+        for s in self.steppers:
             incrs.append(s.increments(z, pos, n, comps, increments[used:], temp))
             used += len(comps) * incrs[-1][3].size
-        written = len(self.scan.written)
-        states = self.scan(incrs, self.states[:written * rows * n].reshape(written, rows, n),
-                           scan_work)
+        shape = (len(self.scan.written), self.ntraj, incrs[0][3].shape[1])
+        states = self.scan(incrs, self.states[:math.prod(shape)].reshape(shape), scan_work)
         parts, row = {}, 0
-        for s, incr in zip(running, incrs):
+        for s, incr in zip(self.steppers, incrs):
             parts[s] = s.keep(states[:, row:row + s.ntraj], incr, pos)
             row += s.ntraj
         return parts
@@ -562,9 +529,9 @@ def _schedule(groups: list[_Group]) -> list[tuple[int, int]]:
     trajectory-steps of the scan with the most trajectories still running,
     in whole lanes."""
     chunks, pos = [], 0
-    end = max(g.steppers[0].end for g in groups)
+    end = max(g.end for g in groups)
     while pos < end:
-        widest = max(g.rows(pos) for g in groups)
+        widest = max(g.ntraj for g in groups if g.end > pos)
         n = min(max(1, _CHUNK // (widest * _LANE)) * _LANE, end - pos)
         chunks.append((pos, n))
         pos += n
@@ -579,10 +546,11 @@ def _stream_extents(chains: list[Chain]) -> list[int]:
 
 
 def _groups(steppers: list[_Stepper]) -> list[_Group]:
-    """The steppers grouped by (step matrix, record-only), in first-seen order."""
+    """The steppers grouped by (step matrix, record-only, end), in first-seen order."""
     groups: dict = {}
     for s in steppers:
-        groups.setdefault((s.step_matrix.tobytes(), s.chain.record_only), []).append(s)
+        groups.setdefault((s.step_matrix.tobytes(), s.chain.record_only, s.end),
+                          []).append(s)
     return [_Group(members) for members in groups.values()]
 
 
@@ -599,7 +567,8 @@ def simulate_chunks(chains: list[Chain]):
     increments are the rows of chol(D dt) times standard normals, D the
     diffusion matrix of the inputs; each stream's normals are drawn once
     for all chains, so the chains see the same noise, and the chains that
-    share a step matrix are stepped by one scan (see the module docstring).
+    share a step matrix and an end are stepped by one scan (see the module
+    docstring).
 
     Raises :class:`ConfigurationError` when called, before any stepping, if
     ``chains`` is empty or its chains do not share one seed, or if a
@@ -634,7 +603,7 @@ def simulate_chunks(chains: list[Chain]):
             # glibc, freeing them (1 MB each for verify's Lyapunov scans) also
             # lifts its mmap threshold above the blocks np.fft.rfft allocates
             # and frees per call, which ends those calls' page faults
-            scans = [g for g in scans if g.steppers[0].end > pos + n]
+            scans = [g for g in scans if g.end > pos + n]
             out = [parts.get(s) for s in steppers]
             if any(part is not None for part in out):
                 yield out
@@ -647,7 +616,6 @@ def simulate(
     temperature: float,
     cfg: SimulationConfig,
     reservoir: SqueezedReservoir | None = None,
-    signal: ToneSignal | None = None,
 ) -> SimulationTrace:
     """Integrate the quadrature Langevin equations and store the whole run.
 
@@ -655,8 +623,8 @@ def simulate(
     full chain and a record-only one, for callers that read single samples;
     it raises what that raises.
     """
-    chunks = simulate_chunks([Chain(dp, temperature, cfg, reservoir, signal),
-                              Chain(dp, temperature, cfg, reservoir, signal, record_only=True)])
+    chunks = simulate_chunks([Chain(dp, temperature, cfg, reservoir),
+                              Chain(dp, temperature, cfg, reservoir, record_only=True)])
     n_burn, n_keep = _steps(cfg)
     quad = np.empty((4, cfg.n_trajectories, n_keep))
     out = np.empty((cfg.n_trajectories, n_keep))
@@ -797,35 +765,6 @@ class CovarianceAccumulator:
         return self._moments / self._count
 
 
-class GainAccumulator:
-    """The tone's gain from the output records of two chains on one draw,
-    fed in time order.
-
-    The oracle is linear and its noise comes only from the trajectories'
-    streams, so a chain with the tone and one without it differ, to
-    rounding, by the tone's deterministic response alone.  Its mean square,
-    the line power of the output record, is divided by the field-referred
-    input density integrated over the tone, lambda^2 B0^2 / (4 kappa_m) with
-    lambda the bare coupling; the ratio estimates the analytic response at
-    the tone offset, biased only by the step.
-    """
-
-    def __init__(self, dp: DerivedParameters, tone: ToneSignal):
-        self._p_ref = (dp.lambda_bare * tone.amplitude)**2 / (4.0 * dp.kappa_m)
-        self._total, self._count = 0.0, 0
-
-    def add(self, driven: np.ndarray, quiet: np.ndarray) -> None:
-        """Fold in the next output records with and without the tone."""
-        self._total += float(np.sum((driven - quiet)**2))
-        self._count += driven.size
-
-    def gain(self) -> float:
-        """Mean square of the difference so far over the tone's input power."""
-        if self._count == 0:
-            raise ParameterError("a gain needs at least one sample")
-        return self._total / self._count / self._p_ref
-
-
 def stream_psd(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
                segment_length: int, reservoirs: list) -> list[tuple]:
     """(omega, psd, segments) of the output record of one chain per entry of
@@ -861,26 +800,39 @@ def stream_covariances(
     return acc.covariances()
 
 
-def measure_gain(
-    dp: DerivedParameters,
-    temperature: float,
-    tone: ToneSignal,
-    cfg: SimulationConfig,
-) -> float:
-    """Empirical response at the tone frequency, from two chains on one
-    draw: the :class:`GainAccumulator` of a record-only chain with the tone
-    and one without it.  Requires the backaction-evading point, where the
-    phase-channel image of the tone does not reach the output.
+def measure_gain(dp: DerivedParameters, tone: ToneSignal, cfg: SimulationConfig) -> float:
+    """Response at the tone frequency of the chain :func:`simulate_chunks`
+    steps with ``cfg``'s step, burn-in and length.
+
+    The chain is linear, so the tone's response does not depend on the
+    noise: the tone is stepped alone, from rest and without noise, by one
+    record-only :class:`_LaneScan` over blocks of ``_CHUNK`` steps whose
+    only nonzero increment is the X_M drive.  The mean square of the kept
+    record sqrt(kappa_a) P_a over the tone's field-referred input power,
+    lambda^2 B0^2 / (4 kappa_m) with lambda the bare coupling, estimates
+    the analytic response at the tone offset, biased only by the step.
+    Requires the backaction-evading point, where the P_M drive does not
+    reach the output.
     """
     if tone.amplitude <= 0:
         raise ParameterError("measure_gain requires a tone with positive amplitude")
     require_evading_point(dp)
-    acc = GainAccumulator(dp, tone)
-    chains = [Chain(dp, temperature, cfg, signal=tone, record_only=True),
-              Chain(dp, temperature, cfg, record_only=True)]
-    for driven, quiet in simulate_chunks(chains):
-        acc.add(driven, quiet)
-    return acc.gain()
+    _validate_config(dp, cfg)
+    n_burn, n_keep = _steps(cfg)
+    scan = _LaneScan(np.eye(4) + drift_matrix(dp) * cfg.dt, np.zeros((4, 1)), record_only=True)
+    work = _scan_work(_CHUNK, len(scan.components))[0]
+    drive, still, states = np.zeros((3, 1, _CHUNK))
+    total, end = 0.0, _drawn(cfg)
+    for pos in range(0, end, _CHUNK):
+        n = min(_CHUNK, end - pos)
+        t = np.multiply(np.arange(pos, pos + n, dtype=float), cfg.dt, out=drive[0, :n])
+        _drive(tone, dp, t)
+        t *= cfg.dt
+        [[record]] = scan([[drive[:, :n], None, None, still[:, :n]]], states[None, :, :n], work)
+        record = record[max(n_burn - pos, 0):n_burn + n_keep - pos]
+        total += float(np.dot(record, record))
+    p_ref = (dp.lambda_bare * tone.amplitude)**2 / (4.0 * dp.kappa_m)
+    return dp.kappa_a * total / n_keep / p_ref
 
 
 def lyapunov_covariance(dp: DerivedParameters, temperature: float,

@@ -10,21 +10,21 @@ check family, its parameters and the (name, variant) of each check it
 feeds, the variant being the reservoir of a PSD check, the tone offset of
 a gain check and None for a Lyapunov check.  The family sizes the run,
 gives its chains, folds their chunks and judges each of its checks.  All
-runs are sized first, so a refusal costs no stepping, and then stepped on
-one pass of :func:`simulation.simulate_chunks` over the seed's streams:
-each (seed, trajectory index) stream is drawn once, and every run reads a
-prefix of the same streams, step for step.  The checks of one seed are
-therefore not independent draws; a rate of "any check failed" cannot be
-formed by multiplying per-check rates.
+runs are sized first, so a refusal costs no stepping.  Then the Lyapunov
+and PSD runs are stepped on one pass of :func:`simulation.simulate_chunks`
+over the seed's streams: each (seed, trajectory index) stream is drawn
+once, and every run reads a prefix of the same streams, step for step.
+The checks of one seed are therefore not independent draws; a rate of
+"any check failed" cannot be formed by multiplying per-check rates.
 ``_check_lyapunov`` compares the stepped chain's second moments about its
 exact zero mean with its discrete Lyapunov covariance, within three
 standard errors.  ``_check_psd`` compares Welch spectra of the output with
 the analytic output spectrum over omega in [0.1, 5] kappa_m; the
 ``psd_rm15`` run feeds two checks, without and with the squeezed
-reservoir.  ``_check_gain`` steps one trajectory over 32 periods of an
-injected tone, with and without the tone on one draw, so the noise cancels
-and the gain's deviation from the analytic response is the step's own
-bias, whatever the seed.
+reservoir.  ``_check_gain`` has no chain: after the pass it calls
+:func:`simulation.measure_gain`, which steps the tone alone over 32 of its
+periods, without noise, so the gain's deviation from the analytic response
+is the step's own bias, whatever the seed.
 
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
@@ -43,7 +43,7 @@ import numpy as np
 
 from .model import ConfigurationError, DerivedParameters, SystemParameters, derived_parameters
 from . import simulation
-from .simulation import (Chain, CovarianceAccumulator, GainAccumulator, SimulationConfig,
+from .simulation import (WELCH_OVERLAP, Chain, CovarianceAccumulator, SimulationConfig,
                          ToneSignal, WelchAccumulator, fastest_rate, lyapunov_covariance,
                          noverlap)
 from .spectra import SqueezedReservoir, output_spectrum
@@ -137,8 +137,8 @@ class _Row(NamedTuple):
 
 
 class _Fold(NamedTuple):
-    #: folds in one chunk: one array per chain, quadratures or output record
-    add: Callable[[list], None]
+    #: folds in one chunk, one array per chain (None for a run with no chain)
+    add: Callable[[list], None] | None
     #: one result per check of the run
     judge: Callable[[], list[CheckResult]]
 
@@ -188,14 +188,15 @@ def _plan(rows: list[_Row], seed: int) -> list[_Run]:
     return runs
 
 
-def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
+def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: float,
                 trajectories: int) -> SimulationConfig:
-    """One oracle run of ``steps`` recorded steps of ``dt``, after a burn-in
-    of 13 relaxation times of the slower mode.
+    """One oracle run of ``steps`` recorded steps of ``dt``, rounded, after a
+    burn-in of 13 relaxation times of the slower mode.
 
     Refuses an unstable drift, and a run of more than ``_MAX_TRAJECTORY_STEPS``
-    recorded trajectory-steps: a time budget, not a memory guard, since the
-    runs store nothing that grows with their length.  1e8 trajectory-steps
+    recorded trajectory-steps, or of steps too many to round, as it stands:
+    a time budget, not a memory guard, since the runs store nothing that
+    grows with their length.  1e8 trajectory-steps
     are 13-21 s of stepping at 4.7-7.6 million a second on a 2-core x86
     machine, each run stepped alone (best of four): the record-only
     ``psd_rm0`` run makes the fast end and the coupled Lyapunov run, which
@@ -204,14 +205,14 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: int,
     steps).
     """
     require_stable(dp)
-    if trajectories * steps > _MAX_TRAJECTORY_STEPS:
+    if not (math.isfinite(steps) and trajectories * round(steps) <= _MAX_TRAJECTORY_STEPS):
         raise ConfigurationError(
             "parameter set is too stiff for the stochastic oracle: "
-            f"{trajectories} trajectories of {steps} steps are "
+            f"{trajectories} trajectories of {steps:.3g} steps are "
             f"{trajectories * steps:.3g} trajectory-steps, over the "
             f"{_MAX_TRAJECTORY_STEPS:.0e} budget; reduce the ratio of the "
             "fastest rate to kappa_m")
-    return SimulationConfig(dt=dt, duration=steps * dt,
+    return SimulationConfig(dt=dt, duration=round(steps) * dt,
                             burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
                             n_trajectories=trajectories, seed=seed)
 
@@ -248,8 +249,8 @@ def _check_routes(params: SystemParameters) -> list[CheckResult]:
 
 def _check_lyapunov(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     [(name, _)] = row.checks
-    steps = round(_LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt)
-    cfg = _run_config(dp, seed, dt, steps, _LYAPUNOV_TRAJECTORIES)
+    cfg = _run_config(dp, seed, dt, _LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt,
+                      _LYAPUNOV_TRAJECTORIES)
     temperature = row.params.temperature
 
     def fold() -> _Fold:
@@ -305,8 +306,13 @@ def _five_smooth(n: int) -> int:
 def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     # _PSD_SEGMENTS_PER_TRAJECTORY Welch segments of nper samples, a 5-smooth
     # length at about _PSD_RESOLUTION kappa_m bin spacing
-    nper = _five_smooth(round(_TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt))
-    steps = nper + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * (nper - noverlap(nper))
+    nper = _TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt
+    if nper <= _MAX_TRAJECTORY_STEPS:
+        nper = _five_smooth(round(nper))
+        hop = nper - noverlap(nper)
+    else:   # over the budget, so sized in floats, unrounded, and refused
+        hop = nper * (1.0 - WELCH_OVERLAP)
+    steps = nper + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * hop
     cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES)
     temperature = row.params.temperature
     names, reservoirs = zip(*row.checks)
@@ -363,20 +369,13 @@ def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     if not gain_analytic > 0:
         raise ConfigurationError("the gain checks need a magnon-cavity coupling "
                                  "(mod_amplitude > 0 and g_0 > 0)")
-    steps = round(_GAIN_PERIODS * _TWO_PI / (delta * dt))
-    cfg = _run_config(dp, seed, dt, steps, 1)
+    cfg = _run_config(dp, seed, dt, _GAIN_PERIODS * _TWO_PI / (delta * dt), 1)
     # the response is linear in the tone, so any amplitude gives the same gain
     tone = ToneSignal(amplitude=dp.kappa_m / dp.lambda_bare, frequency=delta)
-    temperature = row.params.temperature
-    # with and without the tone on one draw, as measure_gain steps them
-    chains = (Chain(dp, temperature, cfg, signal=tone, record_only=True),
-              Chain(dp, temperature, cfg, record_only=True))
 
     def fold() -> _Fold:
-        acc = GainAccumulator(dp, tone)
-
         def judge() -> list[CheckResult]:
-            gain = acc.gain()
+            gain = simulation.measure_gain(dp, tone, cfg)
             return [CheckResult(
                 name=name,
                 value=abs(gain / gain_analytic - 1.0),
@@ -384,17 +383,18 @@ def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
                 detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
                        f"at delta = {frac:g} kappa_m, r_m = 1",
             )]
-        return _Fold(lambda parts: acc.add(*parts), judge)
-    return _Run((name,), dp, cfg, chains, fold, tone=tone)
+        return _Fold(None, judge)
+    return _Run((name,), dp, cfg, (), fold, tone=tone)
 
 
 def _fold_pass(runs: list[_Run], folds: list[_Fold]) -> None:
     """Step every chain of ``runs`` on one pass and fold each run's chunks
     into its fold.  The pass's buffers go when this returns."""
-    chains = [chain for run in runs for chain in run.chains]
-    for chunk in simulation.simulate_chunks(chains):
+    stepped = [(run, fold) for run, fold in zip(runs, folds) if run.chains]
+    chains = [chain for run, _ in stepped for chain in run.chains]
+    for chunk in simulation.simulate_chunks(chains) if chains else ():
         parts = iter(chunk)
-        for run, fold in zip(runs, folds):
+        for run, fold in stepped:
             mine = [next(parts) for _ in run.chains]
             # a run's chains share their sizes, so they keep the same steps
             if mine[0] is not None:

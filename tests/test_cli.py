@@ -10,6 +10,7 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -573,8 +574,8 @@ class TestExitCodes:
 
     def test_verify_refuses_a_long_welch_segment_at_once(self, tmp_path, capsys):
         # the desk set at g_0 = 6e8 Hz: the Lyapunov rows pass, and the PSD
-        # rows' Welch segments of about 3e12 samples are rounded up to a
-        # 5-smooth length before the trajectory-step budget refuses them
+        # rows' Welch segments of about 3e12 samples, over the budget on
+        # their own, are sized in floats and refused by the budget
         config = tmp_path / "stiff.cfg"
         config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 6e8\n"
                           "mod_amplitude = 1\nkappa_a_hz = 16.5\nkappa_m_hz = 15\n"
@@ -641,6 +642,31 @@ class TestExitCodes:
         assert err.startswith("error: ") and "magnon-cavity coupling" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("changes", [
+        {"kappa_m_hz": 8.666e-321},
+        {"kappa_m_hz": 3.370382272419516e-309},
+        {"kappa_m_hz": 1e-300},
+        {"delta_a_hz": -4.38695416107654e+303},
+        {"delta_0p_hz": 1.0725327269530598e+303, "g_0_hz": 6.317371190561268e-190},
+        {"kappa_a_hz": 1e-305, "kappa_m_hz": 1e-305}])
+    def test_verify_refuses_extreme_rates_before_stepping(self, tmp_path, capsys,
+                                                          monkeypatch, changes):
+        # desk sets whose step counts are infinite, or finite but past any
+        # integer that prints in a line: each run is sized in floats and
+        # refused before its count is rounded, and the counts print in %.3g
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        monkeypatch.setattr(simulation, "measure_gain", no_stepping)
+        config = tmp_path / "extreme.cfg"
+        config.write_text("".join(f"{key} = {value!r}\n"
+                                  for key, value in {**DESK, **changes}.items()))
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too stiff" in err
+        assert err.count("\n") == 1 and len(err) < 300
+
     def test_invalid_parameter_file_exit_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("unknown_thing = 3\n")
@@ -687,6 +713,12 @@ REFERENCE = {"omega_a_hz": 37.5e9, "omega_0_hz": 37.5e9, "r_m": 1.5, "g_0_hz": 2
              "mod_amplitude": 1.0, "kappa_a_hz": 16.5e6, "kappa_m_hz": 15e6,
              "lambda_hz_per_tesla": 5.85e13, "temperature_k": 0.05,
              "delta_a_hz": 0.0, "delta_0p_hz": 0.0}
+
+#: the desk set of ``verify``, ``verification.verification_parameters``, key by key
+DESK = {"omega_a_hz": 37.5e9, "omega_0_hz": 37.5e9, "r_m": 0.0, "g_0_hz": 6.0,
+        "mod_amplitude": 1.0, "kappa_a_hz": 16.5, "kappa_m_hz": 15.0,
+        "lambda_hz_per_tesla": 10.0, "temperature_k": 0.05,
+        "delta_a_hz": 0.0, "delta_0p_hz": 0.0}
 
 #: the budget columns that are infinite, by design, where nothing is transduced
 TRANSDUCED = ("additional_noise", "s_bnoise_t2_per_hz", "sensitivity_t_per_sqrt_hz")
@@ -786,3 +818,36 @@ def test_generated_parameter_files_end_in_a_documented_exit(changes):
                     assert not (out / "run_manifest.json").exists()
                 else:
                     assert not out.exists()
+
+
+class _Stepped(Exception):
+    """Raised where ``verify`` would start stepping the oracle."""
+
+
+# the examples are the inputs a probe of 15,000 files found: a Lyapunov
+# step count that is infinite, PSD step counts past any float, and a count
+# some 300 digits long
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@example({"kappa_m_hz": 8.666e-321})
+@example({"kappa_m_hz": 3.370382272419516e-309})
+@example({"kappa_m_hz": 1e-300})
+@example({"delta_a_hz": -4.38695416107654e+303})
+@example({"delta_0p_hz": 1.0725327269530598e+303, "g_0_hz": 6.317371190561268e-190})
+@example({"kappa_a_hz": 1e-305, "kappa_m_hz": 1e-305})
+@given(st.dictionaries(st.sampled_from(sorted(DESK)), DOUBLES, min_size=1, max_size=3))
+def test_generated_verify_files_are_planned_before_any_stepping(changes):
+    # verify --config on the desk set with one to three keys drawn, the
+    # stepping patched out: each file reaches the stepping, or exits 1 or 2
+    # with one error line
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "drawn.cfg"
+        config.write_text("".join(f"{key} = {value!r}\n"
+                                  for key, value in {**DESK, **changes}.items()))
+        with mock.patch.object(simulation, "simulate_chunks", side_effect=_Stepped), \
+                mock.patch.object(simulation, "measure_gain", side_effect=_Stepped):
+            try:
+                code, err = run_cli(["verify", "--config", str(config)])
+            except _Stepped:
+                return
+    assert code in (1, 2), (code, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -24,7 +24,6 @@ from magnon_sense import simulation, verification
 from magnon_sense.simulation import (
     Chain,
     CovarianceAccumulator,
-    GainAccumulator,
     WelchAccumulator,
     fastest_rate,
     noverlap,
@@ -181,14 +180,6 @@ class TestTraceStructure:
         for n in (2, 1):
             c = simulate(dp, 0.05, replace(cfg, n_trajectories=n))
             assert np.array_equal(a.output_record[:n], c.output_record)
-
-    def test_zero_amplitude_tone_is_a_no_op(self):
-        dp = desk_dp()
-        cfg = quick_config(dp, duration=0.5, n_trajectories=2)
-        silent = ToneSignal(amplitude=0.0, frequency=dp.kappa_m)
-        assert np.array_equal(
-            simulate(dp, 0.05, cfg).output_record,
-            simulate(dp, 0.05, cfg, signal=silent).output_record)
 
 
 class TestSteadyStateVariances:
@@ -360,7 +351,7 @@ class TestGainMeasurement:
                                 (("gain", frac),))
         [run] = verification._plan([row], seed)
         tone = replace(run.tone, amplitude=amplitude_boost * run.tone.amplitude)
-        return run.dp, measure_gain(run.dp, 0.05, tone, run.cfg)
+        return run.dp, measure_gain(run.dp, tone, run.cfg)
 
     def stepped_chain_gain(self, dp, tone, dt):
         """The Euler-Maruyama chain's exact steady-state tone response over
@@ -379,7 +370,7 @@ class TestGainMeasurement:
         assert [run.names for run in planned] == [
             ("gain_delta_0.2km",), ("gain_delta_0.5km",), ("gain_delta_1km",)]
         for run in planned:
-            gain = measure_gain(run.dp, params.temperature, run.tone, run.cfg)
+            gain = measure_gain(run.dp, run.tone, run.cfg)
             exact = self.stepped_chain_gain(run.dp, run.tone, run.cfg.dt)
             assert gain == pytest.approx(exact, rel=1e-3)
             # the step's own bias, which the seed-free estimate leaves visible
@@ -406,36 +397,34 @@ class TestGainMeasurement:
                     / self.analytic_gain(dp0, delta_frac * dp0.kappa_m))
         assert g1 / g0 == pytest.approx(expected, rel=0.15)
 
-    def test_draws_each_stream_once(self, monkeypatch):
-        # the driven and the quiet run share one draw per chunk, and the
-        # gain is the one two separately drawn runs on the same streams give
-        row = verification._Row(verification._check_gain,
-                                verification_parameters().with_squeeze_amplitude(1.0),
-                                (("gain", 1.0),))
-        [run] = verification._plan([row], seed=42)
-        total, count = 0.0, 0
-        for [driven], [quiet] in zip(
-                simulate_chunks([Chain(run.dp, 0.05, run.cfg, signal=run.tone,
-                                       record_only=True)]),
-                simulate_chunks([Chain(run.dp, 0.05, run.cfg, record_only=True)])):
-            total += float(np.sum((driven - quiet)**2))
-            count += driven.size
-        p_ref = (run.dp.lambda_bare * run.tone.amplitude)**2 / (4.0 * run.dp.kappa_m)
+    def test_draws_no_stream(self, monkeypatch):
+        # the tone is stepped alone, without noise: verify's gain rows,
+        # judged alone, build no trajectory stream, and each judges the
+        # gain measure_gain returns
+        rows = [row for row in verification._runs(verification_parameters())
+                if row.family is verification._check_gain]
+        runs = verification._plan(rows, seed=42)
+        assert [run.chains for run in runs] == [(), (), ()]
         calls = count_streams(monkeypatch)
-        assert measure_gain(run.dp, 0.05, run.tone, run.cfg) == total / count / p_ref
-        assert calls == [(42, 0)]
+        results = verification._judge(runs)
+        assert calls == []
+        assert [result.name for result in results] == [
+            "gain_delta_0.2km", "gain_delta_0.5km", "gain_delta_1km"]
+        for run, result in zip(runs, results):
+            gain = measure_gain(run.dp, run.tone, run.cfg)
+            assert result.detail.startswith(f"empirical {gain:.4g} vs")
 
     def test_requires_positive_amplitude(self):
         dp = desk_dp(r_m=1.0)
         cfg = quick_config(dp, duration=1.0)
         with pytest.raises(ParameterError, match="amplitude"):
-            measure_gain(dp, 0.05, ToneSignal(amplitude=0.0, frequency=1.0), cfg)
+            measure_gain(dp, ToneSignal(amplitude=0.0, frequency=1.0), cfg)
 
     def test_requires_evading_point(self):
         dp = desk_dp(r_m=1.0, delta_a=5.0)
         cfg = quick_config(dp, duration=1.0)
         with pytest.raises(Exception, match="delta_a"):
-            measure_gain(dp, 0.05, ToneSignal(amplitude=1.0, frequency=1.0), cfg)
+            measure_gain(dp, ToneSignal(amplitude=1.0, frequency=1.0), cfg)
 
 
 class TestVerifyPlan:
@@ -530,34 +519,40 @@ class TestVerifyPlan:
 
     def test_every_run_steps_through_simulate_chunks(self, monkeypatch):
         # the refusals of verify are tested by patching simulate_chunks, so
-        # no run may step the oracle any other way: verify makes one pass
-        # over the chains of every run, in table order
-        passes = []
+        # nothing may step before the pass: verify makes one pass over the
+        # chains of the Lyapunov and PSD runs, in table order, and only then
+        # steps the gain runs' tones, which have no chain, by measure_gain
+        calls = []
 
         def no_stepping(chains):
-            passes.append(chains)
+            calls.append(chains)
             raise AssertionError("simulate_chunks called")
 
+        def no_gain(dp, tone, cfg):
+            calls.append(tone)
+            raise AssertionError("measure_gain called")
+
         monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        monkeypatch.setattr(simulation, "measure_gain", no_gain)
         runs = verification._plan(verification._runs(verification_parameters()), seed=42)
         assert len(runs) == 7
-        assert [len(run.chains) for run in runs] == [1, 1, 1, 2, 2, 2, 2]
+        assert [len(run.chains) for run in runs] == [1, 1, 1, 2, 0, 0, 0]
         with pytest.raises(AssertionError, match="simulate_chunks called"):
             verification.run_verification(seed=42)
-        assert passes == [[chain for run in runs for chain in run.chains]]
+        assert calls == [[chain for run in runs for chain in run.chains]]
 
     def test_desk_pass_steps_one_scan_per_step_matrix(self, monkeypatch):
-        # the two Lyapunov runs step all four components; psd_rm0, the
-        # psd_rm15 pair and the six gain chains X_M and P_a alone.  Each
-        # chain yields one array per chunk, what its fold reads: a Lyapunov
-        # chain its quadratures, a PSD or gain chain its output record
+        # the two Lyapunov runs step all four components; psd_rm0 and the
+        # psd_rm15 pair X_M and P_a alone.  Each chain yields one array per
+        # chunk, what its fold reads: a Lyapunov chain its quadratures, a
+        # PSD chain its output record
         runs = verification._plan(verification._runs(verification_parameters()), seed=42)
         chains = [c for run in runs for c in run.chains]
         scans = count_scans(monkeypatch)
         chunks = simulate_chunks(chains)
-        assert len(chains) == 11
+        assert len(chains) == 5
         assert scans == [((0, 1, 2, 3), 32), ((0, 1, 2, 3), 32), ((0, 3), 16),
-                         ((0, 3), 32), ((0, 3), 6)]
+                         ((0, 3), 32)]
         shapes = [None] * len(chains)
         for chunk in chunks:
             assert len(chunk) == len(chains)
@@ -567,17 +562,17 @@ class TestVerifyPlan:
                     shapes[i] = part.shape[:-1]
             if None not in shapes:
                 break
-        assert shapes == [(4, 32), (4, 32), (16,), (16,), (16,), (1,), (1,),
-                          (1,), (1,), (1,), (1,)]
+        assert shapes == [(4, 32), (4, 32), (16,), (16,), (16,)]
 
     def test_desk_pass_draws_each_stream_once(self):
-        # every run reads a prefix of the seed's 32 streams; a draw per run
-        # would build 99 streams and draw 29,027,104 trajectory-steps
+        # every run of the pass reads a prefix of the seed's 32 streams; a
+        # draw per run would build 96 streams and draw 28,788,224
+        # trajectory-steps
         runs = verification._plan(verification._runs(verification_parameters()), seed=42)
         extents = simulation._stream_extents([c for run in runs for c in run.chains])
         assert (len(extents), sum(extents)) == (32, 15_257_600)
-        apart = [simulation._stream_extents(list(run.chains)) for run in runs]
-        assert (sum(map(len, apart)), sum(map(sum, apart))) == (99, 29_027_104)
+        apart = [simulation._stream_extents(list(run.chains)) for run in runs if run.chains]
+        assert (sum(map(len, apart)), sum(map(sum, apart))) == (96, 28_788_224)
 
     def test_verify_builds_and_draws_each_stream_once(self, monkeypatch):
         # a coarse plan keeps the pass short
@@ -605,7 +600,7 @@ def loop_states(step, incr, x0):
     return states
 
 
-def loop_simulate(dp, temperature, cfg, reservoir=None, signal=None):
+def loop_simulate(dp, temperature, cfg, reservoir=None):
     """(quadratures, output_record) of ``simulate`` from a per-step loop over
     the same Philox draws and the same increments."""
     cavity, magnon = input_densities(dp, temperature, reservoir)
@@ -623,12 +618,6 @@ def loop_simulate(dp, temperature, cfg, reservoir=None, signal=None):
     incr[:, :, :2] = (z[:, :, :2] @ (chol * math.sqrt(dt)).T) * math.sqrt(dp.kappa_m)
     incr[:, :, 2] = z[:, :, 2] * (cav_scale * sq_ka)
     incr[:, :, 3] = dw_pa * sq_ka
-    if signal is not None:
-        # the envelope lambda' / sqrt(2) amplitude (sin, cos)(frequency t) on (X_M, P_M)
-        phase = signal.frequency * np.arange(z.shape[1]) * dt
-        amp = dp.lambda_prime * signal.amplitude / math.sqrt(2.0)
-        incr[:, :, 0] += amp * np.sin(phase) * dt
-        incr[:, :, 1] += amp * np.cos(phase) * dt
     state = np.zeros((cfg.n_trajectories, 4))
     quad = np.empty((cfg.n_trajectories, n_keep, 4))
     out = np.empty((cfg.n_trajectories, n_keep))
@@ -735,11 +724,27 @@ class TestSimulateAgainstLoop:
         self.check(dp, 0.05, quick_config(dp, duration=0.5, n_trajectories=3),
                    reservoir=SqueezedReservoir(r_n=1.2, phi_n=math.pi))
 
-    def test_envelope_tone(self):
+    def test_envelope_tone(self, monkeypatch):
+        # measure_gain steps the tone alone, from rest and without noise:
+        # the per-step loop of the chain over increments that hold only the
+        # X_M drive, lambda' / sqrt(2) amplitude sin(frequency t) dt, read
+        # over the kept steps of a run that spans several blocks and whose
+        # burn-in and record end inside lanes
+        monkeypatch.setattr(simulation, "_CHUNK", 11 * simulation._LANE)
         dp = desk_dp(r_m=1.0)
         tone = ToneSignal(amplitude=1e-3, frequency=0.5 * dp.kappa_m)
-        self.check(dp, 0.05, quick_config(dp, duration=0.5, n_trajectories=3),
-                   signal=tone)
+        cfg = mid_lane_config(dp)
+        n_burn, n_keep = simulation._steps(cfg)
+        t = np.arange(n_burn + n_keep) * cfg.dt
+        incr = np.zeros((4, 1, t.size))
+        incr[0, 0] = (dp.lambda_prime * tone.amplitude / math.sqrt(2.0)
+                      * np.sin(tone.frequency * t) * cfg.dt)
+        step = np.eye(4) + drift_matrix(dp) * cfg.dt
+        p_a = loop_states(step, incr, np.zeros((4, 1)))[3, 0, n_burn:]
+        p_ref = (dp.lambda_bare * tone.amplitude)**2 / (4.0 * dp.kappa_m)
+        assert (n_burn + n_keep) > 3 * simulation._CHUNK
+        assert measure_gain(dp, tone, cfg) == pytest.approx(
+            dp.kappa_a * np.mean(p_a**2) / p_ref, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("chunk", [None, 3 * 997])
     def test_burn_in_and_end_mid_lane(self, monkeypatch, chunk):
@@ -753,10 +758,9 @@ class TestSimulateAgainstLoop:
     def test_chunk_size_changes_no_bit(self, monkeypatch):
         dp = desk_dp(r_m=0.7)
         cfg = quick_config(dp, duration=0.5, n_trajectories=3, seed=5)
-        tone = ToneSignal(amplitude=1e-3, frequency=0.5 * dp.kappa_m)
-        a = simulate(dp, 0.05, cfg, signal=tone)
+        a = simulate(dp, 0.05, cfg)
         monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
-        b = simulate(dp, 0.05, cfg, signal=tone)
+        b = simulate(dp, 0.05, cfg)
         assert np.array_equal(a.quadratures, b.quadratures)
         assert np.array_equal(a.output_record, b.output_record)
 
@@ -854,30 +858,29 @@ class TestAccumulators:
                 assert other[2] == segments == 3 * 11
 
         # one pass over chains of other parameters, steps, burn-ins,
-        # trajectory counts, lengths, tones, reservoirs and temperatures
-        # gives each chain the bits of its own run, while the scan with the
-        # most trajectories still running sets the chunk width; the chains
-        # on one step matrix share a scan, where a short 3-trajectory chain
-        # ends inside a chunk beside a long 1-trajectory one and steps zeros
-        # past its end, and nothing may overflow or turn invalid
+        # trajectory counts, lengths, reservoirs and temperatures gives each
+        # chain the bits of its own run, while the scan with the most
+        # trajectories still running sets the chunk width; the chains on one
+        # step matrix that end on one lane share a scan, where a late
+        # 3-trajectory chain keeps no step of the chunks in which an early
+        # 1-trajectory one does, and nothing may overflow or turn invalid
         monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
         squeezed, detuned = desk_dp(r_m=1.5), coupled_detuned_dp()
-        tone = ToneSignal(amplitude=1e-3, frequency=0.5 * squeezed.kappa_m)
-        long = quick_config(dp, duration=0.6, n_trajectories=1)
-        short = replace(quick_config(dp, duration=0.07, n_trajectories=3),
-                        burn_in=long.burn_in * 1.3)
-        assert long.dt == short.dt == cfg.dt
+        early = quick_config(dp, duration=0.6, n_trajectories=1)
+        late = replace(early, burn_in=early.burn_in * 1.3, n_trajectories=3,
+                       duration=early.duration - 0.3 * early.burn_in)
+        assert early.dt == late.dt == cfg.dt
+        assert simulation._drawn(early) == simulation._drawn(late) != simulation._drawn(cfg)
         chains = [
             Chain(dp, 0.05, cfg, reservoir),
-            Chain(squeezed, 0.05, quick_config(squeezed, 0.05, 5), signal=tone,
-                  record_only=True),
+            Chain(squeezed, 0.05, quick_config(squeezed, 0.05, 5), record_only=True),
             Chain(detuned, 2.6, quick_config(detuned, 1.5, 2, accuracy=0.02)),
-            Chain(squeezed, 0.05, quick_config(squeezed, 0.2, 1), signal=tone),
-            Chain(dp, 0.05, short, reservoir, record_only=True),
-            Chain(dp, 0.05, long, signal=tone, record_only=True),
+            Chain(squeezed, 0.05, quick_config(squeezed, 0.2, 1)),
+            Chain(dp, 0.05, late, reservoir, record_only=True),
+            Chain(dp, 0.05, early, record_only=True),
             Chain(dp, 2.6, cfg, record_only=True),
-            Chain(dp, 0.05, long, signal=tone),
-            Chain(dp, 0.05, short, reservoir),
+            Chain(dp, 0.05, early),
+            Chain(dp, 0.05, late, reservoir),
         ]
         scans = count_scans(monkeypatch)
         pieces = [[] for _ in chains]
@@ -889,11 +892,10 @@ class TestAccumulators:
                     if part is not None:
                         piece.append(part.copy())
         assert skipped > 0
-        assert scans == [((0, 1, 2, 3), 7), ((0, 3), 5), ((0, 1, 2, 3), 2),
-                         ((0, 1, 2, 3), 1), ((0, 3), 7)]
+        assert scans == [((0, 1, 2, 3), 3), ((0, 3), 5), ((0, 1, 2, 3), 2),
+                         ((0, 1, 2, 3), 1), ((0, 3), 4), ((0, 3), 3), ((0, 1, 2, 3), 4)]
         for chain, piece in zip(chains, pieces):
-            trace = simulate(chain.dp, chain.temperature, chain.cfg,
-                             reservoir=chain.reservoir, signal=chain.signal)
+            trace = simulate(chain.dp, chain.temperature, chain.cfg, reservoir=chain.reservoir)
             part = np.concatenate(piece, axis=-1)
             if chain.record_only:
                 assert np.array_equal(part, trace.output_record)
@@ -944,8 +946,6 @@ class TestAccumulators:
             stream_psd(dp, 0.05, one_step, 64, [None])
         with pytest.raises(ParameterError, match="one sample"):
             CovarianceAccumulator(2).covariances()
-        with pytest.raises(ParameterError, match="one sample"):
-            GainAccumulator(dp, ToneSignal(amplitude=1.0, frequency=1.0)).gain()
 
 
 def test_streamed_psd_memory_does_not_grow_with_the_run():
