@@ -45,8 +45,8 @@ from .spectra import (
 #: the Langevin oracle's names, loaded on first use (PEP 562) so that the
 #: analytic commands never import the oracle's modules
 _LAZY = {
-    **dict.fromkeys(("SimulationConfig", "SimulationTrace", "ToneSignal",
-                     "lyapunov_covariance", "measure_gain", "simulate"), "simulation"),
+    **dict.fromkeys(("SimulationConfig", "SimulationTrace", "lyapunov_covariance",
+                     "measure_gain", "simulate"), "simulation"),
     **dict.fromkeys(("run_verification", "verification_parameters"), "verification"),
 }
 

@@ -100,14 +100,14 @@ have ended.  The consumers fold the chunks in:
   quadrature-major storage, for callers that read single samples: the
   quadratures of a full chain and the record of a record-only one.
 
-:func:`stream_psd` and :func:`stream_covariances` make a one-run pass
-straight into an accumulator, so no consumer's memory grows with the run
-length.  The covariances sum over a chunk and round as their chunks fall,
-so a chain folded in a wider pass can differ from its own run in the last
-bits.
+One loop, :func:`fold`, adds each chain's chunks of a pass to its own
+accumulator; :func:`stream_psd`, :func:`stream_covariances` and ``verify``
+fold through it, so no consumer's memory grows with the run length.  The
+covariances sum over a chunk and round as their chunks fall, so a chain
+folded in a wider pass can differ from its own run in the last bits.
 
-The chain is linear, so an injected tone's response does not depend on
-the noise: :func:`measure_gain` steps the tone alone, from rest and
+The chain is linear, so a tone's response depends on neither the noise nor
+its amplitude: :func:`measure_gain` steps a unit drive alone, from rest and
 without noise, through one record-only lane scan, and draws no stream.
 """
 
@@ -124,13 +124,13 @@ from .transfer import drift_matrix, require_evading_point, require_stable
 
 __all__ = [
     "SimulationConfig",
-    "ToneSignal",
     "SimulationTrace",
     "Chain",
     "simulate_chunks",
     "simulate",
     "WelchAccumulator",
     "CovarianceAccumulator",
+    "fold",
     "stream_psd",
     "stream_covariances",
     "measure_gain",
@@ -183,28 +183,6 @@ class SimulationConfig:
             raise ConfigurationError("n_trajectories must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-
-
-@dataclass(frozen=True)
-class ToneSignal:
-    """Monochromatic test field at ``frequency`` (rad/s) from the magnon pump.
-
-    Injected in the frame rotating with the pump: only the slowly rotating
-    envelope of the drive, amplitude * (sin, cos)(frequency * t) on
-    (X_M, P_M) scaled by lambda' / sqrt(2), enters the equations, which is
-    the regime the analysis frequencies live in.  :func:`measure_gain`
-    steps it alone, at the backaction-evading point, where the P_M drive
-    does not reach the output and only the X_M drive is stepped.
-    """
-
-    amplitude: float            # Tesla
-    frequency: float            # offset delta = omega_s - omega_b, rad/s
-
-    def __post_init__(self):
-        if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
-            raise ParameterError("tone amplitude must be finite and >= 0")
-        if not math.isfinite(self.frequency):
-            raise ParameterError("tone frequency must be finite")
 
 
 @dataclass(frozen=True)
@@ -268,15 +246,6 @@ def _validate_config(dp: DerivedParameters, cfg: SimulationConfig) -> None:
     require_stable(dp)
     if _steps(cfg)[1] < 1:
         raise ConfigurationError("duration shorter than one step")
-
-
-def _drive(signal: ToneSignal, dp: DerivedParameters, t: np.ndarray) -> np.ndarray:
-    """The deterministic drive of the X_M equation at the times ``t``,
-    written over ``t`` and returned."""
-    t *= signal.frequency
-    np.sin(t, out=t)
-    t *= dp.lambda_prime * signal.amplitude / math.sqrt(2.0)
-    return t
 
 
 def _diffusion(dp: DerivedParameters, temperature: float,
@@ -742,8 +711,8 @@ class WelchAccumulator:
 class CovarianceAccumulator:
     """Per-trajectory second moments of the quadratures about zero, fed in pieces.
 
-    Every oracle run has zero mean (linear drift, zero-mean inputs and tone,
-    a start at rest burnt in), so moments / count estimates the stationary
+    Every oracle run has zero mean (linear drift, zero-mean inputs, a
+    start at rest burnt in), so moments / count estimates the stationary
     covariance :func:`lyapunov_covariance` returns without bias; centring on
     a sample mean would read it low by the mean's variance, about
     4 / (kappa T) relative over a record of length T, and hide an offset.
@@ -765,6 +734,19 @@ class CovarianceAccumulator:
         return self._moments / self._count
 
 
+def fold(chains: list[Chain], accumulators: list) -> None:
+    """Step ``chains`` on one :func:`simulate_chunks` pass and add each
+    chain's chunks to its own accumulator of ``accumulators``, in chain
+    order, skipping the chunks in which the chain keeps no step.
+
+    Raises what :func:`simulate_chunks` raises, before any stepping.
+    """
+    for chunk in simulate_chunks(chains):
+        for accumulator, part in zip(accumulators, chunk):
+            if part is not None:
+                accumulator.add(part)
+
+
 def stream_psd(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
                segment_length: int, reservoirs: list) -> list[tuple]:
     """(omega, psd, segments) of the output record of one chain per entry of
@@ -779,11 +761,8 @@ def stream_psd(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
     first = WelchAccumulator(cfg.n_trajectories, segment_length)
     welches = [first] + [WelchAccumulator(cfg.n_trajectories, segment_length, shares=first)
                          for _ in reservoirs[1:]]
-    chains = [Chain(dp, temperature, cfg, reservoir, record_only=True)
-              for reservoir in reservoirs]
-    for chunk in simulate_chunks(chains):
-        for welch, record in zip(welches, chunk):
-            welch.add(record)
+    fold([Chain(dp, temperature, cfg, reservoir, record_only=True) for reservoir in reservoirs],
+         welches)
     return [(*welch.spectrum(cfg.dt), welch.segments) for welch in welches]
 
 
@@ -795,27 +774,29 @@ def stream_covariances(
     """Per-trajectory covariances of a run about its zero mean, shape
     (n_trajectories, 4, 4), with nothing stored."""
     acc = CovarianceAccumulator(cfg.n_trajectories)
-    for [states] in simulate_chunks([Chain(dp, temperature, cfg)]):
-        acc.add(states)
+    fold([Chain(dp, temperature, cfg)], [acc])
     return acc.covariances()
 
 
-def measure_gain(dp: DerivedParameters, tone: ToneSignal, cfg: SimulationConfig) -> float:
-    """Response at the tone frequency of the chain :func:`simulate_chunks`
+def measure_gain(dp: DerivedParameters, frequency: float, cfg: SimulationConfig) -> float:
+    """Response at ``frequency`` (rad/s) of the chain :func:`simulate_chunks`
     steps with ``cfg``'s step, burn-in and length.
 
-    The chain is linear, so the tone's response does not depend on the
-    noise: the tone is stepped alone, from rest and without noise, by one
-    record-only :class:`_LaneScan` over blocks of ``_CHUNK`` steps whose
-    only nonzero increment is the X_M drive.  The mean square of the kept
-    record sqrt(kappa_a) P_a over the tone's field-referred input power,
-    lambda^2 B0^2 / (4 kappa_m) with lambda the bare coupling, estimates
-    the analytic response at the tone offset, biased only by the step.
-    Requires the backaction-evading point, where the P_M drive does not
-    reach the output.
+    A field tone B0 at the offset ``frequency`` = omega_s - omega_b from the
+    magnon pump drives, in the frame rotating with the pump, only through
+    its slowly rotating envelope lambda' B0 / sqrt(2) (sin, cos)(frequency t)
+    on (X_M, P_M).  At the backaction-evading point, which this requires,
+    the P_M drive does not reach the output.  The chain is linear, so a unit
+    X_M drive, sin(frequency t) dt, is stepped alone, from rest and without
+    noise, by one record-only :class:`_LaneScan` over blocks of ``_CHUNK``
+    steps: the field amplitude B0 = sqrt(2) / lambda', whose field-referred
+    input power lambda^2 B0^2 / (4 kappa_m), lambda = lambda' e^{-r_m}, is
+    1 / (2 kappa_m xi).  The mean square of the kept record sqrt(kappa_a) P_a
+    over that power, 2 kappa_a kappa_m xi mean(P_a^2), estimates the
+    analytic response at ``frequency``, biased only by the step.
     """
-    if tone.amplitude <= 0:
-        raise ParameterError("measure_gain requires a tone with positive amplitude")
+    if not math.isfinite(frequency):
+        raise ParameterError("tone frequency must be finite")
     require_evading_point(dp)
     _validate_config(dp, cfg)
     n_burn, n_keep = _steps(cfg)
@@ -826,13 +807,13 @@ def measure_gain(dp: DerivedParameters, tone: ToneSignal, cfg: SimulationConfig)
     for pos in range(0, end, _CHUNK):
         n = min(_CHUNK, end - pos)
         t = np.multiply(np.arange(pos, pos + n, dtype=float), cfg.dt, out=drive[0, :n])
-        _drive(tone, dp, t)
+        t *= frequency
+        np.sin(t, out=t)
         t *= cfg.dt
         [[record]] = scan([[drive[:, :n], None, None, still[:, :n]]], states[None, :, :n], work)
         record = record[max(n_burn - pos, 0):n_burn + n_keep - pos]
         total += float(np.dot(record, record))
-    p_ref = (dp.lambda_bare * tone.amplitude)**2 / (4.0 * dp.kappa_m)
-    return dp.kappa_a * total / n_keep / p_ref
+    return 2.0 * dp.kappa_a * dp.kappa_m * dp.xi * total / n_keep
 
 
 def lyapunov_covariance(dp: DerivedParameters, temperature: float,

@@ -9,11 +9,11 @@ The stochastic runs are one table, :func:`_runs`.  A row is one run: its
 check family, its parameters and the (name, variant) of each check it
 feeds, the variant being the reservoir of a PSD check, the tone offset of
 a gain check and None for a Lyapunov check.  The family sizes the run,
-gives its chains, folds their chunks and judges each of its checks.  All
-runs are sized first, so a refusal costs no stepping.  Then the Lyapunov
-and PSD runs are stepped on one pass of :func:`simulation.simulate_chunks`
-over the seed's streams: each (seed, trajectory index) stream is drawn
-once, and every run reads a prefix of the same streams, step for step.
+gives its chains, an accumulator per chain and the judge of its checks.
+All runs are sized first, so a refusal costs no stepping.  Then the
+Lyapunov and PSD runs are folded on one :func:`simulation.fold` pass over
+the seed's streams: each (seed, trajectory index) stream is drawn once,
+and every run reads a prefix of the same streams, step for step.
 The checks of one seed are therefore not independent draws; a rate of
 "any check failed" cannot be formed by multiplying per-check rates.
 ``_check_lyapunov`` compares the stepped chain's second moments about its
@@ -22,9 +22,9 @@ standard errors.  ``_check_psd`` compares Welch spectra of the output with
 the analytic output spectrum over omega in [0.1, 5] kappa_m; the
 ``psd_rm15`` run feeds two checks, without and with the squeezed
 reservoir.  ``_check_gain`` has no chain: after the pass it calls
-:func:`simulation.measure_gain`, which steps the tone alone over 32 of its
-periods, without noise, so the gain's deviation from the analytic response
-is the step's own bias, whatever the seed.
+:func:`simulation.measure_gain`, which steps a unit drive alone over 32
+of its periods, without noise, so the gain's deviation from the analytic
+response is the step's own bias, whatever the seed.
 
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
@@ -44,8 +44,7 @@ import numpy as np
 from .model import ConfigurationError, DerivedParameters, SystemParameters, derived_parameters
 from . import simulation
 from .simulation import (WELCH_OVERLAP, Chain, CovarianceAccumulator, SimulationConfig,
-                         ToneSignal, WelchAccumulator, fastest_rate, lyapunov_covariance,
-                         noverlap)
+                         WelchAccumulator, fastest_rate, lyapunov_covariance, noverlap)
 from .spectra import SqueezedReservoir, output_spectrum
 from .transfer import closed_form_grid, require_evading_point, require_stable, response_grid
 
@@ -136,25 +135,19 @@ class _Row(NamedTuple):
     checks: tuple
 
 
-class _Fold(NamedTuple):
-    #: folds in one chunk, one array per chain (None for a run with no chain)
-    add: Callable[[list], None] | None
-    #: one result per check of the run
-    judge: Callable[[], list[CheckResult]]
-
-
 @dataclass(frozen=True)
 class _Run:
-    """One sized run of the plan: the chains it steps, and ``fold()``, which
-    makes a fresh :class:`_Fold` of their chunks."""
+    """One sized run of the plan: its chains, ``accumulators()``, which makes
+    a fresh accumulator per chain, and ``judge``, which reads them folded."""
 
     names: tuple[str, ...]
     dp: DerivedParameters
     cfg: SimulationConfig
     chains: tuple[Chain, ...]
-    fold: Callable[[], _Fold]
+    accumulators: Callable[[], list]
+    judge: Callable[..., list[CheckResult]]
     segment: int | None = None    # Welch segment length in samples (PSD runs)
-    tone: ToneSignal | None = None  # the injected tone (gain runs)
+    frequency: float | None = None  # the tone offset in rad/s (gain runs)
 
 
 def _runs(params: SystemParameters) -> list[_Row]:
@@ -253,24 +246,21 @@ def _check_lyapunov(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _
                       _LYAPUNOV_TRAJECTORIES)
     temperature = row.params.temperature
 
-    def fold() -> _Fold:
-        acc = CovarianceAccumulator(cfg.n_trajectories)
-
-        def judge() -> list[CheckResult]:
-            covs = acc.covariances()
-            se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
-            target = lyapunov_covariance(dp, temperature, cfg.dt)
-            iu = np.triu_indices(4)
-            sigmas = np.abs(covs.mean(axis=0) - target)[iu] / np.maximum(se[iu], 1e-300)
-            return [CheckResult(
-                name=name,
-                value=float(np.max(sigmas)),
-                tolerance=_LYAPUNOV_TOLERANCE,
-                detail="max |sample - Lyapunov| in standard errors over the 10 "
-                       f"covariance entries, {covs.shape[0]} trajectories",
-            )]
-        return _Fold(lambda parts: acc.add(parts[0]), judge)
-    return _Run((name,), dp, cfg, (Chain(dp, temperature, cfg),), fold)
+    def judge(acc: CovarianceAccumulator) -> list[CheckResult]:
+        covs = acc.covariances()
+        se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
+        target = lyapunov_covariance(dp, temperature, cfg.dt)
+        iu = np.triu_indices(4)
+        sigmas = np.abs(covs.mean(axis=0) - target)[iu] / np.maximum(se[iu], 1e-300)
+        return [CheckResult(
+            name=name,
+            value=float(np.max(sigmas)),
+            tolerance=_LYAPUNOV_TOLERANCE,
+            detail="max |sample - Lyapunov| in standard errors over the 10 "
+                   f"covariance entries, {covs.shape[0]} trajectories",
+        )]
+    return _Run((name,), dp, cfg, (Chain(dp, temperature, cfg),),
+                lambda: [CovarianceAccumulator(cfg.n_trajectories)], judge)
 
 
 def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
@@ -320,21 +310,16 @@ def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     chains = tuple(Chain(dp, temperature, cfg, reservoir, record_only=True)
                    for reservoir in reservoirs)
 
-    def fold() -> _Fold:
+    def accumulators() -> list[WelchAccumulator]:
         # folded in turn, so they share one transform scratch
         first = WelchAccumulator(cfg.n_trajectories, nper)
-        welches = [first] + [WelchAccumulator(cfg.n_trajectories, nper, shares=first)
-                             for _ in reservoirs[1:]]
+        return [first] + [WelchAccumulator(cfg.n_trajectories, nper, shares=first)
+                          for _ in reservoirs[1:]]
 
-        def add(parts: list) -> None:
-            for welch, record in zip(welches, parts):
-                welch.add(record)
-
-        def judge() -> list[CheckResult]:
-            return [_judge_psd(name, dp, temperature, reservoir, welch, cfg.dt)
-                    for name, reservoir, welch in zip(names, reservoirs, welches)]
-        return _Fold(add, judge)
-    return _Run(names, dp, cfg, chains, fold, segment=nper)
+    def judge(*welches: WelchAccumulator) -> list[CheckResult]:
+        return [_judge_psd(name, dp, temperature, reservoir, welch, cfg.dt)
+                for name, reservoir, welch in zip(names, reservoirs, welches)]
+    return _Run(names, dp, cfg, chains, accumulators, judge, segment=nper)
 
 
 def _judge_psd(name: str, dp: DerivedParameters, temperature: float,
@@ -370,45 +355,30 @@ def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
         raise ConfigurationError("the gain checks need a magnon-cavity coupling "
                                  "(mod_amplitude > 0 and g_0 > 0)")
     cfg = _run_config(dp, seed, dt, _GAIN_PERIODS * _TWO_PI / (delta * dt), 1)
-    # the response is linear in the tone, so any amplitude gives the same gain
-    tone = ToneSignal(amplitude=dp.kappa_m / dp.lambda_bare, frequency=delta)
 
-    def fold() -> _Fold:
-        def judge() -> list[CheckResult]:
-            gain = simulation.measure_gain(dp, tone, cfg)
-            return [CheckResult(
-                name=name,
-                value=abs(gain / gain_analytic - 1.0),
-                tolerance=_GAIN_TOLERANCE,
-                detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
-                       f"at delta = {frac:g} kappa_m, r_m = 1",
-            )]
-        return _Fold(None, judge)
-    return _Run((name,), dp, cfg, (), fold, tone=tone)
-
-
-def _fold_pass(runs: list[_Run], folds: list[_Fold]) -> None:
-    """Step every chain of ``runs`` on one pass and fold each run's chunks
-    into its fold.  The pass's buffers go when this returns."""
-    stepped = [(run, fold) for run, fold in zip(runs, folds) if run.chains]
-    chains = [chain for run, _ in stepped for chain in run.chains]
-    for chunk in simulation.simulate_chunks(chains) if chains else ():
-        parts = iter(chunk)
-        for run, fold in stepped:
-            mine = [next(parts) for _ in run.chains]
-            # a run's chains share their sizes, so they keep the same steps
-            if mine[0] is not None:
-                fold.add(mine)
+    def judge() -> list[CheckResult]:
+        gain = simulation.measure_gain(dp, delta, cfg)
+        return [CheckResult(
+            name=name,
+            value=abs(gain / gain_analytic - 1.0),
+            tolerance=_GAIN_TOLERANCE,
+            detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
+                   f"at delta = {frac:g} kappa_m, r_m = 1",
+        )]
+    return _Run((name,), dp, cfg, (), list, judge, frequency=delta)
 
 
 def _judge(runs: list[_Run]) -> list[CheckResult]:
-    """The results of ``runs``, stepped on one pass, in table order."""
-    folds = [run.fold() for run in runs]
-    _fold_pass(runs, folds)
+    """The results of ``runs``, stepped on one pass, in table order.  The
+    pass's buffers go when it ends."""
+    accumulators = [run.accumulators() for run in runs]
+    chains = [chain for run in runs for chain in run.chains]
+    if chains:
+        simulation.fold(chains, [acc for accs in accumulators for acc in accs])
     results = []
-    while folds:
+    for run in runs:
         # each run's accumulators go once it is judged
-        results += folds.pop(0).judge()
+        results += run.judge(*accumulators.pop(0))
     return results
 
 

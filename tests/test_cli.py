@@ -17,7 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import magnon_sense.cli as cli
-from magnon_sense import simulation
+from magnon_sense import (ConfigurationError, ParameterError, PoleError, PreconditionError,
+                          SingularResponseError, derived_parameters, noise_budget_grid,
+                          parse_parameters, simulation)
 from magnon_sense.verification import CheckResult, VerificationReport
 
 
@@ -642,6 +644,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and "magnon-cavity coupling" in err
         assert err.count("\n") == 1
 
+    def test_verify_runs_the_gain_checks_for_a_negative_coupling(self, tmp_path, monkeypatch):
+        # the gain does not depend on the sign of lambda, and budget runs the
+        # same file: a negative lambda_hz_per_tesla is planned and reaches the pass
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("simulate_chunks called")
+
+        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        config = tmp_path / "negative.cfg"
+        config.write_text("".join(f"{key} = {value!r}\n" for key, value in
+                                  {**DESK, "lambda_hz_per_tesla": -10.0}.items()))
+        assert run_cli(["budget", "--config", str(config),
+                        "--out", str(tmp_path / "budget.csv")]) == (0, "")
+        with pytest.raises(AssertionError, match="simulate_chunks called"):
+            run_cli(["verify", "--config", str(config)])
+
     @pytest.mark.parametrize("changes", [
         {"kappa_m_hz": 8.666e-321},
         {"kappa_m_hz": 3.370382272419516e-309},
@@ -818,6 +835,43 @@ def test_generated_parameter_files_end_in_a_documented_exit(changes):
                     assert not (out / "run_manifest.json").exists()
                 else:
                     assert not out.exists()
+
+
+#: the errors the commands refuse an input with, by exit 2
+REFUSALS = (ParameterError, PreconditionError, ConfigurationError, PoleError,
+            SingularResponseError)
+
+#: the keys that hold a rate, a detuning or the field coupling
+RATE_KEYS = ("g_0_hz", "kappa_a_hz", "kappa_m_hz", "delta_a_hz", "delta_0p_hz",
+             "lambda_hz_per_tesla")
+
+
+def budget_in_kappa_m(values):
+    """The dimensionless budget columns of a parameter file's values, on 41
+    frequencies from 0 to 5 kappa_m."""
+    params = parse_parameters("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    budget = noise_budget_grid(derived_parameters(params), params.temperature,
+                               np.linspace(0.0, 5.0, 41) * params.kappa_m)
+    return {name: getattr(budget, name)
+            for name in ("response", "additional_noise", "thermal_noise", "s_out")}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([REFERENCE, DESK]), st.floats(-150.0, 100.0))
+def test_scaling_every_rate_leaves_the_budget_unchanged(base, exponent):
+    # scaling every rate, every detuning and lambda by c = 10^exponent
+    # rescales time alone: on a grid in units of kappa_m the dimensionless
+    # budget is unchanged, or the scaled file is refused with a documented
+    # error
+    scale = 10.0 ** exponent
+    reference = budget_in_kappa_m(base)
+    try:
+        scaled = budget_in_kappa_m({key: value * scale if key in RATE_KEYS else value
+                                    for key, value in base.items()})
+    except REFUSALS:
+        return
+    for name, column in reference.items():
+        np.testing.assert_allclose(scaled[name], column, rtol=1e-12, atol=0, err_msg=name)
 
 
 class _Stepped(Exception):

@@ -134,8 +134,8 @@ def test_known_stale_spans_are_still_stale():
 
 #: the oracle's names the package exports but loads on first use
 LAZY_EXPORTS = {
-    "simulation": ("SimulationConfig", "SimulationTrace", "ToneSignal",
-                   "lyapunov_covariance", "measure_gain", "simulate"),
+    "simulation": ("SimulationConfig", "SimulationTrace", "lyapunov_covariance",
+                   "measure_gain", "simulate"),
     "verification": ("run_verification", "verification_parameters"),
 }
 

@@ -12,7 +12,6 @@ from magnon_sense import (
     SimulationConfig,
     SqueezedReservoir,
     SystemParameters,
-    ToneSignal,
     derived_parameters,
     lyapunov_covariance,
     measure_gain,
@@ -26,6 +25,7 @@ from magnon_sense.simulation import (
     CovarianceAccumulator,
     WelchAccumulator,
     fastest_rate,
+    fold,
     noverlap,
     simulate_chunks,
     stream_covariances,
@@ -150,11 +150,6 @@ class TestConfigGuards:
                 SimulationConfig(dt=1e-4, duration=duration, burn_in=burn_in)
         with pytest.raises(ConfigurationError, match="seed"):
             SimulationConfig(dt=1e-4, duration=1.0, burn_in=0.0, seed=-1)
-
-    def test_tone_amplitude_must_be_finite(self):
-        for amplitude in (math.nan, math.inf, -1.0):
-            with pytest.raises(ParameterError, match="amplitude"):
-                ToneSignal(amplitude=amplitude, frequency=1.0)
 
 
 class TestTraceStructure:
@@ -343,45 +338,42 @@ class TestGainMeasurement:
         k1 = response_grid(dp, [delta])[0]
         return dp.xi * float(np.abs(k1[0]) ** 2)
 
-    def gain_run(self, r_m, frac, seed, amplitude_boost=1.0):
+    def gain_run(self, r_m, frac, seed):
         """(dp, gain) of the run verify's gain checks make at delta = frac
         kappa_m on the desk set at r_m, sized by verify's own plan."""
         row = verification._Row(verification._check_gain,
                                 verification_parameters().with_squeeze_amplitude(r_m),
                                 (("gain", frac),))
         [run] = verification._plan([row], seed)
-        tone = replace(run.tone, amplitude=amplitude_boost * run.tone.amplitude)
-        return run.dp, measure_gain(run.dp, tone, run.cfg)
+        return run.dp, measure_gain(run.dp, run.frequency, run.cfg)
 
-    def stepped_chain_gain(self, dp, tone, dt):
-        """The Euler-Maruyama chain's exact steady-state tone response over
-        the field-referred input: x = (e^{i delta dt} - S)^{-1} v dt, and the
-        record's mean square kappa_a |x_P_a|^2 / 2."""
+    def stepped_chain_gain(self, dp, frequency, dt):
+        """The Euler-Maruyama chain's exact steady-state response to the unit
+        X_M drive sin(frequency t) dt over its field-referred input power
+        1 / (2 kappa_m xi): x = (e^{i frequency dt} - S)^{-1} v dt, v the
+        unit X_M drive, and the record's mean square kappa_a |x_P_a|^2 / 2."""
         step = np.eye(4) + drift_matrix(dp) * dt
-        v = dp.lambda_prime * tone.amplitude / math.sqrt(2.0) * np.array([1, 1j, 0, 0])
-        x = np.linalg.solve(np.exp(1j * tone.frequency * dt) * np.eye(4) - step, v * dt)
-        p_ref = dp.lambda_bare**2 * tone.amplitude**2 / (4.0 * dp.kappa_m)
-        return dp.kappa_a * abs(x[3])**2 / 2.0 / p_ref
+        v = np.array([1, 0, 0, 0])
+        x = np.linalg.solve(np.exp(1j * frequency * dt) * np.eye(4) - step, v * dt)
+        return dp.kappa_a * abs(x[3])**2 / 2.0 * (2.0 * dp.kappa_m * dp.xi)
 
     def test_is_the_stepped_chain_response(self):
         params = verification_parameters()
         planned = [run for run in verification._plan(verification._runs(params), seed=42)
-                   if run.tone is not None]
+                   if run.frequency is not None]
         assert [run.names for run in planned] == [
             ("gain_delta_0.2km",), ("gain_delta_0.5km",), ("gain_delta_1km",)]
         for run in planned:
-            gain = measure_gain(run.dp, run.tone, run.cfg)
-            exact = self.stepped_chain_gain(run.dp, run.tone, run.cfg.dt)
+            gain = measure_gain(run.dp, run.frequency, run.cfg)
+            exact = self.stepped_chain_gain(run.dp, run.frequency, run.cfg.dt)
             assert gain == pytest.approx(exact, rel=1e-3)
             # the step's own bias, which the seed-free estimate leaves visible
-            gain_analytic = self.analytic_gain(run.dp, run.tone.frequency)
+            gain_analytic = self.analytic_gain(run.dp, run.frequency)
             assert exact != pytest.approx(gain_analytic, rel=5e-4)
 
-    def test_does_not_depend_on_seed_or_amplitude(self):
+    def test_does_not_depend_on_seed(self):
         _, gain = self.gain_run(1.0, 0.5, seed=42)
         assert self.gain_run(1.0, 0.5, seed=1)[1] == pytest.approx(gain, rel=1e-9)
-        assert self.gain_run(1.0, 0.5, seed=42, amplitude_boost=10.0)[1] == \
-            pytest.approx(gain, rel=1e-9)
 
     def test_matches_analytic_response(self):
         dp, gain = self.gain_run(1.0, 0.5, seed=17)
@@ -411,20 +403,21 @@ class TestGainMeasurement:
         assert [result.name for result in results] == [
             "gain_delta_0.2km", "gain_delta_0.5km", "gain_delta_1km"]
         for run, result in zip(runs, results):
-            gain = measure_gain(run.dp, run.tone, run.cfg)
+            gain = measure_gain(run.dp, run.frequency, run.cfg)
             assert result.detail.startswith(f"empirical {gain:.4g} vs")
 
-    def test_requires_positive_amplitude(self):
+    def test_requires_finite_frequency(self):
         dp = desk_dp(r_m=1.0)
         cfg = quick_config(dp, duration=1.0)
-        with pytest.raises(ParameterError, match="amplitude"):
-            measure_gain(dp, ToneSignal(amplitude=0.0, frequency=1.0), cfg)
+        for frequency in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="frequency"):
+                measure_gain(dp, frequency, cfg)
 
     def test_requires_evading_point(self):
         dp = desk_dp(r_m=1.0, delta_a=5.0)
         cfg = quick_config(dp, duration=1.0)
         with pytest.raises(Exception, match="delta_a"):
-            measure_gain(dp, ToneSignal(amplitude=1.0, frequency=1.0), cfg)
+            measure_gain(dp, 1.0, cfg)
 
 
 class TestVerifyPlan:
@@ -528,8 +521,8 @@ class TestVerifyPlan:
             calls.append(chains)
             raise AssertionError("simulate_chunks called")
 
-        def no_gain(dp, tone, cfg):
-            calls.append(tone)
+        def no_gain(dp, frequency, cfg):
+            calls.append(frequency)
             raise AssertionError("measure_gain called")
 
         monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
@@ -725,26 +718,24 @@ class TestSimulateAgainstLoop:
                    reservoir=SqueezedReservoir(r_n=1.2, phi_n=math.pi))
 
     def test_envelope_tone(self, monkeypatch):
-        # measure_gain steps the tone alone, from rest and without noise:
+        # measure_gain steps a unit drive alone, from rest and without noise:
         # the per-step loop of the chain over increments that hold only the
-        # X_M drive, lambda' / sqrt(2) amplitude sin(frequency t) dt, read
-        # over the kept steps of a run that spans several blocks and whose
-        # burn-in and record end inside lanes
+        # X_M drive sin(frequency t) dt, read over the kept steps of a run
+        # that spans several blocks and whose burn-in and record end inside
+        # lanes, over the drive's field-referred power 1 / (2 kappa_m xi)
         monkeypatch.setattr(simulation, "_CHUNK", 11 * simulation._LANE)
         dp = desk_dp(r_m=1.0)
-        tone = ToneSignal(amplitude=1e-3, frequency=0.5 * dp.kappa_m)
+        frequency = 0.5 * dp.kappa_m
         cfg = mid_lane_config(dp)
         n_burn, n_keep = simulation._steps(cfg)
         t = np.arange(n_burn + n_keep) * cfg.dt
         incr = np.zeros((4, 1, t.size))
-        incr[0, 0] = (dp.lambda_prime * tone.amplitude / math.sqrt(2.0)
-                      * np.sin(tone.frequency * t) * cfg.dt)
+        incr[0, 0] = np.sin(frequency * t) * cfg.dt
         step = np.eye(4) + drift_matrix(dp) * cfg.dt
         p_a = loop_states(step, incr, np.zeros((4, 1)))[3, 0, n_burn:]
-        p_ref = (dp.lambda_bare * tone.amplitude)**2 / (4.0 * dp.kappa_m)
         assert (n_burn + n_keep) > 3 * simulation._CHUNK
-        assert measure_gain(dp, tone, cfg) == pytest.approx(
-            dp.kappa_a * np.mean(p_a**2) / p_ref, rel=1e-12, abs=0)
+        assert measure_gain(dp, frequency, cfg) == pytest.approx(
+            2.0 * dp.kappa_a * dp.kappa_m * dp.xi * np.mean(p_a**2), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("chunk", [None, 3 * 997])
     def test_burn_in_and_end_mid_lane(self, monkeypatch, chunk):
@@ -910,7 +901,38 @@ class TestAccumulators:
         with pytest.raises(ConfigurationError, match="at least one chain"):
             simulate_chunks([])
         with pytest.raises(ConfigurationError, match="at least one chain"):
+            fold([], [])
+        with pytest.raises(ConfigurationError, match="at least one chain"):
             stream_psd(dp, 0.05, cfg, 64, [])
+
+    def test_fold_adds_each_chain_s_chunks_in_chain_order(self, monkeypatch):
+        # each kept part goes to its own chain's accumulator, chunk by chunk
+        # and chain by chain; a late chain keeps no step of the first chunks,
+        # and those burn-in parts (None) reach no accumulator
+        monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
+        dp = desk_dp(r_m=1.2)
+        early = quick_config(dp, duration=0.6, n_trajectories=1)
+        late = replace(early, burn_in=early.burn_in * 1.3, n_trajectories=3)
+        chains = [Chain(dp, 0.05, late, record_only=True), Chain(dp, 0.05, early),
+                  Chain(dp, 0.05, early, record_only=True)]
+        expected, skipped = [], 0
+        for chunk in simulate_chunks(chains):
+            skipped += sum(part is None for part in chunk)
+            expected += [(i, part.copy()) for i, part in enumerate(chunk)
+                         if part is not None]
+        added = []
+
+        class Logged:
+            def __init__(self, index):
+                self.index = index
+
+            def add(self, part):
+                added.append((self.index, part.copy()))
+        fold(chains, [Logged(i) for i in range(len(chains))])
+        assert skipped > 0
+        assert [i for i, _ in added] == [i for i, _ in expected]
+        for (_, part), (_, want) in zip(added, expected):
+            assert np.array_equal(part, want)
 
     def test_pieces_fold_like_one_array(self):
         rng = np.random.default_rng(7)
