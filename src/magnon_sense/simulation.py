@@ -44,56 +44,53 @@ their applications", 1990):
   components not stepped ending their lanes at zero: S^L maps none of
   them into the stepped ones, exactly, so the stepped states keep every
   bit of a scan of all four.
-* Chunks are ``_CHUNK`` = 2^15 trajectory-steps of the scan with the most
-  trajectories still running, rounded down to whole lanes (256 kB per
+* Chunks are ``_CHUNK`` = 2^15 trajectory-steps of the chain with the most
+  rows still running, rounded down to whole lanes (256 kB per
   component array); the last is rounded up, the steps past the run drawn
   and dropped.  Inside the lanes the arithmetic is elementwise, skipping
   the zeros of S and its powers, and the carry is one 4x4 by 4x1 product
-  per trajectory and lane: no operation mixes lanes or trajectories, so
-  neither the chunk size nor the trajectory count changes a bit of the
-  states.
+  per row and lane: no operation mixes lanes or rows, so neither the chunk
+  size nor the row count changes a bit of the states.
 
 A pass is one draw of the seed's streams, stepped by
 :func:`simulate_chunks`, the oracle's stepping entry for noise.  Its
 chains (:class:`Chain`) each carry their own parameters, temperature,
-settings and reservoir, and share one seed.  A chain steps on the leading
+settings and reservoirs, and share one seed.  A chain steps on the leading
 ``n_trajectories`` streams, so step k of trajectory i reads the same four
 normals in every chain, whatever its dt or burn-in: each stream is built
 once and drawn once, up to the furthest step any chain reads from it.
-The chains that share a step matrix S (parameters and dt), the
-record-only flag and their last drawn step are the trajectories of one
-scan, each with its own Cholesky factor, burn-in and trajectory count, so
-a scan's trajectories all run to its end.  ``verify``'s 5 chains are 4
-scans.  Each chunk yields one array per chain, or None where it keeps no
-step: a full chain's quadratures (4, n_trajectories, n), which the
-covariances read, or a record-only chain's output record
-(n_trajectories, n), which Welch reads.  Each is bit for bit that of the
-chain stepped alone, and the chains of a pass are not independent: they
-see the same noise.
+A chain is one scan, whose rows are one block of ``n_trajectories`` per
+reservoir, reservoir-major, each block reading the same streams through
+its own Cholesky factor; ``verify``'s 4 chains are 4 scans.  Each chunk
+yields one array per chain, or None where it keeps no step: a full
+chain's quadratures (4, rows, n), which the covariances read, or a
+record-only chain's output record (rows, n), which Welch reads.  Each
+block is bit for bit that of the chain stepped alone with its reservoir,
+and the chains of a pass are not independent: they see the same noise.
 
-A pass allocates its arrays once, before the first chunk: each scan's
+A pass allocates its arrays once, before the first chunk: each chain's
 states buffer, the normals of one chunk, and its one scratch
 (:func:`_scan_work`), sized from the schedule for the largest scan call
-and for the most components a scan of the pass steps.  That scratch
-holds the lane scan's regions, the increments of the scan being
-stepped, which the scans take in turn, and one temporary for the
+and for the most components a chain of the pass steps.  That scratch
+holds the lane scan's regions, the increments of the chain being
+stepped, which the chains take in turn, and one temporary for the
 increments' products.  The increments are written there, and
 a record-only chain's record over its P_a states and spent P_a
 increments, in the order of the expressions they replace, so no bit
 depends on the buffers, and a chunk allocates no array larger than the
-lane carry's (trajectories, 4, 1) states (numpy's iterator buffers and
+lane carry's (rows, 4, 1) states (numpy's iterator buffers and
 FFT plans aside).  Temporaries of a chain's chunk (256 kB at ``_CHUNK``)
 would otherwise cost page faults on every chunk wherever the C allocator
 maps blocks that large on their own, as glibc does until it frees a
-larger mapped block.  A scan's states buffer goes as soon as its chains
-have ended.  The consumers fold the chunks in:
+larger mapped block.  A chain's states buffer goes as soon as it has
+ended.  The consumers fold the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
   sharing ``WELCH_OVERLAP`` of its length, :func:`noverlap` samples, with
-  the next; it holds one segment per trajectory, and windows and
-  transforms them a few at a time in a transform scratch, which the
-  accumulators folded beside it in a pass can share.
+  the next; it holds one segment per row and one power sum per
+  reservoir block, and windows and transforms a few rows of one block at
+  a time in its transform scratch.
 * :class:`CovarianceAccumulator`: per-trajectory second moments about
   zero, the runs' exact mean, so nothing is detrended or centred.
 * :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
@@ -146,7 +143,7 @@ _DT_GUARD = 0.1
 #: trajectory-steps per chunk of the scan: 256 kB per component array
 _CHUNK = 1 << 15
 
-#: trajectories a Welch segment is windowed and transformed in at a time
+#: rows of one block whose Welch segments are windowed and transformed at a time
 _WELCH_ROWS = 4
 
 #: steps per lane of the scan: verify's runs took 1-5 % less time than with 64 or 128
@@ -208,16 +205,17 @@ class Chain:
     """One chain of a pass of :func:`simulate_chunks`.
 
     It steps ``dp`` at ``temperature`` with ``cfg``'s step, burn-in, length
-    and trajectory count, with the squeezed ``reservoir`` (None: the thermal
-    magnon input).  A ``record_only`` chain yields its output record and
-    steps only the components P_a reads; any other chain yields its
-    quadratures.
+    and trajectory count once per entry of ``reservoirs``, a squeezed
+    reservoir or None (the thermal magnon input): a block of
+    ``n_trajectories`` rows on the same streams, reservoir-major.  A
+    ``record_only`` chain yields its output record and steps only the
+    components P_a reads; any other chain yields its quadratures.
     """
 
     dp: DerivedParameters
     temperature: float
     cfg: SimulationConfig
-    reservoir: SqueezedReservoir | None = None
+    reservoirs: tuple[SqueezedReservoir | None, ...] = (None,)
     record_only: bool = False
 
 
@@ -264,11 +262,11 @@ def _scan_work(trajectory_steps: int,
     ``trajectory_steps`` (whole lanes) and step up to ``components``
     components, allocated once: three views of it.
 
-    They hold :class:`_LaneScan`'s regions; the increments of the scan being
-    stepped, ``components`` components of ``trajectory_steps`` at most,
-    which are dead once its chains are kept, so the scans of a pass take
-    turns in them; and one temporary of ``trajectory_steps``, which holds
-    the increments' products.
+    They hold :class:`_LaneScan`'s regions; the increments of the chain
+    being stepped, ``components`` components of ``trajectory_steps`` at
+    most, which are dead once its part is kept, so the chains of a pass
+    take turns in them; and one temporary of ``trajectory_steps``, which
+    holds the increments' products.
     """
     scan = ((_LANE + 1) * components + _LANE + 3) * (trajectory_steps // _LANE)
     increments = scan + components * trajectory_steps
@@ -325,14 +323,14 @@ class _LaneScan:
         self._lane = powers[-1]
         self._x = np.ascontiguousarray(x0.T)[:, :, None]     # (ntraj, 4, 1)
 
-    def __call__(self, blocks, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    def __call__(self, incr: list, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """States x_m before each increment, written to ``out`` (4, ntraj, n),
         or (1, ntraj, n) holding P_a alone for a record-only scan, and
         returned; ``work`` is the scan's region of a :func:`_scan_work` of at
         least ntraj * n trajectory-steps and ``len(components)`` components.
 
-        ``blocks`` holds the increments of consecutive trajectories, each
-        block indexed by component, (rows, n) arrays of whole lanes.
+        ``incr`` holds the increments indexed by component, (ntraj, n)
+        arrays of whole lanes for the stepped ones.
         """
         _, ntraj, n = out.shape
         lanes = n // _LANE
@@ -344,12 +342,8 @@ class _LaneScan:
             work, (_LANE, len(comps), cells), (len(comps), cells), (4, lanes, ntraj),
             (_LANE - 1, cells))
         by_lane = rest.reshape(_LANE, len(comps), lanes, ntraj)
-        row = 0
-        for incr in blocks:
-            rows = incr[3].shape[0]
-            for j, k in enumerate(comps):
-                by_lane[:, j, :, row:row + rows] = incr[k].reshape(rows, lanes, _LANE).T
-            row += rows
+        for j, k in enumerate(comps):
+            by_lane[:, j] = incr[k].reshape(ntraj, lanes, _LANE).T
         part = term[0]
         for prev, cur in zip(rest, rest[1:]):
             np.multiply(self._diagonal, prev, out=term)
@@ -390,35 +384,48 @@ def _drawn(cfg: SimulationConfig) -> int:
 
 
 class _Stepper:
-    """A chain of a pass, checked and ready to step."""
+    """A chain of a pass, checked and ready to step: one :class:`_LaneScan`
+    over its reservoirs' blocks of rows, and the states buffer it writes."""
 
     def __init__(self, chain: Chain):
         dp, cfg = chain.dp, chain.cfg
         _validate_config(dp, cfg)
         self.n_burn, n_keep = _steps(cfg)
-        try:
-            chol = np.linalg.cholesky(
-                _diffusion(dp, chain.temperature, chain.reservoir) * cfg.dt)
-        except np.linalg.LinAlgError as exc:
-            raise ParameterError(
-                "magnon variance matrix is not positive semidefinite") from exc
-        #: (c, chol[k, c]) of the nonzero entries of each row k
-        self.terms = [[(c, coef) for c, coef in enumerate(row) if coef != 0.0]
-                      for row in chol]
+        #: per reservoir block, (c, chol[k, c]) of the nonzero entries of each row k
+        self.terms = []
+        for reservoir in chain.reservoirs:
+            try:
+                chol = np.linalg.cholesky(
+                    _diffusion(dp, chain.temperature, reservoir) * cfg.dt)
+            except np.linalg.LinAlgError as exc:
+                raise ParameterError(
+                    "magnon variance matrix is not positive semidefinite") from exc
+            self.terms.append([[(c, coef) for c, coef in enumerate(row) if coef != 0.0]
+                               for row in chol])
         self.chain = chain
         self.ntraj = cfg.n_trajectories
+        self.rows = len(self.terms) * self.ntraj
         self.n_total = self.n_burn + n_keep
         self.end = _drawn(cfg)
-        self.step_matrix = np.eye(4) + drift_matrix(dp) * cfg.dt
         self.sq_ka = math.sqrt(dp.kappa_a)
+        self.scan = _LaneScan(np.eye(4) + drift_matrix(dp) * cfg.dt,
+                              np.zeros((4, self.rows)), chain.record_only)
 
-    def increments(self, z: np.ndarray, pos: int, n: int, components,
-                   out: np.ndarray, temp: np.ndarray) -> list:
-        """The increments of ``components``, P_a always among them, indexed
-        by component (None for the others), over this chain's next steps
-        from ``pos`` on the normals ``z`` (trajectory, step, 4), at most
-        ``n`` of them: (ntraj, m) views of ``out``, in the order of
-        ``components``.  ``temp`` holds their products.
+    def allocate(self, schedule: list[tuple[int, int]]) -> int:
+        """The states buffer for the chunks of ``schedule``; returns the
+        scan's largest call in trajectory-steps."""
+        cells = self.rows * max(min(n, self.end - pos) for pos, n in schedule)
+        self.states = np.empty(len(self.scan.written) * cells)
+        return cells
+
+    def increments(self, z: np.ndarray, pos: int, n: int, out: np.ndarray,
+                   temp: np.ndarray) -> list:
+        """The increments of the scan's components, P_a always among them,
+        indexed by component (None for the others), over this chain's next
+        steps from ``pos`` on the normals ``z`` (trajectory, step, 4), at
+        most ``n`` of them: (rows, m) views of ``out``, in the order of the
+        components, each block's rows through its own Cholesky factor.
+        ``temp`` holds their products.
 
         Each is sum_c chol[k, c] * normal_c over the nonzero chol[k, c], the
         products added in order of c, so that the zero coefficients of the
@@ -426,24 +433,31 @@ class _Stepper:
         multiplies by 1.0, which is exact.
         """
         n = min(n, self.end - pos)
+        comps = self.scan.components
         normals = z[:self.ntraj, :n].transpose(2, 0, 1)
-        blocks = out[:len(components) * self.ntraj * n].reshape(-1, self.ntraj, n)
+        blocks = out[:len(comps) * self.rows * n].reshape(len(comps), -1, self.ntraj, n)
         product = temp[:self.ntraj * n].reshape(self.ntraj, n)
         incr = [None] * 4
-        for k, total in zip(components, blocks):
-            (c, coef), *others = self.terms[k]
-            np.multiply(normals[c], coef, out=total)
-            for c, coef in others:
-                total += np.multiply(normals[c], coef, out=product)
-            incr[k] = total
+        for k, totals in zip(comps, blocks):
+            for terms, total in zip(self.terms, totals):
+                (c, coef), *others = terms[k]
+                np.multiply(normals[c], coef, out=total)
+                for c, coef in others:
+                    total += np.multiply(normals[c], coef, out=product)
+            incr[k] = totals.reshape(self.rows, -1)
         return incr
 
-    def keep(self, states: np.ndarray, incr: list, pos: int):
-        """The kept steps among the scanned ``states`` (components, ntraj, m)
-        of the increments ``incr`` from ``pos``, or None: a full chain's
-        quadratures, or a record-only chain's output record, written over
-        its P_a row of ``states`` and the spent P_a increments."""
-        lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, incr[3].shape[1])
+    def step(self, z: np.ndarray, pos: int, n: int, work: tuple):
+        """Step the chunk of ``n`` steps from ``pos`` on the normals ``z``;
+        ``work`` is the pass's :func:`_scan_work`.  Returns its kept steps,
+        or None: a full chain's quadratures (4, rows, m), or a record-only
+        chain's output record (rows, m), written over its P_a row of the
+        states and the spent P_a increments."""
+        scan_work, increments, temp = work
+        incr = self.increments(z, pos, n, increments, temp)
+        shape = (len(self.scan.written), self.rows, incr[3].shape[1])
+        states = self.scan(incr, self.states[:math.prod(shape)].reshape(shape), scan_work)
+        lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, shape[2])
         if lo >= hi:
             return None
         kept = states[:, :, lo:hi]
@@ -456,51 +470,14 @@ class _Stepper:
         return record
 
 
-class _Group:
-    """The chains of a pass that share a step matrix, the record-only flag
-    and their last drawn step, stepped as the trajectories of one
-    :class:`_LaneScan`."""
-
-    def __init__(self, steppers: list[_Stepper]):
-        self.steppers, first = steppers, steppers[0]
-        self.end, self.ntraj = first.end, sum(s.ntraj for s in steppers)
-        self.scan = _LaneScan(first.step_matrix, np.zeros((4, self.ntraj)),
-                              first.chain.record_only)
-
-    def allocate(self, schedule: list[tuple[int, int]]) -> int:
-        """The states buffer for the chunks of ``schedule``; returns the
-        scan's largest call in trajectory-steps."""
-        cells = self.ntraj * max(min(n, self.end - pos) for pos, n in schedule)
-        self.states = np.empty(len(self.scan.written) * cells)
-        return cells
-
-    def step(self, z: np.ndarray, pos: int, n: int, work: tuple) -> dict:
-        """Each chain's kept part or None, by chain, over the chunk of ``n``
-        steps from ``pos`` on the normals ``z``; ``work`` is the pass's
-        :func:`_scan_work`."""
-        scan_work, increments, temp = work
-        comps = self.scan.components
-        incrs, used = [], 0
-        for s in self.steppers:
-            incrs.append(s.increments(z, pos, n, comps, increments[used:], temp))
-            used += len(comps) * incrs[-1][3].size
-        shape = (len(self.scan.written), self.ntraj, incrs[0][3].shape[1])
-        states = self.scan(incrs, self.states[:math.prod(shape)].reshape(shape), scan_work)
-        parts, row = {}, 0
-        for s, incr in zip(self.steppers, incrs):
-            parts[s] = s.keep(states[:, row:row + s.ntraj], incr, pos)
-            row += s.ntraj
-        return parts
-
-
-def _schedule(groups: list[_Group]) -> list[tuple[int, int]]:
+def _schedule(steppers: list[_Stepper]) -> list[tuple[int, int]]:
     """(first step, steps) of each chunk of a pass: ``_CHUNK``
-    trajectory-steps of the scan with the most trajectories still running,
-    in whole lanes."""
+    trajectory-steps of the chain with the most rows still running, in
+    whole lanes."""
     chunks, pos = [], 0
-    end = max(g.end for g in groups)
+    end = max(s.end for s in steppers)
     while pos < end:
-        widest = max(g.ntraj for g in groups if g.end > pos)
+        widest = max(s.rows for s in steppers if s.end > pos)
         n = min(max(1, _CHUNK // (widest * _LANE)) * _LANE, end - pos)
         chunks.append((pos, n))
         pos += n
@@ -514,15 +491,6 @@ def _stream_extents(chains: list[Chain]) -> list[int]:
             for i in range(max(c.cfg.n_trajectories for c in chains))]
 
 
-def _groups(steppers: list[_Stepper]) -> list[_Group]:
-    """The steppers grouped by (step matrix, record-only, end), in first-seen order."""
-    groups: dict = {}
-    for s in steppers:
-        groups.setdefault((s.step_matrix.tobytes(), s.chain.record_only, s.end),
-                          []).append(s)
-    return [_Group(members) for members in groups.values()]
-
-
 def simulate_chunks(chains: list[Chain]):
     """Integrate the quadrature Langevin equations of every chain of
     ``chains`` on one pass over their seed's streams, a chunk at a time.
@@ -530,54 +498,54 @@ def simulate_chunks(chains: list[Chain]):
     Returns an iterator of lists in time order, one per chunk in which some
     chain keeps a step, holding one array per chain, or None where that
     chain keeps no step: a full chain's quadratures before each step,
-    (4, n_trajectories, n), or a record-only chain's output record,
-    (n_trajectories, n).  Each is a view of a buffer that the next chunk
-    overwrites, so a consumer copies what it keeps.  The
-    increments are the rows of chol(D dt) times standard normals, D the
-    diffusion matrix of the inputs; each stream's normals are drawn once
-    for all chains, so the chains see the same noise, and the chains that
-    share a step matrix and an end are stepped by one scan (see the module
-    docstring).
+    (4, rows, n), or a record-only chain's output record, (rows, n), the
+    rows being one block of n_trajectories per reservoir.  Each is a view
+    of a buffer that the next chunk overwrites, so a consumer copies what
+    it keeps.  The increments are the rows of chol(D dt) times standard
+    normals, D the diffusion matrix of the inputs with the block's
+    reservoir; each stream's normals are drawn once for all chains and
+    blocks, so they see the same noise, and each chain is stepped by one
+    scan (see the module docstring).
 
     Raises :class:`ConfigurationError` when called, before any stepping, if
-    ``chains`` is empty or its chains do not share one seed, or if a
-    chain's configuration guard fails or its drift is unstable.
+    ``chains`` or a chain's reservoirs are empty or its chains do not share
+    one seed, or if a chain's configuration guard fails or its drift is
+    unstable.
     """
-    if not chains:
-        raise ConfigurationError("a pass needs at least one chain")
+    if not chains or not all(chain.reservoirs for chain in chains):
+        raise ConfigurationError(
+            "a pass needs at least one chain, and a chain at least one reservoir")
     if len({chain.cfg.seed for chain in chains}) != 1:
         raise ConfigurationError("the chains of one pass must share one seed")
     steppers = [_Stepper(chain) for chain in chains]
-    groups = _groups(steppers)
-    schedule = _schedule(groups)
-    work = _scan_work(max(g.allocate(schedule) for g in groups),
-                      max(len(g.scan.components) for g in groups))
+    schedule = _schedule(steppers)
+    work = _scan_work(max(s.allocate(schedule) for s in steppers),
+                      max(len(s.scan.components) for s in steppers))
     extents = _stream_extents(chains)
     seed = chains[0].cfg.seed
     rngs = [_trajectory_rng(seed, i) for i in range(len(extents))]
     z_size = max(n * sum(extent > pos for extent in extents) for pos, n in schedule) * 4
     z_all = np.empty(z_size)
 
-    def chunks(scans):
+    def chunks(running):
         for pos, n in schedule:
             drawn = [(rng, min(n, extent - pos))
                      for rng, extent in zip(rngs, extents) if extent > pos]
             z = z_all[:len(drawn) * n * 4].reshape(len(drawn), n, 4)
             for (rng, m), zi in zip(drawn, z):
                 rng.standard_normal(out=zi[:m])
-            parts = {}
-            for g in scans:
-                parts.update(g.step(z, pos, n, work))
-            # a scan whose chains have all ended lets its buffers go; under
-            # glibc, freeing them (1 MB each for verify's Lyapunov scans) also
-            # lifts its mmap threshold above the blocks np.fft.rfft allocates
-            # and frees per call, which ends those calls' page faults
-            scans = [g for g in scans if g.end > pos + n]
-            out = [parts.get(s) for s in steppers]
+            out = [None] * len(chains)
+            for i, s in running:
+                out[i] = s.step(z, pos, n, work)
+            # an ended chain lets its scan and states buffer go; under glibc,
+            # freeing the buffer (1 MB for each of verify's Lyapunov chains)
+            # also lifts its mmap threshold above the blocks np.fft.rfft
+            # allocates and frees per call, which ends those calls' page faults
+            running = [(i, s) for i, s in running if s.end > pos + n]
             if any(part is not None for part in out):
                 yield out
 
-    return chunks(groups)
+    return chunks(list(enumerate(steppers)))
 
 
 def simulate(
@@ -592,8 +560,8 @@ def simulate(
     full chain and a record-only one, for callers that read single samples;
     it raises what that raises.
     """
-    chunks = simulate_chunks([Chain(dp, temperature, cfg, reservoir),
-                              Chain(dp, temperature, cfg, reservoir, record_only=True)])
+    chunks = simulate_chunks([Chain(dp, temperature, cfg, (reservoir,)),
+                              Chain(dp, temperature, cfg, (reservoir,), record_only=True)])
     n_burn, n_keep = _steps(cfg)
     quad = np.empty((4, cfg.n_trajectories, n_keep))
     out = np.empty((cfg.n_trajectories, n_keep))
@@ -615,80 +583,74 @@ def noverlap(segment_length: int) -> int:
 
 
 class WelchAccumulator:
-    """Welch's averaged periodogram of output records fed in time order.
+    """Welch's averaged periodogram of output records fed in time order, one
+    per block of ``n_trajectories`` rows.
 
-    Holds the last ``segment_length`` samples of every trajectory.  Each
-    time a segment completes, it is Hann-windowed, not detrended (the
-    record's mean is zero), and real FFTs batched over ``_WELCH_ROWS``
-    trajectories at a time are added to a running sum of periodograms; the
+    A record holds ``blocks`` such blocks, reservoir-major, as a record-only
+    chain with that many reservoirs yields them (:class:`Chain`), and each
+    block has its own running sum of periodograms.  Holds the last
+    ``segment_length`` samples of every row.  Each time a segment
+    completes, it is Hann-windowed, not detrended (the record's mean is
+    zero), and real FFTs batched over ``_WELCH_ROWS`` rows of one block at
+    a time, restarting at each block, are added to that block's sum; the
     next segment starts ``segment_length - noverlap(segment_length)``
     samples later.  Memory is the ring and one transform scratch, whatever
     the record length: each batch is windowed and transformed in the
     scratch, so no segment allocates, and the result does not depend on
     how the record is split between :meth:`add` calls.
-
-    ``shares``, an accumulator of the same shape, lends its transform
-    scratch instead: accumulators that are folded in turn, from one thread,
-    then hold one scratch between them, and it goes when the last of them
-    does.
     """
 
-    def __init__(self, n_trajectories: int, segment_length: int,
-                 shares: WelchAccumulator | None = None):
+    def __init__(self, n_trajectories: int, segment_length: int, blocks: int = 1):
         segment_length = int(segment_length)
         if segment_length < 2:
             raise ParameterError(
                 f"segment_length must be at least 2, got {segment_length}")
-        if shares is not None and shares._ring.shape != (n_trajectories, segment_length):
-            raise ParameterError("a shared Welch scratch needs accumulators of one shape")
-        self._ring = np.empty((n_trajectories, segment_length))
+        self._ring = np.empty((blocks, n_trajectories, segment_length))
         self._filled = 0
         self._hop = segment_length - noverlap(segment_length)
         # the periodic Hann window, 0.5 - 0.5 cos(2 pi n / L)
         self._window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_length + 1)))[:-1]
-        self._power = np.zeros(segment_length // 2 + 1)
-        #: periodograms averaged so far, over all trajectories
+        self._power = np.zeros((blocks, segment_length // 2 + 1))
+        #: periodograms averaged so far into each block's spectrum
         self.segments = 0
-        self._scratch = (np.empty(sum(map(math.prod, self._batch(_WELCH_ROWS))))
-                         if shares is None else shares._scratch)
-
-    def _batch(self, rows: int):
-        """Shapes of a batch of up to ``rows`` trajectories in the scratch:
-        its transforms as pairs of floats, its windowed segments and one
-        power sum."""
-        rows = min(rows, self._ring.shape[0])
-        length, bins = self._ring.shape[1], self._power.size
-        return (rows, 2 * bins), (rows, length), (bins,)
+        # the transform scratch of a batch: its transforms as pairs of
+        # floats, its windowed segments and one power sum
+        rows, bins = min(_WELCH_ROWS, n_trajectories), self._power.shape[1]
+        shapes = (rows, 2 * bins), (rows, segment_length), (bins,)
+        self._scratch = tuple(_views(np.empty(sum(map(math.prod, shapes))), *shapes))
 
     def add(self, record: np.ndarray) -> None:
-        """Fold in the next samples of every trajectory, shape (n_trajectories, n)."""
-        length = self._ring.shape[1]
+        """Fold in the next samples of every row, shape (blocks * n_trajectories, n)."""
+        length = self._ring.shape[2]
+        ring = self._ring.reshape(-1, length)
         pos = 0
         while pos < record.shape[1]:
             take = min(length - self._filled, record.shape[1] - pos)
-            self._ring[:, self._filled:self._filled + take] = record[:, pos:pos + take]
+            ring[:, self._filled:self._filled + take] = record[:, pos:pos + take]
             self._filled += take
             pos += take
             if self._filled == length:
-                # a few trajectories at a time, so the transform stays small
-                for rows in range(0, self._ring.shape[0], _WELCH_ROWS):
-                    batch = self._ring[rows:rows + _WELCH_ROWS]
-                    pairs, windowed, power = _views(self._scratch,
-                                                    *self._batch(batch.shape[0]))
-                    spec = np.fft.rfft(np.multiply(batch, self._window, out=windowed),
-                                       out=pairs.view(complex))
-                    # |rfft|^2 summed over trajectories, with no 2-D temporary
-                    self._power += np.einsum("ij,ij->j", spec.real, spec.real, out=power)
-                    self._power += np.einsum("ij,ij->j", spec.imag, spec.imag, out=power)
-                self.segments += self._ring.shape[0]
+                # a few rows of one block at a time, so the transform stays small
+                pairs, windowed, power = self._scratch
+                for block, total in zip(self._ring, self._power):
+                    for rows in range(0, block.shape[0], _WELCH_ROWS):
+                        batch = block[rows:rows + _WELCH_ROWS]
+                        spec = np.fft.rfft(
+                            np.multiply(batch, self._window, out=windowed[:len(batch)]),
+                            out=pairs[:len(batch)].view(complex))
+                        # |rfft|^2 summed over rows, with no 2-D temporary
+                        total += np.einsum("ij,ij->j", spec.real, spec.real, out=power)
+                        total += np.einsum("ij,ij->j", spec.imag, spec.imag, out=power)
+                self.segments += self._ring.shape[1]
                 self._filled = length - self._hop
                 # row by row: numpy copies an overlapping 1-D slice forward
                 # in place, but a 2-D one through a temporary of its size
-                for row in self._ring:
+                for row in ring:
                     row[:self._filled] = row[self._hop:]
 
     def spectrum(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(omega, psd) of the segments so far, for samples ``dt`` apart.
+        """(omega, psd) of the segments so far, for samples ``dt`` apart,
+        psd one row per block.
 
         omega is in rad/s on [0, Nyquist].  The normalization matches the
         analytic spectra: a white record representing variance density V
@@ -697,14 +659,14 @@ class WelchAccumulator:
         """
         if self.segments == 0:
             raise ParameterError("record shorter than one Welch segment")
-        length = self._ring.shape[1]
+        length = self._ring.shape[2]
         scale = 1.0 / ((1.0 / dt) * (self._window * self._window).sum())
         psd = self._power * (scale / self.segments)
         # the one-sided density doubles every bin but DC and an even length's
         # Nyquist bin; halving it leaves those two halved and the rest as is
-        psd[0] /= 2.0
+        psd[:, 0] /= 2.0
         if length % 2 == 0:
-            psd[-1] /= 2.0
+            psd[:, -1] /= 2.0
         return 2.0 * math.pi * np.fft.rfftfreq(length, dt), psd
 
 
@@ -749,21 +711,19 @@ def fold(chains: list[Chain], accumulators: list) -> None:
 
 def stream_psd(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
                segment_length: int, reservoirs: list) -> list[tuple]:
-    """(omega, psd, segments) of the output record of one chain per entry of
+    """(omega, psd, segments) of the output record per entry of
     ``reservoirs``, all on one draw of the streams, with nothing stored.
 
-    Each chain's chunks go straight into its own :class:`WelchAccumulator`,
-    and ``segments`` is the number of periodograms averaged over all
-    trajectories.  Welch reads the output record alone, so the chains are
-    record-only.
+    One chain steps a block of rows per reservoir, and its chunks go
+    straight into one :class:`WelchAccumulator` of as many blocks;
+    ``segments`` is the number of periodograms averaged over all
+    trajectories of a block.  Welch reads the output record alone, so the
+    chain is record-only.
     """
-    # folded in turn, so they share one transform scratch
-    first = WelchAccumulator(cfg.n_trajectories, segment_length)
-    welches = [first] + [WelchAccumulator(cfg.n_trajectories, segment_length, shares=first)
-                         for _ in reservoirs[1:]]
-    fold([Chain(dp, temperature, cfg, reservoir, record_only=True) for reservoir in reservoirs],
-         welches)
-    return [(*welch.spectrum(cfg.dt), welch.segments) for welch in welches]
+    welch = WelchAccumulator(cfg.n_trajectories, segment_length, len(reservoirs))
+    fold([Chain(dp, temperature, cfg, tuple(reservoirs), record_only=True)], [welch])
+    omega, psd = welch.spectrum(cfg.dt)
+    return [(omega, row, welch.segments) for row in psd]
 
 
 def stream_covariances(
@@ -810,7 +770,7 @@ def measure_gain(dp: DerivedParameters, frequency: float, cfg: SimulationConfig)
         t *= frequency
         np.sin(t, out=t)
         t *= cfg.dt
-        [[record]] = scan([[drive[:, :n], None, None, still[:, :n]]], states[None, :, :n], work)
+        [[record]] = scan([drive[:, :n], None, None, still[:, :n]], states[None, :, :n], work)
         record = record[max(n_burn - pos, 0):n_burn + n_keep - pos]
         total += float(np.dot(record, record))
     return 2.0 * dp.kappa_a * dp.kappa_m * dp.xi * total / n_keep

@@ -9,11 +9,12 @@ The stochastic runs are one table, :func:`_runs`.  A row is one run: its
 check family, its parameters and the (name, variant) of each check it
 feeds, the variant being the reservoir of a PSD check, the tone offset of
 a gain check and None for a Lyapunov check.  The family sizes the run,
-gives its chains, an accumulator per chain and the judge of its checks.
-All runs are sized first, so a refusal costs no stepping.  Then the
-Lyapunov and PSD runs are folded on one :func:`simulation.fold` pass over
-the seed's streams: each (seed, trajectory index) stream is drawn once,
-and every run reads a prefix of the same streams, step for step.
+gives its chain (none for a gain run), an accumulator for it and the
+judge of its checks.  All runs are sized first, so a refusal costs no
+stepping.  Then the chains of the Lyapunov and PSD runs are folded on one
+:func:`simulation.fold` pass over the seed's streams: each (seed,
+trajectory index) stream is drawn once, and every run reads a prefix of
+the same streams, step for step.
 The checks of one seed are therefore not independent draws; a rate of
 "any check failed" cannot be formed by multiplying per-check rates.
 ``_check_lyapunov`` compares the stepped chain's second moments about its
@@ -21,10 +22,11 @@ exact zero mean with its discrete Lyapunov covariance, within three
 standard errors.  ``_check_psd`` compares Welch spectra of the output with
 the analytic output spectrum over omega in [0.1, 5] kappa_m; the
 ``psd_rm15`` run feeds two checks, without and with the squeezed
-reservoir.  ``_check_gain`` has no chain: after the pass it calls
-:func:`simulation.measure_gain`, which steps a unit drive alone over 32
-of its periods, without noise, so the gain's deviation from the analytic
-response is the step's own bias, whatever the seed.
+reservoir, from one chain of two reservoir blocks and one Welch
+accumulator of two spectra.  ``_check_gain`` has no chain: after the pass
+it calls :func:`simulation.measure_gain`, which steps a unit drive alone
+over 32 of its periods, without noise, so the gain's deviation from the
+analytic response is the step's own bias, whatever the seed.
 
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
@@ -137,15 +139,16 @@ class _Row(NamedTuple):
 
 @dataclass(frozen=True)
 class _Run:
-    """One sized run of the plan: its chains, ``accumulators()``, which makes
-    a fresh accumulator per chain, and ``judge``, which reads them folded."""
+    """One sized run of the plan: its chain or None, ``accumulator()``, which
+    makes a fresh accumulator for the chain, and ``judge``, which reads it
+    folded (a run with no chain is judged on nothing)."""
 
     names: tuple[str, ...]
     dp: DerivedParameters
     cfg: SimulationConfig
-    chains: tuple[Chain, ...]
-    accumulators: Callable[[], list]
     judge: Callable[..., list[CheckResult]]
+    chain: Chain | None = None
+    accumulator: Callable[[], object] | None = None
     segment: int | None = None    # Welch segment length in samples (PSD runs)
     frequency: float | None = None  # the tone offset in rad/s (gain runs)
 
@@ -259,8 +262,8 @@ def _check_lyapunov(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _
             detail="max |sample - Lyapunov| in standard errors over the 10 "
                    f"covariance entries, {covs.shape[0]} trajectories",
         )]
-    return _Run((name,), dp, cfg, (Chain(dp, temperature, cfg),),
-                lambda: [CovarianceAccumulator(cfg.n_trajectories)], judge)
+    return _Run((name,), dp, cfg, judge, Chain(dp, temperature, cfg),
+                lambda: CovarianceAccumulator(cfg.n_trajectories))
 
 
 def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
@@ -305,27 +308,22 @@ def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
     steps = nper + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * hop
     cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES)
     temperature = row.params.temperature
-    names, reservoirs = zip(*row.checks)
     # the checks differ only in their reservoirs; Welch reads the record alone
-    chains = tuple(Chain(dp, temperature, cfg, reservoir, record_only=True)
-                   for reservoir in reservoirs)
+    names, reservoirs = zip(*row.checks)
 
-    def accumulators() -> list[WelchAccumulator]:
-        # folded in turn, so they share one transform scratch
-        first = WelchAccumulator(cfg.n_trajectories, nper)
-        return [first] + [WelchAccumulator(cfg.n_trajectories, nper, shares=first)
-                          for _ in reservoirs[1:]]
-
-    def judge(*welches: WelchAccumulator) -> list[CheckResult]:
-        return [_judge_psd(name, dp, temperature, reservoir, welch, cfg.dt)
-                for name, reservoir, welch in zip(names, reservoirs, welches)]
-    return _Run(names, dp, cfg, chains, accumulators, judge, segment=nper)
+    def judge(welch: WelchAccumulator) -> list[CheckResult]:
+        omega, psds = welch.spectrum(cfg.dt)
+        return [_judge_psd(name, dp, temperature, reservoir, omega, psd, welch.segments)
+                for name, reservoir, psd in zip(names, reservoirs, psds)]
+    return _Run(names, dp, cfg, judge,
+                Chain(dp, temperature, cfg, reservoirs, record_only=True),
+                lambda: WelchAccumulator(cfg.n_trajectories, nper, len(reservoirs)),
+                segment=nper)
 
 
 def _judge_psd(name: str, dp: DerivedParameters, temperature: float,
-               reservoir: SqueezedReservoir | None, welch: WelchAccumulator,
-               dt: float) -> CheckResult:
-    omega, psd = welch.spectrum(dt)
+               reservoir: SqueezedReservoir | None, omega: np.ndarray,
+               psd: np.ndarray, segments: int) -> CheckResult:
     bands = _psd_bands(omega, dp.kappa_m)
     # the bands read about a hundred low bins; each is solved alone, so the
     # grid's top changes no bit of them
@@ -340,7 +338,7 @@ def _judge_psd(name: str, dp: DerivedParameters, temperature: float,
         name=name,
         value=worst,
         tolerance=_PSD_TOLERANCE,
-        detail=f"max band-averaged relative deviation, {welch.segments} Welch "
+        detail=f"max band-averaged relative deviation, {segments} Welch "
                "segments, omega/kappa_m in [0.1, 5]",
     )
 
@@ -365,20 +363,20 @@ def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
             detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
                    f"at delta = {frac:g} kappa_m, r_m = 1",
         )]
-    return _Run((name,), dp, cfg, (), list, judge, frequency=delta)
+    return _Run((name,), dp, cfg, judge, frequency=delta)
 
 
 def _judge(runs: list[_Run]) -> list[CheckResult]:
-    """The results of ``runs``, stepped on one pass, in table order.  The
-    pass's buffers go when it ends."""
-    accumulators = [run.accumulators() for run in runs]
-    chains = [chain for run in runs for chain in run.chains]
-    if chains:
-        simulation.fold(chains, [acc for accs in accumulators for acc in accs])
+    """The results of ``runs``, their chains stepped on one pass, in table
+    order.  The pass's buffers go when it ends."""
+    folded = [run for run in runs if run.chain]
+    accumulators = [run.accumulator() for run in folded]
+    if folded:
+        simulation.fold([run.chain for run in folded], accumulators)
     results = []
     for run in runs:
-        # each run's accumulators go once it is judged
-        results += run.judge(*accumulators.pop(0))
+        # each run's accumulator goes once it is judged
+        results += run.judge(accumulators.pop(0)) if run.chain else run.judge()
     return results
 
 

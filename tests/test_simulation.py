@@ -110,7 +110,8 @@ def welch_psd(record, segment_length, dt):
     record = np.atleast_2d(record)
     welch = WelchAccumulator(record.shape[0], segment_length)
     welch.add(record)
-    return (*welch.spectrum(dt), welch.segments)
+    omega, [psd] = welch.spectrum(dt)
+    return omega, psd, welch.segments
 
 
 class TestConfigGuards:
@@ -266,7 +267,7 @@ class TestSteadyStateVariances:
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=8)
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        for [states] in simulate_chunks([Chain(dp, 0.05, cfg, reservoir)]):
+        for [states] in simulate_chunks([Chain(dp, 0.05, cfg, (reservoir,))]):
             acc.add(states)
         sample = acc.covariances()[:, 0, 0]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
@@ -396,7 +397,7 @@ class TestGainMeasurement:
         rows = [row for row in verification._runs(verification_parameters())
                 if row.family is verification._check_gain]
         runs = verification._plan(rows, seed=42)
-        assert [run.chains for run in runs] == [(), (), ()]
+        assert [run.chain for run in runs] == [None, None, None]
         calls = count_streams(monkeypatch)
         results = verification._judge(runs)
         assert calls == []
@@ -463,10 +464,10 @@ class TestVerifyPlan:
         # last bin gives every compared value the bits of the full grid's
         [run] = [run for run in verification._plan(
             verification._runs(verification_parameters()), seed=42) if name in run.names]
-        chain = run.chains[run.names.index(name)]
+        reservoir = run.chain.reservoirs[run.names.index(name)]
         welch = WelchAccumulator(2, run.segment)
         welch.add(np.random.default_rng(5).standard_normal((2, run.segment)))
-        omega = welch.spectrum(run.cfg.dt)[0]
+        omega, [psd] = welch.spectrum(run.cfg.dt)
         solve = verification.output_spectrum
         grids = []
 
@@ -478,8 +479,8 @@ class TestVerifyPlan:
             return solve(dp, temperature, omega, reservoir=reservoir)[:len(grid)]
 
         def judge():
-            return verification._judge_psd(name, run.dp, chain.temperature, chain.reservoir,
-                                           welch, run.cfg.dt)
+            return verification._judge_psd(name, run.dp, run.chain.temperature, reservoir,
+                                           omega, psd, welch.segments)
         monkeypatch.setattr(verification, "output_spectrum", counted)
         cut = judge()
         top = max(int(sel[-1]) for sel in verification._psd_bands(omega, run.dp.kappa_m)) + 1
@@ -529,21 +530,23 @@ class TestVerifyPlan:
         monkeypatch.setattr(simulation, "measure_gain", no_gain)
         runs = verification._plan(verification._runs(verification_parameters()), seed=42)
         assert len(runs) == 7
-        assert [len(run.chains) for run in runs] == [1, 1, 1, 2, 0, 0, 0]
+        assert [run.chain and len(run.chain.reservoirs) for run in runs] == [
+            1, 1, 1, 2, None, None, None]
         with pytest.raises(AssertionError, match="simulate_chunks called"):
             verification.run_verification(seed=42)
-        assert calls == [[chain for run in runs for chain in run.chains]]
+        assert calls == [[run.chain for run in runs if run.chain]]
 
-    def test_desk_pass_steps_one_scan_per_step_matrix(self, monkeypatch):
+    def test_desk_pass_steps_one_scan_per_chain(self, monkeypatch):
         # the two Lyapunov runs step all four components; psd_rm0 and the
-        # psd_rm15 pair X_M and P_a alone.  Each chain yields one array per
-        # chunk, what its fold reads: a Lyapunov chain its quadratures, a
-        # PSD chain its output record
+        # psd_rm15 pair X_M and P_a alone, the pair's chain one block of 16
+        # rows per reservoir.  Each chain yields one array per chunk, what
+        # its fold reads: a Lyapunov chain its quadratures, a PSD chain its
+        # output record
         runs = verification._plan(verification._runs(verification_parameters()), seed=42)
-        chains = [c for run in runs for c in run.chains]
+        chains = [run.chain for run in runs if run.chain]
         scans = count_scans(monkeypatch)
         chunks = simulate_chunks(chains)
-        assert len(chains) == 5
+        assert len(chains) == 4
         assert scans == [((0, 1, 2, 3), 32), ((0, 1, 2, 3), 32), ((0, 3), 16),
                          ((0, 3), 32)]
         shapes = [None] * len(chains)
@@ -555,16 +558,16 @@ class TestVerifyPlan:
                     shapes[i] = part.shape[:-1]
             if None not in shapes:
                 break
-        assert shapes == [(4, 32), (4, 32), (16,), (16,), (16,)]
+        assert shapes == [(4, 32), (4, 32), (16,), (32,)]
 
     def test_desk_pass_draws_each_stream_once(self):
         # every run of the pass reads a prefix of the seed's 32 streams; a
         # draw per run would build 96 streams and draw 28,788,224
         # trajectory-steps
         runs = verification._plan(verification._runs(verification_parameters()), seed=42)
-        extents = simulation._stream_extents([c for run in runs for c in run.chains])
+        extents = simulation._stream_extents([run.chain for run in runs if run.chain])
         assert (len(extents), sum(extents)) == (32, 15_257_600)
-        apart = [simulation._stream_extents(list(run.chains)) for run in runs if run.chains]
+        apart = [simulation._stream_extents([run.chain]) for run in runs if run.chain]
         assert (sum(map(len, apart)), sum(map(sum, apart))) == (96, 28_788_224)
 
     def test_verify_builds_and_draws_each_stream_once(self, monkeypatch):
@@ -573,7 +576,7 @@ class TestVerifyPlan:
         monkeypatch.setattr(verification, "_LYAPUNOV_DURATION_RELAX", 50.0)
         monkeypatch.setattr(verification, "_GAIN_PERIODS", 2)
         runs = verification._plan(verification._runs(verification_parameters()), seed=42)
-        extents = simulation._stream_extents([c for run in runs for c in run.chains])
+        extents = simulation._stream_extents([run.chain for run in runs if run.chain])
         assert extents[0] > extents[-1]    # streams 0-15 feed the longer PSD runs
         drawn = count_draws(monkeypatch)
         calls = count_streams(monkeypatch)
@@ -644,7 +647,7 @@ class TestLaneScan:
         out = np.empty((1 if record_only else 4, *incr.shape[1:]))
         scan = simulation._LaneScan(step, x0, record_only)
         work = simulation._scan_work(incr[0].size, len(scan.components))[0]
-        return scan([list(incr)], out, work)
+        return scan(list(incr), out, work)
 
     def check(self, step, incr, x0):
         """The full scan against the step-by-step loop, and the record-only
@@ -692,7 +695,7 @@ class TestLaneScan:
             scan = simulation._LaneScan(step, x0, record_only)
             # one work array for every piece, larger than most of them need
             work = simulation._scan_work(incr[0].size, len(scan.components))[0]
-            pieces = [scan([list(incr[:, :, a:b])], np.empty_like(whole[:, :, a:b]), work)
+            pieces = [scan(list(incr[:, :, a:b]), np.empty_like(whole[:, :, a:b]), work)
                       for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
 
@@ -818,9 +821,9 @@ class TestAccumulators:
 
     def test_chained_runs_are_bit_identical_to_single_runs(self, monkeypatch):
         # every buffer is allocated full of NaN, the pass's workspace and the
-        # Welch scratch the two accumulators share among them, so a value a
-        # reused buffer kept from an earlier chunk, batch or chain cannot pass
-        # unseen
+        # Welch scratch the blocks take turns in among them, so a value a
+        # reused buffer kept from an earlier chunk, batch, block or chain
+        # cannot pass unseen
         empty = np.empty
 
         def stale(*args, **kwargs):
@@ -830,9 +833,9 @@ class TestAccumulators:
             return array
         monkeypatch.setattr(np, "empty", stale)
 
-        # one draw stepped by two record-only scans gives each reservoir the
-        # spectrum of its own full run, three trajectories filling part of a
-        # Welch batch
+        # one draw stepped by a record-only chain of two reservoir blocks
+        # gives each reservoir the spectrum of its own full run, three
+        # trajectories filling part of a Welch batch
         dp = desk_dp(r_m=1.2)
         cfg = mid_lane_config(dp)
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
@@ -850,11 +853,10 @@ class TestAccumulators:
 
         # one pass over chains of other parameters, steps, burn-ins,
         # trajectory counts, lengths, reservoirs and temperatures gives each
-        # chain the bits of its own run, while the scan with the most
-        # trajectories still running sets the chunk width; the chains on one
-        # step matrix that end on one lane share a scan, where a late
-        # 3-trajectory chain keeps no step of the chunks in which an early
-        # 1-trajectory one does, and nothing may overflow or turn invalid
+        # chain, and each reservoir block of a chain, the bits of its own
+        # run, while the chain with the most rows still running sets the
+        # chunk width; a late chain keeps no step of the chunks in which an
+        # early one does, and nothing may overflow or turn invalid
         monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
         squeezed, detuned = desk_dp(r_m=1.5), coupled_detuned_dp()
         early = quick_config(dp, duration=0.6, n_trajectories=1)
@@ -863,17 +865,17 @@ class TestAccumulators:
         assert early.dt == late.dt == cfg.dt
         assert simulation._drawn(early) == simulation._drawn(late) != simulation._drawn(cfg)
         chains = [
-            Chain(dp, 0.05, cfg, reservoir),
+            Chain(dp, 0.05, cfg, (reservoir,)),
             Chain(squeezed, 0.05, quick_config(squeezed, 0.05, 5), record_only=True),
             Chain(detuned, 2.6, quick_config(detuned, 1.5, 2, accuracy=0.02)),
             Chain(squeezed, 0.05, quick_config(squeezed, 0.2, 1)),
-            Chain(dp, 0.05, late, reservoir, record_only=True),
+            Chain(dp, 0.05, late, (reservoir,), record_only=True),
             Chain(dp, 0.05, early, record_only=True),
             Chain(dp, 2.6, cfg, record_only=True),
-            Chain(dp, 0.05, early),
-            Chain(dp, 0.05, late, reservoir),
+            Chain(dp, 0.05, early, (reservoir, None)),
+            Chain(dp, 0.05, late, (reservoir,)),
+            Chain(dp, 0.05, late, (None, reservoir), record_only=True),
         ]
-        scans = count_scans(monkeypatch)
         pieces = [[] for _ in chains]
         skipped = 0
         with np.errstate(over="raise", invalid="raise"):
@@ -883,19 +885,30 @@ class TestAccumulators:
                     if part is not None:
                         piece.append(part.copy())
         assert skipped > 0
-        assert scans == [((0, 1, 2, 3), 3), ((0, 3), 5), ((0, 1, 2, 3), 2),
-                         ((0, 1, 2, 3), 1), ((0, 3), 4), ((0, 3), 3), ((0, 1, 2, 3), 4)]
         for chain, piece in zip(chains, pieces):
-            trace = simulate(chain.dp, chain.temperature, chain.cfg, reservoir=chain.reservoir)
+            traces = [simulate(chain.dp, chain.temperature, chain.cfg, reservoir=res)
+                      for res in chain.reservoirs]
             part = np.concatenate(piece, axis=-1)
             if chain.record_only:
-                assert np.array_equal(part, trace.output_record)
+                alone = np.concatenate([trace.output_record for trace in traces])
             else:
-                assert np.array_equal(part, np.moveaxis(trace.quadratures, -1, 0))
+                alone = np.concatenate([np.moveaxis(trace.quadratures, -1, 0)
+                                        for trace in traces], axis=1)
+            assert np.array_equal(part, alone)
+        # the two-reservoir record, folded into one two-block accumulator,
+        # gives each block the spectrum of its reservoir's run alone
+        welch = WelchAccumulator(late.n_trajectories, nper, 2)
+        for part in pieces[-1]:
+            welch.add(part)
+        omega, psds = welch.spectrum(late.dt)
+        for res, psd in zip(chains[-1].reservoirs, psds):
+            [(single_omega, single, segments)] = stream_psd(dp, 0.05, late, nper, [res])
+            assert np.array_equal(single_omega, omega) and np.array_equal(single, psd)
+            assert segments == welch.segments > 0
         with pytest.raises(ConfigurationError, match="one seed"):
             simulate_chunks([chains[0], replace(chains[1], cfg=replace(chains[1].cfg, seed=12))])
 
-    def test_an_empty_pass_is_refused(self):
+    def test_an_empty_pass_is_refused(self, monkeypatch):
         dp = desk_dp()
         cfg = quick_config(dp, duration=0.1, n_trajectories=2)
         with pytest.raises(ConfigurationError, match="at least one chain"):
@@ -904,6 +917,13 @@ class TestAccumulators:
             fold([], [])
         with pytest.raises(ConfigurationError, match="at least one chain"):
             stream_psd(dp, 0.05, cfg, 64, [])
+        # a chain of no reservoir is refused before any stepping
+        stepped = count_scans(monkeypatch)
+        for chains in ([Chain(dp, 0.05, cfg, ())],
+                       [Chain(dp, 0.05, cfg), Chain(dp, 0.05, cfg, (), record_only=True)]):
+            with pytest.raises(ConfigurationError, match="at least one reservoir"):
+                simulate_chunks(chains)
+        assert stepped == []
 
     def test_fold_adds_each_chain_s_chunks_in_chain_order(self, monkeypatch):
         # each kept part goes to its own chain's accumulator, chunk by chunk
@@ -937,9 +957,8 @@ class TestAccumulators:
     def test_pieces_fold_like_one_array(self):
         rng = np.random.default_rng(7)
         record = rng.standard_normal((3, 5000))
-        # pieces shares whole's transform scratch, which neither may read back
         whole = WelchAccumulator(3, 700)
-        pieces = WelchAccumulator(3, 700, shares=whole)
+        pieces = WelchAccumulator(3, 700)
         whole.add(record)
         for a, b in [(0, 1), (1, 699), (699, 2300), (2300, 5000)]:
             pieces.add(record[:, a:b])
@@ -952,6 +971,23 @@ class TestAccumulators:
         expected = np.einsum("itn,jtn->tij", states, states) / states.shape[2]
         np.testing.assert_allclose(acc.covariances(), expected, rtol=1e-12, atol=0)
 
+    def test_blocks_fold_like_one_block_accumulators(self):
+        # five rows a block: each block is batched as 4 rows and 1, and a
+        # batch that ran on past its block would take the other's rows
+        assert 5 % simulation._WELCH_ROWS
+        record = np.random.default_rng(9).standard_normal((10, 3000))
+        both = WelchAccumulator(5, 500, 2)
+        for a, b in [(0, 700), (700, 3000)]:
+            both.add(record[:, a:b])
+        omega, psds = both.spectrum(1e-3)
+        assert psds.shape == (2, 251)
+        for rows, psd in zip((record[:5], record[5:]), psds):
+            alone = WelchAccumulator(5, 500)
+            alone.add(rows)
+            assert alone.segments == both.segments == 5 * 11
+            single_omega, [single] = alone.spectrum(1e-3)
+            assert np.array_equal(single_omega, omega) and np.array_equal(single, psd)
+
     def test_a_record_shorter_than_a_segment_has_no_spectrum(self):
         welch = WelchAccumulator(2, 64)
         welch.add(np.ones((2, 63)))
@@ -959,8 +995,6 @@ class TestAccumulators:
             welch.spectrum(1e-3)
         with pytest.raises(ParameterError, match="segment_length"):
             WelchAccumulator(2, 1)
-        with pytest.raises(ParameterError, match="one shape"):
-            WelchAccumulator(2, 64, shares=WelchAccumulator(3, 64))
         dp = desk_dp()
         cfg = quick_config(dp, duration=1.0, n_trajectories=2)
         one_step = replace(cfg, duration=cfg.dt)
@@ -993,7 +1027,8 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
 
     short = peak(lambda: stream_psd(dp, 0.05, config(4), nper, [None]))
     long = peak(lambda: stream_psd(dp, 0.05, config(16), nper, [None]))
-    # two chains on one scan: one more Welch ring and its window, and little else
+    # two reservoirs on one chain: one more block of the Welch ring, and
+    # little else
     grouped = peak(lambda: stream_psd(dp, 0.05, config(4), nper,
                                       [None, SqueezedReservoir(r_n=1.0, phi_n=math.pi)]))
     stored = peak(lambda: simulate(dp, 0.05, config(4)))
@@ -1019,19 +1054,17 @@ def test_a_pass_allocates_nothing_per_chunk(monkeypatch):
     cfg = SimulationConfig(dt=dt, duration=4 * nper * dt,
                            burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
                            n_trajectories=ntraj, seed=3)
-    reservoirs = [None, SqueezedReservoir(r_n=1.0, phi_n=math.pi)]
+    reservoirs = (None, SqueezedReservoir(r_n=1.0, phi_n=math.pi))
     tracemalloc.start()
     try:
-        first = WelchAccumulator(ntraj, nper)
-        welches = [first, WelchAccumulator(ntraj, nper, shares=first)]
-        chunks = simulate_chunks([Chain(dp, 0.05, cfg, reservoir, record_only=True)
-                                  for reservoir in reservoirs])
+        welch = WelchAccumulator(ntraj, nper, len(reservoirs))
+        chunks = simulate_chunks([Chain(dp, 0.05, cfg, reservoirs, record_only=True)])
 
         def fold():
-            for welch, record in zip(welches, next(chunks)):
-                welch.add(record)
+            [record] = next(chunks)
+            welch.add(record)
         fold()
-        assert welches[0].segments == 0
+        assert welch.segments == 0
         rise = 0
         for _ in range(6):
             tracemalloc.reset_peak()
@@ -1040,7 +1073,7 @@ def test_a_pass_allocates_nothing_per_chunk(monkeypatch):
             rise = max(rise, tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
-    assert welches[0].segments >= 3 * ntraj
+    assert welch.segments >= 3 * ntraj
     assert rise <= ring / 4
 
 
