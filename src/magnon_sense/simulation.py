@@ -27,13 +27,14 @@ How the recursion x_{m+1} = S x_m + incr_m, S = I + A dt, is computed
 their applications", 1990):
 
 * The steps are cut into lanes of ``_LANE`` = 32, anchored at the run's
-  first step.  All lanes of a chunk are stepped from rest at once, one S x
-  per step; a loop over the lanes, not the steps, carries each lane's
-  starting state in from the last one's with S^L; and S^i times that start
-  is added to the lane's i-th state.  This is the same linear map as
-  stepping one step at a time, to rounding (a few 1e-15 relative), and it
-  needs no eigenbasis, so a defective S (kappa_a = kappa_m at zero
-  detuning) and the complex pairs of a detuned S are no special case.
+  first step, which starts at rest.  All lanes of a chunk are stepped from
+  rest at once, one S x per step; a loop over the lanes, not the steps,
+  carries each lane's starting state in from the last one's with S^L; and
+  S^i times that start is added to the lane's i-th state.  This is the
+  same linear map as stepping one step at a time, to rounding (a few
+  1e-15 relative), and it needs no eigenbasis, so a defective S (kappa_a =
+  kappa_m at zero detuning) and the complex pairs of a detuned S are no
+  special case.
 * A scan steps only the components that the ones it writes out read: their
   closure under the nonzero pattern of S.  A record-only scan (below)
   writes P_a, which at the backaction-evading point (delta_a = delta_0p
@@ -44,13 +45,15 @@ their applications", 1990):
   components not stepped ending their lanes at zero: S^L maps none of
   them into the stepped ones, exactly, so the stepped states keep every
   bit of a scan of all four.
-* Chunks are ``_CHUNK`` = 2^15 trajectory-steps of the chain with the most
-  rows still running, rounded down to whole lanes (256 kB per
-  component array); the last is rounded up, the steps past the run drawn
-  and dropped.  Inside the lanes the arithmetic is elementwise, skipping
-  the zeros of S and its powers, and the carry is one 4x4 by 4x1 product
-  per row and lane: no operation mixes lanes or rows, so neither the chunk
-  size nor the row count changes a bit of the states.
+* A chunk is ``_CHUNK`` = 32 lanes, 1024 steps, of every row; a run's last
+  lane is drawn whole, the steps past the run dropped.  A chunk's memory
+  grows with a chain's rows: 256 kB per component array at 32 rows, 1 MB
+  for all four.  ``verify``'s chains have 32, 32, 16 and 32 rows, and the
+  tests and the benchmark's self-test at most 16.  Inside the lanes the
+  arithmetic is elementwise, skipping the zeros of S and its powers, and
+  the carry is one 4x4 by 4x1 product per row and lane: no operation mixes
+  lanes or rows, so neither the chunk size nor the row count changes a bit
+  of the states.
 
 A pass is one draw of the seed's streams, stepped by
 :func:`simulate_chunks`, the oracle's stepping entry for noise.  Its
@@ -70,20 +73,19 @@ and the chains of a pass are not independent: they see the same noise.
 
 A pass allocates its arrays once, before the first chunk: each chain's
 states buffer, the normals of one chunk, and its one scratch
-(:func:`_scan_work`), sized from the schedule for the largest scan call
-and for the most components a chain of the pass steps.  That scratch
-holds the lane scan's regions, the increments of the chain being
-stepped, which the chains take in turn, and one temporary for the
-increments' products.  The increments are written there, and
-a record-only chain's record over its P_a states and spent P_a
-increments, in the order of the expressions they replace, so no bit
-depends on the buffers, and a chunk allocates no array larger than the
-lane carry's (rows, 4, 1) states (numpy's iterator buffers and
-FFT plans aside).  Temporaries of a chain's chunk (256 kB at ``_CHUNK``)
-would otherwise cost page faults on every chunk wherever the C allocator
-maps blocks that large on their own, as glibc does until it frees a
-larger mapped block.  A chain's states buffer goes as soon as it has
-ended.  The consumers fold the chunks in:
+(:func:`_scan_work`), sized for the largest scan call and for the most
+components a chain of the pass steps.  That scratch holds the lane scan's
+regions, the increments of the chain being stepped, which the chains take
+in turn, and one temporary for the increments' products.  The increments
+are written there, and a record-only chain's record over its P_a states
+and spent P_a increments, in the order of the expressions they replace,
+so no bit depends on the buffers, and a chunk allocates no array larger
+than the lane carry's (rows, 4, 1) states (numpy's iterator buffers and
+FFT plans aside).  Temporaries of a chain's chunk (256 kB per component
+at 32 rows) would otherwise cost page faults on every chunk wherever the
+C allocator maps blocks that large on their own, as glibc does until it
+frees a larger mapped block.  A chain's states buffer goes as soon as it
+has ended.  The consumers fold the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
@@ -140,14 +142,14 @@ __all__ = [
 #: dimensionless accuracy guard: dt times the fastest rate must stay below this
 _DT_GUARD = 0.1
 
-#: trajectory-steps per chunk of the scan: 256 kB per component array
-_CHUNK = 1 << 15
+#: steps per lane of the scan: verify's runs took 1-5 % less time than with 64 or 128
+_LANE = 32
+
+#: steps per chunk of a pass, whole lanes: 256 kB per component array at 32 rows
+_CHUNK = 32 * _LANE
 
 #: rows of one block whose Welch segments are windowed and transformed at a time
 _WELCH_ROWS = 4
-
-#: steps per lane of the scan: verify's runs took 1-5 % less time than with 64 or 128
-_LANE = 32
 
 #: fraction of each Welch segment shared with the next
 WELCH_OVERLAP = 0.5
@@ -259,8 +261,9 @@ def _diffusion(dp: DerivedParameters, temperature: float,
 def _scan_work(trajectory_steps: int,
                components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one scratch of a pass whose scan calls take up to
-    ``trajectory_steps`` (whole lanes) and step up to ``components``
-    components, allocated once: three views of it.
+    ``trajectory_steps``, a chunk of whole lanes of its widest chain, and
+    step up to ``components`` components, allocated once: three views of
+    it.
 
     They hold :class:`_LaneScan`'s regions; the increments of the chain
     being stepped, ``components`` components of ``trajectory_steps`` at
@@ -293,15 +296,16 @@ def _closure(step: np.ndarray, components) -> tuple[int, ...]:
 
 
 class _LaneScan:
-    """The recursion x_{m+1} = S x_m + incr_m over lanes of ``_LANE`` steps,
-    anchored at the run's first step (see the module docstring).
+    """The recursion x_{m+1} = S x_m + incr_m of ``rows`` rows, from rest,
+    over lanes of ``_LANE`` steps anchored at the run's first step (see the
+    module docstring).
 
     It writes out P_a for a record-only scan and all four components
     otherwise, and steps only ``components``, the closure of those under
     the nonzero pattern of S: no other component feeds them.
     """
 
-    def __init__(self, step: np.ndarray, x0: np.ndarray, record_only: bool = False):
+    def __init__(self, step: np.ndarray, rows: int, record_only: bool = False):
         powers = np.array([np.linalg.matrix_power(step, i) for i in range(_LANE + 1)])
         #: the components written out
         self.written = written = (3,) if record_only else (0, 1, 2, 3)
@@ -321,7 +325,7 @@ class _LaneScan:
                              for j, k in enumerate(comps) if k in written
                              for c in range(4) if powers[1:-1, k, c].any()]
         self._lane = powers[-1]
-        self._x = np.ascontiguousarray(x0.T)[:, :, None]     # (ntraj, 4, 1)
+        self._x = np.zeros((rows, 4, 1))
 
     def __call__(self, incr: list, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """States x_m before each increment, written to ``out`` (4, ntraj, n),
@@ -385,7 +389,8 @@ def _drawn(cfg: SimulationConfig) -> int:
 
 class _Stepper:
     """A chain of a pass, checked and ready to step: one :class:`_LaneScan`
-    over its reservoirs' blocks of rows, and the states buffer it writes."""
+    over its reservoirs' blocks of rows, and the states buffer it writes,
+    one chunk of its written components."""
 
     def __init__(self, chain: Chain):
         dp, cfg = chain.dp, chain.cfg
@@ -408,33 +413,27 @@ class _Stepper:
         self.n_total = self.n_burn + n_keep
         self.end = _drawn(cfg)
         self.sq_ka = math.sqrt(dp.kappa_a)
-        self.scan = _LaneScan(np.eye(4) + drift_matrix(dp) * cfg.dt,
-                              np.zeros((4, self.rows)), chain.record_only)
+        self.scan = _LaneScan(np.eye(4) + drift_matrix(dp) * cfg.dt, self.rows,
+                              chain.record_only)
+        #: trajectory-steps of the scan's largest call
+        self.cells = self.rows * min(_CHUNK, self.end)
+        self.states = np.empty(len(self.scan.written) * self.cells)
 
-    def allocate(self, schedule: list[tuple[int, int]]) -> int:
-        """The states buffer for the chunks of ``schedule``; returns the
-        scan's largest call in trajectory-steps."""
-        cells = self.rows * max(min(n, self.end - pos) for pos, n in schedule)
-        self.states = np.empty(len(self.scan.written) * cells)
-        return cells
-
-    def increments(self, z: np.ndarray, pos: int, n: int, out: np.ndarray,
-                   temp: np.ndarray) -> list:
+    def increments(self, z: np.ndarray, out: np.ndarray, temp: np.ndarray) -> list:
         """The increments of the scan's components, P_a always among them,
-        indexed by component (None for the others), over this chain's next
-        steps from ``pos`` on the normals ``z`` (trajectory, step, 4), at
-        most ``n`` of them: (rows, m) views of ``out``, in the order of the
-        components, each block's rows through its own Cholesky factor.
-        ``temp`` holds their products.
+        indexed by component (None for the others), on the normals ``z``
+        (trajectory, step, 4) of this chain's steps in the chunk: (rows, n)
+        views of ``out``, in the order of the components, each block's rows
+        through its own Cholesky factor.  ``temp`` holds their products.
 
         Each is sum_c chol[k, c] * normal_c over the nonzero chol[k, c], the
         products added in order of c, so that the zero coefficients of the
         mostly diagonal Cholesky factor cost nothing; a unit coefficient
         multiplies by 1.0, which is exact.
         """
-        n = min(n, self.end - pos)
+        n = z.shape[1]
         comps = self.scan.components
-        normals = z[:self.ntraj, :n].transpose(2, 0, 1)
+        normals = z.transpose(2, 0, 1)
         blocks = out[:len(comps) * self.rows * n].reshape(len(comps), -1, self.ntraj, n)
         product = temp[:self.ntraj * n].reshape(self.ntraj, n)
         incr = [None] * 4
@@ -447,17 +446,19 @@ class _Stepper:
             incr[k] = totals.reshape(self.rows, -1)
         return incr
 
-    def step(self, z: np.ndarray, pos: int, n: int, work: tuple):
-        """Step the chunk of ``n`` steps from ``pos`` on the normals ``z``;
+    def step(self, z: np.ndarray, pos: int, work: tuple):
+        """Step the chunk from ``pos``, ``_CHUNK`` steps or the rest of the
+        run, on the normals ``z`` (stream, step, 4) of the pass's chunk;
         ``work`` is the pass's :func:`_scan_work`.  Returns its kept steps,
         or None: a full chain's quadratures (4, rows, m), or a record-only
         chain's output record (rows, m), written over its P_a row of the
         states and the spent P_a increments."""
+        n = min(_CHUNK, self.end - pos)
         scan_work, increments, temp = work
-        incr = self.increments(z, pos, n, increments, temp)
-        shape = (len(self.scan.written), self.rows, incr[3].shape[1])
+        incr = self.increments(z[:self.ntraj, :n], increments, temp)
+        shape = (len(self.scan.written), self.rows, n)
         states = self.scan(incr, self.states[:math.prod(shape)].reshape(shape), scan_work)
-        lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, shape[2])
+        lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, n)
         if lo >= hi:
             return None
         kept = states[:, :, lo:hi]
@@ -468,20 +469,6 @@ class _Stepper:
         record *= self.sq_ka
         record -= np.divide(spent, self.sq_ka * self.chain.cfg.dt, out=spent)
         return record
-
-
-def _schedule(steppers: list[_Stepper]) -> list[tuple[int, int]]:
-    """(first step, steps) of each chunk of a pass: ``_CHUNK``
-    trajectory-steps of the chain with the most rows still running, in
-    whole lanes."""
-    chunks, pos = [], 0
-    end = max(s.end for s in steppers)
-    while pos < end:
-        widest = max(s.rows for s in steppers if s.end > pos)
-        n = min(max(1, _CHUNK // (widest * _LANE)) * _LANE, end - pos)
-        chunks.append((pos, n))
-        pos += n
-    return chunks
 
 
 def _stream_extents(chains: list[Chain]) -> list[int]:
@@ -518,30 +505,29 @@ def simulate_chunks(chains: list[Chain]):
     if len({chain.cfg.seed for chain in chains}) != 1:
         raise ConfigurationError("the chains of one pass must share one seed")
     steppers = [_Stepper(chain) for chain in chains]
-    schedule = _schedule(steppers)
-    work = _scan_work(max(s.allocate(schedule) for s in steppers),
+    work = _scan_work(max(s.cells for s in steppers),
                       max(len(s.scan.components) for s in steppers))
     extents = _stream_extents(chains)
     seed = chains[0].cfg.seed
     rngs = [_trajectory_rng(seed, i) for i in range(len(extents))]
-    z_size = max(n * sum(extent > pos for extent in extents) for pos, n in schedule) * 4
-    z_all = np.empty(z_size)
+    end = max(extents)
+    # a chunk's normals, one row per stream; a stream that has ended leaves
+    # its row stale, and no running chain reads it
+    z = np.empty((len(rngs), min(_CHUNK, end), 4))
 
     def chunks(running):
-        for pos, n in schedule:
-            drawn = [(rng, min(n, extent - pos))
-                     for rng, extent in zip(rngs, extents) if extent > pos]
-            z = z_all[:len(drawn) * n * 4].reshape(len(drawn), n, 4)
-            for (rng, m), zi in zip(drawn, z):
-                rng.standard_normal(out=zi[:m])
+        for pos in range(0, end, _CHUNK):
+            for rng, extent, zi in zip(rngs, extents, z):
+                if extent > pos:
+                    rng.standard_normal(out=zi[:extent - pos])
             out = [None] * len(chains)
             for i, s in running:
-                out[i] = s.step(z, pos, n, work)
+                out[i] = s.step(z, pos, work)
             # an ended chain lets its scan and states buffer go; under glibc,
             # freeing the buffer (1 MB for each of verify's Lyapunov chains)
             # also lifts its mmap threshold above the blocks np.fft.rfft
             # allocates and frees per call, which ends those calls' page faults
-            running = [(i, s) for i, s in running if s.end > pos + n]
+            running = [(i, s) for i, s in running if s.end > pos + _CHUNK]
             if any(part is not None for part in out):
                 yield out
 
@@ -623,6 +609,8 @@ class WelchAccumulator:
         """Fold in the next samples of every row, shape (blocks * n_trajectories, n)."""
         length = self._ring.shape[2]
         ring = self._ring.reshape(-1, length)
+        if len(record) != len(ring):
+            raise ParameterError(f"a record of {len(record)} rows fed to {len(ring)} rows")
         pos = 0
         while pos < record.shape[1]:
             take = min(length - self._filled, record.shape[1] - pos)
@@ -686,6 +674,8 @@ class CovarianceAccumulator:
 
     def add(self, states: np.ndarray) -> None:
         """Fold in the next samples, shape (4, n_trajectories, n)."""
+        if states.shape[1] != len(self._moments):
+            raise ParameterError(f"states of {states.shape[1]} rows fed to {len(self._moments)}")
         self._moments += np.einsum("itn,jtn->tij", states, states)
         self._count += states.shape[2]
 
@@ -748,8 +738,9 @@ def measure_gain(dp: DerivedParameters, frequency: float, cfg: SimulationConfig)
     on (X_M, P_M).  At the backaction-evading point, which this requires,
     the P_M drive does not reach the output.  The chain is linear, so a unit
     X_M drive, sin(frequency t) dt, is stepped alone, from rest and without
-    noise, by one record-only :class:`_LaneScan` over blocks of ``_CHUNK``
-    steps: the field amplitude B0 = sqrt(2) / lambda', whose field-referred
+    noise, by one record-only :class:`_LaneScan` over ``_CHUNK`` steps at a
+    time, whatever components P_a reads, each increment but X_M's zero.
+    That is the field amplitude B0 = sqrt(2) / lambda', whose field-referred
     input power lambda^2 B0^2 / (4 kappa_m), lambda = lambda' e^{-r_m}, is
     1 / (2 kappa_m xi).  The mean square of the kept record sqrt(kappa_a) P_a
     over that power, 2 kappa_a kappa_m xi mean(P_a^2), estimates the
@@ -760,17 +751,17 @@ def measure_gain(dp: DerivedParameters, frequency: float, cfg: SimulationConfig)
     require_evading_point(dp)
     _validate_config(dp, cfg)
     n_burn, n_keep = _steps(cfg)
-    scan = _LaneScan(np.eye(4) + drift_matrix(dp) * cfg.dt, np.zeros((4, 1)), record_only=True)
+    scan = _LaneScan(np.eye(4) + drift_matrix(dp) * cfg.dt, 1, record_only=True)
     work = _scan_work(_CHUNK, len(scan.components))[0]
-    drive, still, states = np.zeros((3, 1, _CHUNK))
+    incr, states = np.zeros((4, 1, _CHUNK)), np.empty((1, 1, _CHUNK))
     total, end = 0.0, _drawn(cfg)
     for pos in range(0, end, _CHUNK):
         n = min(_CHUNK, end - pos)
-        t = np.multiply(np.arange(pos, pos + n, dtype=float), cfg.dt, out=drive[0, :n])
+        t = np.multiply(np.arange(pos, pos + n, dtype=float), cfg.dt, out=incr[0, 0, :n])
         t *= frequency
         np.sin(t, out=t)
         t *= cfg.dt
-        [[record]] = scan([drive[:, :n], None, None, still[:, :n]], states[None, :, :n], work)
+        [[record]] = scan(incr[..., :n], states[..., :n], work)
         record = record[max(n_burn - pos, 0):n_burn + n_keep - pos]
         total += float(np.dot(record, record))
     return 2.0 * dp.kappa_a * dp.kappa_m * dp.xi * total / n_keep

@@ -82,13 +82,13 @@ def count_draws(monkeypatch):
 
 
 def count_scans(monkeypatch):
-    """(stepped components, trajectories) of every lane scan built from now on."""
+    """(stepped components, rows) of every lane scan built from now on."""
     scans = []
 
     class Counted(simulation._LaneScan):
-        def __init__(self, step, x0, record_only=False):
-            super().__init__(step, x0, record_only)
-            scans.append((self.components, x0.shape[1]))
+        def __init__(self, step, rows, record_only=False):
+            super().__init__(step, rows, record_only)
+            scans.append((self.components, rows))
     monkeypatch.setattr(simulation, "_LaneScan", Counted)
     return scans
 
@@ -420,6 +420,31 @@ class TestGainMeasurement:
         with pytest.raises(Exception, match="delta_a"):
             measure_gain(dp, 1.0, cfg)
 
+    @pytest.mark.parametrize("detuning", ["delta_a", "delta_0p"])
+    def test_a_detuning_inside_the_evading_tolerance_is_stepped(self, detuning):
+        # 1e-10 kappa_m passes the evading point's 1e-9 tolerance, but P_a
+        # then reads X_a too (delta_a) or every component (delta_0p): the
+        # scan steps them on zero increments, and the gain is that of zero
+        # detuning, on verify's own run at 0.5 kappa_m
+        params = verification_parameters().with_squeeze_amplitude(1.0)
+        rows = [verification._Row(verification._check_gain,
+                                  replace(params, **{detuning: value}), (("gain", 0.5),))
+                for value in (0.0, 1e-10 * params.kappa_m)]
+        exact, tiny = verification._plan(rows, seed=42)
+        assert getattr(tiny.dp, detuning) != 0.0 and tiny.cfg == exact.cfg
+        assert measure_gain(tiny.dp, tiny.frequency, tiny.cfg) == pytest.approx(
+            measure_gain(exact.dp, exact.frequency, exact.cfg), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("detuning", ["delta_a", "delta_0p"])
+    def test_verify_judges_gains_inside_the_evading_tolerance(self, detuning):
+        params = verification_parameters()
+        params = replace(params, **{detuning: 1e-10 * params.kappa_m})
+        rows = [row for row in verification._runs(params)
+                if row.family is verification._check_gain]
+        results = verification._judge(verification._plan(rows, seed=42))
+        assert [result.name for result in results] == [
+            "gain_delta_0.2km", "gain_delta_0.5km", "gain_delta_1km"]
+
 
 class TestVerifyPlan:
     def test_desk_plan_sizes(self):
@@ -560,6 +585,28 @@ class TestVerifyPlan:
                 break
         assert shapes == [(4, 32), (4, 32), (16,), (32,)]
 
+    def test_desk_pass_chunks_are_32_lanes(self, monkeypatch):
+        # the covariances round per chunk, so verify's pinned values hold
+        # on these chunks: 730 of 1024 steps, the last of 800 from step
+        # 746496.  Stream 0 feeds every chain, so its draws are the chunks;
+        # nothing is drawn or stepped
+        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        drawn = []
+
+        class Stream:
+            def __init__(self, seed, index):
+                self.index = index
+
+            def standard_normal(self, *, out):
+                if self.index == 0:
+                    drawn.append(out.shape[0])
+        monkeypatch.setattr(simulation, "_trajectory_rng", Stream)
+        monkeypatch.setattr(simulation._Stepper, "step", lambda self, *args: None)
+        assert list(simulate_chunks([run.chain for run in runs if run.chain])) == []
+        assert len(drawn) == 730
+        assert (sum(drawn[:-1]), drawn[-1]) == (746496, 800)
+        assert set(drawn[:-1]) == {1024}
+
     def test_desk_pass_draws_each_stream_once(self):
         # every run of the pass reads a prefix of the seed's 32 streams; a
         # draw per run would build 96 streams and draw 28,788,224
@@ -586,9 +633,9 @@ class TestVerifyPlan:
         assert drawn == {(42, i): extent for i, extent in enumerate(extents)}
 
 
-def loop_states(step, incr, x0):
-    """States x_0..x_{n-1} of x_{m+1} = step x_m + incr_m, step by step."""
-    x = x0.copy()
+def loop_states(step, incr):
+    """States x_0..x_{n-1} of x_{m+1} = step x_m + incr_m from rest, step by step."""
+    x = np.zeros(incr.shape[:2])
     states = np.empty_like(incr)
     for m in range(incr.shape[-1]):
         states[:, :, m] = x
@@ -640,37 +687,36 @@ class TestLaneScan:
         dt = 0.015 / fastest_rate(dp)
         step = np.eye(4) + drift_matrix(dp) * dt
         rng = np.random.default_rng(3)
-        return (step, rng.standard_normal((4, ntraj, lanes * simulation._LANE)),
-                rng.standard_normal((4, ntraj)))
+        return step, rng.standard_normal((4, ntraj, lanes * simulation._LANE))
 
-    def run(self, step, incr, x0, record_only=False):
+    def run(self, step, incr, record_only=False):
         out = np.empty((1 if record_only else 4, *incr.shape[1:]))
-        scan = simulation._LaneScan(step, x0, record_only)
+        scan = simulation._LaneScan(step, incr.shape[1], record_only)
         work = simulation._scan_work(incr[0].size, len(scan.components))[0]
         return scan(list(incr), out, work)
 
-    def check(self, step, incr, x0):
-        """The full scan against the step-by-step loop, and the record-only
-        scan's P_a against the full scan's, bit for bit."""
-        full = self.run(step, incr, x0)
-        assert max_relative(full, loop_states(step, incr, x0)) < 1e-12
-        assert np.array_equal(self.run(step, incr, x0, record_only=True), full[3:])
+    def check(self, step, incr):
+        """The full scan against the step-by-step loop, both from rest, and
+        the record-only scan's P_a against the full scan's, bit for bit."""
+        full = self.run(step, incr)
+        assert max_relative(full, loop_states(step, incr)) < 1e-12
+        assert np.array_equal(self.run(step, incr, record_only=True), full[3:])
 
     def test_defective_map_at_zero_detuning(self):
         # with kappa_a = kappa_m the one eigenvalue 1 - kappa dt / 2 (the
         # map is triangular up to reordering) has only two eigenvectors
         dp = desk_dp(r_m=1.5, kappa_a=TWO_PI * 15.0)
         for ntraj in (3, 1):
-            step, incr, x0 = self.step_and_inputs(dp, ntraj=ntraj)
+            step, incr = self.step_and_inputs(dp, ntraj=ntraj)
             eig = np.diag(step)
             assert np.all(eig == eig[0])
             assert np.linalg.matrix_rank(step - eig[0] * np.eye(4)) == 2
-            self.check(step, incr, x0)
+            self.check(step, incr)
 
     def test_complex_pairs_when_detuned(self):
-        step, incr, x0 = self.step_and_inputs(coupled_detuned_dp())
+        step, incr = self.step_and_inputs(coupled_detuned_dp())
         assert np.all(np.linalg.eigvals(step).imag != 0.0)   # two complex pairs
-        self.check(step, incr, x0)
+        self.check(step, incr)
 
     @pytest.mark.parametrize("case, stepped", [
         ("evading", (0, 3)), ("cavity_detuned", (0, 2, 3)), ("detuned", (0, 1, 2, 3))])
@@ -680,19 +726,21 @@ class TestLaneScan:
         dp = {"evading": desk_dp(r_m=1.5),
               "cavity_detuned": desk_dp(r_m=1.5, delta_a=TWO_PI * 4.0),
               "detuned": coupled_detuned_dp()}[case]
-        step, incr, x0 = self.step_and_inputs(dp)
-        assert simulation._LaneScan(step, x0, record_only=True).components == stepped
-        assert simulation._LaneScan(step, x0).components == (0, 1, 2, 3)
-        self.check(step, incr, x0)
+        step, incr = self.step_and_inputs(dp)
+        assert simulation._LaneScan(step, 3, record_only=True).components == stepped
+        assert simulation._LaneScan(step, 3).components == (0, 1, 2, 3)
+        self.check(step, incr)
 
     @pytest.mark.parametrize("detuned", [False, True])
     def test_chunks_are_bit_identical_to_one_pass(self, detuned):
+        # every piece after the first starts from the state the one before
+        # carried out, away from rest
         dp = coupled_detuned_dp() if detuned else desk_dp(r_m=1.5)
-        step, incr, x0 = self.step_and_inputs(dp)
+        step, incr = self.step_and_inputs(dp)
         bounds = [lane * simulation._LANE for lane in (0, 1, 2, 11, 12, 46, 47)]
         for record_only in (False, True):
-            whole = self.run(step, incr, x0, record_only)
-            scan = simulation._LaneScan(step, x0, record_only)
+            whole = self.run(step, incr, record_only)
+            scan = simulation._LaneScan(step, incr.shape[1], record_only)
             # one work array for every piece, larger than most of them need
             work = simulation._scan_work(incr[0].size, len(scan.components))[0]
             pieces = [scan(list(incr[:, :, a:b]), np.empty_like(whole[:, :, a:b]), work)
@@ -735,12 +783,12 @@ class TestSimulateAgainstLoop:
         incr = np.zeros((4, 1, t.size))
         incr[0, 0] = np.sin(frequency * t) * cfg.dt
         step = np.eye(4) + drift_matrix(dp) * cfg.dt
-        p_a = loop_states(step, incr, np.zeros((4, 1)))[3, 0, n_burn:]
+        p_a = loop_states(step, incr)[3, 0, n_burn:]
         assert (n_burn + n_keep) > 3 * simulation._CHUNK
         assert measure_gain(dp, frequency, cfg) == pytest.approx(
             2.0 * dp.kappa_a * dp.kappa_m * dp.xi * np.mean(p_a**2), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("chunk", [None, 3 * 997])
+    @pytest.mark.parametrize("chunk", [None, 3 * simulation._LANE])
     def test_burn_in_and_end_mid_lane(self, monkeypatch, chunk):
         # the lanes start at step 0, so the first kept step and the last one
         # fall inside lanes, and the steps past the end are drawn and dropped
@@ -750,13 +798,15 @@ class TestSimulateAgainstLoop:
         self.check(dp, 0.05, mid_lane_config(dp))
 
     def test_chunk_size_changes_no_bit(self, monkeypatch):
+        # 10 chunks of the default 32 lanes, and 100 or 28 of 3 or 11 lanes
         dp = desk_dp(r_m=0.7)
         cfg = quick_config(dp, duration=0.5, n_trajectories=3, seed=5)
         a = simulate(dp, 0.05, cfg)
-        monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
-        b = simulate(dp, 0.05, cfg)
-        assert np.array_equal(a.quadratures, b.quadratures)
-        assert np.array_equal(a.output_record, b.output_record)
+        for lanes in (3, 11):
+            monkeypatch.setattr(simulation, "_CHUNK", lanes * simulation._LANE)
+            b = simulate(dp, 0.05, cfg)
+            assert np.array_equal(a.quadratures, b.quadratures)
+            assert np.array_equal(a.output_record, b.output_record)
 
 
 def scipy_welch(record, segment_length, dt):
@@ -814,10 +864,11 @@ class TestAccumulators:
         dp, temperature, cfg, _, nper = stream_cases()["tone"]
         [(_, psd, _)] = stream_psd(dp, temperature, cfg, nper, [None])
         covs = stream_covariances(dp, temperature, cfg)
-        monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
-        assert np.array_equal(stream_psd(dp, temperature, cfg, nper, [None])[0][1], psd)
-        np.testing.assert_allclose(stream_covariances(dp, temperature, cfg), covs,
-                                   rtol=1e-12, atol=0)
+        for lanes in (3, 11):
+            monkeypatch.setattr(simulation, "_CHUNK", lanes * simulation._LANE)
+            assert np.array_equal(stream_psd(dp, temperature, cfg, nper, [None])[0][1], psd)
+            np.testing.assert_allclose(stream_covariances(dp, temperature, cfg), covs,
+                                       rtol=1e-12, atol=0)
 
     def test_chained_runs_are_bit_identical_to_single_runs(self, monkeypatch):
         # every buffer is allocated full of NaN, the pass's workspace and the
@@ -854,10 +905,10 @@ class TestAccumulators:
         # one pass over chains of other parameters, steps, burn-ins,
         # trajectory counts, lengths, reservoirs and temperatures gives each
         # chain, and each reservoir block of a chain, the bits of its own
-        # run, while the chain with the most rows still running sets the
-        # chunk width; a late chain keeps no step of the chunks in which an
-        # early one does, and nothing may overflow or turn invalid
-        monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
+        # run, in chunks of 11 lanes of every row; a late chain keeps no
+        # step of the chunks in which an early one does, and nothing may
+        # overflow or turn invalid
+        monkeypatch.setattr(simulation, "_CHUNK", 11 * simulation._LANE)
         squeezed, detuned = desk_dp(r_m=1.5), coupled_detuned_dp()
         early = quick_config(dp, duration=0.6, n_trajectories=1)
         late = replace(early, burn_in=early.burn_in * 1.3, n_trajectories=3,
@@ -929,7 +980,7 @@ class TestAccumulators:
         # each kept part goes to its own chain's accumulator, chunk by chunk
         # and chain by chain; a late chain keeps no step of the first chunks,
         # and those burn-in parts (None) reach no accumulator
-        monkeypatch.setattr(simulation, "_CHUNK", 3 * 997)
+        monkeypatch.setattr(simulation, "_CHUNK", 11 * simulation._LANE)
         dp = desk_dp(r_m=1.2)
         early = quick_config(dp, duration=0.6, n_trajectories=1)
         late = replace(early, burn_in=early.burn_in * 1.3, n_trajectories=3)
@@ -1003,6 +1054,18 @@ class TestAccumulators:
         with pytest.raises(ParameterError, match="one sample"):
             CovarianceAccumulator(2).covariances()
 
+    def test_covariances_refuse_a_chunk_with_the_wrong_rows(self):
+        # numpy would broadcast the single row into three covariances
+        with pytest.raises(ParameterError, match="1 rows fed to 3"):
+            CovarianceAccumulator(3).add(np.ones((4, 1, 10)))
+
+    def test_welch_refuses_a_record_with_the_wrong_rows(self):
+        # numpy would broadcast the single row into both rows of the ring
+        with pytest.raises(ParameterError, match="1 rows fed to 2 rows"):
+            WelchAccumulator(2, 64).add(np.ones((1, 200)))
+        with pytest.raises(ParameterError, match="2 rows fed to 4 rows"):
+            WelchAccumulator(2, 64, 2).add(np.ones((2, 200)))
+
 
 def test_streamed_psd_memory_does_not_grow_with_the_run():
     # the Welch ring dominates the working set at this segment length
@@ -1043,10 +1106,10 @@ def test_a_pass_allocates_nothing_per_chunk(monkeypatch):
     # scratch exist; no later chunk, segments completing and rings shifting
     # among them, may rise above its own start by a quarter of a Welch ring,
     # room for what numpy's buffered iterator takes inside a broadcasting
-    # ufunc call (up to 2 x 64 kB).  The chunk is widened so that a
-    # temporary of one chain's chunk, or of a batch's segments, 512 kB or
-    # more, would stand above that
-    monkeypatch.setattr(simulation, "_CHUNK", 1 << 17)
+    # ufunc call (up to 2 x 64 kB).  The chunk is widened to 512 lanes so
+    # that a temporary of one chain's chunk (8 rows), or of a batch's
+    # segments, 512 kB or more, would stand above that
+    monkeypatch.setattr(simulation, "_CHUNK", 512 * simulation._LANE)
     dp = desk_dp(r_m=1.0)
     ntraj, nper = 4, 2**15
     ring = ntraj * nper * 8
@@ -1095,22 +1158,28 @@ def test_a_pass_reserves_increments_for_the_components_it_steps(monkeypatch):
     assert reserved == [(2, 2), (4, 4)]
 
 
-def test_a_scan_lets_its_buffers_go_once_its_chains_end():
+def test_a_scan_lets_its_buffers_go_once_its_chains_end(monkeypatch):
     # a short full chain beside a long record-only one: once the short
-    # chain has ended, its scan's states buffer is freed, mid-pass
+    # chain has ended, its scan's states buffer is freed, mid-pass.  At 384
+    # lanes a chunk the pass has two chunks, the short chain ends in the
+    # first, and its buffer holds its whole run, 1.2 MB.  The readings go
+    # to a preallocated array: the test's own bookkeeping would otherwise
+    # take about 100 B of the margin between them
+    monkeypatch.setattr(simulation, "_CHUNK", 384 * simulation._LANE)
     dp = desk_dp(r_m=1.0)
     ntraj = 8
-    width = simulation._CHUNK // (ntraj * simulation._LANE) * simulation._LANE
-    states = 4 * ntraj * width * 8
     chains = [Chain(dp, 0.05, quick_config(dp, duration=0.1, n_trajectories=ntraj)),
               Chain(dp, 0.05, quick_config(dp, duration=1.0, n_trajectories=1),
                     record_only=True)]
-    held = {True: [], False: []}
+    steps = simulation._drawn(chains[0].cfg)
+    assert steps < simulation._CHUNK < simulation._drawn(chains[1].cfg) <= 2 * simulation._CHUNK
+    states = 4 * ntraj * steps * 8
+    memory = np.zeros(2, dtype=np.int64)
     tracemalloc.start()
     try:
-        for short, _ in simulate_chunks(chains):
-            held[short is not None].append(tracemalloc.get_traced_memory()[0])
+        for i, (short, _) in enumerate(simulate_chunks(chains)):
+            assert (short is not None) == (i == 0)
+            memory[i] = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held[True] and held[False]
-    assert min(held[True]) - max(held[False]) >= states
+    assert memory[0] - memory[1] >= states
