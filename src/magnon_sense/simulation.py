@@ -55,21 +55,22 @@ their applications", 1990):
   lanes or rows, so neither the chunk size nor the row count changes a bit
   of the states.
 
-A pass is one draw of the seed's streams, stepped by
-:func:`simulate_chunks`, the oracle's stepping entry for noise.  Its
-chains (:class:`Chain`) each carry their own parameters, temperature,
-settings and reservoirs, and share one seed.  A chain steps on the leading
-``n_trajectories`` streams, so step k of trajectory i reads the same four
-normals in every chain, whatever its dt or burn-in: each stream is built
-once and drawn once, up to the furthest step any chain reads from it.
-A chain is one scan, whose rows are one block of ``n_trajectories`` per
-reservoir, reservoir-major, each block reading the same streams through
-its own Cholesky factor; ``verify``'s 4 chains are 4 scans.  Each chunk
-yields one array per chain, or None where it keeps no step: a full
-chain's quadratures (4, rows, n), which the covariances read, or a
-record-only chain's output record (rows, n), which Welch reads.  Each
-block is bit for bit that of the chain stepped alone with its reservoir,
-and the chains of a pass are not independent: they see the same noise.
+A pass is one draw of the seed's streams, stepped by :func:`fold`, the
+oracle's one stepping entry for noise.  Its chains (:class:`Chain`) each
+carry their own parameters, temperature, settings and reservoirs, and
+share one seed.  A chain steps on the leading ``n_trajectories`` streams,
+so step k of trajectory i reads the same four normals in every chain,
+whatever its dt or burn-in: each stream is built once and drawn once, up
+to the furthest step any chain reads from it.  A chain is one scan, whose
+rows are one block of ``n_trajectories`` per reservoir, reservoir-major,
+each block reading the same streams through its own Cholesky factor;
+``verify``'s 4 chains are 4 scans.  Each chain adds the steps it keeps of
+each chunk straight to its own accumulator: a full chain its quadratures
+(4, rows, n), which the covariances read, or a record-only chain its
+output record (rows, n), which Welch reads; a chunk of burn-in alone
+reaches no accumulator.  Each block is bit for bit that of the chain
+stepped alone with its reservoir, and the chains of a pass are not
+independent: they see the same noise.
 
 A pass allocates its arrays once, before the first chunk: each chain's
 states buffer, the normals of one chunk, and its one scratch
@@ -85,7 +86,7 @@ FFT plans aside).  Temporaries of a chain's chunk (256 kB per component
 at 32 rows) would otherwise cost page faults on every chunk wherever the
 C allocator maps blocks that large on their own, as glibc does until it
 frees a larger mapped block.  A chain's states buffer goes as soon as it
-has ended.  The consumers fold the chunks in:
+has ended.  The accumulators take the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
@@ -95,15 +96,13 @@ has ended.  The consumers fold the chunks in:
   a time in its transform scratch.
 * :class:`CovarianceAccumulator`: per-trajectory second moments about
   zero, the runs' exact mean, so nothing is detrended or centred.
-* :func:`simulate`: stores everything, as a :class:`SimulationTrace` with
-  quadrature-major storage, for callers that read single samples: the
-  quadratures of a full chain and the record of a record-only one.
+* :func:`simulate`: folds a full chain and a record-only one into two
+  stores and returns everything, as a :class:`SimulationTrace` with
+  quadrature-major storage, for callers that read single samples.
 
-One loop, :func:`fold`, adds each chain's chunks of a pass to its own
-accumulator; :func:`stream_psd`, :func:`stream_covariances` and ``verify``
-fold through it, so no consumer's memory grows with the run length.  The
-covariances sum over a chunk and round as their chunks fall, so a chain
-folded in a wider pass can differ from its own run in the last bits.
+Only :func:`simulate`'s stores grow with the run length.  The covariances
+sum per chunk, so they can differ from sums over the stored run in the
+last bits.
 
 The chain is linear, so a tone's response depends on neither the noise nor
 its amplitude: :func:`measure_gain` steps a unit drive alone, from rest and
@@ -125,13 +124,10 @@ __all__ = [
     "SimulationConfig",
     "SimulationTrace",
     "Chain",
-    "simulate_chunks",
+    "fold",
     "simulate",
     "WelchAccumulator",
     "CovarianceAccumulator",
-    "fold",
-    "stream_psd",
-    "stream_covariances",
     "measure_gain",
     "lyapunov_covariance",
     "fastest_rate",
@@ -204,14 +200,14 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class Chain:
-    """One chain of a pass of :func:`simulate_chunks`.
+    """One chain of a pass of :func:`fold`.
 
     It steps ``dp`` at ``temperature`` with ``cfg``'s step, burn-in, length
     and trajectory count once per entry of ``reservoirs``, a squeezed
     reservoir or None (the thermal magnon input): a block of
     ``n_trajectories`` rows on the same streams, reservoir-major.  A
-    ``record_only`` chain yields its output record and steps only the
-    components P_a reads; any other chain yields its quadratures.
+    ``record_only`` chain feeds its accumulator its output record and steps
+    only the components P_a reads; any other chain feeds its quadratures.
     """
 
     dp: DerivedParameters
@@ -478,60 +474,72 @@ def _stream_extents(chains: list[Chain]) -> list[int]:
             for i in range(max(c.cfg.n_trajectories for c in chains))]
 
 
-def simulate_chunks(chains: list[Chain]):
+def fold(chains: list[Chain], accumulators: list) -> None:
     """Integrate the quadrature Langevin equations of every chain of
-    ``chains`` on one pass over their seed's streams, a chunk at a time.
+    ``chains`` on one pass over their seed's streams, a chunk at a time,
+    and add each chain's kept steps of each chunk to its own accumulator of
+    ``accumulators``, in chain order.
 
-    Returns an iterator of lists in time order, one per chunk in which some
-    chain keeps a step, holding one array per chain, or None where that
-    chain keeps no step: a full chain's quadratures before each step,
-    (4, rows, n), or a record-only chain's output record, (rows, n), the
-    rows being one block of n_trajectories per reservoir.  Each is a view
-    of a buffer that the next chunk overwrites, so a consumer copies what
-    it keeps.  The increments are the rows of chol(D dt) times standard
-    normals, D the diffusion matrix of the inputs with the block's
+    An accumulator's ``add`` takes a full chain's quadratures before each
+    step, (4, rows, n), or a record-only chain's output record, (rows, n),
+    the rows being one block of n_trajectories per reservoir; a chunk in
+    which the chain keeps no step reaches it not at all.  Each part is a
+    view of a buffer that the next chunk overwrites, so an accumulator
+    copies what it keeps.  The increments are the rows of chol(D dt) times
+    standard normals, D the diffusion matrix of the inputs with the block's
     reservoir; each stream's normals are drawn once for all chains and
     blocks, so they see the same noise, and each chain is stepped by one
     scan (see the module docstring).
 
-    Raises :class:`ConfigurationError` when called, before any stepping, if
-    ``chains`` or a chain's reservoirs are empty or its chains do not share
-    one seed, or if a chain's configuration guard fails or its drift is
-    unstable.
+    Raises :class:`ConfigurationError` before any stepping if ``chains``
+    or a chain's reservoirs are empty, if there is not one accumulator per
+    chain, if the chains do not share one seed, or if a chain's
+    configuration guard fails or its drift is unstable.
     """
     if not chains or not all(chain.reservoirs for chain in chains):
         raise ConfigurationError(
             "a pass needs at least one chain, and a chain at least one reservoir")
+    if len(accumulators) != len(chains):
+        raise ConfigurationError(
+            f"{len(chains)} chains need one accumulator each, got {len(accumulators)}")
     if len({chain.cfg.seed for chain in chains}) != 1:
         raise ConfigurationError("the chains of one pass must share one seed")
-    steppers = [_Stepper(chain) for chain in chains]
-    work = _scan_work(max(s.cells for s in steppers),
-                      max(len(s.scan.components) for s in steppers))
+    running = [(_Stepper(chain), acc) for chain, acc in zip(chains, accumulators)]
+    work = _scan_work(max(s.cells for s, _ in running),
+                      max(len(s.scan.components) for s, _ in running))
     extents = _stream_extents(chains)
-    seed = chains[0].cfg.seed
-    rngs = [_trajectory_rng(seed, i) for i in range(len(extents))]
+    rngs = [_trajectory_rng(chains[0].cfg.seed, i) for i in range(len(extents))]
     end = max(extents)
     # a chunk's normals, one row per stream; a stream that has ended leaves
     # its row stale, and no running chain reads it
     z = np.empty((len(rngs), min(_CHUNK, end), 4))
+    for pos in range(0, end, _CHUNK):
+        for rng, extent, zi in zip(rngs, extents, z):
+            if extent > pos:
+                rng.standard_normal(out=zi[:extent - pos])
+        for stepper, acc in running:
+            part = stepper.step(z, pos, work)
+            if part is not None:
+                acc.add(part)
+        # an ended chain lets its scan and states buffer go, so nothing else
+        # may hold its stepper; under glibc, freeing the buffer (1 MB for each
+        # of verify's Lyapunov chains) also lifts its mmap threshold above the
+        # blocks np.fft.rfft allocates and frees per call, which ends those
+        # calls' page faults
+        running = [(s, acc) for s, acc in running if s.end > pos + _CHUNK]
 
-    def chunks(running):
-        for pos in range(0, end, _CHUNK):
-            for rng, extent, zi in zip(rngs, extents, z):
-                if extent > pos:
-                    rng.standard_normal(out=zi[:extent - pos])
-            out = [None] * len(chains)
-            for i, s in running:
-                out[i] = s.step(z, pos, work)
-            # an ended chain lets its scan and states buffer go; under glibc,
-            # freeing the buffer (1 MB for each of verify's Lyapunov chains)
-            # also lifts its mmap threshold above the blocks np.fft.rfft
-            # allocates and frees per call, which ends those calls' page faults
-            running = [(i, s) for i, s in running if s.end > pos + _CHUNK]
-            if any(part is not None for part in out):
-                yield out
 
-    return chunks(list(enumerate(steppers)))
+class _Store:
+    """An accumulator that copies the parts it is fed into ``array``, one
+    after the other along its last axis."""
+
+    def __init__(self, array: np.ndarray):
+        self.array, self.filled = array, 0
+
+    def add(self, part: np.ndarray) -> None:
+        n = part.shape[-1]
+        self.array[..., self.filled:self.filled + n] = part
+        self.filled += n
 
 
 def simulate(
@@ -542,22 +550,15 @@ def simulate(
 ) -> SimulationTrace:
     """Integrate the quadrature Langevin equations and store the whole run.
 
-    The store-everything consumer of a :func:`simulate_chunks` pass of a
-    full chain and a record-only one, for callers that read single samples;
-    it raises what that raises.
+    One :func:`fold` of a full chain and a record-only one into two stores,
+    for callers that read single samples; it raises what that raises.
     """
-    chunks = simulate_chunks([Chain(dp, temperature, cfg, (reservoir,)),
-                              Chain(dp, temperature, cfg, (reservoir,), record_only=True)])
     n_burn, n_keep = _steps(cfg)
     quad = np.empty((4, cfg.n_trajectories, n_keep))
     out = np.empty((cfg.n_trajectories, n_keep))
-    k = 0
-    for states, record in chunks:
-        n = record.shape[1]
-        quad[:, :, k:k + n] = states
-        out[:, k:k + n] = record
-        k += n
-
+    fold([Chain(dp, temperature, cfg, (reservoir,)),
+          Chain(dp, temperature, cfg, (reservoir,), record_only=True)],
+         [_Store(quad), _Store(out)])
     times = (n_burn + np.arange(n_keep)) * cfg.dt
     return SimulationTrace(times=times, quadratures=np.moveaxis(quad, 0, -1),
                            output_record=out)
@@ -573,7 +574,7 @@ class WelchAccumulator:
     per block of ``n_trajectories`` rows.
 
     A record holds ``blocks`` such blocks, reservoir-major, as a record-only
-    chain with that many reservoirs yields them (:class:`Chain`), and each
+    chain with that many reservoirs feeds them (:class:`Chain`), and each
     block has its own running sum of periodograms.  Holds the last
     ``segment_length`` samples of every row.  Each time a segment
     completes, it is Hann-windowed, not detrended (the record's mean is
@@ -686,51 +687,9 @@ class CovarianceAccumulator:
         return self._moments / self._count
 
 
-def fold(chains: list[Chain], accumulators: list) -> None:
-    """Step ``chains`` on one :func:`simulate_chunks` pass and add each
-    chain's chunks to its own accumulator of ``accumulators``, in chain
-    order, skipping the chunks in which the chain keeps no step.
-
-    Raises what :func:`simulate_chunks` raises, before any stepping.
-    """
-    for chunk in simulate_chunks(chains):
-        for accumulator, part in zip(accumulators, chunk):
-            if part is not None:
-                accumulator.add(part)
-
-
-def stream_psd(dp: DerivedParameters, temperature: float, cfg: SimulationConfig,
-               segment_length: int, reservoirs: list) -> list[tuple]:
-    """(omega, psd, segments) of the output record per entry of
-    ``reservoirs``, all on one draw of the streams, with nothing stored.
-
-    One chain steps a block of rows per reservoir, and its chunks go
-    straight into one :class:`WelchAccumulator` of as many blocks;
-    ``segments`` is the number of periodograms averaged over all
-    trajectories of a block.  Welch reads the output record alone, so the
-    chain is record-only.
-    """
-    welch = WelchAccumulator(cfg.n_trajectories, segment_length, len(reservoirs))
-    fold([Chain(dp, temperature, cfg, tuple(reservoirs), record_only=True)], [welch])
-    omega, psd = welch.spectrum(cfg.dt)
-    return [(omega, row, welch.segments) for row in psd]
-
-
-def stream_covariances(
-    dp: DerivedParameters,
-    temperature: float,
-    cfg: SimulationConfig,
-) -> np.ndarray:
-    """Per-trajectory covariances of a run about its zero mean, shape
-    (n_trajectories, 4, 4), with nothing stored."""
-    acc = CovarianceAccumulator(cfg.n_trajectories)
-    fold([Chain(dp, temperature, cfg)], [acc])
-    return acc.covariances()
-
-
 def measure_gain(dp: DerivedParameters, frequency: float, cfg: SimulationConfig) -> float:
-    """Response at ``frequency`` (rad/s) of the chain :func:`simulate_chunks`
-    steps with ``cfg``'s step, burn-in and length.
+    """Response at ``frequency`` (rad/s) of the chain :func:`fold` steps
+    with ``cfg``'s step, burn-in and length.
 
     A field tone B0 at the offset ``frequency`` = omega_s - omega_b from the
     magnon pump drives, in the frame rotating with the pump, only through
@@ -769,7 +728,7 @@ def measure_gain(dp: DerivedParameters, frequency: float, cfg: SimulationConfig)
 
 def lyapunov_covariance(dp: DerivedParameters, temperature: float,
                         dt: float) -> np.ndarray:
-    """Stationary covariance of the chain :func:`simulate_chunks` steps with ``dt``.
+    """Stationary covariance of the chain :func:`fold` steps with ``dt``.
 
     Solves V = S V S^T + D dt, S = I + A dt, D the increments' diffusion
     matrix, so the step's O(dt) variance bias is in the reference; as dt -> 0

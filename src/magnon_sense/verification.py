@@ -5,16 +5,15 @@ solve against the printed closed forms, that is the 1e-9 agreement of |k1|
 at the backaction-evading point and the documented decoupled-resonant
 discrepancy (|K4(0)| = 1 from the drift system vs 3 from the printed form).
 
-The stochastic runs are one table, :func:`_runs`.  A row is one run: its
-check family, its parameters and the (name, variant) of each check it
-feeds, the variant being the reservoir of a PSD check, the tone offset of
-a gain check and None for a Lyapunov check.  The family sizes the run,
-gives its chain (none for a gain run), an accumulator for it and the
-judge of its checks.  All runs are sized first, so a refusal costs no
-stepping.  Then the chains of the Lyapunov and PSD runs are folded on one
-:func:`simulation.fold` pass over the seed's streams: each (seed,
-trajectory index) stream is drawn once, and every run reads a prefix of
-the same streams, step for step.
+The stochastic runs are one table, :func:`_runs`: each entry calls its
+check family with the names of the checks it feeds, its parameters and
+the seed.  The family sizes the run and returns it as a :class:`_Run`:
+its chain (none for a gain run), an accumulator for it and the judge of
+its checks.  The table sizes every run before any is stepped, so a
+refusal costs no stepping.  Then the chains of the Lyapunov and PSD runs
+are folded on one :func:`simulation.fold` pass over the seed's streams:
+each (seed, trajectory index) stream is drawn once, and every run reads a
+prefix of the same streams, step for step.
 The checks of one seed are therefore not independent draws; a rate of
 "any check failed" cannot be formed by multiplying per-check rates.
 ``_check_lyapunov`` compares the stepped chain's second moments about its
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -129,19 +128,12 @@ def verification_parameters() -> SystemParameters:
     )
 
 
-class _Row(NamedTuple):
-    family: Callable              # sizes the row's run and returns its _Run
-    params: SystemParameters
-    #: (name, variant) per check: the reservoir (PSD), the tone offset in
-    #: units of kappa_m (gain) or None (Lyapunov)
-    checks: tuple
-
-
 @dataclass(frozen=True)
 class _Run:
-    """One sized run of the plan: its chain or None, ``accumulator()``, which
-    makes a fresh accumulator for the chain, and ``judge``, which reads it
-    folded (a run with no chain is judged on nothing)."""
+    """One sized run of :func:`_runs`: its chain or None, ``accumulator()``,
+    which makes a fresh accumulator for the chain, and ``judge``, which
+    reads it once :func:`simulation.fold` has filled it (a run with no chain
+    is judged on nothing)."""
 
     names: tuple[str, ...]
     dp: DerivedParameters
@@ -153,35 +145,32 @@ class _Run:
     frequency: float | None = None  # the tone offset in rad/s (gain runs)
 
 
-def _runs(params: SystemParameters) -> list[_Row]:
-    """The stochastic runs of ``verify`` on ``params``, in report order."""
+def _runs(params: SystemParameters, seed: int) -> list[_Run]:
+    """The stochastic runs of ``verify`` on ``params`` at ``seed``, in report
+    order, every one sized and none stepped, so a refusal costs no stepping."""
     kappa_m = params.kappa_m
     hot = replace(params, temperature=2.6)
     return [
-        _Row(_check_lyapunov,
-             replace(hot.with_squeeze_amplitude(0.5), mod_amplitude=0.0,
-                     delta_a=0.0, delta_0p=0.0),
-             (("lyapunov_decoupled", None),)),
-        _Row(_check_lyapunov,
-             replace(hot.with_squeeze_amplitude(0.0), g_0=0.4 * kappa_m, mod_amplitude=1.0,
-                     delta_a=0.5 * kappa_m, delta_0p=-0.3 * kappa_m),
-             (("lyapunov_coupled", None),)),
-        _Row(_check_psd, params.with_squeeze_amplitude(0.0), (("psd_rm0", None),)),
-        _Row(_check_psd, params.with_squeeze_amplitude(1.5),
-             (("psd_rm15", None),
-              ("psd_rm15_reservoir", SqueezedReservoir(r_n=1.5, phi_n=math.pi)))),
-        *[_Row(_check_gain, params.with_squeeze_amplitude(1.0),
-               ((f"gain_delta_{frac:g}km", frac),)) for frac in (0.2, 0.5, 1.0)],
+        _check_lyapunov("lyapunov_decoupled",
+                        replace(hot.with_squeeze_amplitude(0.5), mod_amplitude=0.0,
+                                delta_a=0.0, delta_0p=0.0), seed),
+        _check_lyapunov("lyapunov_coupled",
+                        replace(hot.with_squeeze_amplitude(0.0), g_0=0.4 * kappa_m,
+                                mod_amplitude=1.0, delta_a=0.5 * kappa_m,
+                                delta_0p=-0.3 * kappa_m), seed),
+        _check_psd((("psd_rm0", None),), params.with_squeeze_amplitude(0.0), seed),
+        _check_psd((("psd_rm15", None),
+                    ("psd_rm15_reservoir", SqueezedReservoir(r_n=1.5, phi_n=math.pi))),
+                   params.with_squeeze_amplitude(1.5), seed),
+        *[_check_gain(f"gain_delta_{frac:g}km", frac, params.with_squeeze_amplitude(1.0), seed)
+          for frac in (0.2, 0.5, 1.0)],
     ]
 
 
-def _plan(rows: list[_Row], seed: int) -> list[_Run]:
-    """Size every run of ``rows``, stepping none, so a refusal costs no stepping."""
-    runs = []
-    for row in rows:
-        dp = derived_parameters(row.params)
-        runs.append(row.family(row, dp, seed, _DT_ACCURACY / fastest_rate(dp)))
-    return runs
+def _oracle_step(params: SystemParameters) -> tuple[DerivedParameters, float]:
+    """The derived parameters of ``params`` and the oracle's step on them."""
+    dp = derived_parameters(params)
+    return dp, _DT_ACCURACY / fastest_rate(dp)
 
 
 def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: float,
@@ -243,11 +232,11 @@ def _check_routes(params: SystemParameters) -> list[CheckResult]:
     return checks
 
 
-def _check_lyapunov(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
-    [(name, _)] = row.checks
+def _check_lyapunov(name: str, params: SystemParameters, seed: int) -> _Run:
+    dp, dt = _oracle_step(params)
     cfg = _run_config(dp, seed, dt, _LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt,
                       _LYAPUNOV_TRAJECTORIES)
-    temperature = row.params.temperature
+    temperature = params.temperature
 
     def judge(acc: CovarianceAccumulator) -> list[CheckResult]:
         covs = acc.covariances()
@@ -296,7 +285,9 @@ def _five_smooth(n: int) -> int:
     return best
 
 
-def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
+def _check_psd(checks: tuple, params: SystemParameters, seed: int) -> _Run:
+    """The PSD run of ``checks``, (name, reservoir) pairs on one chain."""
+    dp, dt = _oracle_step(params)
     # _PSD_SEGMENTS_PER_TRAJECTORY Welch segments of nper samples, a 5-smooth
     # length at about _PSD_RESOLUTION kappa_m bin spacing
     nper = _TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt
@@ -307,9 +298,9 @@ def _check_psd(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
         hop = nper * (1.0 - WELCH_OVERLAP)
     steps = nper + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * hop
     cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES)
-    temperature = row.params.temperature
+    temperature = params.temperature
     # the checks differ only in their reservoirs; Welch reads the record alone
-    names, reservoirs = zip(*row.checks)
+    names, reservoirs = zip(*checks)
 
     def judge(welch: WelchAccumulator) -> list[CheckResult]:
         omega, psds = welch.spectrum(cfg.dt)
@@ -343,8 +334,9 @@ def _judge_psd(name: str, dp: DerivedParameters, temperature: float,
     )
 
 
-def _check_gain(row: _Row, dp: DerivedParameters, seed: int, dt: float) -> _Run:
-    [(name, frac)] = row.checks
+def _check_gain(name: str, frac: float, params: SystemParameters, seed: int) -> _Run:
+    """The gain run of a tone ``frac`` kappa_m from the pump."""
+    dp, dt = _oracle_step(params)
     require_evading_point(dp)
     delta = frac * dp.kappa_m
     k1, _, _, _ = response_grid(dp, [delta])
@@ -384,16 +376,16 @@ def run_verification(
     params: SystemParameters | None = None,
     seed: int = 42,
 ) -> VerificationReport:
-    """Run the route checks and every row of the run table, and collect a report.
+    """Run the route checks and every run of the run table, and collect a report.
 
     ``params`` defaults to :func:`verification_parameters`; a custom set must
     keep the fastest rate within a few hundred kappa_m or the stochastic
-    runs are refused as intractable.  All rows are sized before any run is
+    runs are refused as intractable.  All runs are sized before any is
     stepped, so a refusal costs no stepping; then every run is stepped on
     one pass over the seed's streams, so all checks read the same normals.
     """
     if params is None:
         params = verification_parameters()
-    runs = _plan(_runs(params), seed)
+    runs = _runs(params, seed)
     checks = _check_routes(params) + _judge(runs)
     return VerificationReport(checks=tuple(checks), seed=seed)

@@ -560,11 +560,11 @@ class TestExitCodes:
     def test_verify_refuses_a_run_it_cannot_store(self, tmp_path, capsys, monkeypatch):
         # kappa_a / kappa_m = 50: the Lyapunov runs need 9.33e6 steps of 32
         # trajectories, over the trajectory-step budget, and must be refused
-        # before the chunk generator is entered
+        # before the pass starts
         def no_stepping(*args, **kwargs):
-            raise AssertionError("simulate_chunks called")
+            raise AssertionError("fold called")
 
-        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        monkeypatch.setattr(simulation, "fold", no_stepping)
         config = tmp_path / "long.cfg"
         config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 6\n"
                           "mod_amplitude = 1\nkappa_a_hz = 750\nkappa_m_hz = 15\n"
@@ -593,9 +593,9 @@ class TestExitCodes:
         # the reference set: the Lyapunov runs are desk-sized, only the PSD
         # and gain runs (g'/kappa_m ~ 750) are over the budget
         def no_stepping(*args, **kwargs):
-            raise AssertionError("simulate_chunks called")
+            raise AssertionError("fold called")
 
-        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        monkeypatch.setattr(simulation, "fold", no_stepping)
         config = tmp_path / "reference.cfg"
         config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 2.5e9\n"
                           "mod_amplitude = 1\nkappa_a_hz = 16.5e6\nkappa_m_hz = 15e6\n"
@@ -610,9 +610,9 @@ class TestExitCodes:
         # the desk set detuned: the gain checks need the backaction-evading
         # point, and the refusal must come before any run is stepped
         def no_stepping(*args, **kwargs):
-            raise AssertionError("simulate_chunks called")
+            raise AssertionError("fold called")
 
-        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        monkeypatch.setattr(simulation, "fold", no_stepping)
         config = tmp_path / "detuned.cfg"
         config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 6\n"
                           "mod_amplitude = 1\nkappa_a_hz = 16.5\nkappa_m_hz = 15\n"
@@ -632,9 +632,9 @@ class TestExitCodes:
         # without a magnon-cavity coupling the analytic gain is 0, and the
         # gain checks cannot be divided by it
         def no_stepping(*args, **kwargs):
-            raise AssertionError("simulate_chunks called")
+            raise AssertionError("fold called")
 
-        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        monkeypatch.setattr(simulation, "fold", no_stepping)
         config = tmp_path / "uncoupled.cfg"
         config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\n"
                           f"{coupling}\nkappa_a_hz = 16.5\nkappa_m_hz = 15\n"
@@ -648,15 +648,15 @@ class TestExitCodes:
         # the gain does not depend on the sign of lambda, and budget runs the
         # same file: a negative lambda_hz_per_tesla is planned and reaches the pass
         def no_stepping(*args, **kwargs):
-            raise AssertionError("simulate_chunks called")
+            raise AssertionError("fold called")
 
-        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        monkeypatch.setattr(simulation, "fold", no_stepping)
         config = tmp_path / "negative.cfg"
         config.write_text("".join(f"{key} = {value!r}\n" for key, value in
                                   {**DESK, "lambda_hz_per_tesla": -10.0}.items()))
         assert run_cli(["budget", "--config", str(config),
                         "--out", str(tmp_path / "budget.csv")]) == (0, "")
-        with pytest.raises(AssertionError, match="simulate_chunks called"):
+        with pytest.raises(AssertionError, match="fold called"):
             run_cli(["verify", "--config", str(config)])
 
     @pytest.mark.parametrize("changes", [
@@ -674,7 +674,7 @@ class TestExitCodes:
         def no_stepping(*args, **kwargs):
             raise AssertionError("stepped")
 
-        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        monkeypatch.setattr(simulation, "fold", no_stepping)
         monkeypatch.setattr(simulation, "measure_gain", no_stepping)
         config = tmp_path / "extreme.cfg"
         config.write_text("".join(f"{key} = {value!r}\n"
@@ -897,7 +897,7 @@ def test_generated_verify_files_are_planned_before_any_stepping(changes):
         config = Path(tmp) / "drawn.cfg"
         config.write_text("".join(f"{key} = {value!r}\n"
                                   for key, value in {**DESK, **changes}.items()))
-        with mock.patch.object(simulation, "simulate_chunks", side_effect=_Stepped), \
+        with mock.patch.object(simulation, "fold", side_effect=_Stepped), \
                 mock.patch.object(simulation, "measure_gain", side_effect=_Stepped):
             try:
                 code, err = run_cli(["verify", "--config", str(config)])

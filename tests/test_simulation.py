@@ -27,9 +27,6 @@ from magnon_sense.simulation import (
     fastest_rate,
     fold,
     noverlap,
-    simulate_chunks,
-    stream_covariances,
-    stream_psd,
 )
 from magnon_sense.spectra import input_densities
 from magnon_sense.transfer import drift_matrix
@@ -103,6 +100,17 @@ def mid_lane_config(dp):
     assert simulation._steps(cfg) == (n_burn, n_keep)
     assert n_burn % lane and (n_burn + n_keep) % lane
     return cfg
+
+
+class Recorded:
+    """An accumulator that keeps a copy of every part :func:`fold` adds."""
+
+    def __init__(self):
+        self.parts = []
+
+    def add(self, part):
+        assert type(part) is np.ndarray
+        self.parts.append(part.copy())
 
 
 def welch_psd(record, segment_length, dt):
@@ -183,7 +191,9 @@ class TestSteadyStateVariances:
         dp = desk_dp(mod_amplitude=0.0)
         temperature = 2.6  # nbar_a close to 1 at 37.5 GHz
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=3)
-        covs = stream_covariances(dp, temperature, cfg)
+        acc = CovarianceAccumulator(cfg.n_trajectories)
+        fold([Chain(dp, temperature, cfg)], [acc])
+        covs = acc.covariances()
         target = lyapunov_covariance(dp, temperature, cfg.dt)
         sample = covs[:, 2, 2]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
@@ -198,7 +208,9 @@ class TestSteadyStateVariances:
     def test_squeezed_magnon_amplitude_variance(self):
         dp = desk_dp(r_m=1.5)
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=4)
-        covs = stream_covariances(dp, 0.05, cfg)
+        acc = CovarianceAccumulator(cfg.n_trajectories)
+        fold([Chain(dp, 0.05, cfg)], [acc])
+        covs = acc.covariances()
         sample = covs[:, 0, 0]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
         expected = math.exp(-3.0) / 2.0
@@ -212,7 +224,9 @@ class TestSteadyStateVariances:
                          delta_0p=-0.3 * TWO_PI * 15.0)
         dp = derived_parameters(params)
         cfg = quick_config(dp, duration=15.0, n_trajectories=12, seed=6)
-        covs = stream_covariances(dp, 1.0, cfg)
+        acc = CovarianceAccumulator(cfg.n_trajectories)
+        fold([Chain(dp, 1.0, cfg)], [acc])
+        covs = acc.covariances()
         target = lyapunov_covariance(dp, 1.0, cfg.dt)
         mean = covs.mean(axis=0)
         se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
@@ -228,7 +242,9 @@ class TestSteadyStateVariances:
         dp = derived_parameters(replace(params.with_squeeze_amplitude(0.5),
                                         mod_amplitude=0.0))
         cfg = quick_config(dp, duration=20.0 / dp.kappa_m, n_trajectories=512)
-        covs = stream_covariances(dp, 2.6, cfg)
+        acc = CovarianceAccumulator(cfg.n_trajectories)
+        fold([Chain(dp, 2.6, cfg)], [acc])
+        covs = acc.covariances()
         target = lyapunov_covariance(dp, 2.6, cfg.dt)
         variances = covs[:, range(4), range(4)]
         se = variances.std(axis=0, ddof=1) / math.sqrt(len(variances))
@@ -252,10 +268,9 @@ class TestSteadyStateVariances:
             dp, temperature = desk_dp(r_m=1.5, kappa_a=TWO_PI * 15.0), 2.6
             dt = 0.015 / fastest_rate(dp)
         else:
-            [row] = [row for row in verification._runs(verification_parameters())
-                     if row.checks == ((case, None),)]
-            [run] = verification._plan([row], seed=42)
-            dp, temperature, dt = run.dp, row.params.temperature, run.cfg.dt
+            [run] = [run for run in verification._runs(verification_parameters(), seed=42)
+                     if run.names == (case,)]
+            dp, temperature, dt = run.dp, run.chain.temperature, run.cfg.dt
         cavity, magnon = input_densities(dp, temperature)
         diffusion = linalg.block_diag(dp.kappa_m * magnon, np.eye(2) * dp.kappa_a * cavity)
         step = np.eye(4) + drift_matrix(dp) * dt
@@ -267,8 +282,7 @@ class TestSteadyStateVariances:
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=8)
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        for [states] in simulate_chunks([Chain(dp, 0.05, cfg, (reservoir,))]):
-            acc.add(states)
+        fold([Chain(dp, 0.05, cfg, (reservoir,))], [acc])
         sample = acc.covariances()[:, 0, 0]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
         # nulling reservoir: magnon amplitude variance is the vacuum half
@@ -325,7 +339,9 @@ class TestPsdEstimator:
         cfg = quick_config(dp, duration=12.0, n_trajectories=8, seed=21,
                            accuracy=0.015)
         nper = int(round(TWO_PI / (0.1 * dp.kappa_m) / cfg.dt))
-        [(omega, psd, _)] = stream_psd(dp, 0.05, cfg, nper, [None])
+        welch = WelchAccumulator(cfg.n_trajectories, nper)
+        fold([Chain(dp, 0.05, cfg, record_only=True)], [welch])
+        omega, [psd] = welch.spectrum(cfg.dt)
         reference = output_spectrum(dp, 0.05, omega)
         for center in np.geomspace(0.2, 4.0, 6) * dp.kappa_m:
             sel = (omega > center / 1.4) & (omega < center * 1.4)
@@ -341,11 +357,9 @@ class TestGainMeasurement:
 
     def gain_run(self, r_m, frac, seed):
         """(dp, gain) of the run verify's gain checks make at delta = frac
-        kappa_m on the desk set at r_m, sized by verify's own plan."""
-        row = verification._Row(verification._check_gain,
-                                verification_parameters().with_squeeze_amplitude(r_m),
-                                (("gain", frac),))
-        [run] = verification._plan([row], seed)
+        kappa_m on the desk set at r_m, sized by verify's own gain family."""
+        run = verification._check_gain(
+            "gain", frac, verification_parameters().with_squeeze_amplitude(r_m), seed)
         return run.dp, measure_gain(run.dp, run.frequency, run.cfg)
 
     def stepped_chain_gain(self, dp, frequency, dt):
@@ -360,7 +374,7 @@ class TestGainMeasurement:
 
     def test_is_the_stepped_chain_response(self):
         params = verification_parameters()
-        planned = [run for run in verification._plan(verification._runs(params), seed=42)
+        planned = [run for run in verification._runs(params, seed=42)
                    if run.frequency is not None]
         assert [run.names for run in planned] == [
             ("gain_delta_0.2km",), ("gain_delta_0.5km",), ("gain_delta_1km",)]
@@ -391,12 +405,11 @@ class TestGainMeasurement:
         assert g1 / g0 == pytest.approx(expected, rel=0.15)
 
     def test_draws_no_stream(self, monkeypatch):
-        # the tone is stepped alone, without noise: verify's gain rows,
+        # the tone is stepped alone, without noise: verify's gain runs,
         # judged alone, build no trajectory stream, and each judges the
         # gain measure_gain returns
-        rows = [row for row in verification._runs(verification_parameters())
-                if row.family is verification._check_gain]
-        runs = verification._plan(rows, seed=42)
+        runs = [run for run in verification._runs(verification_parameters(), seed=42)
+                if run.frequency is not None]
         assert [run.chain for run in runs] == [None, None, None]
         calls = count_streams(monkeypatch)
         results = verification._judge(runs)
@@ -427,10 +440,9 @@ class TestGainMeasurement:
         # scan steps them on zero increments, and the gain is that of zero
         # detuning, on verify's own run at 0.5 kappa_m
         params = verification_parameters().with_squeeze_amplitude(1.0)
-        rows = [verification._Row(verification._check_gain,
-                                  replace(params, **{detuning: value}), (("gain", 0.5),))
-                for value in (0.0, 1e-10 * params.kappa_m)]
-        exact, tiny = verification._plan(rows, seed=42)
+        exact, tiny = [verification._check_gain("gain", 0.5, replace(params, **{detuning: value}),
+                                                seed=42)
+                       for value in (0.0, 1e-10 * params.kappa_m)]
         assert getattr(tiny.dp, detuning) != 0.0 and tiny.cfg == exact.cfg
         assert measure_gain(tiny.dp, tiny.frequency, tiny.cfg) == pytest.approx(
             measure_gain(exact.dp, exact.frequency, exact.cfg), rel=1e-12, abs=0)
@@ -439,9 +451,9 @@ class TestGainMeasurement:
     def test_verify_judges_gains_inside_the_evading_tolerance(self, detuning):
         params = verification_parameters()
         params = replace(params, **{detuning: 1e-10 * params.kappa_m})
-        rows = [row for row in verification._runs(params)
-                if row.family is verification._check_gain]
-        results = verification._judge(verification._plan(rows, seed=42))
+        runs = [run for run in verification._runs(params, seed=42)
+                if run.frequency is not None]
+        results = verification._judge(runs)
         assert [result.name for result in results] == [
             "gain_delta_0.2km", "gain_delta_0.5km", "gain_delta_1km"]
 
@@ -450,7 +462,7 @@ class TestVerifyPlan:
     def test_desk_plan_sizes(self):
         # verify's printed values depend on these sizes, so a change to one
         # shows here before it moves a check
-        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        runs = verification._runs(verification_parameters(), seed=42)
         sizes = {run.names: (run.cfg.n_trajectories, *simulation._steps(run.cfg)[::-1],
                              run.segment) for run in runs}
         assert sizes == {
@@ -472,8 +484,8 @@ class TestVerifyPlan:
 
     def test_psd_runs_hold_exactly_the_planned_segments(self):
         # one step fewer would lose the last segment of every trajectory
-        runs = [run for run in verification._plan(
-            verification._runs(verification_parameters()), seed=42) if run.segment]
+        runs = [run for run in verification._runs(
+            verification_parameters(), seed=42) if run.segment]
         assert [run.names for run in runs] == [
             ("psd_rm0",), ("psd_rm15", "psd_rm15_reservoir")]
         for run in runs:
@@ -487,8 +499,8 @@ class TestVerifyPlan:
     def test_psd_is_judged_on_the_bins_its_bands_read(self, monkeypatch, name):
         # each frequency is solved alone, so the grid cut past the bands'
         # last bin gives every compared value the bits of the full grid's
-        [run] = [run for run in verification._plan(
-            verification._runs(verification_parameters()), seed=42) if name in run.names]
+        [run] = [run for run in verification._runs(
+            verification_parameters(), seed=42) if name in run.names]
         reservoir = run.chain.reservoirs[run.names.index(name)]
         welch = WelchAccumulator(2, run.segment)
         welch.add(np.random.default_rng(5).standard_normal((2, run.segment)))
@@ -522,67 +534,75 @@ class TestVerifyPlan:
         assert verification._five_smooth(30037) == 30375
 
     def test_equal_psd_rows_step_as_one_draw(self, monkeypatch):
-        # the two-check psd_rm15 row judges each check as a one-check row
+        # the two-check psd_rm15 run judges each check as a one-check run
         # on the same parameters would; a coarse resolution keeps it short
         monkeypatch.setattr(verification, "_PSD_RESOLUTION", 1.0)
-        [row] = [row for row in verification._runs(verification_parameters())
-                 if len(row.checks) > 1]
-        assert [name for name, _ in row.checks] == ["psd_rm15", "psd_rm15_reservoir"]
-        apart = [result for check in row.checks
-                 for result in verification._judge(
-                     verification._plan([row._replace(checks=(check,))], seed=42))]
+        params = verification_parameters().with_squeeze_amplitude(1.5)
+        [run] = [run for run in verification._runs(verification_parameters(), seed=42)
+                 if len(run.names) > 1]
+        checks = tuple(zip(run.names, run.chain.reservoirs))
+        assert run.names == ("psd_rm15", "psd_rm15_reservoir")
+        assert run.dp == derived_parameters(params)
+        apart = [result for check in checks
+                 for result in verification._judge([verification._check_psd((check,), params,
+                                                                            seed=42)])]
         calls = count_streams(monkeypatch)
-        runs = verification._plan([row], seed=42)
-        assert verification._judge(runs) == apart
+        assert verification._judge([verification._check_psd(checks, params, seed=42)]) == apart
         assert calls == [(42, i) for i in range(16)]
 
-    def test_every_run_steps_through_simulate_chunks(self, monkeypatch):
-        # the refusals of verify are tested by patching simulate_chunks, so
-        # nothing may step before the pass: verify makes one pass over the
-        # chains of the Lyapunov and PSD runs, in table order, and only then
-        # steps the gain runs' tones, which have no chain, by measure_gain
+    def test_every_run_steps_through_fold(self, monkeypatch):
+        # the refusals of verify are tested by patching fold, so nothing
+        # may step before the pass: verify makes one pass over the chains of
+        # the Lyapunov and PSD runs, in table order, and only then steps the
+        # gain runs' tones, which have no chain, by measure_gain
         calls = []
 
-        def no_stepping(chains):
+        def no_stepping(chains, accumulators):
             calls.append(chains)
-            raise AssertionError("simulate_chunks called")
+            raise AssertionError("fold called")
 
         def no_gain(dp, frequency, cfg):
             calls.append(frequency)
             raise AssertionError("measure_gain called")
 
-        monkeypatch.setattr(simulation, "simulate_chunks", no_stepping)
+        monkeypatch.setattr(simulation, "fold", no_stepping)
         monkeypatch.setattr(simulation, "measure_gain", no_gain)
-        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        runs = verification._runs(verification_parameters(), seed=42)
         assert len(runs) == 7
         assert [run.chain and len(run.chain.reservoirs) for run in runs] == [
             1, 1, 1, 2, None, None, None]
-        with pytest.raises(AssertionError, match="simulate_chunks called"):
+        with pytest.raises(AssertionError, match="fold called"):
             verification.run_verification(seed=42)
         assert calls == [[run.chain for run in runs if run.chain]]
 
     def test_desk_pass_steps_one_scan_per_chain(self, monkeypatch):
         # the two Lyapunov runs step all four components; psd_rm0 and the
         # psd_rm15 pair X_M and P_a alone, the pair's chain one block of 16
-        # rows per reservoir.  Each chain yields one array per chunk, what
-        # its fold reads: a Lyapunov chain its quadratures, a PSD chain its
-        # output record
-        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        # rows per reservoir.  Each chain adds one array per chunk to its
+        # accumulator, what that reads: a Lyapunov chain its quadratures, a
+        # PSD chain its output record.  The pass stops once each has one
+        runs = verification._runs(verification_parameters(), seed=42)
         chains = [run.chain for run in runs if run.chain]
-        scans = count_scans(monkeypatch)
-        chunks = simulate_chunks(chains)
         assert len(chains) == 4
+        scans = count_scans(monkeypatch)
+        shapes = [None] * len(chains)
+
+        class Seen(Exception):
+            pass
+
+        class Shape:
+            def __init__(self, index):
+                self.index = index
+
+            def add(self, part):
+                assert type(part) is np.ndarray
+                shapes[self.index] = part.shape[:-1]
+                if None not in shapes:
+                    raise Seen
+        with pytest.raises(Seen):
+            fold(chains, [Shape(i) for i in range(len(chains))])
         assert scans == [((0, 1, 2, 3), 32), ((0, 1, 2, 3), 32), ((0, 3), 16),
                          ((0, 3), 32)]
-        shapes = [None] * len(chains)
-        for chunk in chunks:
-            assert len(chunk) == len(chains)
-            for i, part in enumerate(chunk):
-                assert part is None or type(part) is np.ndarray
-                if part is not None:
-                    shapes[i] = part.shape[:-1]
-            if None not in shapes:
-                break
         assert shapes == [(4, 32), (4, 32), (16,), (32,)]
 
     def test_desk_pass_chunks_are_32_lanes(self, monkeypatch):
@@ -590,7 +610,7 @@ class TestVerifyPlan:
         # on these chunks: 730 of 1024 steps, the last of 800 from step
         # 746496.  Stream 0 feeds every chain, so its draws are the chunks;
         # nothing is drawn or stepped
-        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        runs = verification._runs(verification_parameters(), seed=42)
         drawn = []
 
         class Stream:
@@ -602,7 +622,10 @@ class TestVerifyPlan:
                     drawn.append(out.shape[0])
         monkeypatch.setattr(simulation, "_trajectory_rng", Stream)
         monkeypatch.setattr(simulation._Stepper, "step", lambda self, *args: None)
-        assert list(simulate_chunks([run.chain for run in runs if run.chain])) == []
+        chains = [run.chain for run in runs if run.chain]
+        accumulators = [Recorded() for _ in chains]
+        fold(chains, accumulators)
+        assert [acc.parts for acc in accumulators] == [[]] * len(chains)
         assert len(drawn) == 730
         assert (sum(drawn[:-1]), drawn[-1]) == (746496, 800)
         assert set(drawn[:-1]) == {1024}
@@ -611,7 +634,7 @@ class TestVerifyPlan:
         # every run of the pass reads a prefix of the seed's 32 streams; a
         # draw per run would build 96 streams and draw 28,788,224
         # trajectory-steps
-        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        runs = verification._runs(verification_parameters(), seed=42)
         extents = simulation._stream_extents([run.chain for run in runs if run.chain])
         assert (len(extents), sum(extents)) == (32, 15_257_600)
         apart = [simulation._stream_extents([run.chain]) for run in runs if run.chain]
@@ -622,7 +645,7 @@ class TestVerifyPlan:
         monkeypatch.setattr(verification, "_PSD_RESOLUTION", 1.0)
         monkeypatch.setattr(verification, "_LYAPUNOV_DURATION_RELAX", 50.0)
         monkeypatch.setattr(verification, "_GAIN_PERIODS", 2)
-        runs = verification._plan(verification._runs(verification_parameters()), seed=42)
+        runs = verification._runs(verification_parameters(), seed=42)
         extents = simulation._stream_extents([run.chain for run in runs if run.chain])
         assert extents[0] > extents[-1]    # streams 0-15 feed the longer PSD runs
         drawn = count_draws(monkeypatch)
@@ -841,7 +864,9 @@ class TestAccumulators:
     @pytest.mark.parametrize("case", sorted(stream_cases()))
     def test_welch_matches_scipy_on_the_stored_record(self, case):
         dp, temperature, cfg, reservoir, nper = stream_cases()[case]
-        [(omega, psd, segments)] = stream_psd(dp, temperature, cfg, nper, [reservoir])
+        welch = WelchAccumulator(cfg.n_trajectories, nper)
+        fold([Chain(dp, temperature, cfg, (reservoir,), record_only=True)], [welch])
+        omega, [psd] = welch.spectrum(cfg.dt)
         trace = simulate(dp, temperature, cfg, reservoir=reservoir)
         np.testing.assert_allclose(psd, scipy_welch(trace.output_record, nper, cfg.dt),
                                    rtol=1e-12, atol=0)
@@ -849,26 +874,33 @@ class TestAccumulators:
                                    rtol=1e-12, atol=0)
         _, times, _ = signal.spectrogram(trace.output_record[0], nperseg=nper,
                                          noverlap=noverlap(nper))
-        assert segments == cfg.n_trajectories * len(times)
+        assert welch.segments == cfg.n_trajectories * len(times)
 
     @pytest.mark.parametrize("case", ["plain", "squeezed", "detuned"])
     def test_covariances_match_np_cov_on_the_stored_run(self, case):
         dp, temperature, cfg, _, _ = stream_cases()[case]
-        covs = stream_covariances(dp, temperature, cfg)
+        acc = CovarianceAccumulator(cfg.n_trajectories)
+        fold([Chain(dp, temperature, cfg)], [acc])
         trace = simulate(dp, temperature, cfg)
         expected = (np.einsum("tni,tnj->tij", trace.quadratures, trace.quadratures)
                     / trace.n_samples)
-        np.testing.assert_allclose(covs, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(acc.covariances(), expected, rtol=1e-12, atol=0)
 
     def test_chunk_size_changes_no_welch_bit(self, monkeypatch):
         dp, temperature, cfg, _, nper = stream_cases()["tone"]
-        [(_, psd, _)] = stream_psd(dp, temperature, cfg, nper, [None])
-        covs = stream_covariances(dp, temperature, cfg)
+
+        def folded():
+            welch = WelchAccumulator(cfg.n_trajectories, nper)
+            acc = CovarianceAccumulator(cfg.n_trajectories)
+            fold([Chain(dp, temperature, cfg, record_only=True), Chain(dp, temperature, cfg)],
+                 [welch, acc])
+            return welch.spectrum(cfg.dt)[1], acc.covariances()
+        psd, covs = folded()
         for lanes in (3, 11):
             monkeypatch.setattr(simulation, "_CHUNK", lanes * simulation._LANE)
-            assert np.array_equal(stream_psd(dp, temperature, cfg, nper, [None])[0][1], psd)
-            np.testing.assert_allclose(stream_covariances(dp, temperature, cfg), covs,
-                                       rtol=1e-12, atol=0)
+            other_psd, other_covs = folded()
+            assert np.array_equal(other_psd, psd)
+            np.testing.assert_allclose(other_covs, covs, rtol=1e-12, atol=0)
 
     def test_chained_runs_are_bit_identical_to_single_runs(self, monkeypatch):
         # every buffer is allocated full of NaN, the pass's workspace and the
@@ -891,23 +923,27 @@ class TestAccumulators:
         cfg = mid_lane_config(dp)
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
         nper = 101
+        chained = WelchAccumulator(cfg.n_trajectories, nper, 2)
         with np.errstate(invalid="raise"):
-            chained = stream_psd(dp, 0.05, cfg, nper, [None, reservoir])
-        for (omega, psd, segments), res in zip(chained, [None, reservoir]):
-            [single] = stream_psd(dp, 0.05, cfg, nper, [res])
+            fold([Chain(dp, 0.05, cfg, (None, reservoir), record_only=True)], [chained])
+        omega, psds = chained.spectrum(cfg.dt)
+        for psd, res in zip(psds, [None, reservoir]):
+            single = WelchAccumulator(cfg.n_trajectories, nper)
+            fold([Chain(dp, 0.05, cfg, (res,), record_only=True)], [single])
             stored = welch_psd(simulate(dp, 0.05, cfg, reservoir=res).output_record,
                                nper, cfg.dt)
-            for other in (single, stored):
+            single_omega, [single_psd] = single.spectrum(cfg.dt)
+            for other in ((single_omega, single_psd, single.segments), stored):
                 assert np.array_equal(other[0], omega)
                 assert np.array_equal(other[1], psd)
-                assert other[2] == segments == 3 * 11
+                assert other[2] == chained.segments == 3 * 11
 
         # one pass over chains of other parameters, steps, burn-ins,
         # trajectory counts, lengths, reservoirs and temperatures gives each
         # chain, and each reservoir block of a chain, the bits of its own
         # run, in chunks of 11 lanes of every row; a late chain keeps no
-        # step of the chunks in which an early one does, and nothing may
-        # overflow or turn invalid
+        # step of the chunks in which an early one does, so it is fed fewer
+        # parts, and nothing may overflow or turn invalid
         monkeypatch.setattr(simulation, "_CHUNK", 11 * simulation._LANE)
         squeezed, detuned = desk_dp(r_m=1.5), coupled_detuned_dp()
         early = quick_config(dp, duration=0.6, n_trajectories=1)
@@ -927,19 +963,14 @@ class TestAccumulators:
             Chain(dp, 0.05, late, (reservoir,)),
             Chain(dp, 0.05, late, (None, reservoir), record_only=True),
         ]
-        pieces = [[] for _ in chains]
-        skipped = 0
+        recorded = [Recorded() for _ in chains]
         with np.errstate(over="raise", invalid="raise"):
-            for chunk in simulate_chunks(chains):
-                skipped += sum(part is None for part in chunk)
-                for piece, part in zip(pieces, chunk):
-                    if part is not None:
-                        piece.append(part.copy())
-        assert skipped > 0
-        for chain, piece in zip(chains, pieces):
+            fold(chains, recorded)
+        assert len(recorded[4].parts) < len(recorded[5].parts)
+        for chain, acc in zip(chains, recorded):
             traces = [simulate(chain.dp, chain.temperature, chain.cfg, reservoir=res)
                       for res in chain.reservoirs]
-            part = np.concatenate(piece, axis=-1)
+            part = np.concatenate(acc.parts, axis=-1)
             if chain.record_only:
                 alone = np.concatenate([trace.output_record for trace in traces])
             else:
@@ -949,48 +980,56 @@ class TestAccumulators:
         # the two-reservoir record, folded into one two-block accumulator,
         # gives each block the spectrum of its reservoir's run alone
         welch = WelchAccumulator(late.n_trajectories, nper, 2)
-        for part in pieces[-1]:
+        for part in recorded[-1].parts:
             welch.add(part)
         omega, psds = welch.spectrum(late.dt)
         for res, psd in zip(chains[-1].reservoirs, psds):
-            [(single_omega, single, segments)] = stream_psd(dp, 0.05, late, nper, [res])
-            assert np.array_equal(single_omega, omega) and np.array_equal(single, psd)
-            assert segments == welch.segments > 0
+            single = WelchAccumulator(late.n_trajectories, nper)
+            fold([Chain(dp, 0.05, late, (res,), record_only=True)], [single])
+            single_omega, [single_psd] = single.spectrum(late.dt)
+            assert np.array_equal(single_omega, omega) and np.array_equal(single_psd, psd)
+            assert single.segments == welch.segments > 0
         with pytest.raises(ConfigurationError, match="one seed"):
-            simulate_chunks([chains[0], replace(chains[1], cfg=replace(chains[1].cfg, seed=12))])
+            fold([chains[0], replace(chains[1], cfg=replace(chains[1].cfg, seed=12))],
+                 [Recorded(), Recorded()])
 
     def test_an_empty_pass_is_refused(self, monkeypatch):
         dp = desk_dp()
         cfg = quick_config(dp, duration=0.1, n_trajectories=2)
         with pytest.raises(ConfigurationError, match="at least one chain"):
-            simulate_chunks([])
-        with pytest.raises(ConfigurationError, match="at least one chain"):
             fold([], [])
-        with pytest.raises(ConfigurationError, match="at least one chain"):
-            stream_psd(dp, 0.05, cfg, 64, [])
         # a chain of no reservoir is refused before any stepping
         stepped = count_scans(monkeypatch)
         for chains in ([Chain(dp, 0.05, cfg, ())],
                        [Chain(dp, 0.05, cfg), Chain(dp, 0.05, cfg, (), record_only=True)]):
             with pytest.raises(ConfigurationError, match="at least one reservoir"):
-                simulate_chunks(chains)
+                fold(chains, [Recorded() for _ in chains])
+        assert stepped == []
+
+    def test_fold_refuses_a_chain_without_an_accumulator(self, monkeypatch):
+        # zip would pair the chains with the accumulators there are and
+        # step the rest, or a chain with none, for nothing
+        dp = desk_dp()
+        cfg = quick_config(dp, duration=0.1, n_trajectories=2)
+        full, record = Chain(dp, 0.05, cfg), Chain(dp, 0.05, cfg, record_only=True)
+        stepped = count_scans(monkeypatch)
+        for chains, accumulators in (([full, record], [CovarianceAccumulator(2)]),
+                                     ([full], []),
+                                     ([record], [Recorded(), Recorded()])):
+            with pytest.raises(ConfigurationError, match="one accumulator each"):
+                fold(chains, accumulators)
         assert stepped == []
 
     def test_fold_adds_each_chain_s_chunks_in_chain_order(self, monkeypatch):
         # each kept part goes to its own chain's accumulator, chunk by chunk
         # and chain by chain; a late chain keeps no step of the first chunks,
-        # and those burn-in parts (None) reach no accumulator
+        # and those chunks of burn-in alone reach no accumulator
         monkeypatch.setattr(simulation, "_CHUNK", 11 * simulation._LANE)
         dp = desk_dp(r_m=1.2)
         early = quick_config(dp, duration=0.6, n_trajectories=1)
         late = replace(early, burn_in=early.burn_in * 1.3, n_trajectories=3)
         chains = [Chain(dp, 0.05, late, record_only=True), Chain(dp, 0.05, early),
                   Chain(dp, 0.05, early, record_only=True)]
-        expected, skipped = [], 0
-        for chunk in simulate_chunks(chains):
-            skipped += sum(part is None for part in chunk)
-            expected += [(i, part.copy()) for i, part in enumerate(chunk)
-                         if part is not None]
         added = []
 
         class Logged:
@@ -1000,10 +1039,20 @@ class TestAccumulators:
             def add(self, part):
                 added.append((self.index, part.copy()))
         fold(chains, [Logged(i) for i in range(len(chains))])
-        assert skipped > 0
-        assert [i for i, _ in added] == [i for i, _ in expected]
-        for (_, part), (_, want) in zip(added, expected):
-            assert np.array_equal(part, want)
+        # the chunks in which each chain keeps a step, from its step counts
+        chunk = simulation._CHUNK
+        expected = [i for pos in range(0, max(simulation._drawn(c.cfg) for c in chains), chunk)
+                    for i, c in enumerate(chains)
+                    if max(pos, simulation._steps(c.cfg)[0]) < min(pos + chunk, sum(
+                        simulation._steps(c.cfg)))]
+        assert expected[:2] == [1, 2]      # the late chain skips the first chunk
+        assert [i for i, _ in added] == expected
+        for i, chain in enumerate(chains):
+            trace = simulate(chain.dp, chain.temperature, chain.cfg)
+            alone = (trace.output_record if chain.record_only
+                     else np.moveaxis(trace.quadratures, -1, 0))
+            assert np.array_equal(np.concatenate([part for j, part in added if j == i],
+                                                 axis=-1), alone)
 
     def test_pieces_fold_like_one_array(self):
         rng = np.random.default_rng(7)
@@ -1049,8 +1098,10 @@ class TestAccumulators:
         dp = desk_dp()
         cfg = quick_config(dp, duration=1.0, n_trajectories=2)
         one_step = replace(cfg, duration=cfg.dt)
+        welch = WelchAccumulator(2, 64)
+        fold([Chain(dp, 0.05, one_step, record_only=True)], [welch])
         with pytest.raises(ParameterError, match="segment"):
-            stream_psd(dp, 0.05, one_step, 64, [None])
+            welch.spectrum(one_step.dt)
         with pytest.raises(ParameterError, match="one sample"):
             CovarianceAccumulator(2).covariances()
 
@@ -1088,12 +1139,17 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
         finally:
             tracemalloc.stop()
 
-    short = peak(lambda: stream_psd(dp, 0.05, config(4), nper, [None]))
-    long = peak(lambda: stream_psd(dp, 0.05, config(16), nper, [None]))
+    def streamed(segments, reservoirs=(None,)):
+        # the Welch accumulator is made, filled and read inside the trace
+        welch = WelchAccumulator(ntraj, nper, len(reservoirs))
+        fold([Chain(dp, 0.05, config(segments), reservoirs, record_only=True)], [welch])
+        welch.spectrum(config(segments).dt)
+
+    short = peak(lambda: streamed(4))
+    long = peak(lambda: streamed(16))
     # two reservoirs on one chain: one more block of the Welch ring, and
     # little else
-    grouped = peak(lambda: stream_psd(dp, 0.05, config(4), nper,
-                                      [None, SqueezedReservoir(r_n=1.0, phi_n=math.pi)]))
+    grouped = peak(lambda: streamed(4, (None, SqueezedReservoir(r_n=1.0, phi_n=math.pi))))
     stored = peak(lambda: simulate(dp, 0.05, config(4)))
     assert short <= 8 * ring
     assert long <= 1.02 * short
@@ -1108,7 +1164,8 @@ def test_a_pass_allocates_nothing_per_chunk(monkeypatch):
     # room for what numpy's buffered iterator takes inside a broadcasting
     # ufunc call (up to 2 x 64 kB).  The chunk is widened to 512 lanes so
     # that a temporary of one chain's chunk (8 rows), or of a batch's
-    # segments, 512 kB or more, would stand above that
+    # segments, 512 kB or more, would stand above that.  Each chunk's rise
+    # is read as its record is added, from the level after the last one's
     monkeypatch.setattr(simulation, "_CHUNK", 512 * simulation._LANE)
     dp = desk_dp(r_m=1.0)
     ntraj, nper = 4, 2**15
@@ -1118,26 +1175,29 @@ def test_a_pass_allocates_nothing_per_chunk(monkeypatch):
                            burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
                            n_trajectories=ntraj, seed=3)
     reservoirs = (None, SqueezedReservoir(r_n=1.0, phi_n=math.pi))
+
+    class Measured:
+        def __init__(self):
+            self.start, self.rises = None, []
+
+        def add(self, record):
+            welch.add(record)
+            if self.start is None:
+                self.first_segments = welch.segments
+            else:
+                self.rises.append(tracemalloc.get_traced_memory()[1] - self.start)
+            tracemalloc.reset_peak()
+            self.start = tracemalloc.get_traced_memory()[0]
+    measured = Measured()
     tracemalloc.start()
     try:
         welch = WelchAccumulator(ntraj, nper, len(reservoirs))
-        chunks = simulate_chunks([Chain(dp, 0.05, cfg, reservoirs, record_only=True)])
-
-        def fold():
-            [record] = next(chunks)
-            welch.add(record)
-        fold()
-        assert welch.segments == 0
-        rise = 0
-        for _ in range(6):
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            fold()
-            rise = max(rise, tracemalloc.get_traced_memory()[1] - start)
+        fold([Chain(dp, 0.05, cfg, reservoirs, record_only=True)], [measured])
     finally:
         tracemalloc.stop()
+    assert measured.first_segments == 0 and len(measured.rises) >= 6
     assert welch.segments >= 3 * ntraj
-    assert rise <= ring / 4
+    assert max(measured.rises) <= ring / 4
 
 
 def test_a_pass_reserves_increments_for_the_components_it_steps(monkeypatch):
@@ -1153,8 +1213,9 @@ def test_a_pass_reserves_increments_for_the_components_it_steps(monkeypatch):
         return work
     monkeypatch.setattr(simulation, "_scan_work", spy)
     dp, temperature, cfg, _, nper = stream_cases()["squeezed"]
-    stream_psd(dp, temperature, cfg, nper, [None])
-    stream_covariances(dp, temperature, cfg)
+    fold([Chain(dp, temperature, cfg, record_only=True)],
+         [WelchAccumulator(cfg.n_trajectories, nper)])
+    fold([Chain(dp, temperature, cfg)], [CovarianceAccumulator(cfg.n_trajectories)])
     assert reserved == [(2, 2), (4, 4)]
 
 
@@ -1162,9 +1223,11 @@ def test_a_scan_lets_its_buffers_go_once_its_chains_end(monkeypatch):
     # a short full chain beside a long record-only one: once the short
     # chain has ended, its scan's states buffer is freed, mid-pass.  At 384
     # lanes a chunk the pass has two chunks, the short chain ends in the
-    # first, and its buffer holds its whole run, 1.2 MB.  The readings go
-    # to a preallocated array: the test's own bookkeeping would otherwise
-    # take about 100 B of the margin between them
+    # first, and its buffer holds its whole run, 1.2 MB.  The long chain's
+    # accumulator reads the memory in use as each of its two parts comes
+    # in.  The readings go to preallocated arrays: the test's own
+    # bookkeeping would otherwise take about 100 B of the margin between
+    # them
     monkeypatch.setattr(simulation, "_CHUNK", 384 * simulation._LANE)
     dp = desk_dp(r_m=1.0)
     ntraj = 8
@@ -1174,12 +1237,21 @@ def test_a_scan_lets_its_buffers_go_once_its_chains_end(monkeypatch):
     steps = simulation._drawn(chains[0].cfg)
     assert steps < simulation._CHUNK < simulation._drawn(chains[1].cfg) <= 2 * simulation._CHUNK
     states = 4 * ntraj * steps * 8
-    memory = np.zeros(2, dtype=np.int64)
+    memory, adds = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
+
+    class Reading:
+        def __init__(self, index):
+            self.index = index
+
+        def add(self, part):
+            if self.index == 1:
+                memory[adds[1]] = tracemalloc.get_traced_memory()[0]
+            adds[self.index] += 1
+    accumulators = [Reading(0), Reading(1)]
     tracemalloc.start()
     try:
-        for i, (short, _) in enumerate(simulate_chunks(chains)):
-            assert (short is not None) == (i == 0)
-            memory[i] = tracemalloc.get_traced_memory()[0]
+        fold(chains, accumulators)
     finally:
         tracemalloc.stop()
+    assert list(adds) == [1, 2]
     assert memory[0] - memory[1] >= states
