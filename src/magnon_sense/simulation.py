@@ -56,19 +56,20 @@ their applications", 1990):
   of the states.
 
 A pass is one draw of the seed's streams, stepped by :func:`fold`, the
-oracle's one stepping entry for noise.  Its chains (:class:`Chain`) each
-carry their own parameters, temperature, settings and reservoirs, and
-share one seed.  A chain steps on the leading ``n_trajectories`` streams,
-so step k of trajectory i reads the same four normals in every chain,
-whatever its dt or burn-in: each stream is built once and drawn once, up
-to the furthest step any chain reads from it.  A chain is one scan, whose
-rows are one block of ``n_trajectories`` per reservoir, reservoir-major,
-each block reading the same streams through its own Cholesky factor;
-``verify``'s 4 chains are 4 scans.  Each chain adds the steps it keeps of
-each chunk straight to its own accumulator: a full chain its quadratures
-(4, rows, n), which the covariances read, or a record-only chain its
-output record (rows, n), which Welch reads; a chunk of burn-in alone
-reaches no accumulator.  Each block is bit for bit that of the chain
+oracle's one stepping entry for noise, which takes (chain, accumulator)
+pairs.  Its chains (:class:`Chain`) each carry their own parameters,
+temperature, settings and reservoirs, and share one seed.  A chain steps
+on the leading ``n_trajectories`` streams, so step k of trajectory i reads
+the same four normals in every chain, whatever its dt or burn-in: each
+stream is built once and drawn once, up to the furthest step any chain
+reads from it.  A chain is one scan, whose rows are one block of
+``n_trajectories`` per reservoir, reservoir-major, each block reading the
+same streams through its own Cholesky factor; ``verify``'s 4 chains are 4
+scans.  Each chain's stepper is built with its pair's accumulator and adds
+the steps it keeps of each chunk straight to it: a full chain its
+quadratures (4, rows, n), which the covariances read, or a record-only
+chain its output record (rows, n), which Welch reads; a chunk of burn-in
+alone reaches no accumulator.  Each block is bit for bit that of the chain
 stepped alone with its reservoir, and the chains of a pass are not
 independent: they see the same noise.
 
@@ -96,9 +97,10 @@ has ended.  The accumulators take the chunks in:
   a time in its transform scratch.
 * :class:`CovarianceAccumulator`: per-trajectory second moments about
   zero, the runs' exact mean, so nothing is detrended or centred.
-* :func:`simulate`: folds a full chain and a record-only one into two
-  stores and returns everything, as a :class:`SimulationTrace` with
-  quadrature-major storage, for callers that read single samples.
+* :func:`simulate`: folds a full chain and a record-only one, each
+  paired with a store, and returns everything, as a
+  :class:`SimulationTrace` with quadrature-major storage, for callers that
+  read single samples.
 
 Only :func:`simulate`'s stores grow with the run length.  The covariances
 sum per chunk, so they can differ from sums over the stored run in the
@@ -200,7 +202,7 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class Chain:
-    """One chain of a pass of :func:`fold`.
+    """The chain of one (chain, accumulator) pair of a pass of :func:`fold`.
 
     It steps ``dp`` at ``temperature`` with ``cfg``'s step, burn-in, length
     and trajectory count once per entry of ``reservoirs``, a squeezed
@@ -385,10 +387,11 @@ def _drawn(cfg: SimulationConfig) -> int:
 
 class _Stepper:
     """A chain of a pass, checked and ready to step: one :class:`_LaneScan`
-    over its reservoirs' blocks of rows, and the states buffer it writes,
-    one chunk of its written components."""
+    over its reservoirs' blocks of rows, the states buffer it writes, one
+    chunk of its written components, and the accumulator its kept steps
+    go to."""
 
-    def __init__(self, chain: Chain):
+    def __init__(self, chain: Chain, accumulator):
         dp, cfg = chain.dp, chain.cfg
         _validate_config(dp, cfg)
         self.n_burn, n_keep = _steps(cfg)
@@ -403,7 +406,7 @@ class _Stepper:
                     "magnon variance matrix is not positive semidefinite") from exc
             self.terms.append([[(c, coef) for c, coef in enumerate(row) if coef != 0.0]
                                for row in chol])
-        self.chain = chain
+        self.chain, self.accumulator = chain, accumulator
         self.ntraj = cfg.n_trajectories
         self.rows = len(self.terms) * self.ntraj
         self.n_total = self.n_burn + n_keep
@@ -442,13 +445,14 @@ class _Stepper:
             incr[k] = totals.reshape(self.rows, -1)
         return incr
 
-    def step(self, z: np.ndarray, pos: int, work: tuple):
+    def step(self, z: np.ndarray, pos: int, work: tuple) -> None:
         """Step the chunk from ``pos``, ``_CHUNK`` steps or the rest of the
         run, on the normals ``z`` (stream, step, 4) of the pass's chunk;
-        ``work`` is the pass's :func:`_scan_work`.  Returns its kept steps,
-        or None: a full chain's quadratures (4, rows, m), or a record-only
-        chain's output record (rows, m), written over its P_a row of the
-        states and the spent P_a increments."""
+        ``work`` is the pass's :func:`_scan_work`.  Adds its kept steps, if
+        any, to the chain's accumulator: a full chain's quadratures
+        (4, rows, m), or a record-only chain's output record (rows, m),
+        written over its P_a row of the states and the spent P_a
+        increments."""
         n = min(_CHUNK, self.end - pos)
         scan_work, increments, temp = work
         incr = self.increments(z[:self.ntraj, :n], increments, temp)
@@ -456,15 +460,14 @@ class _Stepper:
         states = self.scan(incr, self.states[:math.prod(shape)].reshape(shape), scan_work)
         lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, n)
         if lo >= hi:
-            return None
+            return
         kept = states[:, :, lo:hi]
-        if not self.chain.record_only:
-            return kept
-        # sq_ka * P_a - incr_P / (sq_ka * dt)
-        record, spent = kept[0], incr[3][:, lo:hi]
-        record *= self.sq_ka
-        record -= np.divide(spent, self.sq_ka * self.chain.cfg.dt, out=spent)
-        return record
+        if self.chain.record_only:
+            # sq_ka * P_a - incr_P / (sq_ka * dt)
+            kept, spent = kept[0], incr[3][:, lo:hi]
+            kept *= self.sq_ka
+            kept -= np.divide(spent, self.sq_ka * self.chain.cfg.dt, out=spent)
+        self.accumulator.add(kept)
 
 
 def _stream_extents(chains: list[Chain]) -> list[int]:
@@ -474,11 +477,11 @@ def _stream_extents(chains: list[Chain]) -> list[int]:
             for i in range(max(c.cfg.n_trajectories for c in chains))]
 
 
-def fold(chains: list[Chain], accumulators: list) -> None:
-    """Integrate the quadrature Langevin equations of every chain of
-    ``chains`` on one pass over their seed's streams, a chunk at a time,
-    and add each chain's kept steps of each chunk to its own accumulator of
-    ``accumulators``, in chain order.
+def fold(pairs: list[tuple[Chain, object]]) -> None:
+    """Integrate the quadrature Langevin equations of the chain of every
+    (chain, accumulator) pair of ``pairs`` on one pass over their seed's
+    streams, a chunk at a time, each chain adding its kept steps of each
+    chunk to its own accumulator, in pair order.
 
     An accumulator's ``add`` takes a full chain's quadratures before each
     step, (4, rows, n), or a record-only chain's output record, (rows, n),
@@ -491,22 +494,19 @@ def fold(chains: list[Chain], accumulators: list) -> None:
     blocks, so they see the same noise, and each chain is stepped by one
     scan (see the module docstring).
 
-    Raises :class:`ConfigurationError` before any stepping if ``chains``
-    or a chain's reservoirs are empty, if there is not one accumulator per
-    chain, if the chains do not share one seed, or if a chain's
-    configuration guard fails or its drift is unstable.
+    Raises :class:`ConfigurationError` before any stepping if ``pairs`` or
+    a chain's reservoirs are empty, if the chains do not share one seed, or
+    if a chain's configuration guard fails or its drift is unstable.
     """
-    if not chains or not all(chain.reservoirs for chain in chains):
+    if not pairs or not all(chain.reservoirs for chain, _ in pairs):
         raise ConfigurationError(
             "a pass needs at least one chain, and a chain at least one reservoir")
-    if len(accumulators) != len(chains):
-        raise ConfigurationError(
-            f"{len(chains)} chains need one accumulator each, got {len(accumulators)}")
+    chains = [chain for chain, _ in pairs]
     if len({chain.cfg.seed for chain in chains}) != 1:
         raise ConfigurationError("the chains of one pass must share one seed")
-    running = [(_Stepper(chain), acc) for chain, acc in zip(chains, accumulators)]
-    work = _scan_work(max(s.cells for s, _ in running),
-                      max(len(s.scan.components) for s, _ in running))
+    running = [_Stepper(chain, acc) for chain, acc in pairs]
+    work = _scan_work(max(s.cells for s in running),
+                      max(len(s.scan.components) for s in running))
     extents = _stream_extents(chains)
     rngs = [_trajectory_rng(chains[0].cfg.seed, i) for i in range(len(extents))]
     end = max(extents)
@@ -517,16 +517,14 @@ def fold(chains: list[Chain], accumulators: list) -> None:
         for rng, extent, zi in zip(rngs, extents, z):
             if extent > pos:
                 rng.standard_normal(out=zi[:extent - pos])
-        for stepper, acc in running:
-            part = stepper.step(z, pos, work)
-            if part is not None:
-                acc.add(part)
+        for stepper in running:
+            stepper.step(z, pos, work)
         # an ended chain lets its scan and states buffer go, so nothing else
         # may hold its stepper; under glibc, freeing the buffer (1 MB for each
         # of verify's Lyapunov chains) also lifts its mmap threshold above the
         # blocks np.fft.rfft allocates and frees per call, which ends those
         # calls' page faults
-        running = [(s, acc) for s, acc in running if s.end > pos + _CHUNK]
+        running = [s for s in running if s.end > pos + _CHUNK]
 
 
 class _Store:
@@ -550,15 +548,15 @@ def simulate(
 ) -> SimulationTrace:
     """Integrate the quadrature Langevin equations and store the whole run.
 
-    One :func:`fold` of a full chain and a record-only one into two stores,
+    One :func:`fold` of two pairs, a full chain with a store of its
+    quadratures and a record-only one with a store of its output record,
     for callers that read single samples; it raises what that raises.
     """
     n_burn, n_keep = _steps(cfg)
     quad = np.empty((4, cfg.n_trajectories, n_keep))
     out = np.empty((cfg.n_trajectories, n_keep))
-    fold([Chain(dp, temperature, cfg, (reservoir,)),
-          Chain(dp, temperature, cfg, (reservoir,), record_only=True)],
-         [_Store(quad), _Store(out)])
+    fold([(Chain(dp, temperature, cfg, (reservoir,)), _Store(quad)),
+          (Chain(dp, temperature, cfg, (reservoir,), record_only=True), _Store(out))])
     times = (n_burn + np.arange(n_keep)) * cfg.dt
     return SimulationTrace(times=times, quadratures=np.moveaxis(quad, 0, -1),
                            output_record=out)

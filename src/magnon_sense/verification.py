@@ -10,10 +10,11 @@ check family with the names of the checks it feeds, its parameters and
 the seed.  The family sizes the run and returns it as a :class:`_Run`:
 its chain (none for a gain run), an accumulator for it and the judge of
 its checks.  The table sizes every run before any is stepped, so a
-refusal costs no stepping.  Then the chains of the Lyapunov and PSD runs
-are folded on one :func:`simulation.fold` pass over the seed's streams:
-each (seed, trajectory index) stream is drawn once, and every run reads a
-prefix of the same streams, step for step.
+refusal costs no stepping.  Then the chains of the Lyapunov and PSD runs,
+each paired with its run's accumulator, are folded on one
+:func:`simulation.fold` pass over the seed's streams: each (seed,
+trajectory index) stream is drawn once, and every run reads a prefix of
+the same streams, step for step.
 The checks of one seed are therefore not independent draws; a rate of
 "any check failed" cannot be formed by multiplying per-check rates.
 ``_check_lyapunov`` compares the stepped chain's second moments about its
@@ -174,27 +175,30 @@ def _oracle_step(params: SystemParameters) -> tuple[DerivedParameters, float]:
 
 
 def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: float,
-                trajectories: int) -> SimulationConfig:
+                trajectories: int, blocks: int = 1) -> SimulationConfig:
     """One oracle run of ``steps`` recorded steps of ``dt``, rounded, after a
-    burn-in of 13 relaxation times of the slower mode.
+    burn-in of 13 relaxation times of the slower mode, stepped by ``blocks``
+    reservoir blocks of ``trajectories`` rows each.
 
     Refuses an unstable drift, and a run of more than ``_MAX_TRAJECTORY_STEPS``
-    recorded trajectory-steps, or of steps too many to round, as it stands:
-    a time budget, not a memory guard, since the runs store nothing that
-    grows with their length.  1e8 trajectory-steps
-    are 13-21 s of stepping at 4.7-7.6 million a second on a 2-core x86
-    machine, each run stepped alone (best of four): the record-only
-    ``psd_rm0`` run makes the fast end and the coupled Lyapunov run, which
-    steps all four components of a detuned drift, the slow one.  That is
-    8.4x the largest desk run (``psd_rm15``'s 16 trajectories of 744164
-    steps).
+    recorded trajectory-steps over all its rows, or of steps too many to
+    round, as it stands: a time budget, not a memory guard, since the runs
+    store nothing that grows with their length.  1e8 trajectory-steps
+    are 8-19 s of stepping at 5.3-12 million a second on a 2-core x86
+    machine (Python 3.11, numpy 2.4.6), each run folded alone (best of
+    four to ten, three sessions): the record-only ``psd_rm15`` run of 32
+    rows makes the fast end and the coupled Lyapunov run, which steps all
+    four components of a detuned drift, the slow one.  That is 4.2x the
+    largest desk run (``psd_rm15``'s 2 blocks of 16 trajectories, 32 rows
+    of 744164 steps).
     """
     require_stable(dp)
-    if not (math.isfinite(steps) and trajectories * round(steps) <= _MAX_TRAJECTORY_STEPS):
+    rows = blocks * trajectories
+    if not (math.isfinite(steps) and rows * round(steps) <= _MAX_TRAJECTORY_STEPS):
         raise ConfigurationError(
             "parameter set is too stiff for the stochastic oracle: "
-            f"{trajectories} trajectories of {steps:.3g} steps are "
-            f"{trajectories * steps:.3g} trajectory-steps, over the "
+            f"{rows} rows ({blocks} x {trajectories} trajectories) of {steps:.3g} "
+            f"steps are {rows * steps:.3g} trajectory-steps, over the "
             f"{_MAX_TRAJECTORY_STEPS:.0e} budget; reduce the ratio of the "
             "fastest rate to kappa_m")
     return SimulationConfig(dt=dt, duration=round(steps) * dt,
@@ -297,10 +301,10 @@ def _check_psd(checks: tuple, params: SystemParameters, seed: int) -> _Run:
     else:   # over the budget, so sized in floats, unrounded, and refused
         hop = nper * (1.0 - WELCH_OVERLAP)
     steps = nper + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * hop
-    cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES)
-    temperature = params.temperature
     # the checks differ only in their reservoirs; Welch reads the record alone
     names, reservoirs = zip(*checks)
+    cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES, len(reservoirs))
+    temperature = params.temperature
 
     def judge(welch: WelchAccumulator) -> list[CheckResult]:
         omega, psds = welch.spectrum(cfg.dt)
@@ -361,14 +365,13 @@ def _check_gain(name: str, frac: float, params: SystemParameters, seed: int) -> 
 def _judge(runs: list[_Run]) -> list[CheckResult]:
     """The results of ``runs``, their chains stepped on one pass, in table
     order.  The pass's buffers go when it ends."""
-    folded = [run for run in runs if run.chain]
-    accumulators = [run.accumulator() for run in folded]
-    if folded:
-        simulation.fold([run.chain for run in folded], accumulators)
+    pairs = [(run.chain, run.accumulator()) for run in runs if run.chain]
+    if pairs:
+        simulation.fold(pairs)
     results = []
     for run in runs:
         # each run's accumulator goes once it is judged
-        results += run.judge(accumulators.pop(0)) if run.chain else run.judge()
+        results += run.judge(pairs.pop(0)[1]) if run.chain else run.judge()
     return results
 
 

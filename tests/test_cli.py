@@ -574,6 +574,29 @@ class TestExitCodes:
         assert err.startswith("error: ") and "trajectory-steps" in err
         assert err.count("\n") == 1
 
+    def test_verify_counts_every_row_of_a_two_reservoir_run(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the desk set at g_0 = 2 kappa_m: the psd_rm15 run steps two
+        # reservoir blocks of 16 trajectories, 32 rows of 3.72e6 steps, which
+        # are 1.19e8 trajectory-steps, over the budget, though one block's
+        # 5.95e7 is not; at 1.5 kappa_m every run fits and reaches the pass
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(simulation, "fold", no_stepping)
+        monkeypatch.setattr(simulation, "measure_gain", no_stepping)
+        config = tmp_path / "coupled.cfg"
+        config.write_text("".join(f"{key} = {value!r}\n"
+                                  for key, value in {**DESK, "g_0_hz": 30.0}.items()))
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too stiff" in err and "32 rows" in err and "1.19e+08 trajectory-steps" in err
+        config.write_text("".join(f"{key} = {value!r}\n"
+                                  for key, value in {**DESK, "g_0_hz": 22.5}.items()))
+        with pytest.raises(AssertionError, match="stepped"):
+            cli.main(["verify", "--config", str(config)])
+
     def test_verify_refuses_a_long_welch_segment_at_once(self, tmp_path, capsys):
         # the desk set at g_0 = 6e8 Hz: the Lyapunov rows pass, and the PSD
         # rows' Welch segments of about 3e12 samples, over the budget on

@@ -192,7 +192,7 @@ class TestSteadyStateVariances:
         temperature = 2.6  # nbar_a close to 1 at 37.5 GHz
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=3)
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        fold([Chain(dp, temperature, cfg)], [acc])
+        fold([(Chain(dp, temperature, cfg), acc)])
         covs = acc.covariances()
         target = lyapunov_covariance(dp, temperature, cfg.dt)
         sample = covs[:, 2, 2]
@@ -209,7 +209,7 @@ class TestSteadyStateVariances:
         dp = desk_dp(r_m=1.5)
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=4)
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        fold([Chain(dp, 0.05, cfg)], [acc])
+        fold([(Chain(dp, 0.05, cfg), acc)])
         covs = acc.covariances()
         sample = covs[:, 0, 0]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
@@ -225,7 +225,7 @@ class TestSteadyStateVariances:
         dp = derived_parameters(params)
         cfg = quick_config(dp, duration=15.0, n_trajectories=12, seed=6)
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        fold([Chain(dp, 1.0, cfg)], [acc])
+        fold([(Chain(dp, 1.0, cfg), acc)])
         covs = acc.covariances()
         target = lyapunov_covariance(dp, 1.0, cfg.dt)
         mean = covs.mean(axis=0)
@@ -243,7 +243,7 @@ class TestSteadyStateVariances:
                                         mod_amplitude=0.0))
         cfg = quick_config(dp, duration=20.0 / dp.kappa_m, n_trajectories=512)
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        fold([Chain(dp, 2.6, cfg)], [acc])
+        fold([(Chain(dp, 2.6, cfg), acc)])
         covs = acc.covariances()
         target = lyapunov_covariance(dp, 2.6, cfg.dt)
         variances = covs[:, range(4), range(4)]
@@ -282,7 +282,7 @@ class TestSteadyStateVariances:
         reservoir = SqueezedReservoir(r_n=1.2, phi_n=math.pi)
         cfg = quick_config(dp, duration=15.0, n_trajectories=8, seed=8)
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        fold([Chain(dp, 0.05, cfg, (reservoir,))], [acc])
+        fold([(Chain(dp, 0.05, cfg, (reservoir,)), acc)])
         sample = acc.covariances()[:, 0, 0]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
         # nulling reservoir: magnon amplitude variance is the vacuum half
@@ -340,7 +340,7 @@ class TestPsdEstimator:
                            accuracy=0.015)
         nper = int(round(TWO_PI / (0.1 * dp.kappa_m) / cfg.dt))
         welch = WelchAccumulator(cfg.n_trajectories, nper)
-        fold([Chain(dp, 0.05, cfg, record_only=True)], [welch])
+        fold([(Chain(dp, 0.05, cfg, record_only=True), welch)])
         omega, [psd] = welch.spectrum(cfg.dt)
         reference = output_spectrum(dp, 0.05, omega)
         for center in np.geomspace(0.2, 4.0, 6) * dp.kappa_m:
@@ -553,12 +553,13 @@ class TestVerifyPlan:
     def test_every_run_steps_through_fold(self, monkeypatch):
         # the refusals of verify are tested by patching fold, so nothing
         # may step before the pass: verify makes one pass over the chains of
-        # the Lyapunov and PSD runs, in table order, and only then steps the
-        # gain runs' tones, which have no chain, by measure_gain
+        # the Lyapunov and PSD runs, in table order, each paired with the
+        # accumulator it feeds, and only then steps the gain runs' tones,
+        # which have no chain, by measure_gain
         calls = []
 
-        def no_stepping(chains, accumulators):
-            calls.append(chains)
+        def no_stepping(pairs):
+            calls.append([(chain, type(acc)) for chain, acc in pairs])
             raise AssertionError("fold called")
 
         def no_gain(dp, frequency, cfg):
@@ -573,7 +574,9 @@ class TestVerifyPlan:
             1, 1, 1, 2, None, None, None]
         with pytest.raises(AssertionError, match="fold called"):
             verification.run_verification(seed=42)
-        assert calls == [[run.chain for run in runs if run.chain]]
+        assert calls == [[(run.chain, kind) for run, kind in zip(runs, [
+            CovarianceAccumulator, CovarianceAccumulator, WelchAccumulator,
+            WelchAccumulator])]]
 
     def test_desk_pass_steps_one_scan_per_chain(self, monkeypatch):
         # the two Lyapunov runs step all four components; psd_rm0 and the
@@ -600,7 +603,7 @@ class TestVerifyPlan:
                 if None not in shapes:
                     raise Seen
         with pytest.raises(Seen):
-            fold(chains, [Shape(i) for i in range(len(chains))])
+            fold([(chain, Shape(i)) for i, chain in enumerate(chains)])
         assert scans == [((0, 1, 2, 3), 32), ((0, 1, 2, 3), 32), ((0, 3), 16),
                          ((0, 3), 32)]
         assert shapes == [(4, 32), (4, 32), (16,), (32,)]
@@ -624,7 +627,7 @@ class TestVerifyPlan:
         monkeypatch.setattr(simulation._Stepper, "step", lambda self, *args: None)
         chains = [run.chain for run in runs if run.chain]
         accumulators = [Recorded() for _ in chains]
-        fold(chains, accumulators)
+        fold(list(zip(chains, accumulators)))
         assert [acc.parts for acc in accumulators] == [[]] * len(chains)
         assert len(drawn) == 730
         assert (sum(drawn[:-1]), drawn[-1]) == (746496, 800)
@@ -865,7 +868,7 @@ class TestAccumulators:
     def test_welch_matches_scipy_on_the_stored_record(self, case):
         dp, temperature, cfg, reservoir, nper = stream_cases()[case]
         welch = WelchAccumulator(cfg.n_trajectories, nper)
-        fold([Chain(dp, temperature, cfg, (reservoir,), record_only=True)], [welch])
+        fold([(Chain(dp, temperature, cfg, (reservoir,), record_only=True), welch)])
         omega, [psd] = welch.spectrum(cfg.dt)
         trace = simulate(dp, temperature, cfg, reservoir=reservoir)
         np.testing.assert_allclose(psd, scipy_welch(trace.output_record, nper, cfg.dt),
@@ -880,7 +883,7 @@ class TestAccumulators:
     def test_covariances_match_np_cov_on_the_stored_run(self, case):
         dp, temperature, cfg, _, _ = stream_cases()[case]
         acc = CovarianceAccumulator(cfg.n_trajectories)
-        fold([Chain(dp, temperature, cfg)], [acc])
+        fold([(Chain(dp, temperature, cfg), acc)])
         trace = simulate(dp, temperature, cfg)
         expected = (np.einsum("tni,tnj->tij", trace.quadratures, trace.quadratures)
                     / trace.n_samples)
@@ -892,8 +895,8 @@ class TestAccumulators:
         def folded():
             welch = WelchAccumulator(cfg.n_trajectories, nper)
             acc = CovarianceAccumulator(cfg.n_trajectories)
-            fold([Chain(dp, temperature, cfg, record_only=True), Chain(dp, temperature, cfg)],
-                 [welch, acc])
+            fold([(Chain(dp, temperature, cfg, record_only=True), welch),
+                  (Chain(dp, temperature, cfg), acc)])
             return welch.spectrum(cfg.dt)[1], acc.covariances()
         psd, covs = folded()
         for lanes in (3, 11):
@@ -925,11 +928,11 @@ class TestAccumulators:
         nper = 101
         chained = WelchAccumulator(cfg.n_trajectories, nper, 2)
         with np.errstate(invalid="raise"):
-            fold([Chain(dp, 0.05, cfg, (None, reservoir), record_only=True)], [chained])
+            fold([(Chain(dp, 0.05, cfg, (None, reservoir), record_only=True), chained)])
         omega, psds = chained.spectrum(cfg.dt)
         for psd, res in zip(psds, [None, reservoir]):
             single = WelchAccumulator(cfg.n_trajectories, nper)
-            fold([Chain(dp, 0.05, cfg, (res,), record_only=True)], [single])
+            fold([(Chain(dp, 0.05, cfg, (res,), record_only=True), single)])
             stored = welch_psd(simulate(dp, 0.05, cfg, reservoir=res).output_record,
                                nper, cfg.dt)
             single_omega, [single_psd] = single.spectrum(cfg.dt)
@@ -965,7 +968,7 @@ class TestAccumulators:
         ]
         recorded = [Recorded() for _ in chains]
         with np.errstate(over="raise", invalid="raise"):
-            fold(chains, recorded)
+            fold(list(zip(chains, recorded)))
         assert len(recorded[4].parts) < len(recorded[5].parts)
         for chain, acc in zip(chains, recorded):
             traces = [simulate(chain.dp, chain.temperature, chain.cfg, reservoir=res)
@@ -985,39 +988,39 @@ class TestAccumulators:
         omega, psds = welch.spectrum(late.dt)
         for res, psd in zip(chains[-1].reservoirs, psds):
             single = WelchAccumulator(late.n_trajectories, nper)
-            fold([Chain(dp, 0.05, late, (res,), record_only=True)], [single])
+            fold([(Chain(dp, 0.05, late, (res,), record_only=True), single)])
             single_omega, [single_psd] = single.spectrum(late.dt)
             assert np.array_equal(single_omega, omega) and np.array_equal(single_psd, psd)
             assert single.segments == welch.segments > 0
         with pytest.raises(ConfigurationError, match="one seed"):
-            fold([chains[0], replace(chains[1], cfg=replace(chains[1].cfg, seed=12))],
-                 [Recorded(), Recorded()])
+            fold([(chains[0], Recorded()),
+                  (replace(chains[1], cfg=replace(chains[1].cfg, seed=12)), Recorded())])
 
     def test_an_empty_pass_is_refused(self, monkeypatch):
         dp = desk_dp()
         cfg = quick_config(dp, duration=0.1, n_trajectories=2)
         with pytest.raises(ConfigurationError, match="at least one chain"):
-            fold([], [])
+            fold([])
         # a chain of no reservoir is refused before any stepping
         stepped = count_scans(monkeypatch)
         for chains in ([Chain(dp, 0.05, cfg, ())],
                        [Chain(dp, 0.05, cfg), Chain(dp, 0.05, cfg, (), record_only=True)]):
             with pytest.raises(ConfigurationError, match="at least one reservoir"):
-                fold(chains, [Recorded() for _ in chains])
+                fold([(chain, Recorded()) for chain in chains])
         assert stepped == []
 
     def test_fold_refuses_a_chain_without_an_accumulator(self, monkeypatch):
-        # zip would pair the chains with the accumulators there are and
-        # step the rest, or a chain with none, for nothing
+        # a pass takes (chain, accumulator) pairs: a bare chain, or a chain
+        # alone in a tuple, cannot be unpacked, so it is refused before any
+        # scan is built, wherever it stands in the list
         dp = desk_dp()
         cfg = quick_config(dp, duration=0.1, n_trajectories=2)
         full, record = Chain(dp, 0.05, cfg), Chain(dp, 0.05, cfg, record_only=True)
         stepped = count_scans(monkeypatch)
-        for chains, accumulators in (([full, record], [CovarianceAccumulator(2)]),
-                                     ([full], []),
-                                     ([record], [Recorded(), Recorded()])):
-            with pytest.raises(ConfigurationError, match="one accumulator each"):
-                fold(chains, accumulators)
+        for pairs in ([full], [(full, CovarianceAccumulator(2)), record],
+                      [(record,)], [(full, CovarianceAccumulator(2)), (record,)]):
+            with pytest.raises((TypeError, ValueError), match="unpack"):
+                fold(pairs)
         assert stepped == []
 
     def test_fold_adds_each_chain_s_chunks_in_chain_order(self, monkeypatch):
@@ -1038,7 +1041,7 @@ class TestAccumulators:
 
             def add(self, part):
                 added.append((self.index, part.copy()))
-        fold(chains, [Logged(i) for i in range(len(chains))])
+        fold([(chain, Logged(i)) for i, chain in enumerate(chains)])
         # the chunks in which each chain keeps a step, from its step counts
         chunk = simulation._CHUNK
         expected = [i for pos in range(0, max(simulation._drawn(c.cfg) for c in chains), chunk)
@@ -1099,7 +1102,7 @@ class TestAccumulators:
         cfg = quick_config(dp, duration=1.0, n_trajectories=2)
         one_step = replace(cfg, duration=cfg.dt)
         welch = WelchAccumulator(2, 64)
-        fold([Chain(dp, 0.05, one_step, record_only=True)], [welch])
+        fold([(Chain(dp, 0.05, one_step, record_only=True), welch)])
         with pytest.raises(ParameterError, match="segment"):
             welch.spectrum(one_step.dt)
         with pytest.raises(ParameterError, match="one sample"):
@@ -1142,7 +1145,7 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
     def streamed(segments, reservoirs=(None,)):
         # the Welch accumulator is made, filled and read inside the trace
         welch = WelchAccumulator(ntraj, nper, len(reservoirs))
-        fold([Chain(dp, 0.05, config(segments), reservoirs, record_only=True)], [welch])
+        fold([(Chain(dp, 0.05, config(segments), reservoirs, record_only=True), welch)])
         welch.spectrum(config(segments).dt)
 
     short = peak(lambda: streamed(4))
@@ -1192,7 +1195,7 @@ def test_a_pass_allocates_nothing_per_chunk(monkeypatch):
     tracemalloc.start()
     try:
         welch = WelchAccumulator(ntraj, nper, len(reservoirs))
-        fold([Chain(dp, 0.05, cfg, reservoirs, record_only=True)], [measured])
+        fold([(Chain(dp, 0.05, cfg, reservoirs, record_only=True), measured)])
     finally:
         tracemalloc.stop()
     assert measured.first_segments == 0 and len(measured.rises) >= 6
@@ -1213,9 +1216,9 @@ def test_a_pass_reserves_increments_for_the_components_it_steps(monkeypatch):
         return work
     monkeypatch.setattr(simulation, "_scan_work", spy)
     dp, temperature, cfg, _, nper = stream_cases()["squeezed"]
-    fold([Chain(dp, temperature, cfg, record_only=True)],
-         [WelchAccumulator(cfg.n_trajectories, nper)])
-    fold([Chain(dp, temperature, cfg)], [CovarianceAccumulator(cfg.n_trajectories)])
+    fold([(Chain(dp, temperature, cfg, record_only=True),
+           WelchAccumulator(cfg.n_trajectories, nper))])
+    fold([(Chain(dp, temperature, cfg), CovarianceAccumulator(cfg.n_trajectories))])
     assert reserved == [(2, 2), (4, 4)]
 
 
@@ -1250,7 +1253,7 @@ def test_a_scan_lets_its_buffers_go_once_its_chains_end(monkeypatch):
     accumulators = [Reading(0), Reading(1)]
     tracemalloc.start()
     try:
-        fold(chains, accumulators)
+        fold(list(zip(chains, accumulators)))
     finally:
         tracemalloc.stop()
     assert list(adds) == [1, 2]
