@@ -1,12 +1,12 @@
 """Squeezed-magnon cavity magnetometry: analytic noise spectra, noise
 budgets, sensitivity curves, and a stochastic Langevin oracle to verify them.
 
-The oracle (``simulation``, ``verification``) is exported here too, but its
-modules load on first use, so the analytic layers and the commands built on
-them start without it.
+The analytic names are exported here.  The oracle's names are imported
+from its own modules, ``magnon_sense.simulation`` and
+``magnon_sense.verification``, which ``import magnon_sense`` does not load,
+so the analytic layers and the commands built on them start without the
+oracle.
 """
-
-import importlib
 
 from .model import (
     HBAR,
@@ -41,24 +41,5 @@ from .spectra import (
     noise_budget_grid,
     output_spectrum,
 )
-
-#: the Langevin oracle's names, loaded on first use (PEP 562) so that the
-#: analytic commands never import the oracle's modules
-_LAZY = {
-    **dict.fromkeys(("SimulationConfig", "SimulationTrace", "lyapunov_covariance",
-                     "measure_gain", "simulate"), "simulation"),
-    **dict.fromkeys(("run_verification", "verification_parameters"), "verification"),
-}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-
-
-def __dir__():
-    return sorted({*globals(), *_LAZY})
-
 
 __version__ = "0.1.0"

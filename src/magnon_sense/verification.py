@@ -8,13 +8,13 @@ discrepancy (|K4(0)| = 1 from the drift system vs 3 from the printed form).
 The stochastic runs are one table, :func:`_runs`: each entry calls its
 check family with the names of the checks it feeds, its parameters and
 the seed.  The family sizes the run and returns it as a :class:`_Run`:
-its chain (none for a gain run), an accumulator for it and the judge of
-its checks.  The table sizes every run before any is stepped, so a
-refusal costs no stepping.  Then the chains of the Lyapunov and PSD runs,
-each paired with its run's accumulator, are folded on one
-:func:`simulation.fold` pass over the seed's streams: each (seed,
-trajectory index) stream is drawn once, and every run reads a prefix of
-the same streams, step for step.
+its chain, which holds the run's parameters, step, length and rows, an
+accumulator for it (none for a gain run) and the judge of its checks.
+The table sizes every run before any is stepped, so a refusal costs no
+stepping.  Then the chains of the Lyapunov and PSD runs, each paired with
+its run's accumulator, are folded on one :func:`simulation.fold` pass
+over the seed's streams: each (seed, trajectory index) stream is drawn
+once, and every run reads a prefix of the same streams, step for step.
 The checks of one seed are therefore not independent draws; a rate of
 "any check failed" cannot be formed by multiplying per-check rates.
 ``_check_lyapunov`` compares the stepped chain's second moments about its
@@ -23,10 +23,11 @@ standard errors.  ``_check_psd`` compares Welch spectra of the output with
 the analytic output spectrum over omega in [0.1, 5] kappa_m; the
 ``psd_rm15`` run feeds two checks, without and with the squeezed
 reservoir, from one chain of two reservoir blocks and one Welch
-accumulator of two spectra.  ``_check_gain`` has no chain: after the pass
-it calls :func:`simulation.measure_gain`, which steps a unit drive alone
-over 32 of its periods, without noise, so the gain's deviation from the
-analytic response is the step's own bias, whatever the seed.
+accumulator of two spectra.  ``_check_gain``'s chain is not folded: after
+the pass it calls :func:`simulation.measure_gain` on the chain's
+parameters and configuration, which steps a unit drive alone over 32 of
+its periods, without noise, so the gain's deviation from the analytic
+response is the step's own bias, whatever the seed.
 
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
@@ -131,16 +132,15 @@ def verification_parameters() -> SystemParameters:
 
 @dataclass(frozen=True)
 class _Run:
-    """One sized run of :func:`_runs`: its chain or None, ``accumulator()``,
-    which makes a fresh accumulator for the chain, and ``judge``, which
-    reads it once :func:`simulation.fold` has filled it (a run with no chain
-    is judged on nothing)."""
+    """One sized run of :func:`_runs`: its chain, which holds the run's
+    parameters, step, length and rows, ``accumulator()``, which makes a
+    fresh accumulator for the chain, and ``judge``, which reads it once
+    :func:`simulation.fold` has filled it.  A gain run has no accumulator:
+    its chain is not folded, and it is judged on nothing."""
 
     names: tuple[str, ...]
-    dp: DerivedParameters
-    cfg: SimulationConfig
+    chain: Chain
     judge: Callable[..., list[CheckResult]]
-    chain: Chain | None = None
     accumulator: Callable[[], object] | None = None
     segment: int | None = None    # Welch segment length in samples (PSD runs)
     frequency: float | None = None  # the tone offset in rad/s (gain runs)
@@ -174,11 +174,13 @@ def _oracle_step(params: SystemParameters) -> tuple[DerivedParameters, float]:
     return dp, _DT_ACCURACY / fastest_rate(dp)
 
 
-def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: float,
-                trajectories: int, blocks: int = 1) -> SimulationConfig:
-    """One oracle run of ``steps`` recorded steps of ``dt``, rounded, after a
-    burn-in of 13 relaxation times of the slower mode, stepped by ``blocks``
-    reservoir blocks of ``trajectories`` rows each.
+def _chain(dp: DerivedParameters, temperature: float, seed: int, dt: float, steps: float,
+           trajectories: int, reservoirs: tuple[SqueezedReservoir | None, ...] = (None,),
+           record_only: bool = False) -> Chain:
+    """The chain of one oracle run: ``dp`` at ``temperature``, ``steps``
+    recorded steps of ``dt``, rounded, after a burn-in of 13 relaxation
+    times of the slower mode, on a block of ``trajectories`` rows per entry
+    of ``reservoirs``.  The budget counts the rows of the chain it returns.
 
     Refuses an unstable drift, and a run of more than ``_MAX_TRAJECTORY_STEPS``
     recorded trajectory-steps over all its rows, or of steps too many to
@@ -193,17 +195,18 @@ def _run_config(dp: DerivedParameters, seed: int, dt: float, steps: float,
     of 744164 steps).
     """
     require_stable(dp)
-    rows = blocks * trajectories
+    rows = len(reservoirs) * trajectories
     if not (math.isfinite(steps) and rows * round(steps) <= _MAX_TRAJECTORY_STEPS):
         raise ConfigurationError(
             "parameter set is too stiff for the stochastic oracle: "
-            f"{rows} rows ({blocks} x {trajectories} trajectories) of {steps:.3g} "
+            f"{rows} rows ({len(reservoirs)} x {trajectories} trajectories) of {steps:.3g} "
             f"steps are {rows * steps:.3g} trajectory-steps, over the "
             f"{_MAX_TRAJECTORY_STEPS:.0e} budget; reduce the ratio of the "
             "fastest rate to kappa_m")
-    return SimulationConfig(dt=dt, duration=round(steps) * dt,
-                            burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
-                            n_trajectories=trajectories, seed=seed)
+    cfg = SimulationConfig(dt=dt, duration=round(steps) * dt,
+                           burn_in=13.0 / min(dp.kappa_a, dp.kappa_m),
+                           n_trajectories=trajectories, seed=seed)
+    return Chain(dp, temperature, cfg, reservoirs, record_only)
 
 
 def _check_routes(params: SystemParameters) -> list[CheckResult]:
@@ -238,14 +241,13 @@ def _check_routes(params: SystemParameters) -> list[CheckResult]:
 
 def _check_lyapunov(name: str, params: SystemParameters, seed: int) -> _Run:
     dp, dt = _oracle_step(params)
-    cfg = _run_config(dp, seed, dt, _LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt,
-                      _LYAPUNOV_TRAJECTORIES)
-    temperature = params.temperature
+    chain = _chain(dp, params.temperature, seed, dt,
+                   _LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt, _LYAPUNOV_TRAJECTORIES)
 
     def judge(acc: CovarianceAccumulator) -> list[CheckResult]:
         covs = acc.covariances()
         se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
-        target = lyapunov_covariance(dp, temperature, cfg.dt)
+        target = lyapunov_covariance(dp, chain.temperature, dt)
         iu = np.triu_indices(4)
         sigmas = np.abs(covs.mean(axis=0) - target)[iu] / np.maximum(se[iu], 1e-300)
         return [CheckResult(
@@ -255,8 +257,7 @@ def _check_lyapunov(name: str, params: SystemParameters, seed: int) -> _Run:
             detail="max |sample - Lyapunov| in standard errors over the 10 "
                    f"covariance entries, {covs.shape[0]} trajectories",
         )]
-    return _Run((name,), dp, cfg, judge, Chain(dp, temperature, cfg),
-                lambda: CovarianceAccumulator(cfg.n_trajectories))
+    return _Run((name,), chain, judge, lambda: CovarianceAccumulator(chain.cfg.n_trajectories))
 
 
 def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
@@ -303,17 +304,15 @@ def _check_psd(checks: tuple, params: SystemParameters, seed: int) -> _Run:
     steps = nper + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * hop
     # the checks differ only in their reservoirs; Welch reads the record alone
     names, reservoirs = zip(*checks)
-    cfg = _run_config(dp, seed, dt, steps, _PSD_TRAJECTORIES, len(reservoirs))
-    temperature = params.temperature
+    chain = _chain(dp, params.temperature, seed, dt, steps, _PSD_TRAJECTORIES,
+                   reservoirs, record_only=True)
 
     def judge(welch: WelchAccumulator) -> list[CheckResult]:
-        omega, psds = welch.spectrum(cfg.dt)
-        return [_judge_psd(name, dp, temperature, reservoir, omega, psd, welch.segments)
-                for name, reservoir, psd in zip(names, reservoirs, psds)]
-    return _Run(names, dp, cfg, judge,
-                Chain(dp, temperature, cfg, reservoirs, record_only=True),
-                lambda: WelchAccumulator(cfg.n_trajectories, nper, len(reservoirs)),
-                segment=nper)
+        omega, psds = welch.spectrum(dt)
+        return [_judge_psd(name, dp, chain.temperature, reservoir, omega, psd, welch.segments)
+                for name, reservoir, psd in zip(names, chain.reservoirs, psds)]
+    return _Run(names, chain, judge, lambda: WelchAccumulator(
+        chain.cfg.n_trajectories, nper, len(chain.reservoirs)), segment=nper)
 
 
 def _judge_psd(name: str, dp: DerivedParameters, temperature: float,
@@ -348,10 +347,10 @@ def _check_gain(name: str, frac: float, params: SystemParameters, seed: int) -> 
     if not gain_analytic > 0:
         raise ConfigurationError("the gain checks need a magnon-cavity coupling "
                                  "(mod_amplitude > 0 and g_0 > 0)")
-    cfg = _run_config(dp, seed, dt, _GAIN_PERIODS * _TWO_PI / (delta * dt), 1)
+    chain = _chain(dp, params.temperature, seed, dt, _GAIN_PERIODS * _TWO_PI / (delta * dt), 1)
 
     def judge() -> list[CheckResult]:
-        gain = simulation.measure_gain(dp, delta, cfg)
+        gain = simulation.measure_gain(chain.dp, delta, chain.cfg)
         return [CheckResult(
             name=name,
             value=abs(gain / gain_analytic - 1.0),
@@ -359,19 +358,19 @@ def _check_gain(name: str, frac: float, params: SystemParameters, seed: int) -> 
             detail=f"empirical {gain:.4g} vs analytic {gain_analytic:.4g} "
                    f"at delta = {frac:g} kappa_m, r_m = 1",
         )]
-    return _Run((name,), dp, cfg, judge, frequency=delta)
+    return _Run((name,), chain, judge, frequency=delta)
 
 
 def _judge(runs: list[_Run]) -> list[CheckResult]:
-    """The results of ``runs``, their chains stepped on one pass, in table
-    order.  The pass's buffers go when it ends."""
-    pairs = [(run.chain, run.accumulator()) for run in runs if run.chain]
+    """The results of ``runs`` in table order, the chains of those with an
+    accumulator stepped on one pass.  The pass's buffers go when it ends."""
+    pairs = [(run.chain, run.accumulator()) for run in runs if run.accumulator]
     if pairs:
         simulation.fold(pairs)
     results = []
     for run in runs:
         # each run's accumulator goes once it is judged
-        results += run.judge(pairs.pop(0)[1]) if run.chain else run.judge()
+        results += run.judge(pairs.pop(0)[1]) if run.accumulator else run.judge()
     return results
 
 

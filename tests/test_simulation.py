@@ -9,24 +9,24 @@ from scipy import linalg, signal
 from magnon_sense import (
     ConfigurationError,
     ParameterError,
-    SimulationConfig,
     SqueezedReservoir,
     SystemParameters,
     derived_parameters,
-    lyapunov_covariance,
-    measure_gain,
     output_spectrum,
     response_grid,
-    simulate,
 )
 from magnon_sense import simulation, verification
 from magnon_sense.simulation import (
     Chain,
     CovarianceAccumulator,
+    SimulationConfig,
     WelchAccumulator,
     fastest_rate,
     fold,
+    lyapunov_covariance,
+    measure_gain,
     noverlap,
+    simulate,
 )
 from magnon_sense.spectra import input_densities
 from magnon_sense.transfer import drift_matrix
@@ -270,7 +270,7 @@ class TestSteadyStateVariances:
         else:
             [run] = [run for run in verification._runs(verification_parameters(), seed=42)
                      if run.names == (case,)]
-            dp, temperature, dt = run.dp, run.chain.temperature, run.cfg.dt
+            dp, temperature, dt = run.chain.dp, run.chain.temperature, run.chain.cfg.dt
         cavity, magnon = input_densities(dp, temperature)
         diffusion = linalg.block_diag(dp.kappa_m * magnon, np.eye(2) * dp.kappa_a * cavity)
         step = np.eye(4) + drift_matrix(dp) * dt
@@ -360,7 +360,7 @@ class TestGainMeasurement:
         kappa_m on the desk set at r_m, sized by verify's own gain family."""
         run = verification._check_gain(
             "gain", frac, verification_parameters().with_squeeze_amplitude(r_m), seed)
-        return run.dp, measure_gain(run.dp, run.frequency, run.cfg)
+        return run.chain.dp, measure_gain(run.chain.dp, run.frequency, run.chain.cfg)
 
     def stepped_chain_gain(self, dp, frequency, dt):
         """The Euler-Maruyama chain's exact steady-state response to the unit
@@ -379,11 +379,11 @@ class TestGainMeasurement:
         assert [run.names for run in planned] == [
             ("gain_delta_0.2km",), ("gain_delta_0.5km",), ("gain_delta_1km",)]
         for run in planned:
-            gain = measure_gain(run.dp, run.frequency, run.cfg)
-            exact = self.stepped_chain_gain(run.dp, run.frequency, run.cfg.dt)
+            gain = measure_gain(run.chain.dp, run.frequency, run.chain.cfg)
+            exact = self.stepped_chain_gain(run.chain.dp, run.frequency, run.chain.cfg.dt)
             assert gain == pytest.approx(exact, rel=1e-3)
             # the step's own bias, which the seed-free estimate leaves visible
-            gain_analytic = self.analytic_gain(run.dp, run.frequency)
+            gain_analytic = self.analytic_gain(run.chain.dp, run.frequency)
             assert exact != pytest.approx(gain_analytic, rel=5e-4)
 
     def test_does_not_depend_on_seed(self):
@@ -410,14 +410,14 @@ class TestGainMeasurement:
         # gain measure_gain returns
         runs = [run for run in verification._runs(verification_parameters(), seed=42)
                 if run.frequency is not None]
-        assert [run.chain for run in runs] == [None, None, None]
+        assert [run.accumulator for run in runs] == [None, None, None]
         calls = count_streams(monkeypatch)
         results = verification._judge(runs)
         assert calls == []
         assert [result.name for result in results] == [
             "gain_delta_0.2km", "gain_delta_0.5km", "gain_delta_1km"]
         for run, result in zip(runs, results):
-            gain = measure_gain(run.dp, run.frequency, run.cfg)
+            gain = measure_gain(run.chain.dp, run.frequency, run.chain.cfg)
             assert result.detail.startswith(f"empirical {gain:.4g} vs")
 
     def test_requires_finite_frequency(self):
@@ -443,9 +443,9 @@ class TestGainMeasurement:
         exact, tiny = [verification._check_gain("gain", 0.5, replace(params, **{detuning: value}),
                                                 seed=42)
                        for value in (0.0, 1e-10 * params.kappa_m)]
-        assert getattr(tiny.dp, detuning) != 0.0 and tiny.cfg == exact.cfg
-        assert measure_gain(tiny.dp, tiny.frequency, tiny.cfg) == pytest.approx(
-            measure_gain(exact.dp, exact.frequency, exact.cfg), rel=1e-12, abs=0)
+        assert getattr(tiny.chain.dp, detuning) != 0.0 and tiny.chain.cfg == exact.chain.cfg
+        assert measure_gain(tiny.chain.dp, tiny.frequency, tiny.chain.cfg) == pytest.approx(
+            measure_gain(exact.chain.dp, exact.frequency, exact.chain.cfg), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("detuning", ["delta_a", "delta_0p"])
     def test_verify_judges_gains_inside_the_evading_tolerance(self, detuning):
@@ -463,8 +463,9 @@ class TestVerifyPlan:
         # verify's printed values depend on these sizes, so a change to one
         # shows here before it moves a check
         runs = verification._runs(verification_parameters(), seed=42)
-        sizes = {run.names: (run.cfg.n_trajectories, *simulation._steps(run.cfg)[::-1],
-                             run.segment) for run in runs}
+        sizes = {run.names: (run.chain.cfg.n_trajectories,
+                             *simulation._steps(run.chain.cfg)[::-1], run.segment)
+                 for run in runs}
         assert sizes == {
             ("lyapunov_decoupled",): (32, 205333, 953, None),
             ("lyapunov_coupled",): (32, 205333, 953, None),
@@ -479,8 +480,8 @@ class TestVerifyPlan:
             ("psd_rm15", "psd_rm15_reservoir"), ("gain_delta_0.2km",),
             ("gain_delta_0.5km",), ("gain_delta_1km",)]
         for run in runs:
-            assert run.cfg.dt * fastest_rate(run.dp) == 0.015
-            assert run.cfg.seed == 42
+            assert run.chain.cfg.dt * fastest_rate(run.chain.dp) == 0.015
+            assert run.chain.cfg.seed == 42
 
     def test_psd_runs_hold_exactly_the_planned_segments(self):
         # one step fewer would lose the last segment of every trajectory
@@ -489,7 +490,7 @@ class TestVerifyPlan:
         assert [run.names for run in runs] == [
             ("psd_rm0",), ("psd_rm15", "psd_rm15_reservoir")]
         for run in runs:
-            steps = simulation._steps(run.cfg)[1]
+            steps = simulation._steps(run.chain.cfg)[1]
             for n, segments in ((steps, 48), (steps - 1, 47)):
                 welch = WelchAccumulator(1, run.segment)
                 welch.add(np.zeros((1, n)))
@@ -504,7 +505,7 @@ class TestVerifyPlan:
         reservoir = run.chain.reservoirs[run.names.index(name)]
         welch = WelchAccumulator(2, run.segment)
         welch.add(np.random.default_rng(5).standard_normal((2, run.segment)))
-        omega, [psd] = welch.spectrum(run.cfg.dt)
+        omega, [psd] = welch.spectrum(run.chain.cfg.dt)
         solve = verification.output_spectrum
         grids = []
 
@@ -516,11 +517,12 @@ class TestVerifyPlan:
             return solve(dp, temperature, omega, reservoir=reservoir)[:len(grid)]
 
         def judge():
-            return verification._judge_psd(name, run.dp, run.chain.temperature, reservoir,
+            return verification._judge_psd(name, run.chain.dp, run.chain.temperature, reservoir,
                                            omega, psd, welch.segments)
         monkeypatch.setattr(verification, "output_spectrum", counted)
         cut = judge()
-        top = max(int(sel[-1]) for sel in verification._psd_bands(omega, run.dp.kappa_m)) + 1
+        bands = verification._psd_bands(omega, run.chain.dp.kappa_m)
+        top = max(int(sel[-1]) for sel in bands) + 1
         assert grids == [top] and top <= 102 and omega.size >= 4609
         monkeypatch.setattr(verification, "output_spectrum", full_grid)
         assert judge() == cut
@@ -542,7 +544,7 @@ class TestVerifyPlan:
                  if len(run.names) > 1]
         checks = tuple(zip(run.names, run.chain.reservoirs))
         assert run.names == ("psd_rm15", "psd_rm15_reservoir")
-        assert run.dp == derived_parameters(params)
+        assert run.chain.dp == derived_parameters(params)
         apart = [result for check in checks
                  for result in verification._judge([verification._check_psd((check,), params,
                                                                             seed=42)])]
@@ -570,7 +572,7 @@ class TestVerifyPlan:
         monkeypatch.setattr(simulation, "measure_gain", no_gain)
         runs = verification._runs(verification_parameters(), seed=42)
         assert len(runs) == 7
-        assert [run.chain and len(run.chain.reservoirs) for run in runs] == [
+        assert [run.accumulator and len(run.chain.reservoirs) for run in runs] == [
             1, 1, 1, 2, None, None, None]
         with pytest.raises(AssertionError, match="fold called"):
             verification.run_verification(seed=42)
@@ -585,7 +587,7 @@ class TestVerifyPlan:
         # accumulator, what that reads: a Lyapunov chain its quadratures, a
         # PSD chain its output record.  The pass stops once each has one
         runs = verification._runs(verification_parameters(), seed=42)
-        chains = [run.chain for run in runs if run.chain]
+        chains = [run.chain for run in runs if run.accumulator]
         assert len(chains) == 4
         scans = count_scans(monkeypatch)
         shapes = [None] * len(chains)
@@ -625,7 +627,7 @@ class TestVerifyPlan:
                     drawn.append(out.shape[0])
         monkeypatch.setattr(simulation, "_trajectory_rng", Stream)
         monkeypatch.setattr(simulation._Stepper, "step", lambda self, *args: None)
-        chains = [run.chain for run in runs if run.chain]
+        chains = [run.chain for run in runs if run.accumulator]
         accumulators = [Recorded() for _ in chains]
         fold(list(zip(chains, accumulators)))
         assert [acc.parts for acc in accumulators] == [[]] * len(chains)
@@ -638,9 +640,9 @@ class TestVerifyPlan:
         # draw per run would build 96 streams and draw 28,788,224
         # trajectory-steps
         runs = verification._runs(verification_parameters(), seed=42)
-        extents = simulation._stream_extents([run.chain for run in runs if run.chain])
+        extents = simulation._stream_extents([run.chain for run in runs if run.accumulator])
         assert (len(extents), sum(extents)) == (32, 15_257_600)
-        apart = [simulation._stream_extents([run.chain]) for run in runs if run.chain]
+        apart = [simulation._stream_extents([run.chain]) for run in runs if run.accumulator]
         assert (sum(map(len, apart)), sum(map(sum, apart))) == (96, 28_788_224)
 
     def test_verify_builds_and_draws_each_stream_once(self, monkeypatch):
@@ -649,7 +651,7 @@ class TestVerifyPlan:
         monkeypatch.setattr(verification, "_LYAPUNOV_DURATION_RELAX", 50.0)
         monkeypatch.setattr(verification, "_GAIN_PERIODS", 2)
         runs = verification._runs(verification_parameters(), seed=42)
-        extents = simulation._stream_extents([run.chain for run in runs if run.chain])
+        extents = simulation._stream_extents([run.chain for run in runs if run.accumulator])
         assert extents[0] > extents[-1]    # streams 0-15 feed the longer PSD runs
         drawn = count_draws(monkeypatch)
         calls = count_streams(monkeypatch)
@@ -1122,10 +1124,13 @@ class TestAccumulators:
 
 
 def test_streamed_psd_memory_does_not_grow_with_the_run():
-    # the Welch ring dominates the working set at this segment length
+    # the Welch ring dominates the working set at this segment length.  A
+    # pass's peak (its accumulator made and filled) is read apart from the
+    # spectrum's, whose temporaries would otherwise set the run's peak
     dp = desk_dp(r_m=1.0)
     ntraj, nper = 4, 2**16
-    ring, window = ntraj * nper * 8, nper * 8
+    ring, bins = ntraj * nper * 8, nper // 2 + 1
+    chunk = ntraj * simulation._CHUNK
 
     def config(segments):
         dt = 0.015 / fastest_rate(dp)
@@ -1135,28 +1140,45 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
                                 n_trajectories=ntraj, seed=3)
 
     def peak(run):
+        """The peak traced while ``run()`` runs, and what it returns."""
         tracemalloc.start()
         try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
+            result = run()
+            return tracemalloc.get_traced_memory()[1], result
         finally:
             tracemalloc.stop()
 
     def streamed(segments, reservoirs=(None,)):
-        # the Welch accumulator is made, filled and read inside the trace
-        welch = WelchAccumulator(ntraj, nper, len(reservoirs))
-        fold([(Chain(dp, 0.05, config(segments), reservoirs, record_only=True), welch)])
-        welch.spectrum(config(segments).dt)
+        """The peaks of the pass and of the spectrum read after it."""
+        def run():
+            welch = WelchAccumulator(ntraj, nper, len(reservoirs))
+            fold([(Chain(dp, 0.05, config(segments), reservoirs, record_only=True), welch)])
+            return welch
+        passed, welch = peak(run)
+        return passed, peak(lambda: welch.spectrum(config(segments).dt))[0]
 
-    short = peak(lambda: streamed(4))
-    long = peak(lambda: streamed(16))
-    # two reservoirs on one chain: one more block of the Welch ring, and
-    # little else
-    grouped = peak(lambda: streamed(4, (None, SqueezedReservoir(r_n=1.0, phi_n=math.pi))))
-    stored = peak(lambda: simulate(dp, 0.05, config(4)))
+    def scan_work(rows):
+        # the pass's scan scratch for record-only chains, which step X_M and P_a
+        return sum(view.nbytes for view in simulation._scan_work(rows * simulation._CHUNK, 2))
+
+    short, short_spectrum = streamed(4)
+    long, _ = streamed(16)
+    # two reservoirs on one chain add, each from its shape: a Welch ring
+    # block, a power row, the scan scratch and states chunk of ntraj more
+    # rows, and numpy's buffered-iterator copies of the three operands of
+    # the record's in-place update on a chunk whose kept part is not
+    # contiguous
+    grouped, grouped_spectrum = streamed(4, (None, SqueezedReservoir(r_n=1.0, phi_n=math.pi)))
+    block = (ring + bins * 8 + scan_work(2 * ntraj) - scan_work(ntraj) + chunk * 8
+             + 3 * chunk * 8)
+    stored, _ = peak(lambda: simulate(dp, 0.05, config(4)))
     assert short <= 8 * ring
     assert long <= 1.02 * short
-    assert grouped <= short + ring + window
+    assert grouped <= short + block
+    # the spectrum holds a psd row per block, and rfftfreq's integer ramp,
+    # its scaled copy and omega, all of bins entries
+    assert short_spectrum <= (1 + 3) * bins * 8
+    assert grouped_spectrum <= (2 + 3) * bins * 8
     assert stored > 8 * ring
 
 

@@ -272,6 +272,11 @@ class TestNoiseBudget:
                           for w in omegas])
             assert (y.max() - y.min()) / y.min() < 0.05
 
+    def test_len_is_the_grid_size(self):
+        # the traced benchmark counts noise_budget_grid's rows as len() of
+        # its result (benchmarks/run.py), so a budget keeps its __len__
+        assert len(noise_budget_grid(dp_at(1.5), 0.05, np.linspace(0.0, 1e6, 7))) == 7
+
     def test_budget_identity_without_signal(self):
         budget = noise_budget_grid(dp_at(1.5), 0.05, [0.4 * TWO_PI * 15e6])
         assert budget.s_out[0] == pytest.approx(
