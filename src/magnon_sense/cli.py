@@ -326,10 +326,12 @@ def _cmd_sweep(args) -> int:
                grid_points=args.grid_points)
     tags = ["_".join(f"{name}-{value:g}" for name, value in zip(names, combo))
             for combo in combos]
-    clash = next((tag for i, tag in enumerate(tags) if tag in tags[:i]), None)
-    if clash is not None:
-        raise _UsageError(f"two sweep points would both write "
-                          f"sweep_{args.quantity}_{clash}.csv")
+    seen = set()
+    for tag in tags:
+        if tag in seen:
+            raise _UsageError(f"two sweep points would both write "
+                              f"sweep_{args.quantity}_{tag}.csv")
+        seen.add(tag)
     points = []
     for combo in combos:
         point = params

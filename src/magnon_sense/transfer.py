@@ -11,13 +11,14 @@ The detected quantity is the output phase quadrature
 P_a_out = sqrt(kappa_a) P_a - P_a_in, whose four coefficients k1..k4 multiply
 the magnon amplitude / magnon phase / cavity amplitude / cavity phase inputs.
 
-Two routes are provided.  :func:`response_grid` solves the linear system
-directly and is authoritative for all spectra.  :func:`closed_form_grid`
-evaluates a set of printed rational expressions kept as a comparison surface;
-its k4 (and the phase of k1) disagree with the direct solution, which is why
-it is never used downstream.  In the decoupled resonant limit the direct
-route gives |k4(0)| = 1 (a passive cavity reflects unit noise) while the
-closed form gives 3; the `verify` command reports both numbers.
+Two routes are provided.  :func:`response_grid` computes k1..k4 by exact
+elimination of the output row of chi from the drift system and is
+authoritative for all spectra.  :func:`closed_form_grid` evaluates a set of
+printed rational expressions kept as a comparison surface; its k4 (and the
+phase of k1) disagree with the drift system's, which is why it is never used
+downstream.  In the decoupled resonant limit the drift system gives
+|k4(0)| = 1 (a passive cavity reflects unit noise) while the closed form
+gives 3; the `verify` command reports both numbers.
 
 This module owns the drift matrix (:func:`drift_matrix`) and the checks the
 other layers rely on: :func:`require_stable` (every eigenvalue in the open
@@ -119,31 +120,40 @@ def frequency_grid(grid) -> np.ndarray:
 
 
 def response_grid(dp: DerivedParameters, omegas) -> tuple[np.ndarray, ...]:
-    """Transfer coefficients k1..k4 on a frequency grid, by linear solve.
+    """Transfer coefficients k1..k4 on a frequency grid, by exact elimination
+    of the output row.
 
     Returns four complex arrays aligned with ``omegas`` (rad/s).  This is the
-    authoritative route: chi = (-i omega I - A)^-1 B is solved per frequency
-    and the P_a output row is read off, with the direct reflection -1
-    subtracted on the cavity phase input channel.
+    authoritative route.  Only the P_a row of chi = M^-1 B, M = -i omega I - A,
+    is needed, so the row y of M^-1 solving y^T M = e_3^T is eliminated
+    column by column from the sparse drift of :func:`drift_matrix`, and
+    k_j = sqrt(kappa_a) B_jj y_j, with the direct reflection -1 subtracted
+    on the cavity phase input channel.  Every product is a rate times a
+    ratio of rates, so no rate is squared and a rescaled parameter set keeps
+    its precision.
     """
     omegas = frequency_grid(omegas)
     km, ka = dp.kappa_m, dp.kappa_a
-    gain = np.diag([np.sqrt(km), np.sqrt(km), np.sqrt(ka), np.sqrt(ka)])
-    m = -1j * omegas[:, None, None] * np.eye(4) - drift_matrix(dp)
-    try:
-        chi = np.linalg.solve(m, np.broadcast_to(gain, m.shape))
-    except np.linalg.LinAlgError as exc:
+    d0, da, g2 = dp.delta_0p, dp.delta_a, 2.0 * dp.g_prime
+    with np.errstate(all="ignore"):  # a zero or tiny dissipation gives inf or NaN
+        a_m = km / 2.0 - 1j * omegas
+        a_a = ka / 2.0 - 1j * omegas
+        # magnon columns: y1 = (d0 / a_m) y0 and (a_m + d0^2 / a_m) y0 = -g2 y3
+        r0 = d0 / a_m
+        c = g2 / (a_m + d0 * r0)
+        # cavity columns: a_a y2 = -(da - g2 r0 c) y3 and a_a y3 - da y2 = 1
+        s = (da - g2 * r0 * c) / a_a
+        y3 = 1.0 / (a_a + da * s)
+        y0 = -c * y3
+        root_m, root_a = np.sqrt(km), np.sqrt(ka)
+        k1 = root_a * (y0 * root_m)
+        k2 = root_a * (r0 * y0 * root_m)
+        k3 = root_a * (-s * y3 * root_a)
+        k4 = root_a * (y3 * root_a) - 1.0
+    if not all(np.isfinite(k).all() for k in (k1, k2, k3, k4)):
         raise SingularResponseError(
-            "response matrix is singular; this requires a zero dissipation rate"
-        ) from exc
-    out_row = np.sqrt(dp.kappa_a) * chi[:, 3, :]
-    if not np.isfinite(out_row).all():  # LAPACK overflows silently, to inf or NaN
-        raise SingularResponseError("response matrix is numerically singular: "
-                                    "its inverse overflows (a dissipation rate near 0)")
-    k1 = out_row[:, 0].copy()
-    k2 = out_row[:, 1].copy()
-    k3 = out_row[:, 2].copy()
-    k4 = out_row[:, 3] - 1.0
+            "response matrix is singular or numerically singular: its inverse "
+            "is not finite (a dissipation rate at or near 0)")
     return k1, k2, k3, k4
 
 
@@ -151,7 +161,7 @@ def closed_form_grid(dp: DerivedParameters, omegas) -> tuple[np.ndarray, ...]:
     """Printed rational expressions for k1..k4, evaluated verbatim.
 
     Kept as a documented comparison surface; see the module docstring for the
-    known k4 discrepancy against the direct solve.  Raises :class:`PoleError`
+    known k4 discrepancy against :func:`response_grid`.  Raises :class:`PoleError`
     if the common denominator falls below 1e-12 of its largest contribution.
     """
     omegas = frequency_grid(omegas)

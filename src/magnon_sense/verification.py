@@ -1,9 +1,10 @@
 """Analytic-vs-oracle comparisons behind the `verify` command.
 
-Two seed-free checks of the transfer routes come first: the direct linear
-solve against the printed closed forms, that is the 1e-9 agreement of |k1|
-at the backaction-evading point and the documented decoupled-resonant
-discrepancy (|K4(0)| = 1 from the drift system vs 3 from the printed form).
+Two seed-free checks of the transfer routes come first: the exact
+elimination of the output row against the printed closed forms, that is
+the 1e-9 agreement of |k1| at the backaction-evading point and the
+documented decoupled-resonant discrepancy (|K4(0)| = 1 from the drift
+system vs 3 from the printed form).
 
 The stochastic runs are one table, :func:`_runs`: each entry calls its
 check family with the names of the checks it feeds, its parameters and

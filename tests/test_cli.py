@@ -505,6 +505,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not outdir.exists()
 
+    def test_sweep_file_name_collision_at_the_end_of_a_long_axis(self, tmp_path, capsys):
+        # 20,000 distinct names, then 1.99990001 and 0.50000001 each repeat
+        # one: the first repeat in point order is named, before any output
+        values = [f"{i / 1e4!r}" for i in range(20000)] + ["1.99990001", "0.50000001"]
+        outdir = tmp_path / "sw"
+        assert cli.main(["sweep", "--axis", "r_m=" + ",".join(values),
+                         "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: two sweep points would both write sweep_budget_r_m-1.9999.csv\n")
+        assert not outdir.exists()
+
     def test_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # the grid is never allocated for real: under memory overcommit a
         # request this size could succeed and only fail when touched

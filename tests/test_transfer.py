@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from magnon_sense import (
+    ConfigurationError,
     DerivedParameters,
     ParameterError,
     PoleError,
@@ -12,6 +14,7 @@ from magnon_sense import (
     baseline_parameters,
     derived_parameters,
     drift_matrix,
+    require_stable,
     response_grid,
 )
 from magnon_sense.transfer import closed_form_grid
@@ -26,6 +29,10 @@ def detuned_dp(r_m=0.5, da_frac=0.3, d0_frac=-0.2, g_frac=None):
     if g_frac is not None:
         kw.update(g_0=g_frac * base.kappa_m, mod_amplitude=1.0)
     return derived_parameters(replace(base, **kw))
+
+
+#: a detuning in units of kappa_m: zero, or +-[0.05, 3]
+DETUNINGS = st.one_of(st.just(0.0), st.floats(0.05, 3.0), st.floats(-3.0, -0.05))
 
 
 class TestDriftSystem:
@@ -142,6 +149,37 @@ class TestFrequencyResponse:
             mags = np.abs(k)
             rel = np.abs(np.diff(mags)) / np.maximum(mags[1:], mags[:-1])
             assert rel.max() < 1e-2
+
+    # the elimination against an independent general solve of the full
+    # system, (-i omega I - A) chi = B, with A from drift_matrix
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.floats(math.log(0.2), math.log(5.0)),
+           st.floats(math.log(0.1), math.log(1000.0)),
+           DETUNINGS, DETUNINGS,
+           st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+    def test_elimination_matches_general_solve(self, log_ka, log_g, da, d0, omegas):
+        km = 2 * math.pi * 1.5e6
+        dp = DerivedParameters(
+            r_m=0.0, xi=1.0, omega_0_prime=1.0, g_prime=math.exp(log_g) * km,
+            lambda_prime=1.0, kappa_a=math.exp(log_ka) * km, kappa_m=km,
+            delta_a=da * km, delta_0p=d0 * km, omega_a=1.0, omega_0=1.0)
+        try:
+            require_stable(dp)
+        except ConfigurationError:
+            assume(False)
+        omegas = np.array(omegas) * km
+        gain = np.diag(np.sqrt([km, km, dp.kappa_a, dp.kappa_a]))
+        chi = np.linalg.solve(-1j * omegas[:, None, None] * np.eye(4) - drift_matrix(dp),
+                              np.broadcast_to(gain, (omegas.size, 4, 4)))
+        row = np.sqrt(dp.kappa_a) * chi[:, 3, :]
+        expected = row - [0.0, 0.0, 0.0, 1.0]
+        # relative per coefficient, so a zero of the general solve must be an
+        # exact zero of the elimination.  k4 is measured against the row entry
+        # it is formed from: near a zero of k4, subtracting the reflection -1
+        # cancels in both routes (about 1e-12 against a 50-digit solve)
+        for j, k in enumerate(response_grid(dp, omegas)):
+            error = np.abs(k - expected[:, j])
+            assert np.all(error <= 1e-12 * np.abs(row[:, j])), (f"k{j + 1}", error)
 
     def test_singular_only_without_dissipation(self):
         dp = DerivedParameters(
