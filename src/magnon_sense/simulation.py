@@ -108,13 +108,17 @@ last bits.
 
 The chain is linear, so a tone's response depends on neither the noise nor
 its amplitude: :func:`measure_gain` steps a unit drive alone, from rest and
-without noise, through one record-only lane scan, and draws no stream.
+without noise, and draws no stream.  It builds the chain's stepper as
+:func:`fold` does, with the same checks, scan and states buffer, and feeds
+the drive through :meth:`_Stepper.advance`, which :meth:`_Stepper.step`
+calls on a pass's drawn increments, to an accumulator of P_a's mean square.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,10 +180,13 @@ class SimulationConfig:
                 and math.isfinite(self.duration) and math.isfinite(self.burn_in)):
             raise ConfigurationError(
                 "duration must be finite and > 0, burn_in finite and >= 0")
-        if self.n_trajectories < 1:
-            raise ConfigurationError("n_trajectories must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+        try:
+            if operator.index(self.n_trajectories) < 1:
+                raise ConfigurationError("n_trajectories must be >= 1")
+            if operator.index(self.seed) < 0:
+                raise ConfigurationError("seed must be >= 0")
+        except TypeError:
+            raise ConfigurationError("n_trajectories and seed must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -228,22 +235,6 @@ def fastest_rate(dp: DerivedParameters) -> float:
     """The fastest rate of the dynamics (rad/s), which the step must resolve."""
     return max(dp.kappa_a, dp.kappa_m, abs(dp.delta_a), abs(dp.delta_0p),
                2.0 * dp.g_prime)
-
-
-def _validate_config(dp: DerivedParameters, cfg: SimulationConfig) -> None:
-    fastest = fastest_rate(dp)
-    if cfg.dt * fastest >= _DT_GUARD:
-        raise ConfigurationError(
-            f"dt = {cfg.dt!r} s does not resolve the fastest rate "
-            f"{fastest!r} rad/s (need dt * rate < {_DT_GUARD})")
-    slowest = min(dp.kappa_a, dp.kappa_m)
-    if cfg.burn_in < 10.0 / slowest:
-        raise ConfigurationError(
-            f"burn_in = {cfg.burn_in!r} s is shorter than 10 relaxation times "
-            f"(need >= {10.0 / slowest!r} s)")
-    require_stable(dp)
-    if _steps(cfg)[1] < 1:
-        raise ConfigurationError("duration shorter than one step")
 
 
 def _diffusion(dp: DerivedParameters, temperature: float,
@@ -386,15 +377,29 @@ def _drawn(cfg: SimulationConfig) -> int:
 
 
 class _Stepper:
-    """A chain of a pass, checked and ready to step: one :class:`_LaneScan`
-    over its reservoirs' blocks of rows, the states buffer it writes, one
-    chunk of its written components, and the accumulator its kept steps
-    go to."""
+    """A chain, checked and ready to step: one :class:`_LaneScan` over its
+    reservoirs' blocks of rows, the states buffer it writes, one chunk of
+    its written components, and the accumulator its kept steps go to.
+    :meth:`step` draws a chunk's increments from the pass's normals and
+    :meth:`advance` scans them, keeps and adds; :func:`measure_gain`
+    advances on a tone's increments instead."""
 
     def __init__(self, chain: Chain, accumulator):
         dp, cfg = chain.dp, chain.cfg
-        _validate_config(dp, cfg)
+        fastest = fastest_rate(dp)
+        if cfg.dt * fastest >= _DT_GUARD:
+            raise ConfigurationError(
+                f"dt = {cfg.dt!r} s does not resolve the fastest rate "
+                f"{fastest!r} rad/s (need dt * rate < {_DT_GUARD})")
+        slowest = min(dp.kappa_a, dp.kappa_m)
+        if cfg.burn_in < 10.0 / slowest:
+            raise ConfigurationError(
+                f"burn_in = {cfg.burn_in!r} s is shorter than 10 relaxation times "
+                f"(need >= {10.0 / slowest!r} s)")
+        require_stable(dp)
         self.n_burn, n_keep = _steps(cfg)
+        if n_keep < 1:
+            raise ConfigurationError("duration shorter than one step")
         #: per reservoir block, (c, chol[k, c]) of the nonzero entries of each row k
         self.terms = []
         for reservoir in chain.reservoirs:
@@ -447,17 +452,24 @@ class _Stepper:
 
     def step(self, z: np.ndarray, pos: int, work: tuple) -> None:
         """Step the chunk from ``pos``, ``_CHUNK`` steps or the rest of the
-        run, on the normals ``z`` (stream, step, 4) of the pass's chunk;
-        ``work`` is the pass's :func:`_scan_work`.  Adds its kept steps, if
-        any, to the chain's accumulator: a full chain's quadratures
-        (4, rows, m), or a record-only chain's output record (rows, m),
-        written over its P_a row of the states and the spent P_a
-        increments."""
+        run, on the normals ``z`` (stream, step, 4) of the pass's chunk:
+        its increments, then :meth:`advance`.  ``work`` is the pass's
+        :func:`_scan_work`."""
         n = min(_CHUNK, self.end - pos)
         scan_work, increments, temp = work
-        incr = self.increments(z[:self.ntraj, :n], increments, temp)
+        self.advance(self.increments(z[:self.ntraj, :n], increments, temp), pos, scan_work)
+
+    def advance(self, incr: list, pos: int, work: np.ndarray) -> None:
+        """Scan the chunk from ``pos`` on ``incr``, the increments indexed
+        by component, (rows, n) for the stepped ones, into the states
+        buffer; ``work`` is the scan's region of a :func:`_scan_work`.  Adds
+        its kept steps, if any, to the chain's accumulator: a full chain's
+        quadratures (4, rows, m), or a record-only chain's output record
+        (rows, m), written over its P_a row of the states and the spent P_a
+        increments."""
+        n = incr[3].shape[1]
         shape = (len(self.scan.written), self.rows, n)
-        states = self.scan(incr, self.states[:math.prod(shape)].reshape(shape), scan_work)
+        states = self.scan(incr, self.states[:math.prod(shape)].reshape(shape), work)
         lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, n)
         if lo >= hi:
             return
@@ -495,12 +507,13 @@ def fold(pairs: list[tuple[Chain, object]]) -> None:
     scan (see the module docstring).
 
     Raises :class:`ConfigurationError` before any stepping if ``pairs`` or
-    a chain's reservoirs are empty, if the chains do not share one seed, or
-    if a chain's configuration guard fails or its drift is unstable.
+    a chain's reservoirs are empty, if a chain's accumulator is None, if
+    the chains do not share one seed, or if a chain's configuration guard
+    fails or its drift is unstable.
     """
-    if not pairs or not all(chain.reservoirs for chain, _ in pairs):
-        raise ConfigurationError(
-            "a pass needs at least one chain, and a chain at least one reservoir")
+    if not pairs or not all(chain.reservoirs and acc is not None for chain, acc in pairs):
+        raise ConfigurationError("a pass needs at least one chain, and each at least one "
+                                 "reservoir and an accumulator")
     chains = [chain for chain, _ in pairs]
     if len({chain.cfg.seed for chain in chains}) != 1:
         raise ConfigurationError("the chains of one pass must share one seed")
@@ -685,43 +698,59 @@ class CovarianceAccumulator:
         return self._moments / self._count
 
 
-def measure_gain(dp: DerivedParameters, frequency: float, cfg: SimulationConfig) -> float:
-    """Response at ``frequency`` (rad/s) of the chain :func:`fold` steps
-    with ``cfg``'s step, burn-in and length.
+class _MeanSquare:
+    """An accumulator of the mean square of P_a over a full chain's rows
+    and kept steps: one dot product per part, summed in the order the parts
+    come."""
+
+    def __init__(self):
+        self.total, self.count = 0.0, 0
+
+    def add(self, quadratures: np.ndarray) -> None:
+        p_a = quadratures[3].reshape(-1)
+        self.total += float(np.dot(p_a, p_a))
+        self.count += p_a.size
+
+
+def measure_gain(chain: Chain, frequency: float) -> float:
+    """Response at ``frequency`` (rad/s) of ``chain``, stepped as
+    :func:`fold` steps it but on a tone alone.
 
     A field tone B0 at the offset ``frequency`` = omega_s - omega_b from the
     magnon pump drives, in the frame rotating with the pump, only through
     its slowly rotating envelope lambda' B0 / sqrt(2) (sin, cos)(frequency t)
     on (X_M, P_M).  At the backaction-evading point, which this requires,
     the P_M drive does not reach the output.  The chain is linear, so a unit
-    X_M drive, sin(frequency t) dt, is stepped alone, from rest and without
-    noise, by one record-only :class:`_LaneScan` over ``_CHUNK`` steps at a
-    time, whatever components P_a reads, each increment but X_M's zero.
-    That is the field amplitude B0 = sqrt(2) / lambda', whose field-referred
-    input power lambda^2 B0^2 / (4 kappa_m), lambda = lambda' e^{-r_m}, is
-    1 / (2 kappa_m xi).  The mean square of the kept record sqrt(kappa_a) P_a
-    over that power, 2 kappa_a kappa_m xi mean(P_a^2), estimates the
-    analytic response at ``frequency``, biased only by the step.
+    X_M drive, sin(frequency t) dt, is fed alone to every row, from rest
+    and without noise, each increment but X_M's zero, and the chain's
+    stepper advances on it a chunk at a time.  That is the field amplitude
+    B0 = sqrt(2) / lambda', whose field-referred input power
+    lambda^2 B0^2 / (4 kappa_m), lambda = lambda' e^{-r_m}, is
+    1 / (2 kappa_m xi).  The mean square of the kept record sqrt(kappa_a)
+    P_a over that power, 2 kappa_a kappa_m xi mean(P_a^2), estimates the
+    analytic response at ``frequency``, biased only by the step.  The chain
+    is stepped full, whatever its ``record_only``, and P_a read from its
+    quadratures: a record holds sqrt(kappa_a) P_a, rounded, whose mean
+    square would move the gain's last bits.
     """
     if not math.isfinite(frequency):
         raise ParameterError("tone frequency must be finite")
-    require_evading_point(dp)
-    _validate_config(dp, cfg)
-    n_burn, n_keep = _steps(cfg)
-    scan = _LaneScan(np.eye(4) + drift_matrix(dp) * cfg.dt, 1, record_only=True)
-    work = _scan_work(_CHUNK, len(scan.components))[0]
-    incr, states = np.zeros((4, 1, _CHUNK)), np.empty((1, 1, _CHUNK))
-    total, end = 0.0, _drawn(cfg)
-    for pos in range(0, end, _CHUNK):
-        n = min(_CHUNK, end - pos)
-        t = np.multiply(np.arange(pos, pos + n, dtype=float), cfg.dt, out=incr[0, 0, :n])
+    require_evading_point(chain.dp)
+    dp, dt = chain.dp, chain.cfg.dt
+    stepper = _Stepper(replace(chain, record_only=False), _MeanSquare())
+    work, increments, _ = _scan_work(stepper.cells, 4)
+    incr = increments.reshape(4, stepper.rows, -1)
+    incr[1:] = 0.0
+    for pos in range(0, stepper.end, _CHUNK):
+        n = min(_CHUNK, stepper.end - pos)
+        # every row's X_M drive at once, the same bits in each
+        t = np.multiply(np.arange(pos, pos + n, dtype=float), dt, out=incr[0, :, :n])
         t *= frequency
         np.sin(t, out=t)
-        t *= cfg.dt
-        [[record]] = scan(incr[..., :n], states[..., :n], work)
-        record = record[max(n_burn - pos, 0):n_burn + n_keep - pos]
-        total += float(np.dot(record, record))
-    return 2.0 * dp.kappa_a * dp.kappa_m * dp.xi * total / n_keep
+        t *= dt
+        stepper.advance(incr[..., :n], pos, work)
+    power = stepper.accumulator
+    return 2.0 * dp.kappa_a * dp.kappa_m * dp.xi * power.total / power.count
 
 
 def lyapunov_covariance(dp: DerivedParameters, temperature: float,

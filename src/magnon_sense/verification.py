@@ -9,13 +9,15 @@ system vs 3 from the printed form).
 The stochastic runs are one table, :func:`_runs`: each entry calls its
 check family with the names of the checks it feeds, its parameters and
 the seed.  The family sizes the run and returns it as a :class:`_Run`:
-its chain, which holds the run's parameters, step, length and rows, an
-accumulator for it (none for a gain run) and the judge of its checks.
-The table sizes every run before any is stepped, so a refusal costs no
-stepping.  Then the chains of the Lyapunov and PSD runs, each paired with
-its run's accumulator, are folded on one :func:`simulation.fold` pass
-over the seed's streams: each (seed, trajectory index) stream is drawn
-once, and every run reads a prefix of the same streams, step for step.
+its chain, which holds the run's parameters, step, length and rows, the
+accumulator the chain feeds (None for a gain run) and the judge of its
+checks, which takes no argument.  The table sizes every run before any
+is stepped, so a refusal costs no stepping.  Then the chains of the runs
+that hold an accumulator, the Lyapunov and PSD runs, are folded into
+them on one :func:`simulation.fold` pass over the seed's streams, and
+every run's judge is called in table order.  Each (seed, trajectory
+index) stream is drawn once, and every run reads a prefix of the same
+streams, step for step.
 The checks of one seed are therefore not independent draws; a rate of
 "any check failed" cannot be formed by multiplying per-check rates.
 ``_check_lyapunov`` compares the stepped chain's second moments about its
@@ -24,11 +26,13 @@ standard errors.  ``_check_psd`` compares Welch spectra of the output with
 the analytic output spectrum over omega in [0.1, 5] kappa_m; the
 ``psd_rm15`` run feeds two checks, without and with the squeezed
 reservoir, from one chain of two reservoir blocks and one Welch
-accumulator of two spectra.  ``_check_gain``'s chain is not folded: after
-the pass it calls :func:`simulation.measure_gain` on the chain's
-parameters and configuration, which steps a unit drive alone over 32 of
-its periods, without noise, so the gain's deviation from the analytic
-response is the step's own bias, whatever the seed.
+accumulator of two spectra; its judge cuts the bands and the analytic
+grid once and judges each reservoir's spectrum on them.
+``_check_gain``'s chain is not folded: its judge, called after the pass,
+calls :func:`simulation.measure_gain` on the chain, which steps a unit
+drive alone over 32 of its periods, without noise, through the chain's
+stepper, so the gain's deviation from the analytic response is the
+step's own bias, whatever the seed.
 
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
@@ -134,15 +138,15 @@ def verification_parameters() -> SystemParameters:
 @dataclass(frozen=True)
 class _Run:
     """One sized run of :func:`_runs`: its chain, which holds the run's
-    parameters, step, length and rows, ``accumulator()``, which makes a
-    fresh accumulator for the chain, and ``judge``, which reads it once
-    :func:`simulation.fold` has filled it.  A gain run has no accumulator:
-    its chain is not folded, and it is judged on nothing."""
+    parameters, step, length and rows, the accumulator its chain feeds,
+    and ``judge()``, which reads the accumulator once :func:`simulation.fold`
+    has filled it.  A gain run's accumulator is None: its chain is not
+    folded, and its judge steps the tone."""
 
     names: tuple[str, ...]
     chain: Chain
-    judge: Callable[..., list[CheckResult]]
-    accumulator: Callable[[], object] | None = None
+    judge: Callable[[], list[CheckResult]]
+    accumulator: object = None
     segment: int | None = None    # Welch segment length in samples (PSD runs)
     frequency: float | None = None  # the tone offset in rad/s (gain runs)
 
@@ -220,7 +224,7 @@ def _check_routes(params: SystemParameters) -> list[CheckResult]:
         name="k1_route_agreement",
         value=rel,
         tolerance=1e-9,
-        detail="max relative |k1| difference, direct solve vs closed form, "
+        detail="max relative |k1| difference, exact elimination vs closed form, "
                "omega/kappa_m in [0, 10]",
     )]
 
@@ -244,8 +248,9 @@ def _check_lyapunov(name: str, params: SystemParameters, seed: int) -> _Run:
     dp, dt = _oracle_step(params)
     chain = _chain(dp, params.temperature, seed, dt,
                    _LYAPUNOV_DURATION_RELAX / dp.kappa_m / dt, _LYAPUNOV_TRAJECTORIES)
+    acc = CovarianceAccumulator(chain.cfg.n_trajectories)
 
-    def judge(acc: CovarianceAccumulator) -> list[CheckResult]:
+    def judge() -> list[CheckResult]:
         covs = acc.covariances()
         se = covs.std(axis=0, ddof=1) / math.sqrt(covs.shape[0])
         target = lyapunov_covariance(dp, chain.temperature, dt)
@@ -258,7 +263,7 @@ def _check_lyapunov(name: str, params: SystemParameters, seed: int) -> _Run:
             detail="max |sample - Lyapunov| in standard errors over the 10 "
                    f"covariance entries, {covs.shape[0]} trajectories",
         )]
-    return _Run((name,), chain, judge, lambda: CovarianceAccumulator(chain.cfg.n_trajectories))
+    return _Run((name,), chain, judge, acc)
 
 
 def _psd_bands(omega: np.ndarray, kappa_m: float) -> list[np.ndarray]:
@@ -307,35 +312,25 @@ def _check_psd(checks: tuple, params: SystemParameters, seed: int) -> _Run:
     names, reservoirs = zip(*checks)
     chain = _chain(dp, params.temperature, seed, dt, steps, _PSD_TRAJECTORIES,
                    reservoirs, record_only=True)
+    welch = WelchAccumulator(chain.cfg.n_trajectories, nper, len(chain.reservoirs))
 
-    def judge(welch: WelchAccumulator) -> list[CheckResult]:
+    def judge() -> list[CheckResult]:
         omega, psds = welch.spectrum(dt)
-        return [_judge_psd(name, dp, chain.temperature, reservoir, omega, psd, welch.segments)
-                for name, reservoir, psd in zip(names, chain.reservoirs, psds)]
-    return _Run(names, chain, judge, lambda: WelchAccumulator(
-        chain.cfg.n_trajectories, nper, len(chain.reservoirs)), segment=nper)
-
-
-def _judge_psd(name: str, dp: DerivedParameters, temperature: float,
-               reservoir: SqueezedReservoir | None, omega: np.ndarray,
-               psd: np.ndarray, segments: int) -> CheckResult:
-    bands = _psd_bands(omega, dp.kappa_m)
-    # the bands read about a hundred low bins; each is solved alone, so the
-    # grid's top changes no bit of them
-    top = max(int(sel[-1]) for sel in bands) + 1
-    reference = output_spectrum(dp, temperature, omega[:top], reservoir=reservoir)
-    worst = 0.0
-    for sel in bands:
-        est = float(np.mean(psd[sel]))
-        ana = float(np.mean(reference[sel]))
-        worst = max(worst, abs(est / ana - 1.0))
-    return CheckResult(
-        name=name,
-        value=worst,
-        tolerance=_PSD_TOLERANCE,
-        detail=f"max band-averaged relative deviation, {segments} Welch "
-               "segments, omega/kappa_m in [0.1, 5]",
-    )
+        bands = _psd_bands(omega, dp.kappa_m)
+        # the bands read about a hundred low bins; each is solved alone, so
+        # the grid's top changes no bit of them
+        top = max(int(sel[-1]) for sel in bands) + 1
+        references = [output_spectrum(dp, chain.temperature, omega[:top], reservoir=reservoir)
+                      for reservoir in chain.reservoirs]
+        return [CheckResult(
+            name=name,
+            value=max(abs(float(np.mean(psd[sel])) / float(np.mean(reference[sel])) - 1.0)
+                      for sel in bands),
+            tolerance=_PSD_TOLERANCE,
+            detail=f"max band-averaged relative deviation, {welch.segments} Welch "
+                   "segments, omega/kappa_m in [0.1, 5]",
+        ) for name, psd, reference in zip(names, psds, references)]
+    return _Run(names, chain, judge, welch, segment=nper)
 
 
 def _check_gain(name: str, frac: float, params: SystemParameters, seed: int) -> _Run:
@@ -351,7 +346,7 @@ def _check_gain(name: str, frac: float, params: SystemParameters, seed: int) -> 
     chain = _chain(dp, params.temperature, seed, dt, _GAIN_PERIODS * _TWO_PI / (delta * dt), 1)
 
     def judge() -> list[CheckResult]:
-        gain = simulation.measure_gain(chain.dp, delta, chain.cfg)
+        gain = simulation.measure_gain(chain, delta)
         return [CheckResult(
             name=name,
             value=abs(gain / gain_analytic - 1.0),
@@ -363,16 +358,13 @@ def _check_gain(name: str, frac: float, params: SystemParameters, seed: int) -> 
 
 
 def _judge(runs: list[_Run]) -> list[CheckResult]:
-    """The results of ``runs`` in table order, the chains of those with an
-    accumulator stepped on one pass.  The pass's buffers go when it ends."""
-    pairs = [(run.chain, run.accumulator()) for run in runs if run.accumulator]
+    """The results of ``runs`` in table order, once the chains of those
+    with an accumulator are stepped on one pass, which frees its buffers
+    when it ends."""
+    pairs = [(run.chain, run.accumulator) for run in runs if run.accumulator is not None]
     if pairs:
         simulation.fold(pairs)
-    results = []
-    for run in runs:
-        # each run's accumulator goes once it is judged
-        results += run.judge(pairs.pop(0)[1]) if run.accumulator else run.judge()
-    return results
+    return [result for run in runs for result in run.judge()]
 
 
 def run_verification(

@@ -159,6 +159,10 @@ class TestConfigGuards:
                 SimulationConfig(dt=1e-4, duration=duration, burn_in=burn_in)
         with pytest.raises(ConfigurationError, match="seed"):
             SimulationConfig(dt=1e-4, duration=1.0, burn_in=0.0, seed=-1)
+        # a count that is not an integer fails here, not later inside numpy
+        for counts in ({"n_trajectories": 1.5}, {"seed": 1.5}):
+            with pytest.raises(ConfigurationError, match="integers"):
+                SimulationConfig(dt=1e-4, duration=1.0, burn_in=0.0, **counts)
 
 
 class TestTraceStructure:
@@ -360,7 +364,7 @@ class TestGainMeasurement:
         kappa_m on the desk set at r_m, sized by verify's own gain family."""
         run = verification._check_gain(
             "gain", frac, verification_parameters().with_squeeze_amplitude(r_m), seed)
-        return run.chain.dp, measure_gain(run.chain.dp, run.frequency, run.chain.cfg)
+        return run.chain.dp, measure_gain(run.chain, run.frequency)
 
     def stepped_chain_gain(self, dp, frequency, dt):
         """The Euler-Maruyama chain's exact steady-state response to the unit
@@ -379,7 +383,7 @@ class TestGainMeasurement:
         assert [run.names for run in planned] == [
             ("gain_delta_0.2km",), ("gain_delta_0.5km",), ("gain_delta_1km",)]
         for run in planned:
-            gain = measure_gain(run.chain.dp, run.frequency, run.chain.cfg)
+            gain = measure_gain(run.chain, run.frequency)
             exact = self.stepped_chain_gain(run.chain.dp, run.frequency, run.chain.cfg.dt)
             assert gain == pytest.approx(exact, rel=1e-3)
             # the step's own bias, which the seed-free estimate leaves visible
@@ -417,7 +421,7 @@ class TestGainMeasurement:
         assert [result.name for result in results] == [
             "gain_delta_0.2km", "gain_delta_0.5km", "gain_delta_1km"]
         for run, result in zip(runs, results):
-            gain = measure_gain(run.chain.dp, run.frequency, run.chain.cfg)
+            gain = measure_gain(run.chain, run.frequency)
             assert result.detail.startswith(f"empirical {gain:.4g} vs")
 
     def test_requires_finite_frequency(self):
@@ -425,13 +429,13 @@ class TestGainMeasurement:
         cfg = quick_config(dp, duration=1.0)
         for frequency in (math.nan, math.inf, -math.inf):
             with pytest.raises(ParameterError, match="frequency"):
-                measure_gain(dp, frequency, cfg)
+                measure_gain(Chain(dp, 0.05, cfg), frequency)
 
     def test_requires_evading_point(self):
         dp = desk_dp(r_m=1.0, delta_a=5.0)
         cfg = quick_config(dp, duration=1.0)
         with pytest.raises(Exception, match="delta_a"):
-            measure_gain(dp, 1.0, cfg)
+            measure_gain(Chain(dp, 0.05, cfg), 1.0)
 
     @pytest.mark.parametrize("detuning", ["delta_a", "delta_0p"])
     def test_a_detuning_inside_the_evading_tolerance_is_stepped(self, detuning):
@@ -444,8 +448,8 @@ class TestGainMeasurement:
                                                 seed=42)
                        for value in (0.0, 1e-10 * params.kappa_m)]
         assert getattr(tiny.chain.dp, detuning) != 0.0 and tiny.chain.cfg == exact.chain.cfg
-        assert measure_gain(tiny.chain.dp, tiny.frequency, tiny.chain.cfg) == pytest.approx(
-            measure_gain(exact.chain.dp, exact.frequency, exact.chain.cfg), rel=1e-12, abs=0)
+        assert measure_gain(tiny.chain, tiny.frequency) == pytest.approx(
+            measure_gain(exact.chain, exact.frequency), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("detuning", ["delta_a", "delta_0p"])
     def test_verify_judges_gains_inside_the_evading_tolerance(self, detuning):
@@ -499,13 +503,14 @@ class TestVerifyPlan:
     @pytest.mark.parametrize("name", ["psd_rm0", "psd_rm15_reservoir"])
     def test_psd_is_judged_on_the_bins_its_bands_read(self, monkeypatch, name):
         # each frequency is solved alone, so the grid cut past the bands'
-        # last bin gives every compared value the bits of the full grid's
+        # last bin gives every compared value the bits of the full grid's;
+        # the run's own accumulator is fed one segment of every row, and
+        # its judge solves one grid per reservoir
         [run] = [run for run in verification._runs(
             verification_parameters(), seed=42) if name in run.names]
-        reservoir = run.chain.reservoirs[run.names.index(name)]
-        welch = WelchAccumulator(2, run.segment)
-        welch.add(np.random.default_rng(5).standard_normal((2, run.segment)))
-        omega, [psd] = welch.spectrum(run.chain.cfg.dt)
+        rows = len(run.chain.reservoirs) * run.chain.cfg.n_trajectories
+        run.accumulator.add(np.random.default_rng(5).standard_normal((rows, run.segment)))
+        omega, _ = run.accumulator.spectrum(run.chain.cfg.dt)
         solve = verification.output_spectrum
         grids = []
 
@@ -516,16 +521,14 @@ class TestVerifyPlan:
         def full_grid(dp, temperature, grid, reservoir=None):
             return solve(dp, temperature, omega, reservoir=reservoir)[:len(grid)]
 
-        def judge():
-            return verification._judge_psd(name, run.chain.dp, run.chain.temperature, reservoir,
-                                           omega, psd, welch.segments)
         monkeypatch.setattr(verification, "output_spectrum", counted)
-        cut = judge()
+        cut = run.judge()
         bands = verification._psd_bands(omega, run.chain.dp.kappa_m)
         top = max(int(sel[-1]) for sel in bands) + 1
-        assert grids == [top] and top <= 102 and omega.size >= 4609
+        assert [result.name for result in cut] == list(run.names)
+        assert grids == [top] * len(run.names) and top <= 102 and omega.size >= 4609
         monkeypatch.setattr(verification, "output_spectrum", full_grid)
-        assert judge() == cut
+        assert run.judge() == cut
 
     def test_five_smooth_lengths(self):
         smooth = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9)
@@ -557,14 +560,14 @@ class TestVerifyPlan:
         # may step before the pass: verify makes one pass over the chains of
         # the Lyapunov and PSD runs, in table order, each paired with the
         # accumulator it feeds, and only then steps the gain runs' tones,
-        # which have no chain, by measure_gain
+        # whose chains hold no accumulator and are not folded, by measure_gain
         calls = []
 
         def no_stepping(pairs):
             calls.append([(chain, type(acc)) for chain, acc in pairs])
             raise AssertionError("fold called")
 
-        def no_gain(dp, frequency, cfg):
+        def no_gain(chain, frequency):
             calls.append(frequency)
             raise AssertionError("measure_gain called")
 
@@ -801,7 +804,8 @@ class TestSimulateAgainstLoop:
         # the per-step loop of the chain over increments that hold only the
         # X_M drive sin(frequency t) dt, read over the kept steps of a run
         # that spans several blocks and whose burn-in and record end inside
-        # lanes, over the drive's field-referred power 1 / (2 kappa_m xi)
+        # lanes, over the drive's field-referred power 1 / (2 kappa_m xi); the
+        # chain's three rows each take the drive, so their mean is one row's
         monkeypatch.setattr(simulation, "_CHUNK", 11 * simulation._LANE)
         dp = desk_dp(r_m=1.0)
         frequency = 0.5 * dp.kappa_m
@@ -813,7 +817,7 @@ class TestSimulateAgainstLoop:
         step = np.eye(4) + drift_matrix(dp) * cfg.dt
         p_a = loop_states(step, incr)[3, 0, n_burn:]
         assert (n_burn + n_keep) > 3 * simulation._CHUNK
-        assert measure_gain(dp, frequency, cfg) == pytest.approx(
+        assert measure_gain(Chain(dp, 0.05, cfg), frequency) == pytest.approx(
             2.0 * dp.kappa_a * dp.kappa_m * dp.xi * np.mean(p_a**2), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("chunk", [None, 3 * simulation._LANE])
@@ -1013,7 +1017,8 @@ class TestAccumulators:
 
     def test_fold_refuses_a_chain_without_an_accumulator(self, monkeypatch):
         # a pass takes (chain, accumulator) pairs: a bare chain, or a chain
-        # alone in a tuple, cannot be unpacked, so it is refused before any
+        # alone in a tuple, cannot be unpacked, and a chain paired with None
+        # has nothing to add its steps to, so each is refused before any
         # scan is built, wherever it stands in the list
         dp = desk_dp()
         cfg = quick_config(dp, duration=0.1, n_trajectories=2)
@@ -1022,6 +1027,10 @@ class TestAccumulators:
         for pairs in ([full], [(full, CovarianceAccumulator(2)), record],
                       [(record,)], [(full, CovarianceAccumulator(2)), (record,)]):
             with pytest.raises((TypeError, ValueError), match="unpack"):
+                fold(pairs)
+        for pairs in ([(full, None)], [(record, None)],
+                      [(full, CovarianceAccumulator(2)), (record, None)]):
+            with pytest.raises(ConfigurationError, match="accumulator"):
                 fold(pairs)
         assert stepped == []
 

@@ -212,7 +212,7 @@ class TestClosedForm:
         assert np.max(np.abs(direct - closed) / direct) < 1e-9
 
     def test_documented_dc_discrepancy_of_k4(self):
-        # decoupled resonant limit: direct solve reflects unit noise, the
+        # decoupled resonant limit: exact elimination reflects unit noise, the
         # printed expression gives 3; both are pinned so the difference is
         # never silently absorbed
         dp = derived_parameters(
