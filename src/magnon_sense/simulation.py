@@ -3,26 +3,41 @@
 For linear dynamics with Gaussian inputs the symmetric-ordered correlators
 coincide with those of a classical Gaussian process, so the quadrature
 Langevin equations are integrated here as c-number SDEs and their output
-statistics compared against the analytic spectra.  Integration is plain
-Euler-Maruyama with fixed step under the guard dt * max(kappa_a, kappa_m,
-|detunings|, 2 g') < 0.1; :func:`lyapunov_covariance` is the stationary
-covariance of that stepped chain, its O(dt) bias included.
+statistics compared against the analytic spectra.  A chain that feeds its
+quadratures (a full chain) is integrated by plain Euler-Maruyama with fixed
+step under the guard dt * max(kappa_a, kappa_m, |detunings|, 2 g') < 0.1;
+:func:`lyapunov_covariance` is the stationary covariance of that stepped
+chain, its O(dt) bias included.  A chain that feeds its output record (a
+record-only chain) steps exactly, at any dt.
 
 Discretization choices that matter:
 
-* The increments are drawn through the Cholesky factor of D * dt, D the
-  4x4 diffusion matrix (kappa_m V on the magnon block, V the magnon input
-  covariance), so the squeezed (and, with a reservoir, cross-correlated)
-  input statistics hold exactly at the increment level.
-* The output record samples sqrt(kappa_a) * P_a(t_k) - dW_P[k]/dt using the
-  *same* phase-quadrature increment that drives step k.  Re-drawing that
-  noise independently would destroy the input-output interference that makes
-  a passive cavity reflect unit noise (|k4| = 1).
+* A full chain's increments are drawn through the Cholesky factor of
+  D * dt, D the 4x4 diffusion matrix (kappa_m V on the magnon block, V the
+  magnon input covariance), so the squeezed (and, with a reservoir,
+  cross-correlated) input statistics hold exactly at the increment level.
+* A record-only chain steps the exact discretization (:func:`_exact_step`)
+  of the state augmented with the integrated record Y, dY = sqrt(kappa_a)
+  P_a dt - dW_P / sqrt(kappa_a), dW_P the P_a input's increment: Van
+  Loan's block exponential gives its transition Phi5 and the covariance Q5
+  of its increment over a step.  Its record y_k = (Y_{k+1} - Y_k) / dt =
+  (h . x_k + w_k[4]) / dt, h = Phi5[4, :4], is the record's mean over the
+  step, and Q5 holds the P_a noise that drives the state and the record
+  alike: re-drawing it independently would destroy the input-output
+  interference that makes a passive cavity reflect unit noise (|k4| = 1).
+  Its increments w_k are F z_k, F = U sqrt(max(lambda, 0)) from the
+  eigendecomposition of the symmetrized Q5, whose eigenvalues span many
+  decades (1e-9 to 3e3 at g'/kappa_m ~ 750), where a Cholesky factor
+  could fail.  The chain's stationary covariance is the continuous one, and
+  its step bias is that of its record's spectrum alone.
 * Each trajectory owns a counter-based RNG stream (numpy Philox) seeded from
   (seed, trajectory index), so traces are bit-reproducible regardless of
-  execution order or trajectory count.
+  execution order or trajectory count.  Step k of a full chain reads the
+  four normals of stream step k; step k of a record-only chain reads the
+  first five of the eight normals of stream steps 2k and 2k + 1.
 
-How the recursion x_{m+1} = S x_m + incr_m, S = I + A dt, is computed
+How the recursion x_{m+1} = S x_m + incr_m, S = I + A dt for a full chain
+and Phi, the top left 4x4 of Phi5, for a record-only one, is computed
 (:class:`_LaneScan`, a two-level linear scan: Blelloch, "Prefix sums and
 their applications", 1990):
 
@@ -36,20 +51,22 @@ their applications", 1990):
   kappa_m at zero detuning) and the complex pairs of a detuned S are no
   special case.
 * A scan steps only the components that the ones it writes out read: their
-  closure under the nonzero pattern of S.  A record-only scan (below)
-  writes P_a, which at the backaction-evading point (delta_a = delta_0p
-  = 0, where only X_M reaches the output) reads X_M and itself alone, so
-  it steps those two; a cavity detuning adds X_a, a magnon detuning all
-  four.  The lane corrections take their powers from the full 4x4 S^i,
-  and the carry multiplies the full S^L into all four components, the
-  components not stepped ending their lanes at zero: S^L maps none of
-  them into the stepped ones, exactly, so the stepped states keep every
-  bit of a scan of all four.
-* A chunk is ``_CHUNK`` = 32 lanes, 1024 steps, of every row; a run's last
-  lane is drawn whole, the steps past the run dropped.  A chunk's memory
-  grows with a chain's rows: 256 kB per component array at 32 rows, 1 MB
-  for all four.  ``verify``'s chains have 32, 32, 16 and 32 rows, and the
-  tests and the benchmark's self-test at most 16.  Inside the lanes the
+  closure under the nonzero pattern of S.  A record-only scan writes the
+  components its record reads, where h is not zero, and P_a reads X_M and
+  itself alone at the backaction-evading point (delta_a = delta_0p = 0,
+  where only X_M reaches the output), so it writes and steps those two; a
+  cavity detuning adds X_a, a magnon detuning all four.  The lane
+  corrections take their powers from the full 4x4 S^i, and the carry
+  multiplies the full S^L into all four components, the components not
+  stepped ending their lanes at zero: S^L maps none of them into the
+  stepped ones, exactly, so the stepped states keep every bit of a scan of
+  all four.
+* A chunk is ``_CHUNK`` = 32 lanes, 1024 stream steps, of every row: 1024
+  steps of a full chain, 512 of a record-only one; a run's last lane is
+  drawn whole, the steps past the run dropped.  A chunk's memory grows with
+  a chain's rows: 256 kB per component array of a full chain at 32 rows,
+  1 MB for all four.  ``verify``'s chains have 32, 32, 16 and 32 rows, and
+  the tests and the benchmark's self-test at most 16.  Inside the lanes the
   arithmetic is elementwise, skipping the zeros of S and its powers, and
   the carry is one 4x4 by 4x1 product per row and lane: no operation mixes
   lanes or rows, so neither the chunk size nor the row count changes a bit
@@ -60,28 +77,28 @@ oracle's one stepping entry for noise, which takes (chain, accumulator)
 pairs.  Its chains (:class:`Chain`) each carry their own parameters,
 temperature, settings and reservoirs, and share one seed.  A chain steps
 on the leading ``n_trajectories`` streams, so step k of trajectory i reads
-the same four normals in every chain, whatever its dt or burn-in: each
-stream is built once and drawn once, up to the furthest step any chain
-reads from it.  A chain is one scan, whose rows are one block of
+the same normals in every chain of its kind, whatever its dt or burn-in:
+each stream is built once and drawn once, up to the furthest stream step
+any chain reads from it.  A chain is one scan, whose rows are one block of
 ``n_trajectories`` per reservoir, reservoir-major, each block reading the
-same streams through its own Cholesky factor; ``verify``'s 4 chains are 4
-scans.  Each chain's stepper is built with its pair's accumulator and adds
-the steps it keeps of each chunk straight to it: a full chain its
-quadratures (4, rows, n), which the covariances read, or a record-only
-chain its output record (rows, n), which Welch reads; a chunk of burn-in
-alone reaches no accumulator.  Each block is bit for bit that of the chain
+same streams through its own factor; ``verify``'s 4 chains are 4 scans.
+Each chain's stepper is built with its pair's accumulator and adds the
+steps it keeps of each chunk straight to it: a full chain its quadratures
+(4, rows, n), which the covariances read, or a record-only chain its
+output record (rows, n), which Welch reads; a chunk of burn-in alone
+reaches no accumulator.  Each block is bit for bit that of the chain
 stepped alone with its reservoir, and the chains of a pass are not
 independent: they see the same noise.
 
 A pass allocates its arrays once, before the first chunk: each chain's
 states buffer, the normals of one chunk, and its one scratch
 (:func:`_scan_work`), sized for the largest scan call and for the most
-components a chain of the pass steps.  That scratch holds the lane scan's
+increments a chain of the pass draws.  That scratch holds the lane scan's
 regions, the increments of the chain being stepped, which the chains take
 in turn, and one temporary for the increments' products.  The increments
-are written there, and a record-only chain's record over its P_a states
-and spent P_a increments, in the order of the expressions they replace,
-so no bit depends on the buffers, and a chunk allocates no array larger
+are written there, and a record-only chain's record over the states of
+the first component it writes, in a fixed order of operations, so no bit
+depends on the buffers, and a chunk allocates no array larger
 than the lane carry's (rows, 4, 1) states (numpy's iterator buffers and
 FFT plans aside).  Temporaries of a chain's chunk (256 kB per component
 at 32 rows) would otherwise cost page faults on every chunk wherever the
@@ -100,7 +117,8 @@ has ended.  The accumulators take the chunks in:
 * :func:`simulate`: folds a full chain and a record-only one, each
   paired with a store, and returns everything, as a
   :class:`SimulationTrace` with quadrature-major storage, for callers that
-  read single samples.
+  read single samples.  The record is the exact chain's, on the same
+  streams, not a read-out of the stored quadratures.
 
 Only :func:`simulate`'s stores grow with the run length.  The covariances
 sum per chunk, so they can differ from sums over the stored run in the
@@ -141,13 +159,15 @@ __all__ = [
     "WELCH_OVERLAP",
 ]
 
-#: dimensionless accuracy guard: dt times the fastest rate must stay below this
+#: accuracy guard: dt times the fastest rate of a full chain must stay below this
 _DT_GUARD = 0.1
 
 #: steps per lane of the scan: verify's runs took 1-5 % less time than with 64 or 128
 _LANE = 32
 
-#: steps per chunk of a pass, whole lanes: 256 kB per component array at 32 rows
+#: stream steps per chunk of a pass, an even number of lanes, so that the
+#: half a record-only chain steps is whole lanes too: 256 kB per component
+#: array of a full chain at 32 rows
 _CHUNK = 32 * _LANE
 
 #: rows of one block whose Welch segments are windowed and transformed at a time
@@ -161,9 +181,10 @@ WELCH_OVERLAP = 0.5
 class SimulationConfig:
     """Integration settings.
 
-    ``dt`` must resolve the fastest rate (see module docstring) and
-    ``burn_in`` must cover at least 10 relaxation times of the slowest decay
-    so that recorded samples are stationary.  Identical (parameters, config,
+    ``dt`` must resolve the fastest rate in a full chain, which steps
+    Euler-Maruyama (see module docstring), and ``burn_in`` must cover at
+    least 10 relaxation times of the slowest decay so that recorded samples
+    are stationary.  Identical (parameters, config,
     seed) produce bit-identical traces.
     """
 
@@ -191,11 +212,12 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Sampled quadratures and reconstructed output record, after burn-in.
+    """Sampled quadratures and output record, after burn-in.
 
     ``quadratures`` has shape (n_trajectories, n_samples, 4) over the state
-    order (X_M, P_M, X_a, P_a), a view of quadrature-major storage;
-    ``output_record`` has shape (n_trajectories, n_samples).
+    order (X_M, P_M, X_a, P_a), a view of quadrature-major storage, from
+    the Euler-Maruyama chain; ``output_record`` has shape
+    (n_trajectories, n_samples), from the exact chain on the same streams.
     """
 
     times: np.ndarray
@@ -215,8 +237,9 @@ class Chain:
     and trajectory count once per entry of ``reservoirs``, a squeezed
     reservoir or None (the thermal magnon input): a block of
     ``n_trajectories`` rows on the same streams, reservoir-major.  A
-    ``record_only`` chain feeds its accumulator its output record and steps
-    only the components P_a reads; any other chain feeds its quadratures.
+    ``record_only`` chain steps exactly, feeds its accumulator its output
+    record and steps only the components that record reads; any other
+    chain steps Euler-Maruyama and feeds its quadratures.
     """
 
     dp: DerivedParameters
@@ -247,18 +270,70 @@ def _diffusion(dp: DerivedParameters, temperature: float,
     return diffusion
 
 
+def _expm(matrix: np.ndarray) -> np.ndarray:
+    """The exponential of a square ``matrix`` by scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005): its Taylor
+    polynomial of degree 18 on the matrix scaled by 2^-s to a 1-norm below
+    1, whose remainder is under 1/19! relative, then squared s times.  It
+    takes only sums and products, so an entry that no chain of nonzero
+    entries reaches stays exactly zero."""
+    squarings = max(0, math.frexp(float(np.abs(matrix).sum(axis=0).max()))[1])
+    scaled = np.ldexp(matrix, -squarings)
+    eye = np.eye(len(matrix))
+    result = eye
+    for k in range(18, 0, -1):
+        result = eye + scaled @ result / k
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def _van_loan(dp: DerivedParameters, temperature: float,
+              reservoir: SqueezedReservoir | None, dt: float) -> np.ndarray:
+    """Van Loan's block dt [[-A5, D5], [0, A5^T]] (Van Loan, IEEE Trans.
+    Autom. Control 23:395, 1978) of the state augmented with the integrated
+    record Y, dY = sqrt(kappa_a) P_a dt - dW_P / sqrt(kappa_a), dW_P the
+    P_a input's increment: A5 is the drift with the row sqrt(kappa_a) e_P
+    added, and D5 the diffusion of (x, Y)."""
+    drift = np.zeros((5, 5))
+    drift[:4, :4] = drift_matrix(dp)
+    drift[4, 3] = math.sqrt(dp.kappa_a)
+    spread = np.eye(5, 4)
+    spread[4, 3] = -1.0 / math.sqrt(dp.kappa_a)
+    block = np.zeros((10, 10))
+    block[:5, :5] = -drift
+    block[:5, 5:] = spread @ _diffusion(dp, temperature, reservoir) @ spread.T
+    block[5:, 5:] = drift.T
+    return block * dt
+
+
+def _exact_step(dp: DerivedParameters, temperature: float,
+                reservoir: SqueezedReservoir | None, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi5, Q5): the exact step over ``dt`` of the augmented state (x, Y)
+    of :func:`_van_loan`, (x, Y) <- Phi5 (x, Y) + w, w ~ N(0, Q5), the
+    exact Ornstein-Uhlenbeck update (Gillespie, Phys. Rev. E 54:2084,
+    1996) with its record.  Q5 is Van Loan's F22^T F12; Phi5 is
+    expm(A5 dt) taken alone, so that it keeps its bits whatever the
+    reservoir."""
+    block = _van_loan(dp, temperature, reservoir, dt)
+    blocks = _expm(block)
+    return _expm(block[5:, 5:].T), blocks[5:, 5:].T @ blocks[:5, 5:]
+
+
 def _scan_work(trajectory_steps: int,
                components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one scratch of a pass whose scan calls take up to
     ``trajectory_steps``, a chunk of whole lanes of its widest chain, and
-    step up to ``components`` components, allocated once: three views of
-    it.
+    whose chains draw up to ``components`` increments, one per component
+    stepped and a record-only chain's record's own, allocated once: three
+    views of it.
 
-    They hold :class:`_LaneScan`'s regions; the increments of the chain
-    being stepped, ``components`` components of ``trajectory_steps`` at
-    most, which are dead once its part is kept, so the chains of a pass
-    take turns in them; and one temporary of ``trajectory_steps``, which
-    holds the increments' products.
+    They hold :class:`_LaneScan`'s regions, for up to ``components``
+    stepped components; the increments of the chain being stepped,
+    ``components`` rows of ``trajectory_steps`` at most, which are dead
+    once its part is kept, so the chains of a pass take turns in them;
+    and one temporary of ``trajectory_steps``, which holds the increments'
+    products.
     """
     scan = ((_LANE + 1) * components + _LANE + 3) * (trajectory_steps // _LANE)
     increments = scan + components * trajectory_steps
@@ -289,25 +364,23 @@ class _LaneScan:
     over lanes of ``_LANE`` steps anchored at the run's first step (see the
     module docstring).
 
-    It writes out P_a for a record-only scan and all four components
-    otherwise, and steps only ``components``, the closure of those under
-    the nonzero pattern of S: no other component feeds them.
+    It writes out the components ``written``, in ascending order, and steps
+    only ``components``, the closure of those under the nonzero pattern of
+    S: no other component feeds them.
     """
 
-    def __init__(self, step: np.ndarray, rows: int, record_only: bool = False):
+    def __init__(self, step: np.ndarray, rows: int, written: tuple[int, ...] = (0, 1, 2, 3)):
         powers = np.array([np.linalg.matrix_power(step, i) for i in range(_LANE + 1)])
         #: the components written out
-        self.written = written = (3,) if record_only else (0, 1, 2, 3)
+        self.written = written
         self.components = comps = _closure(step, written)
         self._diagonal = np.diag(step)[list(comps), None]
         #: (position of k, position of c, S[k, c]) in components, per
         #: off-diagonal nonzero
         self._off_diagonal = [(j, comps.index(c), step[k, c]) for j, k in enumerate(comps)
                               for c in range(4) if k != c and step[k, c] != 0.0]
-        #: the written components, which trail both, among all four and
-        #: among the stepped ones
-        self._written_all = slice(4 - len(written), 4)
-        self._written_stepped = slice(len(comps) - len(written), len(comps))
+        #: (component, its position in components) of each written one
+        self._outputs = [(k, comps.index(k)) for k in written]
         #: (position in components, component, S^i[k, c] for i = 1..L-1) of
         #: the written entries not all zero
         self._corrections = [(j, c, powers[1:-1, k, c, None])
@@ -317,8 +390,8 @@ class _LaneScan:
         self._x = np.zeros((rows, 4, 1))
 
     def __call__(self, incr: list, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """States x_m before each increment, written to ``out`` (4, ntraj, n),
-        or (1, ntraj, n) holding P_a alone for a record-only scan, and
+        """States x_m before each increment, written to ``out``
+        (len(written), ntraj, n), the written components in order, and
         returned; ``work`` is the scan's region of a :func:`_scan_work` of at
         least ntraj * n trajectory-steps and ``len(components)`` components.
 
@@ -360,8 +433,9 @@ class _LaneScan:
             np.multiply(column, starts[c].reshape(-1), out=correction)
             rest[:-1, j] += correction
         states = out.reshape(-1, ntraj, lanes, _LANE)
-        states[..., 0] = starts[self._written_all].transpose(0, 2, 1)
-        states[..., 1:] = by_lane[:-1, self._written_stepped].transpose(1, 3, 2, 0)
+        for state, (k, j) in zip(states, self._outputs):
+            state[..., 0] = starts[k].T
+            state[..., 1:] = by_lane[:-1, j].transpose(2, 1, 0)
         return out
 
 
@@ -376,18 +450,33 @@ def _drawn(cfg: SimulationConfig) -> int:
     return -(-sum(_steps(cfg)) // _LANE) * _LANE
 
 
+def _stride(chain: Chain) -> int:
+    """Stream steps per step of ``chain``: a record-only chain's step reads
+    the first five of the eight normals of two, any other chain's the four
+    of one."""
+    return 2 if chain.record_only else 1
+
+
 class _Stepper:
     """A chain, checked and ready to step: one :class:`_LaneScan` over its
     reservoirs' blocks of rows, the states buffer it writes, one chunk of
     its written components, and the accumulator its kept steps go to.
     :meth:`step` draws a chunk's increments from the pass's normals and
     :meth:`advance` scans them, keeps and adds; :func:`measure_gain`
-    advances on a tone's increments instead."""
+    advances on a tone's increments instead.
+
+    A full chain steps Euler-Maruyama, S = I + A dt, its increments the
+    rows of chol(D dt) times four normals.  A record-only chain steps
+    exactly (:func:`_exact_step`): S = Phi, the top left 4x4 of Phi5, its
+    increments and the record's own those of F = U sqrt(max(lambda, 0)),
+    U and lambda the eigenvectors and eigenvalues of the symmetrized Q5,
+    times five normals, and it writes the components its record reads.
+    """
 
     def __init__(self, chain: Chain, accumulator):
         dp, cfg = chain.dp, chain.cfg
         fastest = fastest_rate(dp)
-        if cfg.dt * fastest >= _DT_GUARD:
+        if not chain.record_only and cfg.dt * fastest >= _DT_GUARD:
             raise ConfigurationError(
                 f"dt = {cfg.dt!r} s does not resolve the fastest rate "
                 f"{fastest!r} rad/s (need dt * rate < {_DT_GUARD})")
@@ -400,48 +489,69 @@ class _Stepper:
         self.n_burn, n_keep = _steps(cfg)
         if n_keep < 1:
             raise ConfigurationError("duration shorter than one step")
-        #: per reservoir block, (c, chol[k, c]) of the nonzero entries of each row k
-        self.terms = []
-        for reservoir in chain.reservoirs:
+        if chain.record_only:
+            factors = []
+            for reservoir in chain.reservoirs:
+                with np.errstate(over="ignore", invalid="ignore"):   # refused below
+                    phi5, q5 = _exact_step(dp, chain.temperature, reservoir, cfg.dt)
+                if not (np.isfinite(phi5).all() and np.isfinite(q5).all()):
+                    raise ConfigurationError(
+                        f"dt = {cfg.dt!r} s is too long for the exact step: its "
+                        "transition or noise covariance is not finite")
+                lam, vec = np.linalg.eigh((q5 + q5.T) / 2.0)
+                factors.append(vec * np.sqrt(np.maximum(lam, 0.0)))
+            # the record y_k = (h . x_k + the record's increment) / dt reads
+            # the components where h = Phi5[4, :4] is not zero
+            step, read = phi5[:4, :4], phi5[4, :4]
+            written = tuple(c for c in range(4) if read[c] != 0.0)
+            #: h on the written components
+            self.read = [read[c] for c in written]
+        else:
             try:
-                chol = np.linalg.cholesky(
-                    _diffusion(dp, chain.temperature, reservoir) * cfg.dt)
+                factors = [np.linalg.cholesky(_diffusion(dp, chain.temperature, reservoir) * cfg.dt)
+                           for reservoir in chain.reservoirs]
             except np.linalg.LinAlgError as exc:
                 raise ParameterError(
                     "magnon variance matrix is not positive semidefinite") from exc
-            self.terms.append([[(c, coef) for c, coef in enumerate(row) if coef != 0.0]
-                               for row in chol])
+            step, written = np.eye(4) + drift_matrix(dp) * cfg.dt, (0, 1, 2, 3)
+        #: per reservoir block, (c, factor[k, c]) of the nonzero entries of each row k
+        self.terms = [[[(c, coef) for c, coef in enumerate(row) if coef != 0.0]
+                       for row in factor] for factor in factors]
         self.chain, self.accumulator = chain, accumulator
         self.ntraj = cfg.n_trajectories
         self.rows = len(self.terms) * self.ntraj
         self.n_total = self.n_burn + n_keep
         self.end = _drawn(cfg)
-        self.sq_ka = math.sqrt(dp.kappa_a)
-        self.scan = _LaneScan(np.eye(4) + drift_matrix(dp) * cfg.dt, self.rows,
-                              chain.record_only)
+        self.stride = _stride(chain)
+        #: steps of a chunk of the pass: whole lanes
+        self.chunk = _CHUNK // self.stride
+        self.scan = _LaneScan(step, self.rows, written)
+        #: the increments drawn, by component: the scan's, and for a
+        #: record-only chain the record's own, 4
+        self.drawn = self.scan.components + ((4,) if chain.record_only else ())
         #: trajectory-steps of the scan's largest call
-        self.cells = self.rows * min(_CHUNK, self.end)
-        self.states = np.empty(len(self.scan.written) * self.cells)
+        self.cells = self.rows * min(self.chunk, self.end)
+        self.states = np.empty(len(written) * self.cells)
 
     def increments(self, z: np.ndarray, out: np.ndarray, temp: np.ndarray) -> list:
-        """The increments of the scan's components, P_a always among them,
-        indexed by component (None for the others), on the normals ``z``
-        (trajectory, step, 4) of this chain's steps in the chunk: (rows, n)
-        views of ``out``, in the order of the components, each block's rows
-        through its own Cholesky factor.  ``temp`` holds their products.
+        """The increments of :attr:`drawn`, P_a always among them, indexed
+        by component (None for the others), on the normals ``z``
+        (trajectory, step, normal) of this chain's steps in the chunk:
+        (rows, n) views of ``out``, in the order of :attr:`drawn`, each
+        block's rows through its own factor.  ``temp`` holds their products.
 
-        Each is sum_c chol[k, c] * normal_c over the nonzero chol[k, c], the
-        products added in order of c, so that the zero coefficients of the
-        mostly diagonal Cholesky factor cost nothing; a unit coefficient
-        multiplies by 1.0, which is exact.
+        Each is sum_c factor[k, c] * normal_c over the nonzero factor[k, c],
+        the products added in order of c, so that the zero coefficients of a
+        full chain's mostly diagonal Cholesky factor cost nothing; a unit
+        coefficient multiplies by 1.0, which is exact.
         """
         n = z.shape[1]
-        comps = self.scan.components
         normals = z.transpose(2, 0, 1)
-        blocks = out[:len(comps) * self.rows * n].reshape(len(comps), -1, self.ntraj, n)
+        blocks = out[:len(self.drawn) * self.rows * n].reshape(len(self.drawn), -1,
+                                                                self.ntraj, n)
         product = temp[:self.ntraj * n].reshape(self.ntraj, n)
-        incr = [None] * 4
-        for k, totals in zip(comps, blocks):
+        incr = [None] * 5
+        for k, totals in zip(self.drawn, blocks):
             for terms, total in zip(self.terms, totals):
                 (c, coef), *others = terms[k]
                 np.multiply(normals[c], coef, out=total)
@@ -451,13 +561,16 @@ class _Stepper:
         return incr
 
     def step(self, z: np.ndarray, pos: int, work: tuple) -> None:
-        """Step the chunk from ``pos``, ``_CHUNK`` steps or the rest of the
-        run, on the normals ``z`` (stream, step, 4) of the pass's chunk:
-        its increments, then :meth:`advance`.  ``work`` is the pass's
+        """Step the chunk from the pass's stream step ``pos``, ``chunk``
+        steps or the rest of the run, on the normals ``z`` (stream, step, 4)
+        of the pass's chunk, ``stride`` stream steps a step: its
+        increments, then :meth:`advance`.  ``work`` is the pass's
         :func:`_scan_work`."""
-        n = min(_CHUNK, self.end - pos)
+        pos //= self.stride
+        n = min(self.chunk, self.end - pos)
+        normals = z[:self.ntraj, :self.stride * n].reshape(self.ntraj, n, -1)
         scan_work, increments, temp = work
-        self.advance(self.increments(z[:self.ntraj, :n], increments, temp), pos, scan_work)
+        self.advance(self.increments(normals, increments, temp), pos, scan_work)
 
     def advance(self, incr: list, pos: int, work: np.ndarray) -> None:
         """Scan the chunk from ``pos`` on ``incr``, the increments indexed
@@ -465,8 +578,7 @@ class _Stepper:
         buffer; ``work`` is the scan's region of a :func:`_scan_work`.  Adds
         its kept steps, if any, to the chain's accumulator: a full chain's
         quadratures (4, rows, m), or a record-only chain's output record
-        (rows, m), written over its P_a row of the states and the spent P_a
-        increments."""
+        (rows, m), written over its first written component's states."""
         n = incr[3].shape[1]
         shape = (len(self.scan.written), self.rows, n)
         states = self.scan(incr, self.states[:math.prod(shape)].reshape(shape), work)
@@ -475,17 +587,22 @@ class _Stepper:
             return
         kept = states[:, :, lo:hi]
         if self.chain.record_only:
-            # sq_ka * P_a - incr_P / (sq_ka * dt)
-            kept, spent = kept[0], incr[3][:, lo:hi]
-            kept *= self.sq_ka
-            kept -= np.divide(spent, self.sq_ka * self.chain.cfg.dt, out=spent)
+            # (h . x + the record's increment) / dt, the spent states scaled
+            # in place
+            record = kept[0]
+            record *= self.read[0]
+            for component, coef in zip(kept[1:], self.read[1:]):
+                record += np.multiply(component, coef, out=component)
+            record += incr[4][:, lo:hi]
+            record /= self.chain.cfg.dt
+            kept = record
         self.accumulator.add(kept)
 
 
 def _stream_extents(chains: list[Chain]) -> list[int]:
     """Steps drawn from each (seed, index) stream by a pass over ``chains``:
     the furthest step any chain reads from it."""
-    return [max(_drawn(c.cfg) for c in chains if c.cfg.n_trajectories > i)
+    return [max(_stride(c) * _drawn(c.cfg) for c in chains if c.cfg.n_trajectories > i)
             for i in range(max(c.cfg.n_trajectories for c in chains))]
 
 
@@ -500,16 +617,17 @@ def fold(pairs: list[tuple[Chain, object]]) -> None:
     the rows being one block of n_trajectories per reservoir; a chunk in
     which the chain keeps no step reaches it not at all.  Each part is a
     view of a buffer that the next chunk overwrites, so an accumulator
-    copies what it keeps.  The increments are the rows of chol(D dt) times
-    standard normals, D the diffusion matrix of the inputs with the block's
-    reservoir; each stream's normals are drawn once for all chains and
-    blocks, so they see the same noise, and each chain is stepped by one
-    scan (see the module docstring).
+    copies what it keeps.  A full chain's increments are the rows of
+    chol(D dt) times standard normals, D the diffusion matrix of the inputs
+    with the block's reservoir, and a record-only chain's those of a factor
+    of its exact step's Q5; each stream's normals are drawn once for all
+    chains and blocks, so they see the same noise, and each chain is
+    stepped by one scan (see the module docstring).
 
     Raises :class:`ConfigurationError` before any stepping if ``pairs`` or
     a chain's reservoirs are empty, if a chain's accumulator is None, if
     the chains do not share one seed, or if a chain's configuration guard
-    fails or its drift is unstable.
+    fails, its exact step is not finite or its drift is unstable.
     """
     if not pairs or not all(chain.reservoirs and acc is not None for chain, acc in pairs):
         raise ConfigurationError("a pass needs at least one chain, and each at least one "
@@ -518,8 +636,7 @@ def fold(pairs: list[tuple[Chain, object]]) -> None:
     if len({chain.cfg.seed for chain in chains}) != 1:
         raise ConfigurationError("the chains of one pass must share one seed")
     running = [_Stepper(chain, acc) for chain, acc in pairs]
-    work = _scan_work(max(s.cells for s in running),
-                      max(len(s.scan.components) for s in running))
+    work = _scan_work(max(s.cells for s in running), max(len(s.drawn) for s in running))
     extents = _stream_extents(chains)
     rngs = [_trajectory_rng(chains[0].cfg.seed, i) for i in range(len(extents))]
     end = max(extents)
@@ -537,7 +654,7 @@ def fold(pairs: list[tuple[Chain, object]]) -> None:
         # of verify's Lyapunov chains) also lifts its mmap threshold above the
         # blocks np.fft.rfft allocates and frees per call, which ends those
         # calls' page faults
-        running = [s for s in running if s.end > pos + _CHUNK]
+        running = [s for s in running if s.stride * s.end > pos + _CHUNK]
 
 
 class _Store:
@@ -563,7 +680,9 @@ def simulate(
 
     One :func:`fold` of two pairs, a full chain with a store of its
     quadratures and a record-only one with a store of its output record,
-    for callers that read single samples; it raises what that raises.
+    for callers that read single samples; it raises what that raises.  The
+    two chains read the same streams through their own steps, so the
+    record is not a read-out of the stored quadratures.
     """
     n_burn, n_keep = _steps(cfg)
     quad = np.empty((4, cfg.n_trajectories, n_keep))

@@ -20,14 +20,21 @@ index) stream is drawn once, and every run reads a prefix of the same
 streams, step for step.
 The checks of one seed are therefore not independent draws; a rate of
 "any check failed" cannot be formed by multiplying per-check rates.
-``_check_lyapunov`` compares the stepped chain's second moments about its
-exact zero mean with its discrete Lyapunov covariance, within three
-standard errors.  ``_check_psd`` compares Welch spectra of the output with
-the analytic output spectrum over omega in [0.1, 5] kappa_m; the
-``psd_rm15`` run feeds two checks, without and with the squeezed
-reservoir, from one chain of two reservoir blocks and one Welch
-accumulator of two spectra; its judge cuts the bands and the analytic
-grid once and judges each reservoir's spectrum on them.
+``_check_lyapunov`` compares the stepped Euler-Maruyama chain's second
+moments about its exact zero mean with its discrete Lyapunov covariance,
+within three standard errors.  ``_check_psd`` compares Welch spectra of
+the output with the analytic output spectrum over omega in [0.1, 5]
+kappa_m.  Its record-only chain steps exactly (see :mod:`.simulation`), so
+its step is set by the bands, not by the fastest rate: dt kappa_m =
+``_PSD_STEP`` = 0.2, a Nyquist frequency of 15.7 kappa_m, and 15680
+recorded steps a row in 48 Welch segments of 640 samples at any
+parameters, after a burn-in of 13 relaxation times (65 steps on the desk
+set); the step's own bias, seed-free, is under 1 % of the analytic
+spectrum on the bands (a tier-1 test).  The ``psd_rm15`` run feeds two
+checks, without and with the squeezed reservoir, from one chain of two
+reservoir blocks and one Welch accumulator of two spectra; its judge cuts
+the bands and the analytic grid once and judges each reservoir's spectrum
+on them.
 ``_check_gain``'s chain is not folded: its judge, called after the pass,
 calls :func:`simulation.measure_gain` on the chain, which steps a unit
 drive alone over 32 of its periods, without noise, through the chain's
@@ -37,8 +44,9 @@ step's own bias, whatever the seed.
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
 g'/kappa_m of order one: the dimensionless spectra checked do not depend on
-the rate scale, while the step must resolve the fastest rate, which makes
-g'/kappa_m in the thousands too costly to simulate.
+the rate scale, while the Euler-Maruyama step of the Lyapunov and gain
+runs must resolve the fastest rate, which makes g'/kappa_m in the
+thousands costly to simulate.
 """
 
 from __future__ import annotations
@@ -51,8 +59,8 @@ import numpy as np
 
 from .model import ConfigurationError, DerivedParameters, SystemParameters, derived_parameters
 from . import simulation
-from .simulation import (WELCH_OVERLAP, Chain, CovarianceAccumulator, SimulationConfig,
-                         WelchAccumulator, fastest_rate, lyapunov_covariance, noverlap)
+from .simulation import (Chain, CovarianceAccumulator, SimulationConfig, WelchAccumulator,
+                         fastest_rate, lyapunov_covariance, noverlap)
 from .spectra import SqueezedReservoir, output_spectrum
 from .transfer import closed_form_grid, require_evading_point, require_stable, response_grid
 
@@ -61,7 +69,8 @@ __all__ = ["CheckResult", "VerificationReport", "verification_parameters", "run_
 _TWO_PI = 2.0 * math.pi
 
 # sizing of the stochastic runs
-_DT_ACCURACY = 0.015          # dt * fastest rate
+_DT_ACCURACY = 0.015          # dt * fastest rate of the Lyapunov and gain runs
+_PSD_STEP = 0.2               # dt * kappa_m of the PSD runs, which step exactly
 _PSD_TRAJECTORIES = 16
 _PSD_SEGMENTS_PER_TRAJECTORY = 48
 _PSD_RESOLUTION = 0.05        # Welch bin spacing in units of kappa_m
@@ -174,7 +183,8 @@ def _runs(params: SystemParameters, seed: int) -> list[_Run]:
 
 
 def _oracle_step(params: SystemParameters) -> tuple[DerivedParameters, float]:
-    """The derived parameters of ``params`` and the oracle's step on them."""
+    """The derived parameters of ``params`` and the Euler-Maruyama step of
+    the Lyapunov and gain runs on them."""
     dp = derived_parameters(params)
     return dp, _DT_ACCURACY / fastest_rate(dp)
 
@@ -191,13 +201,14 @@ def _chain(dp: DerivedParameters, temperature: float, seed: int, dt: float, step
     recorded trajectory-steps over all its rows, or of steps too many to
     round, as it stands: a time budget, not a memory guard, since the runs
     store nothing that grows with their length.  1e8 trajectory-steps
-    are 8-19 s of stepping at 5.3-12 million a second on a 2-core x86
+    are 10-21 s of stepping at 4.7-10 million a second on a 2-core x86
     machine (Python 3.11, numpy 2.4.6), each run folded alone (best of
-    four to ten, three sessions): the record-only ``psd_rm15`` run of 32
-    rows makes the fast end and the coupled Lyapunov run, which steps all
-    four components of a detuned drift, the slow one.  That is 4.2x the
-    largest desk run (``psd_rm15``'s 2 blocks of 16 trajectories, 32 rows
-    of 744164 steps).
+    three to five, measured twice, burn-in counted): the decoupled Lyapunov
+    run makes the fast end, and the exact record-only ``psd_rm0`` run of
+    16 rows, which draws two stream steps a step, the slow one.  That is
+    15.2x the largest desk run, each Lyapunov run's 32 rows of 205333
+    steps; the PSD runs' step is set by the bands, so they take 15680
+    steps a row at any parameters.
     """
     require_stable(dp)
     rows = len(reservoirs) * trajectories
@@ -298,16 +309,12 @@ def _five_smooth(n: int) -> int:
 
 def _check_psd(checks: tuple, params: SystemParameters, seed: int) -> _Run:
     """The PSD run of ``checks``, (name, reservoir) pairs on one chain."""
-    dp, dt = _oracle_step(params)
+    dp = derived_parameters(params)
+    dt = _PSD_STEP / dp.kappa_m
     # _PSD_SEGMENTS_PER_TRAJECTORY Welch segments of nper samples, a 5-smooth
-    # length at about _PSD_RESOLUTION kappa_m bin spacing
-    nper = _TWO_PI / (_PSD_RESOLUTION * dp.kappa_m) / dt
-    if nper <= _MAX_TRAJECTORY_STEPS:
-        nper = _five_smooth(round(nper))
-        hop = nper - noverlap(nper)
-    else:   # over the budget, so sized in floats, unrounded, and refused
-        hop = nper * (1.0 - WELCH_OVERLAP)
-    steps = nper + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * hop
+    # length at about _PSD_RESOLUTION kappa_m bin spacing: 640 at any kappa_m
+    nper = _five_smooth(round(_TWO_PI / (_PSD_RESOLUTION * _PSD_STEP)))
+    steps = nper + (_PSD_SEGMENTS_PER_TRAJECTORY - 1) * (nper - noverlap(nper))
     # the checks differ only in their reservoirs; Welch reads the record alone
     names, reservoirs = zip(*checks)
     chain = _chain(dp, params.temperature, seed, dt, steps, _PSD_TRAJECTORIES,

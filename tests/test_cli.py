@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import magnon_sense.cli as cli
 from magnon_sense import (ConfigurationError, ParameterError, PoleError, PreconditionError,
                           SingularResponseError, derived_parameters, noise_budget_grid,
-                          parse_parameters, simulation)
+                          parse_parameters, simulation, verification)
 from magnon_sense.verification import CheckResult, VerificationReport
 
 
@@ -587,31 +587,34 @@ class TestExitCodes:
 
     def test_verify_counts_every_row_of_a_two_reservoir_run(self, tmp_path, capsys,
                                                             monkeypatch):
-        # the desk set at g_0 = 2 kappa_m: the psd_rm15 run steps two
-        # reservoir blocks of 16 trajectories, 32 rows of 3.72e6 steps, which
-        # are 1.19e8 trajectory-steps, over the budget, though one block's
-        # 5.95e7 is not; at 1.5 kappa_m every run fits and reaches the pass
+        # the PSD runs' step is set by the bands, so their length is a count
+        # of Welch segments, 640 + 320 (segments - 1) steps a row, at any
+        # parameters.  At 15000 segments the psd_rm15 run steps two
+        # reservoir blocks of 16 trajectories, 32 rows of 4.80e6 steps, which
+        # are 1.54e8 trajectory-steps, over the budget, though one block's
+        # 7.68e7 (and psd_rm0's) is not; at 9000 segments every run fits and
+        # reaches the pass
         def no_stepping(*args, **kwargs):
             raise AssertionError("stepped")
 
         monkeypatch.setattr(simulation, "fold", no_stepping)
         monkeypatch.setattr(simulation, "measure_gain", no_stepping)
-        config = tmp_path / "coupled.cfg"
-        config.write_text("".join(f"{key} = {value!r}\n"
-                                  for key, value in {**DESK, "g_0_hz": 30.0}.items()))
+        monkeypatch.setattr(verification, "_PSD_SEGMENTS_PER_TRAJECTORY", 15000)
+        config = tmp_path / "desk.cfg"
+        config.write_text("".join(f"{key} = {value!r}\n" for key, value in DESK.items()))
         assert cli.main(["verify", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "too stiff" in err and "32 rows" in err and "1.19e+08 trajectory-steps" in err
-        config.write_text("".join(f"{key} = {value!r}\n"
-                                  for key, value in {**DESK, "g_0_hz": 22.5}.items()))
+        assert "too stiff" in err and "32 rows" in err and "1.54e+08 trajectory-steps" in err
+        monkeypatch.setattr(verification, "_PSD_SEGMENTS_PER_TRAJECTORY", 9000)
         with pytest.raises(AssertionError, match="stepped"):
             cli.main(["verify", "--config", str(config)])
 
-    def test_verify_refuses_a_long_welch_segment_at_once(self, tmp_path, capsys):
-        # the desk set at g_0 = 6e8 Hz: the Lyapunov rows pass, and the PSD
-        # rows' Welch segments of about 3e12 samples, over the budget on
-        # their own, are sized in floats and refused by the budget
+    def test_verify_refuses_a_stiff_set_at_once(self, tmp_path, capsys):
+        # the desk set at g_0 = 6e8 Hz: the Lyapunov rows pass, and so do
+        # the PSD rows, whose step and segments are set by the bands; the
+        # gain rows' Euler-Maruyama step resolves 2 g', so their 32 tone
+        # periods take about 1.5e13 steps, and the budget refuses them
         config = tmp_path / "stiff.cfg"
         config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 6e8\n"
                           "mod_amplitude = 1\nkappa_a_hz = 16.5\nkappa_m_hz = 15\n"
@@ -624,14 +627,16 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_verify_sizes_every_run_before_stepping(self, tmp_path, capsys, monkeypatch):
-        # the reference set: the Lyapunov runs are desk-sized, only the PSD
-        # and gain runs (g'/kappa_m ~ 750) are over the budget
+        # the reference set at twice its coupling: the Lyapunov runs are
+        # desk-sized and the PSD runs band-set, and only the gain runs, the
+        # last of the table (g'/kappa_m ~ 900 at r_m = 1), are over the
+        # budget: 1.2e8 trajectory-steps at 0.2 kappa_m
         def no_stepping(*args, **kwargs):
             raise AssertionError("fold called")
 
         monkeypatch.setattr(simulation, "fold", no_stepping)
         config = tmp_path / "reference.cfg"
-        config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 2.5e9\n"
+        config.write_text("omega_a_hz = 37.5e9\nomega_0_hz = 37.5e9\ng_0_hz = 5e9\n"
                           "mod_amplitude = 1\nkappa_a_hz = 16.5e6\nkappa_m_hz = 15e6\n"
                           "temperature_k = 0.05\nlambda_hz_per_tesla = 10\nr_m = 1.5\n")
         assert cli.main(["verify", "--config", str(config)]) == 2
@@ -704,7 +709,14 @@ class TestExitCodes:
                                                           monkeypatch, changes):
         # desk sets whose step counts are infinite, or finite but past any
         # integer that prints in a line: each run is sized in floats and
-        # refused before its count is rounded, and the counts print in %.3g
+        # refused before its count is rounded, and the counts print in %.3g.
+        # The PSD runs' counts are set by the bands, so the detuned sets are
+        # refused by the gain runs' evading-point check, and the vanishing
+        # rates by their singular response, before stepping as well
+        refusal = {"delta_a_hz": "backaction-evading point",
+                   "delta_0p_hz": "backaction-evading point", "kappa_a_hz": "singular"}
+        expected = next((refusal[key] for key in changes if key in refusal), "too stiff")
+
         def no_stepping(*args, **kwargs):
             raise AssertionError("stepped")
 
@@ -715,7 +727,7 @@ class TestExitCodes:
                                   for key, value in {**DESK, **changes}.items()))
         assert cli.main(["verify", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "too stiff" in err
+        assert err.startswith("error: ") and expected in err
         assert err.count("\n") == 1 and len(err) < 300
 
     def test_invalid_parameter_file_exit_2(self, tmp_path, capsys):
