@@ -42,35 +42,40 @@ and Phi, the top left 4x4 of Phi5, for a record-only one, is computed
 their applications", 1990):
 
 * The steps are cut into lanes of ``_LANE`` = 32, anchored at the run's
-  first step, which starts at rest.  All lanes of a chunk are stepped from
-  rest at once, one S x per step; a loop over the lanes, not the steps,
-  carries each lane's starting state in from the last one's with S^L; and
-  S^i times that start is added to the lane's i-th state.  This is the
-  same linear map as stepping one step at a time, to rounding (a few
-  1e-15 relative), and it needs no eigenbasis, so a defective S (kappa_a =
-  kappa_m at zero detuning) and the complex pairs of a detuned S are no
-  special case.
+  first step, which starts at rest.  One contraction gives every lane of a
+  chunk its end from rest, sum_m S^(L-1-m) incr_m; a loop over the lanes,
+  not the steps, carries each lane's starting state in from the last one's
+  with S^L; and every lane is then stepped once from its start, all lanes
+  at once, one S x per step.  This is the same linear map as stepping one
+  step at a time, to rounding (up to 1.5e-14 of the largest state in the
+  tests), and it needs no eigenbasis, so a defective S (kappa_a = kappa_m
+  at zero detuning) and the complex pairs of a detuned S are no special
+  case.
 * A scan steps only the components that the ones it writes out read: their
   closure under the nonzero pattern of S.  A record-only scan writes the
   components its record reads, where h is not zero, and P_a reads X_M and
   itself alone at the backaction-evading point (delta_a = delta_0p = 0,
   where only X_M reaches the output), so it writes and steps those two; a
-  cavity detuning adds X_a, a magnon detuning all four.  The lane
-  corrections take their powers from the full 4x4 S^i, and the carry
-  multiplies the full S^L into all four components, the components not
-  stepped ending their lanes at zero: S^L maps none of them into the
-  stepped ones, exactly, so the stepped states keep every bit of a scan of
-  all four.
+  cavity detuning adds X_a, a magnon detuning all four.  The lane ends and
+  the steps take the closure's block of S and of its powers, and a lane's
+  first step the closure's rows of the full S, over the start's four
+  components; the carry multiplies the full S^L into all four, the
+  components not stepped ending their lanes at zero.  No power of S maps a
+  component not stepped into a stepped one, exactly, so the terms a scan
+  skips are exact zeros, which a scan of all four adds in order, and the
+  stepped states keep every bit of that scan.
 * A chunk is ``_CHUNK`` = 32 lanes, 1024 stream steps, of every row: 1024
   steps of a full chain, 512 of a record-only one; a run's last lane is
   drawn whole, the steps past the run dropped.  A chunk's memory grows with
   a chain's rows: 256 kB per component array of a full chain at 32 rows,
   1 MB for all four.  ``verify``'s chains have 32, 32, 16 and 32 rows, and
-  the tests and the benchmark's self-test at most 16.  Inside the lanes the
-  arithmetic is elementwise, skipping the zeros of S and its powers, and
-  the carry is one 4x4 by 4x1 product per row and lane: no operation mixes
-  lanes or rows, so neither the chunk size nor the row count changes a bit
-  of the states.
+  the tests and the benchmark's self-test at most 16.  Inside the lanes
+  each contraction is one two-index :func:`np.einsum` over every lane and
+  row, whose matrices are strided (:func:`_strided`) so that it adds each
+  state's terms in order whatever the number of columns, and the carry is
+  one 4x4 by 4x1 product per row and lane: no operation mixes lanes or
+  rows, so neither the chunk size nor the row count changes a bit of the
+  states.
 
 A pass is one draw of the seed's streams, stepped by :func:`fold`, the
 oracle's one stepping entry for noise, which takes (chain, accumulator)
@@ -162,7 +167,9 @@ __all__ = [
 #: accuracy guard: dt times the fastest rate of a full chain must stay below this
 _DT_GUARD = 0.1
 
-#: steps per lane of the scan: verify's runs took 1-5 % less time than with 64 or 128
+#: steps per lane of the scan: verify's pass and gains at seed 42, chunks of
+#: 1024 steps, took 1.11-1.13 s (best of 4, twice, 2-core x86 VM), against
+#: 1.14-1.17 s at 16, 1.12-1.15 s at 64 and 1.25-1.32 s at 128, all at 43 MB
 _LANE = 32
 
 #: stream steps per chunk of a pass, an even number of lanes, so that the
@@ -329,13 +336,14 @@ def _scan_work(trajectory_steps: int,
     views of it.
 
     They hold :class:`_LaneScan`'s regions, for up to ``components``
-    stepped components; the increments of the chain being stepped,
-    ``components`` rows of ``trajectory_steps`` at most, which are dead
-    once its part is kept, so the chains of a pass take turns in them;
-    and one temporary of ``trajectory_steps``, which holds the increments'
-    products.
+    stepped components: a lane's increments and states, one term per
+    component, and the lane starts and ends of all four; the increments of
+    the chain being stepped, ``components`` rows of ``trajectory_steps`` at
+    most, which are dead once its part is kept, so the chains of a pass
+    take turns in them; and one temporary of ``trajectory_steps``, which
+    holds the increments' products.
     """
-    scan = ((_LANE + 1) * components + _LANE + 3) * (trajectory_steps // _LANE)
+    scan = ((_LANE + 1) * components + 8) * (trajectory_steps // _LANE)
     increments = scan + components * trajectory_steps
     work = np.empty(increments + trajectory_steps)
     return work[:scan], work[scan:increments], work[increments:]
@@ -359,10 +367,24 @@ def _closure(step: np.ndarray, components) -> tuple[int, ...]:
     return tuple(sorted(need))
 
 
+def _strided(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as every other entry of a buffer twice its size.
+
+    Where the output has one column, :func:`np.einsum` contracts two
+    operands that are both unit-stride along the summed axis with a
+    vectorized dot product, which adds in another order than it does for
+    more columns.  No row of this matrix is unit-stride, so a contraction
+    with it adds each output's terms in order whatever the column count."""
+    spread = np.zeros(matrix.shape + (2,))
+    spread[..., 0] = matrix
+    return spread[..., 0]
+
+
 class _LaneScan:
     """The recursion x_{m+1} = S x_m + incr_m of ``rows`` rows, from rest,
     over lanes of ``_LANE`` steps anchored at the run's first step (see the
-    module docstring).
+    module docstring): each lane's end from rest in one contraction, the
+    lane starts carried with S^L, and each lane stepped once from its start.
 
     It writes out the components ``written``, in ascending order, and steps
     only ``components``, the closure of those under the nonzero pattern of
@@ -370,23 +392,19 @@ class _LaneScan:
     """
 
     def __init__(self, step: np.ndarray, rows: int, written: tuple[int, ...] = (0, 1, 2, 3)):
-        powers = np.array([np.linalg.matrix_power(step, i) for i in range(_LANE + 1)])
         #: the components written out
         self.written = written
         self.components = comps = _closure(step, written)
-        self._diagonal = np.diag(step)[list(comps), None]
-        #: (position of k, position of c, S[k, c]) in components, per
-        #: off-diagonal nonzero
-        self._off_diagonal = [(j, comps.index(c), step[k, c]) for j, k in enumerate(comps)
-                              for c in range(4) if k != c and step[k, c] != 0.0]
+        block = np.ix_(comps, comps)
+        #: S on the stepped components, and their rows of the full S
+        self._step, self._rows = _strided(step[block]), _strided(step[list(comps)])
+        #: W[j, m c + k] = S^(L-1-m)[comps[j], comps[k]]: W times a lane's
+        #: increments, step-major, is its end from rest
+        self._ends = _strided(np.concatenate([np.linalg.matrix_power(step, i)[block]
+                                              for i in range(_LANE - 1, -1, -1)], axis=1))
         #: (component, its position in components) of each written one
         self._outputs = [(k, comps.index(k)) for k in written]
-        #: (position in components, component, S^i[k, c] for i = 1..L-1) of
-        #: the written entries not all zero
-        self._corrections = [(j, c, powers[1:-1, k, c, None])
-                             for j, k in enumerate(comps) if k in written
-                             for c in range(4) if powers[1:-1, k, c].any()]
-        self._lane = powers[-1]
+        self._lane = np.linalg.matrix_power(step, _LANE)
         self._x = np.zeros((rows, 4, 1))
 
     def __call__(self, incr: list, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -402,36 +420,30 @@ class _LaneScan:
         lanes = n // _LANE
         cells = lanes * ntraj
         comps = self.components
-        # rest[i, j]: component comps[j] of every lane (lane-major, then
-        # trajectory) after i + 1 steps from rest, stepped in place
-        rest, term, starts, correction = _views(
+        # lane[i, j]: increment i of component comps[j] of every lane
+        # (lane-major, then trajectory), then its state i + 1, stepped in place
+        lane, term, starts, ends = _views(
             work, (_LANE, len(comps), cells), (len(comps), cells), (4, lanes, ntraj),
-            (_LANE - 1, cells))
-        by_lane = rest.reshape(_LANE, len(comps), lanes, ntraj)
+            (4, lanes, ntraj))
+        by_lane = lane.reshape(_LANE, len(comps), lanes, ntraj)
         for j, k in enumerate(comps):
             by_lane[:, j] = incr[k].reshape(ntraj, lanes, _LANE).T
-        part = term[0]
-        for prev, cur in zip(rest, rest[1:]):
-            np.multiply(self._diagonal, prev, out=term)
-            cur += term
-            for j, i, coef in self._off_diagonal:
-                np.multiply(coef, prev[i], out=part)
-                cur[j] += part
+        np.einsum("jk,kn->jn", self._ends, lane.reshape(-1, cells), out=term)
         # the full S^L carries every trajectory, one (4, 4) @ (4, 1) product
         # each, so that ntraj changes no bit; the components not stepped end
-        # their lanes at zero, and S^L maps none of them into the stepped ones;
-        # the correction scratch is free until the carry is done
-        ends = correction.reshape(-1)[:4 * cells].reshape(4, lanes, ntraj)
+        # their lanes at zero, and S^L maps none of them into the stepped ones
         ends[...] = 0.0
-        ends[list(comps)] = by_lane[-1]
+        ends[list(comps)] = term.reshape(-1, lanes, ntraj)
         ends = ends.transpose(1, 2, 0)[..., None]
         for j in range(lanes):
             starts[:, j] = self._x[..., 0].T
             self._x = np.matmul(self._lane, self._x) + ends[j]
-        # a lane's state i is rest[i - 1] + S^i start, its state 0 the start
-        for j, c, column in self._corrections:
-            np.multiply(column, starts[c].reshape(-1), out=correction)
-            rest[:-1, j] += correction
+        # each lane stepped once from its start, the stepped rows of the full
+        # S on the start's four components first
+        prev, step = starts.reshape(4, cells), self._rows
+        for cur in lane[:-1]:
+            cur += np.einsum("jc,cn->jn", step, prev, out=term)
+            prev, step = cur, self._step
         states = out.reshape(-1, ntraj, lanes, _LANE)
         for state, (k, j) in zip(states, self._outputs):
             state[..., 0] = starts[k].T

@@ -201,11 +201,11 @@ def _chain(dp: DerivedParameters, temperature: float, seed: int, dt: float, step
     recorded trajectory-steps over all its rows, or of steps too many to
     round, as it stands: a time budget, not a memory guard, since the runs
     store nothing that grows with their length.  1e8 trajectory-steps
-    are 10-21 s of stepping at 4.7-10 million a second on a 2-core x86
+    are 10-24 s of stepping at 4.2-9.6 million a second on a 2-core x86
     machine (Python 3.11, numpy 2.4.6), each run folded alone (best of
-    three to five, measured twice, burn-in counted): the decoupled Lyapunov
-    run makes the fast end, and the exact record-only ``psd_rm0`` run of
-    16 rows, which draws two stream steps a step, the slow one.  That is
+    five, measured three times, burn-in counted): the two Lyapunov runs
+    make the fast end, and the exact record-only ``psd_rm0`` run of 16
+    rows, which draws two stream steps a step, the slow one.  That is
     15.2x the largest desk run, each Lyapunov run's 32 rows of 205333
     steps; the PSD runs' step is set by the bands, so they take 15680
     steps a row at any parameters.

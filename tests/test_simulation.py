@@ -199,6 +199,7 @@ class TestTraceStructure:
         for n in (2, 1):
             c = simulate(dp, 0.05, replace(cfg, n_trajectories=n))
             assert np.array_equal(a.output_record[:n], c.output_record)
+            assert np.array_equal(a.quadratures[:n], c.quadratures)
 
 
 class TestSteadyStateVariances:
@@ -781,6 +782,20 @@ class TestLaneScan:
         for written in ((3,), (0, 3)):
             assert np.array_equal(self.run(step, incr, written), full[list(written)])
 
+    def check_pieces(self, step, incr, written):
+        """A scan in pieces of whole lanes against one pass, bit for bit:
+        every piece after the first starts from the state the one before
+        carried out, away from rest; with one trajectory a piece of one lane
+        is a single column of every contraction."""
+        bounds = [lane * simulation._LANE for lane in (0, 1, 2, 11, 12, 46, 47)]
+        whole = self.run(step, incr, written)
+        scan = simulation._LaneScan(step, incr.shape[1], written)
+        # one work array for every piece, larger than most of them need
+        work = simulation._scan_work(incr[0].size, len(scan.components))[0]
+        pieces = [scan(list(incr[:, :, a:b]), np.empty_like(whole[:, :, a:b]), work)
+                  for a, b in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
+
     def test_defective_map_at_zero_detuning(self):
         # with kappa_a = kappa_m the one eigenvalue 1 - kappa dt / 2 (the
         # map is triangular up to reordering) has only two eigenvectors
@@ -798,39 +813,34 @@ class TestLaneScan:
         self.check(step, incr)
 
     @pytest.mark.parametrize("case, stepped", [
-        ("evading", (0, 3)), ("cavity_detuned", (0, 2, 3)), ("detuned", (0, 1, 2, 3))])
+        ("evading", (0, 3)), ("cavity_detuned", (0, 2, 3)), ("detuned", (0, 1, 2, 3)),
+        ("uncoupled", (3,))])
     def test_steps_only_what_the_written_rows_read(self, case, stepped):
         # at the evading point P_a reads X_M and itself alone; a cavity
-        # detuning adds X_a, and a magnon detuning the rest.  A record-only
-        # chain's exact record reads those same components of the state,
-        # through h = Phi5[4, :4], and its scan of Phi writes them and steps
-        # no other
+        # detuning adds X_a, a magnon detuning the rest, and without coupling
+        # it reads itself alone.  A record-only chain's exact record reads
+        # those same components of the state, through h = Phi5[4, :4], and
+        # its scan of Phi writes them and steps no other
         dp = {"evading": desk_dp(r_m=1.5),
               "cavity_detuned": desk_dp(r_m=1.5, delta_a=TWO_PI * 4.0),
-              "detuned": coupled_detuned_dp()}[case]
+              "detuned": coupled_detuned_dp(),
+              "uncoupled": desk_dp(r_m=1.5, mod_amplitude=0.0)}[case]
         step, incr = self.step_and_inputs(dp)
         assert simulation._LaneScan(step, 3, (3,)).components == stepped
         assert simulation._LaneScan(step, 3).components == (0, 1, 2, 3)
         self.check(step, incr)
+        self.check_pieces(*self.step_and_inputs(dp, ntraj=1), stepped)
         stepper = simulation._Stepper(
             Chain(dp, 0.05, quick_config(dp, 1.0, 3), record_only=True), Recorded())
         assert stepper.scan.written == stepper.scan.components == stepped
 
     @pytest.mark.parametrize("detuned", [False, True])
     def test_chunks_are_bit_identical_to_one_pass(self, detuned):
-        # every piece after the first starts from the state the one before
-        # carried out, away from rest
         dp = coupled_detuned_dp() if detuned else desk_dp(r_m=1.5)
-        step, incr = self.step_and_inputs(dp)
-        bounds = [lane * simulation._LANE for lane in (0, 1, 2, 11, 12, 46, 47)]
-        for written in ((0, 1, 2, 3), (0, 3)):
-            whole = self.run(step, incr, written)
-            scan = simulation._LaneScan(step, incr.shape[1], written)
-            # one work array for every piece, larger than most of them need
-            work = simulation._scan_work(incr[0].size, len(scan.components))[0]
-            pieces = [scan(list(incr[:, :, a:b]), np.empty_like(whole[:, :, a:b]), work)
-                      for a, b in zip(bounds, bounds[1:])]
-            assert np.array_equal(np.concatenate(pieces, axis=-1), whole)
+        for ntraj in (3, 1):
+            step, incr = self.step_and_inputs(dp, ntraj=ntraj)
+            for written in ((0, 1, 2, 3), (0, 3)):
+                self.check_pieces(step, incr, written)
 
 
 class TestSimulateAgainstLoop:
