@@ -95,21 +95,22 @@ reaches no accumulator.  Each block is bit for bit that of the chain
 stepped alone with its reservoir, and the chains of a pass are not
 independent: they see the same noise.
 
-A pass allocates its arrays once, before the first chunk: each chain's
-states buffer, the normals of one chunk, and its one scratch
-(:func:`_scan_work`), sized for the largest scan call and for the most
-increments a chain of the pass draws.  That scratch holds the lane scan's
-regions, the increments of the chain being stepped, which the chains take
-in turn, and one temporary for the increments' products.  The increments
-are written there, and a record-only chain's record over the states of
-the first component it writes, in a fixed order of operations, so no bit
-depends on the buffers, and a chunk allocates no array larger
-than the lane carry's (rows, 4, 1) states (numpy's iterator buffers and
-FFT plans aside).  Temporaries of a chain's chunk (256 kB per component
-at 32 rows) would otherwise cost page faults on every chunk wherever the
-C allocator maps blocks that large on their own, as glibc does until it
-frees a larger mapped block.  A chain's states buffer goes as soon as it
-has ended.  The accumulators take the chunks in:
+A pass allocates its arrays once, before the first chunk: the normals of
+one chunk and its one scratch (:func:`_scan_work`), sized for the largest
+scan call and for the most increments a chain of the pass draws, and no
+buffer per chain.  That scratch holds the lane scan's regions, the
+increments of the chain being stepped and then its states, which the
+chains take in turn, and one temporary for the increments' products.  A
+chain's states go over the increments its scan has just read, and a
+record-only chain's record over the states of the first component it
+writes, in a fixed order of operations, so no bit depends on the buffers;
+the part an accumulator is fed is overwritten by the next chain of the
+same chunk.  A chunk allocates no array larger than the lane carry's
+(rows, 4, 1) states (numpy's iterator buffers and FFT plans aside).
+Temporaries of a chain's chunk (256 kB per component at 32 rows) would
+otherwise cost page faults on every chunk wherever the C allocator maps
+blocks that large on their own, as glibc does until it frees a larger
+mapped block.  The accumulators take the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
@@ -132,9 +133,10 @@ last bits.
 The chain is linear, so a tone's response depends on neither the noise nor
 its amplitude: :func:`measure_gain` steps a unit drive alone, from rest and
 without noise, and draws no stream.  It builds the chain's stepper as
-:func:`fold` does, with the same checks, scan and states buffer, and feeds
-the drive through :meth:`_Stepper.advance`, which :meth:`_Stepper.step`
-calls on a pass's drawn increments, to an accumulator of P_a's mean square.
+:func:`fold` does, with the same checks and scan, and feeds the drive,
+written in its own :func:`_scan_work`, through :meth:`_Stepper.advance`,
+which :meth:`_Stepper.step` calls on a pass's drawn increments, to an
+accumulator of P_a's mean square.
 """
 
 from __future__ import annotations
@@ -168,8 +170,8 @@ __all__ = [
 _DT_GUARD = 0.1
 
 #: steps per lane of the scan: verify's pass and gains at seed 42, chunks of
-#: 1024 steps, took 1.11-1.13 s (best of 4, twice, 2-core x86 VM), against
-#: 1.14-1.17 s at 16, 1.12-1.15 s at 64 and 1.25-1.32 s at 128, all at 43 MB
+#: 1024 steps, took 1.13-1.14 s (best of 4, twice, 2-core x86 VM), against
+#: 1.25-1.28 s at 16, 1.16-1.20 s at 64 and 1.31-1.58 s at 128, all at 41 MB
 _LANE = 32
 
 #: stream steps per chunk of a pass, an even number of lanes, so that the
@@ -339,9 +341,10 @@ def _scan_work(trajectory_steps: int,
     stepped components: a lane's increments and states, one term per
     component, and the lane starts and ends of all four; the increments of
     the chain being stepped, ``components`` rows of ``trajectory_steps`` at
-    most, which are dead once its part is kept, so the chains of a pass
-    take turns in them; and one temporary of ``trajectory_steps``, which
-    holds the increments' products.
+    most, and then its states, written over the increments its scan has
+    read, all dead once its part is kept, so the chains of a pass take
+    turns in them; and one temporary of ``trajectory_steps``, which holds
+    the increments' products.
     """
     scan = ((_LANE + 1) * components + 8) * (trajectory_steps // _LANE)
     increments = scan + components * trajectory_steps
@@ -414,7 +417,8 @@ class _LaneScan:
         least ntraj * n trajectory-steps and ``len(components)`` components.
 
         ``incr`` holds the increments indexed by component, (ntraj, n)
-        arrays of whole lanes for the stepped ones.
+        arrays of whole lanes for the stepped ones.  They are read before
+        any state is written, so ``out`` may hold them.
         """
         _, ntraj, n = out.shape
         lanes = n // _LANE
@@ -471,8 +475,9 @@ def _stride(chain: Chain) -> int:
 
 class _Stepper:
     """A chain, checked and ready to step: one :class:`_LaneScan` over its
-    reservoirs' blocks of rows, the states buffer it writes, one chunk of
-    its written components, and the accumulator its kept steps go to.
+    reservoirs' blocks of rows and the accumulator its kept steps go to.
+    It owns no array of a chunk: its increments and states are written in
+    the pass's :func:`_scan_work`.
     :meth:`step` draws a chunk's increments from the pass's normals and
     :meth:`advance` scans them, keeps and adds; :func:`measure_gain`
     advances on a tone's increments instead.
@@ -543,7 +548,6 @@ class _Stepper:
         self.drawn = self.scan.components + ((4,) if chain.record_only else ())
         #: trajectory-steps of the scan's largest call
         self.cells = self.rows * min(self.chunk, self.end)
-        self.states = np.empty(len(written) * self.cells)
 
     def increments(self, z: np.ndarray, out: np.ndarray, temp: np.ndarray) -> list:
         """The increments of :attr:`drawn`, P_a always among them, indexed
@@ -581,19 +585,23 @@ class _Stepper:
         pos //= self.stride
         n = min(self.chunk, self.end - pos)
         normals = z[:self.ntraj, :self.stride * n].reshape(self.ntraj, n, -1)
-        scan_work, increments, temp = work
-        self.advance(self.increments(normals, increments, temp), pos, scan_work)
+        _, increments, temp = work
+        self.advance(self.increments(normals, increments, temp), pos, work)
 
-    def advance(self, incr: list, pos: int, work: np.ndarray) -> None:
+    def advance(self, incr: list, pos: int, work: tuple) -> None:
         """Scan the chunk from ``pos`` on ``incr``, the increments indexed
-        by component, (rows, n) for the stepped ones, into the states
-        buffer; ``work`` is the scan's region of a :func:`_scan_work`.  Adds
-        its kept steps, if any, to the chain's accumulator: a full chain's
-        quadratures (4, rows, m), or a record-only chain's output record
-        (rows, m), written over its first written component's states."""
+        by component, (rows, n) for the stepped ones, laid out in ``work``, a
+        :func:`_scan_work`, as :meth:`increments` lays them.  The states go
+        over the stepped components' increments, which the scan has read by
+        then; a record-only chain's own increment, drawn last, stays for its
+        record.  Adds the kept steps, if any, to the chain's accumulator: a
+        full chain's quadratures (4, rows, m), or a record-only chain's
+        output record (rows, m), written over its first written component's
+        states."""
+        scan_work, increments, _ = work
         n = incr[3].shape[1]
         shape = (len(self.scan.written), self.rows, n)
-        states = self.scan(incr, self.states[:math.prod(shape)].reshape(shape), work)
+        states = self.scan(incr, increments[:math.prod(shape)].reshape(shape), scan_work)
         lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, n)
         if lo >= hi:
             return
@@ -628,8 +636,9 @@ def fold(pairs: list[tuple[Chain, object]]) -> None:
     step, (4, rows, n), or a record-only chain's output record, (rows, n),
     the rows being one block of n_trajectories per reservoir; a chunk in
     which the chain keeps no step reaches it not at all.  Each part is a
-    view of a buffer that the next chunk overwrites, so an accumulator
-    copies what it keeps.  A full chain's increments are the rows of
+    view of the pass's one scratch, which the next chain of the same chunk
+    overwrites, so an accumulator copies what it keeps; the pass holds no
+    buffer per chain.  A full chain's increments are the rows of
     chol(D dt) times standard normals, D the diffusion matrix of the inputs
     with the block's reservoir, and a record-only chain's those of a factor
     of its exact step's Q5; each stream's normals are drawn once for all
@@ -661,11 +670,6 @@ def fold(pairs: list[tuple[Chain, object]]) -> None:
                 rng.standard_normal(out=zi[:extent - pos])
         for stepper in running:
             stepper.step(z, pos, work)
-        # an ended chain lets its scan and states buffer go, so nothing else
-        # may hold its stepper; under glibc, freeing the buffer (1 MB for each
-        # of verify's Lyapunov chains) also lifts its mmap threshold above the
-        # blocks np.fft.rfft allocates and frees per call, which ends those
-        # calls' page faults
         running = [s for s in running if s.stride * s.end > pos + _CHUNK]
 
 
@@ -869,17 +873,18 @@ def measure_gain(chain: Chain, frequency: float) -> float:
     require_evading_point(chain.dp)
     dp, dt = chain.dp, chain.cfg.dt
     stepper = _Stepper(replace(chain, record_only=False), _MeanSquare())
-    work, increments, _ = _scan_work(stepper.cells, 4)
-    incr = increments.reshape(4, stepper.rows, -1)
-    incr[1:] = 0.0
+    work = _scan_work(stepper.cells, 4)
     for pos in range(0, stepper.end, _CHUNK):
         n = min(_CHUNK, stepper.end - pos)
+        # the last chunk's states overwrote the drive-free rows
+        incr = work[1][:4 * stepper.rows * n].reshape(4, stepper.rows, n)
+        incr[1:] = 0.0
         # every row's X_M drive at once, the same bits in each
-        t = np.multiply(np.arange(pos, pos + n, dtype=float), dt, out=incr[0, :, :n])
+        t = np.multiply(np.arange(pos, pos + n, dtype=float), dt, out=incr[0])
         t *= frequency
         np.sin(t, out=t)
         t *= dt
-        stepper.advance(incr[..., :n], pos, work)
+        stepper.advance(incr, pos, work)
     power = stepper.accumulator
     return 2.0 * dp.kappa_a * dp.kappa_m * dp.xi * power.total / power.count
 

@@ -200,13 +200,16 @@ def _chain(dp: DerivedParameters, temperature: float, seed: int, dt: float, step
     Refuses an unstable drift, and a run of more than ``_MAX_TRAJECTORY_STEPS``
     recorded trajectory-steps over all its rows, or of steps too many to
     round, as it stands: a time budget, not a memory guard, since the runs
-    store nothing that grows with their length.  1e8 trajectory-steps
-    are 10-24 s of stepping at 4.2-9.6 million a second on a 2-core x86
-    machine (Python 3.11, numpy 2.4.6), each run folded alone (best of
-    five, measured three times, burn-in counted): the two Lyapunov runs
-    make the fast end, and the exact record-only ``psd_rm0`` run of 16
-    rows, which draws two stream steps a step, the slow one.  That is
-    15.2x the largest desk run, each Lyapunov run's 32 rows of 205333
+    store nothing that grows with their length.  On a 2-core x86 machine
+    (Python 3.11, numpy 2.4.6), burn-in counted, the folded runs step
+    3.7-9.0 million trajectory-steps a second, each run folded alone (best
+    of five, measured three times): the two Lyapunov runs make the fast
+    end, and the exact record-only ``psd_rm0`` run of 16 rows, which draws
+    two stream steps a step, the slow one; 1e8 of them are 11-27 s.  A gain
+    run is one row, which :func:`simulation.measure_gain` steps slower,
+    2.2-3.0 million a second on the reference set's three gain runs (9.9e7
+    steps in 34-39 s, two rounds); 1e8 of them are 33-45 s.  The budget
+    is 15.2x the largest desk run, each Lyapunov run's 32 rows of 205333
     steps; the PSD runs' step is set by the bands, so they take 15680
     steps a row at any parameters.
     """

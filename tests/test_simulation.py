@@ -1306,13 +1306,12 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
     short, short_spectrum = streamed(4)
     long, _ = streamed(16)
     # two reservoirs on one chain add, each from its shape: a Welch ring
-    # block, a power row, the scan scratch and the states chunk (X_M and
-    # P_a) of ntraj more rows, and numpy's buffered-iterator copies of the
-    # three operands of an in-place update of the record on a chunk whose
-    # kept part is not contiguous
+    # block, a power row, the scan scratch of ntraj more rows, whose
+    # increments region takes the states too, and numpy's buffered-iterator
+    # copies of the three operands of an in-place update of the record on
+    # a chunk whose kept part is not contiguous
     grouped, grouped_spectrum = streamed(4, (None, SqueezedReservoir(r_n=1.0, phi_n=math.pi)))
-    block = (ring + bins * 8 + scan_work(2 * ntraj) - scan_work(ntraj) + 2 * half * 8
-             + 3 * half * 8)
+    block = ring + bins * 8 + scan_work(2 * ntraj) - scan_work(ntraj) + 3 * half * 8
     stored, _ = peak(lambda: simulate(dp, 0.05, config(4)))
     assert short <= 8 * ring
     assert long <= 1.02 * short
@@ -1386,41 +1385,29 @@ def test_a_pass_reserves_increments_for_the_components_it_steps(monkeypatch):
     assert reserved == [(3, 3), (4, 4)]
 
 
-def test_a_scan_lets_its_buffers_go_once_its_chains_end(monkeypatch):
-    # a short full chain beside a long record-only one: once the short
-    # chain has ended, its scan's states buffer is freed, mid-pass.  At 384
-    # lanes a chunk the pass has two chunks, the short chain ends in the
-    # first, and its buffer holds its whole run, 1.2 MB; the record-only
-    # chain steps 192 lanes a chunk, two stream steps a step.  The long chain's
-    # accumulator reads the memory in use as each of its two parts comes
-    # in.  The readings go to preallocated arrays: the test's own
-    # bookkeeping would otherwise take about 100 B of the margin between
-    # them
-    monkeypatch.setattr(simulation, "_CHUNK", 384 * simulation._LANE)
+def test_a_pass_holds_no_buffer_per_chain():
+    # each chain's states go over its spent increments in the pass's one
+    # scratch, so a second full chain of the same shape adds its
+    # accumulator's moments and its own scan and stepper: W (4 x 128
+    # strided doubles, 8 kB), the smaller matrices and the lane carry's
+    # states, about 13 kB, within a 32 kB margin.  A buffer of one chunk of
+    # its states would add 4 x 16 rows x 1024 steps, 512 kB.  The first
+    # pass is not read: it takes the one-time costs of the first call
     dp = desk_dp(r_m=1.0)
-    ntraj = 8
-    chains = [Chain(dp, 0.05, quick_config(dp, duration=0.1, n_trajectories=ntraj)),
-              Chain(dp, 0.05, quick_config(dp, duration=0.45, n_trajectories=1),
-                    record_only=True)]
-    steps = simulation._drawn(chains[0].cfg)
-    record = simulation._stride(chains[1]) * simulation._drawn(chains[1].cfg)
-    assert steps < simulation._CHUNK < record <= 2 * simulation._CHUNK
-    states = 4 * ntraj * steps * 8
-    memory, adds = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    ntraj = 16
+    cfg = quick_config(dp, duration=0.5, n_trajectories=ntraj)
+    assert simulation._drawn(cfg) > 2 * simulation._CHUNK
+    accumulator = 4 * 4 * ntraj * 8
+    margin = 32 * 1024
 
-    class Reading:
-        def __init__(self, index):
-            self.index = index
-
-        def add(self, part):
-            if self.index == 1:
-                memory[adds[1]] = tracemalloc.get_traced_memory()[0]
-            adds[self.index] += 1
-    accumulators = [Reading(0), Reading(1)]
-    tracemalloc.start()
-    try:
-        fold(list(zip(chains, accumulators)))
-    finally:
-        tracemalloc.stop()
-    assert list(adds) == [1, 2]
-    assert memory[0] - memory[1] >= states
+    def peak(chains):
+        tracemalloc.start()
+        try:
+            fold([(Chain(dp, 0.05, cfg), CovarianceAccumulator(ntraj))
+                  for _ in range(chains)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak(1)
+    one, two = peak(1), peak(2)
+    assert two - one <= accumulator + margin
