@@ -42,20 +42,24 @@ and Phi, the top left 4x4 of Phi5, for a record-only one, is computed
 their applications", 1990):
 
 * The steps are cut into lanes of ``_LANE`` = 32, anchored at the run's
-  first step, which starts at rest.  One contraction gives every lane of a
-  chunk its end from rest, sum_m S^(L-1-m) incr_m; a loop over the lanes,
-  not the steps, carries each lane's starting state in from the last one's
-  with S^L; and every lane is then stepped once from its start, all lanes
-  at once, one S x per step.  This is the same linear map as stepping one
-  step at a time, to rounding (up to 1.5e-14 of the largest state in the
-  tests), and it needs no eigenbasis, so a defective S (kappa_a = kappa_m
-  at zero detuning) and the complex pairs of a detuned S are no special
-  case.
-* A scan steps only the components that the ones it writes out read: their
-  closure under the nonzero pattern of S.  A record-only scan writes the
-  components its record reads, where h is not zero, and P_a reads X_M and
-  itself alone at the backaction-evading point (delta_a = delta_0p = 0,
-  where only X_M reaches the output), so it writes and steps those two; a
+  first step, which starts at rest.  A lane's L + 1 slots hold its
+  increments, drawn into slots 1 to L, lane-major, and its start, carried
+  into slot 0.  One contraction gives every lane of a chunk its end from
+  rest, sum_m S^(L-1-m) incr_m; a loop over the lanes, not the steps,
+  carries each lane's starting state in from the last one's with S^L; and
+  every lane is then stepped once from its start, all lanes at once, one S x
+  per step, in place, so that slot i ends holding the lane's state i.  The
+  slots are a chunk's only copy: the kept states are read where they were
+  stepped, as time-ordered views (:func:`_kept`).  This is the same linear
+  map as stepping one step at a time, to rounding (up to 1.5e-14 of the
+  largest state in the tests), and it needs no eigenbasis, so a defective S
+  (kappa_a = kappa_m at zero detuning) and the complex pairs of a detuned S
+  are no special case.
+* A scan steps only the components that the ones its chain reads out read:
+  their closure under the nonzero pattern of S.  A record-only chain reads
+  out the components its record reads, where h is not zero, and P_a reads
+  X_M and itself alone at the backaction-evading point (delta_a = delta_0p =
+  0, where only X_M reaches the output), so its scan steps those two; a
   cavity detuning adds X_a, a magnon detuning all four.  The lane ends and
   the steps take the closure's block of S and of its powers, and a lane's
   first step the closure's rows of the full S, over the start's four
@@ -67,13 +71,13 @@ their applications", 1990):
 * A chunk is ``_CHUNK`` = 32 lanes, 1024 stream steps, of every row: 1024
   steps of a full chain, 512 of a record-only one; a run's last lane is
   drawn whole, the steps past the run dropped.  A chunk's memory grows with
-  a chain's rows: 256 kB per component array of a full chain at 32 rows,
-  1 MB for all four.  ``verify``'s chains have 32, 32, 16 and 32 rows, and
-  the tests and the benchmark's self-test at most 16.  Inside the lanes
-  each contraction is one two-index :func:`np.einsum` over every lane and
-  row, whose matrices are strided (:func:`_strided`) so that it adds each
-  state's terms in order whatever the number of columns, and the carry is
-  one 4x4 by 4x1 product per row and lane: no operation mixes lanes or
+  a chain's rows: 264 kB per component's lane slots of a full chain at 32
+  rows, 1.03 MB for all four.  ``verify``'s chains have 32, 32, 16 and 32
+  rows, and the tests and the benchmark's self-test at most 16.  Inside the
+  lanes each contraction is one two-index :func:`np.einsum` over every lane
+  and row, whose matrices are strided (:func:`_strided`) so that it adds
+  each state's terms in order whatever the number of columns, and the carry
+  is one 4x4 by 4x1 product per row and lane: no operation mixes lanes or
   rows, so neither the chunk size nor the row count changes a bit of the
   states.
 
@@ -88,29 +92,31 @@ any chain reads from it.  A chain is one scan, whose rows are one block of
 ``n_trajectories`` per reservoir, reservoir-major, each block reading the
 same streams through its own factor; ``verify``'s 4 chains are 4 scans.
 Each chain's stepper is built with its pair's accumulator and adds the
-steps it keeps of each chunk straight to it: a full chain its quadratures
-(4, rows, n), which the covariances read, or a record-only chain its
-output record (rows, n), which Welch reads; a chunk of burn-in alone
-reaches no accumulator.  Each block is bit for bit that of the chain
+steps it keeps of each chunk straight to it: a full chain its quadratures,
+views of its lane slots in at most three parts, (4, rows, n) for the lanes
+where its burn-in and its run end and (4, rows, lanes, L) for the whole
+lanes between, which the covariances read, or a record-only chain its
+output record (rows, n), in one part, which Welch reads; a chunk of burn-in
+alone reaches no accumulator.  Each block is bit for bit that of the chain
 stepped alone with its reservoir, and the chains of a pass are not
 independent: they see the same noise.
 
-A pass allocates its arrays once, before the first chunk: the normals of
-one chunk and its one scratch (:func:`_scan_work`), sized for the largest
-scan call and for the most increments a chain of the pass draws, and no
-buffer per chain.  That scratch holds the lane scan's regions, the
-increments of the chain being stepped and then its states, which the
-chains take in turn, and one temporary for the increments' products.  A
-chain's states go over the increments its scan has just read, and a
-record-only chain's record over the states of the first component it
-writes, in a fixed order of operations, so no bit depends on the buffers;
-the part an accumulator is fed is overwritten by the next chain of the
-same chunk.  A chunk allocates no array larger than the lane carry's
-(rows, 4, 1) states (numpy's iterator buffers and FFT plans aside).
-Temporaries of a chain's chunk (256 kB per component at 32 rows) would
-otherwise cost page faults on every chunk wherever the C allocator maps
-blocks that large on their own, as glibc does until it frees a larger
-mapped block.  The accumulators take the chunks in:
+A pass allocates its arrays once, before the first chunk: the normals of one
+chunk and its one scratch, sized for the chain of the pass whose chunk takes
+the most (:attr:`_Stepper.size`), and no buffer per chain.  The chains take
+the scratch in turn (:meth:`_Stepper.regions`): the lane scan's slots, lane
+ends, starts and terms, a temporary for the increments' sums and products,
+and a record-only chain's record, drawn as its own increments and written
+over them, in a fixed order of operations, so no bit depends on the
+buffers; the part an accumulator is fed is overwritten by the next chain of
+the same chunk.  At ``verify``'s 32-row, four-component Lyapunov chains the
+scratch is 1.4 MB, the lane slots 1.03 MB of it, and it holds no region of
+the chunk's increments beside them.  A chunk allocates no array larger than
+the lane carry's (rows, 4, 1) states (numpy's iterator buffers and FFT
+plans aside).  Temporaries of a chain's chunk (256 kB per component at 32
+rows) would otherwise cost page faults on every chunk wherever the C
+allocator maps blocks that large on their own, as glibc does until it frees
+a larger mapped block.  The accumulators take the chunks in:
 
 * :class:`WelchAccumulator`: Welch's averaged periodogram (Welch, IEEE
   Trans. Audio Electroacoust. 15:70, 1967) of Hann-windowed segments, each
@@ -131,16 +137,19 @@ sum per chunk, so they can differ from sums over the stored run in the
 last bits.
 
 The chain is linear, so a tone's response depends on neither the noise nor
-its amplitude: :func:`measure_gain` steps a unit drive alone, from rest and
-without noise, and draws no stream.  It builds the chain's stepper as
-:func:`fold` does, with the same checks and scan, and feeds the drive,
-written in its own :func:`_scan_work`, through :meth:`_Stepper.advance`,
-which :meth:`_Stepper.step` calls on a pass's drawn increments, to an
-accumulator of P_a's mean square.
+its amplitude: :func:`measure_gain` gives the mean square of P_a that the
+Euler-Maruyama chain, driven by a unit tone alone from rest and without
+noise, takes over its kept steps, in closed form, and draws no stream and
+takes no step.  It builds the chain's stepper as :func:`fold` does, so it
+refuses what a pass refuses, and sums the chain's forced response and its
+decaying transient over the kept steps as geometric and discrete Lyapunov
+sums of S.  It never reads the analytic response: the oracle stays
+independent of :mod:`.transfer`'s solves.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -329,29 +338,6 @@ def _exact_step(dp: DerivedParameters, temperature: float,
     return _expm(block[5:, 5:].T), blocks[5:, 5:].T @ blocks[:5, 5:]
 
 
-def _scan_work(trajectory_steps: int,
-               components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one scratch of a pass whose scan calls take up to
-    ``trajectory_steps``, a chunk of whole lanes of its widest chain, and
-    whose chains draw up to ``components`` increments, one per component
-    stepped and a record-only chain's record's own, allocated once: three
-    views of it.
-
-    They hold :class:`_LaneScan`'s regions, for up to ``components``
-    stepped components: a lane's increments and states, one term per
-    component, and the lane starts and ends of all four; the increments of
-    the chain being stepped, ``components`` rows of ``trajectory_steps`` at
-    most, and then its states, written over the increments its scan has
-    read, all dead once its part is kept, so the chains of a pass take
-    turns in them; and one temporary of ``trajectory_steps``, which holds
-    the increments' products.
-    """
-    scan = ((_LANE + 1) * components + 8) * (trajectory_steps // _LANE)
-    increments = scan + components * trajectory_steps
-    work = np.empty(increments + trajectory_steps)
-    return work[:scan], work[scan:increments], work[increments:]
-
-
 def _views(work: np.ndarray, *shapes):
     """Consecutive views of ``work`` with these shapes."""
     pos = 0
@@ -389,13 +375,13 @@ class _LaneScan:
     module docstring): each lane's end from rest in one contraction, the
     lane starts carried with S^L, and each lane stepped once from its start.
 
-    It writes out the components ``written``, in ascending order, and steps
-    only ``components``, the closure of those under the nonzero pattern of
-    S: no other component feeds them.
+    Its chain reads out the components ``written``, in ascending order, and
+    it steps only ``components``, the closure of those under the nonzero
+    pattern of S: no other component feeds them.
     """
 
     def __init__(self, step: np.ndarray, rows: int, written: tuple[int, ...] = (0, 1, 2, 3)):
-        #: the components written out
+        #: the components read out
         self.written = written
         self.components = comps = _closure(step, written)
         block = np.ix_(comps, comps)
@@ -405,54 +391,80 @@ class _LaneScan:
         #: increments, step-major, is its end from rest
         self._ends = _strided(np.concatenate([np.linalg.matrix_power(step, i)[block]
                                               for i in range(_LANE - 1, -1, -1)], axis=1))
-        #: (component, its position in components) of each written one
-        self._outputs = [(k, comps.index(k)) for k in written]
         self._lane = np.linalg.matrix_power(step, _LANE)
         self._x = np.zeros((rows, 4, 1))
 
-    def __call__(self, incr: list, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """States x_m before each increment, written to ``out``
-        (len(written), ntraj, n), the written components in order, and
-        returned; ``work`` is the scan's region of a :func:`_scan_work` of at
-        least ntraj * n trajectory-steps and ``len(components)`` components.
+    def size(self, n: int) -> int:
+        """Doubles of the scratch of a call of ``n`` steps, whole lanes: the
+        lane slots, then one term per stepped component and the lane starts
+        and ends of all four, a term per lane and row each."""
+        cells = n // _LANE * len(self._x)
+        return ((_LANE + 2) * len(self.components) + 8) * cells
 
-        ``incr`` holds the increments indexed by component, (ntraj, n)
-        arrays of whole lanes for the stepped ones.  They are read before
-        any state is written, so ``out`` may hold them.
-        """
-        _, ntraj, n = out.shape
-        lanes = n // _LANE
-        cells = lanes * ntraj
+    def slots(self, work: np.ndarray, n: int) -> np.ndarray:
+        """The lane slots of a call of ``n`` steps at the start of ``work``:
+        (``_LANE`` + 1, stepped component, lane, row), slot i + 1 of a lane
+        holding its increment i, written before the call, and slot 0 its
+        carried start."""
+        shape = (_LANE + 1, len(self.components), n // _LANE, len(self._x))
+        return work[:math.prod(shape)].reshape(shape)
+
+    def __call__(self, work: np.ndarray, n: int) -> np.ndarray:
+        """Step the :meth:`slots` of a call of ``n`` steps in place, from the
+        state the last call carried out, and return them: slot i of each lane
+        then holds its state i, the state before its increment i, and the
+        last slot its spent last increment.  ``work`` holds
+        :meth:`size` doubles."""
+        slots = self.slots(work, n)
+        _, _, lanes, rows = slots.shape
+        cells = lanes * rows
         comps = self.components
-        # lane[i, j]: increment i of component comps[j] of every lane
-        # (lane-major, then trajectory), then its state i + 1, stepped in place
-        lane, term, starts, ends = _views(
-            work, (_LANE, len(comps), cells), (len(comps), cells), (4, lanes, ntraj),
-            (4, lanes, ntraj))
-        by_lane = lane.reshape(_LANE, len(comps), lanes, ntraj)
-        for j, k in enumerate(comps):
-            by_lane[:, j] = incr[k].reshape(ntraj, lanes, _LANE).T
-        np.einsum("jk,kn->jn", self._ends, lane.reshape(-1, cells), out=term)
-        # the full S^L carries every trajectory, one (4, 4) @ (4, 1) product
-        # each, so that ntraj changes no bit; the components not stepped end
+        # by_slot[i, j]: slot i of component comps[j] of every lane (lane-major,
+        # then row)
+        by_slot = slots.reshape(_LANE + 1, len(comps), cells)
+        term, starts, ends = _views(work[slots.size:], (len(comps), cells), (4, lanes, rows),
+                                    (4, lanes, rows))
+        np.einsum("jk,kn->jn", self._ends, by_slot[1:].reshape(-1, cells), out=term)
+        # the full S^L carries every row, one (4, 4) @ (4, 1) product each, so
+        # that the row count changes no bit; the components not stepped end
         # their lanes at zero, and S^L maps none of them into the stepped ones
         ends[...] = 0.0
-        ends[list(comps)] = term.reshape(-1, lanes, ntraj)
+        ends[list(comps)] = term.reshape(-1, lanes, rows)
         ends = ends.transpose(1, 2, 0)[..., None]
         for j in range(lanes):
             starts[:, j] = self._x[..., 0].T
             self._x = np.matmul(self._lane, self._x) + ends[j]
+        starts = starts.reshape(4, cells)
+        for start, k in zip(by_slot[0], comps):
+            start[...] = starts[k]
         # each lane stepped once from its start, the stepped rows of the full
         # S on the start's four components first
-        prev, step = starts.reshape(4, cells), self._rows
-        for cur in lane[:-1]:
+        prev, step = starts, self._rows
+        for cur in by_slot[1:-1]:
             cur += np.einsum("jc,cn->jn", step, prev, out=term)
             prev, step = cur, self._step
-        states = out.reshape(-1, ntraj, lanes, _LANE)
-        for state, (k, j) in zip(states, self._outputs):
-            state[..., 0] = starts[k].T
-            state[..., 1:] = by_lane[:-1, j].transpose(2, 1, 0)
-        return out
+        return slots
+
+
+def _kept(slots: np.ndarray, lo: int, hi: int) -> list[tuple[int, int, np.ndarray]]:
+    """The states of steps ``lo`` to ``hi`` - 1 of a call's stepped
+    :meth:`_LaneScan.slots`, as (first step, end step, view) in time order:
+    the partial lane where ``lo`` falls, (component, row, m), the whole lanes
+    after it, (component, row, lane, ``_LANE``), and the partial lane where
+    ``hi`` falls, (component, row, m), each view's steps along its trailing
+    axes in order."""
+    states = slots[:_LANE].transpose(1, 3, 2, 0)
+    first, last = -(-lo // _LANE), hi // _LANE
+    if first > last:
+        return [(lo, hi, states[:, :, last, lo % _LANE:hi % _LANE])]
+    pieces = []
+    if lo < first * _LANE:
+        pieces.append((lo, first * _LANE, states[:, :, first - 1, lo % _LANE:]))
+    if first < last:
+        pieces.append((first * _LANE, last * _LANE, states[:, :, first:last]))
+    if last * _LANE < hi:
+        pieces.append((last * _LANE, hi, states[:, :, last, :hi % _LANE]))
+    return pieces
 
 
 def _steps(cfg: SimulationConfig) -> tuple[int, int]:
@@ -476,18 +488,17 @@ def _stride(chain: Chain) -> int:
 class _Stepper:
     """A chain, checked and ready to step: one :class:`_LaneScan` over its
     reservoirs' blocks of rows and the accumulator its kept steps go to.
-    It owns no array of a chunk: its increments and states are written in
-    the pass's :func:`_scan_work`.
-    :meth:`step` draws a chunk's increments from the pass's normals and
-    :meth:`advance` scans them, keeps and adds; :func:`measure_gain`
-    advances on a tone's increments instead.
+    It owns no array of a chunk: its increments, states and record are
+    written in the pass's scratch, :attr:`size` doubles of it.
+    :meth:`step` draws a chunk's increments from the pass's normals into the
+    scan's lane slots and :meth:`advance` scans them, keeps and adds.
 
     A full chain steps Euler-Maruyama, S = I + A dt, its increments the
     rows of chol(D dt) times four normals.  A record-only chain steps
     exactly (:func:`_exact_step`): S = Phi, the top left 4x4 of Phi5, its
     increments and the record's own those of F = U sqrt(max(lambda, 0)),
     U and lambda the eigenvectors and eigenvalues of the symmetrized Q5,
-    times five normals, and it writes the components its record reads.
+    times five normals, and it reads out the components its record reads.
     """
 
     def __init__(self, chain: Chain, accumulator):
@@ -521,8 +532,6 @@ class _Stepper:
             # the components where h = Phi5[4, :4] is not zero
             step, read = phi5[:4, :4], phi5[4, :4]
             written = tuple(c for c in range(4) if read[c] != 0.0)
-            #: h on the written components
-            self.read = [read[c] for c in written]
         else:
             try:
                 factors = [np.linalg.cholesky(_diffusion(dp, chain.temperature, reservoir) * cfg.dt)
@@ -543,80 +552,110 @@ class _Stepper:
         #: steps of a chunk of the pass: whole lanes
         self.chunk = _CHUNK // self.stride
         self.scan = _LaneScan(step, self.rows, written)
-        #: the increments drawn, by component: the scan's, and for a
-        #: record-only chain the record's own, 4
-        self.drawn = self.scan.components + ((4,) if chain.record_only else ())
-        #: trajectory-steps of the scan's largest call
-        self.cells = self.rows * min(self.chunk, self.end)
+        if chain.record_only:
+            #: (position among the stepped components, h) of each component read
+            self.read = [(self.scan.components.index(c), read[c]) for c in written]
+        n = min(self.chunk, self.end)
+        #: doubles of the pass's scratch the largest chunk takes (:meth:`regions`)
+        self.size = self.scan.size(n) + (self.rows + self.ntraj + chain.record_only * self.rows) * n
 
-    def increments(self, z: np.ndarray, out: np.ndarray, temp: np.ndarray) -> list:
-        """The increments of :attr:`drawn`, P_a always among them, indexed
-        by component (None for the others), on the normals ``z``
-        (trajectory, step, normal) of this chain's steps in the chunk:
-        (rows, n) views of ``out``, in the order of :attr:`drawn`, each
-        block's rows through its own factor.  ``temp`` holds their products.
+    def regions(self, work: np.ndarray, n: int) -> tuple:
+        """(scan scratch, products, record) of a chunk of ``n`` steps in
+        ``work``: the scan's, whose lane slots come first, then a temporary
+        of (rows + n_trajectories, n) for sums and products, and a
+        record-only chain's record, (rows, n), or None."""
+        scan = self.scan.size(n)
+        shapes = [(self.rows + self.ntraj, n)] + [(self.rows, n)] * self.chain.record_only
+        product, *record = _views(work[scan:], *shapes)
+        return work[:scan], product, *(record or [None])
+
+    def increments(self, z: np.ndarray, slots: np.ndarray, product: np.ndarray,
+                   record: np.ndarray | None) -> None:
+        """Draw the increments on the normals ``z`` (trajectory, step,
+        normal) of this chain's steps in the chunk, each block's rows through
+        its own factor: each stepped component's into its lane slots after
+        the first, lane-major, and a record-only chain's record's own into
+        ``record`` (rows, n).  ``product`` holds their sums and products.
 
         Each is sum_c factor[k, c] * normal_c over the nonzero factor[k, c],
         the products added in order of c, so that the zero coefficients of a
         full chain's mostly diagonal Cholesky factor cost nothing; a unit
-        coefficient multiplies by 1.0, which is exact.
+        coefficient multiplies by 1.0, which is exact.  An increment of one
+        term goes straight into the slots from a transposed view of ``z``,
+        written by :func:`np.einsum`, which adds the product to the zeroed
+        output, 0 + x c = x c, and needs no iterator buffers where a ufunc on
+        these views takes two of 64 kB per call.  One of several terms is
+        summed time-major, whose contiguous adds are faster than adds on the
+        lanes' views, and copied into its slots once.
         """
-        n = z.shape[1]
+        ntraj, n, _ = z.shape
         normals = z.transpose(2, 0, 1)
-        blocks = out[:len(self.drawn) * self.rows * n].reshape(len(self.drawn), -1,
-                                                                self.ntraj, n)
-        product = temp[:self.ntraj * n].reshape(self.ntraj, n)
-        incr = [None] * 5
-        for k, totals in zip(self.drawn, blocks):
-            for terms, total in zip(self.terms, totals):
-                (c, coef), *others = terms[k]
-                np.multiply(normals[c], coef, out=total)
-                for c, coef in others:
-                    total += np.multiply(normals[c], coef, out=product)
-            incr[k] = totals.reshape(self.rows, -1)
-        return incr
+        # (normal, slot, lane, trajectory)
+        by_lane = z.reshape(ntraj, n // _LANE, _LANE, -1).transpose(3, 2, 1, 0)
+        total, temp = product[:ntraj], product[ntraj:2 * ntraj]
+        for j, k in enumerate(self.scan.components):
+            for terms, first in zip(self.terms, range(0, self.rows, ntraj)):
+                lanes = slots[1:, j, :, first:first + ntraj]
+                [(c, coef), *others] = terms[k]
+                if others:
+                    _combine(normals, terms[k], total, temp)
+                    lanes[...] = total.reshape(ntraj, -1, _LANE).T
+                else:
+                    np.einsum("...,->...", by_lane[c], coef, out=lanes)
+        if record is not None:
+            for terms, first in zip(self.terms, range(0, self.rows, ntraj)):
+                _combine(normals, terms[4], record[first:first + ntraj], temp)
 
-    def step(self, z: np.ndarray, pos: int, work: tuple) -> None:
+    def step(self, z: np.ndarray, pos: int, work: np.ndarray) -> None:
         """Step the chunk from the pass's stream step ``pos``, ``chunk``
         steps or the rest of the run, on the normals ``z`` (stream, step, 4)
         of the pass's chunk, ``stride`` stream steps a step: its
-        increments, then :meth:`advance`.  ``work`` is the pass's
-        :func:`_scan_work`."""
+        increments, then :meth:`advance`.  ``work`` is the pass's scratch."""
         pos //= self.stride
         n = min(self.chunk, self.end - pos)
         normals = z[:self.ntraj, :self.stride * n].reshape(self.ntraj, n, -1)
-        _, increments, temp = work
-        self.advance(self.increments(normals, increments, temp), pos, work)
+        scan, product, record = self.regions(work, n)
+        self.increments(normals, self.scan.slots(scan, n), product, record)
+        self.advance(scan, product, record, pos, n)
 
-    def advance(self, incr: list, pos: int, work: tuple) -> None:
-        """Scan the chunk from ``pos`` on ``incr``, the increments indexed
-        by component, (rows, n) for the stepped ones, laid out in ``work``, a
-        :func:`_scan_work`, as :meth:`increments` lays them.  The states go
-        over the stepped components' increments, which the scan has read by
-        then; a record-only chain's own increment, drawn last, stays for its
-        record.  Adds the kept steps, if any, to the chain's accumulator: a
-        full chain's quadratures (4, rows, m), or a record-only chain's
-        output record (rows, m), written over its first written component's
-        states."""
-        scan_work, increments, _ = work
-        n = incr[3].shape[1]
-        shape = (len(self.scan.written), self.rows, n)
-        states = self.scan(incr, increments[:math.prod(shape)].reshape(shape), scan_work)
+    def advance(self, scan: np.ndarray, product: np.ndarray, record: np.ndarray | None,
+                pos: int, n: int) -> None:
+        """Scan the chunk of ``n`` steps from ``pos``, its increments drawn
+        in the :meth:`regions` ``scan`` and ``record``, and add the kept
+        steps, if any, to the chain's accumulator.  A full chain adds its
+        quadratures, views of the lane slots as :func:`_kept` cuts them: at
+        most three parts, the steps along their trailing axes.  A record-only
+        chain adds its output record (rows, m), written over its own
+        increments."""
+        slots = self.scan(scan, n)
         lo, hi = max(self.n_burn - pos, 0), min(self.n_total - pos, n)
         if lo >= hi:
             return
-        kept = states[:, :, lo:hi]
-        if self.chain.record_only:
-            # (h . x + the record's increment) / dt, the spent states scaled
-            # in place
-            record = kept[0]
-            record *= self.read[0]
-            for component, coef in zip(kept[1:], self.read[1:]):
-                record += np.multiply(component, coef, out=component)
-            record += incr[4][:, lo:hi]
-            record /= self.chain.cfg.dt
-            kept = record
-        self.accumulator.add(kept)
+        if not self.chain.record_only:
+            for _, _, quadratures in _kept(slots, lo, hi):
+                self.accumulator.add(quadratures)
+            return
+        # (h . x + the record's increment) / dt: h . x summed in the
+        # temporary, from the spent states scaled in place
+        for first, end, states in _kept(slots, lo, hi):
+            total = product[:self.rows, first:end].reshape(states.shape[1:])
+            (j, coef), *others = self.read
+            np.multiply(states[j], coef, out=total)
+            for j, coef in others:
+                total += np.multiply(states[j], coef, out=states[j])
+        record = record[:, lo:hi]
+        record += product[:self.rows, lo:hi]
+        record /= self.chain.cfg.dt
+        self.accumulator.add(record)
+
+
+def _combine(normals: np.ndarray, terms: list, total: np.ndarray, temp: np.ndarray) -> None:
+    """sum_c coef * normals[c] over ``terms``' (c, coef) into ``total``,
+    the products added in order, ``temp`` holding each after the first."""
+    (c, coef), *others = terms
+    np.multiply(normals[c], coef, out=total)
+    for c, coef in others:
+        total += np.multiply(normals[c], coef, out=temp)
 
 
 def _stream_extents(chains: list[Chain]) -> list[int]:
@@ -633,12 +672,14 @@ def fold(pairs: list[tuple[Chain, object]]) -> None:
     chunk to its own accumulator, in pair order.
 
     An accumulator's ``add`` takes a full chain's quadratures before each
-    step, (4, rows, n), or a record-only chain's output record, (rows, n),
-    the rows being one block of n_trajectories per reservoir; a chunk in
-    which the chain keeps no step reaches it not at all.  Each part is a
-    view of the pass's one scratch, which the next chain of the same chunk
-    overwrites, so an accumulator copies what it keeps; the pass holds no
-    buffer per chain.  A full chain's increments are the rows of
+    step, (4, rows, n) or, for whole lanes, (4, rows, lanes, ``_LANE``),
+    the steps along the trailing axes in order, in up to three parts a
+    chunk, or a record-only chain's output record, (rows, n), one part a
+    chunk, the rows being one block of n_trajectories per reservoir; a
+    chunk in which the chain keeps no step reaches it not at all.  Each
+    part is a view of the pass's one scratch, which the next chain of the
+    same chunk overwrites, so an accumulator copies what it keeps; the pass
+    holds no buffer per chain.  A full chain's increments are the rows of
     chol(D dt) times standard normals, D the diffusion matrix of the inputs
     with the block's reservoir, and a record-only chain's those of a factor
     of its exact step's Q5; each stream's normals are drawn once for all
@@ -657,7 +698,8 @@ def fold(pairs: list[tuple[Chain, object]]) -> None:
     if len({chain.cfg.seed for chain in chains}) != 1:
         raise ConfigurationError("the chains of one pass must share one seed")
     running = [_Stepper(chain, acc) for chain, acc in pairs]
-    work = _scan_work(max(s.cells for s in running), max(len(s.drawn) for s in running))
+    # the pass's one scratch, which the chains take in turn
+    work = np.empty(max(s.size for s in running))
     extents = _stream_extents(chains)
     rngs = [_trajectory_rng(chains[0].cfg.seed, i) for i in range(len(extents))]
     end = max(extents)
@@ -675,14 +717,16 @@ def fold(pairs: list[tuple[Chain, object]]) -> None:
 
 class _Store:
     """An accumulator that copies the parts it is fed into ``array``, one
-    after the other along its last axis."""
+    after the other along its last axis: a part's steps run along its axes
+    from the last of ``array``'s on, in order."""
 
     def __init__(self, array: np.ndarray):
         self.array, self.filled = array, 0
 
     def add(self, part: np.ndarray) -> None:
-        n = part.shape[-1]
-        self.array[..., self.filled:self.filled + n] = part
+        n = math.prod(part.shape[self.array.ndim - 1:])
+        # splitting the last axis is always a view
+        self.array[..., self.filled:self.filled + n].reshape(part.shape)[...] = part
         self.filled += n
 
 
@@ -820,11 +864,13 @@ class CovarianceAccumulator:
         self._moments = np.zeros((n_trajectories, 4, 4))
 
     def add(self, states: np.ndarray) -> None:
-        """Fold in the next samples, shape (4, n_trajectories, n)."""
+        """Fold in the next samples, shape (4, n_trajectories, ...), the
+        samples along the trailing axes."""
         if states.shape[1] != len(self._moments):
             raise ParameterError(f"states of {states.shape[1]} rows fed to {len(self._moments)}")
-        self._moments += np.einsum("itn,jtn->tij", states, states)
-        self._count += states.shape[2]
+        steps = "n" if states.ndim == 3 else "mn"
+        self._moments += np.einsum(f"it{steps},jt{steps}->tij", states, states)
+        self._count += math.prod(states.shape[2:])
 
     def covariances(self) -> np.ndarray:
         """Covariance matrices about zero, shape (n_trajectories, 4, 4)."""
@@ -833,60 +879,86 @@ class CovarianceAccumulator:
         return self._moments / self._count
 
 
-class _MeanSquare:
-    """An accumulator of the mean square of P_a over a full chain's rows
-    and kept steps: one dot product per part, summed in the order the parts
-    come."""
+def _one_minus(angle: float) -> complex:
+    """1 - e^{i angle}, as 2 sin^2(angle / 2) - i sin(angle), which does not
+    cancel at small angles."""
+    return complex(2.0 * math.sin(angle / 2.0)**2, -math.sin(angle))
 
-    def __init__(self):
-        self.total, self.count = 0.0, 0
 
-    def add(self, quadratures: np.ndarray) -> None:
-        p_a = quadratures[3].reshape(-1)
-        self.total += float(np.dot(p_a, p_a))
-        self.count += p_a.size
+def _dirichlet(angle: float, first: int, n: int) -> complex:
+    """sum_k e^{i angle k} over k = first .. first + n - 1, the Dirichlet
+    kernel, exact where sin(angle / 2) vanishes."""
+    half = math.sin(angle / 2.0)
+    ratio = n if half == 0.0 else math.sin(n * angle / 2.0) / half
+    return ratio * complex(math.cos(angle * (first + (n - 1) / 2.0)),
+                           math.sin(angle * (first + (n - 1) / 2.0)))
 
 
 def measure_gain(chain: Chain, frequency: float) -> float:
     """Response at ``frequency`` (rad/s) of ``chain``, stepped as
-    :func:`fold` steps it but on a tone alone.
+    :func:`fold` steps it but on a tone alone, in closed form.
 
     A field tone B0 at the offset ``frequency`` = omega_s - omega_b from the
     magnon pump drives, in the frame rotating with the pump, only through
     its slowly rotating envelope lambda' B0 / sqrt(2) (sin, cos)(frequency t)
     on (X_M, P_M).  At the backaction-evading point, which this requires,
     the P_M drive does not reach the output.  The chain is linear, so a unit
-    X_M drive, sin(frequency t) dt, is fed alone to every row, from rest
-    and without noise, each increment but X_M's zero, and the chain's
-    stepper advances on it a chunk at a time.  That is the field amplitude
-    B0 = sqrt(2) / lambda', whose field-referred input power
-    lambda^2 B0^2 / (4 kappa_m), lambda = lambda' e^{-r_m}, is
-    1 / (2 kappa_m xi).  The mean square of the kept record sqrt(kappa_a)
-    P_a over that power, 2 kappa_a kappa_m xi mean(P_a^2), estimates the
-    analytic response at ``frequency``, biased only by the step.  The chain
-    is stepped full, whatever its ``record_only``, and P_a read from its
-    quadratures: a record holds sqrt(kappa_a) P_a, rounded, whose mean
-    square would move the gain's last bits.
+    X_M drive, sin(frequency t_k) dt at step k, is fed alone, from rest and
+    without noise.  That is the field amplitude B0 = sqrt(2) / lambda',
+    whose field-referred input power lambda^2 B0^2 / (4 kappa_m), lambda =
+    lambda' e^{-r_m}, is 1 / (2 kappa_m xi).  The mean square of the kept
+    record sqrt(kappa_a) P_a over that power, 2 kappa_a kappa_m xi
+    mean(P_a^2), estimates the analytic response at ``frequency``, biased
+    only by the step.  The chain is the full Euler-Maruyama one, whatever
+    its ``record_only``, with the checks :func:`fold` makes on it.
+
+    Its steps are not taken: with S = I + A dt, z = e^{i frequency dt} and
+    g = (zI - S)^-1 e_XM, the chain's P_a at step k is dt Im(u_k), u_k =
+    z^k g_P - w_k, w_k = e_P^T S^k g, and Im(u)^2 = (|u|^2 - Re(u^2)) / 2.
+    Over the kept steps, the sums of z^2k, of (z S)^k and (conj(z) S)^k,
+    which are geometric, and of S^k M (S^k)^T, M = g g^H and g g^T, which
+    are discrete Lyapunov sums, give the mean square.
     """
     if not math.isfinite(frequency):
         raise ParameterError("tone frequency must be finite")
     require_evading_point(chain.dp)
+    stepper = _Stepper(replace(chain, record_only=False), None)
     dp, dt = chain.dp, chain.cfg.dt
-    stepper = _Stepper(replace(chain, record_only=False), _MeanSquare())
-    work = _scan_work(stepper.cells, 4)
-    for pos in range(0, stepper.end, _CHUNK):
-        n = min(_CHUNK, stepper.end - pos)
-        # the last chunk's states overwrote the drive-free rows
-        incr = work[1][:4 * stepper.rows * n].reshape(4, stepper.rows, n)
-        incr[1:] = 0.0
-        # every row's X_M drive at once, the same bits in each
-        t = np.multiply(np.arange(pos, pos + n, dtype=float), dt, out=incr[0])
-        t *= frequency
-        np.sin(t, out=t)
-        t *= dt
-        stepper.advance(incr, pos, work)
-    power = stepper.accumulator
-    return 2.0 * dp.kappa_a * dp.kappa_m * dp.xi * power.total / power.count
+    first, n = stepper.n_burn, stepper.n_total - stepper.n_burn
+    eye = np.eye(4)
+    step = eye + drift_matrix(dp) * dt
+    # S - I, exact, and 1 - e^{i phi} keep the resolvents' differences of
+    # numbers near one from cancelling: at g'/kappa_m ~ 750, kappa dt is
+    # about 1e-5
+    drift = step - eye
+    angle = frequency * dt
+    g = np.linalg.solve(-_one_minus(angle) * eye - drift, eye[0])
+    # e_P^T S^first and e_P^T S^(first + n)
+    p_first = np.linalg.matrix_power(step, first)[3]
+    p_end = p_first @ np.linalg.matrix_power(step, n)
+
+    def geometric(phi: float) -> complex:
+        """e_P^T sum_k (c S)^k g over the kept steps, c = e^{i phi}:
+        c^first e_P^T S^first (I - c^n S^n) (I - c S)^-1 g."""
+        c = cmath.exp(1j * phi)
+        rest = np.linalg.solve((_one_minus(phi) * eye - c * drift).T,
+                               p_first - cmath.exp(1j * phi * n) * p_end)
+        return cmath.exp(1j * phi * first) * complex(rest @ g)
+
+    # the discrete Lyapunov sums X = S X S^T + M, row-major vec(S X S^T) =
+    # (S kron S) vec(X), for M = g g^H and g g^T at once; I - S kron S is
+    # -(D kron I + I kron D + D kron D), D = S - I
+    sums = np.linalg.solve(-(np.kron(drift, eye) + np.kron(eye, drift) + np.kron(drift, drift)),
+                           np.stack([np.outer(g, g.conj()).ravel(), np.outer(g, g).ravel()],
+                                    axis=1))
+    square, plain = [p_first @ x @ p_first - p_end @ x @ p_end
+                     for x in sums.T.reshape(2, 4, 4)]
+    g_p = g[3]
+    total = (n * abs(g_p)**2 + square.real
+             - 2.0 * (g_p * geometric(-angle).conjugate()).real
+             - (g_p**2 * _dirichlet(2.0 * angle, first, n)).real
+             + 2.0 * (g_p * geometric(angle)).real - plain.real) / 2.0
+    return 2.0 * dp.kappa_a * dp.kappa_m * dp.xi * dt**2 * float(total) / n
 
 
 def lyapunov_covariance(dp: DerivedParameters, temperature: float,

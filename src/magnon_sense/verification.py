@@ -36,17 +36,19 @@ reservoir blocks and one Welch accumulator of two spectra; its judge cuts
 the bands and the analytic grid once and judges each reservoir's spectrum
 on them.
 ``_check_gain``'s chain is not folded: its judge, called after the pass,
-calls :func:`simulation.measure_gain` on the chain, which steps a unit
-drive alone over 32 of its periods, without noise, through the chain's
-stepper, so the gain's deviation from the analytic response is the
-step's own bias, whatever the seed.
+calls :func:`simulation.measure_gain` on the chain, which gives in closed
+form the mean square of P_a that the chain's Euler-Maruyama step takes
+under a unit drive alone over 32 of its periods, without noise, so the
+gain's deviation from the analytic response is the step's own bias,
+whatever the seed, and no step is taken.
 
 The default parameter set keeps the physical mode frequencies (which only
 set thermal occupations) but scales all rates down to O(10 Hz) with
 g'/kappa_m of order one: the dimensionless spectra checked do not depend on
-the rate scale, while the Euler-Maruyama step of the Lyapunov and gain
-runs must resolve the fastest rate, which makes g'/kappa_m in the
-thousands costly to simulate.
+the rate scale, while the Euler-Maruyama step of the Lyapunov runs must
+resolve the fastest rate, which makes g'/kappa_m in the thousands costly
+to simulate.  The gain runs take the same step but are summed, not
+stepped, so their length costs nothing.
 """
 
 from __future__ import annotations
@@ -206,12 +208,13 @@ def _chain(dp: DerivedParameters, temperature: float, seed: int, dt: float, step
     of five, measured three times): the two Lyapunov runs make the fast
     end, and the exact record-only ``psd_rm0`` run of 16 rows, which draws
     two stream steps a step, the slow one; 1e8 of them are 11-27 s.  A gain
-    run is one row, which :func:`simulation.measure_gain` steps slower,
-    2.2-3.0 million a second on the reference set's three gain runs (9.9e7
-    steps in 34-39 s, two rounds); 1e8 of them are 33-45 s.  The budget
-    is 15.2x the largest desk run, each Lyapunov run's 32 rows of 205333
-    steps; the PSD runs' step is set by the bands, so they take 15680
-    steps a row at any parameters.
+    run is one row, which :func:`simulation.measure_gain` does not step:
+    it sums the chain's response in closed form, the three gain runs in
+    under 2 ms at any length (the reference set's 9.9e7 steps included),
+    and the budget refuses a gain run by the same rule as the others.  The
+    budget is 15.2x the largest desk run, each Lyapunov run's 32 rows of
+    205333 steps; the PSD runs' step is set by the bands, so they take
+    15680 steps a row at any parameters.
     """
     require_stable(dp)
     rows = len(reservoirs) * trajectories
