@@ -902,6 +902,18 @@ class TestSimulateAgainstLoop:
         assert measure_gain(Chain(dp, 0.05, cfg), frequency) == pytest.approx(
             2.0 * dp.kappa_a * dp.kappa_m * dp.xi * np.mean(p_a**2), rel=1e-12, abs=0)
 
+    def test_a_run_inside_one_lane(self):
+        # a run of one kept step, or of five, whose burn-in and end fall
+        # inside one lane: each chain keeps one piece of that lane
+        dp = desk_dp(r_m=1.5)
+        cfg = quick_config(dp, duration=0.5, n_trajectories=3)
+        lane = simulation._LANE
+        for keep in (1, 5):
+            short = replace(cfg, duration=keep * cfg.dt)
+            n_burn, n_keep = simulation._steps(short)
+            assert n_keep == keep and n_burn % lane and n_burn // lane == (n_burn + keep) // lane
+            self.check(dp, 0.05, short)
+
     @pytest.mark.parametrize("chunk", [None, 2 * simulation._LANE])
     def test_burn_in_and_end_mid_lane(self, monkeypatch, chunk):
         # the lanes start at step 0, so the first kept step and the last one
@@ -1360,8 +1372,8 @@ def test_streamed_psd_memory_does_not_grow_with_the_run():
 
     def scratch(reservoirs):
         # the pass's scratch for a record-only chain, which steps X_M and P_a
-        # in its lane slots, and holds its record, over the record's own
-        # increments, and a temporary, a row each
+        # in its lane slots and holds its record, over the record's own
+        # increments, and a temporary for sums and products
         chain = Chain(dp, 0.05, config(4), reservoirs, record_only=True)
         return simulation._Stepper(chain, None).size * 8
 

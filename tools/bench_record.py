@@ -148,7 +148,7 @@ def record(workloads: list[str], rounds: int, pair: Path | None) -> dict:
            "rounds": rounds,
            "workloads": {w: summarize(runs["this"][w]) for w in workloads}}
     if pair:
-        out["parent"] = {"tree": str(pair), "commit": commit(pair),
+        out["parent"] = {"commit": commit(pair),
                          "workloads": {w: summarize(runs["parent"][w]) for w in workloads}}
         out["paired"] = {w: paired(runs["this"][w], runs["parent"][w]) for w in workloads}
     return out
