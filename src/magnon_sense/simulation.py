@@ -105,13 +105,15 @@ A pass allocates its arrays once, before the first chunk: the normals of one
 chunk and its one scratch, sized for the chain of the pass whose chunk takes
 the most (:attr:`_Stepper.size`), and no buffer per chain.  The chains take
 the scratch in turn (:meth:`_Stepper.regions`): the lane scan's slots, lane
-ends, starts and terms, a temporary for the increments' sums and products,
-and a record-only chain's record, drawn as its own increments and written
-over them, in a fixed order of operations, so no bit depends on the
-buffers; the part an accumulator is fed is overwritten by the next chain of
-the same chunk.  At ``verify``'s 32-row, four-component Lyapunov chains the
-scratch is 1.4 MB, the lane slots 1.03 MB of it, and it holds no region of
-the chunk's increments beside them.  A chunk allocates no array larger than
+ends, starts and terms, a temporary for the sums and products of increments
+of several terms and a record-only chain's h . x, and a record-only chain's
+record, drawn as its own increments and written over them, in a fixed order
+of operations, so no bit depends on the buffers; the part an accumulator is
+fed is overwritten by the next chain of the same chunk.  At ``verify``'s
+32-row, four-component Lyapunov chains the scratch is 147,456 doubles,
+1.13 MB, the lane slots 1.03 MB of it; their Cholesky factors are
+diagonal, so they take no temporary, and it holds no region of the chunk's
+increments beside the lanes.  A chunk allocates no array larger than
 the lane carry's (rows, 4, 1) states (numpy's iterator buffers and FFT
 plans aside).  Temporaries of a chain's chunk (256 kB per component at 32
 rows) would otherwise cost page faults on every chunk wherever the C
@@ -555,17 +557,22 @@ class _Stepper:
         if chain.record_only:
             #: (position among the stepped components, h) of each component read
             self.read = [(self.scan.components.index(c), read[c]) for c in written]
+        drawn = [*self.scan.components, *[4] * chain.record_only]
+        several = any(len(block[k]) > 1 for block in self.terms for k in drawn)
+        #: rows of the temporary: a sum and a product, n_trajectories each,
+        #: if an increment has several terms, and a record-only chain's h . x
+        self.products = max(2 * self.ntraj * several, self.rows * chain.record_only)
         n = min(self.chunk, self.end)
         #: doubles of the pass's scratch the largest chunk takes (:meth:`regions`)
-        self.size = self.scan.size(n) + (self.rows + self.ntraj + chain.record_only * self.rows) * n
+        self.size = self.scan.size(n) + (self.products + chain.record_only * self.rows) * n
 
     def regions(self, work: np.ndarray, n: int) -> tuple:
         """(scan scratch, products, record) of a chunk of ``n`` steps in
         ``work``: the scan's, whose lane slots come first, then a temporary
-        of (rows + n_trajectories, n) for sums and products, and a
-        record-only chain's record, (rows, n), or None."""
+        of (:attr:`products`, n) for sums and products, and a record-only
+        chain's record, (rows, n), or None."""
         scan = self.scan.size(n)
-        shapes = [(self.rows + self.ntraj, n)] + [(self.rows, n)] * self.chain.record_only
+        shapes = [(self.products, n)] + [(self.rows, n)] * self.chain.record_only
         product, *record = _views(work[scan:], *shapes)
         return work[:scan], product, *(record or [None])
 

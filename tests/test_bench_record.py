@@ -81,7 +81,7 @@ def test_record_alternates_the_trees_and_writes_both(monkeypatch, tmp_path):
     this.mkdir()
     parent.mkdir()
     monkeypatch.setattr(bench_record, "ROOT", this)
-    out = bench_record.record(["oracle", "sweep"], 2, parent)
+    out = bench_record.record(("oracle", "sweep"), 2, parent)
     assert calls == [("this", "oracle", 1), ("parent", "oracle", 1),
                      ("this", "sweep", 1), ("parent", "sweep", 1),
                      ("parent", "oracle", 2), ("this", "oracle", 2),

@@ -881,14 +881,12 @@ class TestSimulateAgainstLoop:
         self.check(dp, 0.05, quick_config(dp, duration=0.5, n_trajectories=3),
                    reservoir=SqueezedReservoir(r_n=1.2, phi_n=math.pi))
 
-    def test_envelope_tone(self, monkeypatch):
+    def test_envelope_tone(self):
         # measure_gain sums, in closed form, what the per-step loop of the
         # chain takes from rest and without noise over increments that hold
-        # only the X_M drive sin(frequency t) dt, read over the kept steps of
-        # a run that spans what would be several chunks and whose burn-in and
-        # record end inside lanes, over the drive's field-referred power
-        # 1 / (2 kappa_m xi); every row would take the same drive
-        monkeypatch.setattr(simulation, "_CHUNK", 11 * simulation._LANE)
+        # only the X_M drive sin(frequency t) dt, read over the kept steps,
+        # over the drive's field-referred power 1 / (2 kappa_m xi); every row
+        # would take the same drive
         dp = desk_dp(r_m=1.0)
         frequency = 0.5 * dp.kappa_m
         cfg = mid_lane_config(dp)
@@ -898,7 +896,6 @@ class TestSimulateAgainstLoop:
         incr[0, 0] = np.sin(frequency * t) * cfg.dt
         step = np.eye(4) + drift_matrix(dp) * cfg.dt
         p_a = loop_states(step, incr)[3, 0, n_burn:]
-        assert (n_burn + n_keep) > 3 * simulation._CHUNK
         assert measure_gain(Chain(dp, 0.05, cfg), frequency) == pytest.approx(
             2.0 * dp.kappa_a * dp.kappa_m * dp.xi * np.mean(p_a**2), rel=1e-12, abs=0)
 
@@ -1498,20 +1495,23 @@ def test_a_pass_holds_no_buffer_per_chain():
 def test_a_full_pass_holds_each_chunk_once():
     # a pass of one full chain of 32 rows, four components stepped, peaks
     # (tracemalloc) within what its array shapes take: the chunk's normals,
-    # the lane slots that hold its increments and then its states, the
-    # scan's lane ends, starts and terms, and the temporary of sums and
-    # products, with room for one call's two 64 kB iterator buffers and a
-    # margin for the stepper's, scan's and accumulator's own arrays.  A
-    # region of the chunk's increments beside its lanes, 1 MB, does not fit
+    # the lane slots that hold its increments and then its states, and the
+    # scan's lane ends, starts and terms, with room for one call's two 64 kB
+    # iterator buffers and a margin for the stepper's, scan's and
+    # accumulator's own arrays.  Its Cholesky factor is diagonal, so no
+    # increment has several terms and the chain takes no temporary of sums
+    # and products.  A region of the chunk's increments beside its lanes,
+    # 1 MB, does not fit
     dp = desk_dp(r_m=1.0)
     rows, chunk, lane = 32, simulation._CHUNK, simulation._LANE
     cfg = quick_config(dp, duration=0.5, n_trajectories=rows)
     assert simulation._drawn(cfg) > 2 * chunk
+    factor = np.linalg.cholesky(simulation._diffusion(dp, 0.05, None) * cfg.dt)
+    assert np.count_nonzero(factor) == 4
     normals = rows * chunk * 4 * 8
     lanes = (lane + 1) * 4 * rows * chunk // lane * 8
     scan = (4 + 8) * rows * chunk // lane * 8
-    temp = (rows + rows) * chunk * 8
-    bound = normals + lanes + scan + temp + 2 * 64 * 1024 + 96 * 1024
+    bound = normals + lanes + scan + 2 * 64 * 1024 + 96 * 1024
 
     def peak():
         tracemalloc.start()

@@ -1,15 +1,14 @@
 """Record repeated rounds of the benchmark as a BENCH_<pr>.json file.
 
     python tools/bench_record.py --pr 40 [--rounds 5] [--pair PARENT_TREE]
-        [--workloads oracle,figures,sweep]
 
 Run from anywhere; the tree recorded is the checkout this script lives in.
 Each round runs ``benchmarks/run.py --workload W --seed i --seconds 0``
-unchanged, one process per workload, seed i the round's number.  Around
-each run the script reads ``resource.getrusage(RUSAGE_CHILDREN)``: the
-difference is the run's CPU seconds (user + system) and minor page faults,
-its grandchildren included, since ``run.py`` waits for every command it
-starts.  With ``--pair`` every round runs the same workload and seed on
+unchanged for each workload W of ``WORKLOADS``, one process each, seed i
+the round's number.  Around each run the script reads
+``resource.getrusage(RUSAGE_CHILDREN)``: the difference is the run's CPU
+seconds (user + system) and minor page faults, its grandchildren included,
+since ``run.py`` waits for every command it starts.  With ``--pair`` every round runs the same workload and seed on
 PARENT_TREE too, the two trees alternating which goes first, and the file
 holds each metric's paired differences (this tree minus the parent).
 
@@ -34,6 +33,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: the benchmark's workloads, in the order a round runs them
+WORKLOADS = ("oracle", "figures", "sweep")
 
 #: the metrics of a round, in the order they are reported
 METRICS = ("setup_s", "wall_s", "peak_rss_mb", "cpu_s", "minor_faults")
@@ -129,7 +131,7 @@ def commit(tree: Path) -> str | None:
     return done.stdout.strip() or None
 
 
-def record(workloads: list[str], rounds: int, pair: Path | None) -> dict:
+def record(workloads: tuple[str, ...], rounds: int, pair: Path | None) -> dict:
     """Run the rounds and return the file's contents."""
     trees = {"this": ROOT, **({"parent": pair} if pair else {})}
     runs: dict[str, dict[str, list[dict]]] = {name: {w: [] for w in workloads} for name in trees}
@@ -159,15 +161,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--pair", type=Path, help="a parent tree to alternate with")
-    parser.add_argument("--workloads", default="oracle,figures,sweep")
     parser.add_argument("--out", type=Path, help="the file to write (default: the tree's root)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     if args.pair and not (args.pair / "benchmarks" / "run.py").is_file():
         parser.error(f"{args.pair} has no benchmarks/run.py")
-    out = record(args.workloads.split(","), args.rounds,
-                 args.pair.resolve() if args.pair else None)
+    out = record(WORKLOADS, args.rounds, args.pair.resolve() if args.pair else None)
     path = args.out or ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
